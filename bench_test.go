@@ -451,65 +451,31 @@ func BenchmarkDispatchRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineChurn measures the raw timer-queue hot path on each
-// scheduler implementation: 1M self-rescheduling chains with a cancelled-
-// decoy mix and several thousand timers pending at all times (the
-// metro-scale regime). ref-heap is the frozen pre-refactor pointer-event
-// engine, so the heap/calendar sub-benchmarks read directly as the
-// refactor's speedup.
-func BenchmarkEngineChurn(b *testing.B) {
-	b.ReportAllocs()
-	for _, engine := range experiments.EngineNames {
-		b.Run(engine, func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			var wall time.Duration
-			for i := 0; i < b.N; i++ {
-				st, err := experiments.EngineChurn(engine, 1_000_000, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += st.Events
-				wall += st.Wall
-			}
-			if wall > 0 {
-				b.ReportMetric(float64(events)/wall.Seconds(), "events/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkMetroDay runs the whole-stack metro-scale scenario — 100 edge
 // sites replaying a full 24h trace day on one shared engine — once per
-// iteration and guards the refactor's throughput floor: the run must
-// clear 100k events/sec (the dev-box rate is ~1.5M/s; the floor is set
-// ~15x below so slow CI hardware passes but an O(n log n) -> O(n^2)
-// regression in the scheduler or a new per-event allocation does not) and
-// stay under 1 heap allocation per event. CI runs this with -benchtime=1x
-// as the perf smoke.
+// iteration and guards the engine's throughput floor: the run must clear
+// 100k events/sec (the dev-box rate is ~1.5M/s; the floor is set ~15x
+// below so slow CI hardware passes but an O(n log n) -> O(n^2) regression
+// in the scheduler or a new per-event allocation does not) and stay under
+// 1 heap allocation per event. CI runs this with -benchtime=1x in the
+// bench smoke.
 func BenchmarkMetroDay(b *testing.B) {
 	b.ReportAllocs()
 	const floorEventsPerSec = 100_000
-	for _, engine := range []string{"heap", "calendar"} {
-		b.Run(engine, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				st, err := experiments.MetroDay(experiments.Options{Seed: 1}, engine, 100, 24*60)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if eps := st.EventsPerSec(); eps < floorEventsPerSec {
-					b.Fatalf("metro-day on %s ran %.0f events/sec, below the %d floor (%d events in %v)",
-						engine, eps, floorEventsPerSec, st.Events, st.Wall)
-				}
-				if ape := st.AllocsPerEvent(); ape > 1 {
-					b.Fatalf("metro-day on %s allocated %.3f times per event; the pooled hot path must stay below 1",
-						engine, ape)
-				}
-				b.ReportMetric(st.EventsPerSec(), "events/sec")
-				b.ReportMetric(st.AllocsPerEvent(), "allocs/event")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		st, err := experiments.MetroDay(experiments.Options{Seed: 1}, 100, 24*60)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if eps := st.EventsPerSec(); eps < floorEventsPerSec {
+			b.Fatalf("metro-day ran %.0f events/sec, below the %d floor (%d events in %v)",
+				eps, floorEventsPerSec, st.Events, st.Wall)
+		}
+		if ape := st.AllocsPerEvent(); ape > 1 {
+			b.Fatalf("metro-day allocated %.3f times per event; the pooled hot path must stay below 1", ape)
+		}
+		b.ReportMetric(st.EventsPerSec(), "events/sec")
+		b.ReportMetric(st.AllocsPerEvent(), "allocs/event")
 	}
 }
 
@@ -520,7 +486,7 @@ func BenchmarkMetroDay(b *testing.B) {
 // cold epoch rate (the dev-box ratio is orders of magnitude higher; the
 // floor is set low so slow CI hardware passes but losing the warm path
 // does not) and allocate exactly zero heap objects per epoch. CI runs this
-// with -benchtime=1x as part of the perf smoke.
+// with -benchtime=1x as part of the bench smoke.
 func BenchmarkControlPlane(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -560,7 +526,7 @@ func BenchmarkControlPlane(b *testing.B) {
 // drifting demand, and guards the hierarchy refactor's floor: an epoch
 // whose inputs did not change must allocate exactly zero heap objects,
 // the same steady-state contract the flat allocator keeps. CI runs this
-// with -benchtime=1x as part of the perf smoke.
+// with -benchtime=1x as part of the bench smoke.
 func BenchmarkHierarchicalAllocator(b *testing.B) {
 	b.ReportAllocs()
 	const nsites, nmetros = 32, 4

@@ -7,8 +7,9 @@
 //	lass-bench -experiment all -quick      # everything, shortened durations
 //	lass-bench -list                       # show available experiment IDs
 //
-// Experiment IDs follow DESIGN.md §3: table1, fig3..fig9, openwhisk, and
-// the ablation-* design-choice studies.
+// Experiment IDs are the keys of internal/experiments/registry.go (-list
+// prints them): table1, fig3..fig9, openwhisk, the federation and bench
+// sweeps, and the ablation-* design-choice studies.
 package main
 
 import (

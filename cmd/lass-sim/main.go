@@ -22,7 +22,7 @@
 //	lass-sim -federation -policy grant-aware               # one placement policy only
 //	lass-sim -federation -fed-bench -quick -seed 1 -json BENCH_federation.json
 //	lass-sim -federation -sweep-workers 8                  # parallel sweep, identical output
-//	lass-sim -federation -scheduler calendar -cpuprofile cpu.pprof
+//	lass-sim -federation -cpuprofile cpu.pprof
 //
 // With -federation the command runs the multi-cluster edge–cloud offload
 // experiment instead: three edge sites plus a cloud backend with warm-pool
@@ -53,17 +53,14 @@
 // global allocator (fixed or centroid-elected coordinator placement);
 // -admission turns on offload-aware §3.4 admission control;
 // -offered-load keeps origins estimating demand from offered load under
-// per-site-local allocation; -peer-select picks nearest-first or
-// power-of-two-choices shedding; -cloud-max-concurrency caps concurrent
+// per-site-local allocation; -cloud-max-concurrency caps concurrent
 // cloud instances per function (FIFO queueing at the cap); -topology
 // selects the inter-site latency model (ring|star); the -cloud-* flags
 // tune the cloud's warm window and price points; -sweep-workers runs that
 // many sweep cells concurrently (rows are emitted in canonical order, so
 // the CSV/JSON output is byte-identical at any worker count).
 //
-// -scheduler picks the engine's timer-queue implementation (heap or
-// calendar — results are identical, speed differs), and -cpuprofile /
-// -memprofile write pprof profiles for hot-path work.
+// -cpuprofile / -memprofile write pprof profiles for hot-path work.
 package main
 
 import (
@@ -83,7 +80,6 @@ import (
 	"lass/internal/experiments"
 	"lass/internal/federation"
 	"lass/internal/functions"
-	"lass/internal/sim"
 	"lass/internal/workload"
 )
 
@@ -115,28 +111,20 @@ func main() {
 		coord      = flag.String("coordinator", "", "with -federation -global-fairshare: coordinator election (fixed|centroid; default fixed at site 0)")
 		admission  = flag.Bool("admission", false, "with -federation: offload-aware §3.4 admission control (reject only when no site's grant has headroom)")
 		offered    = flag.Bool("offered-load", false, "with -federation: estimate demand from offered load at every ingress (ControllerConfig.OfferedLoadDemand) even under per-site-local allocation")
-		peerSel    = flag.String("peer-select", "nearest", "with -federation: shed-target peer selection (nearest|p2c)")
 		cloudConc  = flag.Int("cloud-max-concurrency", 0, "with -federation: per-function cloud concurrency cap, FIFO queueing at the cap (0 = unbounded)")
 		topology   = flag.String("topology", "ring", "with -federation: inter-site latency topology (ring|star)")
 		cloudWarm  = flag.Duration("cloud-warm", 0, "with -federation: cloud warm-instance keep-alive window (0 = default 10m, negative = no keep-alive)")
-		alwaysWarm = flag.Bool("cloud-always-warm", false, "with -federation: legacy idealized cloud without cold starts")
 		priceInv   = flag.Float64("cloud-price-invocation", 0, "with -federation: $ per cloud invocation (0 = default $0.20/M, negative = free)")
 		priceGBs   = flag.Float64("cloud-price-gbsec", 0, "with -federation: $ per GB-second of cloud execution (0 = default, negative = free)")
 		out        = flag.String("out", "federation.csv", "CSV output path for -federation")
 		jsonOut    = flag.String("json", "", "with -federation: also write the sweep table as JSON (e.g. BENCH_federation.json)")
 		quickSweep = flag.Bool("quick", false, "shorten the -federation sweep for smoke testing")
 		workers    = flag.Int("sweep-workers", 1, "with -federation: concurrent sweep cells (1 = serial; output is byte-identical at any worker count)")
-		allocWork  = flag.Int("alloc-workers", 1, "with -federation -global-fairshare: worker pool for the global allocator's per-site feasibility clamps (1 = serial; grants are byte-identical at any worker count)")
-		scheduler  = flag.String("scheduler", "heap", "engine timer-queue implementation (heap|calendar); identical results either way")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	schedKind, err := sim.ParseSchedulerKind(*scheduler)
-	if err != nil {
-		fail(err)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -157,11 +145,11 @@ func main() {
 		"fed-coordinator": true, "fed-chaos": true, "fed-hierarchy": true, "fed-bench": true,
 		"scenario": true, "chaos-seed": true, "chaos-replicates": true,
 		"topology":   true,
-		"cloud-warm": true, "cloud-always-warm": true, "cloud-price-invocation": true,
+		"cloud-warm": true, "cloud-price-invocation": true,
 		"cloud-price-gbsec": true, "global-fairshare": true, "alloc-epoch": true,
 		"coordinator": true,
-		"admission":   true, "offered-load": true, "peer-select": true,
-		"cloud-max-concurrency": true, "sweep-workers": true, "alloc-workers": true,
+		"admission":   true, "offered-load": true,
+		"cloud-max-concurrency": true, "sweep-workers": true,
 		"out": true, "json": true, "quick": true}
 
 	if *fed {
@@ -170,7 +158,7 @@ func main() {
 		// shared: it selects the placement policy here, the reclamation
 		// policy in ad-hoc mode.
 		fedFlags := map[string]bool{"federation": true, "seed": true, "policy": true,
-			"scheduler": true, "cpuprofile": true, "memprofile": true}
+			"cpuprofile": true, "memprofile": true}
 		for name := range fedOnly {
 			fedFlags[name] = true
 		}
@@ -229,13 +217,11 @@ func main() {
 			Seed:         *seed,
 			Quick:        *quickSweep,
 			SweepWorkers: *workers,
-			Scheduler:    schedKind,
 			Fed: experiments.FedOptions{
 				Policy:                  fedPolicy,
 				Topology:                *topology,
 				TracePath:               tracePath,
 				CloudWarmWindow:         *cloudWarm,
-				CloudAlwaysWarm:         *alwaysWarm,
 				CloudPricePerInvocation: *priceInv,
 				CloudPricePerGBSecond:   *priceGBs,
 				GlobalFairShare:         *globalFS,
@@ -243,9 +229,7 @@ func main() {
 				Coordinator:             *coord,
 				Admission:               *admission,
 				OfferedLoad:             *offered,
-				PeerSelection:           *peerSel,
 				CloudMaxConcurrency:     *cloudConc,
-				AllocWorkers:            *allocWork,
 				ScenarioPath:            scenarioPath,
 				ChaosSeed:               *chaosSeed,
 				ChaosReplicates:         *chaosReps,
@@ -317,7 +301,6 @@ func main() {
 		Controller: controller.Config{Policy: pol, MinContainers: 1},
 		Seed:       *seed,
 		Functions:  cfgs,
-		Scheduler:  schedKind,
 	})
 	if err != nil {
 		fail(err)

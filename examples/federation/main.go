@@ -124,16 +124,25 @@ func coordinatorDemo() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fed, err := lass.NewFederation(lass.FederationConfig{
+		cfg := lass.FederationConfig{
 			Sites:               cfgs,
 			Placer:              placer,
 			Topology:            topo,
 			GlobalFairShare:     true,
 			CoordinatorElection: election,
-			CoordinatorOutages:  outages,
 			GrantLease:          lease,
 			Seed:                1,
-		})
+		}
+		if len(outages) > 0 {
+			faults, err := lass.NewChaosEngine(lass.ChaosConfig{Sites: len(cfgs), Faults: []lass.ChaosFault{
+				{Kind: lass.ChaosFaultCoordinator, Windows: outages},
+			}})
+			if err != nil {
+				log.Fatal(err)
+			}
+			cfg.Faults = faults
+		}
+		fed, err := lass.NewFederation(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

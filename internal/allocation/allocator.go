@@ -3,8 +3,6 @@ package allocation
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"lass/internal/fairshare"
 )
@@ -23,19 +21,10 @@ import (
 //     scratch) persist across epochs, so an epoch whose inputs are entirely
 //     unchanged — the steady state between demand shifts — performs zero
 //     heap allocations and returns the previous result.
-//   - Dirty-site pass-2 clamps are independent subproblems (one subtree, one
-//     capacity each); with Workers > 1 they run on a deterministic worker
-//     pool and are committed in site order, so serial and parallel output
-//     are byte-identical (same discipline as the experiments sweep runner).
 //
 // An Allocator is not safe for concurrent use. The returned Result is owned
 // by the Allocator and valid until the next Allocate call.
 type Allocator struct {
-	// Workers bounds the goroutines used for dirty-site pass-2 clamps.
-	// Values <= 1 run the clamps serially; the output is identical either
-	// way, only wall-clock changes.
-	Workers int
-
 	havePrev bool
 	capped   bool
 	order    []*siteCache // last epoch's caches in site order, for the fast path
@@ -48,8 +37,6 @@ type Allocator struct {
 	spare    map[string]int64
 
 	dirty []bool
-	work  []int
-	errs  []error
 
 	overflow   []spreadDemand
 	overflowOf map[string]int
@@ -257,8 +244,8 @@ func collectLeaves(n *fairshare.Node, byID map[string]*fairshare.Node) {
 
 // clampSite runs one site's pass-2 feasibility clamp: the site subtree with
 // desires capped at the entitlement, divided over the site's physical
-// capacity. Sites are independent subproblems, so clampSite may run on any
-// goroutine of the worker pool; it writes only its own site's cache.
+// capacity. Sites are independent subproblems: it writes only its own
+// site's cache.
 //
 //lass:bitexact
 func (c *siteCache) clampSite(capped bool) error {
@@ -274,52 +261,6 @@ func (c *siteCache) clampSite(capped bool) error {
 		g := c.clampMap[c.leafIDs[j]]
 		c.clamp = append(c.clamp, g)
 		c.sum += g
-	}
-	return nil
-}
-
-// runClamps executes the dirty-site clamps in a.work, serially or on a
-// bounded worker pool. Parallel runs commit nothing out of order: each clamp
-// writes only its own siteCache, errors are collected per work index, and
-// the lowest-index error is returned — the same fail-fast result the serial
-// loop produces.
-func (a *Allocator) runClamps(sites []SiteDemand, capped bool) error {
-	if a.Workers <= 1 || len(a.work) <= 1 {
-		for _, i := range a.work {
-			if err := a.caches[sites[i].Site].clampSite(capped); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := a.Workers
-	if workers > len(a.work) {
-		workers = len(a.work)
-	}
-	a.errs = a.errs[:0]
-	for range a.work {
-		a.errs = append(a.errs, nil)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(a.work) {
-					return
-				}
-				a.errs[k] = a.caches[sites[a.work[k]].Site].clampSite(capped)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range a.errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -437,9 +378,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	// physical capacity. The clamp input is the per-function
 	// min(entitlement, desire) vector; a clean site whose vector is
 	// unchanged — entitlements depend on every site, so dirtiness elsewhere
-	// can shift it — reuses last epoch's clamp verbatim. The rest are
-	// recomputed, in parallel when Workers allows.
-	a.work = a.work[:0]
+	// can shift it — reuses last epoch's clamp verbatim.
 	for i := range sites {
 		c := a.caches[sites[i].Site]
 		c.wantNext = c.wantNext[:0]
@@ -450,14 +389,14 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 			}
 			c.wantNext = append(c.wantNext, e)
 		}
-		if a.dirty[i] || !c.haveWant || !int64sEqual(c.wantNext, c.want) {
-			a.work = append(a.work, i)
-		}
+		stale := a.dirty[i] || !c.haveWant || !int64sEqual(c.wantNext, c.want)
 		c.want, c.wantNext = c.wantNext, c.want
 		c.haveWant = true
-	}
-	if err := a.runClamps(sites, capped); err != nil {
-		return a.fail(err)
+		if stale {
+			if err := c.clampSite(capped); err != nil {
+				return a.fail(err)
+			}
+		}
 	}
 	clear(a.spare)
 	for i := range sites {

@@ -359,16 +359,14 @@ func cloneSites(sites []SiteDemand) []SiteDemand {
 
 // TestAllocatorMatchesReferenceFuzz replays randomized epoch sequences —
 // steady states, partial demand shifts, site churn, reorders, capped-flag
-// flips, and invalid inputs — through four implementations that must agree
-// exactly: the frozen reference, the one-shot Allocate, an incremental
-// serial Allocator, and an incremental parallel Allocator.
+// flips, and invalid inputs — through three implementations that must agree
+// exactly: the frozen reference, the one-shot Allocate, and an incremental
+// Allocator.
 func TestAllocatorMatchesReferenceFuzz(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := xrand.New(seed)
 		sites := fuzzFederation(rng)
-		serial := NewAllocator()
-		par := NewAllocator()
-		par.Workers = 8
+		incr := NewAllocator()
 		capped := true
 		for epoch := 0; epoch < 40; epoch++ {
 			sites = mutate(rng, sites)
@@ -381,12 +379,11 @@ func TestAllocatorMatchesReferenceFuzz(t *testing.T) {
 			// through an independent clone to prove it.
 			want, wantErr := referenceAllocate(cloneSites(sites), capped)
 			oneshot, oneErr := Allocate(cloneSites(sites), capped)
-			gotS, serErr := serial.Allocate(cloneSites(sites), capped)
-			gotP, parErr := par.Allocate(cloneSites(sites), capped)
+			got, incrErr := incr.Allocate(cloneSites(sites), capped)
 			for _, impl := range []struct {
 				name string
 				err  error
-			}{{"oneshot", oneErr}, {"serial", serErr}, {"parallel", parErr}} {
+			}{{"oneshot", oneErr}, {"incremental", incrErr}} {
 				if (wantErr == nil) != (impl.err == nil) {
 					t.Fatalf("seed %d epoch %d: %s error %v, reference error %v", seed, epoch, impl.name, impl.err, wantErr)
 				}
@@ -403,43 +400,8 @@ func TestAllocatorMatchesReferenceFuzz(t *testing.T) {
 			if d := diffResults(want, oneshot); d != "" {
 				t.Fatalf("seed %d epoch %d: one-shot diverged: %s", seed, epoch, d)
 			}
-			if d := diffResults(want, gotS); d != "" {
-				t.Fatalf("seed %d epoch %d: incremental serial diverged: %s", seed, epoch, d)
-			}
-			if d := diffResults(want, gotP); d != "" {
-				t.Fatalf("seed %d epoch %d: incremental parallel diverged: %s", seed, epoch, d)
-			}
-		}
-	}
-}
-
-// TestAllocatorParallelMatchesSerial drives a wide all-dirty federation —
-// every epoch every site changes, so every pass-2 clamp reruns — through
-// worker counts 1, 2, and 8. The committed output must be identical: the
-// pool only reorders wall-clock, never results.
-func TestAllocatorParallelMatchesSerial(t *testing.T) {
-	rng := xrand.New(42)
-	allocs := []*Allocator{NewAllocator(), NewAllocator(), NewAllocator()}
-	allocs[1].Workers = 2
-	allocs[2].Workers = 8
-	sites := fuzzFederation(rng)
-	for epoch := 0; epoch < 20; epoch++ {
-		for i := range sites {
-			for j := range sites[i].Functions {
-				sites[i].Functions[j].DesiredCPU = int64(rng.Intn(7)) * 500
-			}
-		}
-		want, err := allocs[0].Allocate(cloneSites(sites), true)
-		if err != nil {
-			t.Fatalf("epoch %d: serial: %v", epoch, err)
-		}
-		for k, a := range allocs[1:] {
-			got, err := a.Allocate(cloneSites(sites), true)
-			if err != nil {
-				t.Fatalf("epoch %d: workers=%d: %v", epoch, a.Workers, err)
-			}
 			if d := diffResults(want, got); d != "" {
-				t.Fatalf("epoch %d: workers=%d diverged from serial: %s (k=%d)", epoch, a.Workers, d, k)
+				t.Fatalf("seed %d epoch %d: incremental diverged: %s", seed, epoch, d)
 			}
 		}
 	}
@@ -452,7 +414,6 @@ func TestAllocatorSteadyStateZeroAllocs(t *testing.T) {
 	rng := xrand.New(7)
 	sites := fuzzFederation(rng)
 	a := NewAllocator()
-	a.Workers = 8
 	if _, err := a.Allocate(sites, true); err != nil {
 		t.Fatal(err)
 	}

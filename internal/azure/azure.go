@@ -9,7 +9,6 @@
 // will use them) and a statistical synthesizer that produces traces with
 // the shapes the paper relies on: steady diurnal load for most functions
 // and the "highly sporadic pattern" the MobileNet workload follows (§6.7).
-// See DESIGN.md §1 for the substitution rationale.
 package azure
 
 import (

@@ -358,7 +358,7 @@ func anyDown(ps []procRef, t time.Duration) bool {
 // CoordinatorDown reports whether any coordinator-role fault holds at t.
 // The role is distinct from the site hosting it: a coordinator fault
 // silences the global allocator without touching the host site's data
-// plane (exactly the legacy CoordinatorOutages semantics).
+// plane.
 func (e *Engine) CoordinatorDown(at time.Duration) bool { return anyDown(e.coord, at) }
 
 // SiteDown reports whether site is network-dark at t: all of its links

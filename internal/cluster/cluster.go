@@ -3,11 +3,11 @@
 // terminated, and — the mechanism behind LaSS's deflation policy — resized
 // in place.
 //
-// It substitutes for the paper's 3-node OpenWhisk/Docker testbed (§6.1,
-// DESIGN.md §1). The package is pure resource accounting and lifecycle
-// state: time (cold starts) and request flow live in the platform and
-// dispatch layers, so the same cluster code serves both the discrete-event
-// simulation and the wall-clock runtime.
+// It substitutes for the paper's 3-node OpenWhisk/Docker testbed (§6.1;
+// see README.md's opening paragraph). The package is pure resource
+// accounting and lifecycle state: time (cold starts) and request flow live
+// in the platform and dispatch layers, so the same cluster code serves both
+// the discrete-event simulation and the wall-clock runtime.
 package cluster
 
 import (

@@ -55,10 +55,6 @@ type Config struct {
 	// shared engine so several edge-site platforms advance on one virtual
 	// clock; such platforms are driven with Start/Collect rather than Run.
 	Engine *sim.Engine
-	// Scheduler selects the timer-queue implementation when the platform
-	// creates its own engine (ignored when Engine is set). All kinds
-	// produce identical results; see sim.SchedulerKind.
-	Scheduler sim.SchedulerKind
 }
 
 // FunctionResult aggregates one function's measurements over a run.
@@ -108,7 +104,7 @@ type Platform struct {
 func New(cfg Config) (*Platform, error) {
 	engine := cfg.Engine
 	if engine == nil {
-		engine = sim.NewEngineWithScheduler(cfg.Scheduler)
+		engine = sim.NewEngine()
 	}
 	cl, err := cluster.New(cfg.Cluster)
 	if err != nil {

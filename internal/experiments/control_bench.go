@@ -46,7 +46,7 @@ func (s ControlStats) AllocsPerEpoch() float64 {
 const controlCPUPerContainer = 250
 
 // controlSwingSites is how many of the sites get their arrival rates
-// perturbed per epoch in the swing scenarios — a rolling 5% hot spot.
+// perturbed per epoch in the swing scenario — a rolling 5% hot spot.
 const controlSwingSites = 5
 
 // controlPlane is the bench's closed-loop control plane at metro scale:
@@ -160,9 +160,8 @@ func (cp *controlPlane) swing(e int) {
 // the cold per-epoch price (fresh sizer scans + fresh allocator every
 // epoch), the warm steady state (unchanged demand: warm hints + the
 // incremental allocator's fast path, zero allocations), and a rolling
-// 5%-of-sites demand swing on the warm path, serial and with the parallel
-// clamp pool.
-var controlScenarios = []string{"cold", "steady", "swing", "swing-parallel"}
+// 5%-of-sites demand swing on the warm path.
+var controlScenarios = []string{"cold", "steady", "swing"}
 
 // ControlEpochs measures epochs control epochs of the named scenario on an
 // nsites × fns metro demand set. Warm scenarios run three unmeasured
@@ -180,10 +179,7 @@ func ControlEpochs(opt Options, scenario string, nsites, fns, epochs int) (Contr
 		}
 	case "steady":
 		body = func(int) error { return cp.epoch() }
-	case "swing", "swing-parallel":
-		if scenario == "swing-parallel" {
-			cp.alloc.Workers = 8
-		}
+	case "swing":
 		body = func(e int) error {
 			cp.swing(e)
 			return cp.epoch()
@@ -283,7 +279,7 @@ func ControlPlaneBench(opt Options) (*Table, error) {
 	}
 	t.AddNote("each epoch: M/M/c-size %d functions (%d sites x %d fns, warm-scan seeded) then run the three-pass global allocator", nsites*fns, nsites, fns)
 	t.AddNote("cold rebuilds everything per epoch (hint-free scans, fresh allocator); steady repeats unchanged demand on the warm path")
-	t.AddNote("swing rolls a %d-site hot spot through the metro each epoch; swing-parallel adds the 8-worker feasibility-clamp pool (grants byte-identical)", controlSwingSites)
+	t.AddNote("swing rolls a %d-site hot spot through the metro each epoch", controlSwingSites)
 	t.AddNote("asserted: steady allocates exactly 0 heap objects per epoch and clears >= 3x the cold epoch rate")
 	return t, nil
 }

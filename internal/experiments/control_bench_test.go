@@ -25,35 +25,6 @@ func TestControlPlaneBenchRows(t *testing.T) {
 	}
 }
 
-// TestControlSwingParallelMatchesSerial pins the worker pool at the bench
-// harness level: the serial and 8-worker swing scenarios must hand the
-// same grants to every site at every epoch (the per-epoch sizing state is
-// deterministic, so equal sizing inputs + a byte-identical allocator mean
-// equal DesiredCPU trajectories).
-func TestControlSwingParallelMatchesSerial(t *testing.T) {
-	serial := newControlPlane(1, 20, 6)
-	par := newControlPlane(1, 20, 6)
-	par.alloc.Workers = 8
-	for e := 0; e < 12; e++ {
-		serial.swing(e)
-		par.swing(e)
-		if err := serial.epoch(); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.epoch(); err != nil {
-			t.Fatal(err)
-		}
-		for i := range serial.sites {
-			for j, fd := range serial.sites[i].Functions {
-				if got := par.sites[i].Functions[j].DesiredCPU; got != fd.DesiredCPU {
-					t.Fatalf("epoch %d site %s fn %s: parallel desired %d, serial %d",
-						e, serial.sites[i].Site, fd.Name, got, fd.DesiredCPU)
-				}
-			}
-		}
-	}
-}
-
 // TestMissingControlScenarios covers the baseline staleness guard: a
 // baseline without the nested Control table (or with an incomplete one)
 // must report the absent scenario rows; a freshly generated control table
@@ -72,7 +43,7 @@ func TestMissingControlScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"swing", "swing-parallel"}
+	want := []string{"swing"}
 	if len(missing) != len(want) {
 		t.Fatalf("partial baseline reports %v missing, want %v", missing, want)
 	}

@@ -9,7 +9,6 @@ import (
 	"lass/internal/core"
 	"lass/internal/federation"
 	"lass/internal/functions"
-	"lass/internal/sim"
 	"lass/internal/workload"
 	"lass/internal/xrand"
 )
@@ -42,12 +41,6 @@ func (s EngineStats) AllocsPerEvent() float64 {
 	return float64(s.Allocs) / float64(s.Events)
 }
 
-// EngineNames are the timer-queue implementations the churn harness
-// compares: the pre-refactor pointer-event heap kept as a frozen reference
-// (sim.RefEngine), and the value-typed heap and calendar schedulers behind
-// the production engine.
-var EngineNames = []string{"ref-heap", "heap", "calendar"}
-
 // measure runs fn and returns its wall time and exact heap allocation
 // deltas (runtime counters, not sampled).
 //
@@ -60,105 +53,6 @@ func measure(fn func()) (wall time.Duration, allocs, bytes uint64) {
 	wall = time.Since(start)
 	runtime.ReadMemStats(&after)
 	return wall, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
-}
-
-// churnDelay draws the next event delay for the churn harness: a spread of
-// microsecond-to-millisecond gaps, the regime the calendar queue's bucket
-// width estimation targets.
-func churnDelay(rng *xrand.Rand) time.Duration {
-	return time.Duration(1+rng.Intn(1000)) * time.Microsecond
-}
-
-// churnChains and churnDecoyFlush size the churn harness's pending set:
-// churnChains concurrent self-rescheduling chains plus up to churnDecoyFlush
-// outstanding decoys keep several thousand timers pending at all times —
-// the regime a metro-scale run actually operates in, where the pointer-heap
-// reference pays for scattered per-event allocations on every sift.
-const (
-	churnChains     = 4096
-	churnDecoyFlush = 1024
-)
-
-// EngineChurn measures a pure scheduler workload on the named engine:
-// total self-rescheduling timer chains with a 25% mix of scheduled-then-
-// cancelled decoys, so push, pop, cancel, and lazy-delete compaction all do
-// real work. The same seed drives every engine, so the fired-event counts
-// match across implementations.
-func EngineChurn(engine string, total int, seed uint64) (EngineStats, error) {
-	st := EngineStats{Scenario: "churn", Engine: engine}
-	switch engine {
-	case "ref-heap":
-		eng := sim.NewRefEngine()
-		rng := xrand.New(seed)
-		noop := func() {}
-		var decoys []*sim.RefEvent
-		scheduled := 0
-		var step func()
-		step = func() {
-			if scheduled >= total {
-				return
-			}
-			d := churnDelay(rng)
-			eng.After(d, step)
-			scheduled++
-			if scheduled%4 == 0 {
-				decoys = append(decoys, eng.After(2*d, noop))
-				if len(decoys) >= churnDecoyFlush {
-					for _, ev := range decoys {
-						ev.Cancel()
-					}
-					decoys = decoys[:0]
-				}
-			}
-		}
-		st.Wall, st.Allocs, st.Bytes = measure(func() {
-			for i := 0; i < churnChains && scheduled < total; i++ {
-				eng.After(churnDelay(rng), step)
-				scheduled++
-			}
-			eng.Run()
-		})
-		st.Events = eng.Fired()
-	case "heap", "calendar":
-		kind, err := sim.ParseSchedulerKind(engine)
-		if err != nil {
-			return st, err
-		}
-		eng := sim.NewEngineWithScheduler(kind)
-		rng := xrand.New(seed)
-		noop := func() {}
-		var decoys []sim.Event
-		scheduled := 0
-		var step func()
-		step = func() {
-			if scheduled >= total {
-				return
-			}
-			d := churnDelay(rng)
-			eng.After(d, step)
-			scheduled++
-			if scheduled%4 == 0 {
-				decoys = append(decoys, eng.After(2*d, noop))
-				if len(decoys) >= churnDecoyFlush {
-					for _, ev := range decoys {
-						ev.Cancel()
-					}
-					decoys = decoys[:0]
-				}
-			}
-		}
-		st.Wall, st.Allocs, st.Bytes = measure(func() {
-			for i := 0; i < churnChains && scheduled < total; i++ {
-				eng.After(churnDelay(rng), step)
-				scheduled++
-			}
-			eng.Run()
-		})
-		st.Events = eng.Fired()
-	default:
-		return st, fmt.Errorf("experiments: unknown churn engine %q (want one of %v)", engine, EngineNames)
-	}
-	return st, nil
 }
 
 // metroSites builds the metro-scale scenario: sites edge boxes, each
@@ -191,12 +85,8 @@ func metroSites(opt Options, nsites, minutes int, mean float64) ([]core.Config, 
 // edge sites replay minutes of trace-driven load on one shared engine
 // (arrival streams, dispatch, controllers, metric sampling — the whole
 // stack). The returned stats cover only the Run phase, not construction.
-func MetroDay(opt Options, engine string, nsites, minutes int) (EngineStats, error) {
-	st := EngineStats{Scenario: "metro-day", Engine: engine}
-	kind, err := sim.ParseSchedulerKind(engine)
-	if err != nil {
-		return st, err
-	}
+func MetroDay(opt Options, nsites, minutes int) (EngineStats, error) {
+	st := EngineStats{Scenario: "metro-day", Engine: "heap"}
 	sites, err := metroSites(opt, nsites, minutes, 15)
 	if err != nil {
 		return st, err
@@ -209,7 +99,6 @@ func MetroDay(opt Options, engine string, nsites, minutes int) (EngineStats, err
 	if err != nil {
 		return st, err
 	}
-	fcfg.Scheduler = kind
 	fed, err := federation.New(fcfg)
 	if err != nil {
 		return st, err
@@ -241,52 +130,33 @@ func addEngineRow(t *Table, s EngineStats) {
 		fmt.Sprintf("%.1f", float64(s.Bytes)/float64(s.Events)))
 }
 
-// EngineBench measures the engine hot path before and after the tiered-
-// scheduler refactor: the churn micro-harness on the frozen pre-refactor
-// reference engine and on both production schedulers, then the metro-day
-// whole-stack harness on both schedulers. Quick mode shrinks the event
-// budget and the metro scale so baseline regeneration stays fast; the
-// wall-clock columns vary with the host, but the scenario/engine rows —
-// what the CI staleness guard checks — are fixed.
+// EngineBench measures the engine hot path on the metro-day whole-stack
+// harness. Quick mode shrinks the metro scale so baseline regeneration
+// stays fast; the wall-clock columns vary with the host, but the
+// scenario/engine rows — what the CI staleness guard checks — are fixed.
 func EngineBench(opt Options) (*Table, error) {
 	t := &Table{
 		ID:     "engine-bench",
-		Title:  "Engine hot path: events/sec and allocs across scheduler implementations",
+		Title:  "Engine hot path: events/sec and allocs at metro scale",
 		Header: engineBenchHeader,
 	}
-	churn := 2_000_000
 	nsites, minutes := 100, 24*60
 	if opt.Quick {
-		churn = 200_000
 		nsites, minutes = 10, 60
 	}
-	for _, engine := range EngineNames {
-		s, err := EngineChurn(engine, churn, opt.Seed^0xc4a7)
-		if err != nil {
-			return nil, err
-		}
-		addEngineRow(t, s)
+	s, err := MetroDay(opt, nsites, minutes)
+	if err != nil {
+		return nil, err
 	}
-	for _, engine := range []string{"heap", "calendar"} {
-		s, err := MetroDay(opt, engine, nsites, minutes)
-		if err != nil {
-			return nil, err
-		}
-		addEngineRow(t, s)
-	}
-	t.AddNote("churn: %d self-rescheduling timer chains with a 25%% cancelled-decoy mix; same seed on every engine", churn)
+	addEngineRow(t, s)
 	t.AddNote("metro-day: %d edge sites replaying %d minutes of steady trace load on one shared engine, never policy", nsites, minutes)
-	t.AddNote("ref-heap is the pre-refactor pointer-event engine kept frozen in sim/reference.go as the before baseline")
 	t.AddNote("wall-clock and events/sec vary with the host; the scenario/engine row set is what the baseline guard pins")
 	return t, nil
 }
 
 // engineScenarios are the (scenario, engine) rows the committed baseline's
 // nested Engine table must carry, in report order.
-var engineScenarios = []string{
-	"churn/ref-heap", "churn/heap", "churn/calendar",
-	"metro-day/heap", "metro-day/calendar",
-}
+var engineScenarios = []string{"metro-day/heap"}
 
 // MissingEngineScenarios compares a committed sweep-baseline JSON against
 // the engine-benchmark rows EngineBench produces and returns the

@@ -6,10 +6,9 @@ import (
 )
 
 // TestEngineBenchRowsAndSpeedup runs the quick engine benchmark and checks
-// the refactor's two headline claims hold even at the small quick-mode
-// scale: the pooled engine allocates far less per event than the frozen
-// pre-refactor reference on the identical churn workload, and the table
-// carries exactly the scenario/engine rows the baseline guard pins.
+// the table carries exactly the scenario/engine rows the baseline guard
+// pins. (The pooled engine's allocation claim is held by
+// sim.TestSteadyStateSteppingDoesNotAllocate.)
 func TestEngineBenchRowsAndSpeedup(t *testing.T) {
 	tab, err := EngineBench(Options{Seed: 1, Quick: true})
 	if err != nil {
@@ -27,26 +26,6 @@ func TestEngineBenchRowsAndSpeedup(t *testing.T) {
 			t.Fatalf("engine-bench row %d is %s, want %s (all: %v)", i, got[i], want, got)
 		}
 	}
-	// Re-measure the churn pair directly (the table stringifies) and
-	// compare allocation rates: the pooled engine's steady state is near
-	// zero, the reference allocates one event per schedule.
-	ref, err := EngineChurn("ref-heap", 200_000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := EngineChurn("heap", 200_000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Events != pooled.Events {
-		t.Fatalf("churn fired %d events on ref-heap but %d on heap; same seed must fire the same count",
-			ref.Events, pooled.Events)
-	}
-	if ra, pa := ref.AllocsPerEvent(), pooled.AllocsPerEvent(); pa*10 > ra {
-		t.Errorf("pooled engine allocs/event %.4f not 10x below reference %.4f", pa, ra)
-	}
-	t.Logf("churn: ref-heap %.0f ev/s %.3f allocs/ev; heap %.0f ev/s %.3f allocs/ev",
-		ref.EventsPerSec(), ref.AllocsPerEvent(), pooled.EventsPerSec(), pooled.AllocsPerEvent())
 }
 
 // TestMissingEngineScenarios covers the baseline staleness guard: a
@@ -62,12 +41,12 @@ func TestMissingEngineScenarios(t *testing.T) {
 		t.Fatalf("pre-Engine baseline reports %v missing, want all of %v", missing, engineScenarios)
 	}
 	partial := []byte(`{"Header":["policy"],"Rows":[],
-		"Engine":{"Header":["scenario","engine"],"Rows":[["churn","ref-heap"],["churn","heap"]]}}`)
+		"Engine":{"Header":["scenario","engine"],"Rows":[["churn","heap"]]}}`)
 	missing, err = MissingEngineScenarios(partial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"churn/calendar", "metro-day/heap", "metro-day/calendar"}
+	want := []string{"metro-day/heap"}
 	if len(missing) != len(want) {
 		t.Fatalf("partial baseline reports %v missing, want %v", missing, want)
 	}

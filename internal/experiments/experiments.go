@@ -3,8 +3,8 @@
 // Table whose rows mirror what the paper plots; cmd/lass-bench prints them
 // and the repository-level benchmarks assert their shapes.
 //
-// DESIGN.md §3 is the index: experiment IDs, workloads, and the modules
-// each one exercises. EXPERIMENTS.md records paper-vs-measured values.
+// registry.go is the index of experiment IDs (`lass-bench -list` prints
+// it).
 package experiments
 
 import (
@@ -12,8 +12,6 @@ import (
 	"io"
 	"strings"
 	"time"
-
-	"lass/internal/sim"
 )
 
 // Table is a printable experiment result.
@@ -24,9 +22,9 @@ type Table struct {
 	Rows   [][]string
 	Notes  []string
 	// Engine, when present, is the nested engine-benchmark sub-table
-	// (events/sec and allocs across scheduler implementations) the
-	// fed-bench baseline carries alongside the sweep rows. Omitted from
-	// the JSON when nil, so older baselines parse unchanged.
+	// (events/sec and allocs on the metro-day harness) the fed-bench
+	// baseline carries alongside the sweep rows. Omitted from the JSON
+	// when nil, so older baselines parse unchanged.
 	Engine *Table `json:",omitempty"`
 	// Control, when present, is the nested control-plane benchmark
 	// sub-table (epochs/sec and allocs/epoch, cold vs warm sizing and
@@ -106,10 +104,6 @@ type Options struct {
 	// rows are emitted in canonical order after all cells complete, so the
 	// output is byte-identical at any worker count.
 	SweepWorkers int
-	// Scheduler selects the engine's timer-queue implementation for every
-	// simulation an experiment builds. All kinds produce identical
-	// results; see sim.SchedulerKind.
-	Scheduler sim.SchedulerKind
 	// Fed tunes the federation experiments (topology, trace source,
 	// cloud realism); the zero value keeps the defaults.
 	Fed FedOptions
@@ -129,10 +123,9 @@ type FedOptions struct {
 	// sites from a real Azure-schema CSV (row i feeds site i) instead of
 	// deterministically synthesized rows.
 	TracePath string
-	// CloudWarmWindow, CloudAlwaysWarm, and the price fields pass
-	// through to federation.Config; zero values keep its defaults.
+	// CloudWarmWindow and the price fields pass through to
+	// federation.Config; zero values keep its defaults.
 	CloudWarmWindow         time.Duration
-	CloudAlwaysWarm         bool
 	CloudPricePerInvocation float64
 	CloudPricePerGBSecond   float64
 	// GlobalFairShare runs the sweeps under the federation-wide §4.1
@@ -150,17 +143,9 @@ type FedOptions struct {
 	// so origins keep estimating demand from offered load (shed requests
 	// included) even under per-site-local allocation.
 	OfferedLoad bool
-	// PeerSelection picks the shed-target peer: "" or "nearest"
-	// (strict RTT order) or "p2c" (power-of-two-choices by headroom).
-	PeerSelection string
 	// CloudMaxConcurrency caps concurrent cloud instances per function
 	// (0 = unbounded).
 	CloudMaxConcurrency int
-	// AllocWorkers bounds the worker pool the global allocator uses for
-	// its per-site feasibility clamps (≤1 = serial). Grants are
-	// byte-identical at any worker count; only coordinator wall-clock
-	// changes.
-	AllocWorkers int
 	// ScenarioPath names a declarative scenario file for the scenario
 	// experiment; empty runs every committed scenarios/*.yaml.
 	ScenarioPath string

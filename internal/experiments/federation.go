@@ -89,26 +89,13 @@ func federationConfig(opt Options, sites []core.Config, placer federation.Placer
 		Sites:                   sites,
 		Placer:                  placer,
 		Seed:                    opt.Seed ^ 0xfedc,
-		Scheduler:               opt.Scheduler,
 		CloudWarmWindow:         opt.Fed.CloudWarmWindow,
-		CloudAlwaysWarm:         opt.Fed.CloudAlwaysWarm,
 		CloudPricePerInvocation: opt.Fed.CloudPricePerInvocation,
 		CloudPricePerGBSecond:   opt.Fed.CloudPricePerGBSecond,
 		GlobalFairShare:         opt.Fed.GlobalFairShare,
 		AllocEpoch:              opt.Fed.AllocEpoch,
 		OffloadAwareAdmission:   opt.Fed.Admission,
 		CloudMaxConcurrency:     opt.Fed.CloudMaxConcurrency,
-		AllocWorkers:            opt.Fed.AllocWorkers,
-	}
-	switch opt.Fed.PeerSelection {
-	case "":
-		// NearestFirst, the historical default.
-	default:
-		ps, err := federation.ParsePeerSelection(opt.Fed.PeerSelection)
-		if err != nil {
-			return federation.Config{}, err
-		}
-		cfg.PeerSelection = ps
 	}
 	switch opt.Fed.Coordinator {
 	case "":

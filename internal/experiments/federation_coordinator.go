@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"lass/internal/chaos"
 	"lass/internal/core"
 	"lass/internal/federation"
 	"lass/internal/functions"
@@ -143,7 +144,16 @@ func FederationCoordinator(opt Options) (*Table, error) {
 		}
 		fcfg.Topology = topo
 		fcfg.CoordinatorElection = v.election
-		fcfg.CoordinatorOutages = v.outages
+		if len(v.outages) > 0 {
+			faults, err := chaos.New(chaos.Config{
+				Sites:  len(sites),
+				Faults: []chaos.Fault{{Kind: chaos.FaultCoordinator, Windows: v.outages}},
+			})
+			if err != nil {
+				return err
+			}
+			fcfg.Faults = faults
+		}
 		fcfg.GrantLease = v.lease
 		fed, err := federation.New(fcfg)
 		if err != nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"lass/internal/sim"
 )
 
 // renderTable serializes a table exactly as cmd/lass-sim writes it — the
@@ -51,26 +49,6 @@ func TestParallelSweepOutputIsByteIdentical(t *testing.T) {
 					id, firstDiffContext(serial, parallel), firstDiffContext(parallel, serial))
 			}
 		})
-	}
-}
-
-// TestSchedulerKindsEmitIdenticalSweeps asserts the tiered-scheduler
-// contract end to end: a full federation sweep on the calendar queue emits
-// the same bytes as on the binary heap. Both schedulers order timers by
-// (time, sequence), so any difference is a scheduler ordering bug.
-func TestSchedulerKindsEmitIdenticalSweeps(t *testing.T) {
-	run := func(kind sim.SchedulerKind) []byte {
-		tab, err := Federation(Options{Seed: 7, Quick: true, Scheduler: kind})
-		if err != nil {
-			t.Fatalf("Federation(%v): %v", kind, err)
-		}
-		return renderTable(t, tab)
-	}
-	heap := run(sim.SchedulerHeap)
-	cal := run(sim.SchedulerCalendar)
-	if !bytes.Equal(heap, cal) {
-		t.Fatalf("calendar-scheduler sweep differs from heap:\n--- heap ---\n%s\n--- calendar ---\n%s",
-			firstDiffContext(heap, cal), firstDiffContext(cal, heap))
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // Runner produces one experiment's table.
 type Runner func(Options) (*Table, error)
 
-// Registry maps experiment IDs to runners. IDs match the per-experiment
-// index in DESIGN.md §3.
+// Registry maps experiment IDs to runners; it is the experiment index
+// (`lass-bench -list` prints it).
 var Registry = map[string]Runner{
 	"table1":                 func(Options) (*Table, error) { return Table1(), nil },
 	"fig3":                   Fig3,

@@ -29,7 +29,7 @@ func Table1() *Table {
 			fmt.Sprintf("%.0f%%", s.Slack*100),
 		)
 	}
-	t.AddNote("sizes match Table 1; service-time means are calibrated (see DESIGN.md §1)")
+	t.AddNote("sizes match Table 1; service-time means are calibrated (internal/functions)")
 	return t
 }
 

@@ -10,28 +10,24 @@ import (
 	"lass/internal/core"
 )
 
-// goldenOutageConfig is the frozen pre-chaos reference scenario: four
-// sites on the asymmetric star under model-driven placement with two
-// static coordinator outage windows. The expected counters below were
-// captured on the commit *before* CoordinatorOutages was reimplemented
-// on the chaos layer, so this test holds the replay to bit-for-bit
-// legacy behaviour.
-func goldenOutageConfig(t *testing.T) Config {
+// goldenOutageWindows are the two static coordinator outage windows of the
+// frozen pre-chaos reference scenario.
+var goldenOutageWindows = []Window{
+	{Start: 10 * time.Second, End: 25 * time.Second},
+	{Start: 40 * time.Second, End: 55 * time.Second},
+}
+
+// coordinatorOutage declares static windows as a coordinator-role fault.
+func coordinatorOutage(t *testing.T, sites int, windows []Window) FaultView {
 	t.Helper()
-	return Config{
-		Sites:               fourSites(t, 77),
-		Policy:              ModelDriven,
-		Topology:            asymmetricStar(t),
-		GlobalFairShare:     true,
-		CoordinatorElection: RTTCentroid,
-		CoordinatorOutages: []Window{
-			{Start: 10 * time.Second, End: 25 * time.Second},
-			{Start: 40 * time.Second, End: 55 * time.Second},
-		},
-		AllocEpoch: 5 * time.Second,
-		GrantLease: 10 * time.Second,
-		Seed:       3,
+	eng, err := chaos.New(chaos.Config{
+		Sites:  sites,
+		Faults: []chaos.Fault{{Kind: chaos.FaultCoordinator, Windows: windows}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return eng
 }
 
 type goldenSite struct {
@@ -77,62 +73,48 @@ func checkGolden(t *testing.T, res *Result, label string) {
 	}
 }
 
-// TestCoordinatorOutagesGoldenReplay: the legacy static-window config,
-// now replayed through the chaos layer, must reproduce the pre-chaos
-// counters exactly — aggregates, per-site dispatch splits, SLO totals,
+// TestStaticWindowsFaultViewEquivalence is the outage golden: four sites
+// on the asymmetric star under model-driven placement, with two static
+// coordinator outage windows declared as a chaos coordinator fault. The
+// expected counters were captured on the commit before coordinator
+// outages moved onto the chaos layer, so the replay is held to that
+// behaviour exactly — aggregates, per-site dispatch splits, SLO totals,
 // and the p95 down to the microsecond.
-func TestCoordinatorOutagesGoldenReplay(t *testing.T) {
-	fed, err := New(goldenOutageConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fed.Run(90 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, res, "legacy CoordinatorOutages")
-}
-
-// TestStaticWindowsFaultViewEquivalence: declaring the same windows as
-// an explicit chaos coordinator fault via Config.Faults is bit-for-bit
-// the CoordinatorOutages path.
 func TestStaticWindowsFaultViewEquivalence(t *testing.T) {
-	cfg := goldenOutageConfig(t)
-	eng, err := chaos.New(chaos.Config{
-		Sites: len(cfg.Sites),
-		Faults: []chaos.Fault{
-			{Kind: chaos.FaultCoordinator, Windows: cfg.CoordinatorOutages},
-		},
+	sites := fourSites(t, 77)
+	fed, err := New(Config{
+		Sites:               sites,
+		Placer:              modelDrivenPlacer{},
+		Topology:            asymmetricStar(t),
+		GlobalFairShare:     true,
+		CoordinatorElection: RTTCentroid,
+		Faults:              coordinatorOutage(t, len(sites), goldenOutageWindows),
+		AllocEpoch:          5 * time.Second,
+		GrantLease:          10 * time.Second,
+		Seed:                3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.CoordinatorOutages = nil
-	cfg.Faults = eng
-	fed, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := fed.Run(90 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, res, "explicit chaos FaultView")
+	checkGolden(t, res, "static-window coordinator fault")
 }
 
-// TestOutageWindowOverlapRejected: overlapping CoordinatorOutages are a
+// TestOutageWindowOverlapRejected: overlapping outage windows are a
 // configuration error with a clear message, not silent double-counting.
 func TestOutageWindowOverlapRejected(t *testing.T) {
-	_, err := New(Config{
-		Sites:           fourSites(t, 77),
-		GlobalFairShare: true,
-		CoordinatorOutages: []Window{
+	_, err := chaos.New(chaos.Config{
+		Sites: 4,
+		Faults: []chaos.Fault{{Kind: chaos.FaultCoordinator, Windows: []Window{
 			{Start: 0, End: 20 * time.Second},
 			{Start: 10 * time.Second, End: 30 * time.Second},
-		},
+		}}},
 	})
 	if err == nil {
-		t.Fatal("New accepted overlapping outage windows")
+		t.Fatal("chaos.New accepted overlapping outage windows")
 	}
 	if !strings.Contains(err.Error(), "overlap") {
 		t.Errorf("error %q does not mention the overlap", err)
@@ -169,7 +151,7 @@ func TestAsymmetricPartitionLeaseExpiry(t *testing.T) {
 	}
 	fed, err := New(Config{
 		Sites:           partitionSites(t),
-		Policy:          Never,
+		Placer:          neverPlacer{},
 		GlobalFairShare: true,
 		AllocEpoch:      5 * time.Second,
 		GrantLease:      10 * time.Second,
@@ -220,7 +202,7 @@ func TestReturnLegPartitionDropsGrants(t *testing.T) {
 	}
 	fed, err := New(Config{
 		Sites:           partitionSites(t),
-		Policy:          Never,
+		Placer:          neverPlacer{},
 		GlobalFairShare: true,
 		AllocEpoch:      5 * time.Second,
 		GrantLease:      10 * time.Second,
@@ -262,7 +244,7 @@ func TestDarkPeerExcludedFromDispatch(t *testing.T) {
 				staticSite(t, "squeezenet", 40, 61, tinyCluster()),
 				staticSite(t, "squeezenet", 2, 62, cluster.PaperCluster()),
 			},
-			Policy: ModelDriven,
+			Placer: modelDrivenPlacer{},
 			Seed:   5,
 		}
 		if dark {
@@ -324,7 +306,7 @@ func TestDarkOriginLosesCloudUplink(t *testing.T) {
 			staticSite(t, "squeezenet", 40, 61, tinyCluster()),
 			staticSite(t, "squeezenet", 2, 62, cluster.PaperCluster()),
 		},
-		Policy: ModelDriven,
+		Placer: modelDrivenPlacer{},
 		Faults: eng,
 		Seed:   5,
 	})

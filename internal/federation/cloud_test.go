@@ -46,7 +46,7 @@ func TestCloudColdStartAndWarmReuse(t *testing.T) {
 	spec := detSpec(50 * time.Millisecond)
 	fed, err := New(Config{
 		Sites:  []core.Config{shedAllSite(t, spec, 2, 9, 0)},
-		Policy: CloudOnly,
+		Placer: cloudOnlyPlacer{},
 		Seed:   7,
 	})
 	if err != nil {
@@ -95,7 +95,7 @@ func TestCloudNoKeepAlive(t *testing.T) {
 	spec := detSpec(50 * time.Millisecond)
 	fed, err := New(Config{
 		Sites:           []core.Config{shedAllSite(t, spec, 2, 9, 0)},
-		Policy:          CloudOnly,
+		Placer:          cloudOnlyPlacer{},
 		CloudWarmWindow: -1,
 		Seed:            7,
 	})
@@ -113,16 +113,16 @@ func TestCloudNoKeepAlive(t *testing.T) {
 	}
 }
 
-// TestCloudAlwaysWarmRestoresLegacyModel checks the opt-out: with
-// CloudAlwaysWarm no request cold-starts and every response is exactly
-// 2×RTT + service.
-func TestCloudAlwaysWarmRestoresLegacyModel(t *testing.T) {
+// TestZeroColdStartSpecRestoresLegacyModel checks the idealized cloud: a
+// function whose Spec.ColdStart is zero never cold-starts there, and every
+// response is exactly 2×RTT + service.
+func TestZeroColdStartSpecRestoresLegacyModel(t *testing.T) {
 	spec := detSpec(50 * time.Millisecond)
+	spec.ColdStart = 0
 	fed, err := New(Config{
-		Sites:           []core.Config{shedAllSite(t, spec, 2, 9, 0)},
-		Policy:          CloudOnly,
-		CloudAlwaysWarm: true,
-		Seed:            7,
+		Sites:  []core.Config{shedAllSite(t, spec, 2, 9, 0)},
+		Placer: cloudOnlyPlacer{},
+		Seed:   7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,21 +133,20 @@ func TestCloudAlwaysWarmRestoresLegacyModel(t *testing.T) {
 	}
 	s := res.Sites[0]
 	if s.CloudColdStarts != 0 {
-		t.Errorf("always-warm cloud cold-started %d times", s.CloudColdStarts)
+		t.Errorf("zero-cold-start function cold-started %d times", s.CloudColdStarts)
 	}
 	const eps = 1e-9
 	if got := s.Responses.Max(); s.Responses.Count() == 0 || math.Abs(got-0.150) > eps {
-		t.Errorf("always-warm response max %.6fs, want exactly 0.150s", got)
+		t.Errorf("zero-cold-start response max %.6fs, want exactly 0.150s", got)
 	}
 	if s.CloudCost <= 0 {
-		t.Error("always-warm cloud must still accrue cost")
+		t.Error("a zero-cold-start cloud must still accrue cost")
 	}
-	// Negative prices are the explicit free tier: combined with
-	// always-warm this is exactly the legacy idealized cloud.
+	// Negative prices are the explicit free tier: combined with a zero
+	// cold start this is exactly the legacy idealized cloud.
 	free, err := New(Config{
 		Sites:                   []core.Config{shedAllSite(t, spec, 2, 9, 0)},
-		Policy:                  CloudOnly,
-		CloudAlwaysWarm:         true,
+		Placer:                  cloudOnlyPlacer{},
 		CloudPricePerInvocation: -1,
 		CloudPricePerGBSecond:   -1,
 		Seed:                    7,
@@ -171,7 +170,7 @@ func TestCloudEnforcesTimeLimit(t *testing.T) {
 	spec := detSpec(300 * time.Millisecond)
 	fed, err := New(Config{
 		Sites:  []core.Config{shedAllSite(t, spec, 2, 9, 100*time.Millisecond)},
-		Policy: CloudOnly,
+		Placer: cloudOnlyPlacer{},
 		Seed:   7,
 	})
 	if err != nil {
@@ -218,7 +217,7 @@ func TestCloudEnforcesTimeLimit(t *testing.T) {
 func TestPredictResponseDeflatedPool(t *testing.T) {
 	site := staticSite(t, "squeezenet", 1, 5, cluster.PaperCluster())
 	site.Functions[0].Prewarm = 0 // the pool is assembled by hand below
-	fed, err := New(Config{Sites: []core.Config{site}, Policy: Never, Seed: 7})
+	fed, err := New(Config{Sites: []core.Config{site}, Placer: neverPlacer{}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +309,7 @@ func TestCloudConcurrencyCapCountsQueueWait(t *testing.T) {
 	build := func(cap int) *Federation {
 		fed, err := New(Config{
 			Sites:               []core.Config{shedAllSite(t, spec, 20, 7, 0)},
-			Policy:              CloudOnly,
+			Placer:              cloudOnlyPlacer{},
 			CloudMaxConcurrency: cap,
 			Seed:                13,
 		})

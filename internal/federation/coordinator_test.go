@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lass/internal/chaos"
 	"lass/internal/cluster"
 	"lass/internal/core"
 )
@@ -43,7 +44,7 @@ func TestCoordinatorElection(t *testing.T) {
 	build := func(el CoordinatorElection) *Federation {
 		fed, err := New(Config{
 			Sites:               fourSites(t, 21),
-			Policy:              Never,
+			Placer:              neverPlacer{},
 			Topology:            asymmetricStar(t),
 			GlobalFairShare:     true,
 			CoordinatorElection: el,
@@ -83,7 +84,7 @@ func TestCentroidElectionReducesGrantDelay(t *testing.T) {
 	run := func(el CoordinatorElection) *Result {
 		fed, err := New(Config{
 			Sites:               fourSites(t, 43),
-			Policy:              Never,
+			Placer:              neverPlacer{},
 			Topology:            asymmetricStar(t),
 			GlobalFairShare:     true,
 			CoordinatorElection: el,
@@ -105,19 +106,19 @@ func TestCentroidElectionReducesGrantDelay(t *testing.T) {
 	}
 }
 
-// TestCoordinatorOutagesMissEpochs: epochs that fire while the
+// TestCoordinatorOutageMissesEpochs: epochs that fire while the
 // coordinator is dark produce no grants and are counted — an outage
 // covering the whole run means global governance never engages.
-func TestCoordinatorOutagesMissEpochs(t *testing.T) {
+func TestCoordinatorOutageMissesEpochs(t *testing.T) {
 	fed, err := New(Config{
 		Sites: []core.Config{
 			staticSite(t, "squeezenet", 30, 11, cluster.PaperCluster()),
 			staticSite(t, "squeezenet", 5, 12, cluster.PaperCluster()),
 		},
-		Policy:             Never,
-		GlobalFairShare:    true,
-		CoordinatorOutages: []Window{{Start: 0, End: time.Hour}},
-		Seed:               9,
+		Placer:          neverPlacer{},
+		GlobalFairShare: true,
+		Faults:          coordinatorOutage(t, 2, []Window{{Start: 0, End: time.Hour}}),
+		Seed:            9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,13 +151,13 @@ func TestOutageCoversComputeMoment(t *testing.T) {
 			staticSite(t, "squeezenet", 10, 11, cluster.PaperCluster()),
 			staticSite(t, "squeezenet", 10, 12, cluster.PaperCluster()),
 		},
-		Policy:          Never,
+		Placer:          neverPlacer{},
 		GlobalFairShare: true,
 		PeerRTT:         30 * time.Second, // gather = 30s
 		// Clear at every epoch boundary (0, 5, ... mod nothing — starts at
 		// 1s), dark at every compute moment (boundary + 30s).
-		CoordinatorOutages: []Window{{Start: time.Second, End: 2 * time.Hour}},
-		Seed:               9,
+		Faults: coordinatorOutage(t, 2, []Window{{Start: time.Second, End: 2 * time.Hour}}),
+		Seed:   9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,13 +187,12 @@ func TestOutageWindowValidation(t *testing.T) {
 		{Start: -time.Second, End: time.Second},
 		{Start: time.Second, End: time.Second},
 	} {
-		_, err := New(Config{
-			Sites:              fourSites(t, 77),
-			GlobalFairShare:    true,
-			CoordinatorOutages: []Window{w},
+		_, err := chaos.New(chaos.Config{
+			Sites:  4,
+			Faults: []chaos.Fault{{Kind: chaos.FaultCoordinator, Windows: []Window{w}}},
 		})
 		if err == nil {
-			t.Errorf("New accepted outage window %+v", w)
+			t.Errorf("chaos.New accepted outage window %+v", w)
 		}
 	}
 }
@@ -209,13 +209,13 @@ func TestGrantLeaseFallbackDuringOutage(t *testing.T) {
 				staticSite(t, "squeezenet", 30, 31, cluster.PaperCluster()),
 				staticSite(t, "squeezenet", 5, 32, cluster.PaperCluster()),
 			},
-			Policy:          Never,
+			Placer:          neverPlacer{},
 			GlobalFairShare: true,
 			// Epochs at 0, 5, 10s deliver; every epoch from 12s on is
 			// missed, so the 10s default lease (2×epoch) lapses at ~20s.
-			CoordinatorOutages: []Window{{Start: 12 * time.Second, End: time.Hour}},
-			GrantLease:         lease,
-			Seed:               9,
+			Faults:     coordinatorOutage(t, 2, []Window{{Start: 12 * time.Second, End: time.Hour}}),
+			GrantLease: lease,
+			Seed:       9,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -264,7 +264,7 @@ func TestFirstEpochGrantsBeforeSecondBoundary(t *testing.T) {
 			staticSite(t, "squeezenet", 30, 11, cluster.PaperCluster()),
 			staticSite(t, "squeezenet", 5, 12, cluster.PaperCluster()),
 		},
-		Policy:          Never,
+		Placer:          neverPlacer{},
 		GlobalFairShare: true,
 		Seed:            9,
 	})
@@ -300,7 +300,7 @@ func TestFirstEpochPreservesPrewarmedPools(t *testing.T) {
 	}
 	fed, err := New(Config{
 		Sites:           []core.Config{site(20, 81), site(10, 82)},
-		Policy:          Never,
+		Placer:          neverPlacer{},
 		GlobalFairShare: true,
 		Seed:            9,
 	})
@@ -331,7 +331,7 @@ func TestDefaultConfigMatchesExplicitLegacyKnobs(t *testing.T) {
 				staticSite(t, "squeezenet", 5, 52, cluster.PaperCluster()),
 				staticSite(t, "squeezenet", 5, 53, cluster.PaperCluster()),
 			},
-			Policy:                ModelDriven,
+			Placer:                modelDrivenPlacer{},
 			GlobalFairShare:       true,
 			OffloadAwareAdmission: true,
 			CloudMaxConcurrency:   2,
@@ -340,7 +340,7 @@ func TestDefaultConfigMatchesExplicitLegacyKnobs(t *testing.T) {
 		if legacy {
 			cfg.CoordinatorElection = Fixed
 			cfg.Coordinator = 0
-			cfg.CoordinatorOutages = nil
+			cfg.Faults = nil
 			cfg.GrantLease = -1 // infinite: never expires
 		}
 		fed, err := New(cfg)
@@ -388,7 +388,7 @@ func TestSiteWeightValidation(t *testing.T) {
 				staticSite(t, "squeezenet", 30, 61, cluster.PaperCluster()),
 				staticSite(t, "squeezenet", 5, 62, cluster.PaperCluster()),
 			},
-			Policy:          Never,
+			Placer:          neverPlacer{},
 			GlobalFairShare: true,
 			SiteWeights:     weights,
 			Seed:            9,
@@ -425,12 +425,15 @@ func TestSiteWeightValidation(t *testing.T) {
 // not admitted just because no queue has formed yet.
 func TestCloudAdmitsLatencyFloor(t *testing.T) {
 	build := func(slo time.Duration, alwaysWarm bool) *Federation {
+		site := staticSite(t, "squeezenet", 10, 71, cluster.PaperCluster())
+		if alwaysWarm {
+			site.Functions[0].Spec.ColdStart = 0
+		}
 		fed, err := New(Config{
-			Sites:           []core.Config{staticSite(t, "squeezenet", 10, 71, cluster.PaperCluster())},
-			Policy:          CloudOnly,
-			ResponseSLO:     slo,
-			CloudAlwaysWarm: alwaysWarm,
-			Seed:            9,
+			Sites:       []core.Config{site},
+			Placer:      cloudOnlyPlacer{},
+			ResponseSLO: slo,
+			Seed:        9,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ func TestGlobalFairShareAppliesGrants(t *testing.T) {
 			staticSite(t, "squeezenet", 30, 1, cluster.PaperCluster()),
 			staticSite(t, "squeezenet", 5, 2, cluster.PaperCluster()),
 		},
-		Policy:          NearestPeer,
+		Placer:          nearestPeerPlacer{},
 		GlobalFairShare: true,
 		Seed:            9,
 	}
@@ -56,7 +56,7 @@ func TestGrantsChargedCoordinationRTT(t *testing.T) {
 				staticSite(t, "squeezenet", 10, 1, cluster.PaperCluster()),
 				staticSite(t, "squeezenet", 10, 2, cluster.PaperCluster()),
 			},
-			Policy:          Never,
+			Placer:          neverPlacer{},
 			GlobalFairShare: true,
 			AllocEpoch:      5 * time.Second,
 			PeerRTT:         30 * time.Second, // one-way 30s, round trip 60s
@@ -95,64 +95,9 @@ func TestGrantsChargedCoordinationRTT(t *testing.T) {
 	}
 }
 
-// TestPowerOfTwoChoicesSpreadsPeerLoad: under strict RTT order a short
-// overload burst lands entirely on the first peer in scan order; under
-// power-of-two-choices the same burst is spread across both peers.
-func TestPowerOfTwoChoicesSpreadsPeerLoad(t *testing.T) {
-	build := func(sel PeerSelection) *Federation {
-		cfg := Config{
-			Sites: []core.Config{
-				staticSite(t, "squeezenet", 120, 3, tinyCluster()), // 3x capacity
-				staticSite(t, "squeezenet", 1, 4, cluster.PaperCluster()),
-				staticSite(t, "squeezenet", 1, 5, cluster.PaperCluster()),
-			},
-			Policy:        NearestPeer,
-			PeerSelection: sel,
-			Seed:          11,
-		}
-		fed, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fed
-	}
-
-	fed := build(NearestFirst)
-	if _, err := fed.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	nearestFirstPeer := fed.Sites[1].PeerServed
-	nearestSecondPeer := fed.Sites[2].PeerServed
-	if nearestFirstPeer == 0 {
-		t.Fatal("nearest-first shed nothing to its first peer")
-	}
-
-	fed = build(PowerOfTwoChoices)
-	if _, err := fed.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	p1, p2 := fed.Sites[1].PeerServed, fed.Sites[2].PeerServed
-	if p1 == 0 || p2 == 0 {
-		t.Fatalf("p2c did not use both peers: %d / %d", p1, p2)
-	}
-	// p2c must spread strictly better than the strict-RTT scan: its
-	// larger share is smaller than nearest-first's larger share.
-	maxNearest, maxP2C := nearestFirstPeer, p1
-	if nearestSecondPeer > maxNearest {
-		maxNearest = nearestSecondPeer
-	}
-	if p2 > maxP2C {
-		maxP2C = p2
-	}
-	if maxP2C >= maxNearest {
-		t.Errorf("p2c max peer share %d not below nearest-first max %d (nearest %d/%d, p2c %d/%d)",
-			maxP2C, maxNearest, nearestFirstPeer, nearestSecondPeer, p1, p2)
-	}
-}
-
-// TestAdmissionRejectsOnlyWithoutHeadroom: §3.4 admission under policy
-// Never rejects sheddable requests at an overloaded origin; the same
-// overload under NearestPeer is absorbed by an idle peer instead, and
+// TestAdmissionRejectsOnlyWithoutHeadroom: §3.4 admission under the never
+// placer rejects sheddable requests at an overloaded origin; the same
+// overload under nearest-peer is absorbed by an idle peer instead, and
 // nothing is rejected while a grant somewhere has headroom.
 func TestAdmissionRejectsOnlyWithoutHeadroom(t *testing.T) {
 	sites := func() []core.Config {
@@ -162,7 +107,7 @@ func TestAdmissionRejectsOnlyWithoutHeadroom(t *testing.T) {
 		}
 	}
 
-	fed, err := New(Config{Sites: sites(), Policy: Never, OffloadAwareAdmission: true, Seed: 5})
+	fed, err := New(Config{Sites: sites(), Placer: neverPlacer{}, OffloadAwareAdmission: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +122,13 @@ func TestAdmissionRejectsOnlyWithoutHeadroom(t *testing.T) {
 		t.Error("rejections not attributed to the overloaded origin")
 	}
 
-	// CloudAlwaysWarm keeps the cloud's latency floor (2×RTT + mean
-	// service) inside the SLO: admission now honestly rejects a cloud
-	// landing whose cold start alone would guarantee a miss, and this
-	// test is about grant headroom, not cold-start realism.
-	fed, err = New(Config{Sites: sites(), Policy: NearestPeer, OffloadAwareAdmission: true,
-		CloudAlwaysWarm: true, Seed: 5})
+	// A zero cold start at the origin keeps the cloud's latency floor
+	// (2×RTT + mean service) inside the SLO: admission honestly rejects a
+	// cloud landing whose cold start alone would guarantee a miss, and
+	// this test is about grant headroom, not cold-start realism.
+	warm := sites()
+	warm[0].Functions[0].Spec.ColdStart = 0
+	fed, err = New(Config{Sites: warm, Placer: nearestPeerPlacer{}, OffloadAwareAdmission: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,18 +149,17 @@ func TestAdmissionRejectsOnlyWithoutHeadroom(t *testing.T) {
 // SLO and admission rejects rather than stranding work in a hopeless
 // queue.
 func TestAdmissionRejectsWhenCloudThrottled(t *testing.T) {
+	// A zero cold start isolates the throttle gate under test: with cold
+	// starts modelled, admission's latency floor would reject every cloud
+	// landing before a queue could ever form at the cap.
+	site := staticSite(t, "squeezenet", 60, 3, tinyCluster())
+	site.Functions[0].Spec.ColdStart = 0
 	fed, err := New(Config{
-		Sites: []core.Config{
-			staticSite(t, "squeezenet", 60, 3, tinyCluster()),
-		},
-		Policy:                NearestPeer,
+		Sites:                 []core.Config{site},
+		Placer:                nearestPeerPlacer{},
 		OffloadAwareAdmission: true,
 		CloudMaxConcurrency:   1,
-		// Always-warm isolates the throttle gate under test: with cold
-		// starts modelled, admission's latency floor would reject every
-		// cloud landing before a queue could ever form at the cap.
-		CloudAlwaysWarm: true,
-		Seed:            5,
+		Seed:                  5,
 	})
 	if err != nil {
 		t.Fatal(err)

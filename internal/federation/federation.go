@@ -11,17 +11,17 @@
 // the policy everything the federation knows about the request's
 // candidates — predicted responses, topology RTTs, controller headroom and
 // backlog, global fair-share grants, and cloud prediction/queue/cost
-// state. The historical enum policies are built-in placers registered by
-// name; custom policies register with RegisterPlacer and are selected by
-// name without touching this package.
+// state. The built-in policies are placers registered by name; custom
+// policies register with RegisterPlacer and are selected by name without
+// touching this package.
 //
 // The paper (§3.4) evaluates admission control on a single
 // resource-constrained cluster; this package opens the scenario family of
 // Das et al., "Performance Optimization for Edge-Cloud Serverless
 // Platforms via Dynamic Task Placement" (2020): dynamic edge↔cloud
 // placement. Every site shares one deterministic sim.Engine, so federated
-// runs are exactly reproducible, and with Policy Never each site behaves
-// bit-for-bit like a standalone single-cluster simulation.
+// runs are exactly reproducible, and under the never placer each site
+// behaves bit-for-bit like a standalone single-cluster simulation.
 //
 // Inter-site latency comes from an explicit Topology: a validated one-way
 // latency matrix (optionally asymmetric, after the measured edge-platform
@@ -49,12 +49,12 @@
 // charged, including the demand upload, so grants are always computed
 // from RTT-stale snapshots. The coordinator is a first-class, elected,
 // failure-tolerant role: Config.CoordinatorElection places it at a fixed
-// index or at the topology's weighted RTT centroid,
-// Config.CoordinatorOutages schedules windows during which the
-// coordinator is dark (missed epochs produce no grants), and grants carry
-// a lease (Config.GrantLease, default 2×AllocEpoch) so a site cut off
-// from the coordinator falls back to local enforcement instead of
-// freezing on stale grants forever. Config.OffloadAwareAdmission couples
+// index or at the topology's weighted RTT centroid, a coordinator-role
+// fault in Config.Faults schedules windows during which the coordinator
+// is dark (missed epochs produce no grants), and grants carry a lease
+// (Config.GrantLease, default 2×AllocEpoch) so a site cut off from the
+// coordinator falls back to local enforcement instead of freezing on
+// stale grants forever. Config.OffloadAwareAdmission couples
 // §3.4 admission control to placement: sheddable requests are offered
 // along the policy's placement preferences and rejected only as a last
 // resort.
@@ -74,97 +74,6 @@ import (
 	"lass/internal/sim"
 	"lass/internal/xrand"
 )
-
-// Policy selects the per-request offload placement policy.
-//
-// Deprecated: Policy is the legacy enum surface, kept as a thin shim over
-// the placer registry — each value resolves to the built-in Placer of the
-// same name, and Config.Placer (or PlacerByName) supersedes it. New
-// policies are Placers registered with RegisterPlacer; they need no enum
-// value.
-type Policy int
-
-const (
-	// Never serves every request at its ingress site — the single-cluster
-	// baseline.
-	Never Policy = iota
-	// CloudOnly sheds to the cloud when the ingress site is overloaded.
-	CloudOnly
-	// NearestPeer sheds to the closest peer site with headroom, falling
-	// back to the cloud when no peer can absorb the work.
-	NearestPeer
-	// ModelDriven predicts the response time at every candidate location
-	// (backlog drain time plus RTT) and offloads to the best one whenever
-	// the local prediction misses the response SLO.
-	ModelDriven
-)
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case Never:
-		return "never"
-	case CloudOnly:
-		return "cloud-only"
-	case NearestPeer:
-		return "nearest-peer"
-	case ModelDriven:
-		return "model-driven"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// ParsePolicy returns the enum policy named by s.
-//
-// Deprecated: ParsePolicy only knows the four legacy enum values; use
-// ParsePlacer, which resolves every registered policy.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range Policies() {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("federation: unknown offload policy %q", s)
-}
-
-// Policies returns all placement policies in sweep order.
-func Policies() []Policy { return []Policy{Never, CloudOnly, NearestPeer, ModelDriven} }
-
-// PeerSelection selects how a shedding site picks among candidate peers.
-type PeerSelection int
-
-const (
-	// NearestFirst scans peers in ascending-RTT order and takes the first
-	// with headroom — the historical behaviour, which overloads the
-	// closest peer under bursts.
-	NearestFirst PeerSelection = iota
-	// PowerOfTwoChoices samples two candidate peers and keeps the one
-	// with more controller headroom (ties to the nearer), probing no
-	// further: the classic load-spreading trade of a little extra RTT for
-	// much better balance.
-	PowerOfTwoChoices
-)
-
-// String returns the peer-selection name.
-func (p PeerSelection) String() string {
-	switch p {
-	case NearestFirst:
-		return "nearest"
-	case PowerOfTwoChoices:
-		return "p2c"
-	}
-	return fmt.Sprintf("peer-selection(%d)", int(p))
-}
-
-// ParsePeerSelection returns the peer selection named by s.
-func ParsePeerSelection(s string) (PeerSelection, error) {
-	for _, p := range []PeerSelection{NearestFirst, PowerOfTwoChoices} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("federation: unknown peer selection %q (nearest|p2c)", s)
-}
 
 // CoordinatorElection selects how the site hosting the global allocator is
 // chosen.
@@ -204,10 +113,9 @@ func ParseCoordinatorElection(s string) (CoordinatorElection, error) {
 	return 0, fmt.Errorf("federation: unknown coordinator election %q (fixed|centroid)", s)
 }
 
-// Window is a half-open interval [Start, End) of simulated time; the
-// federation uses windows to schedule coordinator outages. It is the
-// chaos package's window type, so static schedules move freely between
-// Config.CoordinatorOutages and chaos fault declarations.
+// Window is a half-open interval [Start, End) of simulated time: the chaos
+// package's window type, as static fault schedules (a coordinator outage,
+// say) declare them.
 type Window = chaos.Window
 
 // FaultView is the point-in-time failure oracle the federation consults:
@@ -285,19 +193,11 @@ type Config struct {
 	// Engine set on a site config is replaced by the federation's shared
 	// engine.
 	Sites []core.Config
-	// Scheduler selects the shared engine's timer-queue implementation.
-	// All kinds produce bit-for-bit identical results; see
-	// sim.SchedulerKind.
-	Scheduler sim.SchedulerKind
-	// Placer is the placement policy consulted at every site's ingress.
-	// When nil, the deprecated Policy enum selects the equally-named
-	// built-in placer; custom policies come from RegisterPlacer /
-	// PlacerByName and need no federation changes.
+	// Placer is the placement policy consulted at every site's ingress;
+	// nil means the built-in "never" placer (every request served at its
+	// ingress site). Built-in and custom policies alike come from
+	// PlacerByName / RegisterPlacer and need no federation changes.
 	Placer Placer
-	// Policy is the legacy enum form of the placement policy, kept as a
-	// thin shim over the placer registry: each enum value resolves to the
-	// built-in Placer of the same name. Ignored when Placer is set.
-	Policy Policy
 	// Topology, when set, is the explicit one-way inter-site latency
 	// matrix; its size must match Sites. When nil, the federation uses
 	// Ring(len(Sites), PeerRTT) — the original ring-distance model.
@@ -315,9 +215,6 @@ type Config struct {
 	// cloud RTT before executing. A negative value means no keep-alive
 	// at all — every idle gap cold-starts; zero selects the default.
 	CloudWarmWindow time.Duration
-	// CloudAlwaysWarm restores the legacy idealized cloud: no cold
-	// starts are modelled (invocations still accrue cost).
-	CloudAlwaysWarm bool
 	// CloudPricePerInvocation and CloudPricePerGBSecond set the cost
 	// axis for cloud offloads (defaults: $0.20 per million requests and
 	// $0.0000166667 per GB-second of billed execution, the common
@@ -336,8 +233,7 @@ type Config struct {
 	// OverloadQueueDepth is the per-container backlog beyond which an
 	// epoch-level overloaded site starts shedding (default 4).
 	OverloadQueueDepth int
-	// Seed drives the cloud backend's service-time sampling (and, under
-	// PowerOfTwoChoices, the peer sampling).
+	// Seed drives the cloud backend's service-time sampling.
 	Seed uint64
 
 	// GlobalFairShare lifts the §4.1 weighted fair-share allocator to the
@@ -367,18 +263,13 @@ type Config struct {
 	// RTTCentroid (the topology's weighted round-trip centroid, re-elected
 	// when the federation is reassembled with different membership).
 	CoordinatorElection CoordinatorElection
-	// CoordinatorOutages schedules windows of simulated time during which
-	// the coordinator is dark: allocation epochs that fire inside a window
-	// produce no grants and are counted in Result.MissedAllocEpochs. Sites
-	// keep enforcing their last grants until the grant lease lapses
-	// (GrantLease), then fall back to local enforcement.
-	CoordinatorOutages []Window
 	// Faults, when set, is the failure oracle for the run — typically a
 	// chaos.Engine built from seeded Gilbert-Elliott site/link processes
-	// (see internal/chaos). It composes with CoordinatorOutages: the
-	// legacy windows become one static coordinator-role process unioned
-	// with this view. Nil means fault-free (every link always up), the
-	// historical behaviour bit-for-bit.
+	// and static windows (see internal/chaos). Allocation epochs that fire
+	// while the coordinator role is dark produce no grants and are counted
+	// in Result.MissedAllocEpochs; sites keep enforcing their last grants
+	// until the grant lease lapses (GrantLease), then fall back to local
+	// enforcement. Nil means fault-free (every link always up).
 	Faults FaultView
 	// GrantLease is how long a delivered grant set stays valid without
 	// renewal before the site's controller falls back to local enforcement
@@ -391,12 +282,6 @@ type Config struct {
 	// weight is a configuration error, and zero (like a missing entry)
 	// explicitly means the default weight 1.
 	SiteWeights []float64
-	// AllocWorkers bounds the worker pool the global allocator uses for
-	// its per-site feasibility clamps (allocation.Allocator.Workers).
-	// Values <= 1 run the clamps serially; the grants are byte-identical
-	// either way, only the coordinator's compute wall-clock changes — the
-	// simulation's timing model is unaffected.
-	AllocWorkers int
 	// Hierarchy, when set, arranges the sites into a region → metro → site
 	// capacity tree (allocation.Hierarchy). Under GlobalFairShare the
 	// allocator then cascades demand-independent deserved quotas down the
@@ -426,14 +311,11 @@ type Config struct {
 	// offered along the placement policy's preferences — peers with
 	// headroom, then the cloud — and only rejected outright when no
 	// site's grant has headroom and the cloud's projected queueing delay
-	// already exceeds the response SLO. Under policy Never no placement
+	// already exceeds the response SLO. Under the never placer no placement
 	// is allowed, so sheddable requests are rejected at the origin (the
 	// paper's single-cluster admission control, verbatim). Off by default
 	// (requests queue at the origin as before).
 	OffloadAwareAdmission bool
-	// PeerSelection picks among candidate peers when shedding
-	// (default NearestFirst, the historical strict-RTT-order scan).
-	PeerSelection PeerSelection
 	// CloudMaxConcurrency caps simultaneously running cloud instances per
 	// function — the real FaaS throttle. At the cap, offloads queue FIFO
 	// for the next free instance and the queue wait counts toward
@@ -543,7 +425,6 @@ type Federation struct {
 	cfg         Config
 	placer      Placer
 	cloudRng    *xrand.Rand
-	peerRng     *xrand.Rand
 	cloudServed uint64
 	cloudPools  map[string]*cloudPool // per-function warm-instance pools
 
@@ -564,9 +445,6 @@ type Federation struct {
 	// change reuse their previous feasibility clamps (steady-state epochs
 	// allocate nothing at all inside the allocator).
 	alloc *allocation.Allocator
-	// faults is the run's failure oracle (Config.Faults unioned with the
-	// legacy CoordinatorOutages process); nil means fault-free.
-	faults FaultView
 	// metroOf / regionOf map site index → hierarchy level (Config.
 	// Hierarchy.Levels()); nil for flat federations. byName resolves the
 	// site names reclaim directives carry back to Site values.
@@ -612,8 +490,11 @@ func New(cfg Config) (*Federation, error) {
 	default:
 		return nil, fmt.Errorf("federation: unknown coordinator election %d", int(cfg.CoordinatorElection))
 	}
-	if err := chaos.ValidateWindows(cfg.CoordinatorOutages); err != nil {
-		return nil, fmt.Errorf("federation: coordinator outages: %w", err)
+	if cfg.AllocEpoch < 0 {
+		return nil, fmt.Errorf("federation: alloc epoch %v is negative (use 0 for the default 5s)", cfg.AllocEpoch)
+	}
+	if cfg.CloudMaxConcurrency < 0 {
+		return nil, fmt.Errorf("federation: cloud max concurrency %d is negative (use 0 for unbounded)", cfg.CloudMaxConcurrency)
 	}
 	if len(cfg.SiteWeights) > len(cfg.Sites) {
 		return nil, fmt.Errorf("federation: %d site weights for %d sites",
@@ -628,41 +509,16 @@ func New(cfg Config) (*Federation, error) {
 	}
 	placer := cfg.Placer
 	if placer == nil {
-		// The deprecated enum is a thin shim: resolve it through the same
-		// registry custom policies use.
-		var err error
-		if placer, err = PlacerByName(cfg.Policy.String()); err != nil {
-			return nil, err
-		}
+		placer = neverPlacer{}
 	}
-	engine := sim.NewEngineWithScheduler(cfg.Scheduler)
+	engine := sim.NewEngine()
 	f := &Federation{
 		Engine:     engine,
 		cfg:        cfg,
 		placer:     placer,
 		cloudRng:   xrand.New(cfg.Seed ^ 0xfed0),
-		peerRng:    xrand.New(cfg.Seed ^ 0x9ee2),
 		cloudPools: make(map[string]*cloudPool),
 		alloc:      allocation.NewAllocator(),
-	}
-	f.alloc.Workers = cfg.AllocWorkers
-	// Assemble the failure oracle: the legacy static outage windows become
-	// one coordinator-role chaos process, unioned with any configured
-	// fault view. Replaying the same windows through the chaos layer is
-	// bit-for-bit the historical CoordinatorOutages behaviour (the golden
-	// regression in chaos_test.go holds it to that).
-	f.faults = cfg.Faults
-	if len(cfg.CoordinatorOutages) > 0 {
-		outages, err := chaos.New(chaos.Config{
-			Sites: len(cfg.Sites),
-			Faults: []chaos.Fault{
-				{Kind: chaos.FaultCoordinator, Windows: cfg.CoordinatorOutages},
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("federation: coordinator outages: %w", err)
-		}
-		f.faults = UnionFaults(f.faults, outages)
 	}
 	// Elect the coordinator. Membership is fixed for the federation's
 	// lifetime, so the election runs once at assembly; rebuilding with a
@@ -741,10 +597,10 @@ func (f *Federation) Coordinator() int { return f.coordinator }
 // a coordinator-role fault holds, or the coordinator's host site is
 // network-dark (nobody can reach the seat).
 func (f *Federation) coordinatorDark(t time.Duration) bool {
-	if f.faults == nil {
+	if f.cfg.Faults == nil {
 		return false
 	}
-	return f.faults.CoordinatorDown(t) || f.faults.SiteDown(f.coordinator, t)
+	return f.cfg.Faults.CoordinatorDown(t) || f.cfg.Faults.SiteDown(f.coordinator, t)
 }
 
 // linkUp reports whether a message can traverse the directed edge i→j at
@@ -754,16 +610,16 @@ func (f *Federation) coordinatorDark(t time.Duration) bool {
 // corresponding demand upload or grant delivery — rather than modelling
 // it as extra latency.
 func (f *Federation) linkUp(i, j int, t time.Duration) bool {
-	if f.faults == nil || i == j {
+	if f.cfg.Faults == nil || i == j {
 		return true
 	}
-	return !f.faults.SiteDown(i, t) && !f.faults.SiteDown(j, t) && !f.faults.LinkDown(i, j, t)
+	return !f.cfg.Faults.SiteDown(i, t) && !f.cfg.Faults.SiteDown(j, t) && !f.cfg.Faults.LinkDown(i, j, t)
 }
 
 // siteDark reports whether site i is network-dark at t (all links down,
 // cloud uplink included; local service continues).
 func (f *Federation) siteDark(i int, t time.Duration) bool {
-	return f.faults != nil && f.faults.SiteDown(i, t)
+	return f.cfg.Faults != nil && f.cfg.Faults.SiteDown(i, t)
 }
 
 // peersByRTT returns the other sites ordered by ascending RTT from s,
@@ -948,31 +804,9 @@ func (f *Federation) acceptsFrom(origin, p *Site, fn string) bool {
 	return f.accepts(p, fn)
 }
 
-// selectPeer picks the peer that should absorb shed fn work from site s,
-// or nil when none accepts. NearestFirst scans peers in ascending-RTT
-// order; PowerOfTwoChoices samples two distinct candidates and keeps the
-// one with more controller headroom (ties to the nearer), falling back to
-// the other — and to nobody — rather than probing the whole federation.
+// selectPeer picks the peer that should absorb shed fn work from site s:
+// the first in ascending-RTT order that accepts, or nil when none does.
 func (f *Federation) selectPeer(s *Site, fn string) *Site {
-	if f.cfg.PeerSelection == PowerOfTwoChoices && len(s.peers) > 1 {
-		i := f.peerRng.Intn(len(s.peers))
-		j := f.peerRng.Intn(len(s.peers) - 1)
-		if j >= i {
-			j++
-		}
-		a, b := s.peers[i], s.peers[j]
-		if b.Platform.Controller.Headroom() > a.Platform.Controller.Headroom() ||
-			(b.Platform.Controller.Headroom() == a.Platform.Controller.Headroom() && j < i) {
-			a, b = b, a
-		}
-		if f.acceptsFrom(s, a, fn) {
-			return a
-		}
-		if f.acceptsFrom(s, b, fn) {
-			return b
-		}
-		return nil
-	}
 	for _, p := range s.peers {
 		if f.acceptsFrom(s, p, fn) {
 			return p
@@ -1029,9 +863,8 @@ func (f *Federation) offloadToPeer(origin, target *Site, fn string, r *dispatch.
 
 // predictCloud estimates the end-to-end response time (seconds) of serving
 // one request in the cloud right now: both network legs, the mean standard
-// service time, the queueing delay a capped pool would impose, and —
-// unless the cloud is configured always-warm — the cold start the request
-// would pay if no idle warm instance will greet it.
+// service time, the queueing delay a capped pool would impose, and the
+// cold start the request would pay if no idle warm instance will greet it.
 func (f *Federation) predictCloud(q *dispatch.Queue) float64 {
 	spec := q.Spec()
 	resp := 2*f.cfg.CloudRTT + spec.MeanServiceTimeAt(1.0)
@@ -1045,7 +878,7 @@ func (f *Federation) predictCloud(q *dispatch.Queue) float64 {
 		// Queueing at the cap ends in a warm FIFO hand-off, never a cold
 		// start — charge one or the other, not both.
 		resp += wait
-	} else if !f.cfg.CloudAlwaysWarm && (pool == nil || !pool.hasWarm(at)) {
+	} else if pool == nil || !pool.hasWarm(at) {
 		resp += spec.ColdStart
 	}
 	return resp.Seconds()
@@ -1083,25 +916,18 @@ func (f *Federation) offloadToCloud(origin *Site, q *dispatch.Queue, r *dispatch
 		run = tl
 		killed = true
 	}
-	var wait, cold time.Duration
-	if !f.cfg.CloudAlwaysWarm || f.cfg.CloudMaxConcurrency > 0 {
-		pool := f.cloudPools[spec.Name]
-		if pool == nil {
-			pool = &cloudPool{}
-			f.cloudPools[spec.Name] = pool
-		}
-		coldStart := spec.ColdStart
-		if f.cfg.CloudAlwaysWarm {
-			coldStart = 0 // capped but idealized: slots are limited, starts are free
-		}
-		wait, cold = pool.acquire(f.Engine.Now()+f.cfg.CloudRTT, run,
-			coldStart, f.cfg.CloudWarmWindow, f.cfg.CloudMaxConcurrency)
-		if cold > 0 {
-			origin.CloudColdStarts++
-		}
-		if wait > 0 {
-			origin.CloudQueued++
-		}
+	pool := f.cloudPools[spec.Name]
+	if pool == nil {
+		pool = &cloudPool{}
+		f.cloudPools[spec.Name] = pool
+	}
+	wait, cold := pool.acquire(f.Engine.Now()+f.cfg.CloudRTT, run,
+		spec.ColdStart, f.cfg.CloudWarmWindow, f.cfg.CloudMaxConcurrency)
+	if cold > 0 {
+		origin.CloudColdStarts++
+	}
+	if wait > 0 {
+		origin.CloudQueued++
 	}
 	origin.CloudCost += f.cfg.CloudPricePerInvocation +
 		run.Seconds()*f.cfg.CloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
@@ -1131,8 +957,8 @@ type demandSnapshot struct {
 // slowest upload has arrived (max_j rtt(j→coord)), so grants are always
 // derived from RTT-stale snapshots, and each site's grants land only
 // after the return leg rtt(coord→i). An epoch whose boundary — or whose
-// compute moment, one gather later — falls inside a CoordinatorOutages
-// window produces no grants at all and is counted in
+// compute moment, one gather later — falls inside a coordinator outage
+// produces no grants at all and is counted in
 // Result.MissedAllocEpochs — sites coast on their leased grants until the
 // lease lapses, then fall back to local enforcement. Under a FaultView
 // the partition can also be partial: a site whose uplink to the
@@ -1465,10 +1291,7 @@ func (r SiteResult) ViolationRate() float64 {
 type Result struct {
 	// Placer names the placement policy the run used (the registry key,
 	// e.g. "model-driven" or a custom name).
-	Placer string
-	// Policy is the legacy enum form; meaningful only when the run was
-	// configured through Config.Policy rather than Config.Placer.
-	Policy      Policy
+	Placer      string
 	Duration    time.Duration
 	Sites       []SiteResult
 	CloudServed uint64
@@ -1536,7 +1359,7 @@ func (f *Federation) Run(duration time.Duration) (*Result, error) {
 	if f.allocErr != nil {
 		return nil, fmt.Errorf("federation: global allocator: %w", f.allocErr)
 	}
-	res := &Result{Placer: f.placer.Name(), Policy: f.cfg.Policy, Duration: duration,
+	res := &Result{Placer: f.placer.Name(), Duration: duration,
 		CloudServed:     f.cloudServed,
 		GlobalFairShare: f.cfg.GlobalFairShare, AllocEpochs: f.allocEpochs,
 		Coordinator: f.coordinator, Election: f.cfg.CoordinatorElection,

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -45,7 +46,7 @@ func TestNeverMatchesStandalone(t *testing.T) {
 		staticSite(t, "squeezenet", 30, 11, cluster.PaperCluster()),
 		staticSite(t, "binaryalert", 80, 22, cluster.PaperCluster()),
 	}
-	fed, err := New(Config{Sites: siteCfgs, Policy: Never, Seed: 7})
+	fed, err := New(Config{Sites: siteCfgs, Placer: neverPlacer{}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +99,12 @@ func TestNeverMatchesStandalone(t *testing.T) {
 // never baseline.
 func TestOverloadedShedsToCloud(t *testing.T) {
 	const dur = 2 * time.Minute
-	attainment := map[Policy]float64{}
+	attainment := map[string]float64{}
 	var cloudOnly *Result
-	for _, pol := range []Policy{Never, CloudOnly} {
+	for _, pol := range []Placer{neverPlacer{}, cloudOnlyPlacer{}} {
 		fed, err := New(Config{
 			Sites:  []core.Config{staticSite(t, "squeezenet", 60, 33, tinyCluster())},
-			Policy: pol,
+			Placer: pol,
 			Seed:   7,
 		})
 		if err != nil {
@@ -113,20 +114,20 @@ func TestOverloadedShedsToCloud(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		attainment[pol] = res.Sites[0].SLO.Attainment()
-		if pol == CloudOnly {
+		attainment[pol.Name()] = res.Sites[0].SLO.Attainment()
+		if pol.Name() == "cloud-only" {
 			cloudOnly = res
 		}
 	}
 	if cloudOnly.Sites[0].OffloadedCloud == 0 || cloudOnly.CloudServed == 0 {
 		t.Fatalf("overloaded site shed nothing to cloud: %+v", cloudOnly.Sites[0])
 	}
-	if attainment[CloudOnly] <= attainment[Never] {
+	if attainment["cloud-only"] <= attainment["never"] {
 		t.Errorf("cloud-only attainment %.3f not better than never %.3f",
-			attainment[CloudOnly], attainment[Never])
+			attainment["cloud-only"], attainment["never"])
 	}
-	if attainment[Never] > 0.5 {
-		t.Errorf("never policy attainment %.3f suspiciously high for a 6x-overloaded site", attainment[Never])
+	if attainment["never"] > 0.5 {
+		t.Errorf("never policy attainment %.3f suspiciously high for a 6x-overloaded site", attainment["never"])
 	}
 }
 
@@ -149,7 +150,7 @@ func TestPeerOffloadRTTPenalty(t *testing.T) {
 
 	fed, err := New(Config{
 		Sites:   []core.Config{noCap, helper},
-		Policy:  NearestPeer,
+		Placer:  nearestPeerPlacer{},
 		PeerRTT: peerRTT,
 		Seed:    7,
 	})
@@ -182,13 +183,13 @@ func TestPeerOffloadRTTPenalty(t *testing.T) {
 // end to end on an asymmetric federation: one hot site, two cold peers.
 func TestModelDrivenBeatsNeverUnderOverload(t *testing.T) {
 	const dur = 2 * time.Minute
-	build := func(pol Policy) *Result {
+	build := func(pol Placer) *Result {
 		sites := []core.Config{
 			staticSite(t, "squeezenet", 60, 66, tinyCluster()),
 			staticSite(t, "squeezenet", 5, 77, cluster.PaperCluster()),
 			staticSite(t, "squeezenet", 5, 88, cluster.PaperCluster()),
 		}
-		fed, err := New(Config{Sites: sites, Policy: pol, Seed: 7})
+		fed, err := New(Config{Sites: sites, Placer: pol, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +199,8 @@ func TestModelDrivenBeatsNeverUnderOverload(t *testing.T) {
 		}
 		return res
 	}
-	never := build(Never)
-	model := build(ModelDriven)
+	never := build(neverPlacer{})
+	model := build(modelDrivenPlacer{})
 	if model.Sites[0].OffloadedPeer+model.Sites[0].OffloadedCloud == 0 {
 		t.Fatalf("model-driven shed nothing from the hot site: %+v", model.Sites[0])
 	}
@@ -208,20 +209,29 @@ func TestModelDrivenBeatsNeverUnderOverload(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range Policies() {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy accepted bogus policy")
-	}
-}
-
 func TestNewRejectsEmpty(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted a federation with no sites")
+	}
+}
+
+// TestNewRejectsNegativeKnobs: a negative allocation epoch (sim.EveryFrom
+// would panic on it inside Run) and a negative cloud concurrency cap (the
+// pool would treat it as unbounded) are configuration errors.
+func TestNewRejectsNegativeKnobs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"alloc epoch", func(c *Config) { c.GlobalFairShare = true; c.AllocEpoch = -time.Second }, "alloc epoch"},
+		{"alloc epoch, local allocation", func(c *Config) { c.AllocEpoch = -time.Second }, "alloc epoch"},
+		{"cloud max concurrency", func(c *Config) { c.CloudMaxConcurrency = -1 }, "cloud max concurrency"},
+	} {
+		cfg := Config{Sites: []core.Config{staticSite(t, "squeezenet", 5, 1, tinyCluster())}}
+		c.mutate(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New returned %v, want a config error mentioning %q", c.name, err, c.want)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func reclaimConfig(t *testing.T, reclaim bool) Config {
 			twoFnSite(t, 0.2, 500, 22, cluster.PaperCluster()),
 			staticSite(t, "geofence", 1, 33, cluster.PaperCluster()),
 		},
-		Policy:          NearestPeer,
+		Placer:          nearestPeerPlacer{},
 		GlobalFairShare: true,
 		Hierarchy:       oneMetro(3),
 		Reclaim:         reclaim,
@@ -166,7 +166,8 @@ func TestReclaimCommitLostToOutage(t *testing.T) {
 		// 5s epoch boundary) so an outage window can open between them.
 		cfg.ReclaimLatency = 100 * time.Millisecond
 		if outage {
-			cfg.CoordinatorOutages = []Window{{Start: 10*time.Second + 20*time.Millisecond, End: time.Hour}}
+			cfg.Faults = coordinatorOutage(t, len(cfg.Sites),
+				[]Window{{Start: 10*time.Second + 20*time.Millisecond, End: time.Hour}})
 		}
 		return cfg
 	}

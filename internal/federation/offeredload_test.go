@@ -22,7 +22,7 @@ func TestOfferedLoadDemandMonotoneUnderShedding(t *testing.T) {
 		hot := staticSite(t, "squeezenet", 90, 33, edge)
 		hot.Controller.OfferedLoadDemand = offered
 		helper := staticSite(t, "squeezenet", 2, 44, cluster.PaperCluster())
-		fed, err := New(Config{Sites: []core.Config{hot, helper}, Policy: NearestPeer, Seed: 7})
+		fed, err := New(Config{Sites: []core.Config{hot, helper}, Placer: nearestPeerPlacer{}, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

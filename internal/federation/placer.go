@@ -16,15 +16,14 @@ import (
 // Placer is the pluggable per-request placement policy: at every site's
 // ingress the federation builds a PlacementContext for the arriving request
 // and asks the configured Placer where to serve it. Implementations must be
-// deterministic functions of the context (any randomness should come from
-// context accessors such as SelectPeer, which draw on the federation's
-// seeded streams), so federated runs stay exactly reproducible.
+// deterministic functions of the context (a policy that wants randomness
+// owns a seeded xrand stream), so federated runs stay exactly reproducible.
 //
-// The four historical enum policies (Never, CloudOnly, NearestPeer,
-// ModelDriven) are themselves Placers registered under their names; custom
-// policies register with RegisterPlacer and are selected by name through
-// Config.Placer, ParsePlacer, or the lass-sim -policy flag — no federation
-// code needs to change to add one.
+// The built-in policies (never, cloud-only, nearest-peer, model-driven and
+// the rest of BuiltinPlacerNames) are themselves Placers registered under
+// their names; custom policies register with RegisterPlacer and are
+// selected by name through Config.Placer, ParsePlacer, or the lass-sim
+// -policy flag — no federation code needs to change to add one.
 type Placer interface {
 	// Name is the registry key ("never", "model-driven", ...): lower-case,
 	// no whitespace.
@@ -175,12 +174,10 @@ func (ctx *PlacementContext) Reachable(site int) bool {
 	return ctx.f.linkUp(ctx.origin.Index, site, ctx.f.Engine.Now())
 }
 
-// SelectPeer runs the configured peer-selection strategy
-// (Config.PeerSelection: nearest-first scan or power-of-two-choices) over
-// the origin's peers and returns the chosen site index, or -1 when no peer
-// accepts. Power-of-two-choices draws from the federation's seeded peer
-// stream, so calls advance that stream exactly as the historical policies
-// did.
+// SelectPeer scans the origin's peers nearest first and returns the index
+// of the first that accepts the request, or -1 when no peer does. Other
+// selection strategies (power-of-two-choices, say) are custom placers over
+// PeersByRTT, Headroom and Reachable.
 func (ctx *PlacementContext) SelectPeer() int {
 	if p := ctx.f.selectPeer(ctx.origin, ctx.Function()); p != nil {
 		return p.Index
@@ -455,8 +452,8 @@ func mustRegister(p Placer) {
 }
 
 func init() {
-	// Sweep order: the four legacy enum policies first (their enum values
-	// index this order), then the policies the Placer API made possible.
+	// Sweep order: the four original policies first, then the ones the
+	// Placer API made possible.
 	mustRegister(neverPlacer{})
 	mustRegister(cloudOnlyPlacer{})
 	mustRegister(nearestPeerPlacer{})
@@ -490,9 +487,8 @@ func (cloudOnlyPlacer) Place(ctx *PlacementContext) Decision {
 	return Local()
 }
 
-// nearestPeerPlacer sheds to the closest accepting peer (via the
-// configured peer selection), falling back to the cloud when no peer can
-// absorb the work.
+// nearestPeerPlacer sheds to the closest accepting peer, falling back to
+// the cloud when no peer can absorb the work.
 type nearestPeerPlacer struct{}
 
 func (nearestPeerPlacer) Name() string { return "nearest-peer" }

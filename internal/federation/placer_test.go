@@ -21,24 +21,25 @@ import (
 // internal helpers the built-in placers use. The equivalence test runs it
 // against each built-in placer and demands bit-for-bit identical results,
 // so a drive-by edit to a built-in policy cannot silently change the
-// historical enum behaviour.
-type legacyEnumPlacer struct{ policy Policy }
+// historical enum behaviour. policy is the name of the built-in placer it
+// stands in for.
+type legacyEnumPlacer struct{ policy string }
 
-func (l legacyEnumPlacer) Name() string { return "legacy-" + l.policy.String() }
+func (l legacyEnumPlacer) Name() string { return "legacy-" + l.policy }
 
 func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 	f, s, q := ctx.f, ctx.origin, ctx.q
 	fn := q.Spec().Name
 	if ctx.sheddable {
 		switch l.policy {
-		case Never:
+		case "never":
 			return Reject()
-		case CloudOnly:
+		case "cloud-only":
 			if f.cloudAdmits(q) {
 				return ToCloud()
 			}
 			return Reject()
-		case NearestPeer:
+		case "nearest-peer":
 			if p := f.selectPeer(s, fn); p != nil {
 				return ToSite(p.Index)
 			}
@@ -46,7 +47,7 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 				return ToCloud()
 			}
 			return Reject()
-		case ModelDriven:
+		case "model-driven":
 			deadline := f.cfg.ResponseSLO.Seconds()
 			var best *Site
 			bestResp := math.Inf(1)
@@ -69,11 +70,11 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 		}
 	}
 	switch l.policy {
-	case CloudOnly:
+	case "cloud-only":
 		if f.overloaded(s, fn) {
 			return ToCloud()
 		}
-	case NearestPeer:
+	case "nearest-peer":
 		if !f.overloaded(s, fn) {
 			return Local()
 		}
@@ -81,7 +82,7 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 			return ToSite(p.Index)
 		}
 		return ToCloud()
-	case ModelDriven:
+	case "model-driven":
 		deadline := f.cfg.ResponseSLO.Seconds()
 		local := f.predictResponse(s, fn, 0)
 		if local <= deadline {
@@ -195,12 +196,11 @@ func runCounters(t *testing.T, cfg Config, dur time.Duration) ([]siteCounters, u
 }
 
 // TestBuiltinPlacersMatchLegacyEnum is the placer/enum equivalence guard
-// the API redesign promised: each built-in placer, selected through the
-// deprecated enum shim, produces bit-for-bit the per-site
-// violation/offload/reject counters of the frozen pre-API place() switch
-// on the federation-trace workload — across plain placement, offload-aware
-// admission, the global fair-share allocator, power-of-two-choices peer
-// selection, and a throttled cloud.
+// the API redesign promised: each of the four original built-in placers
+// produces bit-for-bit the per-site violation/offload/reject counters of
+// the frozen pre-API place() switch on the federation-trace workload —
+// across plain placement, offload-aware admission, the global fair-share
+// allocator, and a throttled cloud.
 func TestBuiltinPlacersMatchLegacyEnum(t *testing.T) {
 	const dur = 6 * time.Minute
 	variants := []struct {
@@ -213,20 +213,24 @@ func TestBuiltinPlacersMatchLegacyEnum(t *testing.T) {
 			c.OffloadAwareAdmission = true
 			c.GlobalFairShare = true
 		}},
-		{"admission+p2c+throttled", func(c *Config) {
+		{"admission+throttled", func(c *Config) {
 			c.OffloadAwareAdmission = true
-			c.PeerSelection = PowerOfTwoChoices
 			c.CloudMaxConcurrency = 2
 		}},
 	}
-	for _, policy := range Policies() {
+	for _, policy := range []string{"never", "cloud-only", "nearest-peer", "model-driven"} {
+		builtin, err := PlacerByName(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, v := range variants {
-			base := Config{Policy: policy, Seed: 7}
+			base := Config{Seed: 7}
 			v.mutate(&base)
 
-			enumCfg := base
-			enumCfg.Sites = traceSites(t, 11, 6)
-			gotSites, gotCloud := runCounters(t, enumCfg, dur)
+			builtinCfg := base
+			builtinCfg.Sites = traceSites(t, 11, 6)
+			builtinCfg.Placer = builtin
+			gotSites, gotCloud := runCounters(t, builtinCfg, dur)
 
 			legacyCfg := base
 			legacyCfg.Sites = traceSites(t, 11, 6)

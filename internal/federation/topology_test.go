@@ -178,7 +178,7 @@ func TestAsymmetricTopologyChargesBothLegs(t *testing.T) {
 
 	fed, err := New(Config{
 		Sites:    []core.Config{noCap, helper},
-		Policy:   NearestPeer,
+		Placer:   nearestPeerPlacer{},
 		Topology: topo,
 		Seed:     7,
 	})

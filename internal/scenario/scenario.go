@@ -365,8 +365,11 @@ func (d *decoder) scenario(root *node) *Scenario {
 	if root.child("admission") != nil {
 		sc.Admission = d.boolval(root, "admission", "scenario")
 	}
-	if root.child("alloc-epoch") != nil {
+	if c := root.child("alloc-epoch"); c != nil {
 		sc.AllocEpoch = d.durval(root, "alloc-epoch", "scenario")
+		if sc.AllocEpoch < 0 {
+			d.fail(c.line, "scenario \"alloc-epoch\": %v is negative (omit it for the 5s default)", sc.AllocEpoch)
+		}
 	}
 	if c := root.child("grant-lease"); c != nil {
 		sc.grantLeaseSet = true

@@ -173,6 +173,7 @@ func TestScenarioValidationRejections(t *testing.T) {
 		{"no fleet", base("name: x\nduration: 1m\n"), "fleet is empty"},
 		{"no duration", base("name: x\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "duration"},
 		{"unknown key", base("name: x\nduration: 1m\nbogus: 1\n"), "unknown scenario key"},
+		{"negative alloc-epoch", base("name: x\nduration: 1m\nalloc-epoch: -1s\n"), "line 3: scenario \"alloc-epoch\""},
 		{"unknown spec", base("name: x\nduration: 1m\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: nonesuch\n        workload:\n          - rate: 1\n"), "nonesuch"},
 		{"bad placer", base("name: x\nduration: 1m\nplacer: warp-drive\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "warp-drive"},
 		{"bad election", base("name: x\nduration: 1m\ncoordinator:\n  election: dice\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "dice"},

@@ -7,15 +7,10 @@ import (
 )
 
 // This file preserves the pre-refactor engine verbatim: one heap-allocated
-// *RefEvent per scheduled callback, pushed through container/heap. It
-// serves two purposes and is not used by any model code:
-//
-//   - it is the oracle for the differential scheduler tests, which replay
-//     randomized schedule/cancel/periodic workloads against the reference
-//     and the production engines and require identical firing order;
-//   - it is the "before" row of the engine speedup table published into
-//     BENCH_federation.json by BenchmarkEngineChurn, so the gain from the
-//     value-typed slot-pool hot path is measured, not asserted.
+// *RefEvent per scheduled callback, pushed through container/heap. It is
+// the oracle for the differential scheduler tests, which replay randomized
+// schedule/cancel/periodic workloads against the reference and the
+// production engine and require identical firing order.
 
 // RefEvent is the reference engine's scheduled callback.
 type RefEvent struct {

@@ -1,12 +1,12 @@
 package sim
 
-// Differential scheduler tests: the production engine (heap and calendar
-// schedulers) must fire events in exactly the order of the pre-refactor
-// reference engine under randomized schedule/cancel/periodic workloads.
-// Each engine replays an identical self-scheduling script driven by its own
-// deterministically seeded RNG; because callbacks consume random bits in
-// fire order, any ordering divergence immediately desynchronizes the
-// recorded traces and fails the comparison.
+// Differential scheduler tests: the production engine must fire events in
+// exactly the order of the pre-refactor reference engine under randomized
+// schedule/cancel/periodic workloads. Each engine replays an identical
+// self-scheduling script driven by its own deterministically seeded RNG;
+// because callbacks consume random bits in fire order, any ordering
+// divergence immediately desynchronizes the recorded traces and fails the
+// comparison.
 
 import (
 	"fmt"
@@ -140,18 +140,8 @@ func TestSchedulerDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ref := runFuzzScript(refAdapter{NewRefEngine()}, seed)
-			heapEng := NewEngineWithScheduler(SchedulerHeap)
-			heapTrace := runFuzzScript(prodAdapter{heapEng}, seed)
-			calEng := NewEngineWithScheduler(SchedulerCalendar)
-			calTrace := runFuzzScript(prodAdapter{calEng}, seed)
-
-			diffTraces(t, "reference vs heap", ref, heapTrace)
-			diffTraces(t, "reference vs calendar", ref, calTrace)
-			// The two production schedulers share all engine bookkeeping,
-			// so even corpse-inclusive Pending must agree.
-			if heapEng.Pending() != calEng.Pending() {
-				t.Errorf("Pending diverged: heap=%d calendar=%d", heapEng.Pending(), calEng.Pending())
-			}
+			got := runFuzzScript(prodAdapter{NewEngine()}, seed)
+			diffTraces(t, "reference vs heap", ref, got)
 		})
 	}
 }

@@ -3,19 +3,15 @@
 //
 // The paper evaluates LaSS on a physical 3-node OpenWhisk cluster; this
 // repository substitutes a discrete-event simulated edge cluster (see
-// DESIGN.md §1). The engine provides a virtual clock, a timer queue with
-// stable FIFO ordering for simultaneous events, periodic tasks, and a Clock
-// abstraction shared with the wall-clock runtime so the LaSS controller code
-// is identical in both modes.
+// README.md's opening paragraph). The engine provides a virtual clock, a
+// timer queue with stable FIFO ordering for simultaneous events, periodic
+// tasks, and a Clock abstraction shared with the wall-clock runtime so the
+// LaSS controller code is identical in both modes.
 //
 // The hot path is allocation-free in steady state: timers are stored by
 // value inside the scheduler, and callback slots are recycled through a
 // free list, so a run that schedules and fires millions of events reuses a
-// small working set instead of churning the garbage collector. Two
-// scheduler implementations are available behind the same Engine API — a
-// binary heap (default) and an indexed calendar queue for very large
-// pending sets — and both honor the same (timestamp, sequence) total order,
-// so simulations are bit-for-bit identical regardless of which one runs.
+// small working set instead of churning the garbage collector.
 package sim
 
 import (
@@ -31,43 +27,6 @@ import (
 type Clock interface {
 	// Now returns the current time as an offset from the run's origin.
 	Now() time.Duration
-}
-
-// SchedulerKind selects the timer-queue implementation behind an Engine.
-// All kinds produce bit-for-bit identical simulations; they differ only in
-// constant factors at different pending-set sizes.
-type SchedulerKind int
-
-const (
-	// SchedulerHeap is a value-typed binary heap: O(log n) push/pop with
-	// excellent constants at small and medium pending counts. The default.
-	SchedulerHeap SchedulerKind = iota
-	// SchedulerCalendar is an indexed calendar queue (Brown, CACM 1988):
-	// amortized O(1) push/pop when timestamps are spread evenly, which is
-	// the regime of metro-scale arrival streams.
-	SchedulerCalendar
-)
-
-// String returns the flag-friendly name of the kind.
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedulerHeap:
-		return "heap"
-	case SchedulerCalendar:
-		return "calendar"
-	}
-	return fmt.Sprintf("SchedulerKind(%d)", int(k))
-}
-
-// ParseSchedulerKind parses a -scheduler flag value.
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "heap", "":
-		return SchedulerHeap, nil
-	case "calendar":
-		return SchedulerCalendar, nil
-	}
-	return SchedulerHeap, fmt.Errorf("sim: unknown scheduler %q (want heap or calendar)", s)
 }
 
 // timer is the value stored inside a scheduler: when to fire, the global
@@ -89,18 +48,6 @@ func timerLess(a, b timer) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-// scheduler is the priority-queue interface behind Engine. Implementations
-// must pop timers in timerLess order and need not know about cancellation:
-// the engine filters corpses after popping and sweeps them via compact.
-type scheduler interface {
-	push(tm timer)
-	pop() (timer, bool)
-	len() int
-	// compact removes every timer for which dead reports true, preserving
-	// the pop order of the survivors.
-	compact(dead func(timer) bool)
 }
 
 // slot is one recyclable callback cell. gen increments whenever the slot's
@@ -162,38 +109,15 @@ func (ev Event) At() time.Duration { return ev.at }
 type Engine struct {
 	now   time.Duration
 	seq   uint64
-	sched scheduler
-	kind  SchedulerKind
+	sched heapScheduler
 	slots []slot
 	free  []uint32 // free-list of recyclable slot indices
 	fired uint64
 	dead  int // cancelled timers still queued in the scheduler
-
-	deadFn func(timer) bool // bound corpse predicate, allocated once
 }
 
-// NewEngine returns an engine with the virtual clock at zero, using the
-// default (heap) scheduler.
-func NewEngine() *Engine {
-	return NewEngineWithScheduler(SchedulerHeap)
-}
-
-// NewEngineWithScheduler returns an engine using the given timer-queue
-// implementation. The choice affects speed only, never results.
-func NewEngineWithScheduler(kind SchedulerKind) *Engine {
-	e := &Engine{kind: kind}
-	switch kind {
-	case SchedulerCalendar:
-		e.sched = newCalendarQueue()
-	default:
-		e.sched = &heapScheduler{}
-	}
-	e.deadFn = func(tm timer) bool { return e.slots[tm.slot].gen != tm.gen }
-	return e
-}
-
-// Scheduler returns which timer-queue implementation the engine uses.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
+// NewEngine returns an engine with the virtual clock at zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time. Engine implements Clock.
 func (e *Engine) Now() time.Duration { return e.now }
@@ -237,7 +161,7 @@ func (e *Engine) maybeCompact() {
 	if e.dead*2 <= e.sched.len() {
 		return
 	}
-	e.sched.compact(e.deadFn)
+	e.sched.compact(e.slots)
 	e.dead = 0
 }
 
@@ -377,10 +301,11 @@ func (e *Engine) Run() {
 	}
 }
 
-// heapScheduler is a value-typed binary min-heap over timers: the default
-// scheduler. Unlike container/heap it stores timers inline (no interface
-// boxing, no per-event allocation) and pays no virtual dispatch on the
-// sift paths.
+// heapScheduler is a value-typed binary min-heap over timers. Unlike
+// container/heap it stores timers inline (no interface boxing, no per-event
+// allocation) and pays no virtual dispatch on the sift paths. Cancelled
+// timers stay queued as corpses: the engine filters them after popping and
+// sweeps them via compact.
 type heapScheduler struct {
 	h []timer
 }
@@ -406,10 +331,12 @@ func (s *heapScheduler) pop() (timer, bool) {
 
 func (s *heapScheduler) len() int { return len(s.h) }
 
-func (s *heapScheduler) compact(dead func(timer) bool) {
+// compact removes every timer whose slot generation has moved on,
+// preserving the pop order of the survivors.
+func (s *heapScheduler) compact(slots []slot) {
 	live := s.h[:0]
 	for _, tm := range s.h {
-		if !dead(tm) {
+		if slots[tm.slot].gen == tm.gen {
 			live = append(live, tm)
 		}
 	}

@@ -5,16 +5,11 @@ import (
 	"time"
 )
 
-// engines runs f against every scheduler implementation: the engine API
-// contract must hold identically for all of them.
+// engines runs f against a fresh engine, in a subtest named for its timer
+// queue.
 func engines(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Helper()
-	for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerCalendar} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			f(t, NewEngineWithScheduler(kind))
-		})
-	}
+	t.Run("heap", func(t *testing.T) { f(t, NewEngine()) })
 }
 
 func TestEventsFireInTimestampOrder(t *testing.T) {
@@ -417,82 +412,6 @@ func TestSteadyStateSteppingDoesNotAllocate(t *testing.T) {
 			t.Errorf("steady-state schedule+fire allocates %.2f objects/op, want 0", allocs)
 		}
 	})
-}
-
-// TestCalendarSparseGaps drives the calendar queue through its
-// direct-search fallback: events separated by far more than a full bucket
-// rotation must still fire in order.
-func TestCalendarSparseGaps(t *testing.T) {
-	e := NewEngineWithScheduler(SchedulerCalendar)
-	var times []time.Duration
-	record := func() { times = append(times, e.Now()) }
-	e.Schedule(time.Microsecond, record)
-	e.Schedule(100*time.Hour, record)
-	e.Schedule(200*time.Hour, record)
-	e.Schedule(200*time.Hour+time.Nanosecond, record)
-	e.Run()
-	want := []time.Duration{time.Microsecond, 100 * time.Hour, 200 * time.Hour, 200*time.Hour + time.Nanosecond}
-	if len(times) != len(want) {
-		t.Fatalf("fired at %v want %v", times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Errorf("event %d at %v want %v", i, times[i], want[i])
-		}
-	}
-}
-
-// TestCalendarResize pushes the population up and down across resize
-// thresholds while checking pop order.
-func TestCalendarResize(t *testing.T) {
-	e := NewEngineWithScheduler(SchedulerCalendar)
-	var prev time.Duration = -1
-	check := func() {
-		now := e.Now()
-		if now < prev {
-			t.Fatalf("time went backwards: %v after %v", now, prev)
-		}
-		prev = now
-	}
-	// Grow: thousands of events across a wide span.
-	for i := 0; i < 5000; i++ {
-		e.Schedule(time.Duration(i%977)*time.Millisecond+time.Duration(i)*time.Microsecond, check)
-	}
-	// Drain most (shrink path), interleaving new pushes.
-	for i := 0; i < 4000; i++ {
-		e.Step()
-	}
-	for i := 0; i < 100; i++ {
-		e.After(time.Duration(i)*time.Second, check)
-	}
-	e.Run()
-	if e.Fired() != 5100 {
-		t.Errorf("Fired=%d want 5100", e.Fired())
-	}
-}
-
-func TestParseSchedulerKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedulerKind
-		err  bool
-	}{
-		{"heap", SchedulerHeap, false},
-		{"", SchedulerHeap, false},
-		{"calendar", SchedulerCalendar, false},
-		{"splay", SchedulerHeap, true},
-	} {
-		got, err := ParseSchedulerKind(tc.in)
-		if (err != nil) != tc.err {
-			t.Errorf("ParseSchedulerKind(%q) err=%v want err=%v", tc.in, err, tc.err)
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("ParseSchedulerKind(%q)=%v want %v", tc.in, got, tc.want)
-		}
-	}
-	if SchedulerHeap.String() != "heap" || SchedulerCalendar.String() != "calendar" {
-		t.Error("SchedulerKind.String mismatch")
-	}
 }
 
 func TestRealClockMonotone(t *testing.T) {

@@ -182,9 +182,9 @@ type Placer = federation.Placer
 // desires, including granted-but-cold pre-provisioned pools). Cloud
 // state: PredictCloud (response including cold start and the queue at the
 // concurrency cap), CloudAdmits (throttle headroom), and
-// CloudCostPerRequest (the invocation + GB-second price). SelectPeer and
-// PeersByRTT run the configured peer-selection strategy and the
-// deterministic RTT-ordered scan.
+// CloudCostPerRequest (the invocation + GB-second price). SelectPeer is
+// the nearest-first accepting-peer scan; PeersByRTT is the deterministic
+// RTT-ordered candidate list custom strategies iterate.
 type PlacementContext = federation.PlacementContext
 
 // PlacementDecision is a Placer's verdict for one request.
@@ -219,32 +219,6 @@ func PlacerByName(name string) (Placer, error) { return federation.PlacerByName(
 // registration order (built-ins first, in sweep order).
 func PlacerNames() []string { return federation.PlacerNames() }
 
-// OffloadPolicy selects how each site's ingress places requests: serve
-// locally, offload to a peer edge site, or fall back to the cloud.
-//
-// Deprecated: the enum is a thin shim over the placer registry — each
-// value resolves to the built-in Placer of the same name. Use
-// FederationConfig.Placer / PlacerByName, which also reach the policies
-// the enum cannot name (grant-aware, cost-bounded, custom placers).
-type OffloadPolicy = federation.Policy
-
-// Offload policies.
-const (
-	// OffloadNever serves everything at its ingress site (the
-	// single-cluster baseline).
-	OffloadNever = federation.Never
-	// OffloadCloudOnly sheds to the cloud when the ingress site is
-	// overloaded.
-	OffloadCloudOnly = federation.CloudOnly
-	// OffloadNearestPeer sheds to the closest peer with headroom, then
-	// the cloud.
-	OffloadNearestPeer = federation.NearestPeer
-	// OffloadModelDriven offloads wherever the predicted response
-	// (backlog drain plus RTT) is best once the local prediction misses
-	// the SLO.
-	OffloadModelDriven = federation.ModelDriven
-)
-
 // FederationTopology is an explicit, validated one-way inter-site latency
 // matrix (optionally asymmetric; zero diagonal, non-negative entries).
 type FederationTopology = federation.Topology
@@ -268,15 +242,6 @@ func StarTopology(n int, spokeRTT time.Duration) (*FederationTopology, error) {
 // NewFederation assembles a simulated multi-cluster edge–cloud deployment.
 func NewFederation(cfg FederationConfig) (*Federation, error) {
 	return federation.New(cfg)
-}
-
-// ParseOffloadPolicy returns the offload policy named by s
-// ("never", "cloud-only", "nearest-peer", "model-driven").
-//
-// Deprecated: ParseOffloadPolicy only knows the four legacy enum values;
-// use PlacerByName, which resolves every registered policy.
-func ParseOffloadPolicy(s string) (OffloadPolicy, error) {
-	return federation.ParsePolicy(s)
 }
 
 // CoordinatorElection selects how the global allocator's coordinator site
@@ -304,32 +269,14 @@ func ParseCoordinatorElection(s string) (CoordinatorElection, error) {
 	return federation.ParseCoordinatorElection(s)
 }
 
-// OutageWindow is a half-open interval [Start, End) of simulated time;
-// FederationConfig.CoordinatorOutages uses it to schedule windows during
-// which the coordinator is dark — allocation epochs firing inside one
-// produce no grants (counted in FederationResult.MissedAllocEpochs), and
-// sites whose grant lease (FederationConfig.GrantLease, default
-// 2×AllocEpoch) lapses without renewal fall back to local enforcement.
+// OutageWindow is a half-open interval [Start, End) of simulated time; a
+// ChaosFault's static Windows schedule uses it. Under a
+// ChaosFaultCoordinator fault the coordinator is dark inside each window —
+// allocation epochs firing inside one produce no grants (counted in
+// FederationResult.MissedAllocEpochs), and sites whose grant lease
+// (FederationConfig.GrantLease, default 2×AllocEpoch) lapses without
+// renewal fall back to local enforcement.
 type OutageWindow = federation.Window
-
-// PeerSelection selects how a shedding site picks among candidate peers.
-type PeerSelection = federation.PeerSelection
-
-// Peer selections.
-const (
-	// PeerNearestFirst scans peers in ascending-RTT order (the
-	// historical behaviour).
-	PeerNearestFirst = federation.NearestFirst
-	// PeerPowerOfTwoChoices samples two candidates and keeps the one
-	// with more controller headroom.
-	PeerPowerOfTwoChoices = federation.PowerOfTwoChoices
-)
-
-// ParsePeerSelection returns the peer selection named by s
-// ("nearest", "p2c").
-func ParsePeerSelection(s string) (PeerSelection, error) {
-	return federation.ParsePeerSelection(s)
-}
 
 // ChaosConfig declares a chaos engine: the number of sites its fault
 // targets index into, the master seed every stochastic failure process

@@ -174,12 +174,6 @@ func TestPublicAPIGlobalAllocation(t *testing.T) {
 	if coldGrant <= 500 {
 		t.Errorf("cold granted %d want > its 500 desire (spread)", coldGrant)
 	}
-	if _, err := lass.ParsePeerSelection("p2c"); err != nil {
-		t.Error(err)
-	}
-	if lass.PeerNearestFirst.String() != "nearest" || lass.PeerPowerOfTwoChoices.String() != "p2c" {
-		t.Error("peer selection constants misnamed")
-	}
 }
 
 // TestPublicAPICoordinatorElection exercises the coordinator surface: the
@@ -220,13 +214,19 @@ func TestPublicAPICoordinatorElection(t *testing.T) {
 			Functions:  []lass.FunctionConfig{{Spec: spec, Workload: wl, Prewarm: 1}},
 		}
 	}
+	outage, err := lass.NewChaosEngine(lass.ChaosConfig{Sites: 3, Faults: []lass.ChaosFault{{
+		Kind:    lass.ChaosFaultCoordinator,
+		Windows: []lass.OutageWindow{{Start: 15 * time.Second, End: time.Hour}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fed, err := lass.NewFederation(lass.FederationConfig{
 		Sites:               []lass.SimulationConfig{site(30, 1), site(5, 2), site(5, 3)},
-		Policy:              lass.OffloadNever,
 		Topology:            topo,
 		GlobalFairShare:     true,
 		CoordinatorElection: lass.CoordinatorRTTCentroid,
-		CoordinatorOutages:  []lass.OutageWindow{{Start: 15 * time.Second, End: time.Hour}},
+		Faults:              outage,
 		Seed:                7,
 	})
 	if err != nil {
