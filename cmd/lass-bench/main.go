@@ -8,8 +8,8 @@
 //	lass-bench -list                       # show available experiment IDs
 //
 // Experiment IDs are the keys of internal/experiments/registry.go (-list
-// prints them): table1, fig3..fig9, openwhisk, the federation and bench
-// sweeps, and the ablation-* design-choice studies.
+// prints them): table1, fig3..fig9, openwhisk, the federation sweeps, and
+// the ablation-* design-choice studies.
 package main
 
 import (
@@ -38,6 +38,11 @@ func main() {
 		return
 	}
 
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "lass-bench: unknown format %q\n", *format)
+		os.Exit(1)
+	}
+
 	opt := experiments.Options{Seed: *seed, Quick: *quick}
 	ids := []string{*experiment}
 	if *experiment == "all" {
@@ -59,9 +64,6 @@ func main() {
 		case "text":
 			tab.Fprint(os.Stdout)
 			fmt.Printf("  (%s generated in %.1fs)\n\n", id, time.Since(start).Seconds()) //lass:wallclock
-		default:
-			fmt.Fprintf(os.Stderr, "lass-bench: unknown format %q\n", *format)
-			os.Exit(1)
 		}
 	}
 }

@@ -20,7 +20,6 @@
 //	lass-sim -federation -scenario scenarios/metro-flaps.yaml  # one declarative scenario file
 //	lass-sim -federation -scenario all                     # every committed scenarios/*.yaml
 //	lass-sim -federation -policy grant-aware               # one placement policy only
-//	lass-sim -federation -fed-bench -quick -seed 1 -json BENCH_federation.json
 //	lass-sim -federation -sweep-workers 8                  # parallel sweep, identical output
 //	lass-sim -federation -cpuprofile cpu.pprof
 //
@@ -30,8 +29,8 @@
 // in the placer registry (never / cloud-only / nearest-peer / model-driven
 // / grant-aware / cost-bounded, plus custom lass.RegisterPlacer policies),
 // and writes the comparison (per-policy SLO-violation rates, cloud cold
-// starts and cost) as CSV and optionally JSON. -policy restricts the sweep
-// to one registered placement policy. -fed-trace drives each site from its
+// starts and cost) as CSV. -policy restricts the sweep to one
+// registered placement policy. -fed-trace drives each site from its
 // own Azure-format trace row (synthesized deterministically, or row i of
 // the -trace CSV); -fed-fairshare sweeps per-site-local versus
 // federation-wide (global) fair-share allocation on a skewed-load scenario
@@ -46,9 +45,7 @@
 // region→metro→site borrowing vs borrowing + cross-site reclaim) on the
 // starved/borrower/donor metro; -scenario
 // runs a declarative scenario file (fleet + topology + workload + chaos
-// + assertions; "all" runs every committed scenarios/*.yaml); -fed-bench
-// runs the offload-policy and coordinator sweeps back to back — the
-// source of the committed BENCH_federation.json baseline;
+// + assertions; "all" runs every committed scenarios/*.yaml);
 // -global-fairshare / -alloc-epoch / -coordinator run any sweep under the
 // global allocator (fixed or centroid-elected coordinator placement);
 // -admission turns on offload-aware §3.4 admission control;
@@ -58,7 +55,7 @@
 // selects the inter-site latency model (ring|star); the -cloud-* flags
 // tune the cloud's warm window and price points; -sweep-workers runs that
 // many sweep cells concurrently (rows are emitted in canonical order, so
-// the CSV/JSON output is byte-identical at any worker count).
+// the output is byte-identical at any worker count).
 //
 // -cpuprofile / -memprofile write pprof profiles for hot-path work.
 package main
@@ -102,7 +99,6 @@ func main() {
 		fedCoord   = flag.Bool("fed-coordinator", false, "with -federation: sweep coordinator election, outages, and grant leases on the asymmetric-star scenario")
 		fedChaos   = flag.Bool("fed-chaos", false, "with -federation: sweep election x grant-lease across seeded chaos replicates (GE coordinator flicker + partial partition)")
 		fedHier    = flag.Bool("fed-hierarchy", false, "with -federation: sweep flat vs quota-tree borrowing vs borrowing + cross-site reclaim on the starved/borrower/donor metro")
-		fedBench   = flag.Bool("fed-bench", false, "with -federation: run the bench baseline (offload-policy sweep + coordinator sweep, the BENCH_federation.json source)")
 		scenarioF  = flag.String("scenario", "", "with -federation: run the named declarative scenario file instead of a sweep (\"all\" = every committed scenarios/*.yaml)")
 		chaosSeed  = flag.Int64("chaos-seed", 0, "with -federation -fed-chaos or -scenario: base chaos seed, replicate r draws seed+r (0 = derived/authored seed)")
 		chaosReps  = flag.Int("chaos-replicates", 0, "with -federation -fed-chaos or -scenario: seeded failure replicates per variant or scenario (0 = default: 8 chaos, 1 scenario)")
@@ -117,7 +113,6 @@ func main() {
 		priceInv   = flag.Float64("cloud-price-invocation", 0, "with -federation: $ per cloud invocation (0 = default $0.20/M, negative = free)")
 		priceGBs   = flag.Float64("cloud-price-gbsec", 0, "with -federation: $ per GB-second of cloud execution (0 = default, negative = free)")
 		out        = flag.String("out", "federation.csv", "CSV output path for -federation")
-		jsonOut    = flag.String("json", "", "with -federation: also write the sweep table as JSON (e.g. BENCH_federation.json)")
 		quickSweep = flag.Bool("quick", false, "shorten the -federation sweep for smoke testing")
 		workers    = flag.Int("sweep-workers", 1, "with -federation: concurrent sweep cells (1 = serial; output is byte-identical at any worker count)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -142,7 +137,7 @@ func main() {
 	// fedOnly lists the flags that only mean something to the federation
 	// sweep; both directions of the ignored-flag warnings derive from it.
 	fedOnly := map[string]bool{"fed-trace": true, "fed-fairshare": true, "fed-placers": true,
-		"fed-coordinator": true, "fed-chaos": true, "fed-hierarchy": true, "fed-bench": true,
+		"fed-coordinator": true, "fed-chaos": true, "fed-hierarchy": true,
 		"scenario": true, "chaos-seed": true, "chaos-replicates": true,
 		"topology":   true,
 		"cloud-warm": true, "cloud-price-invocation": true,
@@ -150,7 +145,7 @@ func main() {
 		"coordinator": true,
 		"admission":   true, "offered-load": true,
 		"cloud-max-concurrency": true, "sweep-workers": true,
-		"out": true, "json": true, "quick": true}
+		"out": true, "quick": true}
 
 	if *fed {
 		// The sweep's edge scenario is fixed; flags for the ad-hoc mode
@@ -184,14 +179,14 @@ func main() {
 		tracePath := ""
 		scenarioPath := *scenarioF
 		modes := 0
-		for _, m := range []bool{*fedTrace, *fedFair, *fedPlace, *fedCoord, *fedChaos, *fedHier, *fedBench, scenarioPath != ""} {
+		for _, m := range []bool{*fedTrace, *fedFair, *fedPlace, *fedCoord, *fedChaos, *fedHier, scenarioPath != ""} {
 			if m {
 				modes++
 			}
 		}
 		switch {
 		case modes > 1:
-			fail(fmt.Errorf("-fed-trace, -fed-fairshare, -fed-placers, -fed-coordinator, -fed-chaos, -fed-hierarchy, -fed-bench and -scenario are mutually exclusive"))
+			fail(fmt.Errorf("-fed-trace, -fed-fairshare, -fed-placers, -fed-coordinator, -fed-chaos, -fed-hierarchy and -scenario are mutually exclusive"))
 		case *fedTrace:
 			id = "federation-trace"
 			tracePath = *trace
@@ -205,8 +200,6 @@ func main() {
 			id = "federation-chaos"
 		case *fedHier:
 			id = "federation-hierarchy"
-		case *fedBench:
-			id = "federation-bench"
 		case scenarioPath != "":
 			id = "scenario"
 			if scenarioPath == "all" {
@@ -234,7 +227,7 @@ func main() {
 				ChaosSeed:               *chaosSeed,
 				ChaosReplicates:         *chaosReps,
 			},
-		}, *out, *jsonOut)
+		}, *out)
 		return
 	}
 	// Symmetric warning for the other direction: the federation-only
@@ -329,10 +322,8 @@ func main() {
 }
 
 // runFederation executes the offload-policy sweep (synthetic or
-// trace-driven), prints the table, and writes it as CSV — and, when
-// requested, as JSON (the format of the committed BENCH_federation.json
-// baseline).
-func runFederation(id string, opt experiments.Options, out, jsonOut string) {
+// trace-driven), prints the table, and writes it as CSV.
+func runFederation(id string, opt experiments.Options, out string) {
 	tab, err := experiments.Run(id, opt)
 	if err != nil {
 		fail(err)
@@ -350,20 +341,6 @@ func runFederation(id string, opt experiments.Options, out, jsonOut string) {
 		fail(err)
 	}
 	fmt.Printf("wrote %s\n", out)
-	if jsonOut != "" {
-		j, err := os.Create(jsonOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := tab.WriteJSON(j); err != nil {
-			j.Close()
-			fail(err)
-		}
-		if err := j.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
 }
 
 // writeMemProfile snapshots the heap (after a final GC, so live objects —

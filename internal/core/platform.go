@@ -314,9 +314,12 @@ func (p *Platform) Start() {
 	p.Engine.Every(recordEvery, p.record)
 }
 
-// Run simulates the platform for the given duration and returns the
-// collected results.
+// Run simulates the platform for the given duration, which must be
+// positive, and returns the collected results.
 func (p *Platform) Run(duration time.Duration) (*Result, error) {
+	if duration <= 0 {
+		return nil, fmt.Errorf("core: run duration must be positive, got %v", duration)
+	}
 	p.Start()
 	p.Engine.RunUntil(duration)
 	return p.Collect(duration)

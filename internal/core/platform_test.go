@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -200,6 +201,23 @@ func TestPlatformValidation(t *testing.T) {
 		Functions: []FunctionConfig{{Spec: spec, Prewarm: 1000}},
 	}); err == nil {
 		t.Error("want error for impossible prewarm")
+	}
+}
+
+// TestRunRejectsNonPositiveDuration: a zero or negative duration used to
+// yield an all-zero result with SLO attainment 1.0 instead of an error.
+func TestRunRejectsNonPositiveDuration(t *testing.T) {
+	for _, d := range []time.Duration{0, -5 * time.Second} {
+		p, err := New(Config{
+			Cluster:   cluster.PaperCluster(),
+			Functions: []FunctionConfig{{Spec: functions.MicroBenchmark(100 * time.Millisecond), Workload: staticWL(t, 10)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(d); err == nil || !strings.Contains(err.Error(), d.String()) {
+			t.Errorf("Run(%v) returned %v, want an error naming the duration", d, err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"io"
 )
 
@@ -21,13 +20,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON emits the full table — header, rows, and notes — as indented
-// JSON. The committed BENCH_federation.json baseline is produced this way,
-// so CI diffs and plotting tools get a stable machine-readable format.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }

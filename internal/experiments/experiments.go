@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) on the simulated substrate. Each experiment returns a
 // Table whose rows mirror what the paper plots; cmd/lass-bench prints them
-// and the repository-level benchmarks assert their shapes.
+// and testdata/golden pins the deterministic ones byte for byte.
 //
 // registry.go is the index of experiment IDs (`lass-bench -list` prints
 // it).
@@ -21,25 +21,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// Engine, when present, is the nested engine-benchmark sub-table
-	// (events/sec and allocs on the metro-day harness) the fed-bench
-	// baseline carries alongside the sweep rows. Omitted from the JSON
-	// when nil, so older baselines parse unchanged.
-	Engine *Table `json:",omitempty"`
-	// Control, when present, is the nested control-plane benchmark
-	// sub-table (epochs/sec and allocs/epoch, cold vs warm sizing and
-	// allocation) the fed-bench baseline carries. Omitted when nil.
-	Control *Table `json:",omitempty"`
-	// Chaos, when present, is the nested chaos-sweep sub-table (mean/p95
-	// violations and missed epochs per election x grant-lease variant
-	// across seeded failure replicates) the fed-bench baseline carries.
-	// Omitted when nil.
-	Chaos *Table `json:",omitempty"`
-	// Hierarchy, when present, is the nested hierarchy-sweep sub-table
-	// (flat vs quota-tree borrowing vs borrowing + cross-site reclaim on
-	// the starved/borrower/donor metro) the fed-bench baseline carries.
-	// Omitted when nil.
-	Hierarchy *Table `json:",omitempty"`
 }
 
 // AddRow appends a formatted row.
@@ -93,8 +74,7 @@ func (t *Table) Fprint(w io.Writer) {
 }
 
 // Options tunes experiment durations: Quick mode shortens simulated time
-// for use inside go test benchmarks; full mode matches the paper's
-// durations.
+// for tests and smoke runs; full mode matches the paper's durations.
 type Options struct {
 	Seed  uint64
 	Quick bool

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"lass/internal/cluster"
@@ -206,36 +204,6 @@ func addFederationRows(t *Table, res *federation.Result) {
 		fmt.Sprintf("%.4f", violationRate(violated, total)))
 }
 
-// baselineTable is the slice of the committed sweep-baseline JSON (the
-// Table serialization, e.g. BENCH_federation.json) the CI staleness
-// guards consume.
-type baselineTable struct {
-	Header []string
-	Rows   [][]string
-	// Engine is the nested engine-benchmark sub-table (nil in baselines
-	// predating it; MissingEngineScenarios treats that as fully stale).
-	Engine *baselineTable
-	// Control is the nested control-plane benchmark sub-table (nil in
-	// baselines predating it; MissingControlScenarios treats that as
-	// fully stale).
-	Control *baselineTable
-	// Chaos is the nested chaos-sweep sub-table (nil in baselines
-	// predating it; MissingChaosScenarios treats that as fully stale).
-	Chaos *baselineTable
-	// Hierarchy is the nested hierarchy-sweep sub-table (nil in baselines
-	// predating it; MissingHierarchyScenarios treats that as fully
-	// stale).
-	Hierarchy *baselineTable
-}
-
-func parseBaseline(baselineJSON []byte) (*baselineTable, error) {
-	var baseline baselineTable
-	if err := json.Unmarshal(baselineJSON, &baseline); err != nil {
-		return nil, fmt.Errorf("experiments: unparsable baseline: %w", err)
-	}
-	return &baseline, nil
-}
-
 // columnIndex maps a table header's column names to their positions.
 func columnIndex(header []string) map[string]int {
 	col := make(map[string]int, len(header))
@@ -243,107 +211,6 @@ func columnIndex(header []string) map[string]int {
 		col[h] = i
 	}
 	return col
-}
-
-// MissingBaselineColumns compares a committed sweep-baseline JSON against
-// the columns a table now produces and returns the columns the baseline
-// lacks — the staleness signal both the test suite and the bench smoke
-// step fail on.
-func MissingBaselineColumns(baselineJSON []byte, tab *Table) ([]string, error) {
-	baseline, err := parseBaseline(baselineJSON)
-	if err != nil {
-		return nil, err
-	}
-	have := columnIndex(baseline.Header)
-	var missing []string
-	for _, h := range tab.Header {
-		if _, ok := have[h]; !ok {
-			missing = append(missing, h)
-		}
-	}
-	return missing, nil
-}
-
-// MissingBaselinePolicies compares a committed sweep-baseline JSON against
-// the registered placement policies and returns the policy names lacking
-// an aggregate ("all") row — the signal that a newly-registered placer's
-// results were never folded into the baseline, so its drift would go
-// unguarded. Pass federation.BuiltinPlacerNames for the committed
-// baseline, which is regenerated from the built-in sweep.
-func MissingBaselinePolicies(baselineJSON []byte, policies []string) ([]string, error) {
-	baseline, err := parseBaseline(baselineJSON)
-	if err != nil {
-		return nil, err
-	}
-	have := make(map[string]bool)
-	for _, row := range baseline.Rows {
-		if len(row) >= 3 && row[2] == "all" {
-			have[row[0]] = true
-		}
-	}
-	var missing []string
-	for _, p := range policies {
-		if !have[p] {
-			missing = append(missing, p)
-		}
-	}
-	return missing, nil
-}
-
-// coordinatorScenarios are the coordinator sweep rows the baseline guard
-// demands, in report order: a centroid-elected row, an outage row (missed
-// epochs), a lease-fallback row (lease expirations), and a frozen-grants
-// outage row (missed epochs without a single lease expiry).
-var coordinatorScenarios = []string{"centroid election", "coordinator outage",
-	"lease fallback", "frozen grants under outage"}
-
-// MissingCoordinatorScenarios compares a committed sweep-baseline JSON
-// against the coordinator scenarios the federation-coordinator sweep
-// produces and returns the ones the baseline lacks (coordinatorScenarios).
-// Together with MissingBaselineColumns this is the staleness signal that
-// fails CI when BENCH_federation.json was regenerated without the
-// coordinator sweep rows.
-func MissingCoordinatorScenarios(baselineJSON []byte) ([]string, error) {
-	baseline, err := parseBaseline(baselineJSON)
-	if err != nil {
-		return nil, err
-	}
-	col := columnIndex(baseline.Header)
-	have := map[string]bool{}
-	for _, name := range []string{"coordinator", "missed-epochs", "lease-exp"} {
-		if _, ok := col[name]; !ok {
-			// The column guard reports the missing columns themselves; with
-			// no columns there can be no scenarios either.
-			return append([]string(nil), coordinatorScenarios...), nil
-		}
-	}
-	for _, row := range baseline.Rows {
-		if len(row) <= col["lease-exp"] || len(row) < 3 || row[2] != "all" {
-			continue
-		}
-		coord := row[col["coordinator"]]
-		missed := row[col["missed-epochs"]] != "0" && row[col["missed-epochs"]] != ""
-		expired := row[col["lease-exp"]] != "0" && row[col["lease-exp"]] != ""
-		if strings.HasPrefix(coord, "centroid@") {
-			have["centroid election"] = true
-		}
-		if missed {
-			have["coordinator outage"] = true
-		}
-		if expired {
-			have["lease fallback"] = true
-		}
-		if missed && !expired {
-			have["frozen grants under outage"] = true
-		}
-	}
-	var missing []string
-	for _, s := range coordinatorScenarios {
-		if !have[s] {
-			missing = append(missing, s)
-		}
-	}
-	return missing, nil
 }
 
 // sweepFederationPolicies runs every registered placement policy (or the

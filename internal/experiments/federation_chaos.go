@@ -28,11 +28,6 @@ var chaosVariants = []chaosVariant{
 	{coordinator: "centroid", grants: "frozen", election: federation.RTTCentroid, lease: -1},
 }
 
-// chaosScenarios are the variant rows the chaos sweep reports
-// ("coordinator/grants"), in order — what MissingChaosScenarios keys on.
-var chaosScenarios = []string{"fixed/leased", "fixed/frozen",
-	"centroid/leased", "centroid/frozen"}
-
 // chaosDefaultReplicates is how many seeded failure realizations each
 // variant runs when opt.Fed.ChaosReplicates is unset. Eight is the floor
 // the leased-beats-frozen mean assertion is calibrated for.
@@ -59,8 +54,8 @@ func chaosSweepFaults(nsites, hub int, seed uint64, unit time.Duration) (*chaos.
 	})
 }
 
-// chaosSweepHeader is the chaos sub-table's shape; the coordinator and
-// grants columns are what MissingChaosScenarios keys on.
+// chaosSweepHeader is the chaos sweep's shape: one row per
+// (coordinator, grants) variant.
 var chaosSweepHeader = []string{"coordinator", "grants", "replicates",
 	"mean-viol", "p95-viol", "mean-missed", "p95-missed",
 	"mean-part-epochs", "mean-grants-lost", "mean-lease-exp", "mean-viol-rate"}
@@ -223,40 +218,6 @@ func FederationChaos(opt Options) (*Table, error) {
 	t.AddNote("replicates are paired: replicate r of every variant draws chaos seed %d+r; the workload stays pinned to seed %d", baseSeed, opt.Seed)
 	t.AddNote("asserted: for each election mode, mean violations leased < frozen across %d replicates; frozen runs record zero lease expirations", reps)
 	return t, nil
-}
-
-// MissingChaosScenarios compares a committed sweep-baseline JSON against
-// the variant rows the federation-chaos sweep produces and returns the
-// ones the baseline's nested Chaos table lacks — the staleness signal
-// that BENCH_federation.json was regenerated without the chaos sub-table.
-// Baselines predating the Chaos field report every variant missing.
-func MissingChaosScenarios(baselineJSON []byte) ([]string, error) {
-	baseline, err := parseBaseline(baselineJSON)
-	if err != nil {
-		return nil, err
-	}
-	if baseline.Chaos == nil {
-		return append([]string(nil), chaosScenarios...), nil
-	}
-	col := columnIndex(baseline.Chaos.Header)
-	for _, name := range []string{"coordinator", "grants"} {
-		if _, ok := col[name]; !ok {
-			return append([]string(nil), chaosScenarios...), nil
-		}
-	}
-	have := map[string]bool{}
-	for _, row := range baseline.Chaos.Rows {
-		if len(row) > col["coordinator"] && len(row) > col["grants"] {
-			have[row[col["coordinator"]]+"/"+row[col["grants"]]] = true
-		}
-	}
-	var missing []string
-	for _, s := range chaosScenarios {
-		if !have[s] {
-			missing = append(missing, s)
-		}
-	}
-	return missing, nil
 }
 
 // scenarioRunHeader is the scenario experiment's shape: one row per

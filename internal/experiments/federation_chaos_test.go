@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,11 +16,11 @@ func TestFederationChaosSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Rows) != len(chaosScenarios) {
-		t.Fatalf("chaos sweep produced %d rows, want %d", len(serial.Rows), len(chaosScenarios))
+	if len(serial.Rows) != len(chaosVariants) {
+		t.Fatalf("chaos sweep produced %d rows, want %d", len(serial.Rows), len(chaosVariants))
 	}
-	for i, want := range chaosScenarios {
-		if got := serial.Rows[i][0] + "/" + serial.Rows[i][1]; got != want {
+	for i, v := range chaosVariants {
+		if got, want := serial.Rows[i][0]+"/"+serial.Rows[i][1], v.coordinator+"/"+v.grants; got != want {
 			t.Errorf("row %d is %s, want %s", i, got, want)
 		}
 		if serial.Rows[i][2] != "8" {
@@ -60,44 +59,6 @@ func TestFederationChaosSeedChangesRealizations(t *testing.T) {
 	}
 	if bytes.Equal(renderTable(t, a), renderTable(t, b)) {
 		t.Error("chaos base seeds 1000 and 2000 produced identical sweeps")
-	}
-}
-
-func TestMissingChaosScenarios(t *testing.T) {
-	// A baseline predating the Chaos sub-table reports every variant.
-	old, _ := json.Marshal(Table{Header: []string{"policy"}})
-	missing, err := MissingChaosScenarios(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != len(chaosScenarios) {
-		t.Errorf("pre-chaos baseline missing %v, want all of %v", missing, chaosScenarios)
-	}
-	// A baseline carrying every variant row reports none.
-	full := Table{Header: []string{"policy"}, Chaos: &Table{
-		Header: append([]string(nil), chaosSweepHeader...),
-		Rows: [][]string{
-			{"fixed", "leased", "8"}, {"fixed", "frozen", "8"},
-			{"centroid", "leased", "8"}, {"centroid", "frozen", "8"},
-		},
-	}}
-	raw, _ := json.Marshal(full)
-	missing, err = MissingChaosScenarios(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 0 {
-		t.Errorf("complete baseline reported missing %v", missing)
-	}
-	// Dropping one variant reports exactly that variant.
-	full.Chaos.Rows = full.Chaos.Rows[:3]
-	raw, _ = json.Marshal(full)
-	missing, err = MissingChaosScenarios(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 1 || missing[0] != "centroid/frozen" {
-		t.Errorf("missing = %v, want [centroid/frozen]", missing)
 	}
 }
 

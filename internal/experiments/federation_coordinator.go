@@ -202,61 +202,6 @@ func FederationCoordinator(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// FederationBench produces the committed BENCH_federation.json baseline:
-// the synthetic offload-policy sweep plus the coordinator sweep's rows,
-// merged into one table over the shared federationSweepHeader, with the
-// engine and control-plane benchmarks attached as the nested Engine and
-// Control sub-tables — so the baseline carries every column, coordinator
-// scenario, engine row, and control-plane row the CI guards
-// (MissingBaselineColumns, MissingBaselinePolicies,
-// MissingCoordinatorScenarios, MissingEngineScenarios,
-// MissingControlScenarios, MissingChaosScenarios,
-// MissingHierarchyScenarios) check for. Regenerate with
-//
-//	go run ./cmd/lass-sim -federation -fed-bench -quick -seed 1 -json BENCH_federation.json
-func FederationBench(opt Options) (*Table, error) {
-	fed, err := Federation(opt)
-	if err != nil {
-		return nil, err
-	}
-	coord, err := FederationCoordinator(opt)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := EngineBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := ControlPlaneBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	chaosTab, err := FederationChaos(opt)
-	if err != nil {
-		return nil, err
-	}
-	hierTab, err := FederationHierarchy(opt)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:        "federation-bench",
-		Title:     "Bench baseline: offload-policy sweep + coordinator election/failover sweep",
-		Header:    append([]string(nil), federationSweepHeader...),
-		Engine:    eng,
-		Control:   ctrl,
-		Chaos:     chaosTab,
-		Hierarchy: hierTab,
-	}
-	for _, src := range []*Table{fed, coord} {
-		t.Rows = append(t.Rows, src.Rows...)
-		for _, n := range src.Notes {
-			t.AddNote("%s: %s", src.ID, n)
-		}
-	}
-	return t, nil
-}
-
 // totalViolations sums every site's honest violation count (unresolved
 // ingress included).
 func totalViolations(res *federation.Result) uint64 {
@@ -270,7 +215,7 @@ func totalViolations(res *federation.Result) uint64 {
 // CoordinatorDelayCut returns the fractional reduction in mean
 // grant-delivery delay the centroid-elected run achieves over the fixed
 // placement, read from a coordinator sweep table's no-outage aggregate
-// rows — the headline the bench reports.
+// rows.
 func CoordinatorDelayCut(t *Table) (float64, error) {
 	col := columnIndex(t.Header)
 	for _, name := range []string{"coordinator", "missed-epochs", "grant-delay-ms"} {

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestFederationCoordinatorSweep runs the coordinator sweep in quick mode.
 // The sweep hard-asserts its own invariants (centroid strictly cuts the
@@ -25,61 +22,5 @@ func TestFederationCoordinatorSweep(t *testing.T) {
 	}
 	if cut <= 0 || cut >= 1 {
 		t.Errorf("centroid delay cut %.3f outside (0, 1)", cut)
-	}
-	// The sweep's own rows must satisfy the scenario guard — that is what
-	// makes a -fed-bench regenerated baseline pass it.
-	raw, err := json.Marshal(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	missing, err := MissingCoordinatorScenarios(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) > 0 {
-		t.Errorf("coordinator sweep itself is missing scenarios %v", missing)
-	}
-}
-
-// TestMissingCoordinatorScenarios pins the guard's staleness detection on
-// synthetic baselines: a pre-coordinator baseline misses everything, a
-// partial one reports exactly what it lacks.
-func TestMissingCoordinatorScenarios(t *testing.T) {
-	legacy := []byte(`{"Header":["policy","alloc","site","violation rate"],"Rows":[["never","local","all","0.5"]]}`)
-	missing, err := MissingCoordinatorScenarios(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 4 {
-		t.Errorf("legacy baseline missing %v, want all four scenarios", missing)
-	}
-
-	partial := struct {
-		Header []string
-		Rows   [][]string
-	}{
-		Header: []string{"policy", "alloc", "site", "coordinator", "missed-epochs", "lease-exp"},
-		Rows: [][]string{
-			{"model-driven", "global", "edge-0", "", "", ""},
-			{"model-driven", "global", "all", "centroid@1", "0", "0"},
-			{"model-driven", "global", "all", "fixed@0", "3", "2"},
-		},
-	}
-	raw, err := json.Marshal(partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	missing, err = MissingCoordinatorScenarios(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Outage and lease-fallback rows exist; a frozen-grants outage row
-	// (missed epochs, zero expirations) does not.
-	if len(missing) != 1 || missing[0] != "frozen grants under outage" {
-		t.Errorf("partial baseline missing %v, want only the frozen-grants scenario", missing)
-	}
-
-	if _, err := MissingCoordinatorScenarios([]byte("not json")); err == nil {
-		t.Error("unparsable baseline accepted")
 	}
 }

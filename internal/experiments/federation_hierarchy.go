@@ -14,15 +14,13 @@ import (
 )
 
 // hierarchyScenarios are the allocation-mode rows the hierarchy sweep
-// reports, in order — what MissingHierarchyScenarios keys on. "flat" is
-// the site-level water-fill (no quota tree), "borrow" adds the
-// region→metro→site hierarchy with over-quota borrowing, and "reclaim"
-// additionally lets deserved-starved functions preempt borrowed capacity
-// back.
+// reports, in order. "flat" is the site-level water-fill (no quota tree),
+// "borrow" adds the region→metro→site hierarchy with over-quota
+// borrowing, and "reclaim" additionally lets deserved-starved functions
+// preempt borrowed capacity back.
 var hierarchyScenarios = []string{"flat", "borrow", "reclaim"}
 
-// hierarchySweepHeader is the hierarchy sub-table's shape; the mode
-// column is what MissingHierarchyScenarios keys on, and the reclaimed /
+// hierarchySweepHeader is the hierarchy sweep's shape; the reclaimed /
 // preempted columns are the landed-commit counters (millicores, both
 // sides of each commit).
 var hierarchySweepHeader = []string{"mode", "site", "arrivals", "local", "to-peer",
@@ -220,37 +218,4 @@ func FederationHierarchy(opt Options) (*Table, error) {
 	t.AddNote("asserted: commits land only under reclaim (both counters balanced, zero elsewhere), and reclaim's starved-site violation rate %.4f < borrow-only's %.4f",
 		starvedReclaim, starvedBorrow)
 	return t, nil
-}
-
-// MissingHierarchyScenarios compares a committed sweep-baseline JSON
-// against the mode rows the federation-hierarchy sweep produces and
-// returns the ones the baseline's nested Hierarchy table lacks — the
-// staleness signal that BENCH_federation.json was regenerated without the
-// hierarchy sub-table. Baselines predating the Hierarchy field report
-// every mode missing.
-func MissingHierarchyScenarios(baselineJSON []byte) ([]string, error) {
-	baseline, err := parseBaseline(baselineJSON)
-	if err != nil {
-		return nil, err
-	}
-	if baseline.Hierarchy == nil {
-		return append([]string(nil), hierarchyScenarios...), nil
-	}
-	col := columnIndex(baseline.Hierarchy.Header)
-	if _, ok := col["mode"]; !ok {
-		return append([]string(nil), hierarchyScenarios...), nil
-	}
-	have := map[string]bool{}
-	for _, row := range baseline.Hierarchy.Rows {
-		if len(row) > col["mode"] {
-			have[row[col["mode"]]] = true
-		}
-	}
-	var missing []string
-	for _, s := range hierarchyScenarios {
-		if !have[s] {
-			missing = append(missing, s)
-		}
-	}
-	return missing, nil
 }

@@ -22,8 +22,7 @@ import (
 // granted-but-cold pools into its per-candidate prediction — should beat
 // plain model-driven (which only sees live pools) on violations, and
 // cost-bounded exposes the violations-versus-cloud-bill trade. One row
-// set per registered policy; the committed bench baseline must carry an
-// aggregate row for each built-in.
+// set per registered policy.
 func FederationPlacers(opt Options) (*Table, error) {
 	t := &Table{
 		ID:     "federation-placers",
@@ -96,7 +95,7 @@ func FederationPlacers(opt Options) (*Table, error) {
 }
 
 // PlacerAggregate finds the aggregate ("all") row for one policy in a
-// placer sweep table; tests and benchmarks use it to compare policies.
+// placer sweep table; tests use it to compare policies.
 func PlacerAggregate(t *Table, policy string) ([]string, error) {
 	for _, row := range t.Rows {
 		if len(row) >= 3 && row[0] == policy && row[2] == "all" {

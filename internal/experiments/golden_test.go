@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lass/internal/federation"
@@ -13,14 +14,34 @@ import (
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/golden/*.csv from the current tree")
 
 // goldenIDs are the registry experiments whose tables are a pure function
-// of the seed. fig5, engine-bench, control-bench and federation-bench
-// carry wall-clock columns and are excluded.
+// of the seed.
 var goldenIDs = []string{
 	"table1", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "openwhisk",
 	"federation", "federation-trace", "federation-fairshare",
 	"federation-placers", "federation-coordinator", "federation-chaos",
 	"federation-hierarchy", "scenario",
 	"ablation-estimator", "ablation-ggc", "ablation-hetmodel", "ablation-placement",
+}
+
+// wallClockIDs are the registry experiments excluded from the goldens
+// because their tables carry wall-clock columns.
+var wallClockIDs = []string{"fig5"}
+
+// TestEveryExperimentIsPinned fails when a registered experiment is in
+// neither goldenIDs nor wallClockIDs, so a new one cannot ship unpinned.
+func TestEveryExperimentIsPinned(t *testing.T) {
+	listed := make(map[string]bool)
+	for _, id := range slices.Concat(goldenIDs, wallClockIDs) {
+		if _, ok := Registry[id]; !ok {
+			t.Errorf("%q is listed here but not registered", id)
+		}
+		listed[id] = true
+	}
+	for _, id := range IDs() {
+		if !listed[id] {
+			t.Errorf("experiment %q is registered but neither pinned in goldenIDs nor excluded in wallClockIDs", id)
+		}
+	}
 }
 
 // TestExperimentGoldens pins every deterministic experiment table byte for

@@ -6,23 +6,21 @@ import (
 	"testing"
 )
 
-// renderTable serializes a table exactly as cmd/lass-sim writes it — the
-// CSV followed by the JSON — so a byte comparison covers rows, notes, and
-// ordering at once.
+// renderTable serializes a table exactly as cmd/lass-sim emits it — the
+// printed text (notes included) followed by the CSV — so a byte comparison
+// covers rows, notes, and ordering at once.
 func renderTable(t *testing.T, tab *Table) []byte {
 	t.Helper()
 	var buf bytes.Buffer
+	tab.Fprint(&buf)
 	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
-	}
-	if err := tab.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
 	}
 	return buf.Bytes()
 }
 
 // TestParallelSweepOutputIsByteIdentical is the parallel-runner determinism
-// regression: every federation sweep must emit byte-identical CSV and JSON
+// regression: every federation sweep must emit byte-identical text and CSV
 // whether its cells run serially or across eight workers. Cells own their
 // engines and RNG streams and rows are emitted in canonical order after all
 // cells complete, so any divergence means shared mutable state leaked in.

@@ -27,10 +27,7 @@ var Registry = map[string]Runner{
 	"federation-coordinator": FederationCoordinator,
 	"federation-chaos":       FederationChaos,
 	"federation-hierarchy":   FederationHierarchy,
-	"federation-bench":       FederationBench,
 	"scenario":               ScenarioRun,
-	"engine-bench":           EngineBench,
-	"control-bench":          ControlPlaneBench,
 	"openwhisk":              OpenWhisk,
 	"ablation-estimator":     AblationEstimator,
 	"ablation-placement":     AblationPlacement,

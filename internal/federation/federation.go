@@ -1339,8 +1339,11 @@ type Result struct {
 }
 
 // Run drives all sites on the shared engine for the given simulated
-// duration and collects per-site results.
+// duration, which must be positive, and collects per-site results.
 func (f *Federation) Run(duration time.Duration) (*Result, error) {
+	if duration <= 0 {
+		return nil, fmt.Errorf("federation: run duration must be positive, got %v", duration)
+	}
 	for _, s := range f.Sites {
 		s.Platform.Start()
 	}

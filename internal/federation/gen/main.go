@@ -25,7 +25,7 @@ package federation
 
 // BuiltinPlacerNames lists the built-in placement policies in sweep order.
 // Command-line surfaces (the lass-sim -policy usage string) embed it, and
-// the committed bench baseline must carry one aggregate row per entry.
+// the experiment goldens keep only these policies' rows.
 var BuiltinPlacerNames = %#v
 `, federation.PlacerNames())
 	src, err := format.Source(buf.Bytes())

@@ -4,5 +4,5 @@ package federation
 
 // BuiltinPlacerNames lists the built-in placement policies in sweep order.
 // Command-line surfaces (the lass-sim -policy usage string) embed it, and
-// the committed bench baseline must carry one aggregate row per entry.
+// the experiment goldens keep only these policies' rows.
 var BuiltinPlacerNames = []string{"never", "cloud-only", "nearest-peer", "model-driven", "grant-aware", "cost-bounded", "metro-affine"}

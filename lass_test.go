@@ -3,7 +3,6 @@ package lass_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"lass/internal/cluster"
 	"lass/internal/controller"
 	"lass/internal/experiments"
-	"lass/internal/federation"
 )
 
 func TestPublicAPISimulation(t *testing.T) {
@@ -244,79 +242,6 @@ func TestPublicAPICoordinatorElection(t *testing.T) {
 	}
 	if res.GrantLeaseExpirations == 0 {
 		t.Error("outage longer than the default lease expired no grants")
-	}
-}
-
-// TestFederationBaselineColumns guards the committed BENCH_federation.json
-// against silently going stale: it must carry every column the federation
-// sweep produces, an aggregate row for every built-in placement policy,
-// and the coordinator sweep's election/outage/lease scenario rows
-// (regenerate with
-// go run ./cmd/lass-sim -federation -fed-bench -quick -seed 1 -json BENCH_federation.json).
-// BenchmarkFederationSweep asserts the same invariants for the CI bench
-// smoke step, which runs no plain tests.
-func TestFederationBaselineColumns(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_federation.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := experiments.Run("federation", experiments.Options{Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	missing, err := experiments.MissingBaselineColumns(raw, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range missing {
-		t.Errorf("BENCH_federation.json baseline missing column %q — regenerate it", h)
-	}
-	// One aggregate row per built-in policy: a placer added to the
-	// registry without regenerating the baseline would otherwise drift
-	// unguarded.
-	stale, err := experiments.MissingBaselinePolicies(raw, federation.BuiltinPlacerNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range stale {
-		t.Errorf("BENCH_federation.json baseline missing policy %q — regenerate it", p)
-	}
-	// The coordinator sweep's rows (centroid election, outage, lease
-	// fallback, frozen grants) must be in the baseline too: a baseline
-	// regenerated from the plain federation sweep alone fails here.
-	scenarios, err := experiments.MissingCoordinatorScenarios(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range scenarios {
-		t.Errorf("BENCH_federation.json baseline missing coordinator scenario %q — regenerate it with -fed-bench", s)
-	}
-	// Same for the nested control-plane sub-table: a baseline regenerated
-	// before the control-bench existed (or with it stripped) fails here.
-	controls, err := experiments.MissingControlScenarios(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range controls {
-		t.Errorf("BENCH_federation.json baseline missing control-bench scenario %q — regenerate it with -fed-bench", s)
-	}
-	// And the nested chaos sub-table: every election x grant-lease variant
-	// of the seeded chaos sweep must have a row.
-	chaos, err := experiments.MissingChaosScenarios(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range chaos {
-		t.Errorf("BENCH_federation.json baseline missing chaos-sweep scenario %q — regenerate it with -fed-bench", s)
-	}
-	// And the nested hierarchy sub-table: the quota-structure sweep's
-	// flat / borrow / reclaim mode rows must have survived regeneration.
-	hier, err := experiments.MissingHierarchyScenarios(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range hier {
-		t.Errorf("BENCH_federation.json baseline missing hierarchy-sweep mode %q — regenerate it with -fed-bench", s)
 	}
 }
 
