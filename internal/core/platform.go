@@ -139,7 +139,11 @@ func New(cfg Config) (*Platform, error) {
 				}
 			}
 		},
-		OnResize: func(c *cluster.Container) {}, // WRR reads CPU live
+		OnResize: func(c *cluster.Container) {
+			if q, ok := p.Queues[c.Function]; ok {
+				q.Resized(c)
+			}
+		},
 	}
 	ctl, err := controller.New(cfg.Controller, cl, hooks)
 	if err != nil {

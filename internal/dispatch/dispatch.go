@@ -68,6 +68,12 @@ type wrrEntry struct {
 	inflight *Request
 	done     sim.Event
 
+	// rate is spec.RateAt of the container's CPU fraction, memoized at cpu
+	// (the CPUCurrent it was computed from) so a resize notification that
+	// changed nothing costs one compare.
+	rate float64
+	cpu  int64
+
 	frac       float64
 	service    time.Duration
 	completeFn func()
@@ -79,6 +85,7 @@ func (e *wrrEntry) complete() {
 	r := e.inflight
 	e.busy = false
 	e.inflight = nil
+	q.busy--
 	r.Finish = q.engine.Now()
 	q.Responses.AddDuration(r.Response())
 	q.completed++
@@ -97,6 +104,7 @@ func (e *wrrEntry) timeout() {
 	r := e.inflight
 	e.busy = false
 	e.inflight = nil
+	q.busy--
 	q.timedOut++
 	q.release(r)
 	q.pump()
@@ -119,6 +127,13 @@ type Queue struct {
 	// bit-identical.
 	order  []*wrrEntry
 	nextID uint64
+
+	// capacity is the sum of the attached entries' rates and busy the number
+	// of them in service. Placement reads both once per candidate site per
+	// request, so they are maintained where they change — attach, detach,
+	// resize; start, complete, timeout — instead of recomputed per read.
+	capacity float64
+	busy     int
 
 	// Waits and Responses collect per-request timing; SLO tracks the
 	// waiting-time deadline the evaluation provisions against.
@@ -179,11 +194,10 @@ func (q *Queue) Spec() functions.Spec { return q.spec }
 func (q *Queue) QueueLength() int { return len(q.fifo) - q.head }
 
 // alloc takes a request from the pool (or allocates one) and initializes it
-// as a fresh arrival.
+// as a fresh arrival. The caller owns the returned request and must release
+// or transfer it on every path (checked by the donerelease analyzer).
 //
-// transfer it on every path (checked by the donerelease analyzer).
-//
-//lass:acquires the caller owns the returned request and must release or
+//lass:acquires
 func (q *Queue) alloc() *Request {
 	var r *Request
 	if n := len(q.pool); n > 0 {
@@ -215,15 +229,7 @@ func (q *Queue) release(r *Request) {
 }
 
 // InFlight returns the number of requests currently in service.
-func (q *Queue) InFlight() int {
-	n := 0
-	for _, e := range q.order {
-		if e.busy {
-			n++
-		}
-	}
-	return n
-}
+func (q *Queue) InFlight() int { return q.busy }
 
 // Completed returns the number of requests finished.
 func (q *Queue) Completed() uint64 { return q.completed }
@@ -256,28 +262,46 @@ func (q *Queue) Containers() int { return len(q.entries) }
 // ServiceCapacity returns the aggregate service rate (req/s) of the
 // attached containers at their current (possibly deflated) CPU
 // allocations. The federation placement policy uses it to predict how
-// fast a site can drain its backlog.
-//
-// it always accumulates in container-ID order.
-//
-//lass:bitexact the sum feeds placement predictions compared across sites;
-func (q *Queue) ServiceCapacity() float64 {
-	var total float64
-	for _, e := range q.order {
-		total += q.spec.RateAt(e.c.CPUFraction())
-	}
-	return total
-}
+// fast a site can drain its backlog. The value is maintained, not computed
+// here: it tracks CPU changes through Resized, so whoever resizes an
+// attached container must report it.
+func (q *Queue) ServiceCapacity() float64 { return q.capacity }
 
 // IdleContainers returns the number of attached, non-busy containers.
-func (q *Queue) IdleContainers() int {
-	n := 0
-	for _, e := range q.order {
-		if !e.busy {
-			n++
-		}
+func (q *Queue) IdleContainers() int { return len(q.order) - q.busy }
+
+// Resized tells the queue that the container's CPU allocation may have
+// changed (the controller's OnResize hook): its memoized service rate and
+// the pool's ServiceCapacity follow. Containers not attached here — still
+// cold-starting, or another function's — are ignored.
+func (q *Queue) Resized(c *cluster.Container) {
+	e, ok := q.entries[c.ID]
+	if !ok || e.cpu == c.CPUCurrent {
+		return
 	}
-	return n
+	q.setRate(e)
+	q.resumCapacity()
+}
+
+// setRate memoizes e's service rate at its container's current CPU.
+func (q *Queue) setRate(e *wrrEntry) {
+	e.cpu = e.c.CPUCurrent
+	e.rate = q.spec.RateAt(e.c.CPUFraction())
+}
+
+// resumCapacity recomputes the pool's aggregate service rate from the
+// memoized per-container rates. It re-adds every term rather than adjusting
+// the old sum by a difference: float addition is not associative, and the
+// result must equal a fresh sum over the pool bit for bit. It always
+// accumulates in container-ID order.
+//
+//lass:bitexact the sum feeds placement predictions compared across sites.
+func (q *Queue) resumCapacity() {
+	var total float64
+	for _, e := range q.order {
+		total += e.rate
+	}
+	q.capacity = total
 }
 
 // AddContainer attaches a servable container to the load balancer.
@@ -294,6 +318,7 @@ func (q *Queue) AddContainer(c *cluster.Container) error {
 	e := &wrrEntry{q: q, c: c}
 	e.completeFn = e.complete
 	e.timeoutFn = e.timeout
+	q.setRate(e)
 	q.entries[c.ID] = e
 	// Keep order sorted by container ID. IDs are issued monotonically, so
 	// the common case appends; reattachment after churn inserts.
@@ -301,6 +326,7 @@ func (q *Queue) AddContainer(c *cluster.Container) error {
 	q.order = append(q.order, nil)
 	copy(q.order[at+1:], q.order[at:])
 	q.order[at] = e
+	q.resumCapacity()
 	q.pump()
 	return nil
 }
@@ -317,7 +343,9 @@ func (q *Queue) RemoveContainer(c *cluster.Container) error {
 	delete(q.entries, c.ID)
 	at := sort.Search(len(q.order), func(i int) bool { return q.order[i].c.ID >= c.ID })
 	q.order = append(q.order[:at], q.order[at+1:]...)
+	q.resumCapacity()
 	if e.busy && e.inflight != nil {
+		q.busy--
 		e.done.Cancel()
 		r := e.inflight
 		r.Requeues++
@@ -374,9 +402,10 @@ func (q *Queue) ArriveOffloaded() *Request {
 	return r
 }
 
-// path releases it.
+// enqueue appends the request to the FIFO, which owns it from here; the
+// dispatch/complete path releases it.
 //
-//lass:transfers the FIFO owns the request from here; the dispatch/complete
+//lass:transfers
 func (q *Queue) enqueue(r *Request) {
 	q.fifo = append(q.fifo, r)
 	q.pump()
@@ -384,11 +413,10 @@ func (q *Queue) enqueue(r *Request) {
 
 // selectIdle picks the idle container by smooth weighted round-robin with
 // weights equal to current CPU allocation. Returns nil when all busy.
+// Walking q.order pins the accumulation to container-ID order, so selection
+// is a pure function of the queue state.
 //
-// q.order pins the accumulation to container-ID order so selection is a
-// pure function of the queue state.
-//
-//lass:bitexact the running weights and their total are floats; walking
+//lass:bitexact the running weights and their total are floats.
 func (q *Queue) selectIdle() *wrrEntry {
 	var total float64
 	var best *wrrEntry
@@ -439,6 +467,7 @@ func (q *Queue) start(e *wrrEntry, r *Request) {
 	e.service = q.spec.SampleServiceTime(q.rng, e.frac)
 	e.busy = true
 	e.inflight = r
+	q.busy++
 	if q.TimeLimit > 0 && e.service > q.TimeLimit {
 		// The platform kills the execution at the hard limit (§2.1); the
 		// container is occupied for the full limit, then freed.

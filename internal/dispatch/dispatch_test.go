@@ -192,6 +192,7 @@ func TestDeflatedContainerServesSlower(t *testing.T) {
 	// starved region).
 	c := addRunning(t, cl, q, 400)
 	cl.Resize(c, 160)
+	q.Resized(c)
 	var serviceSum time.Duration
 	var n int
 	q.OnComplete = func(_ float64, s time.Duration) { serviceSum += s; n++ }

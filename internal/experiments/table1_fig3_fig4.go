@@ -168,6 +168,7 @@ func Fig4(opt Options) (*Table, error) {
 					frac := rng.Uniform(0.70, 0.95)
 					newCPU := int64(frac * float64(target.CPUStandard))
 					_ = p.Cluster.Resize(target, newCPU)
+					p.Queues[spec.Name].Resized(target)
 				}
 			})
 			res, err := p.Run(duration)

@@ -325,3 +325,74 @@ func TestDarkOriginLosesCloudUplink(t *testing.T) {
 		t.Error("dark origin served nothing locally")
 	}
 }
+
+// pickCounter wraps a placer and counts, per target site, the peer
+// decisions it returns for requests entering at site 0 — before the
+// federation sanitizes them.
+type pickCounter struct {
+	inner Placer
+	picks map[int]uint64
+}
+
+func (p *pickCounter) Name() string { return p.inner.Name() }
+
+func (p *pickCounter) Place(ctx *PlacementContext) Decision {
+	d := p.inner.Place(ctx)
+	if ctx.Origin() == 0 && d.Kind == OffloadSite {
+		p.picks[d.Site]++
+	}
+	return d
+}
+
+// TestGrantAwareRoutesAroundDarkLink: the grant-aware estimator prices
+// pools and grants, not links, so the model-driven family's shared scan has
+// to drop unreachable peers for it. With the origin→nearest link dark for
+// the whole run, the overloaded origin must ship its overflow to the
+// farther, reachable peer — never pick the dark one, have the decision
+// sanitized back to local service, and queue the request at home.
+func TestGrantAwareRoutesAroundDarkLink(t *testing.T) {
+	ms := time.Millisecond
+	topo, err := NewTopology([][]time.Duration{
+		{0, 2 * ms, 8 * ms},
+		{2 * ms, 0, 8 * ms},
+		{8 * ms, 8 * ms, 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := chaos.New(chaos.Config{
+		Sites: 3,
+		Faults: []chaos.Fault{
+			{Kind: chaos.FaultLink, From: 0, To: 1,
+				Windows: []chaos.Window{{Start: 0, End: time.Hour}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	placer := &pickCounter{inner: grantAwarePlacer{}, picks: make(map[int]uint64)}
+	fed, err := New(Config{
+		Sites: []core.Config{
+			staticSite(t, "squeezenet", 40, 61, tinyCluster()),
+			staticSite(t, "squeezenet", 2, 62, cluster.PaperCluster()),
+			staticSite(t, "squeezenet", 2, 63, cluster.PaperCluster()),
+		},
+		Placer:   placer,
+		Topology: topo,
+		Faults:   faults,
+		Seed:     5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fed.Run(60 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := placer.picks[1]; n != 0 {
+		t.Errorf("grant-aware picked the peer behind the dark link %d times", n)
+	}
+	if n := placer.picks[2]; n == 0 || res.Sites[0].OffloadedPeer != n {
+		t.Errorf("overflow to the reachable peer: picked %d times, %d requests shipped", n, res.Sites[0].OffloadedPeer)
+	}
+}

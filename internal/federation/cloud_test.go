@@ -245,7 +245,7 @@ func TestPredictResponseDeflatedPool(t *testing.T) {
 	capacity := spec.RateAt(1.0) + spec.RateAt(0.5)
 	extraRTT := 10 * time.Millisecond
 	want := extraRTT.Seconds() + (0+2)/capacity
-	got := fed.predictResponse(s, spec.Name, extraRTT)
+	got := predictResponse(q, extraRTT.Seconds())
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("predictResponse on deflated pool = %.6fs, want %.6fs", got, want)
 	}
@@ -256,7 +256,7 @@ func TestPredictResponseDeflatedPool(t *testing.T) {
 		t.Errorf("deflated prediction %.6fs not above homogeneous %.6fs", got, homog)
 	}
 	// Unknown functions and empty pools are unplaceable.
-	if v := fed.predictResponse(s, "ghost", 0); !math.IsInf(v, 1) {
+	if v := predictResponse(s.Platform.Queues["ghost"], 0); !math.IsInf(v, 1) {
 		t.Errorf("unknown function predicted %.6f, want +Inf", v)
 	}
 }

@@ -412,9 +412,27 @@ type Site struct {
 	Reclaimed uint64
 	Preempted uint64
 
-	peers       []*Site // other sites, ascending RTT, ties by index
-	borrowed    int64   // over-quota millicores in the last landed grant set
+	// peers lists the other sites' indices by ascending RTT from this one,
+	// ties by index; legs is site-indexed and holds the round trip to each
+	// site and back in seconds (zero for the site itself). Both are fixed
+	// at assembly and shared by every placement decision made here.
+	peers       []int
+	legs        []float64
+	borrowed    int64 // over-quota millicores in the last landed grant set
 	observeDone func(*dispatch.Request)
+}
+
+// placeTable is what placement reads about one (origin site, function)
+// stream that no event changes, resolved once when the stream is wired: a
+// decision then costs loads from these slices and from the queues' own
+// fields, not map lookups and unit conversions per candidate.
+type placeTable struct {
+	origin *Site
+	q      *dispatch.Queue // the origin's queue for fn
+	fn     string
+	// queues is site-indexed: each site's queue for fn, nil where the site
+	// does not serve it.
+	queues []*dispatch.Queue
 }
 
 // Federation is an assembled multi-cluster deployment.
@@ -460,8 +478,14 @@ type Federation struct {
 	// ctxScratch backs the PlacementContext handed to the placer on every
 	// ingress decision. The engine is single-threaded and Place must not
 	// retain its context (see Placer), so one reusable value keeps the
-	// per-request hot path allocation-free.
-	ctxScratch PlacementContext
+	// per-request hot path allocation-free. candScratch is the cost-bounded
+	// placer's candidate list under the same rule: placers are stateless
+	// values shared by concurrently running federations, so per-decision
+	// scratch lives here.
+	ctxScratch  PlacementContext
+	candScratch []candidate
+	// offloadFree recycles the records of finished peer offloads.
+	offloadFree []*peerOffload
 }
 
 // New assembles a federation: every site's platform is built on one shared
@@ -549,10 +573,21 @@ func New(cfg Config) (*Federation, error) {
 		s.observeDone = func(r *dispatch.Request) { s.observe(r.Response()) }
 		f.Sites = append(f.Sites, s)
 	}
+	byFn := make(map[string][]*dispatch.Queue) // function → site-indexed queues
 	for _, s := range f.Sites {
 		s.peers = f.peersByRTT(s)
+		s.legs = make([]float64, len(f.Sites))
+		for j := range f.Sites {
+			s.legs[j] = (f.rtt(s.Index, j) + f.rtt(j, s.Index)).Seconds()
+		}
 		for _, fc := range f.cfg.Sites[s.Index].Functions {
-			f.wire(s, s.Platform.Queues[fc.Spec.Name])
+			fn := fc.Spec.Name
+			queues, ok := byFn[fn]
+			if !ok {
+				queues = f.queuesFor(fn)
+				byFn[fn] = queues
+			}
+			f.wire(&placeTable{origin: s, q: queues[s.Index], fn: fn, queues: queues})
 		}
 	}
 	if cfg.Reclaim && cfg.Hierarchy == nil {
@@ -622,21 +657,31 @@ func (f *Federation) siteDark(i int, t time.Duration) bool {
 	return f.cfg.Faults != nil && f.cfg.Faults.SiteDown(i, t)
 }
 
-// peersByRTT returns the other sites ordered by ascending RTT from s,
-// breaking ties by site index, so "nearest peer" scans are deterministic.
-func (f *Federation) peersByRTT(s *Site) []*Site {
-	peers := make([]*Site, 0, len(f.Sites)-1)
-	for _, p := range f.Sites {
-		if p != s {
-			peers = append(peers, p)
+// queuesFor returns every site's queue for fn, indexed by site; nil where a
+// site does not serve it.
+func (f *Federation) queuesFor(fn string) []*dispatch.Queue {
+	queues := make([]*dispatch.Queue, len(f.Sites))
+	for i, s := range f.Sites {
+		queues[i] = s.Platform.Queues[fn]
+	}
+	return queues
+}
+
+// peersByRTT returns the other sites' indices ordered by ascending RTT from
+// s, breaking ties by site index, so "nearest peer" scans are deterministic.
+func (f *Federation) peersByRTT(s *Site) []int {
+	peers := make([]int, 0, len(f.Sites)-1)
+	for i := range f.Sites {
+		if i != s.Index {
+			peers = append(peers, i)
 		}
 	}
 	sort.SliceStable(peers, func(i, j int) bool {
-		ri, rj := f.rtt(s.Index, peers[i].Index), f.rtt(s.Index, peers[j].Index)
+		ri, rj := f.rtt(s.Index, peers[i]), f.rtt(s.Index, peers[j])
 		if ri != rj {
 			return ri < rj
 		}
-		return peers[i].Index < peers[j].Index
+		return peers[i] < peers[j]
 	})
 	return peers
 }
@@ -644,9 +689,10 @@ func (f *Federation) peersByRTT(s *Site) []*Site {
 // wire installs the placement hook on one site queue: every arrival builds
 // a PlacementContext, asks the configured Placer, and enacts the sanitized
 // decision.
-func (f *Federation) wire(s *Site, q *dispatch.Queue) {
+func (f *Federation) wire(t *placeTable) {
+	s, q := t.origin, t.q
 	q.Offload = func(r *dispatch.Request) bool {
-		d := f.decide(s, q)
+		d := f.decide(t)
 		if d.Kind != ServeLocal && f.offeredLoadDemand(s) {
 			// Demand is estimated from offered load at the ingress: the
 			// core platform records only locally-admitted arrivals, so the
@@ -656,7 +702,7 @@ func (f *Federation) wire(s *Site, q *dispatch.Queue) {
 			// OfferedLoadDemand, the origin's own estimator — see an
 			// overloaded site's full demand instead of just the share it
 			// kept.
-			s.Platform.Controller.RecordArrival(q.Spec().Name)
+			s.Platform.Controller.RecordArrival(t.fn)
 		}
 		switch d.Kind {
 		case RejectRequest:
@@ -667,7 +713,7 @@ func (f *Federation) wire(s *Site, q *dispatch.Queue) {
 			f.offloadToCloud(s, q, r)
 			return true
 		case OffloadSite:
-			f.offloadToPeer(s, f.Sites[d.Site], q.Spec().Name, r)
+			f.offloadToPeer(t, d.Site, r)
 			return true
 		default:
 			s.ServedLocal++
@@ -697,28 +743,30 @@ func (f *Federation) offeredLoadDemand(s *Site) bool {
 // queueing delay (cloudAdmits). Composing admission here is what lets any
 // custom placer participate in offload-aware admission without
 // special-casing.
-func (f *Federation) decide(s *Site, q *dispatch.Queue) Decision {
+func (f *Federation) decide(t *placeTable) Decision {
+	s, q := t.origin, t.q
+	now := f.Engine.Now()
 	f.ctxScratch = PlacementContext{
-		f:      f,
-		origin: s,
-		q:      q,
-		sheddable: f.cfg.OffloadAwareAdmission &&
-			f.overloaded(s, q.Spec().Name),
+		f:         f,
+		t:         t,
+		sheddable: f.cfg.OffloadAwareAdmission && f.overloaded(s, q),
+		now:       now,
+		// Whether the origin itself is network-dark is the same for every
+		// candidate of this decision: asked once here, not once per peer.
+		originDark: f.siteDark(s.Index, now),
 	}
 	ctx := &f.ctxScratch
 	d := f.placer.Place(ctx)
 	if d.Kind == OffloadSite {
-		if d.Site < 0 || d.Site >= len(f.Sites) || d.Site == s.Index {
+		if d.Site < 0 || d.Site >= len(f.Sites) || d.Site == s.Index || t.queues[d.Site] == nil {
 			d = Local()
-		} else if _, ok := f.Sites[d.Site].Platform.Queues[q.Spec().Name]; !ok {
-			d = Local()
-		} else if !f.linkUp(s.Index, d.Site, f.Engine.Now()) {
+		} else if !ctx.reaches(d.Site) {
 			// A dark link means the peer is unreachable, not merely slow:
 			// the request cannot be shipped, whatever the policy thinks.
 			d = Local()
 		}
 	}
-	if d.Kind == OffloadCloud && f.siteDark(s.Index, f.Engine.Now()) {
+	if d.Kind == OffloadCloud && ctx.originDark {
 		// A network-dark site has no cloud uplink either; the request
 		// stays (and, if sheddable, is rejected below like any other
 		// unplaceable overload).
@@ -743,16 +791,16 @@ func (s *Site) observe(resp time.Duration) {
 	s.SLO.Observe(resp)
 }
 
-// overloaded reports whether site s cannot absorb more work for fn right
+// overloaded reports whether site s cannot absorb more work for the function
+// its queue q serves (nil when the site does not serve it) right
 // now: nothing servable with work already waiting, or the controller's
 // capacity headroom is exhausted and the backlog exceeds the shed depth.
 // When an external allocator governs the site, the controller's
 // demand-derived headroom only reflects the site's own ingress — absorbed
 // peer work shows up as backlog instead — so the backlog signal alone
 // gates, letting spread-granted hosts exert backpressure.
-func (f *Federation) overloaded(s *Site, fn string) bool {
-	q, ok := s.Platform.Queues[fn]
-	if !ok {
+func (f *Federation) overloaded(s *Site, q *dispatch.Queue) bool {
+	if q == nil {
 		// The site does not serve fn at all: it can absorb nothing, which
 		// for placement purposes is the same as being overloaded. Internal
 		// callers never hit this, but PlacementContext.Overloaded hands
@@ -780,12 +828,8 @@ func (f *Federation) overloaded(s *Site, fn string) bool {
 // grant has headroom": a site saturated by its own demand whose grant was
 // cut below capacity has busy pools and refuses, while a spread host with
 // warm capacity for exactly this function accepts.
-func (f *Federation) accepts(p *Site, fn string) bool {
-	q, ok := p.Platform.Queues[fn]
-	if !ok {
-		return false
-	}
-	if f.overloaded(p, fn) {
+func (f *Federation) accepts(p *Site, q *dispatch.Queue) bool {
+	if q == nil || f.overloaded(p, q) {
 		return false
 	}
 	if p.Platform.Controller.Headroom() > 0 {
@@ -794,34 +838,13 @@ func (f *Federation) accepts(p *Site, fn string) bool {
 	return f.cfg.GlobalFairShare && q.IdleContainers() > 0
 }
 
-// acceptsFrom is accepts gated by reachability: a peer behind a dark
-// link (or either endpoint network-dark) can absorb nothing from this
-// origin right now, whatever its headroom says.
-func (f *Federation) acceptsFrom(origin, p *Site, fn string) bool {
-	if !f.linkUp(origin.Index, p.Index, f.Engine.Now()) {
-		return false
-	}
-	return f.accepts(p, fn)
-}
-
-// selectPeer picks the peer that should absorb shed fn work from site s:
-// the first in ascending-RTT order that accepts, or nil when none does.
-func (f *Federation) selectPeer(s *Site, fn string) *Site {
-	for _, p := range s.peers {
-		if f.acceptsFrom(s, p, fn) {
-			return p
-		}
-	}
-	return nil
-}
-
 // predictResponse estimates the end-to-end response time (seconds) of
-// serving one more fn request at site s, extraRTT included: current
-// backlog drained at the pool's aggregate service rate, plus one mean
-// service time.
-func (f *Federation) predictResponse(s *Site, fn string, extraRTT time.Duration) float64 {
-	q, ok := s.Platform.Queues[fn]
-	if !ok {
+// serving one more request on the pool behind q (nil: the site does not
+// serve the function), legs seconds of network round trip included:
+// current backlog drained at the pool's aggregate service rate, plus one
+// mean service time.
+func predictResponse(q *dispatch.Queue, legs float64) float64 {
+	if q == nil {
 		return math.Inf(1)
 	}
 	capacity := q.ServiceCapacity()
@@ -834,31 +857,61 @@ func (f *Federation) predictResponse(s *Site, fn string, extraRTT time.Duration)
 	// honest on deflated pools — which are exactly the overloaded sites
 	// where the placement decision matters. For an undeflated pool this
 	// reduces to the standard mean service time.
-	return extraRTT.Seconds() + (backlog+float64(q.Containers()))/capacity
+	return legs + (backlog+float64(q.Containers()))/capacity
 }
 
 // offloadToPeer ships the request to the target site: it arrives there one
 // RTT later, counts toward the target's rate estimator (the target must
 // provision for it), and its recorded end-to-end response includes both
 // network legs — which may differ under an asymmetric topology.
-func (f *Federation) offloadToPeer(origin, target *Site, fn string, r *dispatch.Request) {
-	origin.OffloadedPeer++
-	out := f.rtt(origin.Index, target.Index)
-	back := f.rtt(target.Index, origin.Index)
-	arrival := r.Arrival
-	f.Engine.After(out, func() {
-		target.PeerServed++
-		if !f.cfg.GlobalFairShare {
-			// Locally-allocating hosts must provision for absorbed work;
-			// under the global allocator the demand was already recorded
-			// at the origin and capacity arrives via the grant.
-			target.Platform.Controller.RecordArrival(fn)
-		}
-		pr := target.Platform.Queues[fn].ArriveOffloaded()
-		pr.Done = func(pr *dispatch.Request) {
-			origin.observe(pr.Finish - arrival + back)
-		}
-	})
+func (f *Federation) offloadToPeer(t *placeTable, site int, r *dispatch.Request) {
+	t.origin.OffloadedPeer++
+	var o *peerOffload
+	if n := len(f.offloadFree); n > 0 {
+		o = f.offloadFree[n-1]
+		f.offloadFree = f.offloadFree[:n-1]
+	} else {
+		o = &peerOffload{f: f}
+		o.arriveFn, o.doneFn = o.arrive, o.done
+	}
+	o.t, o.target = t, f.Sites[site]
+	o.arrival = r.Arrival
+	o.back = f.rtt(site, t.origin.Index)
+	f.Engine.After(f.rtt(t.origin.Index, site), o.arriveFn)
+}
+
+// peerOffload is one request on its way to, or in service at, a peer site.
+// Records are recycled through Federation.offloadFree with their two
+// callbacks bound once, so shipping a request allocates nothing; a request
+// the peer's hard execution limit kills never completes, and its record is
+// simply dropped.
+type peerOffload struct {
+	f        *Federation
+	t        *placeTable // the origin stream the request entered on
+	target   *Site
+	arrival  time.Duration // at the origin
+	back     time.Duration // the return leg, charged on completion
+	arriveFn func()
+	doneFn   func(*dispatch.Request)
+}
+
+// arrive lands the request at the target, one outbound leg after it left.
+func (o *peerOffload) arrive() {
+	o.target.PeerServed++
+	if !o.f.cfg.GlobalFairShare {
+		// Locally-allocating hosts must provision for absorbed work;
+		// under the global allocator the demand was already recorded
+		// at the origin and capacity arrives via the grant.
+		o.target.Platform.Controller.RecordArrival(o.t.fn)
+	}
+	pr := o.t.queues[o.target.Index].ArriveOffloaded()
+	pr.Done = o.doneFn
+}
+
+// done books the completed request's end-to-end response at its origin.
+func (o *peerOffload) done(pr *dispatch.Request) {
+	o.t.origin.observe(pr.Finish - o.arrival + o.back)
+	o.f.offloadFree = append(o.f.offloadFree, o)
 }
 
 // predictCloud estimates the end-to-end response time (seconds) of serving

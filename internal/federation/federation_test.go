@@ -148,6 +148,42 @@ func TestMetroAllocsPerEvent(t *testing.T) {
 	}
 }
 
+// TestPlacementAllocsPerRequest is the same kind of floor for the placement
+// path: on the fed_full-shaped harness (metro-affine scans, global fair
+// share, admission, a reclaiming hierarchy, chaos) a run must stay under a
+// tenth of a heap allocation per request. The allocator's epochs, container
+// churn and the metrics' growth account for what is left, about 0.05; a
+// slice per scanning decision or a closure per shipped request each cost a
+// quarter of an allocation per request or more.
+func TestPlacementAllocsPerRequest(t *testing.T) {
+	fed, err := New(fedFullShaped(t, metroAffinePlacer{}, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := fed.Run(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	var requests, offloaded uint64
+	for _, s := range res.Sites {
+		requests += s.SLO.Total() + s.Unresolved
+		offloaded += s.OffloadedPeer
+	}
+	if requests == 0 || offloaded*10 < requests {
+		t.Fatalf("%d requests, %d offloaded to peers: the harness is not exercising placement", requests, offloaded)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	if perRequest := float64(allocs) / float64(requests); perRequest >= 0.1 {
+		t.Errorf("%d heap allocations over %d requests = %.3f per request; placement and offload must stay below 0.1",
+			allocs, requests, perRequest)
+	} else {
+		t.Logf("%.3f heap allocations per request (%d requests, %d shipped to peers)", perRequest, requests, offloaded)
+	}
+}
+
 // TestOverloadedShedsToCloud drives one undersized site far past capacity:
 // cloud-only must shed, and its end-to-end SLO attainment must beat the
 // never baseline.

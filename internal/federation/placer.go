@@ -100,20 +100,24 @@ func (d Decision) String() string {
 // bounds checks.
 type PlacementContext struct {
 	f         *Federation
-	origin    *Site
-	q         *dispatch.Queue
+	t         *placeTable
 	sheddable bool
+	// now is the decision's instant and originDark whether the ingress site
+	// is network-dark at it: the per-decision part of every reachability
+	// answer, asked of the fault view once.
+	now        time.Duration
+	originDark bool
 }
 
 // Function returns the request's function name.
-func (ctx *PlacementContext) Function() string { return ctx.q.Spec().Name }
+func (ctx *PlacementContext) Function() string { return ctx.t.fn }
 
 // Spec returns the request's function spec (container size, service-time
 // model, cold start — Table 1).
-func (ctx *PlacementContext) Spec() functions.Spec { return ctx.q.Spec() }
+func (ctx *PlacementContext) Spec() functions.Spec { return ctx.t.q.Spec() }
 
 // Origin returns the ingress site's index.
-func (ctx *PlacementContext) Origin() int { return ctx.origin.Index }
+func (ctx *PlacementContext) Origin() int { return ctx.t.origin.Index }
 
 // NumSites returns the number of edge sites in the federation.
 func (ctx *PlacementContext) NumSites() int { return len(ctx.f.Sites) }
@@ -131,13 +135,7 @@ func (ctx *PlacementContext) ResponseSLO() time.Duration { return ctx.f.cfg.Resp
 func (ctx *PlacementContext) Sheddable() bool { return ctx.sheddable }
 
 // Serves reports whether the site runs this request's function at all.
-func (ctx *PlacementContext) Serves(site int) bool {
-	if site < 0 || site >= len(ctx.f.Sites) {
-		return false
-	}
-	_, ok := ctx.f.Sites[site].Platform.Queues[ctx.Function()]
-	return ok
-}
+func (ctx *PlacementContext) Serves(site int) bool { return ctx.siteQueue(site) != nil }
 
 // Overloaded reports the federation's epoch-level overload signal for the
 // site: no servable capacity, or controller headroom exhausted with the
@@ -146,7 +144,7 @@ func (ctx *PlacementContext) Overloaded(site int) bool {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return true
 	}
-	return ctx.f.overloaded(ctx.f.Sites[site], ctx.Function())
+	return ctx.f.overloaded(ctx.f.Sites[site], ctx.t.queues[site])
 }
 
 // Accepts reports whether the site would absorb offloaded work for this
@@ -159,7 +157,14 @@ func (ctx *PlacementContext) Accepts(site int) bool {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return false
 	}
-	return ctx.f.acceptsFrom(ctx.origin, ctx.f.Sites[site], ctx.Function())
+	return ctx.accepts(site)
+}
+
+// accepts is Accepts for an in-range site: reachability first — a peer
+// behind a dark link can absorb nothing from this origin, whatever its
+// headroom says.
+func (ctx *PlacementContext) accepts(site int) bool {
+	return ctx.reaches(site) && ctx.f.accepts(ctx.f.Sites[site], ctx.t.queues[site])
 }
 
 // Reachable reports whether the origin can currently reach the site: no
@@ -171,7 +176,19 @@ func (ctx *PlacementContext) Reachable(site int) bool {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return false
 	}
-	return ctx.f.linkUp(ctx.origin.Index, site, ctx.f.Engine.Now())
+	return ctx.reaches(site)
+}
+
+// reaches is Reachable for an in-range site: Federation.linkUp from the
+// origin at the decision's instant, with the origin's own half of the
+// answer already in hand.
+func (ctx *PlacementContext) reaches(site int) bool {
+	faults := ctx.f.cfg.Faults
+	if faults == nil || site == ctx.t.origin.Index {
+		return true
+	}
+	return !ctx.originDark && !faults.SiteDown(site, ctx.now) &&
+		!faults.LinkDown(ctx.t.origin.Index, site, ctx.now)
 }
 
 // SelectPeer scans the origin's peers nearest first and returns the index
@@ -179,22 +196,20 @@ func (ctx *PlacementContext) Reachable(site int) bool {
 // selection strategies (power-of-two-choices, say) are custom placers over
 // PeersByRTT, Headroom and Reachable.
 func (ctx *PlacementContext) SelectPeer() int {
-	if p := ctx.f.selectPeer(ctx.origin, ctx.Function()); p != nil {
-		return p.Index
+	for _, p := range ctx.t.origin.peers {
+		if ctx.accepts(p) {
+			return p
+		}
 	}
 	return -1
 }
 
 // PeersByRTT returns the other sites' indices in ascending-RTT order from
 // the origin (ties broken by index) — the deterministic scan order the
-// built-in policies iterate candidates in.
-func (ctx *PlacementContext) PeersByRTT() []int {
-	out := make([]int, len(ctx.origin.peers))
-	for i, p := range ctx.origin.peers {
-		out[i] = p.Index
-	}
-	return out
-}
+// built-in policies iterate candidates in. The slice is the federation's
+// own, shared by every decision at this origin: callers must not modify
+// it (copy it to reorder).
+func (ctx *PlacementContext) PeersByRTT() []int { return ctx.t.origin.peers }
 
 // RTT returns the one-way network latency from site i to site j, read from
 // the topology matrix.
@@ -216,14 +231,16 @@ func (ctx *PlacementContext) PredictResponse(site int) float64 {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return math.Inf(1)
 	}
-	var extra time.Duration
-	if site != ctx.origin.Index {
-		if !ctx.Reachable(site) {
-			return math.Inf(1)
-		}
-		extra = ctx.f.rtt(ctx.origin.Index, site) + ctx.f.rtt(site, ctx.origin.Index)
+	if !ctx.reaches(site) {
+		return math.Inf(1)
 	}
-	return ctx.f.predictResponse(ctx.f.Sites[site], ctx.Function(), extra)
+	return ctx.predictReachable(site)
+}
+
+// predictReachable is PredictResponse for an in-range site already known
+// to be reachable (the origin always is).
+func (ctx *PlacementContext) predictReachable(site int) float64 {
+	return predictResponse(ctx.t.queues[site], ctx.t.origin.legs[site])
 }
 
 // PredictCloud estimates the end-to-end response time (seconds) of serving
@@ -231,7 +248,7 @@ func (ctx *PlacementContext) PredictResponse(site int) float64 {
 // standard service time, the queueing delay a capped pool would impose,
 // and the cold start the request would pay if no warm instance will greet
 // it.
-func (ctx *PlacementContext) PredictCloud() float64 { return ctx.f.predictCloud(ctx.q) }
+func (ctx *PlacementContext) PredictCloud() float64 { return ctx.f.predictCloud(ctx.t.q) }
 
 // CloudAdmits reports whether a cloud landing for one more request of
 // this function can still meet the response SLO: the full PredictCloud
@@ -239,14 +256,14 @@ func (ctx *PlacementContext) PredictCloud() float64 { return ctx.f.predictCloud(
 // projected queueing delay at the concurrency cap or the cold start a
 // pool with no idle warm instance would pay — must fit the deadline.
 // This is the gate §3.4 admission applies to sheddable cloud decisions.
-func (ctx *PlacementContext) CloudAdmits() bool { return ctx.f.cloudAdmits(ctx.q) }
+func (ctx *PlacementContext) CloudAdmits() bool { return ctx.f.cloudAdmits(ctx.t.q) }
 
 // CloudCostPerRequest returns the expected bill ($) for serving one
 // request of this function in the cloud: the per-invocation price plus the
 // mean standard service time at the GB-second price (the cost axis the
 // sweep tables report).
 func (ctx *PlacementContext) CloudCostPerRequest() float64 {
-	spec := ctx.q.Spec()
+	spec := ctx.t.q.Spec()
 	return ctx.f.cfg.CloudPricePerInvocation +
 		spec.MeanServiceTimeAt(1.0).Seconds()*ctx.f.cfg.CloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
 }
@@ -362,7 +379,7 @@ func (ctx *PlacementContext) GrantedCPU(site int) (int64, bool) {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return 0, false
 	}
-	return ctx.f.Sites[site].Platform.Controller.Granted(ctx.Function())
+	return ctx.f.Sites[site].Platform.Controller.Granted(ctx.t.fn)
 }
 
 // DesiredCPU returns the site controller's model-computed CPU desire
@@ -374,7 +391,7 @@ func (ctx *PlacementContext) DesiredCPU(site int) int64 {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return 0
 	}
-	f, ok := ctx.f.Sites[site].Platform.Controller.Function(ctx.Function())
+	f, ok := ctx.f.Sites[site].Platform.Controller.Function(ctx.t.fn)
 	if !ok {
 		return 0
 	}
@@ -385,7 +402,7 @@ func (ctx *PlacementContext) siteQueue(site int) *dispatch.Queue {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return nil
 	}
-	return ctx.f.Sites[site].Platform.Queues[ctx.Function()]
+	return ctx.t.queues[site]
 }
 
 // --- registry ---
@@ -513,15 +530,17 @@ type modelDrivenPlacer struct{}
 func (modelDrivenPlacer) Name() string { return "model-driven" }
 
 func (modelDrivenPlacer) Place(ctx *PlacementContext) Decision {
-	return placePredictive(ctx, ctx.PredictResponse)
+	return placePredictive(ctx, (*PlacementContext).predictReachable)
 }
 
 // placePredictive is the shared decision logic of the model-driven family:
 // predict every candidate with the given estimator, serve locally while
 // the local prediction meets the deadline, otherwise offload to the
 // fastest alternative (cloud included), rejecting sheddable requests when
-// nothing admissible meets the deadline.
-func placePredictive(ctx *PlacementContext, predict func(site int) float64) Decision {
+// nothing admissible meets the deadline. The scan itself drops peers the
+// origin cannot reach, so an estimator prices only reachable sites and no
+// member of the family can pick a peer behind a dark link.
+func placePredictive(ctx *PlacementContext, predict func(ctx *PlacementContext, site int) float64) Decision {
 	deadline := ctx.ResponseSLO().Seconds()
 	if ctx.Sheddable() {
 		// §3.4 coupled to placement: best predicted alternative (peers by
@@ -529,7 +548,10 @@ func placePredictive(ctx *PlacementContext, predict func(site int) float64) Deci
 		// the SLO.
 		best, bestResp := -1, math.Inf(1)
 		for _, p := range ctx.PeersByRTT() {
-			if resp := predict(p); resp < bestResp {
+			if !ctx.reaches(p) {
+				continue
+			}
+			if resp := predict(ctx, p); resp < bestResp {
 				best, bestResp = p, resp
 			}
 		}
@@ -544,7 +566,7 @@ func placePredictive(ctx *PlacementContext, predict func(site int) float64) Deci
 		}
 		return Reject()
 	}
-	local := predict(ctx.Origin())
+	local := predict(ctx, ctx.Origin())
 	if local <= deadline {
 		return Local()
 	}
@@ -553,7 +575,10 @@ func placePredictive(ctx *PlacementContext, predict func(site int) float64) Deci
 	// legs, which may differ under an asymmetric topology.
 	best, bestResp := -1, local
 	for _, p := range ctx.PeersByRTT() {
-		if resp := predict(p); resp < bestResp {
+		if !ctx.reaches(p) {
+			continue
+		}
+		if resp := predict(ctx, p); resp < bestResp {
 			best, bestResp = p, resp
 		}
 	}
@@ -583,13 +608,14 @@ type grantAwarePlacer struct{}
 func (grantAwarePlacer) Name() string { return "grant-aware" }
 
 func (grantAwarePlacer) Place(ctx *PlacementContext) Decision {
-	return placePredictive(ctx, func(site int) float64 { return predictGrantAware(ctx, site) })
+	return placePredictive(ctx, predictGrantAware)
 }
 
 // predictGrantAware estimates the end-to-end response time (seconds) at a
 // site crediting the global allocator's view: the granted pool when it
 // exceeds the live one (pre-provisioned capacity still cold-starting), and
 // the desire/grant load factor on the drain term when the grant binds.
+// Reachability is placePredictive's concern, not priced here.
 func predictGrantAware(ctx *PlacementContext, site int) float64 {
 	if !ctx.Serves(site) {
 		return math.Inf(1)
@@ -610,10 +636,7 @@ func predictGrantAware(ctx *PlacementContext, site int) float64 {
 	if capacity <= 0 {
 		return math.Inf(1)
 	}
-	var extra float64
-	if site != ctx.Origin() {
-		extra = (ctx.RTT(ctx.Origin(), site) + ctx.RTT(site, ctx.Origin())).Seconds()
-	}
+	extra := ctx.t.origin.legs[site]
 	// The load factor inflates only the backlog-drain term — the backlog
 	// is what keeps refilling at a grant-bound site — never the request's
 	// own service time.
@@ -630,15 +653,18 @@ func predictGrantAware(ctx *PlacementContext, site int) float64 {
 // candidate regardless of price, ties to the cheaper.
 type costBoundedPlacer struct{}
 
+// candidate is one location the cost-bounded placer weighs: what choosing
+// it would decide, bill and predict.
+type candidate struct {
+	d    Decision
+	cost float64
+	resp float64
+}
+
 func (costBoundedPlacer) Name() string { return "cost-bounded" }
 
 func (costBoundedPlacer) Place(ctx *PlacementContext) Decision {
-	type candidate struct {
-		d    Decision
-		cost float64
-		resp float64
-	}
-	var cands []candidate
+	cands := ctx.f.candScratch[:0]
 	if !ctx.Sheddable() {
 		cands = append(cands, candidate{Local(), 0, ctx.PredictResponse(ctx.Origin())})
 	}
@@ -651,6 +677,7 @@ func (costBoundedPlacer) Place(ctx *PlacementContext) Decision {
 	// when it is the fastest miss (e.g. a 600ms cold cloud beats a
 	// hopelessly backlogged local queue).
 	cands = append(cands, candidate{ToCloud(), ctx.CloudCostPerRequest(), ctx.PredictCloud()})
+	ctx.f.candScratch = cands // keep the grown backing array for the next decision
 	deadline := ctx.ResponseSLO().Seconds()
 	// Cheapest candidate meeting the SLO, ties to the faster prediction;
 	// PeersByRTT order breaks exact ties deterministically.
@@ -696,7 +723,7 @@ func (metroAffinePlacer) Name() string { return "metro-affine" }
 func (metroAffinePlacer) Place(ctx *PlacementContext) Decision {
 	origin := ctx.Origin()
 	if ctx.Metro(origin) < 0 {
-		return placePredictive(ctx, ctx.PredictResponse)
+		return placePredictive(ctx, (*PlacementContext).predictReachable)
 	}
 	deadline := ctx.ResponseSLO().Seconds()
 	local := math.Inf(1)

@@ -17,19 +17,32 @@ import (
 )
 
 // legacyEnumPlacer freezes the hard-coded place() switch the federation
-// shipped before the Placer API (PR 1–3), expressed against the same
-// internal helpers the built-in placers use. The equivalence test runs it
-// against each built-in placer and demands bit-for-bit identical results,
-// so a drive-by edit to a built-in policy cannot silently change the
-// historical enum behaviour. policy is the name of the built-in placer it
-// stands in for.
+// shipped before the Placer API (PR 1–3), expressed against the
+// first-principles oracle (oracle_test.go) rather than the helpers the
+// built-in placers use. The equivalence test runs it against each built-in
+// placer and demands bit-for-bit identical results, so neither a drive-by
+// edit to a built-in policy nor a wrong entry in the placement tables can
+// silently change the historical enum behaviour. policy is the name of the
+// built-in placer it stands in for.
 type legacyEnumPlacer struct{ policy string }
 
 func (l legacyEnumPlacer) Name() string { return "legacy-" + l.policy }
 
 func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
-	f, s, q := ctx.f, ctx.origin, ctx.q
-	fn := q.Spec().Name
+	f, s, q := ctx.f, ctx.t.origin.Index, ctx.t.q
+	o := newOracle(f, q.Spec().Name)
+	deadline := f.cfg.ResponseSLO.Seconds()
+	// bestPeer is the model-driven scan: the fastest predicted peer strictly
+	// better than floor, or -1.
+	bestPeer := func(floor float64) (int, float64) {
+		best, bestResp := -1, floor
+		for _, p := range o.peers(s) {
+			if resp := o.predict(s, p); resp < bestResp {
+				best, bestResp = p, resp
+			}
+		}
+		return best, bestResp
+	}
 	if ctx.sheddable {
 		switch l.policy {
 		case "never":
@@ -40,23 +53,15 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 			}
 			return Reject()
 		case "nearest-peer":
-			if p := f.selectPeer(s, fn); p != nil {
-				return ToSite(p.Index)
+			if p := o.selectPeer(s); p >= 0 {
+				return ToSite(p)
 			}
 			if f.cloudAdmits(q) {
 				return ToCloud()
 			}
 			return Reject()
 		case "model-driven":
-			deadline := f.cfg.ResponseSLO.Seconds()
-			var best *Site
-			bestResp := math.Inf(1)
-			for _, p := range s.peers {
-				legs := f.rtt(s.Index, p.Index) + f.rtt(p.Index, s.Index)
-				if resp := f.predictResponse(p, fn, legs); resp < bestResp {
-					best, bestResp = p, resp
-				}
-			}
+			best, bestResp := bestPeer(math.Inf(1))
 			if cloud := f.predictCloud(q); cloud < bestResp {
 				if cloud <= deadline && f.cloudAdmits(q) {
 					return ToCloud()
@@ -64,43 +69,35 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 				return Reject()
 			}
 			if bestResp <= deadline {
-				return ToSite(best.Index)
+				return ToSite(best)
 			}
 			return Reject()
 		}
 	}
 	switch l.policy {
 	case "cloud-only":
-		if f.overloaded(s, fn) {
+		if o.overloaded(s) {
 			return ToCloud()
 		}
 	case "nearest-peer":
-		if !f.overloaded(s, fn) {
+		if !o.overloaded(s) {
 			return Local()
 		}
-		if p := f.selectPeer(s, fn); p != nil {
-			return ToSite(p.Index)
+		if p := o.selectPeer(s); p >= 0 {
+			return ToSite(p)
 		}
 		return ToCloud()
 	case "model-driven":
-		deadline := f.cfg.ResponseSLO.Seconds()
-		local := f.predictResponse(s, fn, 0)
+		local := o.predict(s, s)
 		if local <= deadline {
 			return Local()
 		}
-		var best *Site
-		bestResp := local
-		for _, p := range s.peers {
-			legs := f.rtt(s.Index, p.Index) + f.rtt(p.Index, s.Index)
-			if resp := f.predictResponse(p, fn, legs); resp < bestResp {
-				best, bestResp = p, resp
-			}
-		}
+		best, bestResp := bestPeer(local)
 		if f.predictCloud(q) < bestResp {
 			return ToCloud()
 		}
-		if best != nil {
-			return ToSite(best.Index)
+		if best >= 0 {
+			return ToSite(best)
 		}
 	}
 	return Local()
@@ -342,6 +339,43 @@ func TestCostBoundedPaysCloudWhenNoPeerMeetsSLO(t *testing.T) {
 	if res.Sites[0].OffloadedCloud == 0 || res.CloudCost == 0 {
 		t.Errorf("cost-bounded never paid the cloud on a hopelessly overloaded lone site: %+v", res.Sites[0])
 	}
+}
+
+// TestBuiltinPlacersAllocationFree: a decision by any built-in policy
+// allocates nothing — on a wired multi-site federation mid-run, for every
+// (origin, function) stream, sheddable or not. The cost-bounded candidate
+// list in particular lives in federation-owned scratch, not a fresh slice
+// per request.
+func TestBuiltinPlacersAllocationFree(t *testing.T) {
+	fed, err := New(fedFullShaped(t, neverPlacer{}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stop mid-run: pools resized, backlogs standing, a link dark.
+	if _, err := fed.Run(35 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var sink Decision
+	for _, name := range BuiltinPlacerNames {
+		placer, err := PlacerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range fed.Sites {
+			for fn, q := range s.Platform.Queues {
+				table := &placeTable{origin: s, q: q, fn: fn, queues: fed.queuesFor(fn)}
+				for _, sheddable := range []bool{false, true} {
+					fed.ctxScratch = PlacementContext{f: fed, t: table, sheddable: sheddable,
+						now: fed.Engine.Now(), originDark: fed.siteDark(s.Index, fed.Engine.Now())}
+					if n := testing.AllocsPerRun(20, func() { sink = placer.Place(&fed.ctxScratch) }); n != 0 {
+						t.Errorf("%s at %s/%s (sheddable=%v): %v allocations per decision, want 0",
+							name, s.Name, fn, sheddable, n)
+					}
+				}
+			}
+		}
+	}
+	_ = sink
 }
 
 // TestPlacerRegistry covers the registry contract: built-ins resolvable,

@@ -184,7 +184,8 @@ type Placer = federation.Placer
 // concurrency cap), CloudAdmits (throttle headroom), and
 // CloudCostPerRequest (the invocation + GB-second price). SelectPeer is
 // the nearest-first accepting-peer scan; PeersByRTT is the deterministic
-// RTT-ordered candidate list custom strategies iterate.
+// RTT-ordered candidate list custom strategies iterate — a slice shared
+// across decisions, not to be modified.
 type PlacementContext = federation.PlacementContext
 
 // PlacementDecision is a Placer's verdict for one request.
