@@ -103,8 +103,8 @@ func main() {
 // hub, here), a mid-run outage window takes it dark across the burst, and
 // the default grant lease (2× the allocation epoch) lets every site fall
 // back to local enforcement instead of freezing on its stale pre-burst
-// grants. The federation-coordinator experiment (lass-sim -federation
-// -fed-coordinator) runs the stressed version of this comparison — an
+// grants. The federation-coordinator experiment (lass-bench -experiment
+// federation-coordinator) runs the stressed version of this comparison — an
 // asymmetric star with a throttled cloud — where lease fallback measurably
 // cuts the outage-window violation spike versus frozen grants.
 func coordinatorDemo() {

@@ -79,64 +79,12 @@ type Options struct {
 	Seed  uint64
 	Quick bool
 	// SweepWorkers is how many cells of a policy/seed/trace sweep run
-	// concurrently (0 or 1 = serial, the historical behaviour). Cells are
-	// independent simulations with private engines and RNG streams, and
-	// rows are emitted in canonical order after all cells complete, so the
-	// output is byte-identical at any worker count.
+	// concurrently (0 or 1 = serial, the tests' reference; the commands
+	// pass runtime.GOMAXPROCS(0)). Cells are independent simulations with
+	// private engines and RNG streams, and rows are emitted in canonical
+	// order after all cells complete, so the output is byte-identical at
+	// any worker count.
 	SweepWorkers int
-	// Fed tunes the federation experiments (topology, trace source,
-	// cloud realism); the zero value keeps the defaults.
-	Fed FedOptions
-}
-
-// FedOptions are the federation-experiment knobs cmd/lass-sim exposes.
-type FedOptions struct {
-	// Policy, when set, restricts the sweep to the single named placement
-	// policy (any name in the placer registry, including custom placers
-	// registered via federation.RegisterPlacer); empty sweeps every
-	// registered policy.
-	Policy string
-	// Topology selects the inter-site topology: "" or "ring" (the
-	// original ring-distance model) or "star" (site 0 as hub).
-	Topology string
-	// TracePath optionally drives the federation-trace experiment's
-	// sites from a real Azure-schema CSV (row i feeds site i) instead of
-	// deterministically synthesized rows.
-	TracePath string
-	// CloudWarmWindow and the price fields pass through to
-	// federation.Config; zero values keep its defaults.
-	CloudWarmWindow         time.Duration
-	CloudPricePerInvocation float64
-	CloudPricePerGBSecond   float64
-	// GlobalFairShare runs the sweeps under the federation-wide §4.1
-	// allocator instead of per-site-local allocation; AllocEpoch tunes
-	// its period (zero keeps the 5s default).
-	GlobalFairShare bool
-	AllocEpoch      time.Duration
-	// Coordinator selects how the global allocator's coordinator site is
-	// placed: "" or "fixed" (site 0, the historical behaviour) or
-	// "centroid" (the topology's weighted RTT centroid).
-	Coordinator string
-	// Admission turns on offload-aware §3.4 admission control.
-	Admission bool
-	// OfferedLoad sets ControllerConfig.OfferedLoadDemand on every site,
-	// so origins keep estimating demand from offered load (shed requests
-	// included) even under per-site-local allocation.
-	OfferedLoad bool
-	// CloudMaxConcurrency caps concurrent cloud instances per function
-	// (0 = unbounded).
-	CloudMaxConcurrency int
-	// ScenarioPath names a declarative scenario file for the scenario
-	// experiment; empty runs every committed scenarios/*.yaml.
-	ScenarioPath string
-	// ChaosSeed, when positive, overrides the base chaos seed of the
-	// chaos and scenario sweeps (replicate r draws seed ChaosSeed+r);
-	// <= 0 keeps the derived (chaos sweep) or authored (scenario) seed.
-	ChaosSeed int64
-	// ChaosReplicates is how many seeded failure realizations each chaos
-	// sweep variant (or scenario) runs; 0 keeps the per-experiment
-	// default (8 for federation-chaos, 1 for scenario).
-	ChaosReplicates int
 }
 
 // dur picks between the full (paper) and quick durations.

@@ -54,70 +54,49 @@ func federationSites(opt Options, unit time.Duration) ([]core.Config, time.Durat
 	return sites, end, nil
 }
 
-// sweepPlacers resolves the placement policies one federation sweep runs:
-// every registered placer in registration order, or — when opt.Fed.Policy
-// names one — just that policy. Custom placers registered through
-// federation.RegisterPlacer appear automatically, one sweep row set each.
-func sweepPlacers(opt Options) ([]federation.Placer, error) {
-	names := federation.PlacerNames()
-	if opt.Fed.Policy != "" {
-		names = []string{opt.Fed.Policy}
-	}
-	out := make([]federation.Placer, len(names))
-	for i, name := range names {
-		p, err := federation.ParsePlacer(name)
+// fedSeed is the federation-level RNG seed of every sweep cell; the site
+// seeds are salted per sweep.
+func (o Options) fedSeed() uint64 { return o.Seed ^ 0xfedc }
+
+// throttledCloud is the per-function cloud concurrency cap of the
+// allocator sweeps — the real FaaS concurrency limit. A throttled cloud is
+// what makes edge-side efficiency matter: with an unbounded 100ms-away
+// cloud, stranded edge capacity is free to waste and every policy can hide
+// its placement mistakes behind infinite remote capacity.
+const throttledCloud = 2
+
+// runCells runs n independent federation cells on up to workers goroutines
+// (see forEachCell). cell(i) returns run i's configuration — built fresh,
+// so every cell owns its sites, engine, and RNG streams — and its simulated
+// length; results come back by cell index, so callers emit rows in
+// canonical order and the table is byte-identical at any worker count.
+func runCells(n, workers int, cell func(i int) (federation.Config, time.Duration, error)) ([]*federation.Result, error) {
+	results := make([]*federation.Result, n)
+	err := forEachCell(n, workers, func(i int) error {
+		cfg, end, err := cell(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = p
-	}
-	return out, nil
+		fed, err := federation.New(cfg)
+		if err != nil {
+			return err
+		}
+		results[i], err = fed.Run(end)
+		return err
+	})
+	return results, err
 }
 
-// federationConfig assembles a federation.Config for the sweep, applying
-// the command-line topology, cloud, allocation, and admission knobs from
-// opt.Fed.
-func federationConfig(opt Options, sites []core.Config, placer federation.Placer) (federation.Config, error) {
-	if opt.Fed.OfferedLoad {
-		for i := range sites {
-			sites[i].Controller.OfferedLoadDemand = true
-		}
+// violations tallies the sites' SLO misses and the requests they are
+// measured against. Unresolved requests (still backlogged at run end)
+// count on both sides: excluding them would flatter exactly the policies
+// that strand the most work.
+func violations(sites []federation.SiteResult) (violated, observed uint64) {
+	for i := range sites {
+		violated += sites[i].Violations()
+		observed += sites[i].SLO.Total() + sites[i].Unresolved
 	}
-	cfg := federation.Config{
-		Sites:                   sites,
-		Placer:                  placer,
-		Seed:                    opt.Seed ^ 0xfedc,
-		CloudWarmWindow:         opt.Fed.CloudWarmWindow,
-		CloudPricePerInvocation: opt.Fed.CloudPricePerInvocation,
-		CloudPricePerGBSecond:   opt.Fed.CloudPricePerGBSecond,
-		GlobalFairShare:         opt.Fed.GlobalFairShare,
-		AllocEpoch:              opt.Fed.AllocEpoch,
-		OffloadAwareAdmission:   opt.Fed.Admission,
-		CloudMaxConcurrency:     opt.Fed.CloudMaxConcurrency,
-	}
-	switch opt.Fed.Coordinator {
-	case "":
-		// Fixed at site 0, the historical default.
-	default:
-		el, err := federation.ParseCoordinatorElection(opt.Fed.Coordinator)
-		if err != nil {
-			return federation.Config{}, err
-		}
-		cfg.CoordinatorElection = el
-	}
-	switch opt.Fed.Topology {
-	case "", "ring":
-		// nil Topology → federation builds Ring(len(sites), PeerRTT).
-	case "star":
-		topo, err := federation.Star(len(sites), 5*time.Millisecond)
-		if err != nil {
-			return federation.Config{}, err
-		}
-		cfg.Topology = topo
-	default:
-		return federation.Config{}, fmt.Errorf("experiments: unknown federation topology %q (ring|star)", opt.Fed.Topology)
-	}
-	return cfg, nil
+	return violated, observed
 }
 
 // federationSweepHeader is shared by the synthetic, trace-driven,
@@ -155,7 +134,7 @@ func allocLabel(global bool) string {
 func addFederationRows(t *Table, res *federation.Result) {
 	alloc := allocLabel(res.GlobalFairShare)
 	policy := res.Placer
-	var arrivals, local, toPeer, toCloud, rejected, coldStarts, violated, total uint64
+	var arrivals, local, toPeer, toCloud, rejected, coldStarts uint64
 	var cost float64
 	for _, s := range res.Sites {
 		var sa uint64
@@ -169,11 +148,6 @@ func addFederationRows(t *Table, res *federation.Result) {
 		rejected += s.Rejected
 		coldStarts += s.CloudColdStarts
 		cost += s.CloudCost
-		// Unresolved requests (still backlogged at run end) count as
-		// violations: excluding them would flatter exactly the
-		// policies that strand the most work.
-		violated += s.Violations()
-		total += s.SLO.Total() + s.Unresolved
 		t.AddRow(policy, alloc, s.Name,
 			fmt.Sprintf("%d", sa),
 			fmt.Sprintf("%d", s.ServedLocal),
@@ -201,7 +175,7 @@ func addFederationRows(t *Table, res *federation.Result) {
 		fmt.Sprintf("%d", res.GrantLeaseExpirations),
 		ms(res.MeanGrantDelay),
 		"",
-		fmt.Sprintf("%.4f", violationRate(violated, total)))
+		fmt.Sprintf("%.4f", violationRate(violations(res.Sites))))
 }
 
 // columnIndex maps a table header's column names to their positions.
@@ -213,52 +187,31 @@ func columnIndex(header []string) map[string]int {
 	return col
 }
 
-// sweepFederationPolicies runs every registered placement policy (or the
-// one opt.Fed.Policy selects) over freshly built sites, appends per-site
-// and aggregate rows to the table, and verifies the never policy
-// bit-for-bit against standalone runs (under per-site-local allocation;
-// global grants legitimately change pool sizing, so the pure-superset
-// invariant is asserted on the local path).
+// sweepFederationPolicies runs every registered placement policy over
+// freshly built sites, appends per-site and aggregate rows to the table,
+// and verifies the never policy bit-for-bit against standalone runs. The
+// sweep runs under per-site-local allocation, which is where that
+// pure-superset invariant holds: global grants legitimately change pool
+// sizing.
 func sweepFederationPolicies(t *Table, opt Options, build siteBuilder) error {
-	placers, err := sweepPlacers(opt)
-	if err != nil {
-		return err
-	}
-	// Each policy is an independent cell: fresh sites, engine, and RNG
-	// streams per cell, results stored by index, rows appended in placer
-	// order afterwards — so serial and parallel sweeps emit identical rows.
-	results := make([]*federation.Result, len(placers))
-	err = forEachCell(len(placers), opt.SweepWorkers, func(i int) error {
-		placer := placers[i]
+	names := federation.PlacerNames()
+	results, err := runCells(len(names), opt.SweepWorkers, func(i int) (federation.Config, time.Duration, error) {
+		placer, err := federation.PlacerByName(names[i])
+		if err != nil {
+			return federation.Config{}, 0, err
+		}
 		sites, end, err := build()
-		if err != nil {
-			return err
-		}
-		fcfg, err := federationConfig(opt, sites, placer)
-		if err != nil {
-			return err
-		}
-		fed, err := federation.New(fcfg)
-		if err != nil {
-			return err
-		}
-		res, err := fed.Run(end)
-		if err != nil {
-			return err
-		}
-		if placer.Name() == "never" && !fcfg.GlobalFairShare && !fcfg.OffloadAwareAdmission &&
-			!opt.Fed.OfferedLoad {
-			if err := checkNeverBaseline(build, res); err != nil {
-				return err
-			}
-		}
-		results[i] = res
-		return nil
+		return federation.Config{Sites: sites, Placer: placer, Seed: opt.fedSeed()}, end, err
 	})
 	if err != nil {
 		return err
 	}
 	for _, res := range results {
+		if res.Placer == "never" {
+			if err := checkNeverBaseline(build, res); err != nil {
+				return err
+			}
+		}
 		addFederationRows(t, res)
 	}
 	return nil

@@ -28,11 +28,6 @@ var chaosVariants = []chaosVariant{
 	{coordinator: "centroid", grants: "frozen", election: federation.RTTCentroid, lease: -1},
 }
 
-// chaosDefaultReplicates is how many seeded failure realizations each
-// variant runs when opt.Fed.ChaosReplicates is unset. Eight is the floor
-// the leased-beats-frozen mean assertion is calibrated for.
-const chaosDefaultReplicates = 8
-
 // chaosSweepFaults is the failure distribution every replicate draws its
 // realization from: a Gilbert-Elliott coordinator outage process (mean
 // 1.5 units up, 2.5 units down — long multi-epoch control-plane outages,
@@ -98,14 +93,10 @@ func meanF64(xs []float64) float64 {
 // mode, leased grants beat frozen grants on mean violations across the
 // replicate set, and no frozen run records a single lease expiration.
 func FederationChaos(opt Options) (*Table, error) {
-	reps := opt.Fed.ChaosReplicates
-	if reps <= 0 {
-		reps = chaosDefaultReplicates
-	}
-	baseSeed := uint64(opt.Fed.ChaosSeed)
-	if opt.Fed.ChaosSeed <= 0 {
-		baseSeed = opt.Seed ^ 0xc4a05
-	}
+	// Seeded failure realizations per variant: eight is the floor the
+	// leased-beats-frozen mean assertion is calibrated for.
+	const reps = 8
+	baseSeed := opt.Seed ^ 0xc4a05
 	t := &Table{
 		ID:     "federation-chaos",
 		Title:  "Chaos sweep: election x grant-lease across seeded failure realizations (asymmetric star)",
@@ -116,52 +107,31 @@ func FederationChaos(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every (variant, replicate) pair is an independent cell; results land
-	// by index and rows are emitted afterwards in variant order, so the
-	// table is byte-identical at any -sweep-workers count.
-	results := make([]*federation.Result, len(chaosVariants)*reps)
-	err = forEachCell(len(results), opt.SweepWorkers, func(i int) error {
+	placer, err := federation.PlacerByName("model-driven")
+	if err != nil {
+		return nil, err
+	}
+	// Every (variant, replicate) pair is an independent cell; rows are
+	// emitted afterwards in variant order.
+	results, err := runCells(len(chaosVariants)*reps, opt.SweepWorkers, func(i int) (federation.Config, time.Duration, error) {
 		v := chaosVariants[i/reps]
-		r := i % reps
 		sites, end, err := coordinatorSites(opt, unit)
 		if err != nil {
-			return err
+			return federation.Config{}, 0, err
 		}
-		o := opt
-		o.Fed.GlobalFairShare = true
-		o.Fed.Admission = true
-		if o.Fed.CloudMaxConcurrency == 0 {
-			o.Fed.CloudMaxConcurrency = 2
-		}
-		policy := o.Fed.Policy
-		if policy == "" {
-			policy = "model-driven"
-		}
-		placer, err := federation.ParsePlacer(policy)
-		if err != nil {
-			return err
-		}
-		fcfg, err := federationConfig(o, sites, placer)
-		if err != nil {
-			return err
-		}
-		fcfg.Topology = topo
-		fcfg.CoordinatorElection = v.election
-		fcfg.GrantLease = v.lease
-		fcfg.Faults, err = chaosSweepFaults(len(sites), hub, baseSeed+uint64(r), unit)
-		if err != nil {
-			return err
-		}
-		fed, err := federation.New(fcfg)
-		if err != nil {
-			return err
-		}
-		res, err := fed.Run(end)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+		faults, err := chaosSweepFaults(len(sites), hub, baseSeed+uint64(i%reps), unit)
+		return federation.Config{
+			Sites:                 sites,
+			Placer:                placer,
+			Seed:                  opt.fedSeed(),
+			Topology:              topo,
+			GlobalFairShare:       true,
+			OffloadAwareAdmission: true,
+			CloudMaxConcurrency:   throttledCloud,
+			CoordinatorElection:   v.election,
+			GrantLease:            v.lease,
+			Faults:                faults,
+		}, end, err
 	})
 	if err != nil {
 		return nil, err
@@ -174,17 +144,13 @@ func FederationChaos(opt Options) (*Table, error) {
 		var rates []float64
 		for r := 0; r < reps; r++ {
 			res := results[vi*reps+r]
-			viol[r] = totalViolations(res)
+			violated, observed := violations(res.Sites)
+			viol[r] = violated
 			missed[r] = res.MissedAllocEpochs
 			part = append(part, res.PartitionedEpochs)
 			lost = append(lost, res.GrantsLost)
 			leaseExp = append(leaseExp, res.GrantLeaseExpirations)
-			var violated, total uint64
-			for _, s := range res.Sites {
-				violated += s.Violations()
-				total += s.SLO.Total() + s.Unresolved
-			}
-			rates = append(rates, violationRate(violated, total))
+			rates = append(rates, violationRate(violated, observed))
 		}
 		label := v.coordinator + "/" + v.grants
 		meanViol[label] = meanU64(viol)
@@ -226,35 +192,43 @@ var scenarioRunHeader = []string{"scenario", "replicate", "chaos-seed",
 	"violations", "viol-rate", "missed-epochs", "part-epochs",
 	"grants-lost", "lease-exp", "assertions"}
 
-// ScenarioRun loads declarative scenario files and runs each one:
-// opt.Fed.ScenarioPath names a single file, or — when empty — every
-// scenarios/*.yaml under the working directory runs (the committed suite).
-// opt.Fed.ChaosReplicates > 1 re-runs each scenario with chaos seeds
-// base, base+1, ... (base = the file's chaos.seed, or opt.Fed.ChaosSeed
-// when non-zero) while the workload stays pinned — the seed/replication
-// semantics documented in README. A replicate whose chaos seed is the
-// file's own authored seed must pass the file's assertions or the
-// experiment fails; re-seeded replicates report pass/fail per row without
-// failing the run, since assertions are authored against one realization.
+// ScenarioSuite lists the committed suite: every scenarios/*.yaml under the
+// working directory, sorted.
+func ScenarioSuite() ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join("scenarios", "*.yaml"))
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("experiments: no scenario files under scenarios/ (run from the repository root)")
+	}
+	sort.Strings(paths)
+	return paths, nil
+}
+
+// ScenarioRun is the registry's scenario experiment: the committed suite,
+// one run per file at its authored chaos seed.
 func ScenarioRun(opt Options) (*Table, error) {
-	var paths []string
-	if opt.Fed.ScenarioPath != "" {
-		paths = []string{opt.Fed.ScenarioPath}
-	} else {
-		var err error
-		paths, err = filepath.Glob(filepath.Join("scenarios", "*.yaml"))
-		if err != nil {
-			return nil, err
-		}
-		sort.Strings(paths)
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("experiments: no scenario files under scenarios/ (run from the repository root, or pass -scenario <file>)")
-		}
+	paths, err := ScenarioSuite()
+	if err != nil {
+		return nil, err
 	}
-	reps := opt.Fed.ChaosReplicates
-	if reps <= 0 {
-		reps = 1
+	return RunScenarios(paths, 0, 0, opt.SweepWorkers)
+}
+
+// RunScenarios loads the declarative scenario files at paths and runs each
+// one replicates times (0 = once) under chaos seeds base, base+1, ... —
+// base is the file's chaos.seed, or chaosSeed when non-zero — while the
+// workload stays pinned: the seed/replication semantics documented in
+// README. A replicate whose chaos seed is the file's own authored seed must
+// pass the file's assertions or the run fails; re-seeded replicates report
+// pass/fail per row without failing the run, since assertions are authored
+// against one realization. workers is Options.SweepWorkers.
+func RunScenarios(paths []string, chaosSeed int64, replicates, workers int) (*Table, error) {
+	if chaosSeed < 0 || replicates < 0 {
+		return nil, fmt.Errorf("experiments: negative chaos seed %d or replicate count %d", chaosSeed, replicates)
 	}
+	reps := max(replicates, 1)
 	scs := make([]*scenario.Scenario, len(paths))
 	for i, p := range paths {
 		sc, err := scenario.Load(p)
@@ -268,63 +242,42 @@ func ScenarioRun(opt Options) (*Table, error) {
 		Title:  "Declarative scenario runs",
 		Header: append([]string(nil), scenarioRunHeader...),
 	}
-	type cellOut struct {
-		seed     int64
-		res      *federation.Result
-		checkErr error
+	seedOf := func(sc *scenario.Scenario, r int) int64 {
+		if chaosSeed != 0 {
+			return chaosSeed + int64(r)
+		}
+		return int64(sc.Chaos.Seed) + int64(r)
 	}
-	cells := make([]cellOut, len(scs)*reps)
-	err := forEachCell(len(cells), opt.SweepWorkers, func(i int) error {
+	results, err := runCells(len(scs)*reps, workers, func(i int) (federation.Config, time.Duration, error) {
 		sc := scs[i/reps]
-		r := i % reps
-		base := int64(sc.Chaos.Seed)
-		if opt.Fed.ChaosSeed > 0 {
-			base = opt.Fed.ChaosSeed
-		}
-		seed := base + int64(r)
-		cfg, err := sc.Build(seed)
-		if err != nil {
-			return err
-		}
-		fed, err := federation.New(cfg)
-		if err != nil {
-			return err
-		}
-		res, err := fed.Run(sc.Duration)
-		if err != nil {
-			return err
-		}
-		cells[i] = cellOut{seed: seed, res: res, checkErr: sc.Check(res)}
-		return nil
+		cfg, err := sc.Build(seedOf(sc, i%reps))
+		return cfg, sc.Duration, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for si, sc := range scs {
 		for r := 0; r < reps; r++ {
-			c := cells[si*reps+r]
-			var violated, total uint64
-			for _, s := range c.res.Sites {
-				violated += s.Violations()
-				total += s.SLO.Total() + s.Unresolved
-			}
+			res, seed := results[si*reps+r], seedOf(sc, r)
+			violated, observed := violations(res.Sites)
+			checkErr := sc.Check(res)
 			verdict := "ok"
-			if c.checkErr != nil {
-				verdict = "FAIL: " + c.checkErr.Error()
+			if checkErr != nil {
+				verdict = "FAIL: " + checkErr.Error()
 			}
 			t.AddRow(sc.Name,
 				fmt.Sprintf("%d", r),
-				fmt.Sprintf("%d", c.seed),
+				fmt.Sprintf("%d", seed),
 				fmt.Sprintf("%d", violated),
-				fmt.Sprintf("%.4f", violationRate(violated, total)),
-				fmt.Sprintf("%d", c.res.MissedAllocEpochs),
-				fmt.Sprintf("%d", c.res.PartitionedEpochs),
-				fmt.Sprintf("%d", c.res.GrantsLost),
-				fmt.Sprintf("%d", c.res.GrantLeaseExpirations),
+				fmt.Sprintf("%.4f", violationRate(violated, observed)),
+				fmt.Sprintf("%d", res.MissedAllocEpochs),
+				fmt.Sprintf("%d", res.PartitionedEpochs),
+				fmt.Sprintf("%d", res.GrantsLost),
+				fmt.Sprintf("%d", res.GrantLeaseExpirations),
 				verdict)
-			if c.checkErr != nil && c.seed == int64(sc.Chaos.Seed) {
+			if checkErr != nil && seed == int64(sc.Chaos.Seed) {
 				return nil, fmt.Errorf("experiments: scenario %s (authored chaos seed %d): %w",
-					sc.Name, c.seed, c.checkErr)
+					sc.Name, seed, checkErr)
 			}
 		}
 	}

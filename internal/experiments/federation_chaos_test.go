@@ -43,33 +43,12 @@ func TestFederationChaosSweep(t *testing.T) {
 	}
 }
 
-// TestFederationChaosSeedChangesRealizations: a different chaos base seed
-// must change the failure realizations (and so the reported statistics)
-// while the workload stays pinned.
-func TestFederationChaosSeedChangesRealizations(t *testing.T) {
-	a, err := FederationChaos(Options{Seed: 1, Quick: true, SweepWorkers: 8,
-		Fed: FedOptions{ChaosSeed: 1000, ChaosReplicates: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FederationChaos(Options{Seed: 1, Quick: true, SweepWorkers: 8,
-		Fed: FedOptions{ChaosSeed: 2000, ChaosReplicates: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(renderTable(t, a), renderTable(t, b)) {
-		t.Error("chaos base seeds 1000 and 2000 produced identical sweeps")
-	}
-}
-
 // TestScenarioRunExperiment runs a committed scenario through the
-// registry experiment with replicates and checks the row layout and the
-// only-authored-seed-enforced assertion semantics.
+// scenario runner with replicates and checks the row layout, the replicate
+// re-seeding, and the only-authored-seed-enforced assertion semantics.
 func TestScenarioRunExperiment(t *testing.T) {
-	tab, err := ScenarioRun(Options{Seed: 1, SweepWorkers: 4, Fed: FedOptions{
-		ScenarioPath:    filepath.Join("..", "..", "scenarios", "asymmetric-partition.yaml"),
-		ChaosReplicates: 3,
-	}})
+	path := filepath.Join("..", "..", "scenarios", "asymmetric-partition.yaml")
+	tab, err := RunScenarios([]string{path}, 0, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +57,20 @@ func TestScenarioRunExperiment(t *testing.T) {
 	}
 	if tab.Rows[0][0] != "asymmetric-partition" {
 		t.Errorf("scenario column = %q", tab.Rows[0][0])
+	}
+	// Replicate r draws chaos seed base+r, and an explicit base replaces
+	// the authored one.
+	reseeded, err := RunScenarios([]string{path}, 1000, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []string{reseeded.Rows[0][2], reseeded.Rows[1][2]}; got[0] != "1000" || got[1] != "1001" {
+		t.Errorf("chaos seeds under base 1000 = %v, want [1000 1001]", got)
+	}
+	for _, bad := range [][2]int{{-1, 1}, {0, -1}} {
+		if _, err := RunScenarios([]string{path}, int64(bad[0]), bad[1], 1); err == nil {
+			t.Errorf("RunScenarios accepted chaos seed %d, replicates %d", bad[0], bad[1])
+		}
 	}
 	// Replicate 0 runs the authored chaos seed, so its assertions were
 	// enforced (a failure would have errored above) and its row says ok.
@@ -101,7 +94,7 @@ func TestScenarioRunFailsAuthoredAssertions(t *testing.T) {
 	if err := os.WriteFile(path, []byte(broken), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ScenarioRun(Options{Seed: 1, Fed: FedOptions{ScenarioPath: path}})
+	_, err = RunScenarios([]string{path}, 0, 0, 1)
 	if err == nil || !strings.Contains(err.Error(), "allocation epochs") {
 		t.Errorf("unsatisfiable authored assertion not reported; err = %v", err)
 	}

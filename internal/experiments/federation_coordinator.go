@@ -114,57 +114,36 @@ func FederationCoordinator(opt Options) (*Table, error) {
 		{label: "centroid, outage 0.44, leased", election: federation.RTTCentroid, outages: outage},
 		{label: "centroid, outage 0.44, frozen", election: federation.RTTCentroid, outages: outage, lease: -1},
 	}
+	placer, err := federation.PlacerByName("model-driven")
+	if err != nil {
+		return nil, err
+	}
 	// Each variant is an independent cell; rows and per-run notes are
-	// emitted in variant order after all cells complete, so the table is
-	// byte-identical at any worker count.
-	results := make([]*federation.Result, len(variants))
-	err = forEachCell(len(variants), opt.SweepWorkers, func(i int) error {
+	// emitted in variant order.
+	results, err := runCells(len(variants), opt.SweepWorkers, func(i int) (federation.Config, time.Duration, error) {
 		v := variants[i]
 		sites, end, err := coordinatorSites(opt, unit)
 		if err != nil {
-			return err
+			return federation.Config{}, 0, err
 		}
-		o := opt
-		o.Fed.GlobalFairShare = true
-		o.Fed.Admission = true
-		if o.Fed.CloudMaxConcurrency == 0 {
-			o.Fed.CloudMaxConcurrency = 2 // a throttled cloud makes edge efficiency matter
+		cfg := federation.Config{
+			Sites:                 sites,
+			Placer:                placer,
+			Seed:                  opt.fedSeed(),
+			Topology:              topo,
+			GlobalFairShare:       true,
+			OffloadAwareAdmission: true,
+			CloudMaxConcurrency:   throttledCloud,
+			CoordinatorElection:   v.election,
+			GrantLease:            v.lease,
 		}
-		policy := o.Fed.Policy
-		if policy == "" {
-			policy = "model-driven"
-		}
-		placer, err := federation.ParsePlacer(policy)
-		if err != nil {
-			return err
-		}
-		fcfg, err := federationConfig(o, sites, placer)
-		if err != nil {
-			return err
-		}
-		fcfg.Topology = topo
-		fcfg.CoordinatorElection = v.election
 		if len(v.outages) > 0 {
-			faults, err := chaos.New(chaos.Config{
+			cfg.Faults, err = chaos.New(chaos.Config{
 				Sites:  len(sites),
 				Faults: []chaos.Fault{{Kind: chaos.FaultCoordinator, Windows: v.outages}},
 			})
-			if err != nil {
-				return err
-			}
-			fcfg.Faults = faults
 		}
-		fcfg.GrantLease = v.lease
-		fed, err := federation.New(fcfg)
-		if err != nil {
-			return err
-		}
-		res, err := fed.Run(end)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+		return cfg, end, err
 	})
 	if err != nil {
 		return nil, err
@@ -193,23 +172,15 @@ func FederationCoordinator(opt Options) (*Table, error) {
 		return nil, fmt.Errorf("experiments: frozen-grants run recorded %d lease expirations; want 0",
 			frozen.GrantLeaseExpirations)
 	}
-	if lv, fv := totalViolations(leased), totalViolations(frozen); lv >= fv {
+	lv, _ := violations(leased.Sites)
+	fv, _ := violations(frozen.Sites)
+	if lv >= fv {
 		return nil, fmt.Errorf("experiments: lease fallback did not bound the outage violation spike: %d (leased) vs %d (frozen)", lv, fv)
 	}
 	t.AddNote("asymmetric star: site 1 is the hub; site 0 (the Fixed default) sits on a 25ms/20ms spoke and takes a 3x burst in the middle third")
 	t.AddNote("grant-delay-ms is the mean end-to-end delivery delay: slowest demand upload (gather) + return leg, both read from the topology")
 	t.AddNote("asserted: centroid election strictly reduces mean grant delay, and during the outage leased grants (expiring 2x epoch after delivery) violate strictly less than frozen grants")
 	return t, nil
-}
-
-// totalViolations sums every site's honest violation count (unresolved
-// ingress included).
-func totalViolations(res *federation.Result) uint64 {
-	var v uint64
-	for _, s := range res.Sites {
-		v += s.Violations()
-	}
-	return v
 }
 
 // CoordinatorDelayCut returns the fractional reduction in mean

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lass/internal/azure"
-	"lass/internal/core"
 	"lass/internal/federation"
 	"lass/internal/xrand"
 )
@@ -71,60 +70,32 @@ func FederationFairShare(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := func() ([]core.Config, time.Duration, error) {
-		return federationTraceSites(opt, rows, minutes)
-	}
-	policies := []string{"never", "nearest-peer", "model-driven"}
-	if opt.Fed.Policy != "" {
-		policies = []string{opt.Fed.Policy}
-	}
 	// Flatten the (alloc mode × policy) grid into independent cells so the
-	// sweep parallelizes; rows are appended in grid order afterwards, so the
-	// table is byte-identical at any worker count.
+	// sweep parallelizes; rows are appended in grid order afterwards.
 	type cell struct {
 		global bool
 		policy string
 	}
 	var cells []cell
 	for _, global := range []bool{false, true} {
-		for _, name := range policies {
+		for _, name := range []string{"never", "nearest-peer", "model-driven"} {
 			cells = append(cells, cell{global: global, policy: name})
 		}
 	}
-	results := make([]*federation.Result, len(cells))
-	err = forEachCell(len(cells), opt.SweepWorkers, func(i int) error {
-		placer, err := federation.ParsePlacer(cells[i].policy)
+	results, err := runCells(len(cells), opt.SweepWorkers, func(i int) (federation.Config, time.Duration, error) {
+		placer, err := federation.PlacerByName(cells[i].policy)
 		if err != nil {
-			return err
+			return federation.Config{}, 0, err
 		}
-		o := opt
-		o.Fed.GlobalFairShare = cells[i].global
-		o.Fed.Admission = true
-		if o.Fed.CloudMaxConcurrency == 0 {
-			// A throttled cloud (the real FaaS concurrency limit) is
-			// what makes edge-side efficiency matter: with an
-			// unbounded 100ms-away cloud, stranded edge capacity is
-			// free to waste.
-			o.Fed.CloudMaxConcurrency = 2
-		}
-		sites, end, err := build()
-		if err != nil {
-			return err
-		}
-		fcfg, err := federationConfig(o, sites, placer)
-		if err != nil {
-			return err
-		}
-		fed, err := federation.New(fcfg)
-		if err != nil {
-			return err
-		}
-		res, err := fed.Run(end)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+		sites, end, err := federationTraceSites(opt, rows, minutes)
+		return federation.Config{
+			Sites:                 sites,
+			Placer:                placer,
+			Seed:                  opt.fedSeed(),
+			GlobalFairShare:       cells[i].global,
+			OffloadAwareAdmission: true,
+			CloudMaxConcurrency:   throttledCloud,
+		}, end, err
 	})
 	if err != nil {
 		return nil, err

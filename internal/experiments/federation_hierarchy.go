@@ -89,12 +89,6 @@ func hierarchyMetro() *allocation.Hierarchy {
 		Sites: []string{"edge-0", "edge-1", "edge-2"}}}
 }
 
-// honestRate is a site's violation rate with unresolved ingress counted
-// against it — the same accounting the aggregate sweep rows use.
-func honestRate(s *federation.SiteResult) float64 {
-	return violationRate(s.Violations(), s.SLO.Total()+s.Unresolved)
-}
-
 // FederationHierarchy sweeps the global allocator's quota structure on
 // the canonical starved/borrower/donor metro: flat site-level water-fill,
 // the region→metro→site hierarchy with over-quota borrowing, and the
@@ -114,44 +108,27 @@ func FederationHierarchy(opt Options) (*Table, error) {
 		Header: append([]string(nil), hierarchySweepHeader...),
 	}
 	end := opt.dur(2*time.Minute, time.Minute)
-	// Each mode is an independent cell; rows are emitted in mode order
-	// after all cells complete, so the table is byte-identical at any
-	// -sweep-workers count.
-	results := make([]*federation.Result, len(hierarchyScenarios))
-	err := forEachCell(len(results), opt.SweepWorkers, func(i int) error {
+	placer, err := federation.PlacerByName("metro-affine")
+	if err != nil {
+		return nil, err
+	}
+	// Each mode is an independent cell; rows are emitted in mode order.
+	results, err := runCells(len(hierarchyScenarios), opt.SweepWorkers, func(i int) (federation.Config, time.Duration, error) {
 		mode := hierarchyScenarios[i]
 		sites, err := hierarchySites(opt)
-		if err != nil {
-			return err
-		}
-		placer, err := federation.ParsePlacer("metro-affine")
-		if err != nil {
-			return err
-		}
-		o := opt
-		o.Fed.GlobalFairShare = true
-		o.Fed.Admission = true
-		if o.Fed.CloudMaxConcurrency == 0 {
-			o.Fed.CloudMaxConcurrency = 2
-		}
-		fcfg, err := federationConfig(o, sites, placer)
-		if err != nil {
-			return err
+		cfg := federation.Config{
+			Sites:                 sites,
+			Placer:                placer,
+			Seed:                  opt.fedSeed(),
+			GlobalFairShare:       true,
+			OffloadAwareAdmission: true,
+			CloudMaxConcurrency:   throttledCloud,
 		}
 		if mode != "flat" {
-			fcfg.Hierarchy = hierarchyMetro()
-			fcfg.Reclaim = mode == "reclaim"
+			cfg.Hierarchy = hierarchyMetro()
+			cfg.Reclaim = mode == "reclaim"
 		}
-		fed, err := federation.New(fcfg)
-		if err != nil {
-			return err
-		}
-		res, err := fed.Run(end)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+		return cfg, end, err
 	})
 	if err != nil {
 		return nil, err
@@ -171,7 +148,7 @@ func FederationHierarchy(opt Options) (*Table, error) {
 			return nil, fmt.Errorf("experiments: %s mode booked reclaim commits: Reclaimed=%d Preempted=%d",
 				mode, res.Reclaimed, res.Preempted)
 		}
-		var arrivals, local, toPeer, toCloud, rejected, violated, total uint64
+		var arrivals, local, toPeer, toCloud, rejected uint64
 		for _, s := range res.Sites {
 			var sa uint64
 			for _, fr := range s.Core.Functions {
@@ -182,8 +159,6 @@ func FederationHierarchy(opt Options) (*Table, error) {
 			toPeer += s.OffloadedPeer
 			toCloud += s.OffloadedCloud
 			rejected += s.Rejected
-			violated += s.Violations()
-			total += s.SLO.Total() + s.Unresolved
 			t.AddRow(mode, s.Name,
 				fmt.Sprintf("%d", sa),
 				fmt.Sprintf("%d", s.ServedLocal),
@@ -193,7 +168,7 @@ func FederationHierarchy(opt Options) (*Table, error) {
 				fmt.Sprintf("%d", s.Reclaimed),
 				fmt.Sprintf("%d", s.Preempted),
 				msF(s.Responses.Quantile(0.95)),
-				fmt.Sprintf("%.4f", honestRate(&s)))
+				fmt.Sprintf("%.4f", s.ViolationRate()))
 		}
 		t.AddRow(mode, "all",
 			fmt.Sprintf("%d", arrivals),
@@ -204,11 +179,11 @@ func FederationHierarchy(opt Options) (*Table, error) {
 			fmt.Sprintf("%d", res.Reclaimed),
 			fmt.Sprintf("%d", res.Preempted),
 			"",
-			fmt.Sprintf("%.4f", violationRate(violated, total)))
+			fmt.Sprintf("%.4f", violationRate(violations(res.Sites))))
 	}
 	borrow, reclaim := results[1], results[2]
-	starvedBorrow := honestRate(&borrow.Sites[0])
-	starvedReclaim := honestRate(&reclaim.Sites[0])
+	starvedBorrow := borrow.Sites[0].ViolationRate()
+	starvedReclaim := reclaim.Sites[0].ViolationRate()
 	if starvedReclaim >= starvedBorrow {
 		return nil, fmt.Errorf("experiments: reclaim did not raise the starved site's SLO attainment over borrow-only: violation rate %.4f (reclaim) vs %.4f (borrow)",
 			starvedReclaim, starvedBorrow)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lass/internal/azure"
-	"lass/internal/core"
 	"lass/internal/federation"
 )
 
@@ -37,45 +36,22 @@ func FederationPlacers(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := opt
-	o.Fed.GlobalFairShare = true
-	o.Fed.Admission = true
-	if o.Fed.CloudMaxConcurrency == 0 {
-		// The real FaaS throttle: an unbounded cloud would let every
-		// policy hide its placement mistakes behind infinite remote
-		// capacity.
-		o.Fed.CloudMaxConcurrency = 2
-	}
-	placers, err := sweepPlacers(o)
-	if err != nil {
-		return nil, err
-	}
-	build := func() ([]core.Config, time.Duration, error) {
-		return federationTraceSites(o, rows, minutes)
-	}
-	// One independent cell per policy; rows are appended in placer order
-	// after all cells complete, so the table is byte-identical at any
-	// worker count.
-	results := make([]*federation.Result, len(placers))
-	err = forEachCell(len(placers), opt.SweepWorkers, func(i int) error {
-		sites, end, err := build()
+	// One independent cell per policy; rows are appended in placer order.
+	names := federation.PlacerNames()
+	results, err := runCells(len(names), opt.SweepWorkers, func(i int) (federation.Config, time.Duration, error) {
+		placer, err := federation.PlacerByName(names[i])
 		if err != nil {
-			return err
+			return federation.Config{}, 0, err
 		}
-		fcfg, err := federationConfig(o, sites, placers[i])
-		if err != nil {
-			return err
-		}
-		fed, err := federation.New(fcfg)
-		if err != nil {
-			return err
-		}
-		res, err := fed.Run(end)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+		sites, end, err := federationTraceSites(opt, rows, minutes)
+		return federation.Config{
+			Sites:                 sites,
+			Placer:                placer,
+			Seed:                  opt.fedSeed(),
+			GlobalFairShare:       true,
+			OffloadAwareAdmission: true,
+			CloudMaxConcurrency:   throttledCloud,
+		}, end, err
 	})
 	if err != nil {
 		return nil, err
@@ -83,7 +59,7 @@ func FederationPlacers(opt Options) (*Table, error) {
 	for _, res := range results {
 		addFederationRows(t, res)
 	}
-	t.AddNote("every row runs under the federation-wide §4.1 allocator with offload-aware admission and a cloud throttled to %d concurrent instances per function", o.Fed.CloudMaxConcurrency)
+	t.AddNote("every row runs under the federation-wide §4.1 allocator with offload-aware admission and a cloud throttled to %d concurrent instances per function", throttledCloud)
 	t.AddNote("grant-aware = model-driven with the global grants and granted-but-cold pre-provisioned pools folded into the per-candidate prediction")
 	t.AddNote("cost-bounded = cheapest candidate whose predicted response meets the SLO (edge is free, cloud bills per invocation + GB-second)")
 	for i, row := range rows {

@@ -77,32 +77,8 @@ func TestFederationPlacersGrantAwareBeatsModelDriven(t *testing.T) {
 	}
 }
 
-// TestSweepPolicyFilter: FedOptions.Policy restricts any federation sweep
-// to one registered policy — the -policy flag's contract.
-func TestSweepPolicyFilter(t *testing.T) {
-	opt := quick
-	opt.Fed.Policy = "cost-bounded"
-	tab, err := Federation(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 { // 3 sites + aggregate, one policy
-		t.Fatalf("rows=%d want 4", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[0] != "cost-bounded" {
-			t.Errorf("row policy %q leaked past the filter", row[0])
-		}
-	}
-	opt.Fed.Policy = "no-such-policy"
-	if _, err := Federation(opt); err == nil {
-		t.Error("unknown policy filter accepted")
-	}
-}
-
 // TestExperimentResolvesCustomPlacer: a placer registered from outside
-// internal/federation is selectable by name through the experiment
-// registry — the end-to-end path behind `lass-sim -policy <name>`.
+// internal/federation gets its own row set in the registry's policy sweep.
 func TestExperimentResolvesCustomPlacer(t *testing.T) {
 	// Tolerate re-registration: the registry is process-global, so a
 	// second in-process run (go test -count=N) already has the placer.
@@ -110,9 +86,7 @@ func TestExperimentResolvesCustomPlacer(t *testing.T) {
 		!strings.Contains(err.Error(), "already registered") {
 		t.Fatal(err)
 	}
-	opt := quick
-	opt.Fed.Policy = "always-cloud"
-	tab, err := Run("federation", opt)
+	tab, err := Run("federation", quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"lass/internal/azure"
@@ -25,28 +24,11 @@ var federationTraceArchetypes = []struct {
 	{azure.Steady, 600},
 }
 
-// federationTraceRows produces one Azure-format trace row per site: read
-// from opt.Fed.TracePath when set (row i feeds site i), synthesized
-// deterministically from the seed otherwise.
+// federationTraceRows synthesizes one Azure-format trace row per site,
+// deterministically from the seed.
 func federationTraceRows(opt Options) ([]azure.Row, error) {
-	n := len(federationTraceArchetypes)
-	if path := opt.Fed.TracePath; path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		rows, err := azure.Read(f)
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) < n {
-			return nil, fmt.Errorf("experiments: trace %s has %d rows, need %d (one per site)", path, len(rows), n)
-		}
-		return rows[:n], nil
-	}
 	rng := xrand.New(opt.Seed ^ 0x7ace)
-	rows := make([]azure.Row, n)
+	rows := make([]azure.Row, len(federationTraceArchetypes))
 	for i, a := range federationTraceArchetypes {
 		row, err := azure.Synthesize(rng, azure.SynthConfig{Archetype: a.archetype, MeanPerMinute: a.meanPerMinute})
 		if err != nil {
@@ -88,8 +70,7 @@ func federationTraceSites(opt Options, rows []azure.Row, minutes int) ([]core.Co
 // federation: instead of synthetic step workloads, each edge site replays
 // its own Azure-format trace row (per-minute invocation counts), so the
 // placement policies face realistic burst shapes rather than square waves.
-// Rows are synthesized deterministically by default and can be replaced
-// with genuine dataset rows via the trace-path option. Columns match the
+// Rows are synthesized deterministically from the seed. Columns match the
 // synthetic federation sweep, including the cloud cold-start and cost
 // axes, and the never policy is verified bit-for-bit against standalone
 // single-cluster replays of the same rows.
@@ -112,11 +93,7 @@ func FederationTrace(opt Options) (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	source := "synthesized (deterministic per seed)"
-	if opt.Fed.TracePath != "" {
-		source = opt.Fed.TracePath
-	}
-	t.AddNote("trace rows: %s; %d-minute window aligned to the hot site's busiest slice", source, minutes)
+	t.AddNote("trace rows: synthesized (deterministic per seed); %d-minute window aligned to the hot site's busiest slice", minutes)
 	for i, row := range rows {
 		st := azure.Summarize(row.Counts)
 		t.AddNote("site edge-%d trace %s (%s): mean %.0f/min, max %.0f/min, CV %.2f",

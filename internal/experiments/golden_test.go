@@ -55,7 +55,7 @@ func TestExperimentGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The scenario experiment globs scenarios/*.yaml under the working
-	// directory, as lass-sim does from the repository root.
+	// directory, as the commands do from the repository root.
 	t.Chdir(filepath.Join("..", ".."))
 	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {

@@ -3,10 +3,11 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 )
 
-// renderTable serializes a table exactly as cmd/lass-sim emits it — the
+// renderTable serializes a table both ways the commands emit it — the
 // printed text (notes included) followed by the CSV — so a byte comparison
 // covers rows, notes, and ordering at once.
 func renderTable(t *testing.T, tab *Table) []byte {
@@ -25,12 +26,18 @@ func renderTable(t *testing.T, tab *Table) []byte {
 // engines and RNG streams and rows are emitted in canonical order after all
 // cells complete, so any divergence means shared mutable state leaked in.
 func TestParallelSweepOutputIsByteIdentical(t *testing.T) {
+	// The scenario experiment globs scenarios/*.yaml under the working
+	// directory.
+	t.Chdir(filepath.Join("..", ".."))
 	for _, id := range []string{
 		"federation",
+		"federation-trace",
 		"federation-fairshare",
 		"federation-placers",
 		"federation-coordinator",
 		"federation-chaos",
+		"federation-hierarchy",
+		"scenario",
 	} {
 		t.Run(id, func(t *testing.T) {
 			run := func(workers int) []byte {

@@ -1,7 +1,5 @@
 package federation
 
-//go:generate go run ./gen
-
 import (
 	"fmt"
 	"math"
@@ -22,8 +20,9 @@ import (
 // The built-in policies (never, cloud-only, nearest-peer, model-driven and
 // the rest of BuiltinPlacerNames) are themselves Placers registered under
 // their names; custom policies register with RegisterPlacer and are
-// selected by name through Config.Placer, ParsePlacer, or the lass-sim
-// -policy flag — no federation code needs to change to add one.
+// selected by name through PlacerByName (the scenario DSL's
+// federation.placer key resolves that way) — no federation code needs to
+// change to add one.
 type Placer interface {
 	// Name is the registry key ("never", "model-driven", ...): lower-case,
 	// no whitespace.
@@ -412,10 +411,10 @@ var placerByName = make(map[string]Placer)
 var placerOrder []string
 
 // RegisterPlacer adds a placement policy to the name-keyed registry, making
-// it selectable via Config.Placer resolution, ParsePlacer, the experiment
-// sweeps, and the lass-sim -policy flag. Names are case-insensitive and
-// must be non-empty without whitespace; registering a duplicate name is an
-// error. The built-in policies are pre-registered.
+// it selectable via PlacerByName and giving it a row set in every experiment
+// sweep over the registry. Names are case-insensitive and must be non-empty
+// without whitespace; registering a duplicate name is an error. The
+// built-in policies are pre-registered.
 func RegisterPlacer(p Placer) error {
 	if p == nil {
 		return fmt.Errorf("federation: nil placer")
@@ -446,9 +445,6 @@ func PlacerByName(name string) (Placer, error) {
 		name, strings.Join(placerOrder, ", "))
 }
 
-// ParsePlacer is PlacerByName under the name the command-line surface uses.
-func ParsePlacer(name string) (Placer, error) { return PlacerByName(name) }
-
 // PlacerNames returns every registered policy name in registration order
 // (built-ins first, in sweep order); the federation sweeps run one row per
 // entry.
@@ -468,6 +464,10 @@ func mustRegister(p Placer) {
 	}
 }
 
+// BuiltinPlacerNames lists the built-in placement policies in sweep order;
+// the experiment goldens keep only these policies' rows.
+var BuiltinPlacerNames []string
+
 func init() {
 	// Sweep order: the four original policies first, then the ones the
 	// Placer API made possible.
@@ -478,6 +478,7 @@ func init() {
 	mustRegister(grantAwarePlacer{})
 	mustRegister(costBoundedPlacer{})
 	mustRegister(metroAffinePlacer{})
+	BuiltinPlacerNames = PlacerNames()
 }
 
 // --- built-in placers ---

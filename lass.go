@@ -161,9 +161,9 @@ type FederationSiteResult = federation.SiteResult
 // PlacementContext, and the returned Decision serves it locally, at a peer
 // site, in the cloud, or rejects it (§3.4 admission). Implement Name and
 // Place, register with RegisterPlacer, and the policy becomes selectable
-// by name everywhere a built-in is — FederationConfig.Placer, the
-// experiment sweeps, and lass-sim -policy — without touching the
-// federation internals.
+// by name everywhere a built-in is — FederationConfig.Placer, a scenario
+// file's federation.placer key, and the experiment sweeps — without
+// touching the federation internals.
 type Placer = federation.Placer
 
 // PlacementContext exposes everything the federation knows about one
@@ -207,7 +207,7 @@ func PlaceReject() PlacementDecision { return federation.Reject() }
 // RegisterPlacer adds a custom placement policy to the name-keyed
 // registry. Registered placers are selectable via PlacerByName,
 // FederationConfig.Placer, and every federation sweep (one row set per
-// registered policy, lass-sim -policy included).
+// registered policy).
 func RegisterPlacer(p Placer) error { return federation.RegisterPlacer(p) }
 
 // PlacerByName returns the registered placement policy with the given
