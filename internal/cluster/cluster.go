@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -162,7 +163,7 @@ type Cluster struct {
 	nodes  []*Node
 	policy PlacementPolicy
 	nextID ContainerID
-	byFunc map[string]map[ContainerID]*Container
+	byFunc map[string][]*Container // live containers per function, ascending ID
 }
 
 // Config describes a cluster to build.
@@ -191,7 +192,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.CPUPerNode <= 0 || cfg.MemPerNode <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive node capacity (%d mC, %d MiB)", cfg.CPUPerNode, cfg.MemPerNode)
 	}
-	c := &Cluster{site: cfg.Site, policy: cfg.Policy, byFunc: make(map[string]map[ContainerID]*Container)}
+	c := &Cluster{site: cfg.Site, policy: cfg.Policy, byFunc: make(map[string][]*Container)}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.nodes = append(c.nodes, &Node{
 			ID:          i,
@@ -312,12 +313,7 @@ func (cl *Cluster) Place(function string, cpu, mem int64) (*Container, error) {
 	n.cpuUsed += cpu
 	n.memUsed += mem
 	n.containers[c.ID] = c
-	fn := cl.byFunc[function]
-	if fn == nil {
-		fn = make(map[ContainerID]*Container)
-		cl.byFunc[function] = fn
-	}
-	fn[c.ID] = c
+	cl.byFunc[function] = append(cl.byFunc[function], c) // IDs only grow
 	return c, nil
 }
 
@@ -345,12 +341,7 @@ func (cl *Cluster) PlaceDeflated(function string, cpuStandard, cpuCurrent, mem i
 	n.cpuUsed += cpuCurrent
 	n.memUsed += mem
 	n.containers[c.ID] = c
-	fn := cl.byFunc[function]
-	if fn == nil {
-		fn = make(map[ContainerID]*Container)
-		cl.byFunc[function] = fn
-	}
-	fn[c.ID] = c
+	cl.byFunc[function] = append(cl.byFunc[function], c) // IDs only grow
 	return c, nil
 }
 
@@ -392,7 +383,10 @@ func (cl *Cluster) Terminate(c *Container) error {
 	n.cpuUsed -= c.CPUCurrent
 	n.memUsed -= c.MemoryMiB
 	delete(n.containers, c.ID)
-	delete(cl.byFunc[c.Function], c.ID)
+	fn := cl.byFunc[c.Function]
+	if i, ok := slices.BinarySearchFunc(fn, c.ID, func(x *Container, id ContainerID) int { return cmp.Compare(x.ID, id) }); ok {
+		cl.byFunc[c.Function] = slices.Delete(fn, i, i+1)
+	}
 	c.state = Terminated
 	c.node = nil
 	return nil
@@ -428,30 +422,13 @@ func (cl *Cluster) ContainersOf(function string) []*Container {
 // AppendContainersOf appends the live containers of a function to dst in
 // ID order and returns the extended slice, allocating only when dst lacks
 // capacity. Hot-path callers pass a reused scratch buffer (dst[:0]) to
-// keep the per-epoch reconcile loops allocation-free; the appended run is
-// sorted on its own, so dst may already hold unrelated entries.
+// keep the per-epoch reconcile loops allocation-free.
 func (cl *Cluster) AppendContainersOf(function string, dst []*Container) []*Container {
-	start := len(dst)
-	for _, c := range cl.byFunc[function] {
-		dst = append(dst, c)
-	}
-	tail := dst[start:]
-	slices.SortFunc(tail, func(a, b *Container) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	return dst
+	return append(dst, cl.byFunc[function]...)
 }
 
-// EachContainerOf calls f for every live container of a function without
-// allocating. Iteration order is unspecified (it walks the internal map),
-// so callers must fold order-independent aggregates — anything
-// order-sensitive should use ContainersOf, which sorts by ID.
+// EachContainerOf calls f for every live container of a function in ID
+// order without allocating. f must not place or terminate containers.
 func (cl *Cluster) EachContainerOf(function string, f func(*Container)) {
 	for _, c := range cl.byFunc[function] {
 		f(c)

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -317,6 +319,94 @@ func TestContainersOfIDOrder(t *testing.T) {
 	for i := 1; i < len(cs); i++ {
 		if cs[i].ID <= cs[i-1].ID {
 			t.Fatal("not in ID order")
+		}
+	}
+}
+
+// TestContainerIndexMatchesOracle runs seeded Place / PlaceDeflated /
+// MarkRunning / MarkDraining / Revive / Resize / Terminate programs over
+// three functions and, after every operation, compares every per-function
+// read of the ID-ordered index with a map-plus-sort oracle.
+func TestContainerIndexMatchesOracle(t *testing.T) {
+	names := []string{"a", "b", "c", "none"}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := xrand.New(seed)
+		cl, err := New(Config{Nodes: 3, CPUPerNode: 4000, MemPerNode: 8192, Policy: PlacementPolicy(seed % 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := map[string]map[ContainerID]*Container{}
+		var all []*Container // every container ever placed, terminated included
+		for step := 0; step < 2000; step++ {
+			fn := names[rng.Intn(3)]
+			var pick *Container
+			if len(all) > 0 {
+				pick = all[rng.Intn(len(all))]
+			}
+			switch op := rng.Intn(7); {
+			case op <= 1:
+				cpu := int64(rng.Intn(1500) + 100)
+				var c *Container
+				if op == 0 {
+					c, err = cl.Place(fn, cpu, 64)
+				} else {
+					c, err = cl.PlaceDeflated(fn, cpu, cpu-int64(rng.Intn(int(cpu))), 64)
+				}
+				if err == nil {
+					all = append(all, c)
+					if oracle[fn] == nil {
+						oracle[fn] = map[ContainerID]*Container{}
+					}
+					oracle[fn][c.ID] = c
+				}
+			case pick == nil:
+			case op == 2:
+				cl.MarkRunning(pick)
+			case op == 3:
+				cl.MarkDraining(pick)
+			case op == 4:
+				cl.Revive(pick)
+			case op == 5:
+				cl.Resize(pick, int64(rng.Intn(int(pick.CPUStandard)))+1)
+			default:
+				if cl.Terminate(pick) == nil {
+					delete(oracle[pick.Function], pick.ID)
+				}
+			}
+			var live []string
+			for f, m := range oracle {
+				if len(m) > 0 {
+					live = append(live, f)
+				}
+			}
+			sort.Strings(live)
+			if got := cl.Functions(); !slices.Equal(got, live) {
+				t.Fatalf("seed %d step %d: Functions=%v, oracle %v", seed, step, got, live)
+			}
+			for _, f := range names {
+				var want []*Container
+				var cpu int64
+				for _, c := range oracle[f] {
+					want = append(want, c)
+					cpu += c.CPUCurrent
+				}
+				sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+				prefix := []*Container{nil}
+				if got := cl.AppendContainersOf(f, prefix); got[0] != nil || !slices.Equal(got[1:], want) {
+					t.Fatalf("seed %d step %d: AppendContainersOf(%s) differs from the oracle", seed, step, f)
+				}
+				if got := cl.ContainersOf(f); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: ContainersOf(%s) differs from the oracle", seed, step, f)
+				}
+				var walked []*Container
+				cl.EachContainerOf(f, func(c *Container) { walked = append(walked, c) })
+				if !slices.Equal(walked, want) {
+					t.Fatalf("seed %d step %d: EachContainerOf(%s) differs from the oracle", seed, step, f)
+				}
+				if got := cl.CPUOf(f); got != cpu {
+					t.Fatalf("seed %d step %d: CPUOf(%s)=%d, oracle %d", seed, step, f, got, cpu)
+				}
+			}
 		}
 	}
 }

@@ -26,35 +26,54 @@ func DefaultDualWindow() DualWindowConfig {
 }
 
 // DualWindow estimates a function's arrival rate from per-second arrival
-// counts kept in a ring buffer covering the long window.
+// counts kept in a ring buffer covering the long window. Only complete
+// seconds are counted: including the currently-filling bucket would dilute
+// the rate by a partial interval.
+//
+// Known off-by-one, kept on purpose: the ring holds Long/1s buckets
+// including the one still filling, so once the run is older than the long
+// window Rate divides Long/1s − 1 complete seconds of counts by Long/1s
+// (with the default windows a steady 1/s stream reads 119/120 ≈ 0.99167).
+// Fixing it moves every simulated number, so it is left for a change that
+// re-pins them.
 type DualWindow struct {
-	cfg     DualWindowConfig
-	buckets []float64
-	head    int64 // absolute second index of buckets[headPos]
-	headPos int
-	started bool
-	first   int64 // absolute second of the first recorded/observed instant
+	cfg       DualWindowConfig
+	buckets   []float64
+	shortSecs int
+	head      int64 // absolute second index of buckets[headPos]
+	headPos   int
+	started   bool
+	first     int64 // absolute second of the first recorded/observed instant
+	// shortSum and longSum are running totals of the shortSecs and
+	// len(buckets)-1 most recent complete seconds. The buckets hold integer
+	// counts, so adding a second as it completes and subtracting it as it
+	// leaves is exact in float64 and equals re-summing the window.
+	shortSum, longSum float64
 }
 
-// NewDualWindow builds the estimator.
+// NewDualWindow builds the estimator. Both windows must be whole seconds:
+// the buckets are one second wide.
 func NewDualWindow(cfg DualWindowConfig) (*DualWindow, error) {
 	if cfg.Short <= 0 || cfg.Long <= 0 || cfg.Short >= cfg.Long {
 		return nil, fmt.Errorf("controller: invalid windows short=%v long=%v", cfg.Short, cfg.Long)
 	}
+	if cfg.Short%time.Second != 0 {
+		return nil, fmt.Errorf("controller: Short window %v is not a whole number of seconds", cfg.Short)
+	}
+	if cfg.Long%time.Second != 0 {
+		return nil, fmt.Errorf("controller: Long window %v is not a whole number of seconds", cfg.Long)
+	}
 	if cfg.BurstFactor <= 1 {
 		return nil, fmt.Errorf("controller: burst factor %v must exceed 1", cfg.BurstFactor)
 	}
-	n := int(cfg.Long / time.Second)
-	if cfg.Long%time.Second != 0 {
-		n++
-	}
-	return &DualWindow{cfg: cfg, buckets: make([]float64, n)}, nil
+	return &DualWindow{cfg: cfg, buckets: make([]float64, cfg.Long/time.Second), shortSecs: int(cfg.Short / time.Second)}, nil
 }
 
 func secOf(t time.Duration) int64 { return int64(t / time.Second) }
 
 // advance rolls the ring forward to the bucket containing now, zeroing
-// skipped seconds.
+// skipped seconds and moving each one through the running sums as it
+// completes and as it leaves each window.
 func (d *DualWindow) advance(now time.Duration) {
 	sec := secOf(now)
 	if !d.started {
@@ -63,9 +82,13 @@ func (d *DualWindow) advance(now time.Duration) {
 		d.head = sec
 		return
 	}
+	n := len(d.buckets)
 	for d.head < sec {
+		done := d.buckets[d.headPos]
 		d.head++
-		d.headPos = (d.headPos + 1) % len(d.buckets)
+		d.headPos = (d.headPos + 1) % n
+		d.shortSum += done - d.buckets[(d.headPos+n-d.shortSecs-1)%n]
+		d.longSum += done - d.buckets[d.headPos]
 		d.buckets[d.headPos] = 0
 	}
 }
@@ -75,28 +98,6 @@ func (d *DualWindow) advance(now time.Duration) {
 func (d *DualWindow) RecordArrival(now time.Duration) {
 	d.advance(now)
 	d.buckets[d.headPos]++
-}
-
-// sumCompleted sums the n most recent *complete* seconds of counts,
-// excluding the currently-filling second: including a just-started bucket
-// would dilute the rate by a partial interval.
-func (d *DualWindow) sumCompleted(n int) float64 {
-	if n > len(d.buckets)-1 {
-		n = len(d.buckets) - 1
-	}
-	var s float64
-	pos := d.headPos - 1
-	if pos < 0 {
-		pos = len(d.buckets) - 1
-	}
-	for i := 0; i < n; i++ {
-		s += d.buckets[pos]
-		pos--
-		if pos < 0 {
-			pos = len(d.buckets) - 1
-		}
-	}
-	return s
 }
 
 // Rate returns the estimated arrival rate (req/s) at time now and whether
@@ -109,18 +110,10 @@ func (d *DualWindow) Rate(now time.Duration) (rate float64, burst bool) {
 		// Sub-second history: the current bucket is all there is.
 		return d.buckets[d.headPos], false
 	}
-	shortSecs := int(d.cfg.Short / time.Second)
-	longSecs := int(d.cfg.Long / time.Second)
-	effShort := shortSecs
-	if int64(effShort) > completed {
-		effShort = int(completed)
-	}
-	effLong := longSecs
-	if int64(effLong) > completed {
-		effLong = int(completed)
-	}
-	shortRate := d.sumCompleted(effShort) / float64(effShort)
-	longRate := d.sumCompleted(effLong) / float64(effLong)
+	// Seconds before the first are empty buckets, so the running sums are
+	// already the sums over the observed seconds.
+	shortRate := d.shortSum / float64(min(int64(d.shortSecs), completed))
+	longRate := d.longSum / float64(min(int64(len(d.buckets)), completed))
 	if longRate > 0 && shortRate >= d.cfg.BurstFactor*longRate {
 		return shortRate, true
 	}

@@ -2,8 +2,11 @@ package controller
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"lass/internal/xrand"
 )
 
 func TestDualWindowValidation(t *testing.T) {
@@ -15,6 +18,150 @@ func TestDualWindowValidation(t *testing.T) {
 	}
 	if _, err := NewDualWindow(DualWindowConfig{Short: time.Second, Long: time.Minute, BurstFactor: 1}); err == nil {
 		t.Error("want error for burst factor <= 1")
+	}
+	// One-second buckets: a sub-second short window would divide 0 by 0
+	// and silently switch burst detection off.
+	for _, c := range []struct {
+		cfg   DualWindowConfig
+		field string
+	}{
+		{DualWindowConfig{Short: 500 * time.Millisecond, Long: time.Minute, BurstFactor: 2}, "Short"},
+		{DualWindowConfig{Short: 2500 * time.Millisecond, Long: time.Minute, BurstFactor: 2}, "Short"},
+		{DualWindowConfig{Short: 2 * time.Second, Long: 10500 * time.Millisecond, BurstFactor: 2}, "Long"},
+	} {
+		_, err := NewDualWindow(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: err=%v, want one naming %s", c.cfg, err, c.field)
+		}
+	}
+}
+
+// sumCompleted is the loop form of the running sums: the n most recent
+// complete seconds of counts, re-summed from the ring.
+func (d *DualWindow) sumCompleted(n int) float64 {
+	if n > len(d.buckets)-1 {
+		n = len(d.buckets) - 1
+	}
+	var s float64
+	pos := d.headPos - 1
+	if pos < 0 {
+		pos = len(d.buckets) - 1
+	}
+	for i := 0; i < n; i++ {
+		s += d.buckets[pos]
+		pos--
+		if pos < 0 {
+			pos = len(d.buckets) - 1
+		}
+	}
+	return s
+}
+
+// loopRate is Rate recomputed from the ring with sumCompleted.
+func (d *DualWindow) loopRate(now time.Duration) (float64, bool) {
+	d.advance(now)
+	completed := d.head - d.first
+	if completed < 1 {
+		return d.buckets[d.headPos], false
+	}
+	effShort := min(int(d.cfg.Short/time.Second), int(completed))
+	effLong := min(int(d.cfg.Long/time.Second), int(completed))
+	shortRate := d.sumCompleted(effShort) / float64(effShort)
+	longRate := d.sumCompleted(effLong) / float64(effLong)
+	if longRate > 0 && shortRate >= d.cfg.BurstFactor*longRate {
+		return shortRate, true
+	}
+	return longRate, false
+}
+
+// driveDualWindow interprets prog as one op per byte — low two bits pick the
+// op, the high six its argument — starting at start: a burst of arg+1
+// arrivals at the current instant, a step of arg×20 ms, a step of
+// arg×250 ms, or a gap of (arg+1)/32 of the long window (past it from
+// arg 32 on). After every op Rate must equal the loop oracle bit for bit.
+func driveDualWindow(t testing.TB, cfg DualWindowConfig, start time.Duration, prog []byte) {
+	t.Helper()
+	if len(prog) > 4096 {
+		prog = prog[:4096]
+	}
+	d, err := NewDualWindow(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := start
+	for step, b := range prog {
+		arg := time.Duration(b >> 2)
+		switch b & 3 {
+		case 0:
+			for i := time.Duration(0); i <= arg; i++ {
+				d.RecordArrival(now)
+			}
+		case 1:
+			now += arg * 20 * time.Millisecond
+		case 2:
+			now += arg * 250 * time.Millisecond
+		case 3:
+			now += (arg + 1) * cfg.Long / 32
+		}
+		wantRate, wantBurst := d.loopRate(now)
+		rate, burst := d.Rate(now)
+		if math.Float64bits(rate) != math.Float64bits(wantRate) || burst != wantBurst {
+			t.Fatalf("%+v start=%v step %d (op %#02x) at %v: Rate=(%v, %v), loop=(%v, %v)",
+				cfg, start, step, b, now, rate, burst, wantRate, wantBurst)
+		}
+	}
+}
+
+// TestDualWindowRunningSumsMatchLoop runs seeded programs — mostly arrivals
+// and short steps, with bursts and gaps longer than the long window mixed
+// in — over window shapes from 1 s/2 s to the paper's 10 s/2 min, each from
+// a sub-second and a whole-second start, so the early period where fewer
+// seconds have completed than either window holds is covered too.
+func TestDualWindowRunningSumsMatchLoop(t *testing.T) {
+	shapes := [][2]time.Duration{{1, 2}, {2, 10}, {5, 60}, {10, 120}, {119, 120}}
+	for i, sh := range shapes {
+		cfg := DualWindowConfig{Short: sh[0] * time.Second, Long: sh[1] * time.Second, BurstFactor: 2}
+		for _, start := range []time.Duration{0, 300 * time.Millisecond, 7*time.Second + 999*time.Millisecond} {
+			rng := xrand.New(uint64(i) + 1)
+			prog := make([]byte, 4096)
+			for j := range prog {
+				op := 0
+				switch r := rng.Intn(100); {
+				case r >= 97:
+					op = 3
+				case r >= 85:
+					op = 2
+				case r >= 50:
+					op = 1
+				}
+				prog[j] = byte(rng.Intn(64))<<2 | byte(op)
+			}
+			driveDualWindow(t, cfg, start, prog)
+		}
+	}
+}
+
+// FuzzDualWindow is the same differential check over fuzzer-chosen window
+// shapes, start instants and programs; testdata/fuzz/FuzzDualWindow holds
+// the seed corpus.
+func FuzzDualWindow(f *testing.F) {
+	f.Add(uint8(9), uint8(109), uint16(300), []byte{0x00, 0x15, 0x00, 0x15, 0x12, 0xfc, 0x12, 0xff, 0x00, 0x12})
+	f.Fuzz(func(t *testing.T, short, long uint8, startMs uint16, prog []byte) {
+		cfg := DualWindowConfig{Short: time.Duration(1+short%20) * time.Second, BurstFactor: 2}
+		cfg.Long = cfg.Short + time.Duration(1+long%140)*time.Second
+		driveDualWindow(t, cfg, time.Duration(startMs)*time.Millisecond, prog)
+	})
+}
+
+// TestDualWindowLongWindowOffByOne pins the documented off-by-one: past the
+// long window, Rate divides Long/1s − 1 complete seconds by Long/1s.
+func TestDualWindowLongWindowOffByOne(t *testing.T) {
+	d, _ := NewDualWindow(DefaultDualWindow())
+	for s := 0; s < 300; s++ {
+		d.RecordArrival(time.Duration(s) * time.Second)
+	}
+	if rate, burst := d.Rate(300 * time.Second); rate != 119.0/120 || burst {
+		t.Errorf("steady 1/s reads (%v, %v), want (119/120, false)", rate, burst)
 	}
 }
 

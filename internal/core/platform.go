@@ -44,9 +44,6 @@ type Config struct {
 	Seed       uint64
 	Users      map[string]float64 // namespace weights (§5)
 	Functions  []FunctionConfig
-	// RecordEvery is the sampling interval for allocation/utilization
-	// time series (default: the controller's evaluation interval).
-	RecordEvery time.Duration
 	// DisableController freezes allocations after prewarm — used by the
 	// model-validation experiments that measure a fixed pool (Fig 3).
 	DisableController bool
@@ -94,7 +91,7 @@ type Platform struct {
 
 	cfg     Config
 	rng     *xrand.Rand
-	results map[string]*FunctionResult
+	results []tracked // registration order
 	utilTWA *metrics.TimeWeightedAverage
 	utilTS  *metrics.Series
 	runErr  error
@@ -116,7 +113,6 @@ func New(cfg Config) (*Platform, error) {
 		Queues:  make(map[string]*dispatch.Queue),
 		cfg:     cfg,
 		rng:     xrand.New(cfg.Seed ^ 0x1a55),
-		results: make(map[string]*FunctionResult),
 		utilTWA: metrics.NewTimeWeightedAverage(),
 		utilTS:  metrics.NewSeries("utilization"),
 	}
@@ -171,13 +167,13 @@ func New(cfg Config) (*Platform, error) {
 		}
 		q.TimeLimit = fc.TimeLimit
 		p.Queues[fc.Spec.Name] = q
-		p.results[fc.Spec.Name] = &FunctionResult{
+		p.results = append(p.results, tracked{fn: f, res: &FunctionResult{
 			Name:       fc.Spec.Name,
 			Containers: metrics.NewSeries(fc.Spec.Name + "/containers"),
 			CPU:        metrics.NewSeries(fc.Spec.Name + "/cpu"),
 			LambdaHat:  metrics.NewSeries(fc.Spec.Name + "/lambda"),
 			Desired:    metrics.NewSeries(fc.Spec.Name + "/desired"),
-		}
+		}})
 	}
 	// Prewarm pools before the run starts.
 	for _, fc := range cfg.Functions {
@@ -188,6 +184,13 @@ func New(cfg Config) (*Platform, error) {
 		}
 	}
 	return p, nil
+}
+
+// tracked pairs a registered function's result with its controller state,
+// so record needs no map walk or name lookup.
+type tracked struct {
+	res *FunctionResult
+	fn  *controller.Function
 }
 
 // arrivalBatch is how many upcoming arrival times a stream pre-generates
@@ -245,7 +248,7 @@ func (s *arrivalStream) armNext() {
 }
 
 // startArrivals launches the Poisson arrival stream for one function.
-func (p *Platform) startArrivals(fc FunctionConfig) {
+func (p *Platform) startArrivals(fc FunctionConfig, res *FunctionResult) {
 	if fc.Workload == nil {
 		return
 	}
@@ -254,7 +257,7 @@ func (p *Platform) startArrivals(fc FunctionConfig) {
 		p:    p,
 		arr:  workload.NewArrivals(fc.Workload, p.rng.Fork()),
 		name: name,
-		res:  p.results[name],
+		res:  res,
 		q:    p.Queues[name],
 	}
 	s.fireFn = s.fire
@@ -271,51 +274,44 @@ func (p *Platform) record() {
 	util := p.Cluster.CPUUtilization()
 	p.utilTWA.Set(now, util)
 	p.utilTS.Record(now, util)
-	for name, res := range p.results {
+	for _, t := range p.results {
 		live := 0
 		var cpu int64
-		// Count and sum are order-independent, so the unordered
-		// allocation-free walk is safe here.
-		p.Cluster.EachContainerOf(name, func(c *cluster.Container) {
+		p.Cluster.EachContainerOf(t.res.Name, func(c *cluster.Container) {
 			if c.State() == cluster.Starting || c.State() == cluster.Running {
 				live++
 				cpu += c.CPUCurrent
 			}
 		})
-		res.Containers.Record(now, float64(live))
-		res.CPU.Record(now, float64(cpu))
-		if f, ok := p.Controller.Function(name); ok {
-			res.LambdaHat.Record(now, f.LambdaHat)
-			res.Desired.Record(now, float64(f.Desired))
-		}
+		t.res.Containers.Record(now, float64(live))
+		t.res.CPU.Record(now, float64(cpu))
+		t.res.LambdaHat.Record(now, t.fn.LambdaHat)
+		t.res.Desired.Record(now, float64(t.fn.Desired))
 	}
 }
 
-// Start installs the platform's arrival chains, controller epochs, and
-// metric sampling on its engine without running it. Standalone runs use
-// Run; the federation layer Starts each edge-site platform on a shared
-// engine, drives the engine itself, and then Collects per-site results.
-func (p *Platform) Start() {
-	for _, fc := range p.cfg.Functions {
-		p.startArrivals(fc)
-	}
-	if !p.cfg.DisableController {
-		interval := p.Controller.Config().EvalInterval
-		p.Engine.Every(interval, func() {
-			if p.runErr != nil {
-				return
-			}
-			if err := p.Controller.Step(); err != nil {
-				p.runErr = err
-			}
-		})
-	}
-	recordEvery := p.cfg.RecordEvery
-	if recordEvery == 0 {
-		recordEvery = p.Controller.Config().EvalInterval
+// tick is the platform's one periodic event: a controller epoch (unless the
+// controller is disabled or the run has failed), then a sample of the
+// series at the same instant.
+func (p *Platform) tick() {
+	if !p.cfg.DisableController && p.runErr == nil {
+		if err := p.Controller.Step(); err != nil {
+			p.runErr = err
+		}
 	}
 	p.record()
-	p.Engine.Every(recordEvery, p.record)
+}
+
+// Start installs the platform's arrival chains and its controller tick on
+// its engine without running it. Standalone runs use Run; the federation
+// layer Starts each edge-site platform on a shared engine, drives the
+// engine itself, and then Collects per-site results.
+func (p *Platform) Start() {
+	for i, fc := range p.cfg.Functions {
+		p.startArrivals(fc, p.results[i].res)
+	}
+	p.record()
+	p.Engine.Every(p.Controller.Config().EvalInterval, p.tick)
 }
 
 // Run simulates the platform for the given duration, which must be
@@ -344,8 +340,9 @@ func (p *Platform) Collect(duration time.Duration) (*Result, error) {
 		ControllerOps:  p.Controller.Stats(),
 		LargestFreeEnd: p.Cluster.LargestFreeCPU(),
 	}
-	for name, r := range p.results {
-		q := p.Queues[name]
+	for _, t := range p.results {
+		r := t.res
+		q := p.Queues[r.Name]
 		r.Waits = q.Waits
 		r.Responses = q.Responses
 		r.SLO = q.SLO
@@ -354,7 +351,7 @@ func (p *Platform) Collect(duration time.Duration) (*Result, error) {
 		r.TimedOut = q.TimedOut()
 		r.Offloaded = q.Offloaded()
 		r.Rejected = q.Rejected()
-		res.Functions[name] = r
+		res.Functions[r.Name] = r
 	}
 	return res, nil
 }

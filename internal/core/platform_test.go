@@ -294,3 +294,43 @@ func TestArrivalsCounted(t *testing.T) {
 		t.Errorf("controller's final rate estimate %.1f too low", fr.LambdaHat.Last())
 	}
 }
+
+// TestOnePeriodicEventPerEpoch is a host-independent floor on the
+// platform's fixed cost: with no workload, a run of D fires one periodic
+// event per evaluation interval — the controller step and the series sample
+// share it — plus one cold-start event per container created, with the
+// controller on or off.
+func TestOnePeriodicEventPerEpoch(t *testing.T) {
+	const d = 10 * time.Minute
+	for _, disabled := range []bool{true, false} {
+		spec := functions.MicroBenchmark(100 * time.Millisecond)
+		p, err := New(Config{
+			Cluster:           cluster.PaperCluster(),
+			Controller:        controller.Config{EvalInterval: 5 * time.Second, MinContainers: 3},
+			Functions:         []FunctionConfig{{Spec: spec, Prewarm: 2}},
+			DisableController: disabled,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		creations := res.ControllerOps.Creations
+		if want := uint64(d/(5*time.Second)) + creations; p.Engine.Fired() != want {
+			t.Errorf("DisableController=%v: fired %d events, want %d (one per epoch + %d cold starts)",
+				disabled, p.Engine.Fired(), want, creations)
+		}
+		wantCreations := uint64(3) // MinContainers tops the prewarmed pair up
+		if disabled {
+			wantCreations = 2
+		}
+		if creations != wantCreations {
+			t.Errorf("DisableController=%v: %d creations, want %d", disabled, creations, wantCreations)
+		}
+		if n := len(res.Functions[spec.Name].Containers.Points); n != int(d/(5*time.Second))+2 {
+			t.Errorf("DisableController=%v: %d container samples, want one per epoch plus start and end", disabled, n)
+		}
+	}
+}
