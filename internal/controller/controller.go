@@ -41,44 +41,42 @@ func (p ReclamationPolicy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
+// The paper's fixed constants. Every caller runs them, so they are not
+// configuration.
+const (
+	// ewmaAlpha is the weight of the newest epoch in the rate EWMA.
+	ewmaAlpha = 0.6
+	// deflationThreshold is τ, the maximum fraction of a container's CPU
+	// that deflation may reclaim (§4.2 sets it "conservatively (e.g.,
+	// τ = 30%)").
+	deflationThreshold = 0.30
+	// deflationIncrement is the per-iteration deflation step as a fraction
+	// of the standard size ("in small increments").
+	deflationIncrement = 0.05
+	// drainTTL is how long an over-provisioned container stays in the
+	// lazily-reclaimed Draining state before being terminated outright.
+	drainTTL = 60 * time.Second
+)
+
+// DefaultSLO is the latency objective of every function registered without
+// one: §6.1's "95th of waiting time should be under 100 ms".
+func DefaultSLO() queuing.SLO {
+	return queuing.SLO{Deadline: 100 * time.Millisecond, Percentile: 0.95, WaitingOnly: true}
+}
+
 // Config holds the controller's tunables. Zero values are replaced by the
 // paper's defaults (see Default).
 type Config struct {
-	// SLO is the default latency objective for registered functions:
-	// §6.1 uses "95th of waiting time should be under 100 ms".
-	SLO queuing.SLO
 	// EvalInterval is how often the allocation step runs; §5 evaluates
 	// the windows every 5 seconds.
 	EvalInterval time.Duration
-	// EWMAAlpha is the weight of the newest epoch in the rate EWMA.
-	EWMAAlpha float64
 	// Windows configures the dual sliding-window estimator.
 	Windows DualWindowConfig
-	// DeflationThreshold is τ, the maximum fraction of a container's CPU
-	// that deflation may reclaim (§4.2 sets it "conservatively (e.g.,
-	// τ = 30%)").
-	DeflationThreshold float64
-	// DeflationIncrement is the per-iteration deflation step as a
-	// fraction of the standard size ("in small increments").
-	DeflationIncrement float64
 	// Policy selects the overload reclamation policy.
 	Policy ReclamationPolicy
 	// MinContainers keeps at least this many containers per function
 	// even when the model wants fewer.
 	MinContainers int
-	// DrainTTL is how long an over-provisioned container stays in the
-	// lazily-reclaimed Draining state before being terminated outright.
-	DrainTTL time.Duration
-	// UncappedFairShare disables the water-filling refinement that never
-	// hands an overloaded function more than its model-computed desire
-	// (see fairshare.AdjustCapped). The zero value is the paper default
-	// (capped, §4.1), so partial Configs keep the documented behaviour;
-	// uncapped shares are an explicit opt-in.
-	UncappedFairShare bool
-	// UseLearnedRates makes the model consume the online service-time
-	// learner's μ estimates instead of the registered spec (§5's online
-	// learning mode) once enough observations exist.
-	UseLearnedRates bool
 	// NoInflateOnSlack disables restoring deflated containers to their
 	// standard size when resource pressure ends. The Fig 4 model
 	// -validation experiment needs manually deflated containers to stay
@@ -87,58 +85,25 @@ type Config struct {
 	// NoBurstDetection ignores the short-window burst signal and always
 	// uses the EWMA-smoothed long-window rate — the estimator ablation.
 	NoBurstDetection bool
-	// OfferedLoadDemand makes the ingress feed *offered* load — including
-	// requests a federation placement layer sheds to peers or the cloud —
-	// into this controller's arrival-rate estimator even under
-	// per-site-local allocation. Without it the estimator sees only kept
-	// arrivals, so a steadily-shedding origin's overload signal
-	// oscillates: shed load vanishes from the arrival stream, headroom
-	// recovers, shedding stops, and the overload returns. The federation
-	// layer reads this knob at its offload hook (the global fair-share
-	// allocator always accounts offered load, knob or not); standalone
-	// single-cluster platforms have no shedding path, so they are
-	// unaffected.
-	OfferedLoadDemand bool
 }
 
 // Default returns the paper-faithful configuration.
 func Default() Config {
 	return Config{
-		SLO:                queuing.SLO{Deadline: 100 * time.Millisecond, Percentile: 0.95, WaitingOnly: true},
-		EvalInterval:       5 * time.Second,
-		EWMAAlpha:          0.6,
-		Windows:            DefaultDualWindow(),
-		DeflationThreshold: 0.30,
-		DeflationIncrement: 0.05,
-		Policy:             Deflation,
-		MinContainers:      0,
-		DrainTTL:           60 * time.Second,
-		UncappedFairShare:  false, // capped water-filling (§4.1)
+		EvalInterval:  5 * time.Second,
+		Windows:       DefaultDualWindow(),
+		Policy:        Deflation,
+		MinContainers: 0,
 	}
 }
 
 func (c *Config) fillDefaults() {
 	d := Default()
-	if c.SLO.Deadline == 0 {
-		c.SLO = d.SLO
-	}
 	if c.EvalInterval == 0 {
 		c.EvalInterval = d.EvalInterval
 	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = d.EWMAAlpha
-	}
 	if c.Windows.Short == 0 {
 		c.Windows = d.Windows
-	}
-	if c.DeflationThreshold == 0 {
-		c.DeflationThreshold = d.DeflationThreshold
-	}
-	if c.DeflationIncrement == 0 {
-		c.DeflationIncrement = d.DeflationIncrement
-	}
-	if c.DrainTTL == 0 {
-		c.DrainTTL = d.DrainTTL
 	}
 	if c.Policy == DefaultPolicy {
 		c.Policy = d.Policy
@@ -181,7 +146,6 @@ type Function struct {
 
 	estimator *DualWindow
 	smoother  *EWMA
-	learner   *functions.Learner
 	predictor Predictor
 
 	// LambdaHat is the rate estimate used by the most recent Step.
@@ -202,10 +166,6 @@ type Function struct {
 	sizeHint int
 	hetHint  int
 }
-
-// Learner exposes the function's online service-time learner so the host
-// can feed completions into it.
-func (f *Function) Learner() *functions.Learner { return f.learner }
 
 // Stats are the controller's cumulative action counters.
 type Stats struct {
@@ -263,12 +223,6 @@ func New(cfg Config, cl *cluster.Cluster, hooks Hooks) (*Controller, error) {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	if cfg.DeflationThreshold < 0 || cfg.DeflationThreshold >= 1 {
-		return nil, fmt.Errorf("controller: deflation threshold %v out of [0,1)", cfg.DeflationThreshold)
-	}
-	if cfg.DeflationIncrement <= 0 || cfg.DeflationIncrement > 1 {
-		return nil, fmt.Errorf("controller: deflation increment %v out of (0,1]", cfg.DeflationIncrement)
-	}
 	return &Controller{
 		cfg:           cfg,
 		cluster:       cl,
@@ -324,7 +278,7 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 		weight = spec.Weight
 	}
 	if slo.Deadline == 0 {
-		slo = ctl.cfg.SLO
+		slo = DefaultSLO()
 	}
 	if user != "" {
 		if _, ok := ctl.users[user]; !ok {
@@ -335,11 +289,7 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 	if err != nil {
 		return nil, err
 	}
-	sm, err := NewEWMA(ctl.cfg.EWMAAlpha)
-	if err != nil {
-		return nil, err
-	}
-	learner, err := functions.NewLearner(0.05)
+	sm, err := NewEWMA(ewmaAlpha)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +300,6 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 		User:      user,
 		estimator: est,
 		smoother:  sm,
-		learner:   learner,
 	}
 	ctl.funcs[spec.Name] = f
 	ctl.order = append(ctl.order, spec.Name)
@@ -374,18 +323,6 @@ func (ctl *Controller) RecordArrival(function string) {
 	if f, ok := ctl.funcs[function]; ok {
 		f.estimator.RecordArrival(ctl.hooks.Now())
 	}
-}
-
-// serviceRate returns the μ the model should use for fn's standard
-// container: the learned estimate when configured and available, otherwise
-// the spec.
-func (ctl *Controller) serviceRate(f *Function) float64 {
-	if ctl.cfg.UseLearnedRates {
-		if mu, ok := f.learner.Rate(1.0); ok && f.learner.Observations() >= 20 {
-			return mu
-		}
-	}
-	return f.Spec.ServiceRate()
 }
 
 // liveContainers returns fn's containers that count toward its allocation
@@ -433,7 +370,7 @@ func liveCPU(cs []*cluster.Container) int64 {
 // on the homogeneous model, switching to the Alves heterogeneous bound
 // when the function's pool contains deflated containers (§3.2-§3.3).
 func (ctl *Controller) desiredContainers(f *Function, lambda float64) (int, error) {
-	mu := ctl.serviceRate(f)
+	mu := f.Spec.ServiceRate()
 	live := ctl.liveContainers(f.Spec.Name)
 	heterogeneous := false
 	for _, c := range live {
@@ -863,13 +800,7 @@ func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (m
 		}
 	}
 	if !hierarchical {
-		var allocs []fairshare.Allocation
-		var err error
-		if ctl.cfg.UncappedFairShare {
-			allocs, err = fairshare.Adjust(demands, capacity)
-		} else {
-			allocs, err = fairshare.AdjustCapped(demands, capacity)
-		}
+		allocs, err := fairshare.AdjustCapped(demands, capacity)
 		if err != nil {
 			return nil, err
 		}
@@ -908,15 +839,15 @@ func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (m
 			Desired: demandOf[name],
 		})
 	}
-	return fairshare.AllocateTree(root, capacity, !ctl.cfg.UncappedFairShare)
+	return fairshare.AllocateTree(root, capacity, true)
 }
 
-// expireDrained terminates Draining containers older than DrainTTL.
+// expireDrained terminates Draining containers older than drainTTL.
 func (ctl *Controller) expireDrained(now time.Duration) {
 	for _, name := range ctl.order {
 		for _, c := range ctl.drainingContainers(name) {
 			at, ok := ctl.drained[c.ID]
-			if ok && now-at >= ctl.cfg.DrainTTL {
+			if ok && now-at >= drainTTL {
 				ctl.terminate(c)
 			}
 		}

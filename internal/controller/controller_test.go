@@ -105,12 +105,6 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}, cl, Hooks{}); err == nil {
 		t.Error("want error for missing hooks")
 	}
-	if _, err := New(Config{DeflationThreshold: 1.5}, cl, hooks); err == nil {
-		t.Error("want error for threshold out of range")
-	}
-	if _, err := New(Config{DeflationIncrement: -0.1}, cl, hooks); err == nil {
-		t.Error("want error for negative increment")
-	}
 }
 
 func TestRegisterValidation(t *testing.T) {
@@ -154,7 +148,7 @@ func TestScaleUpOnLoad(t *testing.T) {
 	if f.LambdaHat < 25 || f.LambdaHat > 35 {
 		t.Fatalf("lambdaHat=%v want ~30", f.LambdaHat)
 	}
-	want, err := queuing.MinimalContainers(f.LambdaHat, 10, h.ctl.cfg.SLO)
+	want, err := queuing.MinimalContainers(f.LambdaHat, 10, DefaultSLO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +164,7 @@ func TestScaleUpOnLoad(t *testing.T) {
 }
 
 func TestScaleDownMarksDrainingThenExpires(t *testing.T) {
-	cfg := Config{DrainTTL: 30 * time.Second}
-	h := newHarness(t, cfg, cluster.PaperCluster())
+	h := newHarness(t, Config{}, cluster.PaperCluster())
 	spec := functions.MicroBenchmark(100 * time.Millisecond)
 	h.ctl.Register(spec, "", 1, queuing.SLO{})
 
@@ -204,7 +197,7 @@ func TestScaleDownMarksDrainingThenExpires(t *testing.T) {
 	}
 
 	// After the TTL, the next step reaps them.
-	h.now += cfg.DrainTTL + time.Second
+	h.now += drainTTL + time.Second
 	h.step()
 	if n := h.cl.LiveContainers(); n != 0 {
 		t.Errorf("containers after TTL=%d want 0", n)
@@ -215,7 +208,7 @@ func TestScaleDownMarksDrainingThenExpires(t *testing.T) {
 }
 
 func TestDrainingContainersAreRevivedOnLoadReturn(t *testing.T) {
-	h := newHarness(t, Config{DrainTTL: 10 * time.Minute}, cluster.PaperCluster())
+	h := newHarness(t, Config{}, cluster.PaperCluster())
 	spec := functions.MicroBenchmark(100 * time.Millisecond)
 	h.ctl.Register(spec, "", 1, queuing.SLO{})
 
@@ -274,26 +267,23 @@ func TestMinContainersFloor(t *testing.T) {
 
 // TestPartialConfigAppliesDocumentedDefaults is the regression for the
 // silent-Termination bug: a Config that sets only unrelated fields must
-// still resolve to the paper defaults — Deflation reclamation and capped
-// fair share — exactly as the Config doc promises. Termination and
-// uncapped shares remain available, but only as explicit opt-ins.
+// still resolve to the paper defaults — Deflation reclamation, 5s epochs
+// and the dual 10s/2min windows — exactly as the Config doc promises.
+// Termination remains available, but only as an explicit opt-in.
 func TestPartialConfigAppliesDocumentedDefaults(t *testing.T) {
 	h := newHarness(t, Config{MinContainers: 1}, cluster.PaperCluster())
 	cfg := h.ctl.Config()
-	if cfg.Policy != Deflation {
-		t.Errorf("partial config resolved Policy=%v, want Deflation", cfg.Policy)
-	}
-	if cfg.UncappedFairShare {
-		t.Error("partial config resolved to uncapped fair share; capped is the default")
-	}
 	d := Default()
-	if d.Policy != Deflation || d.UncappedFairShare {
+	if cfg.Policy != Deflation || cfg.EvalInterval != d.EvalInterval || cfg.Windows != d.Windows {
+		t.Errorf("partial config resolved to %+v, want the defaults of %+v", cfg, d)
+	}
+	if d.Policy != Deflation || d.EvalInterval != 5*time.Second {
 		t.Errorf("Default() = %+v no longer paper-faithful", d)
 	}
-	// Explicit opt-ins survive default filling.
-	h2 := newHarness(t, Config{Policy: Termination, UncappedFairShare: true}, cluster.PaperCluster())
-	if got := h2.ctl.Config(); got.Policy != Termination || !got.UncappedFairShare {
-		t.Errorf("explicit Termination/uncapped overwritten: %+v", got)
+	// An explicit opt-in survives default filling.
+	h2 := newHarness(t, Config{Policy: Termination}, cluster.PaperCluster())
+	if got := h2.ctl.Config(); got.Policy != Termination {
+		t.Errorf("explicit Termination overwritten: %+v", got)
 	}
 }
 
@@ -405,7 +395,7 @@ func TestOverloadDeflationPolicyKeepsMoreContainers(t *testing.T) {
 }
 
 func TestDeflationRespectsThreshold(t *testing.T) {
-	h := newHarness(t, Config{Policy: Deflation, DeflationThreshold: 0.30}, cluster.PaperCluster())
+	h := newHarness(t, Config{Policy: Deflation}, cluster.PaperCluster())
 	mb := functions.MicroBenchmark(100 * time.Millisecond)
 	mobile := mustSpec(t, "mobilenet-v2")
 	h.ctl.Register(mb, "", 1, queuing.SLO{})
@@ -424,7 +414,7 @@ func TestDeflationRespectsThreshold(t *testing.T) {
 	h.now = end
 	h.step()
 	for _, c := range h.cl.ContainersOf(mobile.Name) {
-		if c.Alive() && c.CPUFraction() < 0.70-1e-9 {
+		if c.Alive() && c.CPUFraction() < 1-deflationThreshold-1e-9 {
 			t.Errorf("container %d deflated to %.2f, below 1-τ=0.70", c.ID, c.CPUFraction())
 		}
 	}
@@ -504,22 +494,6 @@ func TestColdStartOnTerminatedContainerIsNoop(t *testing.T) {
 	}
 	if len(h.ready) != 0 {
 		t.Error("ready fired for terminated container")
-	}
-}
-
-func TestUseLearnedRates(t *testing.T) {
-	h := newHarness(t, Config{UseLearnedRates: true}, cluster.PaperCluster())
-	spec := functions.MicroBenchmark(100 * time.Millisecond) // spec says mu=10
-	f, _ := h.ctl.Register(spec, "", 1, queuing.SLO{})
-	// Teach the learner the function is actually 2x slower (mu=5).
-	for i := 0; i < 100; i++ {
-		f.Learner().Observe(1.0, 200*time.Millisecond)
-	}
-	h.offer(spec.Name, 20, 30*time.Second)
-	h.step()
-	wantSlow, _ := queuing.MinimalContainers(f.LambdaHat, 5, h.ctl.cfg.SLO)
-	if f.Desired != wantSlow {
-		t.Errorf("desired=%d want %d (learned mu=5)", f.Desired, wantSlow)
 	}
 }
 
@@ -634,7 +608,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	}
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
-	h.now += h.ctl.Config().DrainTTL
+	h.now += drainTTL
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
 	f, _ = h.ctl.Function(spec.Name)

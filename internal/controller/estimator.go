@@ -2,6 +2,12 @@
 // arrival-rate estimators, the epoch-driven model-based container
 // allocation algorithm, weighted fair-share adjustment under overload, and
 // the termination/deflation resource-reclamation policies.
+//
+// What the paper fixes is a constant here, not configuration: the P95 ≤
+// 100 ms waiting-time SLO (§6.1, DefaultSLO), τ = 30% deflation in 5%
+// steps (§4.2), capped water-filling (§4.1), the rate EWMA's weight and
+// the 60 s lazy-drain TTL. Config holds only what callers set to
+// different values.
 package controller
 
 import (

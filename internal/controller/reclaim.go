@@ -8,7 +8,7 @@ import (
 
 // floorCPU returns the deflation floor (1-τ)·standard for a function.
 func (ctl *Controller) floorCPU(f *Function) int64 {
-	floor := int64(float64(f.Spec.CPUMillis) * (1 - ctl.cfg.DeflationThreshold))
+	floor := int64(float64(f.Spec.CPUMillis) * (1 - deflationThreshold))
 	if floor < 1 {
 		floor = 1
 	}
@@ -17,7 +17,7 @@ func (ctl *Controller) floorCPU(f *Function) int64 {
 
 // stepCPU returns the per-iteration deflation increment for a function.
 func (ctl *Controller) stepCPU(f *Function) int64 {
-	step := int64(float64(f.Spec.CPUMillis) * ctl.cfg.DeflationIncrement)
+	step := int64(float64(f.Spec.CPUMillis) * deflationIncrement)
 	if step < 1 {
 		step = 1
 	}

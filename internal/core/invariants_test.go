@@ -145,43 +145,6 @@ func TestTraceDrivenRun(t *testing.T) {
 	}
 }
 
-// TestLearnerIntegration verifies the data path feeds the online
-// service-time learner (§5) through the platform wiring.
-func TestLearnerIntegration(t *testing.T) {
-	spec := functions.MicroBenchmark(100 * time.Millisecond)
-	wl, err := workload.NewStatic(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		Cluster:   cluster.PaperCluster(),
-		Seed:      10,
-		Functions: []FunctionConfig{{Spec: spec, Workload: wl, Prewarm: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	f, ok := p.Controller.Function(spec.Name)
-	if !ok {
-		t.Fatal("function missing")
-	}
-	if f.Learner().Observations() < 1000 {
-		t.Errorf("learner saw only %d completions", f.Learner().Observations())
-	}
-	mean, ok := f.Learner().MeanServiceTime(1.0)
-	if !ok {
-		t.Fatal("no learned estimate")
-	}
-	// The learner's EWMA (alpha=0.05) over exponential samples has
-	// stddev ~16ms around the true 100ms mean; accept a wide band.
-	if mean < 60*time.Millisecond || mean > 150*time.Millisecond {
-		t.Errorf("learned mean %v want ~100ms", mean)
-	}
-}
-
 // TestPredictorIntegration attaches a trend predictor through the
 // platform and checks it beats the purely reactive estimator on a steep
 // ramp (the reactive long window lags the ramp by construction; the

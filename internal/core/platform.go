@@ -161,10 +161,6 @@ func New(cfg Config) (*Platform, error) {
 		if err != nil {
 			return nil, err
 		}
-		learner := f.Learner()
-		q.OnComplete = func(frac float64, s time.Duration) {
-			learner.Observe(frac, s)
-		}
 		q.TimeLimit = fc.TimeLimit
 		p.Queues[fc.Spec.Name] = q
 		p.results = append(p.results, tracked{fn: f, res: &FunctionResult{

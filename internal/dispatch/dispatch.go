@@ -57,9 +57,8 @@ func (r *Request) Wait() time.Duration { return r.Start - r.Arrival }
 func (r *Request) Response() time.Duration { return r.Finish - r.Arrival }
 
 // wrrEntry is the smooth-WRR bookkeeping for one container. Completion and
-// timeout callbacks are bound once at attach time and the per-service state
-// (CPU fraction, sampled service time) is stashed in the entry, so starting
-// a request allocates nothing.
+// timeout callbacks are bound once at attach time, so starting a request
+// allocates nothing.
 type wrrEntry struct {
 	q        *Queue
 	c        *cluster.Container
@@ -74,8 +73,6 @@ type wrrEntry struct {
 	rate float64
 	cpu  int64
 
-	frac       float64
-	service    time.Duration
 	completeFn func()
 	timeoutFn  func()
 }
@@ -89,9 +86,6 @@ func (e *wrrEntry) complete() {
 	r.Finish = q.engine.Now()
 	q.Responses.AddDuration(r.Response())
 	q.completed++
-	if q.OnComplete != nil {
-		q.OnComplete(e.frac, e.service)
-	}
 	if r.Done != nil {
 		r.Done(r)
 	}
@@ -140,11 +134,6 @@ type Queue struct {
 	Waits     *metrics.Reservoir
 	Responses *metrics.Reservoir
 	SLO       *metrics.SLOTracker
-
-	// OnComplete, when set, observes every completion (container CPU
-	// fraction, sampled service time): the hook the online service-time
-	// learner attaches to.
-	OnComplete func(cpuFraction float64, service time.Duration)
 
 	// TimeLimit is the FaaS hard execution limit (§2.1: "the computation
 	// is terminated if it does not complete execution within this
@@ -463,16 +452,15 @@ func (q *Queue) start(e *wrrEntry, r *Request) {
 	r.Start = q.engine.Now()
 	q.Waits.AddDuration(r.Wait())
 	q.SLO.Observe(r.Wait())
-	e.frac = e.c.CPUFraction()
-	e.service = q.spec.SampleServiceTime(q.rng, e.frac)
+	service := q.spec.SampleServiceTime(q.rng, e.c.CPUFraction())
 	e.busy = true
 	e.inflight = r
 	q.busy++
-	if q.TimeLimit > 0 && e.service > q.TimeLimit {
+	if q.TimeLimit > 0 && service > q.TimeLimit {
 		// The platform kills the execution at the hard limit (§2.1); the
 		// container is occupied for the full limit, then freed.
 		e.done = q.engine.After(q.TimeLimit, e.timeoutFn)
 		return
 	}
-	e.done = q.engine.After(e.service, e.completeFn)
+	e.done = q.engine.After(service, e.completeFn)
 }

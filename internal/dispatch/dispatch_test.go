@@ -167,19 +167,23 @@ func TestWRRProportionalToCPU(t *testing.T) {
 	if err := q.AddContainer(small); err != nil {
 		t.Fatal(err)
 	}
+	// Arrivals spaced far apart so both containers are idle each time: the
+	// request starts at once, on the entry WRR picked.
 	counts := map[cluster.ContainerID]int{}
-	q.OnComplete = func(frac float64, _ time.Duration) {
-		if frac == 1.0 {
-			counts[big.ID]++
-		} else {
-			counts[small.ID]++
-		}
-	}
-	// Arrivals spaced far apart so both containers are idle each time.
 	for i := 0; i < 3000; i++ {
-		engine.Schedule(time.Duration(i)*time.Second, func() { q.Arrive() })
+		engine.Schedule(time.Duration(i)*time.Second, func() {
+			r := q.Arrive()
+			for _, e := range q.order {
+				if e.inflight == r {
+					counts[e.c.ID]++
+				}
+			}
+		})
 	}
 	engine.Run()
+	if counts[big.ID]+counts[small.ID] != 3000 {
+		t.Fatalf("dispatched %v of 3000 arrivals", counts)
+	}
 	ratio := float64(counts[big.ID]) / float64(counts[small.ID])
 	if math.Abs(ratio-2) > 0.1 {
 		t.Errorf("big/small dispatch ratio %v want ~2 (counts %v)", ratio, counts)
@@ -195,9 +199,9 @@ func TestDeflatedContainerServesSlower(t *testing.T) {
 	q.Resized(c)
 	var serviceSum time.Duration
 	var n int
-	q.OnComplete = func(_ float64, s time.Duration) { serviceSum += s; n++ }
+	done := func(r *Request) { serviceSum += r.Finish - r.Start; n++ }
 	for i := 0; i < 2000; i++ {
-		engine.Schedule(time.Duration(i)*time.Second, func() { q.Arrive() })
+		engine.Schedule(time.Duration(i)*time.Second, func() { q.Arrive().Done = done })
 	}
 	engine.Run()
 	mean := (serviceSum / time.Duration(n)).Seconds()

@@ -4,25 +4,23 @@ import (
 	"time"
 )
 
-// Default cloud price points: the common on-demand FaaS rates ($0.20 per
-// million invocations, ~$0.0000166667 per GB-second of execution), used
-// when the Config leaves the price fields zero.
+// The cloud backend is one fixed network distance and one price point,
+// after Das et al. 2020's edge–cloud placement model.
 const (
-	defaultCloudPricePerInvocation = 0.20 / 1e6
-	defaultCloudPricePerGBSecond   = 1.0 / 60_000
+	// cloudRTT is the one-way latency from any edge site to the cloud.
+	cloudRTT = 50 * time.Millisecond
+	// cloudWarmWindow is how long an idle cloud instance stays warm after
+	// finishing a request. A request that finds no idle warm instance pays
+	// its function's Spec.ColdStart behind the cloud RTT before executing.
+	cloudWarmWindow = 10 * time.Minute
+	// cloudPricePerInvocation and cloudPricePerGBSecond are the common
+	// on-demand FaaS rates: $0.20 per million invocations and
+	// ~$0.0000166667 per GB-second of billed execution, which is the
+	// sampled service time truncated at the function's hard execution
+	// limit.
+	cloudPricePerInvocation = 0.20 / 1e6
+	cloudPricePerGBSecond   = 1.0 / 60_000
 )
-
-// zeroDefault applies the cloud knobs' shared sentinel convention: a zero
-// value selects def, a negative value means an explicit zero.
-func zeroDefault[T ~int64 | ~float64](v, def T) T {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
 
 // cloudInstance is one execution slot of the cloud backend's per-function
 // warm pool: busy until busyUntil, then idle-but-warm until warmUntil.
@@ -63,8 +61,8 @@ func (p *cloudPool) hasWarm(at time.Duration) bool {
 // waits FIFO for the earliest-free instance and starts on it warm — the
 // handoff is instance reuse, not a fresh provision. The chosen instance
 // is busy until wait + cold + run after arrival and then stays warm for
-// warmWindow.
-func (p *cloudPool) acquire(at, run, coldStart, warmWindow time.Duration, maxConc int) (wait, cold time.Duration) {
+// cloudWarmWindow.
+func (p *cloudPool) acquire(at, run, coldStart time.Duration, maxConc int) (wait, cold time.Duration) {
 	// Drop instances whose warm window has lapsed; a busy instance is
 	// always within its window (warmUntil >= busyUntil), so nothing
 	// in-flight can be dropped.
@@ -98,7 +96,7 @@ func (p *cloudPool) acquire(at, run, coldStart, warmWindow time.Duration, maxCon
 			}
 			wait = soonest.busyUntil - at
 			soonest.busyUntil += run
-			soonest.warmUntil = soonest.busyUntil + warmWindow
+			soonest.warmUntil = soonest.busyUntil + cloudWarmWindow
 			return wait, 0
 		}
 		cold = coldStart
@@ -106,7 +104,7 @@ func (p *cloudPool) acquire(at, run, coldStart, warmWindow time.Duration, maxCon
 		p.instances = append(p.instances, best)
 	}
 	best.busyUntil = at + cold + run
-	best.warmUntil = best.busyUntil + warmWindow
+	best.warmUntil = best.busyUntil + cloudWarmWindow
 	return 0, cold
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // detSpec is a deterministic-service-time function (SCV 0), so cloud
-// response times are exact: 2×CloudRTT + optional cold start + mean.
+// response times are exact: 2×cloudRTT + optional cold start + mean.
 func detSpec(mean time.Duration) functions.Spec {
 	return functions.Spec{
 		Name: "det", Language: "Go", CPUMillis: 1000, MemoryMiB: 512,
@@ -41,7 +41,7 @@ func shedAllSite(t *testing.T, spec functions.Spec, rate float64, seed uint64, t
 // TestCloudColdStartAndWarmReuse pins the warm-pool model: the first
 // request after idle pays the function's cold start behind the cloud RTT,
 // subsequent requests within the warm window are served warm, and the
-// accrued cost matches the configured price points exactly.
+// accrued cost matches the price points exactly.
 func TestCloudColdStartAndWarmReuse(t *testing.T) {
 	spec := detSpec(50 * time.Millisecond)
 	fed, err := New(Config{
@@ -78,7 +78,7 @@ func TestCloudColdStartAndWarmReuse(t *testing.T) {
 	}
 	// Cost accrues per offload at the default price points: invocation
 	// price plus 50ms of billed execution at 0.5 GB.
-	perReq := defaultCloudPricePerInvocation + 0.050*defaultCloudPricePerGBSecond*0.5
+	perReq := cloudPricePerInvocation + 0.050*cloudPricePerGBSecond*0.5
 	want := float64(s.OffloadedCloud) * perReq
 	if math.Abs(s.CloudCost-want) > 1e-12 {
 		t.Errorf("cloud cost %.12f, want %.12f (%d offloads)", s.CloudCost, want, s.OffloadedCloud)
@@ -89,27 +89,25 @@ func TestCloudColdStartAndWarmReuse(t *testing.T) {
 	}
 }
 
-// TestCloudNoKeepAlive pins the negative-warm-window semantics: with no
-// keep-alive, every cloud offload pays a cold start.
-func TestCloudNoKeepAlive(t *testing.T) {
-	spec := detSpec(50 * time.Millisecond)
-	fed, err := New(Config{
-		Sites:           []core.Config{shedAllSite(t, spec, 2, 9, 0)},
-		Placer:          cloudOnlyPlacer{},
-		CloudWarmWindow: -1,
-		Seed:            7,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestCloudWarmWindowExpires pins the keep-alive window's end: an instance
+// idle for longer than cloudWarmWindow is gone, so the first request after
+// such a gap cold-starts again, while one idle for less is reused warm.
+func TestCloudWarmWindowExpires(t *testing.T) {
+	const run, cold = 50 * time.Millisecond, 400 * time.Millisecond
+	p := &cloudPool{}
+	if _, c := p.acquire(0, run, cold, 0); c != cold {
+		t.Fatalf("first acquire cold = %v, want %v", c, cold)
 	}
-	res, err := fed.Run(30 * time.Second)
-	if err != nil {
-		t.Fatal(err)
+	idle := cold + run // the instance finishes here and starts idling
+	if _, c := p.acquire(idle+cloudWarmWindow, run, cold, 0); c != 0 {
+		t.Errorf("request at the last warm instant cold-started (%v)", c)
 	}
-	s := res.Sites[0]
-	if s.OffloadedCloud == 0 || s.CloudColdStarts != s.OffloadedCloud {
-		t.Errorf("no-keep-alive cloud cold-started %d of %d offloads; want all",
-			s.CloudColdStarts, s.OffloadedCloud)
+	idle += cloudWarmWindow + run
+	if _, c := p.acquire(idle+cloudWarmWindow+time.Nanosecond, run, cold, 0); c != cold {
+		t.Errorf("request past the warm window paid cold = %v, want %v", c, cold)
+	}
+	if len(p.instances) != 1 {
+		t.Errorf("pool kept %d instances; the expired one must be dropped", len(p.instances))
 	}
 }
 
@@ -141,25 +139,6 @@ func TestZeroColdStartSpecRestoresLegacyModel(t *testing.T) {
 	}
 	if s.CloudCost <= 0 {
 		t.Error("a zero-cold-start cloud must still accrue cost")
-	}
-	// Negative prices are the explicit free tier: combined with a zero
-	// cold start this is exactly the legacy idealized cloud.
-	free, err := New(Config{
-		Sites:                   []core.Config{shedAllSite(t, spec, 2, 9, 0)},
-		Placer:                  cloudOnlyPlacer{},
-		CloudPricePerInvocation: -1,
-		CloudPricePerGBSecond:   -1,
-		Seed:                    7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fres, err := free.Run(30 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fres.Sites[0]; got.CloudCost != 0 || got.OffloadedCloud == 0 {
-		t.Errorf("free-tier cloud accrued cost %.12f over %d offloads", got.CloudCost, got.OffloadedCloud)
 	}
 }
 
@@ -203,7 +182,7 @@ func TestCloudEnforcesTimeLimit(t *testing.T) {
 		t.Errorf("aggregate CloudTimedOut %d != site %d", res.CloudTimedOut, s.CloudTimedOut)
 	}
 	// Billed execution truncates at the limit: 100ms, not 300ms.
-	perReq := defaultCloudPricePerInvocation + 0.100*defaultCloudPricePerGBSecond*0.5
+	perReq := cloudPricePerInvocation + 0.100*cloudPricePerGBSecond*0.5
 	want := float64(s.OffloadedCloud) * perReq
 	if math.Abs(s.CloudCost-want) > 1e-12 {
 		t.Errorf("cloud cost %.12f, want %.12f (billing must stop at the limit)", s.CloudCost, want)
@@ -270,10 +249,9 @@ func TestCloudPoolConcurrencyCapFIFO(t *testing.T) {
 	const (
 		run  = 100 * time.Millisecond
 		cold = 50 * time.Millisecond
-		warm = time.Minute
 	)
 	// First request provisions the only allowed instance: cold, no wait.
-	wait, gotCold := p.acquire(0, run, cold, warm, 1)
+	wait, gotCold := p.acquire(0, run, cold, 1)
 	if wait != 0 || gotCold != cold {
 		t.Fatalf("first acquire: wait=%v cold=%v want 0/%v", wait, gotCold, cold)
 	}
@@ -281,12 +259,12 @@ func TestCloudPoolConcurrencyCapFIFO(t *testing.T) {
 	if w := p.predictWait(10*time.Millisecond, 1); w != 140*time.Millisecond {
 		t.Errorf("predictWait = %v want 140ms", w)
 	}
-	wait, gotCold = p.acquire(10*time.Millisecond, run, cold, warm, 1)
+	wait, gotCold = p.acquire(10*time.Millisecond, run, cold, 1)
 	if wait != 140*time.Millisecond || gotCold != 0 {
 		t.Errorf("capped acquire: wait=%v cold=%v want 140ms/0", wait, gotCold)
 	}
 	// Now busy until 250ms; FIFO means the next arrival queues behind both.
-	wait, gotCold = p.acquire(20*time.Millisecond, run, cold, warm, 1)
+	wait, gotCold = p.acquire(20*time.Millisecond, run, cold, 1)
 	if wait != 230*time.Millisecond || gotCold != 0 {
 		t.Errorf("second capped acquire: wait=%v cold=%v want 230ms/0", wait, gotCold)
 	}
@@ -295,7 +273,7 @@ func TestCloudPoolConcurrencyCapFIFO(t *testing.T) {
 		t.Errorf("uncapped predictWait = %v want 0", w)
 	}
 	// After the backlog drains, an idle warm instance is reused directly.
-	wait, gotCold = p.acquire(time.Second, run, cold, warm, 1)
+	wait, gotCold = p.acquire(time.Second, run, cold, 1)
 	if wait != 0 || gotCold != 0 {
 		t.Errorf("post-drain acquire: wait=%v cold=%v want 0/0 (warm reuse)", wait, gotCold)
 	}

@@ -38,7 +38,7 @@ func fourSites(t *testing.T, seed uint64) []core.Config {
 
 // TestCoordinatorElection: Fixed keeps the configured index (the zero
 // value reproduces today's site-0 default), RTTCentroid elects the
-// topology's weighted round-trip centroid, and the run's Result reports
+// topology's round-trip centroid, and the run's Result reports
 // both the seat and the mode.
 func TestCoordinatorElection(t *testing.T) {
 	build := func(el CoordinatorElection) *Federation {
@@ -153,7 +153,7 @@ func TestOutageCoversComputeMoment(t *testing.T) {
 		},
 		Placer:          neverPlacer{},
 		GlobalFairShare: true,
-		PeerRTT:         30 * time.Second, // gather = 30s
+		Topology:        ring(t, 2, 30*time.Second), // gather = 30s
 		// Clear at every epoch boundary (0, 5, ... mod nothing — starts at
 		// 1s), dark at every compute moment (boundary + 30s).
 		Faults: coordinatorOutage(t, 2, []Window{{Start: time.Second, End: 2 * time.Hour}}),
@@ -378,49 +378,8 @@ func TestDefaultConfigMatchesExplicitLegacyKnobs(t *testing.T) {
 	}
 }
 
-// TestSiteWeightValidation: a negative site weight is rejected at
-// assembly, and an explicit zero weight means exactly the documented
-// "default weight 1" — bit-for-bit the same run as spelling out 1.
-func TestSiteWeightValidation(t *testing.T) {
-	build := func(weights []float64) (*Federation, error) {
-		return New(Config{
-			Sites: []core.Config{
-				staticSite(t, "squeezenet", 30, 61, cluster.PaperCluster()),
-				staticSite(t, "squeezenet", 5, 62, cluster.PaperCluster()),
-			},
-			Placer:          neverPlacer{},
-			GlobalFairShare: true,
-			SiteWeights:     weights,
-			Seed:            9,
-		})
-	}
-	if _, err := build([]float64{1, -0.5}); err == nil {
-		t.Error("New accepted a negative site weight")
-	}
-
-	run := func(weights []float64) *Result {
-		fed, err := build(weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := fed.Run(30 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	zero, one := run([]float64{0, 1}), run([]float64{1, 1})
-	for i := range zero.Sites {
-		za, oa := zero.Sites[i], one.Sites[i]
-		if za.SLO.Total() != oa.SLO.Total() || za.SLO.Violations() != oa.SLO.Violations() ||
-			za.ServedLocal != oa.ServedLocal {
-			t.Errorf("site %d differs between weight 0 and weight 1: %+v vs %+v", i, za, oa)
-		}
-	}
-}
-
 // TestCloudAdmitsLatencyFloor is the regression for the admission bug: a
-// cold, empty cloud pool whose 2×CloudRTT + ColdStart + mean service
+// cold, empty cloud pool whose 2×cloudRTT + ColdStart + mean service
 // already exceeds the SLO is a guaranteed violation and must be rejected,
 // not admitted just because no queue has formed yet.
 func TestCloudAdmitsLatencyFloor(t *testing.T) {

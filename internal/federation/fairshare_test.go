@@ -59,7 +59,7 @@ func TestGrantsChargedCoordinationRTT(t *testing.T) {
 			Placer:          neverPlacer{},
 			GlobalFairShare: true,
 			AllocEpoch:      5 * time.Second,
-			PeerRTT:         30 * time.Second, // one-way 30s, round trip 60s
+			Topology:        ring(t, 2, 30*time.Second), // one-way 30s, round trip 60s
 			Seed:            9,
 		})
 		if err != nil {

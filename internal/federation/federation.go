@@ -26,17 +26,17 @@
 // Inter-site latency comes from an explicit Topology: a validated one-way
 // latency matrix (optionally asymmetric, after the measured edge-platform
 // RTT heterogeneity of Javed et al. 2021). Configurations that set no
-// Topology get the original ring — sites at ring distance d are
-// d×Config.PeerRTT apart — so "nearest peer" keeps its historical meaning.
+// Topology get the original ring — sites at ring distance d are d×5ms
+// apart — so "nearest peer" keeps its historical meaning.
 //
-// The cloud is modelled as standard-size capacity behind Config.CloudRTT,
+// The cloud is modelled as standard-size capacity one fixed 50ms RTT away,
 // but it is neither always-warm nor free: each function has a
-// warm-instance pool with a keep-alive window, the first request after
-// idle pays the function's cold-start latency behind the RTT, and every
-// invocation accrues cost at configurable FaaS price points. Cloud
-// executions also honour the function's hard execution limit (§2.1) —
-// a request whose sampled service time exceeds the limit is killed and
-// counted as a violation at its origin site. Config.CloudMaxConcurrency
+// warm-instance pool with a 10-minute keep-alive window, the first request
+// after idle pays the function's cold-start latency behind the RTT, and
+// every invocation accrues cost at the common on-demand FaaS price points
+// (see cloud.go). Cloud executions also honour the function's hard
+// execution limit (§2.1) — a request whose sampled service time exceeds
+// the limit is killed and counted as a violation at its origin site. Config.CloudMaxConcurrency
 // adds the real FaaS throttle: at the cap, offloads queue FIFO for the
 // next free instance and the wait counts toward response time.
 //
@@ -49,7 +49,7 @@
 // charged, including the demand upload, so grants are always computed
 // from RTT-stale snapshots. The coordinator is a first-class, elected,
 // failure-tolerant role: Config.CoordinatorElection places it at a fixed
-// index or at the topology's weighted RTT centroid, a coordinator-role
+// index or at the topology's RTT centroid, a coordinator-role
 // fault in Config.Faults schedules windows during which the coordinator
 // is dark (missed epochs produce no grants), and grants carry a lease
 // (Config.GrantLease, default 2×AllocEpoch) so a site cut off from the
@@ -83,10 +83,9 @@ const (
 	// Fixed pins the coordinator at Config.Coordinator (default site 0) —
 	// the historical behaviour, and deliberately the zero value.
 	Fixed CoordinatorElection = iota
-	// RTTCentroid elects the site minimizing the weighted round-trip sum
-	// over the Topology matrix (Topology.RTTCentroid, weighted by
-	// SiteWeights): the placement that minimizes the demand-gather and
-	// grant-delivery legs every allocation epoch pays. The election runs
+	// RTTCentroid elects the site minimizing the round-trip sum over the
+	// Topology matrix (Topology.RTTCentroid): the placement that minimizes
+	// the demand-gather and grant-delivery legs every allocation epoch pays. The election runs
 	// when the federation is assembled and is re-run whenever membership
 	// — the Sites list and its Topology — changes.
 	RTTCentroid
@@ -139,53 +138,6 @@ type FaultView interface {
 	LinkDown(from, to int, at time.Duration) bool
 }
 
-// UnionFaults folds fault views into one that reports dark whenever any
-// constituent does; nils are skipped.
-func UnionFaults(views ...FaultView) FaultView {
-	merged := make(faultUnion, 0, len(views))
-	for _, v := range views {
-		if v != nil {
-			merged = append(merged, v)
-		}
-	}
-	switch len(merged) {
-	case 0:
-		return nil
-	case 1:
-		return merged[0]
-	}
-	return merged
-}
-
-type faultUnion []FaultView
-
-func (u faultUnion) CoordinatorDown(at time.Duration) bool {
-	for _, v := range u {
-		if v.CoordinatorDown(at) {
-			return true
-		}
-	}
-	return false
-}
-
-func (u faultUnion) SiteDown(site int, at time.Duration) bool {
-	for _, v := range u {
-		if v.SiteDown(site, at) {
-			return true
-		}
-	}
-	return false
-}
-
-func (u faultUnion) LinkDown(from, to int, at time.Duration) bool {
-	for _, v := range u {
-		if v.LinkDown(from, to, at) {
-			return true
-		}
-	}
-	return false
-}
-
 // Config describes a federated deployment.
 type Config struct {
 	// Sites configures one core platform per edge site. Site i's cluster
@@ -200,39 +152,14 @@ type Config struct {
 	Placer Placer
 	// Topology, when set, is the explicit one-way inter-site latency
 	// matrix; its size must match Sites. When nil, the federation uses
-	// Ring(len(Sites), PeerRTT) — the original ring-distance model.
+	// Ring(len(Sites), 5ms) — the original ring-distance model.
 	Topology *Topology
-	// PeerRTT is the one-way RTT between ring-adjacent edge sites
-	// (default 5ms); sites at ring distance d pay d×PeerRTT each way.
-	// Ignored when Topology is set.
-	PeerRTT time.Duration
-	// CloudRTT is the one-way RTT from any edge site to the cloud
-	// backend (default 50ms).
-	CloudRTT time.Duration
-	// CloudWarmWindow is how long an idle cloud instance stays warm
-	// after finishing a request (default 10m). A request that finds no
-	// idle warm instance pays its function's Spec.ColdStart behind the
-	// cloud RTT before executing. A negative value means no keep-alive
-	// at all — every idle gap cold-starts; zero selects the default.
-	CloudWarmWindow time.Duration
-	// CloudPricePerInvocation and CloudPricePerGBSecond set the cost
-	// axis for cloud offloads (defaults: $0.20 per million requests and
-	// $0.0000166667 per GB-second of billed execution, the common
-	// on-demand FaaS price points). Billed execution is the sampled
-	// service time, truncated at the function's hard execution limit.
-	// A negative value means an explicit zero price (a free tier) —
-	// zero itself selects the default.
-	CloudPricePerInvocation float64
-	CloudPricePerGBSecond   float64
 	// ResponseSLO is the end-to-end response deadline the federation
 	// accounts violations against, network RTT included (default 250ms).
 	// This is deliberately a response-time SLO, unlike the controller's
 	// waiting-time SLO: offloading trades queueing delay for network
 	// delay, and only an end-to-end metric ranks that trade fairly.
 	ResponseSLO time.Duration
-	// OverloadQueueDepth is the per-container backlog beyond which an
-	// epoch-level overloaded site starts shedding (default 4).
-	OverloadQueueDepth int
 	// Seed drives the cloud backend's service-time sampling.
 	Seed uint64
 
@@ -260,7 +187,7 @@ type Config struct {
 	Coordinator int
 	// CoordinatorElection selects how the coordinator site is chosen:
 	// Fixed (the zero value — Config.Coordinator, today's behaviour) or
-	// RTTCentroid (the topology's weighted round-trip centroid, re-elected
+	// RTTCentroid (the topology's round-trip centroid, re-elected
 	// when the federation is reassembled with different membership).
 	CoordinatorElection CoordinatorElection
 	// Faults, when set, is the failure oracle for the run — typically a
@@ -277,11 +204,6 @@ type Config struct {
 	// legacy). In steady state grants renew every epoch so the default
 	// lease never lapses; it only bites when the coordinator goes dark.
 	GrantLease time.Duration
-	// SiteWeights optionally sets each site's weight at the root of the
-	// global allocation tree. Entries must be non-negative: a negative
-	// weight is a configuration error, and zero (like a missing entry)
-	// explicitly means the default weight 1.
-	SiteWeights []float64
 	// Hierarchy, when set, arranges the sites into a region → metro → site
 	// capacity tree (allocation.Hierarchy). Under GlobalFairShare the
 	// allocator then cascades demand-independent deserved quotas down the
@@ -300,8 +222,10 @@ type Config struct {
 	// ReclaimLatency is the engine-charged delay of a reclaim commit: each
 	// epoch's grants land in two steps, the pre-reclaim assignment on the
 	// normal return leg and the reclaimed transfers one ReclaimLatency
-	// later (preempting a borrowed container is not free). Default
-	// PeerRTT; negative means an explicit zero (instantaneous reclaim).
+	// later (preempting a borrowed container is not free). Default: the
+	// topology's smallest one-way latency between two distinct sites (5ms
+	// on the default ring); negative means an explicit zero (instantaneous
+	// reclaim).
 	// When the latency reaches the grant lease the top-up would land
 	// already expired, so it is skipped and reclaim is inert.
 	ReclaimLatency time.Duration
@@ -323,35 +247,39 @@ type Config struct {
 	CloudMaxConcurrency int
 }
 
+const (
+	// defaultPeerRTT is the one-way latency between ring-adjacent sites of
+	// the ring a Config without a Topology gets.
+	defaultPeerRTT = 5 * time.Millisecond
+	// overloadQueueDepth is the per-container backlog beyond which an
+	// epoch-level overloaded site starts shedding.
+	overloadQueueDepth = 4
+)
+
+// zeroDefault applies the duration knobs' shared sentinel convention: a
+// zero value selects def, a negative value means an explicit zero.
+func zeroDefault(v, def time.Duration) time.Duration {
+	switch {
+	case v == 0:
+		return def
+	case v < 0:
+		return 0
+	}
+	return v
+}
+
+// fillDefaults resolves every zero-valued knob but ReclaimLatency, whose
+// default reads the resolved Topology.
 func (c *Config) fillDefaults() {
-	if c.PeerRTT == 0 {
-		c.PeerRTT = 5 * time.Millisecond
-	}
-	if c.CloudRTT == 0 {
-		c.CloudRTT = 50 * time.Millisecond
-	}
-	// Cloud knobs share one sentinel convention: zero selects the
-	// default, negative means an explicit zero (free tier / no
-	// keep-alive). With a zero warm window warmUntil collapses to
-	// busyUntil, so the pool invariant (warmUntil >= busyUntil) holds.
-	c.CloudWarmWindow = zeroDefault(c.CloudWarmWindow, 10*time.Minute)
-	c.CloudPricePerInvocation = zeroDefault(c.CloudPricePerInvocation, defaultCloudPricePerInvocation)
-	c.CloudPricePerGBSecond = zeroDefault(c.CloudPricePerGBSecond, defaultCloudPricePerGBSecond)
 	if c.ResponseSLO == 0 {
 		c.ResponseSLO = 250 * time.Millisecond
-	}
-	if c.OverloadQueueDepth == 0 {
-		c.OverloadQueueDepth = 4
 	}
 	if c.AllocEpoch == 0 {
 		c.AllocEpoch = 5 * time.Second
 	}
-	// Same sentinel convention as the cloud knobs: zero selects the
-	// default, negative means explicitly none (an unleased grant).
+	// Zero selects the default, negative means explicitly none (an
+	// unleased grant).
 	c.GrantLease = zeroDefault(c.GrantLease, 2*c.AllocEpoch)
-	// Reclaim commits travel one more coordinator→peer message, so the
-	// peer RTT is the honest default charge.
-	c.ReclaimLatency = zeroDefault(c.ReclaimLatency, c.PeerRTT)
 }
 
 // Site is one edge deployment inside the federation.
@@ -496,7 +424,7 @@ func New(cfg Config) (*Federation, error) {
 	}
 	cfg.fillDefaults()
 	if cfg.Topology == nil {
-		ring, err := Ring(len(cfg.Sites), cfg.PeerRTT)
+		ring, err := Ring(len(cfg.Sites), defaultPeerRTT)
 		if err != nil {
 			return nil, err
 		}
@@ -505,6 +433,9 @@ func New(cfg Config) (*Federation, error) {
 		return nil, fmt.Errorf("federation: topology is %d sites, config has %d",
 			cfg.Topology.Size(), len(cfg.Sites))
 	}
+	// A reclaim commit travels one more coordinator→peer message, so the
+	// cheapest peer link is the honest default charge.
+	cfg.ReclaimLatency = zeroDefault(cfg.ReclaimLatency, cfg.Topology.nearestLink())
 	if cfg.Coordinator < 0 || cfg.Coordinator >= len(cfg.Sites) {
 		return nil, fmt.Errorf("federation: coordinator index %d out of range (have %d sites)",
 			cfg.Coordinator, len(cfg.Sites))
@@ -519,17 +450,6 @@ func New(cfg Config) (*Federation, error) {
 	}
 	if cfg.CloudMaxConcurrency < 0 {
 		return nil, fmt.Errorf("federation: cloud max concurrency %d is negative (use 0 for unbounded)", cfg.CloudMaxConcurrency)
-	}
-	if len(cfg.SiteWeights) > len(cfg.Sites) {
-		return nil, fmt.Errorf("federation: %d site weights for %d sites",
-			len(cfg.SiteWeights), len(cfg.Sites))
-	}
-	for i, w := range cfg.SiteWeights {
-		// Zero means "default weight 1" (documented); a negative weight is
-		// always a mistake and used to be silently coerced to 1.
-		if w < 0 {
-			return nil, fmt.Errorf("federation: site %d weight %v is negative (use 0 or omit for the default 1)", i, w)
-		}
 	}
 	placer := cfg.Placer
 	if placer == nil {
@@ -549,7 +469,7 @@ func New(cfg Config) (*Federation, error) {
 	// different Sites list (or Topology) re-elects.
 	f.coordinator = cfg.Coordinator
 	if cfg.CoordinatorElection == RTTCentroid {
-		f.coordinator = cfg.Topology.RTTCentroid(cfg.SiteWeights)
+		f.coordinator = cfg.Topology.RTTCentroid()
 	}
 	for i, sc := range cfg.Sites {
 		sc.Engine = engine
@@ -693,15 +613,13 @@ func (f *Federation) wire(t *placeTable) {
 	s, q := t.origin, t.q
 	q.Offload = func(r *dispatch.Request) bool {
 		d := f.decide(t)
-		if d.Kind != ServeLocal && f.offeredLoadDemand(s) {
-			// Demand is estimated from offered load at the ingress: the
-			// core platform records only locally-admitted arrivals, so the
-			// hook records the shed ones here (and offloadToPeer skips the
-			// host-side record under the global allocator). This is what
-			// lets the coordinator — or, under ControllerConfig.
-			// OfferedLoadDemand, the origin's own estimator — see an
-			// overloaded site's full demand instead of just the share it
-			// kept.
+		if d.Kind != ServeLocal && f.cfg.GlobalFairShare {
+			// Under the global allocator demand is estimated from offered
+			// load at the ingress: the core platform records only
+			// locally-admitted arrivals, so the hook records the shed ones
+			// here (and offloadToPeer skips the host-side record). This is
+			// what lets the coordinator see an overloaded site's full
+			// demand instead of just the share it kept.
 			s.Platform.Controller.RecordArrival(t.fn)
 		}
 		switch d.Kind {
@@ -721,17 +639,6 @@ func (f *Federation) wire(t *placeTable) {
 			return false
 		}
 	}
-}
-
-// offeredLoadDemand reports whether shed ingress requests at site s should
-// still feed its controller's arrival-rate estimator: always under the
-// global allocator (the coordinator needs full offered demand), and under
-// per-site-local allocation when the site's controller opted in via
-// ControllerConfig.OfferedLoadDemand — the knob that stops the origin's
-// overload signal oscillating when shed load vanishes from its arrival
-// stream.
-func (f *Federation) offeredLoadDemand(s *Site) bool {
-	return f.cfg.GlobalFairShare || s.Platform.Controller.Config().OfferedLoadDemand
 }
 
 // decide consults the placer for one ingress request at site s and
@@ -817,7 +724,7 @@ func (f *Federation) overloaded(s *Site, q *dispatch.Queue) bool {
 	if !s.Platform.Controller.GrantedExternally() && !s.Platform.Controller.Overloaded() {
 		return false
 	}
-	return q.QueueLength() >= f.cfg.OverloadQueueDepth*n
+	return q.QueueLength() >= overloadQueueDepth*n
 }
 
 // accepts reports whether peer p can take offloaded fn work: it serves the
@@ -920,9 +827,9 @@ func (o *peerOffload) done(pr *dispatch.Request) {
 // cold start the request would pay if no idle warm instance will greet it.
 func (f *Federation) predictCloud(q *dispatch.Queue) float64 {
 	spec := q.Spec()
-	resp := 2*f.cfg.CloudRTT + spec.MeanServiceTimeAt(1.0)
+	resp := 2*cloudRTT + spec.MeanServiceTimeAt(1.0)
 	pool := f.cloudPools[spec.Name]
-	at := f.Engine.Now() + f.cfg.CloudRTT
+	at := f.Engine.Now() + cloudRTT
 	var wait time.Duration
 	if pool != nil {
 		wait = pool.predictWait(at, f.cfg.CloudMaxConcurrency)
@@ -944,7 +851,7 @@ func (f *Federation) predictCloud(q *dispatch.Queue) float64 {
 // pay — must fit within the SLO. Beyond that a cloud landing is already a
 // guaranteed violation, so admission rejects instead. (The check used to
 // compare only the queue wait against the SLO, admitting cold pools whose
-// 2×CloudRTT + ColdStart + mean service alone guaranteed a miss.)
+// 2×cloudRTT + ColdStart + mean service alone guaranteed a miss.)
 func (f *Federation) cloudAdmits(q *dispatch.Queue) bool {
 	return f.predictCloud(q) <= f.cfg.ResponseSLO.Seconds()
 }
@@ -974,22 +881,21 @@ func (f *Federation) offloadToCloud(origin *Site, q *dispatch.Queue, r *dispatch
 		pool = &cloudPool{}
 		f.cloudPools[spec.Name] = pool
 	}
-	wait, cold := pool.acquire(f.Engine.Now()+f.cfg.CloudRTT, run,
-		spec.ColdStart, f.cfg.CloudWarmWindow, f.cfg.CloudMaxConcurrency)
+	wait, cold := pool.acquire(f.Engine.Now()+cloudRTT, run, spec.ColdStart, f.cfg.CloudMaxConcurrency)
 	if cold > 0 {
 		origin.CloudColdStarts++
 	}
 	if wait > 0 {
 		origin.CloudQueued++
 	}
-	origin.CloudCost += f.cfg.CloudPricePerInvocation +
-		run.Seconds()*f.cfg.CloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
+	origin.CloudCost += cloudPricePerInvocation +
+		run.Seconds()*cloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
 	if killed {
 		origin.CloudTimedOut++
 		return
 	}
 	arrival := r.Arrival
-	f.Engine.After(2*f.cfg.CloudRTT+wait+cold+service, func() {
+	f.Engine.After(2*cloudRTT+wait+cold+service, func() {
 		origin.observe(f.Engine.Now() - arrival)
 	})
 }
@@ -1054,10 +960,6 @@ func (f *Federation) allocEpoch() {
 			s.PartitionedEpochs++
 			continue
 		}
-		var w float64 = 1
-		if i < len(f.cfg.SiteWeights) && f.cfg.SiteWeights[i] > 0 {
-			w = f.cfg.SiteWeights[i]
-		}
 		fns := snap.sites[count].Functions[:0]
 		for _, d := range s.Platform.Controller.Demands() {
 			fns = append(fns, allocation.FunctionDemand{
@@ -1070,7 +972,7 @@ func (f *Federation) allocEpoch() {
 		}
 		snap.sites[count] = allocation.SiteDemand{
 			Site:        s.Name,
-			Weight:      w,
+			Weight:      1,
 			CapacityCPU: s.Platform.Controller.Capacity(),
 			Functions:   fns,
 		}
@@ -1138,9 +1040,6 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 	}
 	lease := f.cfg.GrantLease // negative = unleased (freeze on stale)
 	reclaimLag := f.cfg.ReclaimLatency
-	if reclaimLag < 0 {
-		reclaimLag = 0 // explicit-zero sentinel: instantaneous reclaim
-	}
 	// A reclaim top-up that would land with no lease left is pointless: the
 	// controller would expire it the same instant. Skip it and let the
 	// pre-reclaim assignment stand for the whole epoch (reclaim is inert at

@@ -33,6 +33,16 @@ func staticSite(t *testing.T, fn string, rate float64, seed uint64, cl cluster.C
 	}
 }
 
+// ring returns an n-site ring whose adjacent sites are rtt apart one way.
+func ring(t *testing.T, n int, rtt time.Duration) *Topology {
+	t.Helper()
+	topo, err := Ring(n, rtt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 // tinyCluster fits exactly one standard squeezenet container, so any
 // nontrivial load overloads it.
 func tinyCluster() cluster.Config {
@@ -239,10 +249,10 @@ func TestPeerOffloadRTTPenalty(t *testing.T) {
 	helper.Functions[0].Prewarm = 2
 
 	fed, err := New(Config{
-		Sites:   []core.Config{noCap, helper},
-		Placer:  nearestPeerPlacer{},
-		PeerRTT: peerRTT,
-		Seed:    7,
+		Sites:    []core.Config{noCap, helper},
+		Placer:   nearestPeerPlacer{},
+		Topology: ring(t, 2, peerRTT),
+		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)

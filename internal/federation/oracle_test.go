@@ -125,7 +125,7 @@ func (o oracle) overloaded(site int) bool {
 	if !ctl.GrantedExternally() && !ctl.Overloaded() {
 		return false
 	}
-	return p.q.QueueLength() >= o.f.cfg.OverloadQueueDepth*p.attached
+	return p.q.QueueLength() >= overloadQueueDepth*p.attached
 }
 
 func (o oracle) accepts(origin, site int) bool {

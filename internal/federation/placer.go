@@ -138,7 +138,8 @@ func (ctx *PlacementContext) Serves(site int) bool { return ctx.siteQueue(site) 
 
 // Overloaded reports the federation's epoch-level overload signal for the
 // site: no servable capacity, or controller headroom exhausted with the
-// backlog beyond the shed depth (Config.OverloadQueueDepth).
+// backlog beyond the shed depth (overloadQueueDepth backlogged requests per
+// container).
 func (ctx *PlacementContext) Overloaded(site int) bool {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return true
@@ -263,8 +264,8 @@ func (ctx *PlacementContext) CloudAdmits() bool { return ctx.f.cloudAdmits(ctx.t
 // sweep tables report).
 func (ctx *PlacementContext) CloudCostPerRequest() float64 {
 	spec := ctx.t.q.Spec()
-	return ctx.f.cfg.CloudPricePerInvocation +
-		spec.MeanServiceTimeAt(1.0).Seconds()*ctx.f.cfg.CloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
+	return cloudPricePerInvocation +
+		spec.MeanServiceTimeAt(1.0).Seconds()*cloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
 }
 
 // Headroom returns the site controller's capacity-headroom signal
@@ -646,7 +647,7 @@ func predictGrantAware(ctx *PlacementContext, site int) float64 {
 
 // costBoundedPlacer prefers the cheapest candidate whose predicted
 // response still meets the SLO: edge capacity is sunk cost (free), while
-// every cloud invocation bills at the configured FaaS price points
+// every cloud invocation bills at the FaaS price points
 // (CloudCostPerRequest), so the cloud is used only when no edge candidate
 // — origin included — is predicted to make the deadline. When nothing
 // meets the deadline the SLO bound is lost either way: a sheddable

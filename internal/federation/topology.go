@@ -55,7 +55,7 @@ func NewTopology(rtt [][]time.Duration) (*Topology, error) {
 // Ring returns the original ring topology: sites at ring distance d are
 // d×peerRTT apart (one way), which is exactly the RTT model the federation
 // used before explicit matrices existed. A federation configured without a
-// Topology gets Ring(len(Sites), PeerRTT), so the default behaviour is
+// Topology gets Ring(len(Sites), 5ms), so the default behaviour is
 // unchanged.
 func Ring(n int, peerRTT time.Duration) (*Topology, error) {
 	if n <= 0 {
@@ -132,9 +132,6 @@ func Hierarchical(sites []string, levels map[string]Level, classes RTTClasses) (
 	classes.IntraMetro = zeroDefault(classes.IntraMetro, 2*time.Millisecond)
 	classes.IntraRegion = zeroDefault(classes.IntraRegion, 10*time.Millisecond)
 	classes.CrossRegion = zeroDefault(classes.CrossRegion, 40*time.Millisecond)
-	classes.IntraMetro = max(classes.IntraMetro, 0)
-	classes.IntraRegion = max(classes.IntraRegion, 0)
-	classes.CrossRegion = max(classes.CrossRegion, 0)
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("federation: hierarchical topology with no sites")
 	}
@@ -165,28 +162,39 @@ func Hierarchical(sites []string, levels map[string]Level, classes RTTClasses) (
 }
 
 // RTTCentroid returns the site best placed to host a coordinator: the
-// index minimizing the weighted sum of round trips
-// Σ_j w_j × (RTT(j, i) + RTT(i, j)) over every site j — both legs counted
-// separately, so an asymmetric matrix elects honestly. weights optionally
-// weighs each site's round trip (entries ≤ 0 and missing entries mean 1;
-// pass nil for unweighted); ties break to the lowest index, so election is
+// index minimizing the sum of round trips Σ_j (RTT(j, i) + RTT(i, j)) over
+// every site j — both legs counted separately, so an asymmetric matrix
+// elects honestly. Ties break to the lowest index, so election is
 // deterministic. Re-run it whenever membership — the matrix — changes.
-func (t *Topology) RTTCentroid(weights []float64) int {
+func (t *Topology) RTTCentroid() int {
 	best, bestSum := 0, time.Duration(-1)
 	for i := range t.rtt {
 		var sum time.Duration
 		for j := range t.rtt {
-			w := 1.0
-			if j < len(weights) && weights[j] > 0 {
-				w = weights[j]
-			}
-			sum += time.Duration(w * float64(t.rtt[j][i]+t.rtt[i][j]))
+			sum += t.rtt[j][i] + t.rtt[i][j]
 		}
 		if bestSum < 0 || sum < bestSum {
 			best, bestSum = i, sum
 		}
 	}
 	return best
+}
+
+// nearestLink returns the smallest one-way latency between two distinct
+// sites, or defaultPeerRTT for a single site, which has no such pair.
+func (t *Topology) nearestLink() time.Duration {
+	nearest := time.Duration(-1)
+	for i, row := range t.rtt {
+		for j, d := range row {
+			if i != j && (nearest < 0 || d < nearest) {
+				nearest = d
+			}
+		}
+	}
+	if nearest < 0 {
+		return defaultPeerRTT
+	}
+	return nearest
 }
 
 // Size returns the number of sites the topology describes.

@@ -35,9 +35,8 @@ func TestNewTopologyValidation(t *testing.T) {
 }
 
 // TestRTTCentroid covers the coordinator election primitive: the centroid
-// minimizes the weighted round-trip sum with both directions of an
-// asymmetric matrix counted, weights shift the election, and ties break
-// to the lowest index.
+// minimizes the round-trip sum with both directions of an asymmetric
+// matrix counted, and ties break to the lowest index.
 func TestRTTCentroid(t *testing.T) {
 	ms := time.Millisecond
 	// Asymmetric star around site 1: site 0 hangs off a long spoke.
@@ -50,25 +49,15 @@ func TestRTTCentroid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := star.RTTCentroid(nil); got != 1 {
-		t.Errorf("unweighted centroid of the asymmetric star = %d, want hub 1", got)
-	}
-	// Weighting the far site heavily enough drags the centroid to it: the
-	// coordinator should sit where the demand-weighted coordination
-	// traffic is cheapest.
-	if got := star.RTTCentroid([]float64{100, 1, 1, 1}); got != 0 {
-		t.Errorf("centroid with site 0 weighted 100x = %d, want 0", got)
-	}
-	// Entries <= 0 and missing entries mean weight 1.
-	if got := star.RTTCentroid([]float64{0, -3}); got != 1 {
-		t.Errorf("centroid with degenerate weights = %d, want 1", got)
+	if got := star.RTTCentroid(); got != 1 {
+		t.Errorf("centroid of the asymmetric star = %d, want hub 1", got)
 	}
 	// A uniform matrix ties everywhere; election must be deterministic.
 	ring, err := Ring(4, 5*ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ring.RTTCentroid(nil); got != 0 {
+	if got := ring.RTTCentroid(); got != 0 {
 		t.Errorf("ring centroid = %d, want lowest tied index 0", got)
 	}
 }

@@ -305,74 +305,3 @@ func TestProfileFromSpecMatchesModel(t *testing.T) {
 		t.Error("want error for zero points")
 	}
 }
-
-func TestLearnerConverges(t *testing.T) {
-	l, err := NewLearner(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(77)
-	s := MicroBenchmark(100 * time.Millisecond)
-	for i := 0; i < 20000; i++ {
-		l.Observe(1.0, s.SampleServiceTime(rng, 1.0))
-	}
-	m, ok := l.MeanServiceTime(1.0)
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	if m < 80*time.Millisecond || m > 120*time.Millisecond {
-		t.Errorf("learned mean %v want ~100ms", m)
-	}
-	r, ok := l.Rate(1.0)
-	if !ok || math.Abs(r-10) > 2.5 {
-		t.Errorf("learned rate %v want ~10", r)
-	}
-	scv, ok := l.SCV(1.0)
-	if !ok || scv < 0.5 || scv > 1.6 {
-		t.Errorf("learned SCV %v want ~1 (exponential)", scv)
-	}
-	if l.Observations() != 20000 {
-		t.Errorf("observations %d", l.Observations())
-	}
-}
-
-func TestLearnerBucketsBySize(t *testing.T) {
-	l, _ := NewLearner(0.1)
-	l.Observe(1.0, 100*time.Millisecond)
-	l.Observe(0.5, 200*time.Millisecond)
-	m1, ok1 := l.MeanServiceTime(1.0)
-	m2, ok2 := l.MeanServiceTime(0.52) // same decile bucket as 0.5
-	if !ok1 || !ok2 {
-		t.Fatal("missing estimates")
-	}
-	if m1 != 100*time.Millisecond || m2 != 200*time.Millisecond {
-		t.Errorf("bucket means %v %v", m1, m2)
-	}
-	if _, ok := l.MeanServiceTime(0.15); ok {
-		t.Error("unobserved bucket should report no estimate")
-	}
-}
-
-func TestLearnerValidation(t *testing.T) {
-	if _, err := NewLearner(0); err == nil {
-		t.Error("want error for alpha 0")
-	}
-	if _, err := NewLearner(1.5); err == nil {
-		t.Error("want error for alpha > 1")
-	}
-}
-
-func TestLearnerTracksDrift(t *testing.T) {
-	// EWMA must follow a service-time regime change.
-	l, _ := NewLearner(0.1)
-	for i := 0; i < 200; i++ {
-		l.Observe(1.0, 100*time.Millisecond)
-	}
-	for i := 0; i < 200; i++ {
-		l.Observe(1.0, 300*time.Millisecond)
-	}
-	m, _ := l.MeanServiceTime(1.0)
-	if m < 280*time.Millisecond {
-		t.Errorf("learner stuck at %v after drift", m)
-	}
-}

@@ -45,11 +45,14 @@ func CPUFraction(ctx context.Context) float64 {
 	return 1
 }
 
-// invocation is one queued request.
+// invocation is one queued request. cancelled is set, under the platform
+// lock, when the caller's context ends while the request is still queued:
+// the pump then drops it instead of running it.
 type invocation struct {
-	payload []byte
-	arrived time.Duration
-	done    chan result
+	payload   []byte
+	arrived   time.Duration
+	done      chan result
+	cancelled bool
 }
 
 type result struct {
@@ -67,7 +70,6 @@ type worker struct {
 
 // fnState is one registered function.
 type fnState struct {
-	spec    functions.Spec
 	handler Handler
 	queue   []*invocation
 	workers map[cluster.ContainerID]*worker
@@ -182,7 +184,6 @@ func (p *Platform) Register(spec functions.Spec, handler Handler, slo queuing.SL
 		return err
 	}
 	p.fns[spec.Name] = &fnState{
-		spec:    spec,
 		handler: handler,
 		workers: make(map[cluster.ContainerID]*worker),
 		waits:   metrics.NewReservoir(),
@@ -226,19 +227,28 @@ func (p *Platform) Invoke(ctx context.Context, function string, payload []byte) 
 	case r := <-inv.done:
 		return r.out, r.err
 	case <-ctx.Done():
+		// An invocation already dispatched runs to completion; one still
+		// queued must never occupy a worker or count in Stats.
+		p.mu.Lock()
+		inv.cancelled = true
+		p.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
-// pumpLocked dispatches queued invocations to idle workers (caller holds
-// p.mu).
+// pumpLocked dispatches queued invocations to idle workers, dropping the
+// ones whose caller gave up (caller holds p.mu).
 func (p *Platform) pumpLocked(f *fnState) {
 	for len(f.queue) > 0 {
+		inv := f.queue[0]
+		if inv.cancelled {
+			f.queue = f.queue[1:]
+			continue
+		}
 		w := p.selectIdleLocked(f)
 		if w == nil {
 			return
 		}
-		inv := f.queue[0]
 		f.queue = f.queue[1:]
 		p.startLocked(f, w, inv)
 	}
@@ -270,29 +280,24 @@ func (p *Platform) selectIdleLocked(f *fnState) *worker {
 	return best
 }
 
-//lass:wallclock live service timing and learner observations use the machine clock.
+//lass:wallclock live waiting times are measured on the machine clock.
 func (p *Platform) startLocked(f *fnState, w *worker, inv *invocation) {
 	now := time.Since(p.origin)
 	wait := now - inv.arrived
 	f.waits.AddDuration(wait)
 	f.slo.Observe(wait)
 	w.busy = true
-	frac := w.c.CPUFraction()
-	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), cpuFractionKey, frac))
+	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), cpuFractionKey, w.c.CPUFraction()))
 	w.cancel = cancel
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		started := time.Now()
 		out, err := f.handler(ctx, inv.payload)
 		cancel()
 		inv.done <- result{out: out, err: err}
 		p.mu.Lock()
 		w.busy = false
 		w.cancel = nil
-		if lf, ok := p.ctl.Function(f.spec.Name); ok {
-			lf.Learner().Observe(frac, time.Since(started))
-		}
 		p.pumpLocked(f)
 		p.mu.Unlock()
 	}()

@@ -214,6 +214,82 @@ func TestStopFailsPendingInvocations(t *testing.T) {
 	p.Stop() // double stop is a no-op
 }
 
+// TestCancelledQueuedInvocationNeverRuns: with one worker held by A, B is
+// cancelled while queued. Once A is released, B must not run; C, invoked
+// afterwards, is served only once the pump has moved past B.
+//
+//lass:wallclock exercises the live platform in real time.
+func TestCancelledQueuedInvocationNeverRuns(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Controller.EvalInterval = time.Hour // no Step: the pool stays at one worker
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	var runs atomic.Int64
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free() // before Stop, which waits for the handlers
+	handler := func(ctx context.Context, payload []byte) ([]byte, error) {
+		runs.Add(1)
+		<-release
+		return payload, nil
+	}
+	if err := p.Register(echoSpec(), handler, queuing.SLO{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Provision("micro-benchmark", 1); err != nil {
+		t.Fatal(err)
+	}
+	invoke := func(ctx context.Context) chan error {
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := p.Invoke(ctx, "micro-benchmark", nil)
+			errCh <- err
+		}()
+		return errCh
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	stats := func() Snapshot {
+		st, err := p.Stats("micro-benchmark")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	waitFor("the worker's cold start", func() bool { return stats().Containers == 1 })
+	a := invoke(context.Background())
+	waitFor("A to start", func() bool { return runs.Load() == 1 })
+	ctx, cancel := context.WithCancel(context.Background())
+	b := invoke(ctx)
+	waitFor("B to queue", func() bool { return stats().QueueLen == 1 })
+	cancel()
+	if err := <-b; err != context.Canceled {
+		t.Fatalf("cancelled B returned %v, want context.Canceled", err)
+	}
+
+	free()
+	if err := <-a; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-invoke(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("handler ran %d times for A, cancelled B and C; want 2", n)
+	}
+}
+
 func TestStatsUnknownFunction(t *testing.T) {
 	p, err := New(fastConfig())
 	if err != nil {

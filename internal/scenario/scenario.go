@@ -53,8 +53,8 @@ type Site struct {
 // Topology declares the inter-site latency model: a named generator
 // (ring/star) with one RTT parameter, or an explicit matrix.
 type Topology struct {
-	Kind string // "ring", "star", or "matrix"
-	RTT  time.Duration
+	Kind string        // "ring", "star", or "matrix"
+	RTT  time.Duration // one-way; required and positive for ring and star
 	// Matrix rows are one-way latencies; required iff Kind == "matrix".
 	Matrix [][]time.Duration
 }
@@ -705,6 +705,9 @@ func (sc *Scenario) validate() error {
 			if len(sc.Topology.Matrix) != 0 {
 				return fmt.Errorf("scenario %q: topology kind %q does not take a matrix", sc.Name, sc.Topology.Kind)
 			}
+			if sc.Topology.RTT <= 0 {
+				return fmt.Errorf("scenario %q: topology kind %q needs a positive \"rtt\" (got %v)", sc.Name, sc.Topology.Kind, sc.Topology.RTT)
+			}
 		case "matrix":
 			if len(sc.Topology.Matrix) != len(sc.Fleet) {
 				return fmt.Errorf("scenario %q: topology matrix is %d rows for %d sites", sc.Name, len(sc.Topology.Matrix), len(sc.Fleet))
@@ -834,22 +837,20 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 		cfg.Sites = append(cfg.Sites, spec)
 	}
 	if sc.Topology != nil {
+		var topo *federation.Topology
+		var err error
 		switch sc.Topology.Kind {
 		case "ring":
-			cfg.PeerRTT = sc.Topology.RTT
+			topo, err = federation.Ring(len(sc.Fleet), sc.Topology.RTT)
 		case "star":
-			topo, err := federation.Star(len(sc.Fleet), sc.Topology.RTT)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Topology = topo
+			topo, err = federation.Star(len(sc.Fleet), sc.Topology.RTT)
 		case "matrix":
-			topo, err := federation.NewTopology(sc.Topology.Matrix)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Topology = topo
+			topo, err = federation.NewTopology(sc.Topology.Matrix)
 		}
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Topology = topo
 	}
 	if h := sc.Hierarchy; h != nil {
 		tree := h.tree()

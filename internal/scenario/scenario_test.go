@@ -180,6 +180,10 @@ func TestScenarioValidationRejections(t *testing.T) {
 		{"fault out of range", base("name: x\nduration: 1m\nchaos:\n  faults:\n    - kind: site\n      site: 7\n      mean-up: 10s\n      mean-down: 5s\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "out of range"},
 		{"overlapping windows", base("name: x\nduration: 1m\nchaos:\n  faults:\n    - kind: coordinator\n      windows: [{start: 0s, end: 20s}, {start: 10s, end: 30s}]\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "overlap"},
 		{"matrix size", base("name: x\nduration: 1m\ntopology:\n  kind: matrix\n  matrix-ms:\n    - [0, 1]\n    - [1, 0]\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "matrix is 2 rows for 1 sites"},
+		{"star without rtt", base("name: x\nduration: 1m\ntopology:\n  kind: star\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
+		{"star with zero rtt", base("name: x\nduration: 1m\ntopology:\n  kind: star\n  rtt: 0ms\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
+		{"ring without rtt", base("name: x\nduration: 1m\ntopology:\n  kind: ring\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
+		{"ring with negative rtt", base("name: x\nduration: 1m\ntopology:\n  kind: ring\n  rtt: -5ms\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.src))

@@ -15,21 +15,23 @@
 //   - workload generators (§6.1) and Azure-schema trace tooling (§6.7);
 //   - multi-cluster edge–cloud federation (NewFederation): N edge sites
 //     on an explicit latency topology (NewFederationTopology, RingTopology,
-//     StarTopology) plus a cloud backend with warm-pool cold starts and
-//     cost accounting, with per-request dynamic offload after Das et al.'s
-//     edge-cloud task placement (2020) through a pluggable placement API
-//     (Placer, PlacementContext, RegisterPlacer): six built-in policies
-//     and user-defined ones, selectable by name. The federation-wide
-//     fair-share allocator's coordinator is an elected, failure-tolerant
-//     role: CoordinatorRTTCentroid places it at the topology's RTT
-//     centroid, OutageWindow schedules coordinator outages, and leased
-//     grants fall back to local enforcement when the coordinator goes
-//     dark.
+//     StarTopology; a ring of 5ms hops when none is given) plus a cloud
+//     backend one fixed 50ms RTT away with warm-pool cold starts and cost
+//     accounting at one FaaS price point, with per-request dynamic offload
+//     after Das et al.'s edge-cloud task placement (2020) through a
+//     pluggable placement API (Placer, PlacementContext, RegisterPlacer):
+//     seven built-in policies and user-defined ones, selectable by name.
+//     The federation-wide fair-share allocator's coordinator is an
+//     elected, failure-tolerant role: CoordinatorRTTCentroid places it at
+//     the topology's RTT centroid, OutageWindow schedules coordinator
+//     outages, and leased grants fall back to local enforcement when the
+//     coordinator goes dark.
 //   - seeded chaos engineering (NewChaosEngine, FederationConfig.Faults):
 //     Gilbert-Elliott coordinator/site/link faults, partial partitions
 //     with asymmetric lease expiry, and cascading failure groups — plus
-//     declarative scenario files (LoadScenario) bundling fleet, topology,
-//     workload, faults, and assertions into one runnable document.
+//     declarative scenario files (scenarios/*.yaml, run by lass-sim
+//     -scenario) bundling fleet, topology, workload, faults, and
+//     assertions into one runnable document.
 //
 // # Quick start
 //
@@ -58,7 +60,6 @@ import (
 	"lass/internal/federation"
 	"lass/internal/functions"
 	"lass/internal/queuing"
-	"lass/internal/scenario"
 	"lass/internal/workload"
 )
 
@@ -97,9 +98,6 @@ type Simulation = core.Platform
 
 // Result is the outcome of a simulation run.
 type Result = core.Result
-
-// FunctionResult is one function's measurements.
-type FunctionResult = core.FunctionResult
 
 // Workload is a piecewise-constant arrival-rate schedule (§6.1).
 type Workload = workload.Schedule
@@ -152,9 +150,6 @@ type Federation = federation.Federation
 
 // FederationResult is the outcome of a federated run.
 type FederationResult = federation.Result
-
-// FederationSiteResult is one edge site's view of a federated run.
-type FederationSiteResult = federation.SiteResult
 
 // Placer is the pluggable placement policy of the federation: every
 // ingress request is handed to the configured Placer as a
@@ -212,8 +207,8 @@ func RegisterPlacer(p Placer) error { return federation.RegisterPlacer(p) }
 
 // PlacerByName returns the registered placement policy with the given
 // (case-insensitive) name: the built-ins "never", "cloud-only",
-// "nearest-peer", "model-driven", "grant-aware", "cost-bounded", or any
-// custom policy added with RegisterPlacer.
+// "nearest-peer", "model-driven", "grant-aware", "cost-bounded",
+// "metro-affine", or any custom policy added with RegisterPlacer.
 func PlacerByName(name string) (Placer, error) { return federation.PlacerByName(name) }
 
 // PlacerNames returns every registered placement policy name in
@@ -247,8 +242,8 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 
 // CoordinatorElection selects how the global allocator's coordinator site
 // is chosen under FederationConfig.GlobalFairShare: pinned at
-// FederationConfig.Coordinator, or elected at the topology's weighted
-// round-trip centroid.
+// FederationConfig.Coordinator, or elected at the topology's round-trip
+// centroid.
 type CoordinatorElection = federation.CoordinatorElection
 
 // Coordinator election modes.
@@ -257,8 +252,8 @@ const (
 	// FederationConfig.Coordinator (default site 0) — the historical
 	// behaviour, and the zero value.
 	CoordinatorFixed = federation.Fixed
-	// CoordinatorRTTCentroid elects the site minimizing the weighted
-	// round-trip sum over the topology matrix
+	// CoordinatorRTTCentroid elects the site minimizing the round-trip
+	// sum over the topology matrix
 	// (FederationTopology.RTTCentroid), re-elected whenever the
 	// federation is reassembled with different membership.
 	CoordinatorRTTCentroid = federation.RTTCentroid
@@ -291,10 +286,7 @@ type ChaosConfig = chaos.Config
 // Gilbert-Elliott up/down process.
 type ChaosFault = chaos.Fault
 
-// ChaosFaultKind discriminates what a ChaosFault darkens.
-type ChaosFaultKind = chaos.FaultKind
-
-// Fault kinds.
+// Fault kinds: what a ChaosFault darkens.
 const (
 	// ChaosFaultCoordinator darkens the coordinator role (allocation
 	// epochs produce no grants) without touching any site's data plane.
@@ -310,44 +302,16 @@ const (
 	ChaosFaultGroup = chaos.FaultGroup
 )
 
-// GilbertElliott parameterizes a two-state up/down failure process with
-// exponentially distributed holding times.
-type GilbertElliott = chaos.GilbertElliott
-
-// ChaosEngine realizes a ChaosConfig into queryable fault timelines; it
-// implements FaultView and plugs into FederationConfig.Faults.
-type ChaosEngine = chaos.Engine
-
-// NewChaosEngine validates the config and builds the seeded engine.
-func NewChaosEngine(cfg ChaosConfig) (*ChaosEngine, error) {
+// NewChaosEngine validates the config and builds the seeded engine: it
+// realizes the config into queryable fault timelines, implements
+// FaultView, and plugs into FederationConfig.Faults.
+func NewChaosEngine(cfg ChaosConfig) (*chaos.Engine, error) {
 	return chaos.New(cfg)
 }
 
 // FaultView is what the federation consults about failures: whether the
 // coordinator role, a site, or a directed link is dark at an instant.
 type FaultView = federation.FaultView
-
-// UnionFaults composes fault views; a target is dark when any view says
-// so. Nil views are skipped.
-func UnionFaults(views ...FaultView) FaultView {
-	return federation.UnionFaults(views...)
-}
-
-// Scenario is a declarative experiment file — fleet, topology, workload,
-// chaos faults, and result assertions — loadable from YAML-subset text
-// and buildable into a FederationConfig. See scenarios/ and the README's
-// "Chaos & scenario files" section.
-type Scenario = scenario.Scenario
-
-// LoadScenario reads and validates a scenario file.
-func LoadScenario(path string) (*Scenario, error) {
-	return scenario.Load(path)
-}
-
-// ParseScenario parses and validates scenario text.
-func ParseScenario(data []byte) (*Scenario, error) {
-	return scenario.Parse(data)
-}
 
 // GlobalSiteDemand is one edge site's demand report to the federation-wide
 // fair-share allocator: its capacity, root-level weight, and per-function
@@ -380,19 +344,9 @@ func GlobalAllocate(sites []GlobalSiteDemand) (*GlobalAllocation, error) {
 // (arbitrary depth): interior groups carry weights, leaves list site
 // names, and each level's deserved quota cascades down by weight share.
 // Assign it to FederationConfig.Hierarchy (with optional
-// FederationConfig.Reclaim) or run it directly through
-// GlobalAllocateHierarchical. See the README's "Hierarchical federations"
+// FederationConfig.Reclaim). See the README's "Hierarchical federations"
 // section.
 type QuotaHierarchy = allocation.Hierarchy
-
-// QuotaGroup is one node of a QuotaHierarchy: a named, weighted group
-// holding either child groups or leaf site names.
-type QuotaGroup = allocation.Group
-
-// ReclaimDirective is one landed cross-site reclaim commit: CPU moved
-// from an over-quota (borrowed) function grant to a deserved-starved
-// peer's function at the same site.
-type ReclaimDirective = allocation.Reclaim
 
 // HierarchyRTTClasses are the per-level one-way latencies a hierarchical
 // topology derives from the quota tree (intra-metro / intra-region /
@@ -405,20 +359,6 @@ type HierarchyRTTClasses = federation.RTTClasses
 func HierarchicalTopology(sites []string, h *QuotaHierarchy, classes HierarchyRTTClasses) (*FederationTopology, error) {
 	return federation.Hierarchical(sites, h.Levels(), classes)
 }
-
-// GlobalAllocateHierarchical runs one hierarchical federation-wide
-// fair-share epoch: the deserved-quota cascade down the tree, capped
-// water-filling with over-quota borrowing, and — when reclaim is set —
-// cross-site reclamation of borrowed capacity for deserved-starved
-// functions (Result.Reclaims). A depth-1 hierarchy reproduces
-// GlobalAllocate bit for bit.
-func GlobalAllocateHierarchical(h *QuotaHierarchy, sites []GlobalSiteDemand, reclaim bool) (*GlobalAllocation, error) {
-	return allocation.AllocateHierarchical(h, sites, true, reclaim)
-}
-
-// ControllerDemand is one function's demand estimate as a site controller
-// reports it to an external allocator (Controller.Demands).
-type ControllerDemand = controller.FunctionDemand
 
 // RequiredContainers runs the paper's Algorithm 1: the number of
 // containers needed to serve arrival rate lambda with per-container
@@ -436,6 +376,4 @@ func RequiredContainersHeterogeneous(lambda float64, existingRates []float64, ne
 
 // DefaultSLO is the evaluation's default objective: 95% of requests start
 // service within 100 ms (§6.1).
-func DefaultSLO() SLO {
-	return SLO{Deadline: 100 * time.Millisecond, Percentile: 0.95, WaitingOnly: true}
-}
+func DefaultSLO() SLO { return controller.DefaultSLO() }

@@ -193,7 +193,7 @@ func TestPublicAPICoordinatorElection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hub := topo.RTTCentroid(nil); hub != 1 {
+	if hub := topo.RTTCentroid(); hub != 1 {
 		t.Fatalf("RTTCentroid = %d, want 1", hub)
 	}
 	spec, err := lass.FunctionByName("squeezenet")
