@@ -130,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		traceRows, err = azure.Read(f)
 		f.Close()
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", *trace, err)
 		}
 	}
 

@@ -10,8 +10,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"lass/internal/azure"
@@ -19,49 +22,71 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "lass-trace: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("lass-trace", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		rows      = flag.Int("rows", 6, "number of function traces to synthesize")
-		minutes   = flag.Int("minutes", azure.MinutesPerDay, "trace length in minutes")
-		mean      = flag.Float64("mean", 30, "target mean invocations per minute")
-		archetype = flag.String("archetype", "mixed", "steady|periodic|bursty|sporadic|mixed")
-		seed      = flag.Uint64("seed", 1, "random seed")
+		rows      = flags.Int("rows", 6, "number of function traces to synthesize")
+		minutes   = flags.Int("minutes", azure.MinutesPerDay, "trace length in minutes")
+		mean      = flags.Float64("mean", 30, "target mean invocations per minute")
+		archetype = flags.String("archetype", "mixed", "steady|periodic|bursty|sporadic|mixed")
+		seed      = flags.Uint64("seed", 1, "random seed")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if flags.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: every input is a flag", flags.Arg(0))
+	}
+	if *rows < 1 {
+		return fmt.Errorf("-rows must be at least 1, got %d", *rows)
+	}
+	if *minutes < 1 {
+		return fmt.Errorf("-minutes must be at least 1, got %d", *minutes)
+	}
+	if !(*mean >= 0) || math.IsInf(*mean, 1) {
+		return fmt.Errorf("-mean must be a finite non-negative rate, got %v", *mean)
+	}
+	mixed := *archetype == "mixed"
+	a, ok := parseArchetype(*archetype)
+	if !ok && !mixed {
+		return fmt.Errorf("-archetype: unknown archetype %q (steady|periodic|bursty|sporadic|mixed)", *archetype)
+	}
 
 	rng := xrand.New(*seed)
-	pick := func(i int) azure.Archetype {
-		switch *archetype {
-		case "steady":
-			return azure.Steady
-		case "periodic":
-			return azure.Periodic
-		case "bursty":
-			return azure.Bursty
-		case "sporadic":
-			return azure.Sporadic
-		case "mixed":
-			return azure.Archetype(i % 4)
-		default:
-			fmt.Fprintf(os.Stderr, "lass-trace: unknown archetype %q\n", *archetype)
-			os.Exit(1)
-			return 0
-		}
-	}
 	var out []azure.Row
 	for i := 0; i < *rows; i++ {
+		if mixed {
+			a = azure.Archetype(i % 4)
+		}
 		row, err := azure.Synthesize(rng, azure.SynthConfig{
-			Archetype:     pick(i),
+			Archetype:     a,
 			MeanPerMinute: *mean,
 			Minutes:       *minutes,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lass-trace: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		out = append(out, row)
 	}
-	if err := azure.Write(os.Stdout, out); err != nil {
-		fmt.Fprintf(os.Stderr, "lass-trace: %v\n", err)
-		os.Exit(1)
+	return azure.Write(stdout, out)
+}
+
+// parseArchetype returns the archetype whose name is name.
+func parseArchetype(name string) (azure.Archetype, bool) {
+	for a := azure.Steady; a <= azure.Sporadic; a++ {
+		if a.String() == name {
+			return a, true
+		}
 	}
+	return 0, false
 }

@@ -61,11 +61,11 @@ func TestCommentsCiteExistingDocs(t *testing.T) {
 	})
 }
 
-// flagCitation matches one of the two simulator commands followed by the
+// flagCitation matches one of the flag-driven commands followed by the
 // flags a text passes it: each flag may take one value, and the first word
 // that is neither ends the citation (so prose after the command is not
 // scanned).
-var flagCitation = regexp.MustCompile(`\b(lass-sim|lass-bench)((?:\s+\[?-[a-z][\w-]*(?:[ =][^\s-]\S*)?)+)`)
+var flagCitation = regexp.MustCompile(`\b(lass-sim|lass-bench|lass-trace)((?:\s+\[?-[a-z][\w-]*(?:[ =][^\s-]\S*)?)+)`)
 
 var citedFlag = regexp.MustCompile(`(?:^|\s|\[)-([a-z][\w-]*)`)
 
@@ -104,12 +104,13 @@ func definedFlags(t *testing.T, command string) map[string]bool {
 }
 
 // TestDocsCiteDefinedFlags fails when README.md, the verify skill, or a Go
-// comment shows lass-sim or lass-bench with a flag that command does not
-// define — a deleted flag must leave the documentation with it.
+// comment shows lass-sim, lass-bench or lass-trace with a flag that command
+// does not define — a deleted flag must leave the documentation with it.
 func TestDocsCiteDefinedFlags(t *testing.T) {
 	defined := map[string]map[string]bool{
 		"lass-sim":   definedFlags(t, "lass-sim"),
 		"lass-bench": definedFlags(t, "lass-bench"),
+		"lass-trace": definedFlags(t, "lass-trace"),
 	}
 	// check reports every undefined flag text cites, naming the line
 	// (counted from firstLine) the command sits on, and returns how many

@@ -105,17 +105,6 @@ type Result struct {
 	Reclaims     []Reclaim
 }
 
-// SiteGrants returns the granted CPU per function for one site.
-func (r *Result) SiteGrants(site string) map[string]int64 {
-	out := make(map[string]int64)
-	for _, g := range r.Grants {
-		if g.Site == site {
-			out[g.Function] = g.GrantedCPU
-		}
-	}
-	return out
-}
-
 // subtree builds one site's user → function subtree. desire maps the leaf
 // desire per function; when nil the raw demands are used.
 func subtree(s SiteDemand, id string, weight float64, desire map[string]int64) *fairshare.Node {

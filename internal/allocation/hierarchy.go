@@ -353,15 +353,3 @@ func (a *Allocator) runReclaim(sites []SiteDemand) {
 		}
 	}
 }
-
-// AllocateHierarchical runs one hierarchical allocation epoch from
-// scratch — the one-shot convenience mirroring Allocate for flat site
-// lists. Long-lived callers should hold an Allocator and SetHierarchy
-// once instead.
-func AllocateHierarchical(h *Hierarchy, sites []SiteDemand, capped, reclaim bool) (*Result, error) {
-	a := NewAllocator()
-	if err := a.SetHierarchy(h, reclaim); err != nil {
-		return nil, err
-	}
-	return a.Allocate(sites, capped)
-}

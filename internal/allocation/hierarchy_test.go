@@ -174,7 +174,7 @@ func hierOneMetro() *Hierarchy {
 
 func TestHierarchyReclaimMovesBorrowed(t *testing.T) {
 	sites := hierReclaimSites()
-	borrow, err := AllocateHierarchical(hierOneMetro(), cloneSites(sites), true, false)
+	borrow, err := allocateHierarchical(hierOneMetro(), cloneSites(sites), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestHierarchyReclaimMovesBorrowed(t *testing.T) {
 	}
 	borrowF := grantOf(t, borrow, "tiny", "f").GrantedCPU + grantOf(t, borrow, "big", "f").GrantedCPU
 
-	reclaim, err := AllocateHierarchical(hierOneMetro(), cloneSites(sites), true, true)
+	reclaim, err := allocateHierarchical(hierOneMetro(), cloneSites(sites), true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,4 +397,14 @@ func BenchmarkHierarchicalAllocator(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// allocateHierarchical runs one hierarchical allocation epoch from scratch
+// on a fresh Allocator.
+func allocateHierarchical(h *Hierarchy, sites []SiteDemand, capped, reclaim bool) (*Result, error) {
+	a := NewAllocator()
+	if err := a.SetHierarchy(h, reclaim); err != nil {
+		return nil, err
+	}
+	return a.Allocate(sites, capped)
 }

@@ -35,15 +35,6 @@ type Row struct {
 	Counts       []float64 // length MinutesPerDay for genuine traces
 }
 
-// TotalInvocations returns the sum of the row's counts.
-func (r Row) TotalInvocations() float64 {
-	var s float64
-	for _, c := range r.Counts {
-		s += c
-	}
-	return s
-}
-
 // Window returns the counts for minutes [from, to), clamped to the row.
 // The paper samples 11:00-12:00 (minutes 660-720) for the Fig 9 hour.
 func (r Row) Window(from, to int) []float64 {
@@ -68,12 +59,13 @@ func Schedule(counts []float64) (*workload.Schedule, error) {
 // Read parses trace rows from CSV in the Azure schema:
 // HashOwner,HashApp,HashFunction,Trigger,1,2,...,1440. A header row is
 // detected and skipped. Rows may have fewer minute columns (partial days).
+// Counts must be finite and non-negative; every error names the input line
+// it found, counting the physical lines of quoted multi-line fields.
 func Read(r io.Reader) ([]Row, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	var rows []Row
-	line := 0
-	for {
+	for first := true; ; first = false {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
@@ -81,11 +73,11 @@ func Read(r io.Reader) ([]Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("azure: csv parse: %w", err)
 		}
-		line++
 		if len(rec) < 5 {
+			line, _ := cr.FieldPos(0)
 			return nil, fmt.Errorf("azure: line %d: want >=5 columns, got %d", line, len(rec))
 		}
-		if line == 1 && looksLikeHeader(rec) {
+		if first && looksLikeHeader(rec) {
 			continue
 		}
 		row := Row{
@@ -97,11 +89,14 @@ func Read(r io.Reader) ([]Row, error) {
 		}
 		for i, f := range rec[4:] {
 			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("azure: line %d minute %d: %w", line, i+1, err)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("non-finite count %v", v)
+			} else if err == nil && v < 0 {
+				err = fmt.Errorf("negative count %v", v)
 			}
-			if v < 0 {
-				return nil, fmt.Errorf("azure: line %d minute %d: negative count %v", line, i+1, v)
+			if err != nil {
+				line, _ := cr.FieldPos(4 + i)
+				return nil, fmt.Errorf("azure: line %d minute %d: %w", line, i+1, err)
 			}
 			row.Counts = append(row.Counts, v)
 		}

@@ -82,6 +82,53 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestReadRejectsNonFiniteCounts: NaN and ±Inf parse as floats but count
+// no invocations; the error names the line and minute instead of surfacing
+// later as an invalid workload rate.
+func TestReadRejectsNonFiniteCounts(t *testing.T) {
+	for _, c := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
+		_, err := Read(strings.NewReader("HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,1," + c + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2 minute 2: non-finite count") {
+			t.Errorf("count %s: error %v, want line 2 minute 2: non-finite count", c, err)
+		}
+	}
+}
+
+// TestReadNumbersPhysicalLines: a quoted field spanning two lines moves
+// every later record down a line, and errors must say so.
+func TestReadNumbersPhysicalLines(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"HashOwner,HashApp,HashFunction,Trigger,1,2\n\"o\nx\",a,f,http,1,2\no,a,f,http,1,-4\n", "line 4 minute 2"},
+		{"\"o\nx\",a,f,http,1\nshort,row\n", "line 3:"},
+	} {
+		_, err := Read(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: error %v, want %s", c.in, err, c.want)
+		}
+	}
+}
+
+// FuzzAzureRead: any input yields rows of finite, non-negative counts or
+// an error that names a line (seeds: testdata/fuzz/FuzzAzureRead).
+func FuzzAzureRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := Read(bytes.NewReader(data))
+		if err != nil {
+			if !strings.Contains(err.Error(), "line ") {
+				t.Fatalf("error names no line: %v", err)
+			}
+			return
+		}
+		for _, r := range rows {
+			for _, c := range r.Counts {
+				if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
+					t.Fatalf("row %q holds count %v", r.FunctionHash, c)
+				}
+			}
+		}
+	})
+}
+
 func TestWriteEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, nil); err == nil {
@@ -195,9 +242,8 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestTotalInvocations(t *testing.T) {
-	r := Row{Counts: []float64{1, 2, 3}}
-	if r.TotalInvocations() != 6 {
-		t.Errorf("total=%v", r.TotalInvocations())
+	if total := Summarize([]float64{1, 2, 3}).TotalCount; total != 6 {
+		t.Errorf("total=%v", total)
 	}
 }
 

@@ -48,11 +48,6 @@ type Config struct {
 	Seed    uint64
 }
 
-// Default mirrors the paper's 3-node testbed.
-func Default() Config {
-	return Config{Nodes: 3, CPUPerNode: 4000, MemPerNode: 16384, Oversubscription: 2.0}
-}
-
 type containerState int
 
 const (

@@ -337,15 +337,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// MustNew is New for configurations known valid at compile time.
-func MustNew(cfg Config) *Engine {
-	e, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func anyDown(ps []procRef, t time.Duration) bool {
 	for _, p := range ps {
 		if p.downAt(t) {

@@ -70,7 +70,7 @@ func TestFaultValidation(t *testing.T) {
 
 func TestStaticWindowsReplay(t *testing.T) {
 	s := time.Second
-	e := MustNew(Config{Sites: 2, Faults: []Fault{
+	e := mustNew(Config{Sites: 2, Faults: []Fault{
 		{Kind: FaultCoordinator, Windows: []Window{{Start: 10 * s, End: 20 * s}, {Start: 40 * s, End: 41 * s}}},
 	}})
 	for _, c := range []struct {
@@ -99,8 +99,8 @@ func TestQueryOrderIndependence(t *testing.T) {
 	// Forward sweep on one engine, backward sweep on a sibling built from
 	// the same config: every answer must agree even though the lazy
 	// extension materialized in opposite orders.
-	fwd := MustNew(cfg)
-	bwd := MustNew(cfg)
+	fwd := mustNew(cfg)
+	bwd := mustNew(cfg)
 	const steps = 600
 	type key struct {
 		what string
@@ -150,8 +150,8 @@ func TestSameSeedSameRealization(t *testing.T) {
 		{Kind: FaultCoordinator, GE: &GilbertElliott{MeanUp: 40 * time.Second, MeanDown: 12 * time.Second}},
 		{Kind: FaultSite, Site: 0, GE: &GilbertElliott{MeanUp: 25 * time.Second, MeanDown: 8 * time.Second, StartDown: true}},
 	}}
-	a, b := MustNew(cfg), MustNew(cfg)
-	diff := MustNew(Config{Sites: 3, Seed: 8, Faults: cfg.Faults})
+	a, b := mustNew(cfg), mustNew(cfg)
+	diff := mustNew(Config{Sites: 3, Seed: 8, Faults: cfg.Faults})
 	same, differs := true, false
 	for i := 0; i < 1000; i++ {
 		at := time.Duration(i) * 300 * time.Millisecond
@@ -174,7 +174,7 @@ func TestGroupCascadeLag(t *testing.T) {
 	// A static group schedule with a 5s lag: member 0 fails on schedule,
 	// member 1 five seconds later, member 2 ten seconds later.
 	s := time.Second
-	e := MustNew(Config{Sites: 3, Faults: []Fault{
+	e := mustNew(Config{Sites: 3, Faults: []Fault{
 		{Kind: FaultGroup, Sites: []int{0, 1, 2}, Lag: 5 * s, Windows: []Window{{Start: 10 * s, End: 20 * s}}},
 	}})
 	for _, c := range []struct {
@@ -193,7 +193,7 @@ func TestGroupCascadeLag(t *testing.T) {
 }
 
 func TestStartDown(t *testing.T) {
-	e := MustNew(Config{Sites: 1, Seed: 4, Faults: []Fault{
+	e := mustNew(Config{Sites: 1, Seed: 4, Faults: []Fault{
 		{Kind: FaultSite, Site: 0, GE: &GilbertElliott{MeanUp: time.Hour, MeanDown: time.Hour, StartDown: true}},
 	}})
 	if !e.SiteDown(0, 0) {
@@ -202,7 +202,7 @@ func TestStartDown(t *testing.T) {
 }
 
 func TestOutOfRangeQueriesAreUp(t *testing.T) {
-	e := MustNew(Config{Sites: 2, Faults: []Fault{
+	e := mustNew(Config{Sites: 2, Faults: []Fault{
 		{Kind: FaultSite, Site: 0, Windows: []Window{{Start: 0, End: time.Hour}}},
 	}})
 	if e.SiteDown(-1, time.Second) || e.SiteDown(5, time.Second) {
@@ -214,4 +214,13 @@ func TestOutOfRangeQueriesAreUp(t *testing.T) {
 	if e.SiteDown(0, -time.Second) {
 		t.Error("negative-time query reported down")
 	}
+}
+
+// mustNew is New for configurations known valid.
+func mustNew(cfg Config) *Engine {
+	e, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

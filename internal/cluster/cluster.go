@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // State is the lifecycle state of a container.
@@ -85,10 +84,6 @@ func (c *Container) CPUFraction() float64 {
 // CPU size.
 func (c *Container) Deflated() bool { return c.CPUCurrent < c.CPUStandard }
 
-// Alive reports whether the container still occupies resources
-// (any state except Terminated).
-func (c *Container) Alive() bool { return c.state != Terminated }
-
 // Servable reports whether the container can accept requests
 // (Running or Draining).
 func (c *Container) Servable() bool { return c.state == Running || c.state == Draining }
@@ -109,22 +104,6 @@ func (n *Node) CPUFree() int64 { return n.CPUCapacity - n.cpuUsed }
 
 // MemFree returns unallocated memory MiB on the node.
 func (n *Node) MemFree() int64 { return n.MemCapacity - n.memUsed }
-
-// CPUUsed returns allocated CPU millicores.
-func (n *Node) CPUUsed() int64 { return n.cpuUsed }
-
-// MemUsed returns allocated memory MiB.
-func (n *Node) MemUsed() int64 { return n.memUsed }
-
-// Containers returns the live containers on the node in ID order.
-func (n *Node) Containers() []*Container {
-	out := make([]*Container, 0, len(n.containers))
-	for _, c := range n.containers {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // Fits reports whether a container of the given size can be placed.
 func (n *Node) Fits(cpu, mem int64) bool {
@@ -159,7 +138,6 @@ func (p PlacementPolicy) String() string {
 
 // Cluster is a set of nodes with a placement policy.
 type Cluster struct {
-	site   string
 	nodes  []*Node
 	policy PlacementPolicy
 	nextID ContainerID
@@ -192,7 +170,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.CPUPerNode <= 0 || cfg.MemPerNode <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive node capacity (%d mC, %d MiB)", cfg.CPUPerNode, cfg.MemPerNode)
 	}
-	c := &Cluster{site: cfg.Site, policy: cfg.Policy, byFunc: make(map[string][]*Container)}
+	c := &Cluster{policy: cfg.Policy, byFunc: make(map[string][]*Container)}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.nodes = append(c.nodes, &Node{
 			ID:          i,
@@ -203,10 +181,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// Site returns the name of the deployment site this cluster belongs to
-// ("" for a standalone single-cluster run).
-func (cl *Cluster) Site() string { return cl.site }
 
 // Nodes returns the cluster's nodes.
 func (cl *Cluster) Nodes() []*Node { return cl.nodes }
@@ -225,15 +199,6 @@ func (cl *Cluster) UsedCPU() int64 {
 	var t int64
 	for _, n := range cl.nodes {
 		t += n.cpuUsed
-	}
-	return t
-}
-
-// TotalMem returns aggregate memory capacity in MiB.
-func (cl *Cluster) TotalMem() int64 {
-	var t int64
-	for _, n := range cl.nodes {
-		t += n.MemCapacity
 	}
 	return t
 }
@@ -440,27 +405,6 @@ func (cl *Cluster) CPUOf(function string) int64 {
 	var t int64
 	for _, c := range cl.byFunc[function] {
 		t += c.CPUCurrent
-	}
-	return t
-}
-
-// Functions returns the names of functions with live containers, sorted.
-func (cl *Cluster) Functions() []string {
-	out := make([]string, 0, len(cl.byFunc))
-	for f, m := range cl.byFunc {
-		if len(m) > 0 {
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LiveContainers returns the total number of live containers.
-func (cl *Cluster) LiveContainers() int {
-	t := 0
-	for _, n := range cl.nodes {
-		t += len(n.containers)
 	}
 	return t
 }

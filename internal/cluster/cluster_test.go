@@ -27,8 +27,10 @@ func TestPaperClusterShape(t *testing.T) {
 	if cl.TotalCPU() != 12000 {
 		t.Errorf("total CPU=%d want 12000", cl.TotalCPU())
 	}
-	if cl.TotalMem() != 3*16384 {
-		t.Errorf("total mem=%d", cl.TotalMem())
+	for _, n := range cl.Nodes() {
+		if n.MemCapacity != 16384 {
+			t.Errorf("node %d mem=%d", n.ID, n.MemCapacity)
+		}
 	}
 	if cl.UsedCPU() != 0 || cl.CPUUtilization() != 0 {
 		t.Error("fresh cluster should be empty")
@@ -80,7 +82,7 @@ func TestPlaceLifecycle(t *testing.T) {
 	if err := cl.Terminate(c); err != nil {
 		t.Fatal(err)
 	}
-	if cl.UsedCPU() != 0 || c.Alive() || c.Node() != nil {
+	if cl.UsedCPU() != 0 || c.State() != Terminated || c.Node() != nil {
 		t.Error("terminate did not release resources")
 	}
 	if err := cl.Terminate(c); err == nil {
@@ -132,8 +134,8 @@ func TestClusterFillsCompletely(t *testing.T) {
 	if _, err := cl.Place("f", 1000, 512); err == nil {
 		t.Error("13th container should not fit")
 	}
-	if cl.LiveContainers() != 12 {
-		t.Errorf("live=%d", cl.LiveContainers())
+	if n := len(cl.ContainersOf("f")); n != 12 {
+		t.Errorf("live=%d", n)
 	}
 }
 
@@ -300,7 +302,7 @@ func TestContainersOfAndCPUOf(t *testing.T) {
 	if got := cl.CPUOf("none"); got != 0 {
 		t.Errorf("unknown function CPU=%d", got)
 	}
-	fns := cl.Functions()
+	fns := liveFunctions(cl)
 	if len(fns) != 2 || fns[0] != "a" || fns[1] != "b" {
 		t.Errorf("functions=%v", fns)
 	}
@@ -380,7 +382,7 @@ func TestContainerIndexMatchesOracle(t *testing.T) {
 				}
 			}
 			sort.Strings(live)
-			if got := cl.Functions(); !slices.Equal(got, live) {
+			if got := liveFunctions(cl); !slices.Equal(got, live) {
 				t.Fatalf("seed %d step %d: Functions=%v, oracle %v", seed, step, got, live)
 			}
 			for _, f := range names {
@@ -453,16 +455,16 @@ func TestQuickResourceConservation(t *testing.T) {
 		var sumContainers int64
 		for _, n := range cl.Nodes() {
 			var nodeSum int64
-			for _, c := range n.Containers() {
+			for _, c := range n.containers {
 				nodeSum += c.CPUCurrent
 			}
-			if nodeSum != n.CPUUsed() {
+			if nodeSum != n.cpuUsed {
 				return false
 			}
-			if n.CPUUsed() < 0 || n.CPUUsed() > n.CPUCapacity {
+			if n.cpuUsed < 0 || n.cpuUsed > n.CPUCapacity {
 				return false
 			}
-			if n.MemUsed() < 0 || n.MemUsed() > n.MemCapacity {
+			if n.memUsed < 0 || n.memUsed > n.MemCapacity {
 				return false
 			}
 			sumContainers += nodeSum
@@ -482,4 +484,16 @@ func TestStateStrings(t *testing.T) {
 	if FirstFit.String() != "first-fit" || BestFit.String() != "best-fit" || WorstFit.String() != "worst-fit" {
 		t.Error("policy strings wrong")
 	}
+}
+
+// liveFunctions returns the names of functions with live containers, sorted.
+func liveFunctions(cl *Cluster) []string {
+	var out []string
+	for f, m := range cl.byFunc {
+		if len(m) > 0 {
+			out = append(out, f)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -146,7 +146,6 @@ type Function struct {
 
 	estimator *DualWindow
 	smoother  *EWMA
-	predictor Predictor
 
 	// LambdaHat is the rate estimate used by the most recent Step.
 	LambdaHat float64
@@ -310,11 +309,6 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 func (ctl *Controller) Function(name string) (*Function, bool) {
 	f, ok := ctl.funcs[name]
 	return f, ok
-}
-
-// Functions returns registered function names in registration order.
-func (ctl *Controller) Functions() []string {
-	return append([]string(nil), ctl.order...)
 }
 
 // RecordArrival feeds the estimator; the data path calls it for every
@@ -485,25 +479,17 @@ func (ctl *Controller) Demands() []FunctionDemand {
 // Capacity returns the cluster's total CPU capacity in millicores.
 func (ctl *Controller) Capacity() int64 { return ctl.cluster.TotalCPU() }
 
-// SetCapacityGrants imposes externally-computed per-function CPU grants
-// with no lease: they stay valid until replaced or cleared — the
-// freeze-on-stale legacy behaviour. Subsequent Steps enforce each function
-// toward its grant instead of computing shares from local cluster capacity
-// (the federation-level global fair-share path). A function absent from
-// the map keeps its model-computed desire; a nil map restores local
-// allocation. The map is copied.
-func (ctl *Controller) SetCapacityGrants(grants map[string]int64) {
-	ctl.SetCapacityGrantsLeased(grants, 0)
-}
-
 // SetCapacityGrantsLeased imposes externally-computed per-function CPU
-// grants valid for lease from now. When the lease lapses without a renewal
-// (another SetCapacityGrants* call), the controller falls back to local
-// enforcement instead of freezing on stale grants forever: the next Step —
-// or an explicit ExpireGrantLease call, which the federation schedules on
-// its shared engine at the expiry instant — drops the grants. A
-// non-positive lease means no expiry (the SetCapacityGrants behaviour);
-// a nil map restores local allocation immediately.
+// grants valid for lease from now. Subsequent Steps enforce each function
+// toward its grant instead of computing shares from local cluster capacity
+// (the federation-level global fair-share path); a function absent from
+// the map keeps its model-computed desire. The map is copied. When the
+// lease lapses without a renewal (another call), the controller falls back
+// to local enforcement instead of freezing on stale grants forever: the
+// next Step — or an explicit ExpireGrantLease call, which the federation
+// schedules on its shared engine at the expiry instant — drops the grants.
+// A non-positive lease means no expiry (the freeze-on-stale legacy); a nil
+// map restores local allocation immediately.
 func (ctl *Controller) SetCapacityGrantsLeased(grants map[string]int64, lease time.Duration) {
 	if grants == nil {
 		ctl.grants = nil
@@ -557,7 +543,7 @@ func (ctl *Controller) Granted(fn string) (int64, bool) {
 // Step runs one allocation epoch (§3.3): estimate rates, compute desired
 // capacity per function, then enforce — against the local cluster capacity
 // via the §4.1 fair-share adjustment, or, when an external allocator has
-// imposed grants (SetCapacityGrants), against those grants.
+// imposed grants (SetCapacityGrantsLeased), against those grants.
 func (ctl *Controller) Step() error {
 	demands, err := ctl.estimate()
 	if err != nil {
@@ -601,12 +587,6 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 			f.LambdaHat = f.smoother.Update(0)
 		default:
 			f.LambdaHat = f.smoother.Update(raw)
-		}
-		// Optional load prediction (§5): provision for where the load
-		// will be next epoch, not where it was.
-		if f.predictor != nil {
-			f.predictor.Observe(now, f.LambdaHat)
-			f.LambdaHat = f.predictor.Predict(now, ctl.cfg.EvalInterval)
 		}
 	}
 

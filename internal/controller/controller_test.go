@@ -130,8 +130,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := h.ctl.RegisterUser("u", 0); err == nil {
 		t.Error("want error for zero user weight")
 	}
-	fns := h.ctl.Functions()
-	if len(fns) != 1 || fns[0] != "micro-benchmark" {
+	if fns := h.ctl.order; len(fns) != 1 || fns[0] != "micro-benchmark" {
 		t.Errorf("functions=%v", fns)
 	}
 }
@@ -199,7 +198,7 @@ func TestScaleDownMarksDrainingThenExpires(t *testing.T) {
 	// After the TTL, the next step reaps them.
 	h.now += drainTTL + time.Second
 	h.step()
-	if n := h.cl.LiveContainers(); n != 0 {
+	if n := len(h.cl.ContainersOf(spec.Name)); n != 0 {
 		t.Errorf("containers after TTL=%d want 0", n)
 	}
 	if len(h.removed) != before {
@@ -414,7 +413,7 @@ func TestDeflationRespectsThreshold(t *testing.T) {
 	h.now = end
 	h.step()
 	for _, c := range h.cl.ContainersOf(mobile.Name) {
-		if c.Alive() && c.CPUFraction() < 1-deflationThreshold-1e-9 {
+		if c.CPUFraction() < 1-deflationThreshold-1e-9 {
 			t.Errorf("container %d deflated to %.2f, below 1-τ=0.70", c.ID, c.CPUFraction())
 		}
 	}
@@ -572,9 +571,9 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	}
 
 	// Binding grant: the pool must shrink to the granted CPU.
-	h.ctl.SetCapacityGrants(map[string]int64{spec.Name: 2000})
+	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 2000}, 0)
 	if !h.ctl.GrantedExternally() {
-		t.Error("GrantedExternally false after SetCapacityGrants")
+		t.Error("GrantedExternally false after SetCapacityGrantsLeased")
 	}
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
@@ -583,7 +582,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	}
 
 	// Pre-provisioning grant: the pool must grow past the model desire.
-	h.ctl.SetCapacityGrants(map[string]int64{spec.Name: 9000})
+	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 9000}, 0)
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
 	if live := len(liveOf(h.cl, spec.Name)); live < 9 {
@@ -592,7 +591,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 
 	// An infeasible grant set is scaled to cluster capacity, not placed
 	// blindly.
-	h.ctl.SetCapacityGrants(map[string]int64{spec.Name: 50000})
+	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 50000}, 0)
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
 	if cpu := liveCPU(liveOf(h.cl, spec.Name)); cpu > h.cl.TotalCPU() {
@@ -602,7 +601,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	// Back to local allocation: the pool returns toward the model desire
 	// (surplus drains lazily, so live count falls to the desire after the
 	// drain TTL).
-	h.ctl.SetCapacityGrants(nil)
+	h.ctl.SetCapacityGrantsLeased(nil, 0)
 	if h.ctl.GrantedExternally() {
 		t.Error("GrantedExternally after clearing grants")
 	}
@@ -627,7 +626,7 @@ func TestExternalGrantsKeepHeadroomSignal(t *testing.T) {
 	if _, err := h.ctl.Register(spec, "", 1, queuing.SLO{}); err != nil {
 		t.Fatal(err)
 	}
-	h.ctl.SetCapacityGrants(map[string]int64{spec.Name: 1000})
+	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 1000}, 0)
 	h.offer(spec.Name, 800, 5*time.Second)
 	h.step()
 	if !h.ctl.Overloaded() {

@@ -53,7 +53,7 @@ func TestStepGrantedSteadyStateZeroAllocs(t *testing.T) {
 	for _, d := range h.ctl.Demands() {
 		grants[d.Name] = d.DesiredCPU
 	}
-	h.ctl.SetCapacityGrants(grants)
+	h.ctl.SetCapacityGrantsLeased(grants, 0)
 	for i := 0; i < 10; i++ {
 		h.step()
 	}

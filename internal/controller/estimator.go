@@ -155,8 +155,5 @@ func (e *EWMA) Update(v float64) float64 {
 	return e.value
 }
 
-// Value returns the current smoothed value.
-func (e *EWMA) Value() float64 { return e.value }
-
 // Reset clears the smoother to its initial state.
 func (e *EWMA) Reset() { e.started = false; e.value = 0 }

@@ -274,8 +274,8 @@ func TestEWMA(t *testing.T) {
 	if v := e.Update(20); v != 15 {
 		t.Errorf("second update=%v want 15", v)
 	}
-	if e.Value() != 15 {
-		t.Errorf("value=%v", e.Value())
+	if e.value != 15 {
+		t.Errorf("value=%v", e.value)
 	}
 	e.Reset()
 	if v := e.Update(100); v != 100 {
@@ -288,7 +288,7 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e.Update(42)
 	}
-	if math.Abs(e.Value()-42) > 1e-9 {
-		t.Errorf("value=%v", e.Value())
+	if math.Abs(e.value-42) > 1e-9 {
+		t.Errorf("value=%v", e.value)
 	}
 }

@@ -62,26 +62,28 @@ func TestInvariantCapacityNeverExceeded(t *testing.T) {
 		}
 		// Check node-level invariants at every epoch boundary.
 		p.Engine.Every(5*time.Second, func() {
-			for _, n := range p.Cluster.Nodes() {
-				if n.CPUUsed() > n.CPUCapacity {
-					t.Fatalf("trial %d: node %d CPU %d > capacity %d",
-						trial, n.ID, n.CPUUsed(), n.CPUCapacity)
-				}
-				if n.MemUsed() > n.MemCapacity {
-					t.Fatalf("trial %d: node %d mem %d > capacity %d",
-						trial, n.ID, n.MemUsed(), n.MemCapacity)
-				}
-				var sum int64
-				for _, c := range n.Containers() {
+			used := make(map[*cluster.Node]int64)
+			for _, fc := range cfgs {
+				for _, c := range p.Cluster.ContainersOf(fc.Spec.Name) {
 					if c.CPUCurrent <= 0 || c.CPUCurrent > c.CPUStandard {
 						t.Fatalf("trial %d: container %d CPU %d outside (0,%d]",
 							trial, c.ID, c.CPUCurrent, c.CPUStandard)
 					}
-					sum += c.CPUCurrent
+					used[c.Node()] += c.CPUCurrent
 				}
-				if sum != n.CPUUsed() {
+			}
+			for _, n := range p.Cluster.Nodes() {
+				if n.CPUFree() < 0 {
+					t.Fatalf("trial %d: node %d CPU %d > capacity %d",
+						trial, n.ID, n.CPUCapacity-n.CPUFree(), n.CPUCapacity)
+				}
+				if n.MemFree() < 0 {
+					t.Fatalf("trial %d: node %d mem %d > capacity %d",
+						trial, n.ID, n.MemCapacity-n.MemFree(), n.MemCapacity)
+				}
+				if sum := used[n]; sum != n.CPUCapacity-n.CPUFree() {
 					t.Fatalf("trial %d: node %d accounting drift: %d != %d",
-						trial, n.ID, sum, n.CPUUsed())
+						trial, n.ID, sum, n.CPUCapacity-n.CPUFree())
 				}
 			}
 		})
@@ -142,46 +144,5 @@ func TestTraceDrivenRun(t *testing.T) {
 	// Minute 3 is silent: no arrivals between 3:00 and 4:00.
 	if fr.Completed == 0 {
 		t.Error("nothing completed")
-	}
-}
-
-// TestPredictorIntegration attaches a trend predictor through the
-// platform and checks it beats the purely reactive estimator on a steep
-// ramp (the reactive long window lags the ramp by construction; the
-// predictor's extrapolation compensates).
-func TestPredictorIntegration(t *testing.T) {
-	run := func(withPredictor bool) float64 {
-		spec := functions.MicroBenchmark(100 * time.Millisecond)
-		wl, err := workload.NewRamp(5, 50, 0, 4*time.Minute, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(Config{
-			Cluster:   cluster.PaperCluster(),
-			Seed:      11,
-			Functions: []FunctionConfig{{Spec: spec, Workload: wl, Prewarm: 1}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if withPredictor {
-			pred, err := controller.NewTrendPredictor(12, 1.0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Controller.SetPredictor(spec.Name, pred); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := p.Run(4 * time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Functions[spec.Name].SLO.Attainment()
-	}
-	reactive := run(false)
-	predicted := run(true)
-	if predicted < reactive {
-		t.Errorf("trend predictor attainment %.3f below reactive %.3f on a ramp", predicted, reactive)
 	}
 }

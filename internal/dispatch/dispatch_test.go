@@ -250,8 +250,13 @@ func TestWaitingTimeMatchesMMCTheory(t *testing.T) {
 	if math.Abs(measured-want) > 0.03 {
 		t.Errorf("P(wait>0)=%v want ~%v", measured, want)
 	}
-	// Mean wait should track Wq = C/(cμ-λ) = 0.285/20 ≈ 14ms.
-	if m := q.Waits.Mean(); math.Abs(m-0.01425) > 0.004 {
+	// Mean wait should track Wq = C/(cμ-λ) = 0.285/20 ≈ 14ms. The mean is
+	// the integral of the quantile function, taken at 1000 midpoints.
+	m := 0.0
+	for i := 0; i < 1000; i++ {
+		m += q.Waits.Quantile((float64(i)+0.5)/1000) / 1000
+	}
+	if math.Abs(m-0.01425) > 0.004 {
 		t.Errorf("mean wait %vs want ~0.014s", m)
 	}
 }
@@ -317,7 +322,7 @@ func TestDeterministicReplay(t *testing.T) {
 			engine.Schedule(tt, func() { q.Arrive() })
 		}
 		engine.Run()
-		waits = append(waits, q.Waits.Mean(), q.Waits.Quantile(0.95), float64(q.Completed()))
+		waits = append(waits, q.Waits.Quantile(0.5), q.Waits.Quantile(0.95), q.Waits.Max(), float64(q.Completed()))
 		return waits
 	}
 	a, b := run(), run()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -462,7 +463,7 @@ func TestFederationFairShareGlobalBeatsLocal(t *testing.T) {
 	}
 	violations := func(policy, alloc string) float64 {
 		t.Helper()
-		row, err := FairShareAggregate(tab, policy, alloc)
+		row, err := fairShareAggregate(tab, policy, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +480,7 @@ func TestFederationFairShareGlobalBeatsLocal(t *testing.T) {
 	}
 	// The hot site's offered demand cannot fit its own cluster, so the
 	// global allocator must be moving capacity: nonzero cross-site drift.
-	row, err := FairShareAggregate(tab, "nearest-peer", "global")
+	row, err := fairShareAggregate(tab, "nearest-peer", "global")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +489,7 @@ func TestFederationFairShareGlobalBeatsLocal(t *testing.T) {
 		t.Errorf("global aggregate drift-mC = %q, want > 0 (err %v)", row[11], err)
 	}
 	// Local allocation reports zero drift by construction.
-	lrow, err := FairShareAggregate(tab, "nearest-peer", "local")
+	lrow, err := fairShareAggregate(tab, "nearest-peer", "local")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,11 +498,23 @@ func TestFederationFairShareGlobalBeatsLocal(t *testing.T) {
 	}
 	// §3.4 admission verbatim (policy never): sheddable requests are
 	// rejected, not stranded.
-	nrow, err := FairShareAggregate(tab, "never", "local")
+	nrow, err := fairShareAggregate(tab, "never", "local")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nrow[7] == "0" {
 		t.Error("policy never + admission rejected nothing on a 3x overload")
 	}
+}
+
+// fairShareAggregate finds the aggregate ("all") row for one
+// (policy, alloc) pair of a federation sweep table; tests use it to
+// compare local and global allocation.
+func fairShareAggregate(t *Table, policy, alloc string) ([]string, error) {
+	for _, row := range t.Rows {
+		if len(row) >= 3 && row[0] == policy && row[1] == alloc && row[2] == "all" {
+			return row, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: no aggregate row for policy=%s alloc=%s in %s", policy, alloc, t.ID)
 }

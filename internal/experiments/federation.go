@@ -178,15 +178,6 @@ func addFederationRows(t *Table, res *federation.Result) {
 		fmt.Sprintf("%.4f", violationRate(violations(res.Sites))))
 }
 
-// columnIndex maps a table header's column names to their positions.
-func columnIndex(header []string) map[string]int {
-	col := make(map[string]int, len(header))
-	for i, h := range header {
-		col[h] = i
-	}
-	return col
-}
-
 // sweepFederationPolicies runs every registered placement policy over
 // freshly built sites, appends per-site and aggregate rows to the table,
 // and verifies the never policy bit-for-bit against standalone runs. The

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"lass/internal/chaos"
@@ -181,40 +179,4 @@ func FederationCoordinator(opt Options) (*Table, error) {
 	t.AddNote("grant-delay-ms is the mean end-to-end delivery delay: slowest demand upload (gather) + return leg, both read from the topology")
 	t.AddNote("asserted: centroid election strictly reduces mean grant delay, and during the outage leased grants (expiring 2x epoch after delivery) violate strictly less than frozen grants")
 	return t, nil
-}
-
-// CoordinatorDelayCut returns the fractional reduction in mean
-// grant-delivery delay the centroid-elected run achieves over the fixed
-// placement, read from a coordinator sweep table's no-outage aggregate
-// rows.
-func CoordinatorDelayCut(t *Table) (float64, error) {
-	col := columnIndex(t.Header)
-	for _, name := range []string{"coordinator", "missed-epochs", "grant-delay-ms"} {
-		if _, ok := col[name]; !ok {
-			return 0, fmt.Errorf("experiments: table %s has no %q column", t.ID, name)
-		}
-	}
-	delay := func(prefix string) (float64, error) {
-		for _, row := range t.Rows {
-			if len(row) < 3 || row[2] != "all" || row[col["missed-epochs"]] != "0" {
-				continue
-			}
-			if strings.HasPrefix(row[col["coordinator"]], prefix) {
-				return strconv.ParseFloat(row[col["grant-delay-ms"]], 64)
-			}
-		}
-		return 0, fmt.Errorf("experiments: no outage-free %s* aggregate row in %s", prefix, t.ID)
-	}
-	fixed, err := delay("fixed@")
-	if err != nil {
-		return 0, err
-	}
-	centroid, err := delay("centroid@")
-	if err != nil {
-		return 0, err
-	}
-	if fixed <= 0 {
-		return 0, fmt.Errorf("experiments: fixed mean grant delay %v not positive", fixed)
-	}
-	return (fixed - centroid) / fixed, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"lass/internal/azure"
@@ -113,16 +112,4 @@ func FederationFairShare(opt Options) (*Table, error) {
 			i, row.FunctionHash, row.Trigger, st.Mean, st.Max, st.CV)
 	}
 	return t, nil
-}
-
-// FairShareAggregate finds the aggregate ("all") row for one
-// (policy, alloc) pair of a federation sweep table; tests use it to
-// compare local and global allocation.
-func FairShareAggregate(t *Table, policy, alloc string) ([]string, error) {
-	for _, row := range t.Rows {
-		if len(row) >= 3 && row[0] == policy && row[1] == alloc && row[2] == "all" {
-			return row, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: no aggregate row for policy=%s alloc=%s in %s", policy, alloc, t.ID)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"lass/internal/azure"
@@ -68,15 +67,4 @@ func FederationPlacers(opt Options) (*Table, error) {
 			i, row.FunctionHash, row.Trigger, st.Mean, st.Max, st.CV)
 	}
 	return t, nil
-}
-
-// PlacerAggregate finds the aggregate ("all") row for one policy in a
-// placer sweep table; tests use it to compare policies.
-func PlacerAggregate(t *Table, policy string) ([]string, error) {
-	for _, row := range t.Rows {
-		if len(row) >= 3 && row[0] == policy && row[2] == "all" {
-			return row, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: no aggregate row for policy=%s in %s", policy, t.ID)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func placerRate(t *testing.T, tab *Table, policy string) float64 {
 	t.Helper()
-	row, err := PlacerAggregate(tab, policy)
+	row, err := placerAggregate(tab, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +39,12 @@ func TestFederationPlacersGrantAwareBeatsModelDriven(t *testing.T) {
 	}
 	// Arrivals are workload-driven: identical across policies or the
 	// comparison is meaningless.
-	base, err := PlacerAggregate(tab, "never")
+	base, err := placerAggregate(tab, "never")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range federation.PlacerNames() {
-		row, err := PlacerAggregate(tab, name)
+		row, err := placerAggregate(tab, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,8 +69,8 @@ func TestFederationPlacersGrantAwareBeatsModelDriven(t *testing.T) {
 	}
 	// cost-bounded's whole point is visible in the table: it never spends
 	// more on the cloud than model-driven here.
-	modelRow, _ := PlacerAggregate(tab, "model-driven")
-	costRow, _ := PlacerAggregate(tab, "cost-bounded")
+	modelRow, _ := placerAggregate(tab, "model-driven")
+	costRow, _ := placerAggregate(tab, "cost-bounded")
 	modelBill, _ := strconv.ParseFloat(modelRow[9], 64)
 	costBill, _ := strconv.ParseFloat(costRow[9], 64)
 	if costBill > modelBill {
@@ -90,7 +91,7 @@ func TestExperimentResolvesCustomPlacer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := PlacerAggregate(tab, "always-cloud")
+	row, err := placerAggregate(tab, "always-cloud")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,4 +111,15 @@ func (alwaysCloudPlacer) Name() string { return "always-cloud" }
 
 func (alwaysCloudPlacer) Place(ctx *federation.PlacementContext) federation.Decision {
 	return federation.ToCloud()
+}
+
+// placerAggregate finds the aggregate ("all") row for one policy in a
+// placer sweep table; tests use it to compare policies.
+func placerAggregate(t *Table, policy string) ([]string, error) {
+	for _, row := range t.Rows {
+		if len(row) >= 3 && row[0] == policy && row[2] == "all" {
+			return row, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: no aggregate row for policy=%s in %s", policy, t.ID)
 }

@@ -13,7 +13,6 @@ package fairshare
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Demand is one function's (or one subtree's) desired capacity for the next
@@ -61,20 +60,6 @@ func totalWeight(demands []Demand) float64 {
 		w += d.Weight
 	}
 	return w
-}
-
-// GuaranteedShares returns each demand's guaranteed minimum share
-// c_guar_i = ⌊ω_i / Σ_j ω_j · C⌋ (Eq 7), keyed by demand ID.
-func GuaranteedShares(demands []Demand, capacity int64) (map[string]int64, error) {
-	if err := validate(demands, capacity); err != nil {
-		return nil, err
-	}
-	w := totalWeight(demands)
-	out := make(map[string]int64, len(demands))
-	for _, d := range demands {
-		out[d.ID] = int64(math.Floor(d.Weight / w * float64(capacity)))
-	}
-	return out, nil
 }
 
 // Adjust implements the paper's fair-share adjustment algorithm (§4.1)
@@ -293,22 +278,4 @@ func allocateNode(n *Node, capacity int64, capped bool, out map[string]int64) er
 		}
 	}
 	return nil
-}
-
-// Unused returns the capacity left unallocated by a set of allocations —
-// the fragmentation the paper measures when comparing termination against
-// deflation reclamation (Figs 8, 9).
-func Unused(allocs []Allocation, capacity int64) int64 {
-	var used int64
-	for _, a := range allocs {
-		used += a.Adjusted
-	}
-	return capacity - used
-}
-
-// SortByID returns a copy of allocs sorted by ID, for stable test output.
-func SortByID(allocs []Allocation) []Allocation {
-	s := append([]Allocation(nil), allocs...)
-	sort.Slice(s, func(i, j int) bool { return s[i].ID < s[j].ID })
-	return s
 }

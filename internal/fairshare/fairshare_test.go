@@ -31,12 +31,12 @@ func TestGuaranteedSharesEq7(t *testing.T) {
 		{ID: "a", Weight: 1, Desired: 0},
 		{ID: "b", Weight: 2, Desired: 0},
 	}
-	g, err := GuaranteedShares(demands, 1000)
+	allocs, err := Adjust(demands, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g["a"] != 333 || g["b"] != 666 {
-		t.Errorf("shares %v want a=333 b=666", g)
+	if allocs[0].Guaranteed != 333 || allocs[1].Guaranteed != 666 {
+		t.Errorf("shares a=%d b=%d want a=333 b=666", allocs[0].Guaranteed, allocs[1].Guaranteed)
 	}
 }
 
@@ -419,24 +419,6 @@ func TestAllocateTreeDeepValidation(t *testing.T) {
 	}}
 	if _, err := AllocateTree(zeroChild, 100, true); err == nil {
 		t.Error("want error for zero-weight sibling (Adjust validation)")
-	}
-}
-
-func TestUnused(t *testing.T) {
-	allocs := []Allocation{{Adjusted: 300}, {Adjusted: 400}}
-	if u := Unused(allocs, 1000); u != 300 {
-		t.Errorf("unused=%d", u)
-	}
-}
-
-func TestSortByID(t *testing.T) {
-	allocs := []Allocation{{ID: "b"}, {ID: "a"}}
-	s := SortByID(allocs)
-	if s[0].ID != "a" || s[1].ID != "b" {
-		t.Errorf("not sorted: %v", s)
-	}
-	if allocs[0].ID != "b" {
-		t.Error("input mutated")
 	}
 }
 

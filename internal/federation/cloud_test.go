@@ -70,7 +70,7 @@ func TestCloudColdStartAndWarmReuse(t *testing.T) {
 	// SCV 0 makes response times exact: warm = 2×50ms RTT + 50ms = 150ms,
 	// cold = warm + 400ms cold start = 550ms.
 	const eps = 1e-9
-	if got := s.Responses.Min(); math.Abs(got-0.150) > eps {
+	if got := s.Responses.Quantile(0); math.Abs(got-0.150) > eps {
 		t.Errorf("warm cloud response %.6fs, want 0.150s", got)
 	}
 	if got := s.Responses.Max(); math.Abs(got-0.550) > eps {

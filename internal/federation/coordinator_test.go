@@ -57,13 +57,13 @@ func TestCoordinatorElection(t *testing.T) {
 	}
 
 	fed := build(Fixed)
-	if fed.Coordinator() != 0 {
-		t.Errorf("Fixed election seated site %d, want the configured default 0", fed.Coordinator())
+	if fed.coordinator != 0 {
+		t.Errorf("Fixed election seated site %d, want the configured default 0", fed.coordinator)
 	}
 
 	fed = build(RTTCentroid)
-	if fed.Coordinator() != 1 {
-		t.Errorf("RTTCentroid seated site %d, want the hub 1", fed.Coordinator())
+	if fed.coordinator != 1 {
+		t.Errorf("RTTCentroid seated site %d, want the hub 1", fed.coordinator)
 	}
 	res, err := fed.Run(30 * time.Second)
 	if err != nil {

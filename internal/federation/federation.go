@@ -102,16 +102,6 @@ func (e CoordinatorElection) String() string {
 	return fmt.Sprintf("election(%d)", int(e))
 }
 
-// ParseCoordinatorElection returns the election mode named by s.
-func ParseCoordinatorElection(s string) (CoordinatorElection, error) {
-	for _, e := range []CoordinatorElection{Fixed, RTTCentroid} {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("federation: unknown coordinator election %q (fixed|centroid)", s)
-}
-
 // Window is a half-open interval [Start, End) of simulated time: the chaos
 // package's window type, as static fault schedules (a coordinator outage,
 // say) declare them.
@@ -282,6 +272,77 @@ func (c *Config) fillDefaults() {
 	c.GrantLease = zeroDefault(c.GrantLease, 2*c.AllocEpoch)
 }
 
+// Counters are one site's request and coordination counters. A Site
+// accumulates them during a run, its SiteResult reports them, and Result
+// holds their sum over the sites.
+type Counters struct {
+	// ServedLocal counts ingress requests served on the site's own
+	// cluster; OffloadedPeer and OffloadedCloud count ingress requests
+	// placed elsewhere; PeerServed counts requests the site absorbed on
+	// behalf of overloaded peers; Rejected counts ingress requests
+	// refused by offload-aware admission after every peer and the cloud
+	// declined (they remain SLO violations at the site).
+	ServedLocal    uint64
+	OffloadedPeer  uint64
+	OffloadedCloud uint64
+	PeerServed     uint64
+	Rejected       uint64
+
+	// CloudColdStarts counts the site's cloud offloads that paid a cold
+	// start; CloudTimedOut counts those killed by the function's hard
+	// execution limit (they never complete, so they stay violations);
+	// CloudQueued counts those that waited at the per-function
+	// concurrency cap; CloudCost is the accumulated cloud bill for the
+	// site's offloads.
+	CloudColdStarts uint64
+	CloudTimedOut   uint64
+	CloudQueued     uint64
+	CloudCost       float64
+
+	// GrantLeaseExpirations counts the grant leases that lapsed at the
+	// site without renewal — each one a fallback from global grants to
+	// local enforcement, typically because the coordinator went dark.
+	GrantLeaseExpirations uint64
+
+	// PartitionedEpochs counts allocation epochs the site sat out because
+	// its uplink to the coordinator was dark at the boundary (the demand
+	// upload never left); GrantsLost counts grant sets the coordinator
+	// computed for the site that never landed because the return leg was
+	// dark. Both are zero in fault-free runs.
+	PartitionedEpochs uint64
+	GrantsLost        uint64
+
+	// Reclaimed totals the CPU millicores cross-site reclaim recovered for
+	// the site's starved functions (served at metro peers on capacity
+	// preempted from over-quota borrowers); Preempted totals the borrowed
+	// millicores revoked *at* the site to fund peers' deserved shares.
+	// Counted when the reclaim commit actually lands, so both are zero for
+	// flat federations, with reclaim off, or when every commit was lost to
+	// a coordinator outage. Summed over a whole run the two agree unless a
+	// reclaim commit was still in flight at the end — every landed commit
+	// books both sides at once.
+	Reclaimed uint64
+	Preempted uint64
+}
+
+// add accumulates o into c.
+func (c *Counters) add(o Counters) {
+	c.ServedLocal += o.ServedLocal
+	c.OffloadedPeer += o.OffloadedPeer
+	c.OffloadedCloud += o.OffloadedCloud
+	c.PeerServed += o.PeerServed
+	c.Rejected += o.Rejected
+	c.CloudColdStarts += o.CloudColdStarts
+	c.CloudTimedOut += o.CloudTimedOut
+	c.CloudQueued += o.CloudQueued
+	c.CloudCost += o.CloudCost
+	c.GrantLeaseExpirations += o.GrantLeaseExpirations
+	c.PartitionedEpochs += o.PartitionedEpochs
+	c.GrantsLost += o.GrantsLost
+	c.Reclaimed += o.Reclaimed
+	c.Preempted += o.Preempted
+}
+
 // Site is one edge deployment inside the federation.
 type Site struct {
 	Name     string
@@ -294,51 +355,7 @@ type Site struct {
 	Responses *metrics.Reservoir
 	SLO       *metrics.SLOTracker
 
-	// ServedLocal counts ingress requests served on this site's own
-	// cluster; OffloadedPeer and OffloadedCloud count ingress requests
-	// placed elsewhere; PeerServed counts requests this site absorbed on
-	// behalf of overloaded peers; Rejected counts ingress requests
-	// refused by offload-aware admission after every peer and the cloud
-	// declined (they remain SLO violations at this site).
-	ServedLocal    uint64
-	OffloadedPeer  uint64
-	OffloadedCloud uint64
-	PeerServed     uint64
-	Rejected       uint64
-
-	// CloudColdStarts counts this site's cloud offloads that paid a cold
-	// start; CloudTimedOut counts those killed by the function's hard
-	// execution limit (they never complete, so they stay violations);
-	// CloudQueued counts those that waited at the per-function
-	// concurrency cap; CloudCost is the accumulated cloud bill for this
-	// site's offloads.
-	CloudColdStarts uint64
-	CloudTimedOut   uint64
-	CloudQueued     uint64
-	CloudCost       float64
-
-	// GrantLeaseExpirations counts the grant leases that lapsed at this
-	// site without renewal — each one a fallback from global grants to
-	// local enforcement, typically because the coordinator went dark.
-	GrantLeaseExpirations uint64
-
-	// PartitionedEpochs counts allocation epochs this site sat out because
-	// its uplink to the coordinator was dark at the boundary (the demand
-	// upload never left); GrantsLost counts grant sets the coordinator
-	// computed for this site that never landed because the return leg was
-	// dark. Both are zero in fault-free runs.
-	PartitionedEpochs uint64
-	GrantsLost        uint64
-
-	// Reclaimed totals the CPU millicores cross-site reclaim recovered for
-	// this site's starved functions (served at metro peers on capacity
-	// preempted from over-quota borrowers); Preempted totals the borrowed
-	// millicores revoked *at* this site to fund peers' deserved shares.
-	// Counted when the reclaim commit actually lands, so both are zero for
-	// flat federations, with reclaim off, or when every commit was lost to
-	// a coordinator outage.
-	Reclaimed uint64
-	Preempted uint64
+	Counters
 
 	// peers lists the other sites' indices by ascending RTT from this one,
 	// ties by index; legs is site-indexed and holds the round trip to each
@@ -542,11 +559,6 @@ func New(cfg Config) (*Federation, error) {
 func (f *Federation) rtt(i, j int) time.Duration {
 	return f.cfg.Topology.RTT(i, j)
 }
-
-// Coordinator returns the site index hosting the global allocator: the
-// configured index under Fixed election, the topology's weighted
-// round-trip centroid under RTTCentroid.
-func (f *Federation) Coordinator() int { return f.coordinator }
 
 // coordinatorDark reports whether the global allocator is silenced at t:
 // a coordinator-role fault holds, or the coordinator's host site is
@@ -1026,7 +1038,7 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 	f.strandedSum += float64(res.StrandedCPU)
 	f.driftSum += float64(res.DriftCPU)
 	// One pass over the grant list builds every site's delivery map —
-	// res.SiteGrants per site would rescan the whole list S times. The
+	// a per-site scan of res.Grants would rescan the whole list S times. The
 	// maps outlive res (they ride the return-leg events), so they are
 	// fresh per epoch; the site controllers copy them on receipt.
 	bySite := make(map[string]map[string]int64, len(f.Sites))
@@ -1115,8 +1127,8 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 			f.grantDelaySum += delay
 			f.grantDeliveries++
 			site.borrowed = borrowed
+			ctl.SetCapacityGrantsLeased(base, lease)
 			if lease > 0 {
-				ctl.SetCapacityGrantsLeased(base, lease)
 				// The expiry event makes the fallback visible to the
 				// placement layer the instant the lease runs out; a renewal
 				// in the meantime pushes the controller's deadline past this
@@ -1126,8 +1138,6 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 						site.GrantLeaseExpirations++
 					}
 				})
-			} else {
-				ctl.SetCapacityGrants(base)
 			}
 			if len(topUp) == 0 {
 				return
@@ -1148,11 +1158,8 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 				if f.coordinatorDark(f.Engine.Now()) {
 					return
 				}
-				if lease > 0 {
-					ctl.SetCapacityGrantsLeased(grants, lease-reclaimLag)
-				} else {
-					ctl.SetCapacityGrants(grants)
-				}
+				// An unleased (zero) lease stays non-positive: no expiry.
+				ctl.SetCapacityGrantsLeased(grants, lease-reclaimLag)
 				f.applyReclaims(site, topUp)
 			})
 		})
@@ -1182,36 +1189,7 @@ type SiteResult struct {
 	Responses *metrics.Reservoir
 	SLO       *metrics.SLOTracker
 
-	ServedLocal    uint64
-	OffloadedPeer  uint64
-	OffloadedCloud uint64
-	PeerServed     uint64
-	Rejected       uint64
-
-	// CloudColdStarts, CloudTimedOut, CloudQueued, and CloudCost mirror
-	// the Site counters: cold starts paid, hard-limit kills, waits at the
-	// concurrency cap, and accumulated cloud bill for this site's
-	// offloads.
-	CloudColdStarts uint64
-	CloudTimedOut   uint64
-	CloudQueued     uint64
-	CloudCost       float64
-
-	// GrantLeaseExpirations counts grant leases that lapsed at this site
-	// without renewal (fallbacks to local enforcement).
-	GrantLeaseExpirations uint64
-
-	// PartitionedEpochs counts allocation epochs this site sat out behind
-	// a dark uplink; GrantsLost counts computed grant sets that never
-	// landed because the return leg was dark.
-	PartitionedEpochs uint64
-	GrantsLost        uint64
-
-	// Reclaimed and Preempted mirror the Site cross-site reclaim counters:
-	// millicores recovered for this site's starved functions at metro
-	// peers, and borrowed millicores revoked at this site for peers.
-	Reclaimed uint64
-	Preempted uint64
+	Counters
 
 	// Unresolved counts ingress requests that never completed before the
 	// run ended — still queued, in service, in the network, or killed by
@@ -1247,14 +1225,8 @@ type Result struct {
 	Duration    time.Duration
 	Sites       []SiteResult
 	CloudServed uint64
-	// CloudColdStarts, CloudTimedOut, CloudQueued, and CloudCost
-	// aggregate the per-site cloud realism counters across the
-	// federation; Rejected aggregates admission rejections.
-	CloudColdStarts uint64
-	CloudTimedOut   uint64
-	CloudQueued     uint64
-	CloudCost       float64
-	Rejected        uint64
+	// Counters sums the sites' counters, in site order.
+	Counters
 	// GlobalFairShare reports whether the run used the federation-wide
 	// allocator; AllocEpochs counts its completed epochs, and
 	// MeanStrandedCPU / MeanAllocDriftCPU are the per-epoch means of the
@@ -1267,27 +1239,15 @@ type Result struct {
 	// Coordinator is the site index that hosted the global allocator and
 	// Election how it was chosen; MissedAllocEpochs counts epochs that
 	// fired inside a coordinator outage window and so produced no grants;
-	// GrantLeaseExpirations aggregates the per-site lease fallbacks; and
-	// MeanGrantDelay is the mean end-to-end grant-delivery delay (demand
-	// gather + return leg) over every delivery of the run.
-	Coordinator           int
-	Election              CoordinatorElection
-	MissedAllocEpochs     uint64
-	GrantLeaseExpirations uint64
-	MeanGrantDelay        time.Duration
-	// PartitionedEpochs and GrantsLost aggregate the per-site partial
-	// partition counters: epochs a site sat out behind a dark uplink, and
-	// computed grant sets dropped on a dark return leg.
-	PartitionedEpochs uint64
-	GrantsLost        uint64
+	// and MeanGrantDelay is the mean end-to-end grant-delivery delay
+	// (demand gather + return leg) over every delivery of the run.
+	Coordinator       int
+	Election          CoordinatorElection
+	MissedAllocEpochs uint64
+	MeanGrantDelay    time.Duration
 	// Hierarchical reports whether the run used a region→metro→site quota
-	// tree (Config.Hierarchy); Reclaimed and Preempted aggregate the
-	// per-site cross-site reclaim counters (millicores). Over a whole run
-	// the two totals agree unless a reclaim commit was still in flight at
-	// the end — every landed commit books both sides at once.
+	// tree (Config.Hierarchy).
 	Hierarchical bool
-	Reclaimed    uint64
-	Preempted    uint64
 }
 
 // Run drives all sites on the shared engine for the given simulated
@@ -1341,36 +1301,14 @@ func (f *Federation) Run(duration time.Duration) (*Result, error) {
 			unresolved = ingress - observed
 		}
 		res.Sites = append(res.Sites, SiteResult{
-			Name:                  s.Name,
-			Core:                  cr,
-			Responses:             s.Responses,
-			SLO:                   s.SLO,
-			ServedLocal:           s.ServedLocal,
-			OffloadedPeer:         s.OffloadedPeer,
-			OffloadedCloud:        s.OffloadedCloud,
-			PeerServed:            s.PeerServed,
-			Rejected:              s.Rejected,
-			CloudColdStarts:       s.CloudColdStarts,
-			CloudTimedOut:         s.CloudTimedOut,
-			CloudQueued:           s.CloudQueued,
-			CloudCost:             s.CloudCost,
-			GrantLeaseExpirations: s.GrantLeaseExpirations,
-			PartitionedEpochs:     s.PartitionedEpochs,
-			GrantsLost:            s.GrantsLost,
-			Reclaimed:             s.Reclaimed,
-			Preempted:             s.Preempted,
-			Unresolved:            unresolved,
+			Name:       s.Name,
+			Core:       cr,
+			Responses:  s.Responses,
+			SLO:        s.SLO,
+			Counters:   s.Counters,
+			Unresolved: unresolved,
 		})
-		res.CloudColdStarts += s.CloudColdStarts
-		res.CloudTimedOut += s.CloudTimedOut
-		res.CloudQueued += s.CloudQueued
-		res.CloudCost += s.CloudCost
-		res.Rejected += s.Rejected
-		res.GrantLeaseExpirations += s.GrantLeaseExpirations
-		res.PartitionedEpochs += s.PartitionedEpochs
-		res.GrantsLost += s.GrantsLost
-		res.Reclaimed += s.Reclaimed
-		res.Preempted += s.Preempted
+		res.Counters.add(s.Counters)
 	}
 	return res, nil
 }

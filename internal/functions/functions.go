@@ -16,7 +16,6 @@ package functions
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"lass/internal/xrand"
@@ -155,60 +154,6 @@ func (s Spec) SampleServiceTime(rng *xrand.Rand, cpuFraction float64) time.Durat
 	}
 }
 
-// ServiceP returns an approximate p-quantile (0<p<1) of the service time
-// distribution at the standard size, used when an SLO covers waiting plus
-// service (§3.1's t_p99 = d − 1/μ_p99).
-func (s Spec) ServiceP(p float64) time.Duration {
-	mean := float64(s.MeanServiceTime)
-	switch {
-	case s.SCV == 0:
-		return s.MeanServiceTime
-	case s.SCV == 1:
-		return time.Duration(-mean * math.Log(1-p))
-	default:
-		sigma2 := math.Log(1 + s.SCV)
-		mu := math.Log(mean) - sigma2/2
-		// Lognormal quantile via inverse error function approximation.
-		z := normQuantile(p)
-		return time.Duration(math.Exp(mu + math.Sqrt(sigma2)*z))
-	}
-}
-
-// normQuantile is Acklam's approximation of the standard normal inverse
-// CDF, accurate to ~1e-9 over (0,1).
-func normQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	a := []float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := []float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := []float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := []float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	pl, ph := 0.02425, 1-0.02425
-	switch {
-	case p < pl:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p > ph:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	default:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	}
-}
-
 // Catalog returns the seven functions of Table 1 with the paper's standard
 // container sizes. Service-time means are not reported in the paper; the
 // values here are calibrated to the paper's experiment dynamics (e.g. the
@@ -279,74 +224,4 @@ func IsDNN(name string) bool {
 		return true
 	}
 	return false
-}
-
-// ProfilePoint is one entry of an offline service-time profile:
-// the measured mean service time with the container at CPUFraction of its
-// standard size.
-type ProfilePoint struct {
-	CPUFraction float64
-	Mean        time.Duration
-}
-
-// Profile is an offline-measured service-time profile (§5: "load offline
-// profiling results which may be measured by either the user or the
-// service provider"). Lookups interpolate linearly between points.
-type Profile struct {
-	points []ProfilePoint
-}
-
-// NewProfile builds a profile from measured points (any order). At least
-// one point is required.
-func NewProfile(points []ProfilePoint) (*Profile, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("functions: empty profile")
-	}
-	ps := append([]ProfilePoint(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].CPUFraction < ps[j].CPUFraction })
-	for i, p := range ps {
-		if p.CPUFraction <= 0 || p.Mean <= 0 {
-			return nil, fmt.Errorf("functions: invalid profile point %+v", p)
-		}
-		if i > 0 && ps[i-1].CPUFraction == p.CPUFraction {
-			return nil, fmt.Errorf("functions: duplicate profile fraction %v", p.CPUFraction)
-		}
-	}
-	return &Profile{points: ps}, nil
-}
-
-// MeanAt returns the interpolated mean service time at the given CPU
-// fraction, clamping outside the measured range.
-func (p *Profile) MeanAt(cpuFraction float64) time.Duration {
-	ps := p.points
-	if cpuFraction <= ps[0].CPUFraction {
-		return ps[0].Mean
-	}
-	if cpuFraction >= ps[len(ps)-1].CPUFraction {
-		return ps[len(ps)-1].Mean
-	}
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].CPUFraction >= cpuFraction })
-	lo, hi := ps[i-1], ps[i]
-	frac := (cpuFraction - lo.CPUFraction) / (hi.CPUFraction - lo.CPUFraction)
-	return lo.Mean + time.Duration(frac*float64(hi.Mean-lo.Mean))
-}
-
-// RateAt returns the profiled service rate at the given CPU fraction.
-func (p *Profile) RateAt(cpuFraction float64) float64 {
-	return 1 / p.MeanAt(cpuFraction).Seconds()
-}
-
-// ProfileFromSpec synthesizes an offline profile by "measuring" the spec's
-// slack model at n evenly spaced CPU fractions in (0, 1]. It stands in for
-// the provider-side profiling run the paper describes.
-func ProfileFromSpec(s Spec, n int) (*Profile, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("functions: profile needs at least 1 point")
-	}
-	pts := make([]ProfilePoint, 0, n)
-	for i := 1; i <= n; i++ {
-		f := float64(i) / float64(n)
-		pts = append(pts, ProfilePoint{CPUFraction: f, Mean: s.MeanServiceTimeAt(f)})
-	}
-	return NewProfile(pts)
 }

@@ -204,40 +204,6 @@ func TestSampleServiceTimeDeflatedMean(t *testing.T) {
 	}
 }
 
-func TestServicePQuantiles(t *testing.T) {
-	// Exponential: p99 = -mean·ln(0.01) ≈ 4.605·mean.
-	s := MicroBenchmark(100 * time.Millisecond)
-	p99 := s.ServiceP(0.99).Seconds()
-	if math.Abs(p99-0.4605) > 0.001 {
-		t.Errorf("exp p99=%v want ~0.4605", p99)
-	}
-	// Deterministic: every quantile is the mean.
-	s.SCV = 0
-	if q := s.ServiceP(0.99); q != s.MeanServiceTime {
-		t.Errorf("deterministic p99=%v", q)
-	}
-	// Lognormal: sanity — p50 below mean (right-skew), p99 above.
-	s.SCV = 0.5
-	if q := s.ServiceP(0.5); q >= s.MeanServiceTime {
-		t.Errorf("lognormal median %v not below mean", q)
-	}
-	if q := s.ServiceP(0.99); q <= s.MeanServiceTime {
-		t.Errorf("lognormal p99 %v not above mean", q)
-	}
-}
-
-func TestNormQuantile(t *testing.T) {
-	cases := map[float64]float64{0.5: 0, 0.975: 1.959964, 0.99: 2.326348, 0.025: -1.959964}
-	for p, want := range cases {
-		if got := normQuantile(p); math.Abs(got-want) > 1e-5 {
-			t.Errorf("normQuantile(%v)=%v want %v", p, got, want)
-		}
-	}
-	if !math.IsInf(normQuantile(0), -1) || !math.IsInf(normQuantile(1), 1) {
-		t.Error("boundary quantiles should be infinite")
-	}
-}
-
 func TestIsDNN(t *testing.T) {
 	for _, n := range []string{"mobilenet-v2", "shufflenet-v2", "squeezenet"} {
 		if !IsDNN(n) {
@@ -248,60 +214,5 @@ func TestIsDNN(t *testing.T) {
 		if IsDNN(n) {
 			t.Errorf("%s should not be DNN", n)
 		}
-	}
-}
-
-func TestProfileInterpolation(t *testing.T) {
-	p, err := NewProfile([]ProfilePoint{
-		{CPUFraction: 1.0, Mean: 100 * time.Millisecond},
-		{CPUFraction: 0.5, Mean: 200 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := p.MeanAt(0.75); m != 150*time.Millisecond {
-		t.Errorf("interpolated %v want 150ms", m)
-	}
-	if m := p.MeanAt(0.25); m != 200*time.Millisecond {
-		t.Errorf("clamped low %v want 200ms", m)
-	}
-	if m := p.MeanAt(2.0); m != 100*time.Millisecond {
-		t.Errorf("clamped high %v want 100ms", m)
-	}
-	if r := p.RateAt(1.0); math.Abs(r-10) > 1e-9 {
-		t.Errorf("rate %v want 10", r)
-	}
-}
-
-func TestProfileValidation(t *testing.T) {
-	if _, err := NewProfile(nil); err == nil {
-		t.Error("want error for empty profile")
-	}
-	if _, err := NewProfile([]ProfilePoint{{CPUFraction: 0, Mean: time.Second}}); err == nil {
-		t.Error("want error for zero fraction")
-	}
-	if _, err := NewProfile([]ProfilePoint{
-		{CPUFraction: 0.5, Mean: time.Second},
-		{CPUFraction: 0.5, Mean: 2 * time.Second},
-	}); err == nil {
-		t.Error("want error for duplicate fractions")
-	}
-}
-
-func TestProfileFromSpecMatchesModel(t *testing.T) {
-	s, _ := ByName("squeezenet")
-	p, err := ProfileFromSpec(s, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []float64{0.25, 0.5, 0.75, 1.0} {
-		want := s.MeanServiceTimeAt(f).Seconds()
-		got := p.MeanAt(f).Seconds()
-		if math.Abs(got-want)/want > 0.03 {
-			t.Errorf("f=%v: profile %v model %v", f, got, want)
-		}
-	}
-	if _, err := ProfileFromSpec(s, 0); err == nil {
-		t.Error("want error for zero points")
 	}
 }

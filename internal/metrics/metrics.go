@@ -23,7 +23,6 @@ import (
 type Reservoir struct {
 	samples []float64
 	sorted  bool
-	sum     float64
 }
 
 // NewReservoir returns an empty reservoir.
@@ -33,7 +32,6 @@ func NewReservoir() *Reservoir { return &Reservoir{} }
 func (r *Reservoir) Add(v float64) {
 	r.samples = append(r.samples, v)
 	r.sorted = false
-	r.sum += v
 }
 
 // AddDuration records a duration sample in seconds.
@@ -41,17 +39,6 @@ func (r *Reservoir) AddDuration(d time.Duration) { r.Add(d.Seconds()) }
 
 // Count returns the number of samples recorded.
 func (r *Reservoir) Count() int { return len(r.samples) }
-
-// Sum returns the sum of all samples.
-func (r *Reservoir) Sum() float64 { return r.sum }
-
-// Mean returns the sample mean, or 0 if empty.
-func (r *Reservoir) Mean() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	return r.sum / float64(len(r.samples))
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics. It returns 0 for an empty reservoir.
@@ -97,50 +84,6 @@ func (r *Reservoir) Max() float64 {
 	return m
 }
 
-// Min returns the smallest sample, or 0 if empty.
-func (r *Reservoir) Min() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	if r.sorted {
-		return r.samples[0]
-	}
-	m := r.samples[0]
-	for _, v := range r.samples[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// StdDev returns the sample standard deviation, or 0 for <2 samples.
-func (r *Reservoir) StdDev() float64 {
-	n := len(r.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := r.Mean()
-	var ss float64
-	for _, v := range r.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// SCV returns the squared coefficient of variation (variance/mean^2), the
-// input the Allen-Cunneen G/G/c approximation needs. Returns 0 for <2
-// samples or zero mean.
-func (r *Reservoir) SCV() float64 {
-	mean := r.Mean()
-	if mean == 0 || len(r.samples) < 2 {
-		return 0
-	}
-	sd := r.StdDev()
-	return (sd * sd) / (mean * mean)
-}
-
 // FractionBelow returns the fraction of samples <= limit.
 func (r *Reservoir) FractionBelow(limit float64) float64 {
 	if len(r.samples) == 0 {
@@ -155,13 +98,6 @@ func (r *Reservoir) FractionBelow(limit float64) float64 {
 	return float64(idx) / float64(len(r.samples))
 }
 
-// Reset discards all samples.
-func (r *Reservoir) Reset() {
-	r.samples = r.samples[:0]
-	r.sorted = false
-	r.sum = 0
-}
-
 // Histogram is a log-bucketed latency histogram with bounded relative error,
 // suitable for high-volume capture on the real-time data path where keeping
 // every sample would be wasteful. Buckets grow geometrically from min to max.
@@ -170,7 +106,6 @@ type Histogram struct {
 	growth  float64
 	counts  []uint64
 	total   uint64
-	sum     float64
 	underf  uint64
 	overf   uint64
 	maxSeen float64
@@ -204,7 +139,6 @@ func (h *Histogram) bucketOf(v float64) int {
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.total++
-	h.sum += v
 	if v > h.maxSeen {
 		h.maxSeen = v
 	}
@@ -216,17 +150,6 @@ func (h *Histogram) Add(v float64) {
 	default:
 		h.counts[b]++
 	}
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the exact sample mean (tracked outside the buckets).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
 }
 
 // Quantile returns an approximate q-quantile using the geometric midpoint of
@@ -250,7 +173,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if cum >= target {
 		return h.min
 	}
-	lo := h.min
 	for i, c := range h.counts {
 		cum += c
 		if cum >= target {
@@ -258,7 +180,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 			loEdge := h.min * math.Pow(h.growth, float64(i))
 			return math.Sqrt(hiEdge * loEdge)
 		}
-		_ = lo
 	}
 	return h.maxSeen
 }
@@ -306,9 +227,6 @@ func (a *TimeWeightedAverage) Mean(now time.Duration) float64 {
 	}
 	return integral / (now - a.start).Seconds()
 }
-
-// Value returns the current value of the signal.
-func (a *TimeWeightedAverage) Value() float64 { return a.value }
 
 // Point is one (time, value) sample of a recorded series.
 type Point struct {

@@ -12,7 +12,7 @@ import (
 
 func TestReservoirBasics(t *testing.T) {
 	r := NewReservoir()
-	if r.Count() != 0 || r.Mean() != 0 || r.Quantile(0.5) != 0 {
+	if r.Count() != 0 || r.Max() != 0 || r.Quantile(0.5) != 0 {
 		t.Error("empty reservoir should report zeros")
 	}
 	for _, v := range []float64{5, 1, 3, 2, 4} {
@@ -21,11 +21,8 @@ func TestReservoirBasics(t *testing.T) {
 	if r.Count() != 5 {
 		t.Errorf("count=%d", r.Count())
 	}
-	if r.Mean() != 3 {
-		t.Errorf("mean=%v", r.Mean())
-	}
-	if r.Min() != 1 || r.Max() != 5 {
-		t.Errorf("min=%v max=%v", r.Min(), r.Max())
+	if r.Max() != 5 {
+		t.Errorf("max=%v", r.Max())
 	}
 	if q := r.Quantile(0.5); q != 3 {
 		t.Errorf("median=%v", q)
@@ -78,42 +75,11 @@ func TestReservoirAddAfterQuantile(t *testing.T) {
 	}
 }
 
-func TestReservoirStdDevAndSCV(t *testing.T) {
-	r := NewReservoir()
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(v)
-	}
-	// Known dataset: mean 5, sample stddev ~2.138.
-	if math.Abs(r.Mean()-5) > 1e-12 {
-		t.Errorf("mean=%v", r.Mean())
-	}
-	if math.Abs(r.StdDev()-2.13809) > 1e-4 {
-		t.Errorf("stddev=%v", r.StdDev())
-	}
-	wantSCV := (r.StdDev() * r.StdDev()) / 25
-	if math.Abs(r.SCV()-wantSCV) > 1e-12 {
-		t.Errorf("scv=%v want %v", r.SCV(), wantSCV)
-	}
-	empty := NewReservoir()
-	if empty.StdDev() != 0 || empty.SCV() != 0 {
-		t.Error("empty stddev/scv should be 0")
-	}
-}
-
-func TestReservoirReset(t *testing.T) {
-	r := NewReservoir()
-	r.Add(5)
-	r.Reset()
-	if r.Count() != 0 || r.Sum() != 0 {
-		t.Error("reset did not clear")
-	}
-}
-
 func TestReservoirDuration(t *testing.T) {
 	r := NewReservoir()
 	r.AddDuration(250 * time.Millisecond)
-	if r.Mean() != 0.25 {
-		t.Errorf("mean=%v", r.Mean())
+	if q := r.Quantile(0.5); q != 0.25 {
+		t.Errorf("sample=%v", q)
 	}
 }
 
@@ -162,17 +128,14 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 			t.Errorf("q=%v: hist=%v exact=%v", q, hq, eq)
 		}
 	}
-	if math.Abs(h.Mean()-exact.Mean()) > 1e-9 {
-		t.Errorf("hist mean=%v exact=%v", h.Mean(), exact.Mean())
-	}
 }
 
 func TestHistogramUnderOverflow(t *testing.T) {
 	h := NewHistogram(0.001, 1, 16)
 	h.Add(0.0001) // underflow
 	h.Add(100)    // overflow
-	if h.Count() != 2 {
-		t.Errorf("count=%d", h.Count())
+	if h.total != 2 {
+		t.Errorf("count=%d", h.total)
 	}
 	if q := h.Quantile(0.01); q != 0.001 {
 		t.Errorf("underflow quantile=%v want min", q)
@@ -184,7 +147,7 @@ func TestHistogramUnderOverflow(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(0.001, 1, 16)
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 }
@@ -206,8 +169,8 @@ func TestTimeWeightedAverage(t *testing.T) {
 	if m := a.Mean(20 * time.Second); math.Abs(m-0.5) > 1e-12 {
 		t.Errorf("mean=%v want 0.5", m)
 	}
-	if a.Value() != 0 {
-		t.Errorf("value=%v", a.Value())
+	if a.value != 0 {
+		t.Errorf("value=%v", a.value)
 	}
 }
 

@@ -46,9 +46,6 @@ func NewHetMMC(lambda float64, rates []float64) (*HetMMC, error) {
 	return h, nil
 }
 
-// C returns the number of containers.
-func (h *HetMMC) C() int { return len(h.sorted) }
-
 // TotalRate returns the aggregate service rate Σ μ_j.
 func (h *HetMMC) TotalRate() float64 { return h.prefix[len(h.sorted)] }
 

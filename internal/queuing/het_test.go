@@ -204,11 +204,11 @@ func TestQuickHetDeflationNeverImprovesBound(t *testing.T) {
 		for i := range rates {
 			rates[i] = mu
 		}
-		before := HetProbWaitLE(lambda, rates, 0.1)
+		before := hetProbWaitLE(lambda, rates, 0.1)
 		idx := int(which) % cc
 		f01 := 0.3 + 0.6*float64(frac)/255 // deflate to 30-90% of original
 		rates[idx] = mu * f01
-		after := HetProbWaitLE(lambda, rates, 0.1)
+		after := hetProbWaitLE(lambda, rates, 0.1)
 		return after <= before+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -270,13 +270,30 @@ func TestAdditionalHetContainersMeetsSLO(t *testing.T) {
 	for i := 0; i < add; i++ {
 		pool = append(pool, 10)
 	}
-	if p := HetProbWaitLE(lambda, pool, 0.1); p < 0.95 {
+	if p := hetProbWaitLE(lambda, pool, 0.1); p < 0.95 {
 		t.Errorf("after adding %d containers, P(wait<=0.1)=%v < 0.95", add, p)
 	}
 	if add > 0 {
 		smaller := pool[:len(pool)-1]
-		if p := HetProbWaitLE(lambda, smaller, 0.1); p >= 0.95 {
+		if p := hetProbWaitLE(lambda, smaller, 0.1); p >= 0.95 {
 			t.Errorf("solver overshot: %d-1 containers already meet SLO (p=%v)", add, p)
 		}
 	}
+}
+
+// hetProbWaitLE evaluates the heterogeneous bound for a pool, reading an
+// unstable pool as 0: "does this pool meet the SLO".
+func hetProbWaitLE(lambda float64, rates []float64, t float64) float64 {
+	if lambda == 0 {
+		return 1
+	}
+	h, err := NewHetMMC(lambda, rates)
+	if err != nil || !h.Stable() {
+		return 0
+	}
+	p, err := h.ProbWaitLE(t)
+	if err != nil {
+		return 0
+	}
+	return p
 }

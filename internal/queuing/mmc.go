@@ -252,15 +252,6 @@ func (m MMC) MeanWait() (float64, error) {
 	return pw / (float64(m.C)*m.Mu - m.Lambda), nil
 }
 
-// MeanResponse returns the expected response time Wq + 1/μ.
-func (m MMC) MeanWaitPlusService() (float64, error) {
-	wq, err := m.MeanWait()
-	if err != nil {
-		return 0, err
-	}
-	return wq + 1/m.Mu, nil
-}
-
 // waitBoundStates returns L = ⌊t·c·μ + c - 1⌋, the largest number of
 // requests an arrival can see in the system while its expected wait still
 // fits within t (paper Eq 3 rearranged, Algorithm 1 line 4).

@@ -68,12 +68,3 @@ func (m NaiveMMC) ProbWaitLE(t float64) float64 {
 	}
 	return sum
 }
-
-// Healthy reports whether the naive evaluation produced a finite,
-// plausible probability for the given waiting bound. Benchmarks use this to
-// count the parameter range over which the naive implementation remains
-// usable.
-func (m NaiveMMC) Healthy(t float64) bool {
-	p := m.ProbWaitLE(t)
-	return !math.IsNaN(p) && !math.IsInf(p, 0) && p >= 0 && p <= 1.0000001
-}

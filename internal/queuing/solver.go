@@ -316,21 +316,3 @@ func AdditionalHetContainersFrom(lambda float64, existing []float64, newRate flo
 		}
 	}
 }
-
-// HetProbWaitLE is a convenience wrapper evaluating the heterogeneous bound
-// for a given pool; it returns 0 for an unstable pool rather than an error,
-// which is the natural reading for "does this pool meet the SLO".
-func HetProbWaitLE(lambda float64, rates []float64, t float64) float64 {
-	if lambda == 0 {
-		return 1
-	}
-	h, err := NewHetMMC(lambda, rates)
-	if err != nil || !h.Stable() {
-		return 0
-	}
-	p, err := h.ProbWaitLE(t)
-	if err != nil {
-		return 0
-	}
-	return p
-}

@@ -160,13 +160,18 @@ func TestNaiveFailsAtLargeScale(t *testing.T) {
 	}
 }
 
+// TestNaiveHealthyFlag: the naive float64 evaluation gives a plausible
+// probability for a small system and breaks down at r=200 — the boundary
+// the Fig 5 robustness comparison counts.
 func TestNaiveHealthyFlag(t *testing.T) {
-	ok := NaiveMMC{Lambda: 30, Mu: 10, C: 6}
-	if !ok.Healthy(0.1) {
+	healthy := func(m NaiveMMC) bool {
+		p := m.ProbWaitLE(0.1)
+		return !math.IsNaN(p) && !math.IsInf(p, 0) && p >= 0 && p <= 1.0000001
+	}
+	if !healthy(NaiveMMC{Lambda: 30, Mu: 10, C: 6}) {
 		t.Error("small system should be healthy")
 	}
-	bad := NaiveMMC{Lambda: 2000, Mu: 10, C: 220}
-	if bad.Healthy(0.1) {
+	if healthy(NaiveMMC{Lambda: 2000, Mu: 10, C: 220}) {
 		t.Error("r=200 should break float64 factorials")
 	}
 }
@@ -279,11 +284,13 @@ func TestHetSolverErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestHetProbWaitLEUnstableIsZero pins the reading the deflation property
+// tests rely on: an unstable pool meets no SLO, an idle one every SLO.
 func TestHetProbWaitLEUnstableIsZero(t *testing.T) {
-	if p := HetProbWaitLE(100, []float64{10}, 0.1); p != 0 {
+	if p := hetProbWaitLE(100, []float64{10}, 0.1); p != 0 {
 		t.Errorf("unstable pool p=%v want 0", p)
 	}
-	if p := HetProbWaitLE(0, []float64{10}, 0.1); p != 1 {
+	if p := hetProbWaitLE(0, []float64{10}, 0.1); p != 1 {
 		t.Errorf("idle pool p=%v want 1", p)
 	}
 }

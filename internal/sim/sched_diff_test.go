@@ -36,12 +36,12 @@ func (a prodAdapter) schedule(at time.Duration, fn func()) fuzzHandle {
 }
 func (a prodAdapter) every(period time.Duration, fn func()) func() {
 	t := a.e.Every(period, fn)
-	return t.Stop
+	return func() { stop(t) }
 }
 func (a prodAdapter) runUntil(t time.Duration) { a.e.RunUntil(t) }
 func (a prodAdapter) run()                     { a.e.Run() }
 func (a prodAdapter) fired() uint64            { return a.e.Fired() }
-func (a prodAdapter) pending() int             { return a.e.Pending() }
+func (a prodAdapter) pending() int             { return pending(a.e) }
 
 type prodHandle struct{ ev Event }
 

@@ -4,9 +4,8 @@
 // The paper evaluates LaSS on a physical 3-node OpenWhisk cluster; this
 // repository substitutes a discrete-event simulated edge cluster (see
 // README.md's opening paragraph). The engine provides a virtual clock, a
-// timer queue with stable FIFO ordering for simultaneous events, periodic
-// tasks, and a Clock abstraction shared with the wall-clock runtime so the
-// LaSS controller code is identical in both modes.
+// timer queue with stable FIFO ordering for simultaneous events, and
+// periodic tasks.
 //
 // The hot path is allocation-free in steady state: timers are stored by
 // value inside the scheduler, and callback slots are recycled through a
@@ -19,15 +18,6 @@ import (
 	"math"
 	"time"
 )
-
-// Clock is the time source abstraction shared by the simulated and the
-// real-time runtimes. Controller code only ever observes time through a
-// Clock, which is what lets the same allocation logic run in simulation
-// (fast, deterministic) and against the wall clock (cmd/lass-server).
-type Clock interface {
-	// Now returns the current time as an offset from the run's origin.
-	Now() time.Duration
-}
 
 // timer is the value stored inside a scheduler: when to fire, the global
 // FIFO tie-break sequence, and which callback slot to invoke. Cancellation
@@ -67,7 +57,6 @@ type slot struct {
 // deterministic.
 type Event struct {
 	eng *Engine
-	at  time.Duration
 	idx uint32
 	gen uint32
 }
@@ -93,16 +82,6 @@ func (ev Event) Cancel() {
 	e.maybeCompact()
 }
 
-// Cancelled reports whether the event will no longer fire — because it was
-// cancelled, because it already fired, or because the handle is the zero
-// value.
-func (ev Event) Cancelled() bool {
-	return ev.eng == nil || ev.eng.slots[ev.idx].gen != ev.gen
-}
-
-// At returns the scheduled fire time of the event.
-func (ev Event) At() time.Duration { return ev.at }
-
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all model code runs inside event callbacks on the caller's
 // goroutine.
@@ -119,12 +98,8 @@ type Engine struct {
 // NewEngine returns an engine with the virtual clock at zero.
 func NewEngine() *Engine { return &Engine{} }
 
-// Now returns the current virtual time. Engine implements Clock.
+// Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Pending returns the number of timers currently queued (including
-// cancelled timers that have not yet been discarded).
-func (e *Engine) Pending() int { return e.sched.len() }
 
 // Fired returns the total number of events that have executed.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -148,13 +123,13 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Event {
 	s.fn = fn
 	e.sched.push(timer{at: at, seq: e.seq, slot: idx, gen: s.gen})
 	e.seq++
-	return Event{eng: e, at: at, idx: idx, gen: s.gen}
+	return Event{eng: e, idx: idx, gen: s.gen}
 }
 
 // maybeCompact sweeps cancelled timers out of the scheduler once they
-// outnumber the live ones. This bounds Pending() at roughly twice the live
-// timer count on long runs that cancel heavily (periodic tasks stopped,
-// in-flight work aborted), instead of letting corpses pile up until their
+// outnumber the live ones. This bounds the queued timer count at roughly
+// twice the live count on long runs that cancel heavily (in-flight work
+// aborted), instead of letting corpses pile up until their
 // timestamps are popped. Amortized cost is O(1) per cancellation: after a
 // sweep the queue must shrink-by-cancel to half again before the next one.
 func (e *Engine) maybeCompact() {
@@ -203,7 +178,7 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 }
 
 // Every schedules fn at now+period, then every period thereafter, until the
-// returned Task is stopped or the run ends.
+// run ends.
 func (e *Engine) Every(period time.Duration, fn func()) *Task {
 	if period <= 0 {
 		panic("sim: Every with non-positive period")
@@ -235,7 +210,7 @@ type Task struct {
 	fn      func()
 	tickFn  func() // bound once so re-arming does not allocate a method value
 	ev      Event
-	stopped bool
+	stopped bool // ends the ticks, even from inside fn
 }
 
 func newTask(e *Engine, period time.Duration, fn func()) *Task {
@@ -256,12 +231,6 @@ func (t *Task) tick() {
 	if !t.stopped {
 		t.arm()
 	}
-}
-
-// Stop cancels future ticks. Stopping twice is a no-op.
-func (t *Task) Stop() {
-	t.stopped = true
-	t.ev.Cancel()
 }
 
 // Step executes the single next event, advancing the clock to its timestamp.
@@ -375,19 +344,3 @@ func (s *heapScheduler) down(i int) {
 		i = m
 	}
 }
-
-// RealClock is a Clock backed by the wall clock, measured from the moment it
-// is created. It is safe for concurrent use.
-type RealClock struct {
-	origin time.Time
-}
-
-// NewRealClock returns a RealClock whose zero instant is now.
-//
-//lass:wallclock RealClock is the sanctioned bridge from wall time to the Clock interface.
-func NewRealClock() *RealClock { return &RealClock{origin: time.Now()} }
-
-// Now returns the wall-clock time elapsed since the clock was created.
-//
-//lass:wallclock
-func (c *RealClock) Now() time.Duration { return time.Since(c.origin) }

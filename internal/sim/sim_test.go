@@ -66,12 +66,12 @@ func TestCancel(t *testing.T) {
 		if fired {
 			t.Error("cancelled event fired")
 		}
-		if !ev.Cancelled() {
+		if !cancelled(ev) {
 			t.Error("Cancelled() false")
 		}
 		var zero Event
 		zero.Cancel() // must not panic
-		if !zero.Cancelled() {
+		if !cancelled(zero) {
 			t.Error("zero-value event should report cancelled")
 		}
 	})
@@ -80,11 +80,11 @@ func TestCancel(t *testing.T) {
 func TestCancelledAfterFire(t *testing.T) {
 	engines(t, func(t *testing.T, e *Engine) {
 		ev := e.Schedule(time.Second, func() {})
-		if ev.Cancelled() {
+		if cancelled(ev) {
 			t.Error("pending event reports cancelled")
 		}
 		e.Run()
-		if !ev.Cancelled() {
+		if !cancelled(ev) {
 			t.Error("fired event should report it will no longer fire")
 		}
 	})
@@ -120,7 +120,7 @@ func TestEveryPeriodicAndStop(t *testing.T) {
 		task = e.Every(time.Second, func() {
 			count++
 			if count == 5 {
-				task.Stop()
+				stop(task)
 			}
 		})
 		e.RunUntil(time.Minute)
@@ -130,7 +130,7 @@ func TestEveryPeriodicAndStop(t *testing.T) {
 		if e.Now() != time.Minute {
 			t.Errorf("clock = %v want 1m", e.Now())
 		}
-		task.Stop() // double stop is a no-op
+		stop(task) // double stop is a no-op
 	})
 }
 
@@ -139,7 +139,7 @@ func TestEveryFrom(t *testing.T) {
 		var times []time.Duration
 		task := e.EveryFrom(0, 10*time.Second, func() { times = append(times, e.Now()) })
 		e.RunUntil(25 * time.Second)
-		task.Stop()
+		stop(task)
 		want := []time.Duration{0, 10 * time.Second, 20 * time.Second}
 		if len(times) != len(want) {
 			t.Fatalf("ticks at %v", times)
@@ -159,7 +159,7 @@ func TestEveryFromPastStartClamps(t *testing.T) {
 	var times []time.Duration
 	task := e.EveryFrom(4*time.Second, 3*time.Second, func() { times = append(times, e.Now()) })
 	e.RunUntil(17 * time.Second)
-	task.Stop()
+	stop(task)
 	// Start clamps to now (10s), like After clamps negative delays.
 	want := []time.Duration{10 * time.Second, 13 * time.Second, 16 * time.Second}
 	if len(times) != len(want) {
@@ -186,8 +186,8 @@ func TestCancelCompactsQueue(t *testing.T) {
 		// Compaction keeps dead timers at no more than half the queue, so
 		// Pending is bounded by twice the live count (plus one for an odd
 		// queue) instead of holding all 990 corpses until they are popped.
-		if bound := 2*keep + 1; e.Pending() > bound {
-			t.Errorf("Pending=%d after cancelling %d of %d, want <= %d", e.Pending(), total-keep, total, bound)
+		if bound := 2*keep + 1; pending(e) > bound {
+			t.Errorf("Pending=%d after cancelling %d of %d, want <= %d", pending(e), total-keep, total, bound)
 		}
 		e.Run()
 		if fired != keep {
@@ -203,10 +203,10 @@ func TestStopCompactsQueue(t *testing.T) {
 			tasks = append(tasks, e.Every(time.Hour, func() {}))
 		}
 		for _, task := range tasks {
-			task.Stop()
+			stop(task)
 		}
-		if e.Pending() > 1 {
-			t.Errorf("Pending=%d after stopping every task, want <= 1", e.Pending())
+		if pending(e) > 1 {
+			t.Errorf("Pending=%d after stopping every task, want <= 1", pending(e))
 		}
 		e.Run()
 		if e.Fired() != 0 {
@@ -240,14 +240,14 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 		fired := false
 		fresh := e.Schedule(2*time.Second, func() { fired = true })
 		old.Cancel() // stale handle: must not cancel the reused slot
-		if fresh.Cancelled() {
+		if cancelled(fresh) {
 			t.Fatal("stale Cancel hit the recycled slot")
 		}
 		e.Run()
 		if !fired {
 			t.Error("event in recycled slot did not fire")
 		}
-		if !old.Cancelled() {
+		if !cancelled(old) {
 			t.Error("stale handle should report cancelled")
 		}
 	})
@@ -272,8 +272,8 @@ func TestRunUntilLeavesFutureEvents(t *testing.T) {
 		if fired != 1 {
 			t.Errorf("fired=%d want 1", fired)
 		}
-		if e.Pending() != 1 {
-			t.Errorf("pending=%d want 1", e.Pending())
+		if pending(e) != 1 {
+			t.Errorf("pending=%d want 1", pending(e))
 		}
 		if e.Now() != 5*time.Second {
 			t.Errorf("clock=%v want 5s", e.Now())
@@ -331,14 +331,14 @@ func TestPendingNeverUndercounts(t *testing.T) {
 	engines(t, func(t *testing.T, e *Engine) {
 		check := func(op string, live int) {
 			t.Helper()
-			if e.Pending() < live {
-				t.Fatalf("after %s: Pending=%d below live=%d", op, e.Pending(), live)
+			if pending(e) < live {
+				t.Fatalf("after %s: Pending=%d below live=%d", op, pending(e), live)
 			}
 			if e.dead < 0 {
 				t.Fatalf("after %s: dead counter negative (%d)", op, e.dead)
 			}
-			if e.dead > e.Pending() {
-				t.Fatalf("after %s: dead=%d exceeds Pending=%d", op, e.dead, e.Pending())
+			if e.dead > pending(e) {
+				t.Fatalf("after %s: dead=%d exceeds Pending=%d", op, e.dead, pending(e))
 			}
 		}
 		fired := 0
@@ -366,7 +366,7 @@ func TestPendingNeverUndercounts(t *testing.T) {
 				e.RunUntil(base + time.Duration(round+1)*time.Second + 4*time.Millisecond)
 				live = 0
 				for _, ev := range evs {
-					if !ev.Cancelled() {
+					if !cancelled(ev) {
 						live++
 					}
 				}
@@ -374,7 +374,7 @@ func TestPendingNeverUndercounts(t *testing.T) {
 			}
 			// Cancel survivors so each round starts clean.
 			for _, ev := range evs {
-				if !ev.Cancelled() {
+				if !cancelled(ev) {
 					ev.Cancel()
 					live--
 					check("cleanup-cancel", live)
@@ -382,8 +382,8 @@ func TestPendingNeverUndercounts(t *testing.T) {
 			}
 		}
 		e.Run()
-		if e.Pending() != 0 {
-			t.Errorf("Pending=%d after Run, want 0", e.Pending())
+		if pending(e) != 0 {
+			t.Errorf("Pending=%d after Run, want 0", pending(e))
 		}
 		if e.dead != 0 {
 			t.Errorf("dead=%d after Run, want 0", e.dead)
@@ -414,16 +414,18 @@ func TestSteadyStateSteppingDoesNotAllocate(t *testing.T) {
 	})
 }
 
-func TestRealClockMonotone(t *testing.T) {
-	c := NewRealClock()
-	a := c.Now()
-	b := c.Now()
-	if b < a {
-		t.Errorf("real clock went backwards: %v then %v", a, b)
-	}
+// cancelled reports whether ev will no longer fire: cancelled, already
+// fired, or the zero handle.
+func cancelled(ev Event) bool {
+	return ev.eng == nil || ev.eng.slots[ev.idx].gen != ev.gen
 }
 
-func TestClockInterfaceSatisfied(t *testing.T) {
-	var _ Clock = NewEngine()
-	var _ Clock = NewRealClock()
+// pending returns the number of timers queued in e's scheduler, cancelled
+// timers not yet discarded included.
+func pending(e *Engine) int { return e.sched.len() }
+
+// stop cancels t's future ticks; stopping twice is a no-op.
+func stop(t *Task) {
+	t.stopped = true
+	t.ev.Cancel()
 }

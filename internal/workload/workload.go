@@ -1,7 +1,7 @@
 // Package workload implements the configurable IoT workload generator of
 // the paper's evaluation (§6.1): request arrival processes whose rate is
-// static, changes at discrete instants, or changes continuously, plus
-// trace-driven schedules (per-minute counts, the Azure dataset's format).
+// static or changes at discrete instants, plus trace-driven schedules
+// (per-minute counts, the Azure dataset's format).
 //
 // Arrivals are Poisson with a time-varying rate, sampled exactly for
 // piecewise-constant rate functions (no thinning error): the generator
@@ -59,30 +59,6 @@ func NewSteps(steps []Step) (*Schedule, error) {
 	return &Schedule{steps: s}, nil
 }
 
-// NewRamp returns a schedule that changes linearly from rate a to rate b
-// over [start, end], discretized at the given resolution ("Continuous
-// change" mode, §6.1: the rate is adjusted continuously; the
-// discretization error is bounded by the resolution). Before start the
-// rate is a; after end it stays at b.
-func NewRamp(a, b float64, start, end, resolution time.Duration) (*Schedule, error) {
-	if end <= start {
-		return nil, fmt.Errorf("workload: ramp end %v not after start %v", end, start)
-	}
-	if resolution <= 0 {
-		return nil, fmt.Errorf("workload: non-positive resolution %v", resolution)
-	}
-	var steps []Step
-	if start > 0 {
-		steps = append(steps, Step{Start: 0, Rate: a})
-	}
-	for t := start; t < end; t += resolution {
-		frac := float64(t-start) / float64(end-start)
-		steps = append(steps, Step{Start: t, Rate: a + (b-a)*frac})
-	}
-	steps = append(steps, Step{Start: end, Rate: b})
-	return NewSteps(steps)
-}
-
 // FromPerMinuteCounts builds a schedule from per-minute invocation counts
 // (the Azure Functions Trace 2019 format, §6.7): during minute i the rate
 // is counts[i]/60 req/s. The schedule ends after the last minute.
@@ -111,9 +87,6 @@ func (s *Schedule) WithEnd(end time.Duration) *Schedule {
 	return &Schedule{steps: s.steps, end: end}
 }
 
-// End returns the schedule's end time (0 = unbounded).
-func (s *Schedule) End() time.Duration { return s.end }
-
 // RateAt returns λ(t).
 func (s *Schedule) RateAt(t time.Duration) float64 {
 	if s.end > 0 && t >= s.end {
@@ -124,17 +97,6 @@ func (s *Schedule) RateAt(t time.Duration) float64 {
 		return 0 // before schedule start (t < 0)
 	}
 	return s.steps[idx-1].Rate
-}
-
-// MaxRate returns the largest rate in the schedule.
-func (s *Schedule) MaxRate() float64 {
-	m := 0.0
-	for _, st := range s.steps {
-		if st.Rate > m {
-			m = st.Rate
-		}
-	}
-	return m
 }
 
 // segmentEnd returns when the segment containing t ends (schedule end, the

@@ -19,9 +19,6 @@ func TestStaticScheduleRate(t *testing.T) {
 			t.Errorf("rate at %v = %v", tt, r)
 		}
 	}
-	if s.MaxRate() != 25 {
-		t.Errorf("max=%v", s.MaxRate())
-	}
 }
 
 func TestStepsScheduleRates(t *testing.T) {
@@ -79,28 +76,6 @@ func TestStepsSortedRegardlessOfInputOrder(t *testing.T) {
 	}
 }
 
-func TestRampInterpolates(t *testing.T) {
-	s, err := NewRamp(10, 20, time.Minute, 2*time.Minute, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := s.RateAt(0); r != 10 {
-		t.Errorf("before ramp rate=%v", r)
-	}
-	if r := s.RateAt(90 * time.Second); math.Abs(r-15) > 0.5 {
-		t.Errorf("mid-ramp rate=%v want ~15", r)
-	}
-	if r := s.RateAt(5 * time.Minute); r != 20 {
-		t.Errorf("after ramp rate=%v", r)
-	}
-	if _, err := NewRamp(1, 2, time.Minute, time.Minute, time.Second); err == nil {
-		t.Error("want error for zero-length ramp")
-	}
-	if _, err := NewRamp(1, 2, 0, time.Minute, 0); err == nil {
-		t.Error("want error for zero resolution")
-	}
-}
-
 func TestFromPerMinuteCounts(t *testing.T) {
 	s, err := FromPerMinuteCounts([]float64{60, 120, 0})
 	if err != nil {
@@ -115,8 +90,8 @@ func TestFromPerMinuteCounts(t *testing.T) {
 	if r := s.RateAt(150 * time.Second); r != 0 {
 		t.Errorf("minute 2 rate=%v want 0", r)
 	}
-	if s.End() != 3*time.Minute {
-		t.Errorf("end=%v", s.End())
+	if s.end != 3*time.Minute {
+		t.Errorf("end=%v", s.end)
 	}
 	if r := s.RateAt(10 * time.Minute); r != 0 {
 		t.Errorf("past end rate=%v", r)

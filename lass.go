@@ -11,7 +11,8 @@
 //   - simulated platform construction (NewSimulation, §5-§6): a complete
 //     edge deployment — cluster, data path, controller — driven by a
 //     deterministic discrete-event engine;
-//   - the function catalog of the paper's evaluation (Catalog, Table 1);
+//   - the function catalog of the paper's evaluation (FunctionByName,
+//     Table 1);
 //   - workload generators (§6.1) and Azure-schema trace tooling (§6.7);
 //   - multi-cluster edge–cloud federation (NewFederation): N edge sites
 //     on an explicit latency topology (NewFederationTopology, RingTopology,
@@ -116,9 +117,6 @@ func PaperCluster() ClusterConfig { return cluster.PaperCluster() }
 // DefaultController returns the paper-faithful controller configuration
 // (5s epochs, dual 10s/2min windows, τ=30% deflation, deflation policy).
 func DefaultController() ControllerConfig { return controller.Default() }
-
-// Catalog returns the paper's function catalog (Table 1).
-func Catalog() []Spec { return functions.Catalog() }
 
 // FunctionByName returns a catalog entry.
 func FunctionByName(name string) (Spec, error) { return functions.ByName(name) }
@@ -259,12 +257,6 @@ const (
 	CoordinatorRTTCentroid = federation.RTTCentroid
 )
 
-// ParseCoordinatorElection returns the coordinator election mode named by
-// s ("fixed", "centroid").
-func ParseCoordinatorElection(s string) (CoordinatorElection, error) {
-	return federation.ParseCoordinatorElection(s)
-}
-
 // OutageWindow is a half-open interval [Start, End) of simulated time; a
 // ChaosFault's static Windows schedule uses it. Under a
 // ChaosFaultCoordinator fault the coordinator is dark inside each window —
@@ -313,33 +305,6 @@ func NewChaosEngine(cfg ChaosConfig) (*chaos.Engine, error) {
 // coordinator role, a site, or a directed link is dark at an instant.
 type FaultView = federation.FaultView
 
-// GlobalSiteDemand is one edge site's demand report to the federation-wide
-// fair-share allocator: its capacity, root-level weight, and per-function
-// demands.
-type GlobalSiteDemand = allocation.SiteDemand
-
-// GlobalFunctionDemand is one function's demand at one site.
-type GlobalFunctionDemand = allocation.FunctionDemand
-
-// GlobalAllocation is one federation-wide allocation epoch's outcome:
-// per-(site, function) entitlements and enforceable grants plus the
-// stranded-capacity and cross-site drift measurements.
-type GlobalAllocation = allocation.Result
-
-// GlobalGrant is the allocator's decision for one function at one site.
-type GlobalGrant = allocation.Grant
-
-// GlobalAllocate runs one federation-wide §4.1 fair-share epoch: capped
-// water-filling over the sites' total edge capacity on the
-// site → user → function tree, clamped to each site's physical capacity,
-// with displaced entitlement spread to sites that still have idle
-// capacity. NewFederation runs this automatically every allocation epoch
-// when FederationConfig.GlobalFairShare is set; the direct form serves
-// custom schedulers and analysis.
-func GlobalAllocate(sites []GlobalSiteDemand) (*GlobalAllocation, error) {
-	return allocation.Allocate(sites, true)
-}
-
 // QuotaHierarchy is the federation's region → metro → site capacity tree
 // (arbitrary depth): interior groups carry weights, leaves list site
 // names, and each level's deserved quota cascades down by weight share.
@@ -365,13 +330,6 @@ func HierarchicalTopology(sites []string, h *QuotaHierarchy, classes HierarchyRT
 // service rate mu while meeting the SLO (§3.1).
 func RequiredContainers(lambda, mu float64, slo SLO) (int, error) {
 	return queuing.MinimalContainers(lambda, mu, slo)
-}
-
-// RequiredContainersHeterogeneous sizes a pool that already contains
-// containers with the given (possibly deflated) service rates: it returns
-// how many standard containers at newRate must be added (§3.2).
-func RequiredContainersHeterogeneous(lambda float64, existingRates []float64, newRate float64, slo SLO) (int, error) {
-	return queuing.AdditionalHetContainers(lambda, existingRates, newRate, slo)
 }
 
 // DefaultSLO is the evaluation's default objective: 95% of requests start

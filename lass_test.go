@@ -49,19 +49,9 @@ func TestPublicAPISolvers(t *testing.T) {
 	if c < 4 || c > 7 {
 		t.Errorf("c=%d outside plausible range for lambda=30 mu=10", c)
 	}
-	add, err := lass.RequiredContainersHeterogeneous(30, []float64{7, 7}, 10, lass.DefaultSLO())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if add < 1 {
-		t.Errorf("het solver added %d containers to an undersized pool", add)
-	}
 }
 
 func TestPublicAPICatalogAndTraces(t *testing.T) {
-	if got := len(lass.Catalog()); got != 7 {
-		t.Errorf("catalog size %d", got)
-	}
 	if _, err := lass.FunctionByName("squeezenet"); err != nil {
 		t.Error(err)
 	}
@@ -78,8 +68,8 @@ func TestPublicAPICatalogAndTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wl.End() != time.Hour {
-		t.Errorf("trace workload end %v", wl.End())
+	if r := wl.RateAt(time.Hour); r != 0 {
+		t.Errorf("trace workload rate %v after its hour", r)
 	}
 }
 
@@ -143,44 +133,10 @@ func ExampleRequiredContainers() {
 	// Output: 5
 }
 
-// TestPublicAPIGlobalAllocation exercises the federation-wide fair-share
-// surface: the direct allocator call and the federation config knobs.
-func TestPublicAPIGlobalAllocation(t *testing.T) {
-	res, err := lass.GlobalAllocate([]lass.GlobalSiteDemand{
-		{Site: "hot", CapacityCPU: 2000, Functions: []lass.GlobalFunctionDemand{
-			{Name: "f", Weight: 1, DesiredCPU: 5000},
-		}},
-		{Site: "cold", CapacityCPU: 4000, Functions: []lass.GlobalFunctionDemand{
-			{Name: "f", Weight: 1, DesiredCPU: 500},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hotGrant, coldGrant int64
-	for _, g := range res.Grants {
-		switch g.Site {
-		case "hot":
-			hotGrant = g.GrantedCPU
-		case "cold":
-			coldGrant = g.GrantedCPU
-		}
-	}
-	if hotGrant != 2000 {
-		t.Errorf("hot granted %d want its full 2000 capacity", hotGrant)
-	}
-	if coldGrant <= 500 {
-		t.Errorf("cold granted %d want > its 500 desire (spread)", coldGrant)
-	}
-}
-
 // TestPublicAPICoordinatorElection exercises the coordinator surface: the
-// election constants and parser, centroid election on a custom topology,
+// election constants, centroid election on a custom topology,
 // outage windows, and the failure counters on the run result.
 func TestPublicAPICoordinatorElection(t *testing.T) {
-	if el, err := lass.ParseCoordinatorElection("centroid"); err != nil || el != lass.CoordinatorRTTCentroid {
-		t.Errorf("ParseCoordinatorElection(centroid) = %v, %v", el, err)
-	}
 	if lass.CoordinatorFixed.String() != "fixed" || lass.CoordinatorRTTCentroid.String() != "centroid" {
 		t.Error("coordinator election constants misnamed")
 	}
@@ -234,8 +190,8 @@ func TestPublicAPICoordinatorElection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fed.Coordinator() != 1 || res.Coordinator != 1 {
-		t.Errorf("centroid coordinator = %d/%d, want 1", fed.Coordinator(), res.Coordinator)
+	if res.Coordinator != 1 {
+		t.Errorf("centroid coordinator = %d, want 1", res.Coordinator)
 	}
 	if res.MissedAllocEpochs == 0 {
 		t.Error("run-long outage missed no allocation epochs")
@@ -336,7 +292,11 @@ func TestPublicAPICustomPlacer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.PlacerAggregate(tab, "most-idle-peer"); err != nil {
-		t.Error(err)
+	swept := false
+	for _, row := range tab.Rows {
+		swept = swept || row[0] == "most-idle-peer" && row[2] == "all"
+	}
+	if !swept {
+		t.Errorf("no aggregate row for most-idle-peer in %s", tab.ID)
 	}
 }
