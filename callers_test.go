@@ -37,9 +37,22 @@ func loadModule(t *testing.T) []*analysis.Pkg {
 // guardedConfigs are the configuration structs whose every field must have
 // a real caller.
 var guardedConfigs = []string{
-	"lass/internal/federation.Config",
+	"lass/internal/azure.SynthConfig",
+	"lass/internal/baseline.Config",
+	"lass/internal/chaos.Config",
+	"lass/internal/cluster.Config",
 	"lass/internal/controller.Config",
+	"lass/internal/controller.DualWindowConfig",
 	"lass/internal/core.Config",
+	"lass/internal/core.FunctionConfig",
+	"lass/internal/federation.Config",
+	"lass/internal/queuing.SLO",
+	"lass/internal/realtime.Config",
+}
+
+// keptFields are the guarded fields only tests set that stay on purpose.
+var keptFields = map[string]string{
+	"lass/internal/core.FunctionConfig.TimeLimit": "the benchmark's sim_digest hashes the cloud's timed-out count, so removing the hard execution limit must wait for a change that may move the benchmark",
 }
 
 // namedOf returns "path.Name" for a (pointer to a) named type, or "".
@@ -55,12 +68,12 @@ func namedOf(t types.Type) (*types.Named, string) {
 	return n, n.Obj().Pkg().Path() + "." + n.Obj().Name()
 }
 
-// TestConfigFieldsHaveCallers fails when a field of a guarded Config is set
+// TestConfigFieldsHaveCallers fails when a field of a guarded config is set
 // — by a keyed composite literal or by an assignment — in no non-test Go
 // file outside its declaring package (benchmark/ included). A knob only
 // tests set has one value in use, so it belongs in a constant. Fields are
 // matched through the type checker, never by name, so a like-named field
-// of another struct does not count.
+// of another struct does not count. keptFields lists the exceptions.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	pkgs := loadModule(t)
 	set := make(map[string]bool) // "path.Type.Field"
@@ -114,10 +127,11 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 		}
 		for _, imp := range append(p.Types.Imports(), p.Types) {
 			for _, g := range guardedConfigs {
-				if imp.Path() != strings.TrimSuffix(g, ".Config") || fields[g] != nil {
+				dot := strings.LastIndex(g, ".")
+				if imp.Path() != g[:dot] || fields[g] != nil {
 					continue
 				}
-				st := imp.Scope().Lookup("Config").Type().Underlying().(*types.Struct)
+				st := imp.Scope().Lookup(g[dot+1:]).Type().Underlying().(*types.Struct)
 				for i := 0; i < st.NumFields(); i++ {
 					fields[g] = append(fields[g], st.Field(i).Name())
 				}
@@ -130,13 +144,18 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 		}
 		var missing []string
 		for _, fl := range fields[g] {
-			if !set[g+"."+fl] {
+			if _, kept := keptFields[g+"."+fl]; !kept && !set[g+"."+fl] {
 				missing = append(missing, fl)
 			}
 		}
 		sort.Strings(missing)
 		for _, fl := range missing {
 			t.Errorf("%s.%s is set by no non-test code outside its package: make it a constant or delete it", g, fl)
+		}
+	}
+	for k := range keptFields {
+		if set[k] {
+			t.Errorf("keptFields lists %s, which non-test code sets: drop the entry", k)
 		}
 	}
 }

@@ -42,10 +42,7 @@ type Config struct {
 	// survives mild oversubscription (containers just slow down); the
 	// default 2.0 marks a node dead when busy demand is twice capacity.
 	Oversubscription float64
-	// IdleTTL terminates containers idle longer than this (OpenWhisk's
-	// pause/remove behaviour). Zero disables.
-	IdleTTL time.Duration
-	Seed    uint64
+	Seed             uint64
 }
 
 type containerState int
@@ -56,12 +53,11 @@ const (
 )
 
 type container struct {
-	fn       *bfunc
-	node     *node
-	state    containerState
-	lastUsed time.Duration
-	done     sim.Event
-	req      *request
+	fn    *bfunc
+	node  *node
+	state containerState
+	done  sim.Event
+	req   *request
 }
 
 type node struct {
@@ -71,9 +67,8 @@ type node struct {
 	cpuCap     int64
 	responsive bool
 	// containers is kept in creation order. Iterating a set-typed map
-	// here made findIdle hand requests to an arbitrary idle container,
-	// which skewed lastUsed and therefore keep-alive reaping run to run;
-	// a slice makes the whole baseline a pure function of its seed.
+	// here made findIdle hand requests to an arbitrary idle container run
+	// to run; a slice makes the whole baseline a pure function of its seed.
 	containers []*container
 }
 
@@ -207,7 +202,7 @@ func (p *Platform) createContainer(f *bfunc) *container {
 		if n.memCap-n.memUsed < f.spec.MemoryMiB {
 			continue
 		}
-		c := &container{fn: f, node: n, state: idle, lastUsed: p.Engine.Now()}
+		c := &container{fn: f, node: n, state: idle}
 		n.memUsed += f.spec.MemoryMiB
 		n.containers = append(n.containers, c)
 		return c
@@ -233,7 +228,6 @@ func (p *Platform) dispatch(f *bfunc, c *container, r *request) {
 	c.done = p.Engine.After(service, func() {
 		c.state = idle
 		c.req = nil
-		c.lastUsed = p.Engine.Now()
 		f.complete++
 		p.pump(f)
 	})
@@ -275,28 +269,6 @@ func (p *Platform) responsiveNodes() int {
 		}
 	}
 	return n
-}
-
-// reapIdle terminates long-idle containers.
-func (p *Platform) reapIdle() {
-	if p.cfg.IdleTTL == 0 {
-		return
-	}
-	now := p.Engine.Now()
-	for _, n := range p.nodes {
-		live := n.containers[:0]
-		for _, c := range n.containers {
-			if c.state == idle && now-c.lastUsed >= p.cfg.IdleTTL {
-				n.memUsed -= c.fn.spec.MemoryMiB
-				continue
-			}
-			live = append(live, c)
-		}
-		for i := len(live); i < len(n.containers); i++ {
-			n.containers[i] = nil
-		}
-		n.containers = live
-	}
 }
 
 // Result summarizes a baseline run.
@@ -346,7 +318,6 @@ func (p *Platform) Run(schedules map[string]*workload.Schedule, duration time.Du
 		}
 	}
 	p.Engine.Every(10*time.Second, func() {
-		p.reapIdle()
 		if p.responsiveNodes() < len(p.nodes) && firstDeath == 0 {
 			firstDeath = p.Engine.Now()
 		}

@@ -129,41 +129,15 @@ func TestOversubscriptionStretchesService(t *testing.T) {
 	}
 }
 
-func TestIdleReap(t *testing.T) {
-	cfg := paperTestbed()
-	cfg.IdleTTL = 30 * time.Second
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := functions.ByName("geofence")
-	p.Register(spec, 100*time.Millisecond)
-	// One minute of traffic, then nine minutes idle.
-	wl, _ := workload.NewSteps([]workload.Step{{Start: 0, Rate: 20}, {Start: time.Minute, Rate: 0}})
-	if _, err := p.Run(map[string]*workload.Schedule{spec.Name: wl}, 10*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range p.nodes {
-		if len(n.containers) != 0 {
-			t.Errorf("node %d still has %d containers after idle reap", n.id, len(n.containers))
-		}
-		if n.memUsed != 0 {
-			t.Errorf("node %d memUsed=%d", n.id, n.memUsed)
-		}
-	}
-}
-
 // TestRunDeterministic is the regression test for the map-iteration
 // nondeterminism lass-lint flagged in this package: node.containers was a
 // set-typed map, so findIdle handed requests to an arbitrary idle container
-// and the lastUsed-driven keep-alive reap diverged run to run. With the
-// creation-ordered slice, two runs from the same seed must agree
-// bit-for-bit on every committed output.
+// run to run. With the creation-ordered slice, two runs from the same seed
+// must agree bit-for-bit on every committed output.
 func TestRunDeterministic(t *testing.T) {
 	run := func() (*Result, []string) {
 		cfg := paperTestbed()
 		cfg.Seed = 42
-		cfg.IdleTTL = 30 * time.Second // exercise the reap path
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +152,7 @@ func TestRunDeterministic(t *testing.T) {
 			if err := p.Register(spec, 500*time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
-			// Bursty enough that containers go idle and get reaped.
+			// Bursty enough that containers go idle and get reused.
 			wl, err := workload.NewSteps([]workload.Step{
 				{Start: 0, Rate: 8},
 				{Start: 2 * time.Minute, Rate: 0.5},

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -157,9 +158,9 @@ type Function struct {
 	Burst bool
 
 	// sizeHint and hetHint warm-start the next epoch's container-count
-	// scans from this epoch's answers (queuing.MinimalContainersFrom /
+	// searches from this epoch's answers (queuing.MinimalContainersFrom /
 	// AdditionalHetContainersFrom). The sized result is identical for any
-	// hint — only the number of candidates the scan touches changes — so
+	// hint — only the number of counts the search probes changes — so
 	// the hints never need invalidation, even across service-rate or
 	// demand swings.
 	sizeHint int
@@ -361,61 +362,39 @@ func liveCPU(cs []*cluster.Container) int64 {
 }
 
 // desiredContainers runs the queueing model for one function: Algorithm 1
-// on the homogeneous model, switching to the Alves heterogeneous bound
-// when the function's pool contains deflated containers (§3.2-§3.3).
+// on the homogeneous model, plus the Alves heterogeneous bound when the
+// function's pool contains deflated containers (§3.2-§3.3). Both searches
+// are warm-started from the previous epoch's answers, so slowly-drifting
+// rates probe O(1) counts; the result equals the cold scan's for any seed.
 func (ctl *Controller) desiredContainers(f *Function, lambda float64) (int, error) {
 	mu := f.Spec.ServiceRate()
-	live := ctl.liveContainers(f.Spec.Name)
-	heterogeneous := false
-	for _, c := range live {
-		if c.Deflated() {
-			heterogeneous = true
-			break
-		}
+	want, err := queuing.MinimalContainersFrom(lambda, mu, f.SLO, f.sizeHint)
+	if err != nil {
+		return 0, err
 	}
-	if !heterogeneous {
-		// Warm-started scan: seeded from the previous epoch's answer, so
-		// slowly-drifting rates touch O(1) candidates. The result equals
-		// the cold scan's for any seed.
-		c, err := queuing.MinimalContainersFrom(lambda, mu, f.SLO, f.sizeHint)
+	f.sizeHint = want
+	live := ctl.liveContainers(f.Spec.Name)
+	if slices.ContainsFunc(live, (*cluster.Container).Deflated) {
+		// How many standard containers must join the deflated pool (Fig
+		// 4's reaction)? When none, the pool may shrink to the homogeneous
+		// count, so over-provisioned deflated pools scale down.
+		rates := ctl.rateScratch[:0]
+		for _, c := range live {
+			rates = append(rates, f.Spec.RateAt(c.CPUFraction()))
+		}
+		ctl.rateScratch = rates
+		add, err := queuing.AdditionalHetContainersFrom(lambda, rates, mu, f.SLO, f.hetHint)
 		if err != nil {
 			return 0, err
 		}
-		f.sizeHint = c
-		if c < ctl.cfg.MinContainers {
-			c = ctl.cfg.MinContainers
+		f.hetHint = add
+		if add > 0 {
+			want = len(live) + add
+		} else {
+			want = min(want, len(live))
 		}
-		return c, nil
 	}
-	// Heterogeneous pool: how many standard containers would the pool
-	// need on top of the deflated ones (Fig 4's reaction)? The desired
-	// count never drops below what a fresh homogeneous pool would use, so
-	// scale-down remains possible once pressure ends.
-	rates := ctl.rateScratch[:0]
-	for _, c := range live {
-		rates = append(rates, f.Spec.RateAt(c.CPUFraction()))
-	}
-	ctl.rateScratch = rates
-	add, err := queuing.AdditionalHetContainersFrom(lambda, rates, mu, f.SLO, f.hetHint)
-	if err != nil {
-		return 0, err
-	}
-	f.hetHint = add
-	want := len(live) + add
-	homog, err := queuing.MinimalContainersFrom(lambda, mu, f.SLO, f.sizeHint)
-	if err != nil {
-		return 0, err
-	}
-	f.sizeHint = homog
-	if add == 0 && homog < want {
-		// Pool already satisfies the SLO with room to spare: allow the
-		// homogeneous target so over-provisioned deflated pools shrink.
-		want = homog
-	}
-	if want < ctl.cfg.MinContainers {
-		want = ctl.cfg.MinContainers
-	}
-	return want, nil
+	return max(want, ctl.cfg.MinContainers), nil
 }
 
 // FunctionDemand is one function's estimated capacity need for the next

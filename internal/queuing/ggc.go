@@ -1,6 +1,7 @@
 package queuing
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -69,7 +70,7 @@ func (g GGC) ProbWaitLE(t float64) (float64, error) {
 // agrees with the exact M/M/c sizing to within the approximation of the
 // exponential tail.
 func RequiredContainersGGC(lambda, mu, ca2, cs2 float64, slo SLO) (int, error) {
-	if lambda < 0 || mu <= 0 {
+	if lambda < 0 || mu <= 0 || !finite(lambda, mu) {
 		return 0, fmt.Errorf("queuing: invalid rates lambda=%v mu=%v", lambda, mu)
 	}
 	if lambda == 0 {
@@ -79,18 +80,15 @@ func RequiredContainersGGC(lambda, mu, ca2, cs2 float64, slo SLO) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for c := int(math.Floor(lambda/mu)) + 1; c <= MaxSolverContainers; c++ {
-		g := GGC{Lambda: lambda, Mu: mu, C: c, CA2: ca2, CS2: cs2}
+	c, err := search(stabilityFloor(lambda, mu), MaxSolverContainers, 0, func(c int) (bool, error) {
 		if lambda/(float64(c)*mu) >= 1 {
-			continue
+			return false, nil
 		}
-		p, err := g.ProbWaitLE(t)
-		if err != nil {
-			return 0, err
-		}
-		if p >= slo.Percentile {
-			return c, nil
-		}
+		p, err := GGC{Lambda: lambda, Mu: mu, C: c, CA2: ca2, CS2: cs2}.ProbWaitLE(t)
+		return p >= slo.Percentile, err
+	})
+	if errors.Is(err, errExhausted) {
+		return 0, fmt.Errorf("queuing: G/G/c scan exhausted (lambda=%v mu=%v)", lambda, mu)
 	}
-	return 0, fmt.Errorf("queuing: G/G/c scan exhausted (lambda=%v mu=%v)", lambda, mu)
+	return c, err
 }

@@ -161,10 +161,3 @@ func (h *HetMMC) ProbWaitLE(t float64) (float64, error) {
 	}
 	return p, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

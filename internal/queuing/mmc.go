@@ -2,8 +2,15 @@
 // core of LaSS (paper §3): the M/M/c steady-state analysis used to size
 // homogeneous container pools (Eqs 1-4, Algorithm 1), the Alves et al.
 // worst-case upper bounds for heterogeneous (deflated) container pools
-// (Eqs 5-6), and the iterative solvers that turn an observed arrival rate, a
+// (Eqs 5-6), and the solvers that turn an observed arrival rate, a
 // service-time profile, and an SLO deadline into a container count.
+//
+// Every solver but RequiredContainers, Algorithm 1's literal upward scan
+// kept as the reference, is one search (solver.go) over its model's
+// "does c containers meet the SLO" predicate: the smallest such c, walking
+// down or up from a hint such as the previous epoch's answer. The
+// predicate is upward-closed in c, so any hint gives the cold scan's
+// answer and only the number of probed counts changes.
 //
 // Two implementations of the M/M/c evaluation exist side by side:
 //

@@ -294,8 +294,9 @@ func TestSLOWaitBudget(t *testing.T) {
 		t.Errorf("budget=%v want 0.1", b)
 	}
 
-	s2 := SLO{Deadline: 300 * time.Millisecond, Percentile: 0.99, ServiceP: 0.2}
-	b2, err := s2.WaitBudget(10)
+	// End to end: the mean service time 1/μ = 0.2s comes off the deadline.
+	s2 := SLO{Deadline: 300 * time.Millisecond, Percentile: 0.99}
+	b2, err := s2.WaitBudget(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +305,8 @@ func TestSLOWaitBudget(t *testing.T) {
 	}
 
 	// Deadline entirely consumed by service time -> error.
-	s3 := SLO{Deadline: 100 * time.Millisecond, Percentile: 0.99, ServiceP: 0.2}
-	if _, err := s3.WaitBudget(10); err == nil {
+	s3 := SLO{Deadline: 100 * time.Millisecond, Percentile: 0.99}
+	if _, err := s3.WaitBudget(5); err == nil {
 		t.Error("want error when service time exceeds deadline")
 	}
 

@@ -1,6 +1,7 @@
 package queuing
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -18,14 +19,9 @@ type SLO struct {
 	// e.g. 0.95 or 0.99.
 	Percentile float64
 	// WaitingOnly selects whether Deadline bounds just the waiting time
-	// (true) or waiting plus the high-percentile service time (false). In
-	// the latter case the solver uses t = d - 1/μ_p, per §3.1
-	// ("t_p99 = d - 1/μ_p99").
+	// (true) or waiting plus the mean service time 1/μ (false), the
+	// solver's stand-in for §3.1's t = d - 1/μ_p.
 	WaitingOnly bool
-	// ServiceP is the high-percentile service time (seconds) subtracted
-	// from the deadline when WaitingOnly is false. Zero means "use the
-	// mean service time" as a fallback.
-	ServiceP float64
 }
 
 // WaitBudget returns the waiting-time budget t (seconds) implied by the SLO
@@ -35,22 +31,18 @@ func (s SLO) WaitBudget(mu float64) (float64, error) {
 	if d <= 0 {
 		return 0, fmt.Errorf("queuing: non-positive SLO deadline %v", s.Deadline)
 	}
-	if s.Percentile <= 0 || s.Percentile >= 1 {
+	if !(s.Percentile > 0 && s.Percentile < 1) {
 		return 0, fmt.Errorf("queuing: SLO percentile %v out of (0,1)", s.Percentile)
 	}
 	if s.WaitingOnly {
 		return d, nil
 	}
-	sp := s.ServiceP
-	if sp == 0 {
-		if mu <= 0 {
-			return 0, fmt.Errorf("queuing: non-positive service rate %v", mu)
-		}
-		sp = 1 / mu
+	if mu <= 0 {
+		return 0, fmt.Errorf("queuing: non-positive service rate %v", mu)
 	}
-	t := d - sp
+	t := d - 1/mu
 	if t <= 0 {
-		return 0, fmt.Errorf("queuing: SLO deadline %v leaves no waiting budget after service time %.4fs", s.Deadline, sp)
+		return 0, fmt.Errorf("queuing: SLO deadline %v leaves no waiting budget after service time %.4fs", s.Deadline, 1/mu)
 	}
 	return t, nil
 }
@@ -59,6 +51,66 @@ func (s SLO) WaitBudget(mu float64) (float64, error) {
 // before giving up; it is a safety valve against pathological inputs (e.g.
 // deadlines shorter than any achievable wait), not a cluster capacity limit.
 const MaxSolverContainers = 1 << 20
+
+// finite reports whether no x is NaN or ±Inf. The solvers reject a
+// non-finite rate before probing: it meets no SLO at any count.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// stabilityFloor is the smallest container count c > λ/μ.
+func stabilityFloor(lambda, mu float64) int { return int(math.Floor(lambda/mu)) + 1 }
+
+// errExhausted is search's report that no count in its range meets the SLO.
+var errExhausted = errors.New("queuing: search exhausted")
+
+// search is the one container-count search behind every sizing model: it
+// returns the smallest c in [lo, hi] for which meets(c) holds, given that
+// meets is upward-closed (once a count meets the SLO every larger count
+// does too). It starts at hint clamped into [lo, hi] and walks down while
+// c-1 still meets, otherwise up; a hint ≤ lo is Algorithm 1's upward scan.
+// Each meets(c) is independent of the path, so any hint yields the same
+// answer — a hint near it (the previous epoch's result) just probes fewer
+// counts. It returns meets' first error, or errExhausted when no count up
+// to hi meets.
+func search(lo, hi, hint int, meets func(c int) (bool, error)) (int, error) {
+	if lo > hi {
+		return 0, errExhausted
+	}
+	c := min(max(hint, lo), hi)
+	ok, err := meets(c)
+	if err != nil {
+		return 0, err
+	}
+	if ok {
+		for c > lo {
+			ok, err := meets(c - 1)
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				break
+			}
+			c--
+		}
+		return c, nil
+	}
+	for c++; c <= hi; c++ {
+		ok, err := meets(c)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			return c, nil
+		}
+	}
+	return 0, errExhausted
+}
 
 // RequiredContainers implements the paper's Algorithm 1: starting from the
 // current container count (at least the stability minimum), increment c
@@ -70,7 +122,7 @@ const MaxSolverContainers = 1 << 20
 // (an idle function needs no capacity by the model; minimum-pool policy is
 // the controller's concern).
 func RequiredContainers(lambda, mu float64, slo SLO, startC int) (int, error) {
-	if lambda < 0 || mu <= 0 {
+	if lambda < 0 || mu <= 0 || !finite(lambda, mu) {
 		return 0, fmt.Errorf("queuing: invalid rates lambda=%v mu=%v", lambda, mu)
 	}
 	if lambda == 0 {
@@ -110,21 +162,16 @@ func MinimalContainers(lambda, mu float64, slo SLO) (int, error) {
 }
 
 // MinimalContainersFrom returns exactly MinimalContainers' answer, seeding
-// the c-scan at hint — a previous epoch's result for the same function.
+// the search at hint — a previous epoch's result for the same function.
 // P(Q ≤ t) is nondecreasing in c for fixed λ, μ, t (more containers both
-// drain the queue faster and raise the Eq 3 state bound L), so the set of
-// SLO-satisfying counts is upward-closed and the minimal element found by
-// scanning down from a satisfying hint — or up from an unsatisfying one —
-// is the same count the cold scan from the stability floor finds. Each
-// candidate's ProbWaitLE evaluation is independent of the scan path, so
-// the result is bit-identical by construction; the warm-sizer tests assert
-// the equivalence under adversarial demand swings. When successive epochs'
-// rates drift slowly the scan touches O(1) candidates instead of the cold
-// scan's O(c), which is what makes metro-scale control epochs cheap.
-//
-// A hint ≤ 0 (or below the stability floor) degenerates to the cold scan.
+// drain the queue faster and raise the Eq 3 state bound L), so the
+// satisfying counts are upward-closed and search finds the count the cold
+// scan from the stability floor finds, bit for bit (the warm-sizer tests
+// assert it under adversarial demand swings). When successive epochs'
+// rates drift slowly it probes O(1) counts instead of the cold scan's
+// O(c), which is what makes metro-scale control epochs cheap.
 func MinimalContainersFrom(lambda, mu float64, slo SLO, hint int) (int, error) {
-	if lambda < 0 || mu <= 0 {
+	if lambda < 0 || mu <= 0 || !finite(lambda, mu) {
 		return 0, fmt.Errorf("queuing: invalid rates lambda=%v mu=%v", lambda, mu)
 	}
 	if lambda == 0 {
@@ -134,87 +181,47 @@ func MinimalContainersFrom(lambda, mu float64, slo SLO, hint int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Stability floor: c must exceed λ/μ.
-	floor := int(math.Floor(lambda/mu)) + 1
-	meets := func(c int) (bool, error) {
+	c, err := search(stabilityFloor(lambda, mu), MaxSolverContainers, hint, func(c int) (bool, error) {
 		m := MMC{Lambda: lambda, Mu: mu, C: c}
 		if !m.Stable() {
 			return false, nil
 		}
 		p, err := m.ProbWaitLE(t)
-		if err != nil {
-			return false, err
-		}
-		return p >= slo.Percentile, nil
+		return p >= slo.Percentile, err
+	})
+	if errors.Is(err, errExhausted) {
+		return 0, fmt.Errorf("queuing: no container count up to %d meets SLO (lambda=%v mu=%v t=%vs p=%v)",
+			MaxSolverContainers, lambda, mu, t, slo.Percentile)
 	}
-	c := floor
-	if hint > c {
-		c = hint
-	}
-	if c > MaxSolverContainers {
-		c = MaxSolverContainers
-	}
-	ok, err := meets(c)
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		// Seeded at (or above) a satisfying count: walk down to the
-		// minimal one.
-		for c > floor {
-			ok, err := meets(c - 1)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				break
-			}
-			c--
-		}
-		return c, nil
-	}
-	for c++; c <= MaxSolverContainers; c++ {
-		ok, err := meets(c)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("queuing: no container count up to %d meets SLO (lambda=%v mu=%v t=%vs p=%v)",
-		MaxSolverContainers, lambda, mu, t, slo.Percentile)
+	return c, err
 }
 
-// RequiredContainersNaive runs the same Algorithm 1 scan on the naive
-// float64 implementation, returning an error when the arithmetic breaks
-// down. It exists for the Figure 5 scalability/robustness comparison.
+// RequiredContainersNaive runs Algorithm 1's upward scan on the naive
+// float64 implementation, returning an error at the first count where the
+// arithmetic breaks down. It exists for the Figure 5
+// scalability/robustness comparison.
 func RequiredContainersNaive(lambda, mu float64, slo SLO, startC int) (int, error) {
-	if lambda <= 0 || mu <= 0 {
+	if lambda <= 0 || mu <= 0 || !finite(lambda, mu) {
 		return 0, fmt.Errorf("queuing: invalid rates lambda=%v mu=%v", lambda, mu)
 	}
 	t, err := slo.WaitBudget(mu)
 	if err != nil {
 		return 0, err
 	}
-	c := int(math.Floor(lambda/mu)) + 1
-	if startC > c {
-		c = startC
-	}
-	for ; c <= MaxSolverContainers; c++ {
-		m := NaiveMMC{Lambda: lambda, Mu: mu, C: c}
+	c, err := search(max(stabilityFloor(lambda, mu), startC), MaxSolverContainers, 0, func(c int) (bool, error) {
 		if lambda/(float64(c)*mu) >= 1 {
-			continue
+			return false, nil
 		}
-		p := m.ProbWaitLE(t)
+		p := NaiveMMC{Lambda: lambda, Mu: mu, C: c}.ProbWaitLE(t)
 		if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 || p > 1.0000001 {
-			return 0, fmt.Errorf("queuing: naive evaluation lost precision at c=%d (p=%v)", c, p)
+			return false, fmt.Errorf("queuing: naive evaluation lost precision at c=%d (p=%v)", c, p)
 		}
-		if p >= slo.Percentile {
-			return c, nil
-		}
+		return p >= slo.Percentile, nil
+	})
+	if errors.Is(err, errExhausted) {
+		return 0, fmt.Errorf("queuing: naive scan exhausted")
 	}
-	return 0, fmt.Errorf("queuing: naive scan exhausted")
+	return c, err
 }
 
 // AdditionalHetContainers sizes a heterogeneous pool (paper §3.2): given the
@@ -227,18 +234,15 @@ func AdditionalHetContainers(lambda float64, existing []float64, newRate float64
 }
 
 // AdditionalHetContainersFrom returns exactly AdditionalHetContainers'
-// answer, seeding the additional-container scan at hint (a previous
+// answer, seeding the search for the addition count at hint (a previous
 // epoch's result). Adding a standard container only ever raises the Alves
 // bound on P(Q ≤ t) — the pool's aggregate rate grows and the worst-case
 // scheduler's options improve — so the satisfying additions are
-// upward-closed and the warm scan (down from a satisfying hint, up from an
-// unsatisfying one) lands on the same minimal count the cold scan from
-// zero finds. Each candidate pool's evaluation is independent of the scan
-// path, so the result is bit-identical by construction (asserted by the
-// warm-sizer swing tests). A hint ≤ 0 degenerates to the cold scan.
+// upward-closed and search lands on the count the cold scan from zero
+// finds (asserted by the warm-sizer swing tests).
 func AdditionalHetContainersFrom(lambda float64, existing []float64, newRate float64, slo SLO, hint int) (int, error) {
-	if lambda < 0 || newRate <= 0 {
-		return 0, fmt.Errorf("queuing: invalid rates lambda=%v newRate=%v", lambda, newRate)
+	if lambda < 0 || newRate <= 0 || !finite(lambda, newRate) || !finite(existing...) {
+		return 0, fmt.Errorf("queuing: invalid rates lambda=%v newRate=%v existing=%v", lambda, newRate, existing)
 	}
 	if lambda == 0 {
 		return 0, nil
@@ -250,69 +254,23 @@ func AdditionalHetContainersFrom(lambda float64, existing []float64, newRate flo
 	if err != nil {
 		return 0, err
 	}
-	if hint < 0 {
-		hint = 0
-	}
-	if max := MaxSolverContainers - len(existing); hint > max {
-		hint = max
-		if hint < 0 {
-			hint = 0
-		}
-	}
-	rates := make([]float64, 0, len(existing)+hint+1)
-	rates = append(rates, existing...)
-	for i := 0; i < hint; i++ {
-		rates = append(rates, newRate)
-	}
-	// meets evaluates the pool of existing plus add standard containers,
-	// exactly as one cold-scan iteration would.
-	meets := func(add int) (bool, error) {
+	rates := append([]float64(nil), existing...)
+	add, err := search(0, max(0, MaxSolverContainers-len(existing)), hint, func(add int) (bool, error) {
 		if len(existing)+add == 0 {
 			return false, nil
 		}
-		h, err := NewHetMMC(lambda, rates[:len(existing)+add])
-		if err != nil {
-			return false, err
+		for len(rates) < len(existing)+add {
+			rates = append(rates, newRate)
 		}
-		if !h.Stable() {
-			return false, nil
+		h, err := NewHetMMC(lambda, rates[:len(existing)+add])
+		if err != nil || !h.Stable() {
+			return false, err
 		}
 		p, err := h.ProbWaitLE(t)
-		if err != nil {
-			return false, err
-		}
-		return p >= slo.Percentile, nil
+		return p >= slo.Percentile, err
+	})
+	if errors.Is(err, errExhausted) {
+		return 0, fmt.Errorf("queuing: heterogeneous scan exhausted (lambda=%v)", lambda)
 	}
-	add := hint
-	ok, err := meets(add)
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		for add > 0 {
-			ok, err := meets(add - 1)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				break
-			}
-			add--
-		}
-		return add, nil
-	}
-	for {
-		if len(existing)+add >= MaxSolverContainers {
-			return 0, fmt.Errorf("queuing: heterogeneous scan exhausted (lambda=%v)", lambda)
-		}
-		add++
-		rates = append(rates, newRate)
-		ok, err := meets(add)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return add, nil
-		}
-	}
+	return add, err
 }
