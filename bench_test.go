@@ -24,13 +24,27 @@ import (
 	icluster "lass/internal/cluster"
 )
 
-// BenchmarkSolverHomogeneous measures one Algorithm 1 sizing (the per
-// -epoch, per-function cost in the common homogeneous case).
+// BenchmarkSolverHomogeneous measures one homogeneous sizing as the
+// controller pays it once the sizing memo has seen the rate: every
+// iteration after the first is a memo hit.
 func BenchmarkSolverHomogeneous(b *testing.B) {
 	b.ReportAllocs()
 	slo := DefaultSLO()
 	for i := 0; i < b.N; i++ {
 		if _, err := queuing.MinimalContainers(45, 10, slo); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolverHomogeneousCold measures one Algorithm 1 scan from the
+// stability floor, with no memo and no hint: the cost a memo miss can
+// reach.
+func BenchmarkSolverHomogeneousCold(b *testing.B) {
+	b.ReportAllocs()
+	slo := DefaultSLO()
+	for i := 0; i < b.N; i++ {
+		if _, err := queuing.RequiredContainers(45, 10, slo, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

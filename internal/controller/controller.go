@@ -157,14 +157,13 @@ type Function struct {
 	// short window.
 	Burst bool
 
-	// sizeHint and hetHint warm-start the next epoch's container-count
-	// searches from this epoch's answers (queuing.MinimalContainersFrom /
-	// AdditionalHetContainersFrom). The sized result is identical for any
-	// hint — only the number of counts the search probes changes — so
-	// the hints never need invalidation, even across service-rate or
-	// demand swings.
-	sizeHint int
-	hetHint  int
+	// hetHint warm-starts the next epoch's heterogeneous container-count
+	// search from this epoch's answer (queuing.AdditionalHetContainersFrom).
+	// The sized result is identical for any hint — only the number of
+	// counts the search probes changes — so it never needs invalidation,
+	// even across service-rate or demand swings. The homogeneous count
+	// needs no hint: queuing's sizing memo answers it.
+	hetHint int
 }
 
 // Stats are the controller's cumulative action counters.
@@ -363,16 +362,16 @@ func liveCPU(cs []*cluster.Container) int64 {
 
 // desiredContainers runs the queueing model for one function: Algorithm 1
 // on the homogeneous model, plus the Alves heterogeneous bound when the
-// function's pool contains deflated containers (§3.2-§3.3). Both searches
-// are warm-started from the previous epoch's answers, so slowly-drifting
-// rates probe O(1) counts; the result equals the cold scan's for any seed.
+// function's pool contains deflated containers (§3.2-§3.3). The
+// homogeneous count is usually a sizing-memo lookup; the heterogeneous
+// search is warm-started from the previous epoch's answer, so
+// slowly-drifting rates probe O(1) counts. Both equal the cold scan's.
 func (ctl *Controller) desiredContainers(f *Function, lambda float64) (int, error) {
 	mu := f.Spec.ServiceRate()
-	want, err := queuing.MinimalContainersFrom(lambda, mu, f.SLO, f.sizeHint)
+	want, err := queuing.MinimalContainers(lambda, mu, f.SLO)
 	if err != nil {
 		return 0, err
 	}
-	f.sizeHint = want
 	live := ctl.liveContainers(f.Spec.Name)
 	if slices.ContainsFunc(live, (*cluster.Container).Deflated) {
 		// How many standard containers must join the deflated pool (Fig

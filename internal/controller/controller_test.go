@@ -147,7 +147,7 @@ func TestScaleUpOnLoad(t *testing.T) {
 	if f.LambdaHat < 25 || f.LambdaHat > 35 {
 		t.Fatalf("lambdaHat=%v want ~30", f.LambdaHat)
 	}
-	want, err := queuing.MinimalContainers(f.LambdaHat, 10, DefaultSLO())
+	want, err := queuing.RequiredContainers(f.LambdaHat, 10, DefaultSLO(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

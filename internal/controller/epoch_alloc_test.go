@@ -83,8 +83,9 @@ func TestDemandsZeroAllocs(t *testing.T) {
 
 // TestWarmHintsMatchColdSizer pins the warm path end to end at the
 // controller level: a controller stepping through a demand swing (burst,
-// collapse, recovery) must compute exactly the container counts a
-// hint-free controller computes from the same inputs.
+// collapse, recovery) must compute exactly the container counts
+// Algorithm 1's upward scan computes from the same inputs, which shares
+// neither the warm search nor the sizing memo.
 func TestWarmHintsMatchColdSizer(t *testing.T) {
 	h := newHarness(t, Config{}, cluster.PaperCluster())
 	f, err := h.ctl.Register(mustSpec(t, "geofence"), "", 1, queuing.SLO{})
@@ -94,7 +95,7 @@ func TestWarmHintsMatchColdSizer(t *testing.T) {
 	for i, rate := range []float64{20, 22, 200, 0, 0, 30, 400, 5} {
 		h.offer("geofence", rate, 2*time.Second)
 		h.step()
-		cold, err := queuing.MinimalContainers(f.LambdaHat, f.Spec.ServiceRate(), f.SLO)
+		cold, err := queuing.RequiredContainers(f.LambdaHat, f.Spec.ServiceRate(), f.SLO, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

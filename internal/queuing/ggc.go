@@ -73,6 +73,14 @@ func RequiredContainersGGC(lambda, mu, ca2, cs2 float64, slo SLO) (int, error) {
 	if lambda < 0 || mu <= 0 || !finite(lambda, mu) {
 		return 0, fmt.Errorf("queuing: invalid rates lambda=%v mu=%v", lambda, mu)
 	}
+	// A NaN or infinite SCV meets no SLO until Erlang-C underflows, so the
+	// scan would return a meaningless count instead of failing.
+	if !finite(ca2) || ca2 < 0 {
+		return 0, fmt.Errorf("queuing: invalid SCV ca2=%v: must be finite and non-negative", ca2)
+	}
+	if !finite(cs2) || cs2 < 0 {
+		return 0, fmt.Errorf("queuing: invalid SCV cs2=%v: must be finite and non-negative", cs2)
+	}
 	if lambda == 0 {
 		return 0, nil
 	}

@@ -12,6 +12,16 @@
 // predicate is upward-closed in c, so any hint gives the cold scan's
 // answer and only the number of probed counts changes.
 //
+// The homogeneous M/M/c sizing (MinimalContainersFrom) first consults a
+// process-wide memo (memo.go) keyed by (μ, wait budget, percentile). Each
+// search proves that its answer c meets the SLO at its λ and that c−1
+// does not, and P(Q ≤ t) is nonincreasing in λ for fixed c, so a later λ
+// bracketed by such facts is answered with zero probes. A λ within a
+// relative 1e-9 of a recorded rate is searched instead: the computed
+// predicate's rounding reversals stay inside that band over the counts,
+// rates and SLOs TestMeetsNonincreasingInLambda checks, so there the
+// memo's answers equal the search's bit for bit.
+//
 // Two implementations of the M/M/c evaluation exist side by side:
 //
 //   - MMC computes steady-state probabilities in log space with log-sum-exp

@@ -65,10 +65,11 @@ func TestSearchProbesLinearWalk(t *testing.T) {
 	}
 }
 
-// TestSolversRejectNonFiniteRates: a NaN or infinite rate is an invalid
-// input, reported before any count is probed, not an SLO no count meets.
-// The wall clock times each rejection: probing every count up to
-// MaxSolverContainers takes seconds to minutes.
+// TestSolversRejectNonFiniteRates: a NaN or infinite rate, or a NaN,
+// infinite or negative SCV, is an invalid input, reported before any count
+// is probed, not an SLO no count meets. The wall clock times each
+// rejection: probing every count up to MaxSolverContainers takes seconds
+// to minutes.
 //
 //lass:wallclock
 func TestSolversRejectNonFiniteRates(t *testing.T) {
@@ -76,23 +77,28 @@ func TestSolversRejectNonFiniteRates(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func() (int, error)
+		want string
 	}{
-		{"Minimal NaN lambda", func() (int, error) { return MinimalContainers(nan, 10, slo95x100ms) }},
-		{"Minimal +Inf mu", func() (int, error) { return MinimalContainers(30, inf, slo95x100ms) }},
-		{"Minimal -Inf lambda", func() (int, error) { return MinimalContainers(-inf, 10, slo95x100ms) }},
-		{"Required NaN mu", func() (int, error) { return RequiredContainers(30, nan, slo95x100ms, 0) }},
-		{"Required +Inf lambda", func() (int, error) { return RequiredContainers(inf, 10, slo95x100ms, 0) }},
-		{"Naive NaN lambda", func() (int, error) { return RequiredContainersNaive(nan, 10, slo95x100ms, 0) }},
-		{"GGC +Inf mu", func() (int, error) { return RequiredContainersGGC(30, inf, 1, 1, slo95x100ms) }},
-		{"Het NaN lambda", func() (int, error) { return AdditionalHetContainers(nan, []float64{5}, 10, slo95x100ms) }},
-		{"Het +Inf newRate", func() (int, error) { return AdditionalHetContainers(30, []float64{5}, inf, slo95x100ms) }},
-		{"Het NaN existing", func() (int, error) { return AdditionalHetContainers(30, []float64{5, nan}, 10, slo95x100ms) }},
-		{"Het -Inf existing", func() (int, error) { return AdditionalHetContainers(30, []float64{-inf}, 10, slo95x100ms) }},
+		{"Minimal NaN lambda", func() (int, error) { return MinimalContainers(nan, 10, slo95x100ms) }, "invalid rates"},
+		{"Minimal +Inf mu", func() (int, error) { return MinimalContainers(30, inf, slo95x100ms) }, "invalid rates"},
+		{"Minimal -Inf lambda", func() (int, error) { return MinimalContainers(-inf, 10, slo95x100ms) }, "invalid rates"},
+		{"Required NaN mu", func() (int, error) { return RequiredContainers(30, nan, slo95x100ms, 0) }, "invalid rates"},
+		{"Required +Inf lambda", func() (int, error) { return RequiredContainers(inf, 10, slo95x100ms, 0) }, "invalid rates"},
+		{"Naive NaN lambda", func() (int, error) { return RequiredContainersNaive(nan, 10, slo95x100ms, 0) }, "invalid rates"},
+		{"GGC +Inf mu", func() (int, error) { return RequiredContainersGGC(30, inf, 1, 1, slo95x100ms) }, "invalid rates"},
+		{"GGC NaN ca2", func() (int, error) { return RequiredContainersGGC(30, 10, nan, 1, slo95x100ms) }, "invalid SCV ca2"},
+		{"GGC +Inf cs2", func() (int, error) { return RequiredContainersGGC(30, 10, 1, inf, slo95x100ms) }, "invalid SCV cs2"},
+		{"GGC -Inf ca2", func() (int, error) { return RequiredContainersGGC(30, 10, -inf, 1, slo95x100ms) }, "invalid SCV ca2"},
+		{"GGC negative cs2", func() (int, error) { return RequiredContainersGGC(30, 10, 1, -0.5, slo95x100ms) }, "invalid SCV cs2"},
+		{"Het NaN lambda", func() (int, error) { return AdditionalHetContainers(nan, []float64{5}, 10, slo95x100ms) }, "invalid rates"},
+		{"Het +Inf newRate", func() (int, error) { return AdditionalHetContainers(30, []float64{5}, inf, slo95x100ms) }, "invalid rates"},
+		{"Het NaN existing", func() (int, error) { return AdditionalHetContainers(30, []float64{5, nan}, 10, slo95x100ms) }, "invalid rates"},
+		{"Het -Inf existing", func() (int, error) { return AdditionalHetContainers(30, []float64{-inf}, 10, slo95x100ms) }, "invalid rates"},
 	} {
 		start := time.Now()
 		_, err := tc.run()
-		if err == nil || !strings.Contains(err.Error(), "invalid rates") {
-			t.Errorf("%s: err %v, want an invalid-rates error", tc.name, err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want an error containing %q", tc.name, err, tc.want)
 		}
 		if d := time.Since(start); d > 100*time.Millisecond {
 			t.Errorf("%s: took %v to reject", tc.name, d)
@@ -103,14 +109,17 @@ func TestSolversRejectNonFiniteRates(t *testing.T) {
 // FuzzSizingSearch checks the warm-started searches against references
 // that share none of their code: MinimalContainersFrom against Algorithm
 // 1's upward scan, and AdditionalHetContainersFrom against a literal
-// upward loop over one deflated container plus standard ones. λ ≤ 200 and
-// μ ≥ 0.5 keep every execution to a few hundred counts.
+// upward loop over one deflated container plus standard ones. A priming
+// rate λ₀ is sized first under the same key, so the fuzzer also varies
+// what the sizing memo holds when λ is asked. λ, λ₀ ≤ 200 and μ ≥ 0.5
+// keep every execution to a few hundred counts.
 func FuzzSizingSearch(f *testing.F) {
-	f.Fuzz(func(t *testing.T, lambda, mu float64, deadlineMs uint16, pct float64, hint int, deflated float64) {
-		if !finite(lambda, mu, pct, deflated) {
+	f.Fuzz(func(t *testing.T, lambda, mu float64, deadlineMs uint16, pct float64, hint int, deflated, prime float64) {
+		if !finite(lambda, mu, pct, deflated, prime) {
 			t.Skip()
 		}
 		lambda = math.Mod(math.Abs(lambda), 200)
+		prime = math.Mod(math.Abs(prime), 200)
 		mu = 0.5 + math.Mod(math.Abs(mu), 50)
 		deflated = mu * (0.1 + math.Mod(math.Abs(deflated), 0.9))
 		slo := SLO{
@@ -120,11 +129,13 @@ func FuzzSizingSearch(f *testing.F) {
 		}
 		hint %= 512
 
-		cold, coldErr := RequiredContainers(lambda, mu, slo, 0)
-		warm, warmErr := MinimalContainersFrom(lambda, mu, slo, hint)
-		if (coldErr == nil) != (warmErr == nil) || warm != cold {
-			t.Fatalf("lambda=%v mu=%v %+v hint=%d: MinimalContainersFrom (%d, %v), Algorithm 1 (%d, %v)",
-				lambda, mu, slo, hint, warm, warmErr, cold, coldErr)
+		for _, l := range []float64{prime, lambda} {
+			cold, coldErr := RequiredContainers(l, mu, slo, 0)
+			warm, warmErr := MinimalContainersFrom(l, mu, slo, hint)
+			if (coldErr == nil) != (warmErr == nil) || warm != cold {
+				t.Fatalf("lambda=%v (primed at %v) mu=%v %+v hint=%d: MinimalContainersFrom (%d, %v), Algorithm 1 (%d, %v)",
+					l, prime, mu, slo, hint, warm, warmErr, cold, coldErr)
+			}
 		}
 
 		want, wantErr := 0, error(nil)

@@ -161,15 +161,16 @@ func MinimalContainers(lambda, mu float64, slo SLO) (int, error) {
 	return MinimalContainersFrom(lambda, mu, slo, 0)
 }
 
-// MinimalContainersFrom returns exactly MinimalContainers' answer, seeding
-// the search at hint — a previous epoch's result for the same function.
-// P(Q ≤ t) is nondecreasing in c for fixed λ, μ, t (more containers both
-// drain the queue faster and raise the Eq 3 state bound L), so the
-// satisfying counts are upward-closed and search finds the count the cold
-// scan from the stability floor finds, bit for bit (the warm-sizer tests
-// assert it under adversarial demand swings). When successive epochs'
-// rates drift slowly it probes O(1) counts instead of the cold scan's
-// O(c), which is what makes metro-scale control epochs cheap.
+// MinimalContainersFrom returns exactly MinimalContainers' answer. It first
+// asks the process-wide sizing memo (memo.go), which answers with zero
+// probes whenever earlier searches for the same (μ, t, p) already proved
+// the answer for this λ. Otherwise it searches from hint — a previous
+// epoch's result for the same function. P(Q ≤ t) is nondecreasing in c for
+// fixed λ, μ, t (more containers both drain the queue faster and raise
+// the Eq 3 state bound L), so the satisfying counts are upward-closed and
+// search finds the count the cold scan from the stability floor finds,
+// bit for bit (the warm-sizer tests assert it under adversarial demand
+// swings, and the memo tests against Algorithm 1 under any call order).
 func MinimalContainersFrom(lambda, mu float64, slo SLO, hint int) (int, error) {
 	if lambda < 0 || mu <= 0 || !finite(lambda, mu) {
 		return 0, fmt.Errorf("queuing: invalid rates lambda=%v mu=%v", lambda, mu)
@@ -181,19 +182,33 @@ func MinimalContainersFrom(lambda, mu float64, slo SLO, hint int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c, err := search(stabilityFloor(lambda, mu), MaxSolverContainers, hint, func(c int) (bool, error) {
-		m := MMC{Lambda: lambda, Mu: mu, C: c}
-		if !m.Stable() {
-			return false, nil
-		}
-		p, err := m.ProbWaitLE(t)
-		return p >= slo.Percentile, err
+	lo, key := stabilityFloor(lambda, mu), memoKey{mu, t, slo.Percentile}
+	if c, ok := memoLookup(key, lambda, lo); ok {
+		return c, nil
+	}
+	c, err := search(lo, MaxSolverContainers, hint, func(c int) (bool, error) {
+		return meetsMMC(lambda, mu, t, slo.Percentile, c)
 	})
 	if errors.Is(err, errExhausted) {
 		return 0, fmt.Errorf("queuing: no container count up to %d meets SLO (lambda=%v mu=%v t=%vs p=%v)",
 			MaxSolverContainers, lambda, mu, t, slo.Percentile)
 	}
+	if err == nil {
+		memoRecord(key, lambda, lo, c)
+	}
 	return c, err
+}
+
+// meetsMMC reports whether c containers meet the SLO (wait budget t,
+// percentile p) on the M/M/c model: the predicate MinimalContainersFrom
+// searches over and its memo records.
+func meetsMMC(lambda, mu, t, p float64, c int) (bool, error) {
+	m := MMC{Lambda: lambda, Mu: mu, C: c}
+	if !m.Stable() {
+		return false, nil
+	}
+	q, err := m.ProbWaitLE(t)
+	return q >= p, err
 }
 
 // RequiredContainersNaive runs Algorithm 1's upward scan on the naive

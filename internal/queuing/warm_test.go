@@ -153,15 +153,19 @@ func TestWarmSizerMatchesColdUnderSwings(t *testing.T) {
 
 func TestWarmSizerMatchesColdExhaustive(t *testing.T) {
 	// Every (lambda, hint) pair in a dense grid, including hints far above
-	// and below the answer: the warm result must always equal the cold one.
+	// and below the answer: the warm result must always equal Algorithm 1's
+	// upward scan, which shares neither the search nor the memo. The memo
+	// is emptied before each call so that every hint is searched from.
+	defer resetSizingMemo()
 	slo := SLO{Deadline: 50 * time.Millisecond, Percentile: 0.99, WaitingOnly: true}
 	const mu = 10
 	for lambda := 0.0; lambda <= 300; lambda += 7.3 {
-		cold, coldErr := MinimalContainers(lambda, mu, slo)
+		cold, coldErr := RequiredContainers(lambda, mu, slo, 0)
 		if coldErr != nil {
 			t.Fatalf("cold sizing failed at lambda=%v: %v", lambda, coldErr)
 		}
 		for _, hint := range []int{0, 1, cold - 3, cold - 1, cold, cold + 1, cold + 17, 4 * cold, 1000} {
+			resetSizingMemo()
 			warm, err := MinimalContainersFrom(lambda, mu, slo, hint)
 			if err != nil {
 				t.Fatalf("warm sizing failed at lambda=%v hint=%d: %v", lambda, hint, err)
@@ -224,14 +228,38 @@ func TestProbWaitLEAllocationFree(t *testing.T) {
 	}
 }
 
+// TestWarmSizerAllocationFree: neither a memo hit nor a search (a memo
+// miss that records into an existing table) allocates.
 func TestWarmSizerAllocationFree(t *testing.T) {
+	resetSizingMemo()
 	slo := SLO{Deadline: 100 * time.Millisecond, Percentile: 0.95, WaitingOnly: true}
-	hint, err := MinimalContainers(45, 10, slo)
+	key, lo := memoKey{10, slo.Deadline.Seconds(), slo.Percentile}, stabilityFloor(45.2, 10)
+	hint, err := MinimalContainers(45.2, 10, slo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c, ok := memoLookup(key, 45.2, lo); !ok || c != hint {
+		t.Fatalf("memo after sizing 45.2: (%d, %v), want (%d, true)", c, ok, hint)
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		c, err := MinimalContainersFrom(45.2, 10, slo, hint)
+		if err != nil || c != hint {
+			t.Fatalf("memo hit: (%d, %v), want %d", c, err, hint)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a memo hit allocated %.1f times per call; want 0", allocs)
+	}
+
+	// Each call below is a fresh λ inside the guard band above the
+	// recorded edge, so the memo cannot decide it and the search runs.
+	lambda := 45.2
+	allocs = testing.AllocsPerRun(200, func() {
+		lambda = math.Nextafter(lambda, 50)
+		if _, ok := memoLookup(key, lambda, lo); ok {
+			t.Fatalf("memo decided lambda=%v inside the guard band", lambda)
+		}
+		c, err := MinimalContainersFrom(lambda, 10, slo, hint)
 		if err != nil {
 			t.Fatal(err)
 		}
