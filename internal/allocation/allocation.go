@@ -35,6 +35,7 @@ package allocation
 
 import (
 	"fmt"
+	"math"
 
 	"lass/internal/fairshare"
 )
@@ -137,11 +138,26 @@ func subtree(s SiteDemand, id string, weight float64, desire map[string]int64) *
 	return site
 }
 
-func validate(sites []SiteDemand) error {
+// finite reports whether w is neither NaN nor infinite.
+func finite(w float64) bool { return !math.IsNaN(w) && !math.IsInf(w, 0) }
+
+// treeWeight is a site's or group's weight in the fair-share tree: 0 means
+// the default 1.
+func treeWeight(w float64) float64 {
+	if w == 0 {
+		return 1
+	}
+	return w
+}
+
+// validate checks the epoch's demand reports. seenSite and seenFn are
+// caller-owned scratch sets, cleared here; on success seenSite holds every
+// site name.
+func validate(sites []SiteDemand, seenSite, seenFn map[string]bool) error {
 	if len(sites) == 0 {
 		return fmt.Errorf("allocation: no sites")
 	}
-	seenSite := make(map[string]bool, len(sites))
+	clear(seenSite)
 	for _, s := range sites {
 		if s.Site == "" {
 			return fmt.Errorf("allocation: site with empty name")
@@ -156,7 +172,10 @@ func validate(sites []SiteDemand) error {
 		if s.Weight < 0 {
 			return fmt.Errorf("allocation: site %q has negative weight %v", s.Site, s.Weight)
 		}
-		seenFn := make(map[string]bool, len(s.Functions))
+		if !finite(s.Weight) {
+			return fmt.Errorf("allocation: site %q has non-finite weight %v", s.Site, s.Weight)
+		}
+		clear(seenFn)
 		for _, fd := range s.Functions {
 			if fd.Name == "" {
 				return fmt.Errorf("allocation: site %q has a function with empty name", s.Site)
@@ -167,6 +186,12 @@ func validate(sites []SiteDemand) error {
 			seenFn[fd.Name] = true
 			if fd.Weight <= 0 {
 				return fmt.Errorf("allocation: site %q function %q has non-positive weight %v", s.Site, fd.Name, fd.Weight)
+			}
+			if !finite(fd.Weight) {
+				return fmt.Errorf("allocation: site %q function %q has non-finite weight %v", s.Site, fd.Name, fd.Weight)
+			}
+			if !finite(fd.UserWeight) {
+				return fmt.Errorf("allocation: site %q function %q has non-finite user weight %v", s.Site, fd.Name, fd.UserWeight)
 			}
 			if fd.DesiredCPU < 0 {
 				return fmt.Errorf("allocation: site %q function %q has negative desire %d", s.Site, fd.Name, fd.DesiredCPU)

@@ -1,6 +1,8 @@
 package allocation
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -249,6 +251,43 @@ func TestAllocateValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Allocate(c.sites, true); err == nil {
 			t.Errorf("%s: want error", c.name)
+		}
+	}
+}
+
+// TestAllocateRejectsNonFiniteWeights: a NaN or infinite function weight
+// used to come out as a MinInt64 grant with a nil error, a NaN site weight
+// was accepted, and a NaN or infinite user weight failed only deep inside
+// the division, blaming a negative capacity. Each is now rejected up
+// front, naming the weight.
+func TestAllocateRejectsNonFiniteWeights(t *testing.T) {
+	site := func(w, fw, uw float64) []SiteDemand {
+		return []SiteDemand{
+			{Site: "a", Weight: w, CapacityCPU: 1000, Functions: []FunctionDemand{
+				{Name: "f", User: "u", UserWeight: uw, Weight: fw, DesiredCPU: 400},
+				{Name: "g", Weight: 1, DesiredCPU: 900},
+			}},
+			{Site: "b", CapacityCPU: 1000, Functions: []FunctionDemand{{Name: "f", Weight: 1, DesiredCPU: 100}}},
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases := []struct {
+			name, want string
+			sites      []SiteDemand
+		}{
+			{"site weight", "weight", site(bad, 1, 1)},
+			{"function weight", "weight", site(0, bad, 1)},
+			{"user weight", "user weight", site(0, 1, bad)},
+		}
+		for _, c := range cases {
+			res, err := Allocate(c.sites, true)
+			if err == nil {
+				t.Errorf("%s %v: accepted, grants %+v", c.name, bad, res.Grants)
+				continue
+			}
+			if !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "capacity") {
+				t.Errorf("%s %v: error %q should name the %s", c.name, bad, err, c.want)
+			}
 		}
 	}
 }

@@ -1,68 +1,89 @@
 package allocation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"lass/internal/fairshare"
 )
 
 // Allocator runs global allocation epochs incrementally. It produces results
-// bit-identical to the one-shot Allocate — the differential fuzz in
-// allocator_test.go replays randomized epoch sequences against a frozen copy
-// of the original implementation — while reusing everything an epoch shares
-// with the previous one:
+// bit-identical to the one-shot Allocate — differential tests replay
+// randomized epoch sequences, flat and hierarchical, against frozen one-shot
+// copies of the original implementation (allocator_test.go,
+// reference_test.go) — while reusing everything an epoch shares with the
+// previous one:
 //
 //   - Sites whose SiteDemand is unchanged keep their cached pass-1 subtree,
 //     their drift-pass local allocation, and — when their pass-2 clamp input
 //     (the per-function min(entitlement, desire) vector) is also unchanged —
-//     their pass-2 feasibility clamp.
-//   - Scratch buffers (result slice, entitlement map, spare/overflow/host
-//     scratch) persist across epochs, so an epoch whose inputs are entirely
-//     unchanged — the steady state between demand shifts — performs zero
-//     heap allocations and returns the previous result.
+//     their pass-2 feasibility clamp. A site whose function names, users
+//     and weights are unchanged updates its subtrees in place; only a
+//     structural change rebuilds them.
+//   - Work is keyed by position, not by name: every per-function quantity
+//     (entitlement, deserved quota, clamp, grants, local allocation) is a
+//     slice in the site's Functions order, the passes address sites by
+//     their index in the epoch's site list, and function names are interned
+//     once to dense IDs for the per-function aggregates. Everything derived
+//     from the site order — the position of each cache, the hierarchy's
+//     mounted member lists and spread scopes — is recomputed only when the
+//     site names or their order change.
+//   - Scratch (result rows, the entitlement map, spare, pool, spread and
+//     reclaim lists, validation sets) persists across epochs, so an epoch
+//     whose inputs are entirely unchanged — the steady state between demand
+//     shifts — performs zero heap allocations and returns the previous
+//     result, and a churning epoch allocates little beyond the spread
+//     pass's fair-share calls.
 //
 // An Allocator is not safe for concurrent use. The returned Result is owned
 // by the Allocator and valid until the next Allocate call.
 type Allocator struct {
 	havePrev bool
 	capped   bool
-	order    []*siteCache // last epoch's caches in site order, for the fast path
 
 	caches map[string]*siteCache
+	sc     []*siteCache // caches in the epoch's site order
+	layout bool         // sc and the position lists match the last site order
 	res    Result
 
 	root     *fairshare.Node
-	entitled map[string]int64
-	spare    map[string]int64
+	entitled map[string]int64 // pass-1 output by leaf ID, copied onto the caches
+	leafOut  map[string]int64 // per-site clamp and local divisions
+	spare    []int64          // by site position
+	inPool   []bool           // by site position: counted in this round's pool
+	allIdx   []int            // the flat federation's one spread scope
 
-	dirty []bool
+	siteSet, fnSet map[string]bool // validate's sets
 
-	overflow   []spreadDemand
-	overflowOf map[string]int
-	hosts      []host
-	demands    []fairshare.Demand
-	inPool     map[string]bool
+	// Function names interned to dense IDs, indexing ovOf, fnDesired and
+	// fnGranted.
+	fnID      map[string]int32
+	ovOf      []int32 // overflow entry of a function in the current scope, or -1
+	fnDesired []int64
+	fnGranted []int64
 
-	perFnDesired map[string]int64
-	perFnGranted map[string]int64
-	nameSet      map[string]bool
+	overflow []spreadDemand
+	srv      [][]server // per overflow entry: its servers in the scope
+	demOf    []int      // per spread-round demand: its overflow entry
+	demands  []fairshare.Demand
+	hosts    []host
 
-	// Hierarchical mode (SetHierarchy): the capacity tree, the per-leaf
-	// deserved quotas cascaded from it, and the reclaim scratch. All nil /
-	// unused for flat federations, whose code path is unchanged.
+	// Hierarchical mode (SetHierarchy): the capacity tree's vertices, built
+	// once, with the cross-site reclaim scratch. Unused for flat
+	// federations, whose code path is unchanged.
 	hier      *Hierarchy
 	reclaim   bool
-	deserved  map[string]int64
-	sitePos   map[string]int
-	allIdx    []int
-	metros    []metroScope
-	victims   []reclaimVictim
 	hierSites map[string]Level
+	groups    []*hierGroup // post-order: every group after its children
+	sitePos   map[string]int
+	victims   []reclaimVictim
 }
 
 // siteCache holds everything one site's epoch work that can survive to the
 // next epoch, keyed by site name so sites may reorder without invalidation.
+// Per-function slices are in the site's Functions order.
 type siteCache struct {
 	// prev is a deep copy of the site's last demand report (the Functions
 	// backing array is owned by the cache), compared against the incoming
@@ -74,83 +95,62 @@ type siteCache struct {
 	// weight) and the drift pass re-divides it against the site's own
 	// capacity — AllocateTree never reads the root node's weight, so one
 	// tree serves both, exactly as two separately built subtrees would.
-	tree     *fairshare.Node
-	wantTree *fairshare.Node   // same shape; leaves carry the clamp input
-	leaves   []*fairshare.Node // wantTree leaves, in Functions order
-	leafIDs  []string          // "site:<name>/<fn>", in Functions order
-	fnIndex  map[string]int    // function name → Functions index
+	tree       *fairshare.Node
+	wantTree   *fairshare.Node   // same shape; leaves carry the clamp input
+	treeLeaves []*fairshare.Node // tree leaves
+	leaves     []*fairshare.Node // wantTree leaves
+	dfs        []int             // Functions index of each leaf, in tree order
+	leafIDs    []string          // "site:<name>/<fn>"
+	fnIndex    map[string]int    // function name → Functions index
+	fnIDs      []int32           // interned function names
 
-	want     []int64 // last clamp input: min(entitled, desired) per function
+	dirty    bool    // the report changed this epoch
+	entitled []int64 // pass 1
+	deserved []int64 // hierarchical deserved quota
+
+	want     []int64 // last clamp input: min(entitled, desired)
 	wantNext []int64 // this epoch's clamp input, swapped into want
 	haveWant bool
 
-	clamp    []int64 // pass-2 clamp result per function — the reusable value
-	sum      int64   // Σ clamp
-	grants   []int64 // working grants this epoch: clamp plus pass-3 spread
-	clampMap map[string]int64
+	clamp  []int64 // pass-2 clamp result — the reusable value
+	sum    int64   // Σ clamp
+	grants []int64 // working grants this epoch: clamp plus pass-3 spread
 
-	localMap  map[string]int64 // drift pass: the site's own local allocation
+	local     []int64 // drift pass: the site's own local allocation
 	haveLocal bool
 }
 
 type spreadDemand struct {
 	fn     string
+	id     int32
 	need   int64
 	weight float64
 }
 
+// server is one site of a spread scope that serves an overflowing
+// function: its position in the epoch's sites and the function's index in
+// that site's Functions.
+type server struct{ site, fn int }
+
+// host is a server with spare capacity, as one spread placement sees it.
 type host struct {
-	site  string
+	server
 	spare int64
-	order int
 }
 
 // NewAllocator returns an empty Allocator; the first Allocate call behaves
 // exactly like the one-shot Allocate and primes the caches.
 func NewAllocator() *Allocator {
 	return &Allocator{
-		caches:       make(map[string]*siteCache),
-		entitled:     make(map[string]int64),
-		spare:        make(map[string]int64),
-		overflowOf:   make(map[string]int),
-		inPool:       make(map[string]bool),
-		perFnDesired: make(map[string]int64),
-		perFnGranted: make(map[string]int64),
-		nameSet:      make(map[string]bool),
-		root:         &fairshare.Node{ID: "::federation"},
+		caches:   make(map[string]*siteCache),
+		entitled: make(map[string]int64),
+		leafOut:  make(map[string]int64),
+		siteSet:  make(map[string]bool),
+		fnSet:    make(map[string]bool),
+		fnID:     make(map[string]int32),
+		sitePos:  make(map[string]int),
+		root:     &fairshare.Node{ID: "::federation"},
 	}
-}
-
-// SetHierarchy switches the allocator between the flat federation (nil)
-// and a region→metro→site capacity tree: pass 1 mounts site subtrees
-// under the hierarchy's groups, pass 3 water-fills displaced entitlement
-// level by level (metro first, then outward), and — with reclaim enabled —
-// a final pass preempts borrowed capacity at metro peers for functions
-// starved of their deserved quota. The previous result is invalidated so
-// the steady-state fast path can never serve an answer computed under a
-// different tree; per-site clamp and local-allocation caches stay valid
-// (they depend only on each site's own demand and want vector).
-func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
-	if h != nil {
-		if err := h.Validate(); err != nil {
-			return err
-		}
-	}
-	a.hier = h
-	a.reclaim = reclaim && h != nil
-	a.havePrev = false
-	if h != nil {
-		a.hierSites = h.Levels()
-		if a.deserved == nil {
-			a.deserved = make(map[string]int64)
-		}
-		if a.sitePos == nil {
-			a.sitePos = make(map[string]int)
-		}
-	} else {
-		a.hierSites = nil
-	}
-	return nil
 }
 
 func siteEqual(a *SiteDemand, b *SiteDemand) bool {
@@ -166,12 +166,16 @@ func siteEqual(a *SiteDemand, b *SiteDemand) bool {
 	return true
 }
 
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
+// sameShape reports whether b has a's function names, users and weights in
+// the same order — everything the subtrees' shape, IDs and weights depend
+// on apart from the site weight.
+func sameShape(a *SiteDemand, b *SiteDemand) bool {
+	if len(a.Functions) != len(b.Functions) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := range a.Functions {
+		x, y := &a.Functions[i], &b.Functions[i]
+		if x.Name != y.Name || x.User != y.User || x.Weight != y.Weight || x.UserWeight != y.UserWeight {
 			return false
 		}
 	}
@@ -190,79 +194,161 @@ func (a *Allocator) fail(err error) (*Result, error) {
 	return nil, err
 }
 
+// intern returns name's function ID, assigning the next one if it is new.
+func (a *Allocator) intern(name string) int32 {
+	id, ok := a.fnID[name]
+	if !ok {
+		id = int32(len(a.fnID))
+		a.fnID[name] = id
+	}
+	return id
+}
+
 // rebuild refreshes c from s: deep-copies the demand report and rebuilds the
-// subtrees, leaf index, and per-function scratch. Called only for new or
-// dirty sites — clean sites reuse everything.
-func (c *siteCache) rebuild(s *SiteDemand) {
+// subtrees, leaf index, and per-function scratch. Called only for new sites
+// and structurally changed ones — others are updated in place or reused.
+func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 	c.prev.Site = s.Site
 	c.prev.Weight = s.Weight
 	c.prev.CapacityCPU = s.CapacityCPU
 	c.prev.Functions = append(c.prev.Functions[:0], s.Functions...)
 
 	id := "site:" + s.Site
-	w := s.Weight
-	if w == 0 {
-		w = 1
-	}
-	c.tree = subtree(c.prev, id, w, nil)
+	c.tree = subtree(c.prev, id, treeWeight(s.Weight), nil)
 	c.wantTree = subtree(c.prev, id, 1, nil)
 
-	c.leafIDs = c.leafIDs[:0]
-	for _, fd := range c.prev.Functions {
-		c.leafIDs = append(c.leafIDs, id+"/"+fd.Name)
-	}
-	c.leaves = c.leaves[:0]
+	n := len(c.prev.Functions)
 	if c.fnIndex == nil {
-		c.fnIndex = make(map[string]int, len(c.prev.Functions))
+		c.fnIndex = make(map[string]int, n)
 	}
 	clear(c.fnIndex)
-	byID := make(map[string]*fairshare.Node, len(c.prev.Functions))
-	collectLeaves(c.wantTree, byID)
+	c.leafIDs, c.fnIDs = c.leafIDs[:0], c.fnIDs[:0]
 	for j, fd := range c.prev.Functions {
-		c.leaves = append(c.leaves, byID[c.leafIDs[j]])
+		c.leafIDs = append(c.leafIDs, id+"/"+fd.Name)
 		c.fnIndex[fd.Name] = j
+		c.fnIDs = append(c.fnIDs, a.intern(fd.Name))
 	}
-	if c.clampMap == nil {
-		c.clampMap = make(map[string]int64, len(c.prev.Functions))
+	c.treeLeaves = slices.Grow(c.treeLeaves[:0], n)[:n]
+	c.leaves = slices.Grow(c.leaves[:0], n)[:n]
+	c.dfs = c.dfs[:0]
+	if n > 0 {
+		c.collect(c.tree, c.wantTree, len(id)+1)
 	}
-	if c.localMap == nil {
-		c.localMap = make(map[string]int64, len(c.prev.Functions))
-	}
+	c.entitled = resize(c.entitled, n)
+	c.deserved = resize(c.deserved, n)
+	c.local = resize(c.local, n)
 	c.haveWant = false
 	c.haveLocal = false
 }
 
-func collectLeaves(n *fairshare.Node, byID map[string]*fairshare.Node) {
-	if n.Leaf() {
-		byID[n.ID] = n
+// collect walks the two same-shaped subtrees in step, indexing their
+// function leaves by Functions position and recording the tree order.
+// prefix is the length of the leaf IDs' "site:<name>/" prefix.
+func (c *siteCache) collect(t, w *fairshare.Node, prefix int) {
+	if t.Leaf() {
+		j := c.fnIndex[t.ID[prefix:]]
+		c.treeLeaves[j], c.leaves[j] = t, w
+		c.dfs = append(c.dfs, j)
 		return
 	}
-	for _, child := range n.Children {
-		collectLeaves(child, byID)
+	for i := range t.Children {
+		c.collect(t.Children[i], w.Children[i], prefix)
 	}
+}
+
+// update applies a report with the cached shape (sameShape) in place: new
+// desires at the tree leaves, capacity, and the site weight.
+func (c *siteCache) update(s *SiteDemand) {
+	c.prev.Weight = s.Weight
+	c.prev.CapacityCPU = s.CapacityCPU
+	copy(c.prev.Functions, s.Functions)
+	c.tree.Weight = treeWeight(s.Weight)
+	for j, l := range c.treeLeaves {
+		l.Desired = s.Functions[j].DesiredCPU
+	}
+	c.haveLocal = false
+}
+
+func resize(s []int64, n int) []int64 {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // clampSite runs one site's pass-2 feasibility clamp: the site subtree with
 // desires capped at the entitlement, divided over the site's physical
 // capacity. Sites are independent subproblems: it writes only its own
-// site's cache.
+// site's cache (out is scratch).
 //
 //lass:bitexact
-func (c *siteCache) clampSite(capped bool) error {
-	for j := range c.leaves {
-		c.leaves[j].Desired = c.want[j]
+func (c *siteCache) clampSite(capped bool, out map[string]int64) error {
+	for j, l := range c.leaves {
+		l.Desired = c.want[j]
 	}
-	if err := fairshare.AllocateTreeInto(c.wantTree, c.prev.CapacityCPU, capped, c.clampMap); err != nil {
+	if err := fairshare.AllocateTreeInto(c.wantTree, c.prev.CapacityCPU, capped, out); err != nil {
 		return err
 	}
 	c.clamp = c.clamp[:0]
 	c.sum = 0
-	for j := range c.leafIDs {
-		g := c.clampMap[c.leafIDs[j]]
+	for _, id := range c.leafIDs {
+		g := out[id]
 		c.clamp = append(c.clamp, g)
 		c.sum += g
 	}
 	return nil
+}
+
+// relayout maps the epoch's site order onto caches — creating caches for
+// new sites and dropping those of departed ones — and recomputes everything
+// indexed by site position. It runs only when the site names or their order
+// changed since the last call (or the hierarchy was replaced); validate
+// must have just succeeded, leaving every site name in a.siteSet.
+func (a *Allocator) relayout(sites []SiteDemand) error {
+	a.layout = false
+	if a.hier != nil {
+		for i := range sites {
+			if _, ok := a.hierSites[sites[i].Site]; !ok {
+				return fmt.Errorf("allocation: site %q not assigned to any hierarchy group", sites[i].Site)
+			}
+		}
+	}
+	a.sc = a.sc[:0]
+	for i := range sites {
+		c := a.caches[sites[i].Site]
+		if c == nil {
+			c = &siteCache{}
+			a.caches[sites[i].Site] = c
+		}
+		a.sc = append(a.sc, c)
+	}
+	for name := range a.caches {
+		if !a.siteSet[name] {
+			delete(a.caches, name)
+		}
+	}
+	a.spare = resize(a.spare, len(sites))
+	a.inPool = slices.Grow(a.inPool[:0], len(sites))[:len(sites)]
+	a.allIdx = a.allIdx[:0]
+	for i := range sites {
+		a.allIdx = append(a.allIdx, i)
+	}
+	if a.hier != nil {
+		a.placeGroups(sites)
+	}
+	a.layout = true
+	return nil
+}
+
+// sameLayout reports whether sites has the names, in order, the position
+// lists were last computed for.
+func (a *Allocator) sameLayout(sites []SiteDemand) bool {
+	if !a.layout || len(sites) != len(a.sc) {
+		return false
+	}
+	for i, c := range a.sc {
+		if c.prev.Site != sites[i].Site {
+			return false
+		}
+	}
+	return true
 }
 
 // Allocate runs one global allocation epoch, reusing whatever the previous
@@ -272,10 +358,10 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	// Fast path: inputs identical to the previous successful epoch — the
 	// steady state between demand shifts. The cached result is that epoch's
 	// answer, which is the answer for these inputs too; nothing allocates.
-	if a.havePrev && capped == a.capped && len(sites) == len(a.order) {
+	if a.havePrev && capped == a.capped && len(sites) == len(a.sc) {
 		same := true
 		for i := range sites {
-			if !siteEqual(&a.order[i].prev, &sites[i]) {
+			if !siteEqual(&a.sc[i].prev, &sites[i]) {
 				same = false
 				break
 			}
@@ -285,14 +371,12 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		}
 	}
 
-	if err := validate(sites); err != nil {
+	if err := validate(sites, a.siteSet, a.fnSet); err != nil {
 		return a.fail(err)
 	}
-	if a.hier != nil {
-		for i := range sites {
-			if _, ok := a.hierSites[sites[i].Site]; !ok {
-				return a.fail(fmt.Errorf("allocation: site %q not assigned to any hierarchy group", sites[i].Site))
-			}
+	if !a.sameLayout(sites) {
+		if err := a.relayout(sites); err != nil {
+			return a.fail(err)
 		}
 	}
 	if capped != a.capped {
@@ -305,34 +389,38 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		a.capped = capped
 	}
 
-	// Refresh per-site caches and mark dirty sites.
-	a.dirty = a.dirty[:0]
-	for i := range sites {
+	// Refresh per-site caches and mark dirty sites. Interned names only
+	// accumulate when functions come and go; re-intern once they outnumber
+	// the live function slots well beyond any churn.
+	slots, rebuilt := 0, false
+	for i, c := range a.sc {
 		s := &sites[i]
-		c := a.caches[s.Site]
-		d := false
-		if c == nil {
-			c = &siteCache{}
-			a.caches[s.Site] = c
-			c.rebuild(s)
-			d = true
-		} else if !siteEqual(&c.prev, s) {
-			c.rebuild(s)
-			d = true
+		slots += len(s.Functions)
+		c.dirty = !siteEqual(&c.prev, s)
+		if !c.dirty {
+			continue
 		}
-		a.dirty = append(a.dirty, d)
+		if c.tree != nil && sameShape(&c.prev, s) {
+			c.update(s)
+		} else {
+			c.rebuild(s, a)
+			rebuilt = true
+		}
 	}
-	if len(a.caches) > len(sites) {
-		clear(a.nameSet)
-		for i := range sites {
-			a.nameSet[sites[i].Site] = true
-		}
-		for name := range a.caches {
-			if !a.nameSet[name] {
-				delete(a.caches, name)
+	if rebuilt && len(a.fnID) > 2*slots+64 {
+		clear(a.fnID)
+		for _, c := range a.sc {
+			for j, fd := range c.prev.Functions {
+				c.fnIDs[j] = a.intern(fd.Name)
 			}
 		}
 	}
+	nfn := len(a.fnID)
+	for len(a.ovOf) < nfn {
+		a.ovOf = append(a.ovOf, -1)
+	}
+	a.fnDesired = resize(a.fnDesired, nfn)
+	a.fnGranted = resize(a.fnGranted, nfn)
 
 	a.res.Grants = a.res.Grants[:0]
 	a.res.TotalCapacityCPU = 0
@@ -350,28 +438,31 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 
 	// Pass 1 — entitlement: capped water-filling over the federation's
 	// total edge capacity, site → user → function. Clean sites mount their
-	// cached subtree unchanged; only the root's child list is rebuilt (the
-	// site order may have changed even when no site's content did). In
-	// hierarchical mode the site trees mount under their group vertices
-	// instead — a depth-1 hierarchy (one leaf group over every site)
-	// collapses to the identical flat tree, which is what keeps it
-	// bit-for-bit with the flat allocator.
-	a.root.Children = a.root.Children[:0]
+	// cached subtree unchanged; only the child lists that hold site trees
+	// are refilled (a rebuilt site has a new tree). In hierarchical mode
+	// the site trees mount under their group vertices instead — a depth-1
+	// hierarchy (one leaf group over every site) collapses to the identical
+	// flat tree, which is what keeps it bit-for-bit with the flat allocator.
 	if a.hier == nil {
-		for i := range sites {
-			a.root.Children = append(a.root.Children, a.caches[sites[i].Site].tree)
+		a.root.Children = a.root.Children[:0]
+		for _, c := range a.sc {
+			a.root.Children = append(a.root.Children, c.tree)
 		}
 	} else {
-		a.mountHierChildren(a.hier.Root, a.root)
+		a.mountSites()
 	}
 	if err := fairshare.AllocateTreeInto(a.root, a.res.TotalCapacityCPU, capped, a.entitled); err != nil {
 		return a.fail(err)
 	}
+	for _, c := range a.sc {
+		for j, id := range c.leafIDs {
+			c.entitled[j] = a.entitled[id]
+		}
+	}
 	if a.hier != nil {
 		// Deserved quotas: demand-independent guaranteed shares cascaded
 		// down the same tree the entitlement pass just divided.
-		clear(a.deserved)
-		a.cascadeDeserved(a.root, a.res.TotalCapacityCPU)
+		a.cascadeDeserved(a.groups[len(a.groups)-1], a.res.TotalCapacityCPU)
 	}
 
 	// Pass 2 — feasibility: clamp each site's enforceable grants to its
@@ -379,84 +470,71 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	// min(entitlement, desire) vector; a clean site whose vector is
 	// unchanged — entitlements depend on every site, so dirtiness elsewhere
 	// can shift it — reuses last epoch's clamp verbatim.
-	for i := range sites {
-		c := a.caches[sites[i].Site]
+	for _, c := range a.sc {
 		c.wantNext = c.wantNext[:0]
 		for j, fd := range c.prev.Functions {
-			e := a.entitled[c.leafIDs[j]]
-			if e > fd.DesiredCPU {
-				e = fd.DesiredCPU
-			}
-			c.wantNext = append(c.wantNext, e)
+			c.wantNext = append(c.wantNext, min(c.entitled[j], fd.DesiredCPU))
 		}
-		stale := a.dirty[i] || !c.haveWant || !int64sEqual(c.wantNext, c.want)
+		stale := c.dirty || !c.haveWant || !slices.Equal(c.wantNext, c.want)
 		c.want, c.wantNext = c.wantNext, c.want
 		c.haveWant = true
 		if stale {
-			if err := c.clampSite(capped); err != nil {
+			if err := c.clampSite(capped, a.leafOut); err != nil {
 				return a.fail(err)
 			}
 		}
 	}
-	clear(a.spare)
-	for i := range sites {
-		c := a.caches[sites[i].Site]
+	for i, c := range a.sc {
 		// The pass-3 spread mutates the working grants in place; the pure
 		// clamp result stays in c.clamp so clean sites can reuse it next
 		// epoch.
 		c.grants = append(c.grants[:0], c.clamp...)
-		a.spare[sites[i].Site] = sites[i].CapacityCPU - c.sum
+		a.spare[i] = c.prev.CapacityCPU - c.sum
 	}
 
 	// Pass 3 — spreading: entitlement displaced by the physical clamp is
 	// granted at other sites that serve the same function and have idle
 	// capacity, arbitrated by a second weight-proportional water-filling.
 	// Flat federations spread over every site at once; hierarchies spread
-	// level by level, metro scopes first (spreadHier), and reclaim — when
-	// enabled — then preempts borrowed capacity for starved deserved
-	// quotas before stranded/drift accounting sees the grants.
+	// level by level, metro scopes first, and reclaim — when enabled —
+	// then preempts borrowed capacity for starved deserved quotas before
+	// stranded/drift accounting sees the grants.
 	if a.hier == nil {
-		a.allIdx = a.allIdx[:0]
-		for i := range sites {
-			a.allIdx = append(a.allIdx, i)
-		}
-		if err := a.spread(sites, a.allIdx, capped); err != nil {
+		if err := a.spread(a.allIdx); err != nil {
 			return a.fail(err)
 		}
 	} else {
-		clear(a.sitePos)
-		for i := range sites {
-			a.sitePos[sites[i].Site] = i
-		}
-		a.metros = a.metros[:0]
-		if _, err := a.spreadHier(sites, a.hier.Root, capped); err != nil {
-			return a.fail(err)
+		for _, g := range a.groups {
+			if err := a.spread(g.idxs); err != nil {
+				return a.fail(err)
+			}
 		}
 		if a.reclaim {
-			a.runReclaim(sites)
+			a.runReclaim()
 		}
 	}
 
-	return a.finish(sites, capped)
+	return a.finish(capped)
 }
 
 // spread runs one scope of the pass-3 overflow water-filling over the
-// sites at positions idxs (ascending): identical round structure and
-// orderings to the one-shot allocator — overflow heaviest-first (ties by
-// name), hosts most-spare-first (ties by site order). The flat federation
-// is a single scope over every site.
-func (a *Allocator) spread(sites []SiteDemand, idxs []int, capped bool) error {
+// sites at positions idxs (ascending): overflow heaviest-first (ties by
+// name), hosts most-spare-first (ties by site position). Each overflowing
+// function's servers in the scope are listed once per call; every round
+// then reads spare by position. The flat federation is a single scope over
+// every site.
+func (a *Allocator) spread(idxs []int) error {
 	a.overflow = a.overflow[:0]
-	clear(a.overflowOf)
 	for _, i := range idxs {
-		c := a.caches[sites[i].Site]
+		c := a.sc[i]
 		for j, fd := range c.prev.Functions {
 			if miss := c.want[j] - c.grants[j]; miss > 0 {
-				k, ok := a.overflowOf[fd.Name]
-				if !ok {
-					k = len(a.overflow)
-					a.overflowOf[fd.Name] = k
-					a.overflow = append(a.overflow, spreadDemand{fn: fd.Name, weight: fd.Weight})
+				id := c.fnIDs[j]
+				k := a.ovOf[id]
+				if k < 0 {
+					k = int32(len(a.overflow))
+					a.ovOf[id] = k
+					a.overflow = append(a.overflow, spreadDemand{fn: fd.Name, id: id, weight: fd.Weight})
 				}
 				a.overflow[k].need += miss
 				if fd.Weight > a.overflow[k].weight {
@@ -467,40 +545,38 @@ func (a *Allocator) spread(sites []SiteDemand, idxs []int, capped bool) error {
 			}
 		}
 	}
-	sort.Slice(a.overflow, func(i, j int) bool {
-		if a.overflow[i].weight != a.overflow[j].weight {
-			return a.overflow[i].weight > a.overflow[j].weight
+	if len(a.overflow) == 0 {
+		return nil
+	}
+	// Both keys together are a total order (names are unique), so the
+	// unstable sort is deterministic.
+	slices.SortFunc(a.overflow, func(x, y spreadDemand) int {
+		if c := cmp.Compare(y.weight, x.weight); c != 0 {
+			return c
 		}
-		return a.overflow[i].fn < a.overflow[j].fn
+		return strings.Compare(x.fn, y.fn)
 	})
-	// The sort moved elements; rebuild the name index before placement
-	// rounds look functions up by ID.
-	for k := range a.overflow {
-		a.overflowOf[a.overflow[k].fn] = k
+	for len(a.srv) < len(a.overflow) {
+		a.srv = append(a.srv, nil)
 	}
-	hostsOf := func(fn string) ([]host, int64) {
-		a.hosts = a.hosts[:0]
-		var total int64
-		for _, i := range idxs {
-			if a.spare[sites[i].Site] <= 0 {
-				continue
-			}
-			c := a.caches[sites[i].Site]
-			if _, serves := c.fnIndex[fn]; serves {
-				a.hosts = append(a.hosts, host{sites[i].Site, a.spare[sites[i].Site], i})
-				total += a.spare[sites[i].Site]
+	for k := range a.overflow {
+		a.ovOf[a.overflow[k].id] = int32(k)
+		a.srv[k] = a.srv[k][:0]
+	}
+	for _, i := range idxs {
+		for j, id := range a.sc[i].fnIDs {
+			if k := a.ovOf[id]; k >= 0 {
+				a.srv[k] = append(a.srv[k], server{i, j})
 			}
 		}
-		sort.Slice(a.hosts, func(i, j int) bool {
-			if a.hosts[i].spare != a.hosts[j].spare {
-				return a.hosts[i].spare > a.hosts[j].spare
-			}
-			return a.hosts[i].order < a.hosts[j].order
-		})
-		return a.hosts, total
 	}
+	for k := range a.overflow {
+		a.ovOf[a.overflow[k].id] = -1
+	}
+
 	for {
 		a.demands = a.demands[:0]
+		a.demOf = a.demOf[:0]
 		var pool int64
 		clear(a.inPool)
 		for k := range a.overflow {
@@ -508,19 +584,21 @@ func (a *Allocator) spread(sites []SiteDemand, idxs []int, capped bool) error {
 			if d.need <= 0 {
 				continue
 			}
-			hosts, hostSpare := hostsOf(d.fn)
+			var hostSpare int64
+			for _, s := range a.srv[k] {
+				if sp := a.spare[s.site]; sp > 0 {
+					hostSpare += sp
+				}
+			}
 			if hostSpare == 0 {
 				continue
 			}
-			want := d.need
-			if want > hostSpare {
-				want = hostSpare
-			}
-			a.demands = append(a.demands, fairshare.Demand{ID: d.fn, Weight: d.weight, Desired: want})
-			for _, h := range hosts {
-				if !a.inPool[h.site] {
-					a.inPool[h.site] = true
-					pool += a.spare[h.site]
+			a.demands = append(a.demands, fairshare.Demand{ID: d.fn, Weight: d.weight, Desired: min(d.need, hostSpare)})
+			a.demOf = append(a.demOf, k)
+			for _, s := range a.srv[k] {
+				if sp := a.spare[s.site]; sp > 0 && !a.inPool[s.site] {
+					a.inPool[s.site] = true
+					pool += sp
 				}
 			}
 		}
@@ -532,39 +610,31 @@ func (a *Allocator) spread(sites []SiteDemand, idxs []int, capped bool) error {
 			return err
 		}
 		progress := false
-		for _, al := range allocs {
-			hosts, hostSpare := hostsOf(al.ID)
-			amount := al.Adjusted
-			if amount > hostSpare {
-				amount = hostSpare
-			}
+		for x, al := range allocs {
+			k := a.demOf[x]
+			hosts, hostSpare := a.hostsOf(k)
+			amount := min(al.Adjusted, hostSpare)
 			if amount <= 0 {
 				continue
 			}
+			// Each host takes its spare-proportional floor (in any order:
+			// the takes are independent), then the rounding remainder goes
+			// to hosts most-spare-first, ties by site position.
 			rem := amount
 			for _, h := range hosts {
 				take := amount * h.spare / hostSpare
-				hc := a.caches[h.site]
-				hc.grants[hc.fnIndex[al.ID]] += take
+				a.sc[h.site].grants[h.fn] += take
 				a.spare[h.site] -= take
 				rem -= take
 			}
-			for _, h := range hosts {
-				if rem == 0 {
-					break
-				}
-				take := a.spare[h.site]
-				if take > rem {
-					take = rem
-				}
-				if take > 0 {
-					hc := a.caches[h.site]
-					hc.grants[hc.fnIndex[al.ID]] += take
-					a.spare[h.site] -= take
-					rem -= take
-				}
+			for rem > 0 {
+				h := a.nextHost(hosts)
+				take := min(a.spare[h.site], rem)
+				a.sc[h.site].grants[h.fn] += take
+				a.spare[h.site] -= take
+				rem -= take
 			}
-			a.overflow[a.overflowOf[al.ID]].need -= amount
+			a.overflow[k].need -= amount
 			progress = true
 		}
 		if !progress {
@@ -574,47 +644,79 @@ func (a *Allocator) spread(sites []SiteDemand, idxs []int, capped bool) error {
 	return nil
 }
 
+// hostsOf lists overflow entry k's servers that have spare capacity, with
+// their spare at this moment and its total.
+func (a *Allocator) hostsOf(k int) ([]host, int64) {
+	a.hosts = a.hosts[:0]
+	var total int64
+	for _, s := range a.srv[k] {
+		if sp := a.spare[s.site]; sp > 0 {
+			a.hosts = append(a.hosts, host{s, sp})
+			total += sp
+		}
+	}
+	return a.hosts, total
+}
+
+// nextHost is the host the rounding remainder visits next: of those with
+// spare left, the one listed with the most spare, ties by site position.
+// Walking hosts sorted by that key and skipping the exhausted ones visits
+// the same hosts in the same order, because a host the remainder has
+// visited is exhausted unless the remainder is gone — but the remainder
+// is smaller than the number of hosts, so it seldom needs more than one.
+// The caller guarantees some host has spare left.
+func (a *Allocator) nextHost(hosts []host) host {
+	best := -1
+	for x, h := range hosts {
+		if a.spare[h.site] <= 0 {
+			continue
+		}
+		if best < 0 || h.spare > hosts[best].spare || h.spare == hosts[best].spare && h.site < hosts[best].site {
+			best = x
+		}
+	}
+	return hosts[best]
+}
+
 // finish computes the stranded/drift accounting and materializes the
 // result rows from the per-site working grants — common to flat and
 // hierarchical epochs, always over the final (post-spread, post-reclaim)
 // grants.
-func (a *Allocator) finish(sites []SiteDemand, capped bool) (*Result, error) {
+func (a *Allocator) finish(capped bool) (*Result, error) {
 	// Stranded capacity: idle CPU that even spreading could not pair with
 	// the demand still unmet federation-wide.
 	var totalSpare, totalUnmet int64
-	clear(a.perFnDesired)
-	clear(a.perFnGranted)
-	for i := range sites {
-		totalSpare += a.spare[sites[i].Site]
-		c := a.caches[sites[i].Site]
+	clear(a.fnDesired)
+	clear(a.fnGranted)
+	for i, c := range a.sc {
+		totalSpare += a.spare[i]
 		for j, fd := range c.prev.Functions {
-			a.perFnDesired[fd.Name] += fd.DesiredCPU
-			a.perFnGranted[fd.Name] += c.grants[j]
+			a.fnDesired[c.fnIDs[j]] += fd.DesiredCPU
+			a.fnGranted[c.fnIDs[j]] += c.grants[j]
 		}
 	}
-	for fn, d := range a.perFnDesired {
-		if miss := d - a.perFnGranted[fn]; miss > 0 {
+	for id, d := range a.fnDesired {
+		if miss := d - a.fnGranted[id]; miss > 0 {
 			totalUnmet += miss
 		}
 	}
-	a.res.StrandedCPU = totalSpare
-	if totalUnmet < totalSpare {
-		a.res.StrandedCPU = totalUnmet
-	}
+	a.res.StrandedCPU = min(totalSpare, totalUnmet)
 
 	// Drift: L1 distance to the allocation each site would have computed
 	// locally from the same demands. The local division depends only on the
 	// site's own demand report, so clean sites reuse last epoch's.
-	for i := range sites {
-		c := a.caches[sites[i].Site]
+	for _, c := range a.sc {
 		if !c.haveLocal {
-			if err := fairshare.AllocateTreeInto(c.tree, c.prev.CapacityCPU, capped, c.localMap); err != nil {
+			if err := fairshare.AllocateTreeInto(c.tree, c.prev.CapacityCPU, capped, a.leafOut); err != nil {
 				return a.fail(err)
+			}
+			for j, id := range c.leafIDs {
+				c.local[j] = a.leafOut[id]
 			}
 			c.haveLocal = true
 		}
-		for j := range c.leafIDs {
-			d := c.grants[j] - c.localMap[c.leafIDs[j]]
+		for j, l := range c.local {
+			d := c.grants[j] - l
 			if d < 0 {
 				d = -d
 			}
@@ -622,32 +724,24 @@ func (a *Allocator) finish(sites []SiteDemand, capped bool) (*Result, error) {
 		}
 	}
 
-	for i := range sites {
-		c := a.caches[sites[i].Site]
+	for _, c := range a.sc {
 		for j, fd := range c.prev.Functions {
 			g := Grant{
-				Site:        sites[i].Site,
+				Site:        c.prev.Site,
 				Function:    fd.Name,
 				DesiredCPU:  fd.DesiredCPU,
-				EntitledCPU: a.entitled[c.leafIDs[j]],
+				EntitledCPU: c.entitled[j],
 				GrantedCPU:  c.grants[j],
 			}
 			if a.hier != nil {
 				// Deserved is the demand-independent quota; anything
 				// granted above it is borrowed (and revocable by reclaim).
 				// Flat federations leave both fields zero.
-				g.DeservedCPU = a.deserved[c.leafIDs[j]]
-				if b := g.GrantedCPU - g.DeservedCPU; b > 0 {
-					g.BorrowedCPU = b
-				}
+				g.DeservedCPU = c.deserved[j]
+				g.BorrowedCPU = max(0, g.GrantedCPU-g.DeservedCPU)
 			}
 			a.res.Grants = append(a.res.Grants, g)
 		}
-	}
-
-	a.order = a.order[:0]
-	for i := range sites {
-		a.order = append(a.order, a.caches[sites[i].Site])
 	}
 	a.havePrev = true
 	return &a.res, nil

@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // across arbitrary epoch sequences — that is the contract the differential
 // fuzz below enforces.
 func referenceAllocate(sites []SiteDemand, capped bool) (*Result, error) {
-	if err := validate(sites); err != nil {
+	if err := validate(sites, map[string]bool{}, map[string]bool{}); err != nil {
 		return nil, err
 	}
 	res := &Result{}
@@ -270,12 +271,15 @@ func diffResults(want, got *Result) string {
 	return ""
 }
 
+// fuzzFnPool is the function-name pool fuzzed sites draw from.
+var fuzzFnPool = []string{"auth", "encode", "infer", "ocr", "resize", "translate"}
+
 // fuzzFederation generates a random valid federation: sites drawing
 // functions from a shared pool (so the spread pass has cross-site hosts),
 // occasional user namespaces, per-site weight disagreements, zero desires,
 // and zero-capacity sites.
 func fuzzFederation(rng *xrand.Rand) []SiteDemand {
-	fnPool := []string{"auth", "encode", "infer", "ocr", "resize", "translate"}
+	fnPool := fuzzFnPool
 	n := 2 + rng.Intn(9)
 	sites := make([]SiteDemand, 0, n)
 	for i := 0; i < n; i++ {
@@ -304,10 +308,48 @@ func fuzzFederation(rng *xrand.Rand) []SiteDemand {
 
 // mutate evolves the federation between epochs: often nothing changes (the
 // steady state the fast path serves), otherwise a random subset of sites
-// shifts demand, sites appear/disappear/reorder, or the input is made
-// invalid to exercise error parity and cache invalidation.
+// shifts demand, sites appear/disappear/reorder, a site's function list
+// changes shape (weights, users, functions added or removed), or the input
+// is made invalid to exercise error parity and cache invalidation.
 func mutate(rng *xrand.Rand, sites []SiteDemand) []SiteDemand {
-	switch rng.Intn(10) {
+	switch rng.Intn(14) {
+	case 10: // reweight one function
+		s := &sites[rng.Intn(len(sites))]
+		if len(s.Functions) > 0 {
+			s.Functions[rng.Intn(len(s.Functions))].Weight = 0.5 + float64(rng.Intn(8))/2
+		}
+		return sites
+	case 11: // move one function to another user namespace, or to none
+		s := &sites[rng.Intn(len(sites))]
+		if len(s.Functions) > 0 {
+			fd := &s.Functions[rng.Intn(len(s.Functions))]
+			if rng.Intn(3) == 0 {
+				fd.User, fd.UserWeight = "", 0
+			} else {
+				fd.User, fd.UserWeight = fmt.Sprintf("u%d", rng.Intn(2)), float64(rng.Intn(3))
+			}
+		}
+		return sites
+	case 12: // deploy one more function from the pool
+		s := &sites[rng.Intn(len(sites))]
+		for _, name := range fuzzFnPool[rng.Intn(len(fuzzFnPool)):] {
+			if !slices.ContainsFunc(s.Functions, func(fd FunctionDemand) bool { return fd.Name == name }) {
+				s.Functions = append(s.Functions, FunctionDemand{
+					Name:       name,
+					Weight:     0.5 + float64(rng.Intn(8))/2,
+					DesiredCPU: int64(rng.Intn(7)) * 500,
+				})
+				break
+			}
+		}
+		return sites
+	case 13: // retire one function
+		s := &sites[rng.Intn(len(sites))]
+		if len(s.Functions) > 0 {
+			j := rng.Intn(len(s.Functions))
+			s.Functions = append(s.Functions[:j], s.Functions[j+1:]...)
+		}
+		return sites
 	case 0, 1, 2: // steady state: nothing changes
 		return sites
 	case 3: // full regeneration
@@ -342,6 +384,9 @@ func mutate(rng *xrand.Rand, sites []SiteDemand) []SiteDemand {
 			s.Functions[j].DesiredCPU = int64(rng.Intn(7)) * 500
 			if rng.Intn(4) == 0 {
 				s.CapacityCPU = int64(rng.Intn(6)) * 1000
+			}
+			if rng.Intn(8) == 0 {
+				s.Weight = float64(rng.Intn(4))
 			}
 		}
 		return sites
@@ -403,6 +448,95 @@ func TestAllocatorMatchesReferenceFuzz(t *testing.T) {
 			if d := diffResults(want, got); d != "" {
 				t.Fatalf("seed %d epoch %d: incremental diverged: %s", seed, epoch, d)
 			}
+		}
+	}
+}
+
+// churnFederation builds a 100-site fleet shaped like the control_churn
+// benchmark: 2 regions × 5 metros × 10 sites, 8 functions per site drawn
+// from a 12-name pool at a site-specific offset, four users, the first
+// metro of each region hot (three times the desire, so its sites overflow
+// and borrow) with one 2000 mC site in it whose deserved shares only
+// reclaim can recover, and the quota tree over them.
+func churnFederation() (*Hierarchy, []SiteDemand) {
+	rng := xrand.New(7)
+	root := &Group{ID: "::root"}
+	var sites []SiteDemand
+	for r := 0; r < 2; r++ {
+		region := &Group{ID: fmt.Sprintf("region-%d", r)}
+		for m := 0; m < 5; m++ {
+			metro := &Group{ID: fmt.Sprintf("metro-%d-%d", r, m)}
+			for k := 0; k < 10; k++ {
+				i := len(sites)
+				s := SiteDemand{Site: fmt.Sprintf("site-%03d", i), CapacityCPU: 16_000}
+				if m == 0 && k == 3 {
+					s.CapacityCPU = 2_000
+				}
+				for j := 0; j < 8; j++ {
+					fn := (i + j) % 12
+					d := int64(250 * (1 + rng.Intn(8)))
+					if m == 0 {
+						d *= 3
+					}
+					s.Functions = append(s.Functions, FunctionDemand{
+						Name:       fmt.Sprintf("f%02d", fn),
+						User:       fmt.Sprintf("u%d", fn%4),
+						UserWeight: float64(fn%4 + 1),
+						Weight:     float64(rng.Intn(4) + 1),
+						DesiredCPU: d,
+					})
+				}
+				metro.Sites = append(metro.Sites, s.Site)
+				sites = append(sites, s)
+			}
+			region.Children = append(region.Children, metro)
+		}
+		root.Children = append(root.Children, region)
+	}
+	return &Hierarchy{Root: root}, sites
+}
+
+// TestAllocatorAllocsScaleWithDirtySites is the churn-proportional contract
+// (ROADMAP item 1): on a control_churn-shaped federation with reclaim, an
+// epoch in which k sites change only their desires allocates nothing when
+// k = 0 and at most allocsPerDirtySite·k + allocsPerEpoch otherwise. What
+// remains is the spread pass's fair-share calls, whose results are fresh
+// slices by contract, and the reclaim list's growth.
+func TestAllocatorAllocsScaleWithDirtySites(t *testing.T) {
+	const allocsPerDirtySite, allocsPerEpoch = 1, 48
+	h, sites := churnFederation()
+	a := NewAllocator()
+	if err := a.SetHierarchy(h, true); err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Allocate(sites, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReclaimedCPU == 0 {
+		t.Fatal("test premise broken: reclaim does not fire on the churn federation")
+	}
+	epoch := 0
+	for _, k := range []int{0, 1, 5, 20} {
+		got := testing.AllocsPerRun(50, func() {
+			// A hot spot rolling through the fleet, like control_churn's:
+			// k distinct sites per epoch move one function's desire.
+			epoch++
+			for d := 0; d < k; d++ {
+				s := &sites[(epoch*k+d)%len(sites)]
+				s.Functions[epoch%len(s.Functions)].DesiredCPU ^= 256
+			}
+			if _, err := a.Allocate(sites, true); err != nil {
+				panic(err)
+			}
+		})
+		limit := 0.0
+		if k > 0 {
+			limit = float64(allocsPerDirtySite*k + allocsPerEpoch)
+		}
+		t.Logf("k=%d dirty sites: %.1f allocations per epoch (limit %.0f)", k, got, limit)
+		if got > limit {
+			t.Errorf("k=%d dirty sites: %.1f allocations per epoch, want ≤ %.0f", k, got, limit)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package allocation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"lass/internal/fairshare"
 )
@@ -57,6 +59,9 @@ func (h *Hierarchy) Validate() error {
 func (g *Group) validate(groups, sites map[string]bool) error {
 	if g.Weight < 0 {
 		return fmt.Errorf("allocation: hierarchy group %q has negative weight %v", g.ID, g.Weight)
+	}
+	if !finite(g.Weight) {
+		return fmt.Errorf("allocation: hierarchy group %q has non-finite weight %v", g.ID, g.Weight)
 	}
 	if groups[g.ID] {
 		return fmt.Errorf("allocation: duplicate hierarchy group id %q", g.ID)
@@ -150,95 +155,155 @@ type Reclaim struct {
 	CPU      int64  // millicores moved
 }
 
-// mountHier builds the pass-1 fair-share tree for the hierarchy: group
-// vertices become internal nodes (IDs prefixed "group:" so they can never
-// collide with "site:..." subtree IDs) and each leaf group's member sites
-// mount their cached subtrees as children. A root that is itself a leaf
-// group mounts the site trees directly under the federation root —
-// exactly the flat tree, which is what makes depth-1 bit-identical.
-// Nodes are rebuilt per epoch; steady-state epochs never reach pass 1.
-func (a *Allocator) mountHier(g *Group) *fairshare.Node {
-	w := g.Weight
-	if w == 0 {
-		w = 1
-	}
-	n := &fairshare.Node{ID: "group:" + g.ID, Weight: w}
-	a.mountHierChildren(g, n)
-	return n
-}
-
-func (a *Allocator) mountHierChildren(g *Group, n *fairshare.Node) {
-	for _, name := range g.Sites {
-		if c, ok := a.caches[name]; ok {
-			n.Children = append(n.Children, c.tree)
+// SetHierarchy switches the allocator between the flat federation (nil)
+// and a region→metro→site capacity tree: pass 1 mounts site subtrees
+// under the hierarchy's groups, pass 3 water-fills displaced entitlement
+// level by level (metro first, then outward), and — with reclaim enabled —
+// a final pass preempts borrowed capacity at metro peers for functions
+// starved of their deserved quota. The group vertices are built here, so
+// h must not change until the next SetHierarchy call. The previous result is
+// invalidated so the steady-state fast path can never serve an answer
+// computed under a different tree; per-site clamp and local-allocation
+// caches stay valid (they depend only on each site's own demand and want
+// vector).
+func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
+	if h != nil {
+		if err := h.Validate(); err != nil {
+			return err
 		}
 	}
+	a.hier = h
+	a.reclaim = reclaim && h != nil
+	a.havePrev = false
+	a.layout = false
+	a.hierSites = nil
+	a.groups = a.groups[:0]
+	if h != nil {
+		a.hierSites = h.Levels()
+		a.buildGroup(h.Root, a.root)
+	}
+	return nil
+}
+
+// hierGroup is one hierarchy group's vertex in the pass-1 tree and its
+// member lists against the current site order (placeGroups).
+type hierGroup struct {
+	g        *Group
+	node     *fairshare.Node
+	children []*hierGroup // interior groups only
+	leaf     bool         // a metro: lists sites, mounts their subtrees
+	mount    []int        // leaf: present members' positions, in declaration order
+	idxs     []int        // every member's position, ascending: the spread scope
+}
+
+// buildGroup builds g's vertex, node n, and everything below it, appending
+// each group to a.groups after its children. Interior groups become
+// internal nodes over their child groups' nodes, IDs prefixed "group:" so
+// they can never collide with "site:..." subtree IDs; leaf groups mount
+// their member sites' cached subtrees each epoch (mountSites). The root
+// group's node is the federation root itself, so a root that is a leaf
+// group mounts the site trees directly under it — exactly the flat tree,
+// which is what makes depth-1 bit-identical.
+func (a *Allocator) buildGroup(g *Group, n *fairshare.Node) *hierGroup {
+	hg := &hierGroup{g: g, node: n, leaf: len(g.Sites) > 0}
+	n.Children = nil
 	for _, c := range g.Children {
-		n.Children = append(n.Children, a.mountHier(c))
+		cn := &fairshare.Node{ID: "group:" + c.ID, Weight: treeWeight(c.Weight)}
+		n.Children = append(n.Children, cn)
+		hg.children = append(hg.children, a.buildGroup(c, cn))
+	}
+	a.groups = append(a.groups, hg)
+	return hg
+}
+
+// placeGroups resolves every group's members against the epoch's site
+// order: leaf groups' present members in declaration order (their mount
+// order), and each group's member positions ascending (its spread scope).
+func (a *Allocator) placeGroups(sites []SiteDemand) {
+	clear(a.sitePos)
+	for i := range sites {
+		a.sitePos[sites[i].Site] = i
+	}
+	for _, hg := range a.groups { // children before parents
+		hg.mount = hg.mount[:0]
+		for _, name := range hg.g.Sites {
+			if i, ok := a.sitePos[name]; ok {
+				hg.mount = append(hg.mount, i)
+			}
+		}
+		hg.idxs = append(hg.idxs[:0], hg.mount...)
+		for _, c := range hg.children {
+			hg.idxs = append(hg.idxs, c.idxs...)
+		}
+		slices.Sort(hg.idxs)
+	}
+}
+
+// mountSites hangs each leaf group's present member subtrees under its
+// vertex, in declaration order. A group none of whose sites is present
+// is a zero-desire leaf of the division.
+func (a *Allocator) mountSites() {
+	for _, g := range a.groups {
+		if !g.leaf {
+			continue
+		}
+		g.node.Children = g.node.Children[:0]
+		for _, i := range g.mount {
+			g.node.Children = append(g.node.Children, a.sc[i].tree)
+		}
 	}
 }
 
 // cascadeDeserved walks the mounted tree assigning every node its
 // deserved quota — ⌊ω/Σω_siblings · parent's deserved⌋ — and records the
-// per-leaf result. Unlike the entitlement pass this ignores demand
-// entirely: deserved is what a queue is owed unconditionally.
-func (a *Allocator) cascadeDeserved(n *fairshare.Node, share int64) {
+// per-function result on each site's cache. Unlike the entitlement pass
+// this ignores demand entirely: deserved is what a queue is owed
+// unconditionally.
+func (a *Allocator) cascadeDeserved(g *hierGroup, share int64) {
+	n := g.node
 	if n.Leaf() {
-		a.deserved[n.ID] = share
-		return
+		return // a group with no site present: nothing below reads its quota
 	}
 	var w float64
 	for _, c := range n.Children {
 		w += c.Weight
 	}
-	for _, c := range n.Children {
-		a.cascadeDeserved(c, int64(float64(share)*c.Weight/w))
+	for i, c := range n.Children {
+		s := int64(float64(share) * c.Weight / w)
+		if g.leaf {
+			if sc := a.sc[g.mount[i]]; len(sc.dfs) > 0 {
+				sc.cascadeDeserved(sc.tree, s, 0)
+			}
+		} else {
+			a.cascadeDeserved(g.children[i], s)
+		}
 	}
 }
 
-// metroScope is one leaf group resolved against this epoch's site list.
-type metroScope struct {
-	g    *Group
-	idxs []int // member positions in the epoch's sites slice, ascending
-}
-
-// spreadHier runs the pass-3 overflow spread level by level, bottom-up:
-// each leaf group spreads its members' displaced entitlement inside the
-// metro first, parents re-spread whatever is still missing across the
-// wider scope, and the root scope (every site) finishes globally. Misses
-// are recomputed from want−grants at each scope, so capacity satisfied
-// deeper down never escalates. Returns the subtree's member indices.
-func (a *Allocator) spreadHier(sites []SiteDemand, g *Group, capped bool) ([]int, error) {
-	var idxs []int
-	if len(g.Sites) > 0 {
-		for _, name := range g.Sites {
-			if i, ok := a.sitePos[name]; ok {
-				idxs = append(idxs, i)
-			}
-		}
-		sort.Ints(idxs)
-		a.metros = append(a.metros, metroScope{g: g, idxs: idxs})
-	} else {
-		for _, c := range g.Children {
-			ci, err := a.spreadHier(sites, c, capped)
-			if err != nil {
-				return nil, err
-			}
-			idxs = append(idxs, ci...)
-		}
-		sort.Ints(idxs)
+// cascadeDeserved continues the cascade inside the site's subtree from n,
+// whose first leaf is the k-th in tree order, and returns the next leaf's
+// tree-order index.
+func (c *siteCache) cascadeDeserved(n *fairshare.Node, share int64, k int) int {
+	if n.Leaf() {
+		c.deserved[c.dfs[k]] = share
+		return k + 1
 	}
-	if err := a.spread(sites, idxs, capped); err != nil {
-		return nil, err
+	var w float64
+	for _, ch := range n.Children {
+		w += ch.Weight
 	}
-	return idxs, nil
+	for _, ch := range n.Children {
+		k = c.cascadeDeserved(ch, int64(float64(share)*ch.Weight/w), k)
+	}
+	return k
 }
 
 // reclaimVictim is one over-quota (site, function) holding that metro's
 // borrowed capacity, snapshotted before any transfer.
 type reclaimVictim struct {
-	site     int // position in the epoch's sites slice
-	fn       int // position in that site's Functions
+	site     int    // position in the epoch's sites slice
+	fn       int    // position in that site's Functions
+	name     string // the function's name
 	borrowed int64
 }
 
@@ -250,43 +315,38 @@ type reclaimVictim struct {
 // also serve the starved function. The transfer re-grants the capacity to
 // the starved function at the victim's site — the container runs there
 // and the placer offloads the home site's traffic to it.
-func (a *Allocator) runReclaim(sites []SiteDemand) {
-	for _, m := range a.metros {
-		if len(m.idxs) < 2 {
+func (a *Allocator) runReclaim() {
+	for _, m := range a.groups {
+		if !m.leaf || len(m.idxs) < 2 {
 			continue // reclaim is cross-site; a one-site metro has no peers
 		}
 		a.victims = a.victims[:0]
 		for _, i := range m.idxs {
-			c := a.caches[sites[i].Site]
-			for j := range c.prev.Functions {
-				if b := c.grants[j] - a.deserved[c.leafIDs[j]]; b > 0 {
-					a.victims = append(a.victims, reclaimVictim{site: i, fn: j, borrowed: b})
+			c := a.sc[i]
+			for j, fd := range c.prev.Functions {
+				if b := c.grants[j] - c.deserved[j]; b > 0 {
+					a.victims = append(a.victims, reclaimVictim{site: i, fn: j, name: fd.Name, borrowed: b})
 				}
 			}
 		}
 		if len(a.victims) == 0 {
 			continue
 		}
-		sort.Slice(a.victims, func(x, y int) bool {
-			vx, vy := &a.victims[x], &a.victims[y]
-			if vx.borrowed != vy.borrowed {
-				return vx.borrowed > vy.borrowed
+		// A total order: names are unique within a site.
+		slices.SortFunc(a.victims, func(x, y reclaimVictim) int {
+			if c := cmp.Compare(y.borrowed, x.borrowed); c != 0 {
+				return c
 			}
-			if vx.site != vy.site {
-				return vx.site < vy.site
+			if c := cmp.Compare(x.site, y.site); c != 0 {
+				return c
 			}
-			nx := a.caches[sites[vx.site].Site].prev.Functions[vx.fn].Name
-			ny := a.caches[sites[vy.site].Site].prev.Functions[vy.fn].Name
-			return nx < ny
+			return strings.Compare(x.name, y.name)
 		})
 		for _, i := range m.idxs {
-			c := a.caches[sites[i].Site]
+			c := a.sc[i]
 			for j, fd := range c.prev.Functions {
-				owed := a.deserved[c.leafIDs[j]]
-				if fd.DesiredCPU < owed {
-					owed = fd.DesiredCPU // never reclaim beyond actual demand
-				}
-				short := owed - c.grants[j]
+				// Never reclaim beyond actual demand.
+				short := min(c.deserved[j], fd.DesiredCPU) - c.grants[j]
 				if short <= 0 {
 					continue
 				}
@@ -299,15 +359,12 @@ func (a *Allocator) runReclaim(sites []SiteDemand) {
 					if p == i {
 						continue
 					}
-					pc := a.caches[sites[p].Site]
+					pc := a.sc[p]
 					pj, ok := pc.fnIndex[fd.Name]
 					if !ok {
 						continue
 					}
-					powed := a.deserved[pc.leafIDs[pj]]
-					if d := pc.prev.Functions[pj].DesiredCPU; d < powed {
-						powed = d
-					}
+					powed := min(pc.deserved[pj], pc.prev.Functions[pj].DesiredCPU)
 					if extra := pc.grants[pj] - powed; extra > 0 {
 						short -= extra
 					}
@@ -320,27 +377,24 @@ func (a *Allocator) runReclaim(sites []SiteDemand) {
 					if v.borrowed <= 0 || v.site == i {
 						continue
 					}
-					vc := a.caches[sites[v.site].Site]
-					if vc.prev.Functions[v.fn].Name == fd.Name {
+					if v.name == fd.Name {
 						continue // moving a grant to itself is a no-op
 					}
+					vc := a.sc[v.site]
 					tj, serves := vc.fnIndex[fd.Name]
 					if !serves {
 						continue // the peer cannot host the starved function
 					}
-					t := short
-					if v.borrowed < t {
-						t = v.borrowed
-					}
+					t := min(short, v.borrowed)
 					vc.grants[v.fn] -= t
 					vc.grants[tj] += t
 					v.borrowed -= t
 					short -= t
 					a.res.Reclaims = append(a.res.Reclaims, Reclaim{
 						Group:    m.g.ID,
-						Site:     sites[v.site].Site,
-						HomeSite: sites[i].Site,
-						From:     vc.prev.Functions[v.fn].Name,
+						Site:     vc.prev.Site,
+						HomeSite: c.prev.Site,
+						From:     v.name,
 						To:       fd.Name,
 						CPU:      t,
 					})

@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"lass/internal/xrand"
@@ -26,6 +27,12 @@ func TestHierarchyValidate(t *testing.T) {
 		}}}},
 		{"negative weight deep", &Hierarchy{Root: &Group{ID: "r", Children: []*Group{
 			{ID: "g", Children: []*Group{{ID: "m", Weight: -1, Sites: []string{"a"}}}},
+		}}}},
+		{"NaN weight", &Hierarchy{Root: &Group{ID: "r", Children: []*Group{
+			{ID: "m", Weight: math.NaN(), Sites: []string{"a"}},
+		}}}},
+		{"infinite weight deep", &Hierarchy{Root: &Group{ID: "r", Children: []*Group{
+			{ID: "g", Children: []*Group{{ID: "m", Weight: math.Inf(1), Sites: []string{"a"}}}},
 		}}}},
 	}
 	for _, tc := range cases {

@@ -13,6 +13,7 @@ package fairshare
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Demand is one function's (or one subtree's) desired capacity for the next
@@ -33,18 +34,25 @@ type Allocation struct {
 	Overloaded bool  // desired exceeded the guaranteed share during overload
 }
 
-// validate checks demands for structural errors.
-func validate(demands []Demand, capacity int64) error {
+// validate checks demands for structural errors. seen, when non-nil, also
+// rejects duplicate IDs; the tree division passes nil because its
+// whole-tree validation already rejected every duplicate.
+func validate(demands []Demand, capacity int64, seen map[string]bool) error {
 	if capacity < 0 {
 		return fmt.Errorf("fairshare: negative capacity %d", capacity)
 	}
-	seen := make(map[string]bool, len(demands))
 	for _, d := range demands {
 		if d.Weight <= 0 {
 			return fmt.Errorf("fairshare: demand %q has non-positive weight %v", d.ID, d.Weight)
 		}
+		if math.IsNaN(d.Weight) || math.IsInf(d.Weight, 0) {
+			return fmt.Errorf("fairshare: demand %q has non-finite weight %v", d.ID, d.Weight)
+		}
 		if d.Desired < 0 {
 			return fmt.Errorf("fairshare: demand %q has negative desired capacity %d", d.ID, d.Desired)
+		}
+		if seen == nil {
+			continue
 		}
 		if seen[d.ID] {
 			return fmt.Errorf("fairshare: duplicate demand id %q", d.ID)
@@ -77,11 +85,18 @@ func totalWeight(demands []Demand) float64 {
 // overloaded function never receives less than its guaranteed share
 // (Lemma 2). Results are returned in the input order.
 func Adjust(demands []Demand, capacity int64) ([]Allocation, error) {
-	if err := validate(demands, capacity); err != nil {
+	if err := validate(demands, capacity, make(map[string]bool, len(demands))); err != nil {
 		return nil, err
 	}
-	w := totalWeight(demands)
 	out := make([]Allocation, len(demands))
+	adjust(demands, capacity, out)
+	return out, nil
+}
+
+// adjust is Adjust's arithmetic over validated demands, written into out
+// (len(demands) long).
+func adjust(demands []Demand, capacity int64, out []Allocation) {
+	w := totalWeight(demands)
 	var sumDesired int64
 	for i, d := range demands {
 		out[i] = Allocation{
@@ -97,7 +112,7 @@ func Adjust(demands []Demand, capacity int64) ([]Allocation, error) {
 		for i := range out {
 			out[i].Adjusted = out[i].Desired
 		}
-		return out, nil
+		return
 	}
 	// Overload: well-behaved functions keep their desire.
 	remaining := capacity
@@ -116,7 +131,6 @@ func Adjust(demands []Demand, capacity int64) ([]Allocation, error) {
 			out[i].Adjusted = int64(math.Floor(out[i].Weight / overWeight * float64(remaining)))
 		}
 	}
-	return out, nil
 }
 
 // AdjustCapped refines Adjust with a water-filling pass: Eq 8 can hand an
@@ -132,10 +146,18 @@ func AdjustCapped(demands []Demand, capacity int64) ([]Allocation, error) {
 	if err != nil {
 		return nil, err
 	}
+	waterFill(out, make([]int, 0, len(out)))
+	return out, nil
+}
+
+// waterFill is AdjustCapped's refinement of an Adjust result, in place.
+// unsat is scratch for the still-unsatisfied indices; it is returned so
+// callers can reuse its backing array.
+func waterFill(out []Allocation, unsat []int) []int {
 	for {
 		// Collect surplus from overloaded functions allocated beyond desire.
 		var surplus int64
-		unsat := make([]int, 0, len(out))
+		unsat = unsat[:0]
 		var unsatWeight float64
 		for i := range out {
 			if !out[i].Overloaded {
@@ -150,7 +172,7 @@ func AdjustCapped(demands []Demand, capacity int64) ([]Allocation, error) {
 			}
 		}
 		if surplus == 0 || len(unsat) == 0 {
-			return out, nil
+			return unsat
 		}
 		distributed := int64(0)
 		for _, i := range unsat {
@@ -159,7 +181,7 @@ func AdjustCapped(demands []Demand, capacity int64) ([]Allocation, error) {
 			distributed += grant
 		}
 		if distributed == 0 {
-			return out, nil // floors consumed everything; accept fragmentation
+			return unsat // floors consumed everything; accept fragmentation
 		}
 	}
 }
@@ -176,18 +198,6 @@ type Node struct {
 
 // Leaf reports whether the node has no children.
 func (n *Node) Leaf() bool { return len(n.Children) == 0 }
-
-// TotalDesired returns the sum of leaf desires under n.
-func (n *Node) TotalDesired() int64 {
-	if n.Leaf() {
-		return n.Desired
-	}
-	var sum int64
-	for _, c := range n.Children {
-		sum += c.TotalDesired()
-	}
-	return sum
-}
 
 // AllocateTree divides capacity over the tree: at each internal node the
 // children are treated as a flat fair-share problem (their demands are
@@ -210,46 +220,131 @@ func AllocateTree(root *Node, capacity int64, capped bool) (map[string]int64, er
 // itself is identical to AllocateTree's; neither variant mutates the tree.
 //
 // The whole tree is validated up front: duplicate node IDs (internal or
-// leaf, across any branches), negative weights, and negative leaf desires
-// at any depth fail before any capacity is divided, leaving out untouched.
+// leaf, across any branches), negative or non-finite weights, and negative
+// leaf desires at any depth fail before any capacity is divided, leaving
+// out untouched.
+//
+// The division works in reused scratch (treeScratch), so a call allocates
+// nothing beyond out's own growth once the scratch has seen a tree that
+// large.
 func AllocateTreeInto(root *Node, capacity int64, capped bool, out map[string]int64) error {
 	if root == nil {
 		return fmt.Errorf("fairshare: nil tree")
 	}
-	if err := validateTree(root, make(map[string]bool)); err != nil {
+	s, shared := acquireScratch()
+	if shared {
+		defer scratch.mu.Unlock()
+	}
+	if err := s.validateTree(root); err != nil {
 		return err
 	}
 	clear(out)
-	return allocateNode(root, capacity, capped, out)
+	if n := len(s.size); len(s.dem) < n {
+		s.dem = make([]Demand, n)
+		s.alloc = make([]Allocation, n)
+	}
+	return s.divide(root, 0, capacity, capped, out, 0)
 }
 
-// validateTree rejects structural errors anywhere in the tree. Weight 0 is
-// allowed here — roots conventionally carry no weight — and zero-weight
-// children are still rejected by Adjust's validate when their sibling
-// group is divided, so only strictly negative weights fail at this layer.
-func validateTree(n *Node, seen map[string]bool) error {
+// seenCap bounds the scratch's duplicate-ID set: past it, the IDs of trees
+// divided earlier are dropped wholesale.
+const seenCap = 1 << 16
+
+// treeScratch is AllocateTreeInto's working memory.
+//
+//   - seen marks the IDs of the tree being validated with this call's gen,
+//     so the set is never cleared between calls.
+//   - size and total hold each node's subtree node count and total leaf
+//     desire, by preorder position.
+//   - dem and alloc are stacks of per-node segments: an internal node's
+//     children's demands and allocations sit at [base, base+len(children))
+//     while its subtrees are divided above them. A tree of n nodes never
+//     needs more than n slots.
+//   - unsat is waterFill's scratch.
+type treeScratch struct {
+	seen  map[string]uint32
+	gen   uint32
+	size  []int
+	total []int64
+	dem   []Demand
+	alloc []Allocation
+	unsat []int
+}
+
+// scratch is the process's one reusable treeScratch. A caller that finds it
+// busy divides in a fresh one instead of waiting, so concurrent callers
+// never serialise on it. Nothing a call reads survives from an earlier
+// one (seen is stamped per call), so sharing cannot change an answer. It
+// is not a sync.Pool because the race detector makes a Pool drop items at
+// random, and the allocation counts tests assert would go with them.
+var scratch struct {
+	mu sync.Mutex
+	s  treeScratch
+}
+
+// acquireScratch returns the shared scratch, locked (shared is true; the
+// caller unlocks scratch.mu), or a fresh one when it is busy.
+func acquireScratch() (s *treeScratch, shared bool) {
+	if scratch.mu.TryLock() {
+		s, shared = &scratch.s, true
+	} else {
+		s = &treeScratch{}
+	}
+	if s.seen == nil || len(s.seen) > seenCap {
+		s.seen = make(map[string]uint32)
+	}
+	s.gen++
+	if s.gen == 0 {
+		clear(s.seen)
+		s.gen = 1
+	}
+	s.size, s.total = s.size[:0], s.total[:0]
+	return s, shared
+}
+
+// validateTree rejects structural errors anywhere in the tree and records
+// each node's subtree size and total desire. Weight 0 is allowed here —
+// roots conventionally carry no weight — and zero-weight children are
+// still rejected by validate when their sibling group is divided, so only
+// strictly negative (and non-finite) weights fail at this layer.
+func (s *treeScratch) validateTree(n *Node) error {
 	if n.Weight < 0 {
 		return fmt.Errorf("fairshare: node %q has negative weight %v", n.ID, n.Weight)
 	}
-	if seen[n.ID] {
+	if math.IsNaN(n.Weight) || math.IsInf(n.Weight, 0) {
+		return fmt.Errorf("fairshare: node %q has non-finite weight %v", n.ID, n.Weight)
+	}
+	if s.seen[n.ID] == s.gen {
 		return fmt.Errorf("fairshare: duplicate node id %q", n.ID)
 	}
-	seen[n.ID] = true
+	s.seen[n.ID] = s.gen
+	pre := len(s.size)
+	s.size = append(s.size, 1)
+	s.total = append(s.total, n.Desired)
 	if n.Leaf() {
 		if n.Desired < 0 {
 			return fmt.Errorf("fairshare: leaf %q has negative desired capacity %d", n.ID, n.Desired)
 		}
 		return nil
 	}
+	s.total[pre] = 0
 	for _, c := range n.Children {
-		if err := validateTree(c, seen); err != nil {
+		at := len(s.size)
+		if err := s.validateTree(c); err != nil {
 			return err
 		}
+		s.size[pre] += s.size[at]
+		s.total[pre] += s.total[at]
 	}
 	return nil
 }
 
-func allocateNode(n *Node, capacity int64, capped bool, out map[string]int64) error {
+// divide splits capacity over the subtree rooted at n, whose preorder
+// position is pre: n's children are one flat fair-share problem whose
+// demands are their subtrees' total desires, and each child's adjusted
+// capacity is divided recursively. n's segment of dem and alloc starts at
+// base.
+func (s *treeScratch) divide(n *Node, pre int, capacity int64, capped bool, out map[string]int64, base int) error {
 	if n.Leaf() {
 		grant := capacity
 		if n.Desired < grant {
@@ -258,24 +353,26 @@ func allocateNode(n *Node, capacity int64, capped bool, out map[string]int64) er
 		out[n.ID] = grant
 		return nil
 	}
-	demands := make([]Demand, len(n.Children))
+	k := len(n.Children)
+	dem, alloc := s.dem[base:base+k], s.alloc[base:base+k]
+	at := pre + 1
 	for i, c := range n.Children {
-		demands[i] = Demand{ID: c.ID, Weight: c.Weight, Desired: c.TotalDesired()}
+		dem[i] = Demand{ID: c.ID, Weight: c.Weight, Desired: s.total[at]}
+		at += s.size[at]
 	}
-	var allocs []Allocation
-	var err error
-	if capped {
-		allocs, err = AdjustCapped(demands, capacity)
-	} else {
-		allocs, err = Adjust(demands, capacity)
-	}
-	if err != nil {
+	if err := validate(dem, capacity, nil); err != nil {
 		return fmt.Errorf("fairshare: at node %q: %w", n.ID, err)
 	}
+	adjust(dem, capacity, alloc)
+	if capped {
+		s.unsat = waterFill(alloc, s.unsat)
+	}
+	at = pre + 1
 	for i, c := range n.Children {
-		if err := allocateNode(c, allocs[i].Adjusted, capped, out); err != nil {
+		if err := s.divide(c, at, alloc[i].Adjusted, capped, out, base+k); err != nil {
 			return err
 		}
+		at += s.size[at]
 	}
 	return nil
 }

@@ -1,6 +1,11 @@
 package fairshare
 
 import (
+	"fmt"
+	"maps"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -266,6 +271,122 @@ func TestValidation(t *testing.T) {
 	if _, err := Adjust(nil, -1); err == nil {
 		t.Error("want error for negative capacity")
 	}
+}
+
+// TestNonFiniteWeightsRejected: NaN and infinite weights used to pass the
+// non-positive check and come out as MinInt64 grants with a nil error.
+// Every entry point now rejects them with an error naming the weight.
+func TestNonFiniteWeightsRejected(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		demands := []Demand{{ID: "a", Weight: w, Desired: 500}, {ID: "b", Weight: 1, Desired: 900}}
+		for _, adj := range []struct {
+			name string
+			f    func([]Demand, int64) ([]Allocation, error)
+		}{{"Adjust", Adjust}, {"AdjustCapped", AdjustCapped}} {
+			got, err := adj.f(demands, 1000)
+			if err == nil {
+				t.Errorf("%s with weight %v: accepted, got %+v", adj.name, w, got)
+			} else if !strings.Contains(err.Error(), "weight") {
+				t.Errorf("%s with weight %v: error %q does not name the weight", adj.name, w, err)
+			}
+		}
+		for _, tree := range []struct {
+			name string
+			root *Node
+		}{
+			{"leaf", &Node{ID: "r", Children: []*Node{{ID: "a", Weight: w, Desired: 1}, {ID: "b", Weight: 1, Desired: 1}}}},
+			{"internal", &Node{ID: "r", Children: []*Node{
+				{ID: "u", Weight: w, Children: []*Node{{ID: "a", Weight: 1, Desired: 1}}},
+			}}},
+			{"root", &Node{ID: "r", Weight: w, Children: []*Node{{ID: "a", Weight: 1, Desired: 1}}}},
+		} {
+			got, err := AllocateTree(tree.root, 1000, true)
+			if err == nil {
+				t.Errorf("AllocateTree, %s weight %v: accepted, got %v", tree.name, w, got)
+			} else if !strings.Contains(err.Error(), "weight") {
+				t.Errorf("AllocateTree, %s weight %v: error %q does not name the weight", tree.name, w, err)
+			}
+		}
+	}
+}
+
+// TestAllocateTreeIntoReusesScratch: dividing trees of different sizes
+// back to back — the shared scratch growing, then serving smaller trees
+// with stale IDs still in its set — gives the same answers as on first
+// use, a warm call allocates nothing, and concurrent callers agree.
+func TestAllocateTreeIntoReusesScratch(t *testing.T) {
+	build := func(users, fns int, desire int64) *Node {
+		root := &Node{ID: "root"}
+		for u := 0; u < users; u++ {
+			un := &Node{ID: fmt.Sprintf("u%d", u), Weight: float64(u + 1)}
+			for f := 0; f < fns; f++ {
+				un.Children = append(un.Children, &Node{
+					ID: fmt.Sprintf("u%d/f%d", u, f), Weight: float64(f%3 + 1), Desired: desire * int64(f+1),
+				})
+			}
+			root.Children = append(root.Children, un)
+		}
+		return root
+	}
+	big, small := build(6, 9, 700), build(2, 3, 900)
+	wantBig, err := AllocateTree(big, 20_000, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSmall, err := AllocateTree(small, 3_000, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int64{}
+	for range 3 {
+		for _, c := range []struct {
+			root   *Node
+			cap    int64
+			capped bool
+			want   map[string]int64
+		}{{big, 20_000, true, wantBig}, {small, 3_000, false, wantSmall}} {
+			if err := AllocateTreeInto(c.root, c.cap, c.capped, out); err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(out, c.want) {
+				t.Fatalf("reused scratch diverged: got %v, want %v", out, c.want)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := AllocateTreeInto(big, 20_000, true, out); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm AllocateTreeInto allocated %.1f times per call, want 0", allocs)
+	}
+
+	// Concurrent callers: one holds the shared scratch, the others divide
+	// in fresh ones; every answer is unchanged. Run under -race.
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := map[string]int64{}
+			for i := range 50 {
+				root, capacity, capped, want := big, int64(20_000), true, wantBig
+				if (g+i)%2 == 1 {
+					root, capacity, capped, want = small, 3_000, false, wantSmall
+				}
+				if err := AllocateTreeInto(root, capacity, capped, out); err != nil {
+					t.Error(err)
+					return
+				}
+				if !maps.Equal(out, want) {
+					t.Errorf("goroutine %d call %d diverged: got %v, want %v", g, i, out, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAllocateTreeTwoLevels(t *testing.T) {

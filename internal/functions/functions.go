@@ -77,6 +77,9 @@ func (s Spec) Validate() error {
 	if s.Weight <= 0 {
 		return fmt.Errorf("functions: %s: non-positive weight %v", s.Name, s.Weight)
 	}
+	if math.IsNaN(s.Weight) || math.IsInf(s.Weight, 0) {
+		return fmt.Errorf("functions: %s: non-finite weight %v", s.Name, s.Weight)
+	}
 	return nil
 }
 

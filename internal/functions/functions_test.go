@@ -66,6 +66,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		func(s *Spec) { s.Slack = 1 },
 		func(s *Spec) { s.Slack = -0.1 },
 		func(s *Spec) { s.Weight = 0 },
+		func(s *Spec) { s.Weight = math.NaN() },
+		func(s *Spec) { s.Weight = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		s := good

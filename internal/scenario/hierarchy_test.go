@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +145,26 @@ func TestHierarchyValidationRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestNonFiniteGroupWeightFailsAtLoad: a NaN or infinite group weight used
+// to load cleanly and fail only at the first allocation epoch, blaming a
+// negative capacity. The loader now rejects it on its own line.
+func TestNonFiniteGroupWeightFailsAtLoad(t *testing.T) {
+	const marker = "          weight: 2"
+	line := fmt.Sprintf("line %d:", strings.Count(hierScenario[:strings.Index(hierScenario, marker)], "\n")+1)
+	for _, w := range []string{"NaN", "+Inf", "-Inf", "infinity"} {
+		_, err := Parse([]byte(replaceLine(t, marker, "          weight: "+w)))
+		if err == nil {
+			t.Errorf("weight %s: accepted", w)
+			continue
+		}
+		for _, want := range []string{line, `"weight"`, "finite"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("weight %s: error %q does not mention %q", w, err, want)
+			}
 		}
 	}
 }

@@ -16,6 +16,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -296,6 +297,8 @@ func (d *decoder) floatval(n *node, key, what string) float64 {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		d.fail(line, "%s %q: %q is not a number", what, key, s)
+	} else if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.fail(line, "%s %q: %q is not a finite number", what, key, s)
 	}
 	return v
 }
