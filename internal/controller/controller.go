@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
+	"lass/internal/allocation"
 	"lass/internal/cluster"
 	"lass/internal/fairshare"
 	"lass/internal/functions"
@@ -143,7 +145,7 @@ type Function struct {
 	Spec   functions.Spec
 	SLO    queuing.SLO
 	Weight float64
-	User   string // namespace for two-level hierarchical shares ("" = flat)
+	User   string // namespace for two-level hierarchical shares ("" = none)
 
 	estimator *DualWindow
 	smoother  *EWMA
@@ -174,7 +176,7 @@ type Stats struct {
 	Inflations   uint64
 	Revivals     uint64
 	Drains       uint64
-	Overloads    uint64 // Steps that ran the fair-share path
+	Overloads    uint64 // Steps that bound a pool: local overload, or a grant below desire
 	Steps        uint64
 	// GrantLeaseExpiries counts grant leases that lapsed without renewal,
 	// each dropping the controller back to local enforcement.
@@ -207,7 +209,7 @@ type Controller struct {
 	// epoch performs no heap allocations. Each helper's result is valid
 	// only until its next call on this controller.
 	demandScratch []fairshare.Demand
-	demandsOut    []FunctionDemand
+	demandsOut    []allocation.FunctionDemand
 	rateScratch   []float64
 	targetScratch map[string]int64
 	feasScratch   []fairshare.Demand
@@ -242,8 +244,8 @@ func (ctl *Controller) Stats() Stats { return ctl.stats }
 
 // Headroom is the controller's capacity-headroom signal: cluster CPU
 // (millicores) left over after the queuing model's desired allocations, as
-// of the most recent Step. Negative values mean the last epoch ran
-// overloaded (the fair-share path was taken). Before the first Step it is
+// of the most recent Step. Negative values mean the last epoch's desire
+// exceeded the cluster, with or without grants. Before the first Step it is
 // the full cluster capacity. The federation placement layer reads this to
 // decide whether a site can absorb more load or should shed it.
 func (ctl *Controller) Headroom() int64 { return ctl.headroom }
@@ -252,12 +254,19 @@ func (ctl *Controller) Headroom() int64 { return ctl.headroom }
 // exceeding cluster capacity.
 func (ctl *Controller) Overloaded() bool { return ctl.headroom < 0 }
 
+// reservedPrefix starts the share tree's own node IDs (its root and one
+// node per namespace), so no function or user name may start with it.
+const reservedPrefix = "::"
+
 // RegisterUser sets a namespace weight for the two-level hierarchical
 // share tree (§5). Functions registered with this user name share the
 // user's cluster fraction.
 func (ctl *Controller) RegisterUser(name string, weight float64) error {
 	if name == "" || weight <= 0 {
 		return fmt.Errorf("controller: invalid user %q weight %v", name, weight)
+	}
+	if strings.HasPrefix(name, reservedPrefix) {
+		return fmt.Errorf("controller: user %q: names starting with %q are reserved", name, reservedPrefix)
 	}
 	ctl.users[name] = weight
 	return nil
@@ -269,6 +278,9 @@ func (ctl *Controller) RegisterUser(name string, weight float64) error {
 func (ctl *Controller) Register(spec functions.Spec, user string, weight float64, slo queuing.SLO) (*Function, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if strings.HasPrefix(spec.Name, reservedPrefix) {
+		return nil, fmt.Errorf("controller: function %q: names starting with %q are reserved", spec.Name, reservedPrefix)
 	}
 	if _, dup := ctl.funcs[spec.Name]; dup {
 		return nil, fmt.Errorf("controller: function %q already registered", spec.Name)
@@ -396,53 +408,35 @@ func (ctl *Controller) desiredContainers(f *Function, lambda float64) (int, erro
 	return max(want, ctl.cfg.MinContainers), nil
 }
 
-// FunctionDemand is one function's estimated capacity need for the next
-// epoch, as reported to an external (federation-level) allocator: the
-// inputs the §4.1 fair-share adjustment consumes, detached from the local
-// enforcement that normally follows them.
-type FunctionDemand struct {
-	Name       string
-	User       string  // namespace for hierarchical shares ("" = flat)
-	Weight     float64 // function fair-share weight ω_i
-	UserWeight float64 // weight of the User namespace (1 when flat)
-	DesiredCPU int64   // model-computed desire in CPU millicores
-}
-
 // Demands returns the per-function demand estimates from the most recent
-// Step (model-desired CPU, fair-share weight, namespace), in registration
-// order. Every desire is floored at MinContainers' worth of CPU, and —
-// until the first Step has produced a real estimate — at the function's
-// current live pool CPU: a controller has no demand history at bootstrap,
-// and an allocator reading it then (e.g. a global epoch firing at t≈0)
-// must see the provisioned (prewarmed) capacity, not an artificial zero
-// it would turn into a pool-killing zero grant. After the first Step both
-// floors are no-ops for sizing-governed pools, so scale-down is
-// unimpeded. The federation-level global allocator gathers these from
+// Step (model-desired CPU, fair-share weight, namespace and its weight — 1
+// for a function without a user), in registration order, in the type the
+// federation's allocator consumes. Every desire is floored at
+// MinContainers' worth of CPU, and — until the first Step has produced a
+// real estimate — at the function's current live pool CPU: a controller
+// has no demand history at bootstrap, and an allocator reading it then
+// (e.g. a global epoch firing at t≈0) must see the provisioned (prewarmed)
+// capacity, not an artificial zero it would turn into a pool-killing zero
+// grant. After the first Step both floors are no-ops for sizing-governed
+// pools, so scale-down is unimpeded. The federation-level global allocator gathers these from
 // every site's controller each epoch.
 //
 // The result aliases a controller-owned scratch buffer: it is valid only
 // until the next Demands call and must not be retained. Callers that need
 // the report later copy it (the federation's epoch snapshot does).
-func (ctl *Controller) Demands() []FunctionDemand {
+func (ctl *Controller) Demands() []allocation.FunctionDemand {
 	out := ctl.demandsOut[:0]
 	for _, name := range ctl.order {
 		f := ctl.funcs[name]
 		uw := 1.0
-		if f.User != "" {
-			if w := ctl.users[f.User]; w > 0 {
-				uw = w
-			}
+		if w := ctl.users[f.User]; w > 0 {
+			uw = w
 		}
-		desired := int64(f.Desired) * f.Spec.CPUMillis
-		if min := int64(ctl.cfg.MinContainers) * f.Spec.CPUMillis; desired < min {
-			desired = min
-		}
+		desired := int64(max(f.Desired, ctl.cfg.MinContainers)) * f.Spec.CPUMillis
 		if ctl.stats.Steps == 0 {
-			if live := liveCPU(ctl.liveContainers(name)); desired < live {
-				desired = live
-			}
+			desired = max(desired, liveCPU(ctl.liveContainers(name)))
 		}
-		out = append(out, FunctionDemand{
+		out = append(out, allocation.FunctionDemand{
 			Name:       name,
 			User:       f.User,
 			Weight:     f.Weight,
@@ -458,10 +452,10 @@ func (ctl *Controller) Demands() []FunctionDemand {
 func (ctl *Controller) Capacity() int64 { return ctl.cluster.TotalCPU() }
 
 // SetCapacityGrantsLeased imposes externally-computed per-function CPU
-// grants valid for lease from now. Subsequent Steps enforce each function
-// toward its grant instead of computing shares from local cluster capacity
-// (the federation-level global fair-share path); a function absent from
-// the map keeps its model-computed desire. The map is copied. When the
+// grants valid for lease from now. Subsequent Steps take their targets
+// from the grants instead of from the local fair share (the
+// federation-level global fair-share path); a function absent from the
+// map targets its model-computed desire. The map is copied. When the
 // lease lapses without a renewal (another call), the controller falls back
 // to local enforcement instead of freezing on stale grants forever: the
 // next Step — or an explicit ExpireGrantLease call, which the federation
@@ -518,20 +512,37 @@ func (ctl *Controller) Granted(fn string) (int64, bool) {
 	return g, ok
 }
 
-// Step runs one allocation epoch (§3.3): estimate rates, compute desired
-// capacity per function, then enforce — against the local cluster capacity
-// via the §4.1 fair-share adjustment, or, when an external allocator has
-// imposed grants (SetCapacityGrantsLeased), against those grants.
+// Step runs one allocation epoch (§3.3): estimate rates and size every
+// function, expire a lapsed grant lease and old drained containers, then
+// pick per-function CPU targets and enforce them. The targets are the
+// external grants while an allocator imposes them
+// (SetCapacityGrantsLeased); otherwise, when total desire exceeds the
+// cluster, the §4.1 fair shares (§5's user tree); otherwise none, and
+// every function gets its model desire.
 func (ctl *Controller) Step() error {
 	demands, err := ctl.estimate()
 	if err != nil {
 		return err
 	}
 	ctl.ExpireGrantLease()
-	if ctl.grants != nil {
-		return ctl.enforceGrants(demands)
+	ctl.expireDrained(ctl.hooks.Now())
+	capacity := ctl.cluster.TotalCPU()
+	ctl.headroom = capacity
+	for _, d := range demands {
+		ctl.headroom -= d.Desired
 	}
-	return ctl.enforceLocal(demands)
+	var targets map[string]int64
+	overloaded := ctl.grants == nil && ctl.headroom < 0
+	switch {
+	case ctl.grants != nil:
+		targets, err = ctl.grantTargets(demands, capacity)
+	case overloaded:
+		targets, err = ctl.fairShares(demands, capacity)
+	}
+	if err != nil {
+		return err
+	}
+	return ctl.enforce(targets, overloaded)
 }
 
 // estimate runs the demand-estimation half of an epoch: per-function rate
@@ -587,55 +598,6 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 	return demands, nil
 }
 
-// enforceLocal is the paper's enforcement path: detect overload against
-// the local cluster capacity, adjust via fair share, and reconcile each
-// function's pool using the configured reclamation policy.
-func (ctl *Controller) enforceLocal(demands []fairshare.Demand) error {
-	now := ctl.hooks.Now()
-	var totalDesired int64
-	for _, d := range demands {
-		totalDesired += d.Desired
-	}
-
-	// 3. Expire lazily-drained containers past their TTL.
-	ctl.expireDrained(now)
-
-	capacity := ctl.cluster.TotalCPU()
-	ctl.headroom = capacity - totalDesired
-	if totalDesired <= capacity {
-		// No resource pressure: grant everyone their desire (§3.3).
-		for _, name := range ctl.order {
-			f := ctl.funcs[name]
-			if err := ctl.reconcileNormal(f, f.Desired); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// 4. Overload: weighted fair share (§4.1), hierarchical when users
-	// are registered (§5), then policy-based reclamation (§4.2).
-	ctl.stats.Overloads++
-	grants, err := ctl.fairShares(demands, capacity)
-	if err != nil {
-		return err
-	}
-	// Reclaim first (free capacity), then grow into the freed space.
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		if err := ctl.shrinkTo(f, grants[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		if err := ctl.growTo(f, grants[name]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // grantTargets computes the per-function CPU targets the external-grant
 // path enforces: each granted function's target is its grant (the model
 // desire where no grant exists), floored at MinContainers' worth of CPU —
@@ -657,14 +619,7 @@ func (ctl *Controller) grantTargets(demands []fairshare.Demand, capacity int64) 
 		if g, ok := ctl.grants[d.ID]; ok {
 			t = g
 		}
-		if t < 0 {
-			t = 0
-		}
-		if f := ctl.funcs[d.ID]; f != nil {
-			if min := int64(ctl.cfg.MinContainers) * f.Spec.CPUMillis; t < min {
-				t = min
-			}
-		}
+		t = max(t, 0, int64(ctl.cfg.MinContainers)*ctl.funcs[d.ID].Spec.CPUMillis)
 		targets[d.ID] = t
 		totalTarget += t
 	}
@@ -685,117 +640,77 @@ func (ctl *Controller) grantTargets(demands []fairshare.Demand, capacity int64) 
 	return targets, nil
 }
 
-// enforceGrants reconciles every function toward its externally-imposed
-// CPU grant instead of computing shares from local capacity: it computes
-// the feasible per-function targets (grantTargets) and then reconciles
-// each pool. A grant below the model desire is binding (overload
-// semantics: immediate reclamation, then growth into the grant); a grant
-// at or above the desire reconciles normally, growing past the model
-// count when the grant pre-provisions capacity for offloaded work the
-// global allocator expects to arrive.
-func (ctl *Controller) enforceGrants(demands []fairshare.Demand) error {
-	now := ctl.hooks.Now()
-	var totalDesired int64
-	for _, d := range demands {
-		totalDesired += d.Desired
-	}
-	ctl.expireDrained(now)
-
-	capacity := ctl.cluster.TotalCPU()
-	ctl.headroom = capacity - totalDesired
-
-	targets, err := ctl.grantTargets(demands, capacity)
-	if err != nil {
-		return err
-	}
+// enforce brings every pool to its CPU target, in registration order. A
+// function binds when the epoch is overloaded or its target is below its
+// model desire. Binding pools are reclaimed first with the configured
+// policy (§4.2), freeing capacity, and then grown into their targets.
+// Every other pool is reconciled normally toward its desired count, or
+// toward its target's count when that is larger: a grant can pre-provision
+// capacity for offloaded work the global allocator expects to arrive. A
+// function absent from targets (all of them when targets is nil) targets
+// its desire. Overload binds every pool, even one whose fair share covers
+// its desire, so its drained containers go at once, not lazily.
+func (ctl *Controller) enforce(targets map[string]int64, overloaded bool) error {
 	bound := false
-	for _, d := range demands {
-		if targets[d.ID] < d.Desired {
+	for _, name := range ctl.order {
+		f := ctl.funcs[name]
+		if t, binds := target(f, targets, overloaded); binds {
 			bound = true
-			break
+			if err := ctl.shrinkTo(f, t); err != nil {
+				return err
+			}
 		}
 	}
 	if bound {
 		ctl.stats.Overloads++
 	}
-	// Reclaim grant-bound pools first (freeing capacity), then grow.
 	for _, name := range ctl.order {
 		f := ctl.funcs[name]
-		if targets[name] < int64(f.Desired)*f.Spec.CPUMillis {
-			if err := ctl.shrinkTo(f, targets[name]); err != nil {
-				return err
-			}
+		t, binds := target(f, targets, overloaded)
+		var err error
+		if binds {
+			err = ctl.growTo(f, t)
+		} else {
+			err = ctl.reconcileNormal(f, max(f.Desired, int(t/f.Spec.CPUMillis)))
 		}
-	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		desired := int64(f.Desired) * f.Spec.CPUMillis
-		if targets[name] < desired {
-			if err := ctl.growTo(f, targets[name]); err != nil {
-				return err
-			}
-			continue
-		}
-		want := f.Desired
-		if w := int(targets[name] / f.Spec.CPUMillis); w > want {
-			want = w // pre-provision toward the granted container count
-		}
-		if err := ctl.reconcileNormal(f, want); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fairShares computes each function's adjusted CPU grant. With registered
-// users it builds the two-level tree of §5; otherwise a flat adjustment.
+// target returns f's CPU target for enforce and whether it binds.
+func target(f *Function, targets map[string]int64, overloaded bool) (int64, bool) {
+	desired := int64(f.Desired) * f.Spec.CPUMillis
+	t, ok := targets[f.Spec.Name]
+	if !ok {
+		t = desired
+	}
+	return t, overloaded || t < desired
+}
+
+// fairShares divides capacity over the two-level tree of §5: users
+// (weighted) → functions (weighted). Functions without a user share the
+// weight-1 "::default" namespace; with no users at all it is the root's
+// only child, gets the whole capacity, and the functions divide it exactly
+// as one flat §4.1 capped adjustment would.
 func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (map[string]int64, error) {
-	hierarchical := false
-	for _, name := range ctl.order {
-		if ctl.funcs[name].User != "" {
-			hierarchical = true
-			break
-		}
-	}
-	if !hierarchical {
-		allocs, err := fairshare.AdjustCapped(demands, capacity)
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[string]int64, len(allocs))
-		for _, a := range allocs {
-			out[a.ID] = a.Adjusted
-		}
-		return out, nil
-	}
-	// Two-level tree: users (weighted) → functions (weighted).
 	root := &fairshare.Node{ID: "::cluster"}
 	userNodes := make(map[string]*fairshare.Node)
-	demandOf := make(map[string]int64, len(demands))
 	for _, d := range demands {
-		demandOf[d.ID] = d.Desired
-	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		user := f.User
+		f := ctl.funcs[d.ID]
+		user, w := f.User, ctl.users[f.User]
 		if user == "" {
-			user = "::default"
+			user, w = "::default", 1
 		}
 		un := userNodes[user]
 		if un == nil {
-			w := ctl.users[f.User]
-			if f.User == "" || w == 0 {
-				w = 1
-			}
 			un = &fairshare.Node{ID: "::user:" + user, Weight: w}
 			userNodes[user] = un
 			root.Children = append(root.Children, un)
 		}
-		un.Children = append(un.Children, &fairshare.Node{
-			ID:      name,
-			Weight:  f.Weight,
-			Desired: demandOf[name],
-		})
+		un.Children = append(un.Children, &fairshare.Node{ID: d.ID, Weight: d.Weight, Desired: d.Desired})
 	}
 	return fairshare.AllocateTree(root, capacity, true)
 }

@@ -130,6 +130,17 @@ func TestRegisterValidation(t *testing.T) {
 	if err := h.ctl.RegisterUser("u", 0); err == nil {
 		t.Error("want error for zero user weight")
 	}
+	// The share tree's own node IDs start with "::": a function named
+	// "::cluster" would collide with its root, and a user "::default"
+	// would merge with the functions that have no user.
+	reserved := spec
+	reserved.Name = "::cluster"
+	if _, err := h.ctl.Register(reserved, "", 1, queuing.SLO{}); err == nil || !strings.Contains(err.Error(), `"::cluster"`) {
+		t.Errorf("reserved function name: got %v, want an error naming it", err)
+	}
+	if err := h.ctl.RegisterUser("::default", 1); err == nil || !strings.Contains(err.Error(), `"::default"`) {
+		t.Errorf("reserved user name: got %v, want an error naming it", err)
+	}
 	if fns := h.ctl.order; len(fns) != 1 || fns[0] != "micro-benchmark" {
 		t.Errorf("functions=%v", fns)
 	}

@@ -44,9 +44,9 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStepGrantedSteadyStateZeroAllocs is the same contract on the
-// external-grant enforcement path the federation drives: with feasible
-// grants in place, grantTargets and enforceGrants reuse scratch too.
+// TestStepGrantedSteadyStateZeroAllocs is the same contract when the
+// federation drives the targets: with feasible grants in place,
+// grantTargets and enforce reuse scratch too.
 func TestStepGrantedSteadyStateZeroAllocs(t *testing.T) {
 	h := steadyController(t)
 	grants := make(map[string]int64, 3)

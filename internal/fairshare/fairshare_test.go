@@ -708,3 +708,58 @@ func TestAllocateTreeSingleSiteEqualsAdjustCapped(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleChildTreeMatchesAdjustCapped is the lemma behind the
+// controller's single fair-share division: a root whose only child has
+// weight 1 hands that child exactly the capacity (⌊1/1·C⌋ = C), so the
+// leaves under it divide C exactly as one flat AdjustCapped would. The
+// demand sets include zero desires, tied desires and tied weights, and
+// capacity is always below total desire (the only case the controller
+// divides).
+func TestSingleChildTreeMatchesAdjustCapped(t *testing.T) {
+	rng := xrand.New(34)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(40)
+		demands := make([]Demand, n)
+		var total int64
+		for i := range demands {
+			d := Demand{ID: fmt.Sprint("f", i), Weight: 10 * (1 - rng.Float64()), Desired: rng.Int63n(10001)}
+			switch rng.Intn(6) {
+			case 0:
+				d.Desired = 0
+			case 1:
+				if i > 0 {
+					d.Desired = demands[i-1].Desired
+				}
+			case 2:
+				if i > 0 {
+					d.Weight = demands[i-1].Weight
+				}
+			}
+			demands[i] = d
+			total += d.Desired
+		}
+		if total == 0 {
+			demands[0].Desired, total = 1, 1
+		}
+		capacity := rng.Int63n(total)
+		want, err := AdjustCapped(demands, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		only := &Node{ID: "only", Weight: 1}
+		for _, d := range demands {
+			only.Children = append(only.Children, &Node{ID: d.ID, Weight: d.Weight, Desired: d.Desired})
+		}
+		got, err := AllocateTree(&Node{ID: "root", Children: []*Node{only}}, capacity, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			if got[w.ID] != w.Adjusted {
+				t.Fatalf("trial %d (n=%d, C=%d): %s tree=%d AdjustCapped=%d",
+					trial, n, capacity, w.ID, got[w.ID], w.Adjusted)
+			}
+		}
+	}
+}

@@ -972,16 +972,7 @@ func (f *Federation) allocEpoch() {
 			s.PartitionedEpochs++
 			continue
 		}
-		fns := snap.sites[count].Functions[:0]
-		for _, d := range s.Platform.Controller.Demands() {
-			fns = append(fns, allocation.FunctionDemand{
-				Name:       d.Name,
-				User:       d.User,
-				Weight:     d.Weight,
-				UserWeight: d.UserWeight,
-				DesiredCPU: d.DesiredCPU,
-			})
-		}
+		fns := append(snap.sites[count].Functions[:0], s.Platform.Controller.Demands()...)
 		snap.sites[count] = allocation.SiteDemand{
 			Site:        s.Name,
 			Weight:      1,
