@@ -29,8 +29,8 @@ import (
 // Window is a half-open interval [Start, End) of simulated time during
 // which a fault target is dark.
 type Window struct {
-	Start time.Duration
-	End   time.Duration
+	Start time.Duration `scenario:"start"`
+	End   time.Duration `scenario:"end"`
 }
 
 // Contains reports whether t falls inside the window.
@@ -73,10 +73,10 @@ func sortWindows(ws []Window) []Window {
 // times are exponential with means MeanUp and MeanDown, alternating. The
 // process starts up unless StartDown is set.
 type GilbertElliott struct {
-	MeanUp   time.Duration
-	MeanDown time.Duration
+	MeanUp   time.Duration `scenario:"mean-up"`
+	MeanDown time.Duration `scenario:"mean-down"`
 	// StartDown starts the process in the down state at time zero.
-	StartDown bool
+	StartDown bool `scenario:"start-down"`
 }
 
 func (g GilbertElliott) validate() error {
@@ -125,23 +125,24 @@ func (k FaultKind) String() string {
 // Windows (a static schedule) or GE (a seeded up/down process) drives
 // it.
 type Fault struct {
-	Kind FaultKind
+	Kind FaultKind `scenario:"kind,required"`
 
 	// Site is the target index for FaultSite.
-	Site int
+	Site int `scenario:"site"`
 	// From and To are the directed-link endpoints for FaultLink;
 	// Bidirectional also darkens the reverse direction.
-	From, To      int
-	Bidirectional bool
+	From          int  `scenario:"from"`
+	To            int  `scenario:"to"`
+	Bidirectional bool `scenario:"bidirectional"`
 	// Sites are the members of a FaultGroup; Lag staggers member k's
 	// outage by k×Lag (cascade). Lag zero fails the group in lockstep.
-	Sites []int
-	Lag   time.Duration
+	Sites []int         `scenario:"sites"`
+	Lag   time.Duration `scenario:"lag"`
 
 	// Windows replays a fixed schedule bit-for-bit.
-	Windows []Window
+	Windows []Window `scenario:"windows,window"`
 	// GE draws the schedule from a seeded Gilbert-Elliott process.
-	GE *GilbertElliott
+	GE *GilbertElliott `scenario:",inline"`
 }
 
 func (f Fault) validate(i, nsites int) error {

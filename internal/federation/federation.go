@@ -465,6 +465,9 @@ func New(cfg Config) (*Federation, error) {
 	if cfg.AllocEpoch < 0 {
 		return nil, fmt.Errorf("federation: alloc epoch %v is negative (use 0 for the default 5s)", cfg.AllocEpoch)
 	}
+	if cfg.ResponseSLO < 0 {
+		return nil, fmt.Errorf("federation: response SLO %v is negative (use 0 for the default 250ms)", cfg.ResponseSLO)
+	}
 	if cfg.CloudMaxConcurrency < 0 {
 		return nil, fmt.Errorf("federation: cloud max concurrency %d is negative (use 0 for unbounded)", cfg.CloudMaxConcurrency)
 	}

@@ -4,8 +4,9 @@
 // federation.Config the experiment registry (or `lass-sim -scenario`)
 // can execute by name.
 //
-// The format is a strict YAML subset (see yaml.go): unknown keys,
-// malformed windows, out-of-range site references, and inconsistent
+// The format is a strict YAML subset (see yaml.go) whose keys are
+// `scenario:"key"` tags on the fields they set (see decoder): unknown
+// keys, malformed windows, out-of-range site references, and inconsistent
 // topology sizes are load-time errors with file/line context, never
 // silent runtime drift. Seed semantics are explicit: `seed` drives the
 // platform (service times, arrivals), `chaos.seed` drives the failure
@@ -19,8 +20,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lass/internal/allocation"
@@ -36,35 +40,36 @@ import (
 // Function is one function deployment at a site: a catalog spec name,
 // its pool floor, and its ingress workload (rate steps).
 type Function struct {
-	Spec          string
-	Prewarm       int
-	MinContainers int
-	Steps         []workload.Step
+	Spec          string          `scenario:"spec"`
+	Prewarm       int             `scenario:"prewarm"`
+	MinContainers int             `scenario:"min-containers"`
+	Steps         []workload.Step `scenario:"workload,workload step"`
 }
 
 // Site is one edge site: cluster shape plus its function deployments.
 type Site struct {
-	Name       string
-	Nodes      int
-	CPUPerNode int64
-	MemPerNode int64
-	Functions  []Function
+	Name       string     `scenario:"name"`
+	Nodes      int        `scenario:"nodes"`
+	CPUPerNode int64      `scenario:"cpu-per-node"`
+	MemPerNode int64      `scenario:"mem-per-node"`
+	Functions  []Function `scenario:"functions,function"`
 }
 
 // Topology declares the inter-site latency model: a named generator
 // (ring/star) with one RTT parameter, or an explicit matrix.
 type Topology struct {
-	Kind string        // "ring", "star", or "matrix"
-	RTT  time.Duration // one-way; required and positive for ring and star
-	// Matrix rows are one-way latencies; required iff Kind == "matrix".
-	Matrix [][]time.Duration
+	Kind string        `scenario:"kind"` // "ring", "star", or "matrix"
+	RTT  time.Duration `scenario:"rtt"`  // one-way; required and positive for ring and star
+	// MatrixMS rows are one-way latencies in milliseconds; required iff
+	// Kind == "matrix".
+	MatrixMS [][]float64 `scenario:"matrix-ms"`
 }
 
 // Coordinator declares the allocator seat: election mode and (under
 // fixed election) the hosting site.
 type Coordinator struct {
-	Election string // "fixed" or "centroid"
-	Site     int
+	Election string `scenario:"election"` // "fixed" or "centroid"
+	Site     int    `scenario:"site"`
 }
 
 // Assertions are the scenario's pass/fail contract, checked against the
@@ -72,26 +77,26 @@ type Coordinator struct {
 type Assertions struct {
 	// MaxViolationRate bounds federation-wide violations (unresolved
 	// counted as misses) as a fraction of observed requests.
-	MaxViolationRate float64
+	MaxViolationRate float64 `scenario:"max-violation-rate"`
 	// MinAllocEpochs requires global governance to have engaged.
-	MinAllocEpochs uint64
+	MinAllocEpochs uint64 `scenario:"min-alloc-epochs"`
 	// MinMissedEpochs requires the chaos processes to have actually
 	// silenced the coordinator at least this often.
-	MinMissedEpochs uint64
+	MinMissedEpochs uint64 `scenario:"min-missed-epochs"`
 	// RequireLeaseExpirations requires at least one lease fallback.
-	RequireLeaseExpirations bool
+	RequireLeaseExpirations bool `scenario:"require-lease-expirations"`
 	// RequirePartitionedEpochs requires at least one partial partition.
-	RequirePartitionedEpochs bool
+	RequirePartitionedEpochs bool `scenario:"require-partitioned-epochs"`
 	// MinReclaimedCPU requires cross-site reclaim to have moved at least
 	// this many millicores over the run (hierarchical scenarios only).
-	MinReclaimedCPU uint64
+	MinReclaimedCPU uint64 `scenario:"min-reclaimed-cpu"`
 }
 
 // Chaos is the failure declaration: a seed for the stochastic processes
 // and the fault list.
 type Chaos struct {
-	Seed   uint64
-	Faults []chaos.Fault
+	Seed   uint64        `scenario:"seed"`
+	Faults []chaos.Fault `scenario:"faults,fault"`
 }
 
 // HierarchyGroup is one node of the scenario's capacity tree: an internal
@@ -99,10 +104,10 @@ type Chaos struct {
 // one of Groups/Sites must be set (validated through the allocation
 // layer's tree checks).
 type HierarchyGroup struct {
-	Name   string
-	Weight float64 // 0 = default weight 1
-	Groups []HierarchyGroup
-	Sites  []string
+	Name   string           `scenario:"name"`
+	Weight float64          `scenario:"weight"` // 0 = default weight 1
+	Groups []HierarchyGroup `scenario:"groups,hierarchy group"`
+	Sites  []string         `scenario:"sites"`
 }
 
 // RTTClasses optionally derives the scenario's topology from its
@@ -110,19 +115,19 @@ type HierarchyGroup struct {
 // federation defaults). Mutually exclusive with an explicit `topology:`
 // block.
 type RTTClasses struct {
-	IntraMetro  time.Duration
-	IntraRegion time.Duration
-	CrossRegion time.Duration
+	IntraMetro  time.Duration `scenario:"intra-metro"`
+	IntraRegion time.Duration `scenario:"intra-region"`
+	CrossRegion time.Duration `scenario:"cross-region"`
 }
 
 // Hierarchy is the scenario's region → metro → site quota tree plus the
 // reclaim knobs riding on it (federation.Config.Hierarchy / Reclaim /
 // ReclaimLatency).
 type Hierarchy struct {
-	Reclaim        bool
-	ReclaimLatency time.Duration
-	RTTClasses     *RTTClasses
-	Groups         []HierarchyGroup
+	Reclaim        bool             `scenario:"reclaim"`
+	ReclaimLatency time.Duration    `scenario:"reclaim-latency"`
+	RTTClasses     *RTTClasses      `scenario:"rtt-classes"`
+	Groups         []HierarchyGroup `scenario:"groups,hierarchy group"`
 }
 
 // tree lowers the declarative groups to the allocation layer's form under
@@ -146,25 +151,24 @@ func (g HierarchyGroup) tree() *allocation.Group {
 
 // Scenario is one parsed, validated scenario file.
 type Scenario struct {
-	Name        string
-	Description string
-	Seed        uint64
-	Duration    time.Duration
-	ResponseSLO time.Duration
-	Placer      string
+	Name        string        `scenario:"name"`
+	Description string        `scenario:"description"`
+	Seed        uint64        `scenario:"seed"`
+	Duration    time.Duration `scenario:"duration"`
+	ResponseSLO time.Duration `scenario:"response-slo,nonneg"`
+	Placer      string        `scenario:"placer"`
 	// GlobalFairShare enables the federation-wide allocator; AllocEpoch
 	// and GrantLease tune it (GrantLease < 0 = frozen grants).
-	GlobalFairShare bool
-	Admission       bool
-	AllocEpoch      time.Duration
-	GrantLease      time.Duration
-	grantLeaseSet   bool
-	Coordinator     Coordinator
-	Topology        *Topology
-	Hierarchy       *Hierarchy
-	Fleet           []Site
-	Chaos           Chaos
-	Assertions      Assertions
+	GlobalFairShare bool          `scenario:"global-fairshare"`
+	Admission       bool          `scenario:"admission"`
+	AllocEpoch      time.Duration `scenario:"alloc-epoch,nonneg"`
+	GrantLease      time.Duration `scenario:"grant-lease,frozen"`
+	Coordinator     Coordinator   `scenario:"coordinator"`
+	Topology        *Topology     `scenario:"topology"`
+	Hierarchy       *Hierarchy    `scenario:"hierarchy"`
+	Fleet           []Site        `scenario:"fleet,fleet site"`
+	Chaos           Chaos         `scenario:"chaos"`
+	Assertions      Assertions    `scenario:"assertions"`
 }
 
 // siteNames returns each fleet site's effective name — the federation's
@@ -200,8 +204,9 @@ func Parse(data []byte) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc := &Scenario{}
 	d := &decoder{}
-	sc := d.scenario(root)
+	d.object(root, reflect.ValueOf(sc).Elem(), "scenario")
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -211,8 +216,22 @@ func Parse(data []byte) (*Scenario, error) {
 	return sc, nil
 }
 
-// decoder walks the node tree with strict unknown-key checking; the
-// first error sticks and short-circuits the rest.
+// decoder fills tagged structs from the node tree. Each DSL key is a
+// `scenario:"key"` tag on the field it sets, and a mapping accepts
+// exactly its struct's keys, checked and decoded in declaration order.
+// Options after the key:
+//
+//   - on a list of mappings, the first option labels its items in errors
+//     (`scenario:"fleet,fleet site"`); a nested mapping is named by its key;
+//   - required: the key must be present;
+//   - inline (with an empty key): the field's own keys sit flat in the
+//     parent mapping, and a pointer is allocated when any of them appears;
+//   - nonneg: a negative duration is an error on its line;
+//   - frozen: the scalar `frozen` decodes as a −1 duration.
+//
+// Scalars are strings, ints, uint64s, finite float64s, true/false,
+// durations and fault kinds by name. Every error carries the offending
+// line; the first one sticks and short-circuits the rest.
 type decoder struct {
 	err error
 }
@@ -223,437 +242,194 @@ func (d *decoder) fail(line int, format string, args ...any) {
 	}
 }
 
-// object checks n is a mapping containing only the allowed keys.
-func (d *decoder) object(n *node, what string, allowed ...string) bool {
-	if d.err != nil {
-		return false
+// field is one key of a struct type; index is its path through inline
+// fields.
+type field struct {
+	key   string
+	opts  []string
+	index []int
+}
+
+func (f field) has(opt string) bool { return slices.Contains(f.opts, opt) }
+
+// schema is one struct type's keys in declaration order, worked out once
+// per type: the metro-scale documents decode hundreds of thousands of
+// mappings.
+type schema struct {
+	fields []field
+	keys   []string
+}
+
+var schemas sync.Map // reflect.Type → *schema
+
+func schemaOf(t reflect.Type) *schema {
+	if s, ok := schemas.Load(t); ok {
+		return s.(*schema)
 	}
+	s := &schema{}
+	s.add(t, nil)
+	schemas.Store(t, s)
+	return s
+}
+
+func (s *schema) add(t reflect.Type, prefix []int) {
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		tag, ok := sf.Tag.Lookup("scenario")
+		if !ok {
+			continue
+		}
+		opts := strings.Split(tag, ",")
+		f := field{key: opts[0], opts: opts[1:], index: append(append([]int(nil), prefix...), i)}
+		if f.has("inline") {
+			ft := sf.Type
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			s.add(ft, f.index)
+			continue
+		}
+		s.fields = append(s.fields, f)
+		s.keys = append(s.keys, f.key)
+	}
+}
+
+// object decodes mapping n into struct v, named what in errors.
+func (d *decoder) object(n *node, v reflect.Value, what string) {
 	if n.kind != mapNode {
 		d.fail(n.line, "%s must be a mapping, got a %v", what, n.kind)
-		return false
+		return
 	}
+	s := schemaOf(v.Type())
 	for _, k := range n.keys {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
+		if !slices.Contains(s.keys, k) {
+			d.fail(n.child(k).line, "unknown %s key %q (allowed: %s)", what, k, strings.Join(s.keys, ", "))
+			return
+		}
+	}
+	for _, f := range s.fields {
+		c := n.child(f.key)
+		if c == nil {
+			if f.has("required") {
+				d.fail(n.line, "%s %q is required", what, f.key)
+				return
+			}
+			continue
+		}
+		fv := v
+		for j, x := range f.index {
+			if j > 0 && fv.Kind() == reflect.Pointer {
+				if fv.IsNil() {
+					fv.Set(reflect.New(fv.Type().Elem()))
+				}
+				fv = fv.Elem()
+			}
+			fv = fv.Field(x)
+		}
+		if d.value(c, fv, what, f); d.err != nil {
+			return
+		}
+	}
+}
+
+// value decodes n into v, the field f of a mapping named what.
+func (d *decoder) value(n *node, v reflect.Value, what string, f field) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		d.value(n, v.Elem(), what, f)
+	case reflect.Struct:
+		d.object(n, v, f.key)
+	case reflect.Slice:
+		if n.kind != listNode {
+			d.fail(n.line, "%s %q must be a list", what, f.key)
+			return
+		}
+		if len(n.items) == 0 {
+			return
+		}
+		items := reflect.MakeSlice(v.Type(), len(n.items), len(n.items))
+		for i, item := range n.items {
+			if el := items.Index(i); el.Kind() == reflect.Struct {
+				d.object(item, el, f.opts[0])
+			} else {
+				d.value(item, el, what, f)
+			}
+			if d.err != nil {
+				return
 			}
 		}
-		if !found {
-			d.fail(n.children[k].line, "unknown %s key %q (allowed: %s)", what, k, strings.Join(allowed, ", "))
-			return false
-		}
-	}
-	return true
-}
-
-func (d *decoder) scalarOf(n *node, key, what string) (string, int, bool) {
-	c := n.child(key)
-	if c == nil || d.err != nil {
-		return "", 0, false
-	}
-	if c.kind != scalarNode {
-		d.fail(c.line, "%s %q must be a scalar", what, key)
-		return "", 0, false
-	}
-	return c.scalar, c.line, true
-}
-
-func (d *decoder) str(n *node, key, what string) string {
-	s, _, _ := d.scalarOf(n, key, what)
-	return s
-}
-
-func (d *decoder) intval(n *node, key, what string) int {
-	s, line, ok := d.scalarOf(n, key, what)
-	if !ok {
-		return 0
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		d.fail(line, "%s %q: %q is not an integer", what, key, s)
-	}
-	return v
-}
-
-func (d *decoder) uintval(n *node, key, what string) uint64 {
-	s, line, ok := d.scalarOf(n, key, what)
-	if !ok {
-		return 0
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		d.fail(line, "%s %q: %q is not a non-negative integer", what, key, s)
-	}
-	return v
-}
-
-func (d *decoder) floatval(n *node, key, what string) float64 {
-	s, line, ok := d.scalarOf(n, key, what)
-	if !ok {
-		return 0
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		d.fail(line, "%s %q: %q is not a number", what, key, s)
-	} else if math.IsNaN(v) || math.IsInf(v, 0) {
-		d.fail(line, "%s %q: %q is not a finite number", what, key, s)
-	}
-	return v
-}
-
-func (d *decoder) boolval(n *node, key, what string) bool {
-	s, line, ok := d.scalarOf(n, key, what)
-	if !ok {
-		return false
-	}
-	switch s {
-	case "true":
-		return true
-	case "false":
-		return false
-	}
-	d.fail(line, "%s %q: %q is not true/false", what, key, s)
-	return false
-}
-
-func (d *decoder) durval(n *node, key, what string) time.Duration {
-	s, line, ok := d.scalarOf(n, key, what)
-	if !ok {
-		return 0
-	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		d.fail(line, "%s %q: %q is not a duration (e.g. 30s, 5ms)", what, key, s)
-	}
-	return v
-}
-
-func (d *decoder) list(n *node, key, what string) []*node {
-	c := n.child(key)
-	if c == nil || d.err != nil {
-		return nil
-	}
-	if c.kind != listNode {
-		d.fail(c.line, "%s %q must be a list", what, key)
-		return nil
-	}
-	return c.items
-}
-
-func (d *decoder) scenario(root *node) *Scenario {
-	sc := &Scenario{}
-	if !d.object(root, "scenario",
-		"name", "description", "seed", "duration", "response-slo", "placer",
-		"global-fairshare", "admission", "alloc-epoch", "grant-lease",
-		"coordinator", "topology", "hierarchy", "fleet", "chaos", "assertions") {
-		return sc
-	}
-	sc.Name = d.str(root, "name", "scenario")
-	sc.Description = d.str(root, "description", "scenario")
-	if root.child("seed") != nil {
-		sc.Seed = d.uintval(root, "seed", "scenario")
-	}
-	if root.child("duration") != nil {
-		sc.Duration = d.durval(root, "duration", "scenario")
-	}
-	if root.child("response-slo") != nil {
-		sc.ResponseSLO = d.durval(root, "response-slo", "scenario")
-	}
-	sc.Placer = d.str(root, "placer", "scenario")
-	if root.child("global-fairshare") != nil {
-		sc.GlobalFairShare = d.boolval(root, "global-fairshare", "scenario")
-	}
-	if root.child("admission") != nil {
-		sc.Admission = d.boolval(root, "admission", "scenario")
-	}
-	if c := root.child("alloc-epoch"); c != nil {
-		sc.AllocEpoch = d.durval(root, "alloc-epoch", "scenario")
-		if sc.AllocEpoch < 0 {
-			d.fail(c.line, "scenario \"alloc-epoch\": %v is negative (omit it for the 5s default)", sc.AllocEpoch)
-		}
-	}
-	if c := root.child("grant-lease"); c != nil {
-		sc.grantLeaseSet = true
-		if c.kind == scalarNode && c.scalar == "frozen" {
-			sc.GrantLease = -1
-		} else {
-			sc.GrantLease = d.durval(root, "grant-lease", "scenario")
-		}
-	}
-	if c := root.child("coordinator"); c != nil {
-		sc.Coordinator = d.coordinator(c)
-	}
-	if c := root.child("topology"); c != nil {
-		sc.Topology = d.topology(c)
-	}
-	if c := root.child("hierarchy"); c != nil {
-		sc.Hierarchy = d.hierarchy(c)
-	}
-	for _, item := range d.list(root, "fleet", "scenario") {
-		sc.Fleet = append(sc.Fleet, d.site(item))
-	}
-	if c := root.child("chaos"); c != nil {
-		sc.Chaos = d.chaos(c)
-	}
-	if c := root.child("assertions"); c != nil {
-		sc.Assertions = d.assertions(c)
-	}
-	return sc
-}
-
-func (d *decoder) coordinator(n *node) Coordinator {
-	var c Coordinator
-	if !d.object(n, "coordinator", "election", "site") {
-		return c
-	}
-	c.Election = d.str(n, "election", "coordinator")
-	if n.child("site") != nil {
-		c.Site = d.intval(n, "site", "coordinator")
-	}
-	return c
-}
-
-func (d *decoder) topology(n *node) *Topology {
-	t := &Topology{}
-	if !d.object(n, "topology", "kind", "rtt", "matrix-ms") {
-		return t
-	}
-	t.Kind = d.str(n, "kind", "topology")
-	if n.child("rtt") != nil {
-		t.RTT = d.durval(n, "rtt", "topology")
-	}
-	for _, row := range d.list(n, "matrix-ms", "topology") {
-		if d.err != nil {
-			break
-		}
-		if row.kind != listNode {
-			d.fail(row.line, "topology matrix-ms rows must be lists of milliseconds")
-			break
-		}
-		var r []time.Duration
-		for _, cell := range row.items {
-			if cell.kind != scalarNode {
-				d.fail(cell.line, "topology matrix-ms cells must be numbers")
-				break
-			}
-			ms, err := strconv.ParseFloat(cell.scalar, 64)
-			if err != nil {
-				d.fail(cell.line, "topology matrix-ms cell %q is not a number", cell.scalar)
-				break
-			}
-			r = append(r, time.Duration(ms*float64(time.Millisecond)))
-		}
-		t.Matrix = append(t.Matrix, r)
-	}
-	return t
-}
-
-func (d *decoder) hierarchy(n *node) *Hierarchy {
-	h := &Hierarchy{}
-	if !d.object(n, "hierarchy", "reclaim", "reclaim-latency", "rtt-classes", "groups") {
-		return h
-	}
-	if n.child("reclaim") != nil {
-		h.Reclaim = d.boolval(n, "reclaim", "hierarchy")
-	}
-	if n.child("reclaim-latency") != nil {
-		h.ReclaimLatency = d.durval(n, "reclaim-latency", "hierarchy")
-	}
-	if c := n.child("rtt-classes"); c != nil {
-		rc := &RTTClasses{}
-		if d.object(c, "rtt-classes", "intra-metro", "intra-region", "cross-region") {
-			if c.child("intra-metro") != nil {
-				rc.IntraMetro = d.durval(c, "intra-metro", "rtt-classes")
-			}
-			if c.child("intra-region") != nil {
-				rc.IntraRegion = d.durval(c, "intra-region", "rtt-classes")
-			}
-			if c.child("cross-region") != nil {
-				rc.CrossRegion = d.durval(c, "cross-region", "rtt-classes")
-			}
-		}
-		h.RTTClasses = rc
-	}
-	for _, item := range d.list(n, "groups", "hierarchy") {
-		h.Groups = append(h.Groups, d.group(item))
-	}
-	return h
-}
-
-func (d *decoder) group(n *node) HierarchyGroup {
-	var g HierarchyGroup
-	if !d.object(n, "hierarchy group", "name", "weight", "groups", "sites") {
-		return g
-	}
-	g.Name = d.str(n, "name", "hierarchy group")
-	if n.child("weight") != nil {
-		g.Weight = d.floatval(n, "weight", "hierarchy group")
-	}
-	for _, item := range d.list(n, "groups", "hierarchy group") {
-		g.Groups = append(g.Groups, d.group(item))
-	}
-	for _, m := range d.list(n, "sites", "hierarchy group") {
-		if m.kind != scalarNode {
-			d.fail(m.line, "hierarchy group sites must be site names")
-			break
-		}
-		g.Sites = append(g.Sites, m.scalar)
-	}
-	return g
-}
-
-func (d *decoder) site(n *node) Site {
-	var s Site
-	if !d.object(n, "fleet site", "name", "nodes", "cpu-per-node", "mem-per-node", "functions") {
-		return s
-	}
-	s.Name = d.str(n, "name", "fleet site")
-	s.Nodes = d.intval(n, "nodes", "fleet site")
-	s.CPUPerNode = int64(d.intval(n, "cpu-per-node", "fleet site"))
-	s.MemPerNode = int64(d.intval(n, "mem-per-node", "fleet site"))
-	for _, item := range d.list(n, "functions", "fleet site") {
-		s.Functions = append(s.Functions, d.function(item))
-	}
-	return s
-}
-
-func (d *decoder) function(n *node) Function {
-	var f Function
-	if !d.object(n, "function", "spec", "prewarm", "min-containers", "workload") {
-		return f
-	}
-	f.Spec = d.str(n, "spec", "function")
-	if n.child("prewarm") != nil {
-		f.Prewarm = d.intval(n, "prewarm", "function")
-	}
-	if n.child("min-containers") != nil {
-		f.MinContainers = d.intval(n, "min-containers", "function")
-	}
-	for _, item := range d.list(n, "workload", "function") {
-		if !d.object(item, "workload step", "start", "rate") {
-			break
-		}
-		step := workload.Step{Rate: d.floatval(item, "rate", "workload step")}
-		if item.child("start") != nil {
-			step.Start = d.durval(item, "start", "workload step")
-		}
-		f.Steps = append(f.Steps, step)
-	}
-	return f
-}
-
-func (d *decoder) chaos(n *node) Chaos {
-	var c Chaos
-	if !d.object(n, "chaos", "seed", "faults") {
-		return c
-	}
-	if n.child("seed") != nil {
-		c.Seed = d.uintval(n, "seed", "chaos")
-	}
-	for _, item := range d.list(n, "faults", "chaos") {
-		c.Faults = append(c.Faults, d.fault(item))
-	}
-	return c
-}
-
-func (d *decoder) fault(n *node) chaos.Fault {
-	var f chaos.Fault
-	if !d.object(n, "fault",
-		"kind", "site", "from", "to", "bidirectional", "sites", "lag",
-		"windows", "mean-up", "mean-down", "start-down") {
-		return f
-	}
-	switch kind := d.str(n, "kind", "fault"); kind {
-	case "coordinator":
-		f.Kind = chaos.FaultCoordinator
-	case "site":
-		f.Kind = chaos.FaultSite
-	case "link":
-		f.Kind = chaos.FaultLink
-	case "group":
-		f.Kind = chaos.FaultGroup
+		v.Set(items)
 	default:
-		d.fail(n.line, "fault kind %q is not coordinator/site/link/group", kind)
-		return f
+		d.scalar(n, v, what, f)
 	}
-	if n.child("site") != nil {
-		f.Site = d.intval(n, "site", "fault")
-	}
-	if n.child("from") != nil {
-		f.From = d.intval(n, "from", "fault")
-	}
-	if n.child("to") != nil {
-		f.To = d.intval(n, "to", "fault")
-	}
-	if n.child("bidirectional") != nil {
-		f.Bidirectional = d.boolval(n, "bidirectional", "fault")
-	}
-	for _, m := range d.list(n, "sites", "fault") {
-		if m.kind != scalarNode {
-			d.fail(m.line, "fault group members must be site indices")
-			break
-		}
-		v, err := strconv.Atoi(m.scalar)
-		if err != nil {
-			d.fail(m.line, "fault group member %q is not a site index", m.scalar)
-			break
-		}
-		f.Sites = append(f.Sites, v)
-	}
-	if n.child("lag") != nil {
-		f.Lag = d.durval(n, "lag", "fault")
-	}
-	for _, w := range d.list(n, "windows", "fault") {
-		if !d.object(w, "window", "start", "end") {
-			break
-		}
-		f.Windows = append(f.Windows, chaos.Window{
-			Start: d.durval(w, "start", "window"),
-			End:   d.durval(w, "end", "window"),
-		})
-	}
-	if n.child("mean-up") != nil || n.child("mean-down") != nil || n.child("start-down") != nil {
-		ge := &chaos.GilbertElliott{
-			MeanUp:   d.durval(n, "mean-up", "fault"),
-			MeanDown: d.durval(n, "mean-down", "fault"),
-		}
-		if n.child("start-down") != nil {
-			ge.StartDown = d.boolval(n, "start-down", "fault")
-		}
-		f.GE = ge
-	}
-	return f
 }
 
-func (d *decoder) assertions(n *node) Assertions {
-	var a Assertions
-	if !d.object(n, "assertions",
-		"max-violation-rate", "min-alloc-epochs", "min-missed-epochs",
-		"require-lease-expirations", "require-partitioned-epochs",
-		"min-reclaimed-cpu") {
-		return a
+func (d *decoder) scalar(n *node, v reflect.Value, what string, f field) {
+	if n.kind != scalarNode {
+		d.fail(n.line, "%s %q must be a scalar", what, f.key)
+		return
 	}
-	if n.child("max-violation-rate") != nil {
-		a.MaxViolationRate = d.floatval(n, "max-violation-rate", "assertions")
+	s := n.scalar
+	bad := func(want string) { d.fail(n.line, "%s %q: %q is not %s", what, f.key, s, want) }
+	switch v.Type() {
+	case reflect.TypeOf(time.Duration(0)):
+		if s == "frozen" && f.has("frozen") {
+			v.SetInt(-1)
+			return
+		}
+		dur, err := time.ParseDuration(s)
+		if err != nil {
+			bad("a duration (e.g. 30s, 5ms)")
+		} else if dur < 0 && f.has("nonneg") {
+			d.fail(n.line, "%s %q: %v is negative (omit it for the default)", what, f.key, dur)
+		}
+		v.SetInt(int64(dur))
+		return
+	case reflect.TypeOf(chaos.FaultKind(0)):
+		for k := chaos.FaultCoordinator; k <= chaos.FaultGroup; k++ {
+			if k.String() == s {
+				v.SetInt(int64(k))
+				return
+			}
+		}
+		d.fail(n.line, "%s kind %q is not coordinator/site/link/group", what, s)
+		return
 	}
-	if n.child("min-alloc-epochs") != nil {
-		a.MinAllocEpochs = d.uintval(n, "min-alloc-epochs", "assertions")
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(s)
+	case reflect.Bool:
+		switch s {
+		case "true":
+			v.SetBool(true)
+		case "false":
+		default:
+			bad("true/false")
+		}
+	case reflect.Int, reflect.Int64:
+		i, err := strconv.ParseInt(s, 10, v.Type().Bits())
+		if err != nil {
+			bad("an integer")
+		}
+		v.SetInt(i)
+	case reflect.Uint64:
+		u, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			bad("a non-negative integer")
+		}
+		v.SetUint(u)
+	case reflect.Float64:
+		x, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			bad("a number")
+		} else if math.IsNaN(x) || math.IsInf(x, 0) {
+			bad("a finite number")
+		}
+		v.SetFloat(x)
+	default:
+		panic(fmt.Sprintf("scenario: tagged field %q has undecodable type %v", f.key, v.Type()))
 	}
-	if n.child("min-missed-epochs") != nil {
-		a.MinMissedEpochs = d.uintval(n, "min-missed-epochs", "assertions")
-	}
-	if n.child("require-lease-expirations") != nil {
-		a.RequireLeaseExpirations = d.boolval(n, "require-lease-expirations", "assertions")
-	}
-	if n.child("require-partitioned-epochs") != nil {
-		a.RequirePartitionedEpochs = d.boolval(n, "require-partitioned-epochs", "assertions")
-	}
-	if n.child("min-reclaimed-cpu") != nil {
-		a.MinReclaimedCPU = d.uintval(n, "min-reclaimed-cpu", "assertions")
-	}
-	return a
 }
 
 // validate checks cross-field consistency the decoder cannot see
@@ -692,7 +468,13 @@ func (sc *Scenario) validate() error {
 			if len(f.Steps) == 0 {
 				return fmt.Errorf("scenario %q: fleet site %d function %q has no workload", sc.Name, i, f.Spec)
 			}
+			if f.Prewarm < 0 || f.MinContainers < 0 {
+				return fmt.Errorf("scenario %q: fleet site %d function %q: negative prewarm (%d) or min-containers (%d)", sc.Name, i, f.Spec, f.Prewarm, f.MinContainers)
+			}
 		}
+	}
+	if sc.Assertions.MaxViolationRate < 0 {
+		return fmt.Errorf("scenario %q: assertions max-violation-rate %v is negative", sc.Name, sc.Assertions.MaxViolationRate)
 	}
 	switch sc.Coordinator.Election {
 	case "", "fixed", "centroid":
@@ -705,19 +487,24 @@ func (sc *Scenario) validate() error {
 	if sc.Topology != nil {
 		switch sc.Topology.Kind {
 		case "ring", "star":
-			if len(sc.Topology.Matrix) != 0 {
+			if len(sc.Topology.MatrixMS) != 0 {
 				return fmt.Errorf("scenario %q: topology kind %q does not take a matrix", sc.Name, sc.Topology.Kind)
 			}
 			if sc.Topology.RTT <= 0 {
 				return fmt.Errorf("scenario %q: topology kind %q needs a positive \"rtt\" (got %v)", sc.Name, sc.Topology.Kind, sc.Topology.RTT)
 			}
 		case "matrix":
-			if len(sc.Topology.Matrix) != len(sc.Fleet) {
-				return fmt.Errorf("scenario %q: topology matrix is %d rows for %d sites", sc.Name, len(sc.Topology.Matrix), len(sc.Fleet))
+			if len(sc.Topology.MatrixMS) != len(sc.Fleet) {
+				return fmt.Errorf("scenario %q: topology matrix is %d rows for %d sites", sc.Name, len(sc.Topology.MatrixMS), len(sc.Fleet))
 			}
-			for i, row := range sc.Topology.Matrix {
+			for i, row := range sc.Topology.MatrixMS {
 				if len(row) != len(sc.Fleet) {
 					return fmt.Errorf("scenario %q: topology matrix row %d has %d cells for %d sites", sc.Name, i, len(row), len(sc.Fleet))
+				}
+				for j, ms := range row {
+					if math.Abs(ms*float64(time.Millisecond)) >= math.MaxInt64 {
+						return fmt.Errorf("scenario %q: topology matrix-ms cell (%d,%d) = %v does not fit a duration", sc.Name, i, j, ms)
+					}
 				}
 			}
 		default:
@@ -794,9 +581,7 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 		Seed:                  sc.Seed,
 		Coordinator:           sc.Coordinator.Site,
 		OffloadAwareAdmission: sc.Admission,
-	}
-	if sc.grantLeaseSet {
-		cfg.GrantLease = sc.GrantLease
+		GrantLease:            sc.GrantLease,
 	}
 	if sc.Coordinator.Election == "centroid" {
 		cfg.CoordinatorElection = federation.RTTCentroid
@@ -848,7 +633,13 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 		case "star":
 			topo, err = federation.Star(len(sc.Fleet), sc.Topology.RTT)
 		case "matrix":
-			topo, err = federation.NewTopology(sc.Topology.Matrix)
+			m := make([][]time.Duration, len(sc.Topology.MatrixMS))
+			for i, row := range sc.Topology.MatrixMS {
+				for _, ms := range row {
+					m[i] = append(m[i], time.Duration(ms*float64(time.Millisecond)))
+				}
+			}
+			topo, err = federation.NewTopology(m)
 		}
 		if err != nil {
 			return cfg, err

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -164,6 +165,13 @@ func TestBuildChaosSeedOverride(t *testing.T) {
 	}
 }
 
+// matrixScenario is a two-site scenario whose matrix-ms rows are lines
+// 6 and 7.
+func matrixScenario(row0, row1 string) string {
+	site := "  - nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"
+	return "name: x\nduration: 1m\ntopology:\n  kind: matrix\n  matrix-ms:\n    - " + row0 + "\n    - " + row1 + "\nfleet:\n" + site + site
+}
+
 func TestScenarioValidationRejections(t *testing.T) {
 	base := func(mutate string) string { return mutate }
 	cases := []struct {
@@ -184,6 +192,14 @@ func TestScenarioValidationRejections(t *testing.T) {
 		{"star with zero rtt", base("name: x\nduration: 1m\ntopology:\n  kind: star\n  rtt: 0ms\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
 		{"ring without rtt", base("name: x\nduration: 1m\ntopology:\n  kind: ring\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
 		{"ring with negative rtt", base("name: x\nduration: 1m\ntopology:\n  kind: ring\n  rtt: -5ms\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
+		{"negative response-slo", base("name: x\nduration: 1m\nresponse-slo: -250ms\n"), "line 3: scenario \"response-slo\""},
+		{"NaN matrix cell", matrixScenario("[0, NaN]", "[NaN, 0]"), `line 6: topology "matrix-ms": "NaN" is not a finite number`},
+		{"+Inf matrix cell", matrixScenario("[0, +Inf]", "[1, 0]"), `line 6: topology "matrix-ms": "+Inf" is not a finite number`},
+		{"-Inf matrix cell", matrixScenario("[0, 1]", "[-Inf, 0]"), `line 7: topology "matrix-ms": "-Inf" is not a finite number`},
+		{"overflowing matrix cell", matrixScenario("[0, 1e300]", "[1, 0]"), "matrix-ms cell (0,1) = 1e+300 does not fit a duration"},
+		{"negative min-containers", strings.Replace(validScenario, "min-containers: 1", "min-containers: -2", 1), `fleet site 1 function "squeezenet": negative prewarm (1) or min-containers (-2)`},
+		{"negative prewarm", strings.Replace(validScenario, "prewarm: 1", "prewarm: -3", 1), `fleet site 0 function "squeezenet": negative prewarm (-3)`},
+		{"negative max-violation-rate", validScenario + "  max-violation-rate: -0.5\n", "max-violation-rate -0.5 is negative"},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.src))
@@ -229,5 +245,62 @@ func TestCommittedScenariosLoad(t *testing.T) {
 		if _, err := sc.Build(-1); err != nil {
 			t.Errorf("%s: build: %v", f, err)
 		}
+	}
+}
+
+// TestGrantLeaseKeys: `frozen` is the −1 (unleased) lease all the way
+// into the federation config, and an omitted key and an explicit 0s both
+// leave the federation default in charge.
+func TestGrantLeaseKeys(t *testing.T) {
+	build := func(lease string) (*Scenario, federation.Config) {
+		t.Helper()
+		sc, err := Parse([]byte(strings.Replace(validScenario, "grant-lease: 10s\n", lease, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := sc.Build(-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc, cfg
+	}
+	sc, cfg := build("grant-lease: frozen\n")
+	if sc.GrantLease != -1 || cfg.GrantLease != -1 {
+		t.Errorf("frozen: scenario lease %v, config lease %v; want -1ns both", sc.GrantLease, cfg.GrantLease)
+	}
+	_, omitted := build("")
+	_, zero := build("grant-lease: 0s\n")
+	if omitted.GrantLease != 0 || !reflect.DeepEqual(omitted, zero) {
+		t.Errorf("omitted and 0s grant-lease build different configs: %+v vs %+v", omitted, zero)
+	}
+}
+
+// TestDSLFieldsAreTagged: every exported field reachable from Scenario is
+// a scenario key, so no field can exist that a file cannot set.
+func TestDSLFieldsAreTagged(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if _, ok := f.Tag.Lookup("scenario"); !ok {
+				t.Errorf("%v.%s has no scenario tag", typ, f.Name)
+			}
+			walk(f.Type)
+		}
+	}
+	walk(reflect.TypeOf(Scenario{}))
+	if len(seen) < 14 {
+		t.Errorf("walked %d struct types, want the 14 the DSL declares", len(seen))
 	}
 }

@@ -21,8 +21,8 @@ import (
 // Step is one segment of a piecewise-constant rate schedule: Rate holds
 // from Start until the next step's Start (or forever for the last step).
 type Step struct {
-	Start time.Duration
-	Rate  float64 // req/s
+	Start time.Duration `scenario:"start"`
+	Rate  float64       `scenario:"rate"` // req/s
 }
 
 // Schedule is a piecewise-constant arrival-rate function λ(t).
