@@ -115,9 +115,9 @@ func Star(n int, spokeRTT time.Duration) (*Topology, error) {
 // (2ms / 10ms / 40ms one way — access-network, metro-backbone, and
 // inter-region WAN figures); a negative entry is an explicit zero.
 type RTTClasses struct {
-	IntraMetro  time.Duration
-	IntraRegion time.Duration
-	CrossRegion time.Duration
+	IntraMetro  time.Duration `scenario:"intra-metro"`
+	IntraRegion time.Duration `scenario:"intra-region"`
+	CrossRegion time.Duration `scenario:"cross-region"`
 }
 
 // Hierarchical derives a latency matrix from a hierarchy's levels: each

@@ -9,9 +9,9 @@ import (
 )
 
 // FuzzParseScenario: any input yields exactly one of a *Scenario and an
-// error, never a panic, and a scenario that validates also builds or
-// errors without panicking. The committed seeds under testdata/fuzz/ are
-// the four scenarios/*.yaml files; CI fuzzes beyond them for 10 s:
+// error, never a panic, and a scenario Parse accepts also builds. The
+// committed seeds under testdata/fuzz/ are the four scenarios/*.yaml
+// files; CI fuzzes beyond them for 10 s:
 //
 //	go test -run '^$' -fuzz FuzzParseScenario -fuzztime 10s ./internal/scenario
 func FuzzParseScenario(f *testing.F) {
@@ -21,7 +21,9 @@ func FuzzParseScenario(f *testing.F) {
 			t.Fatalf("Parse returned scenario %v and error %v; want exactly one", sc, err)
 		}
 		if sc != nil {
-			_, _ = sc.Build(-1)
+			if _, err := sc.Build(-1); err != nil {
+				t.Fatalf("Parse accepted a scenario that does not build: %v", err)
+			}
 		}
 	})
 }
@@ -71,7 +73,7 @@ func FuzzParseMatchesReference(f *testing.F) {
 
 var (
 	// onlyParseRejects are the rejections the reference lacks (a negative
-	// response-slo) or makes later, in validate (a non-finite matrix cell).
+	// response-slo) or makes later, in Build (a non-finite matrix cell).
 	onlyParseRejects = regexp.MustCompile(`scenario "response-slo": .* is negative|topology "matrix-ms": ".*" is not a finite number`)
 	// A workload step with a bad start and a bad rate: Parse decodes in
 	// key order (start first), the reference decoded rate first.

@@ -8,14 +8,17 @@ import (
 	"time"
 
 	"lass/internal/chaos"
+	"lass/internal/federation"
 	"lass/internal/workload"
 )
 
 // referenceParse is the hand-written, section-by-section decoder the
 // tag-driven one replaced, frozen so FuzzParseMatchesReference can hold
 // the two to the same scenarios and the same error texts. Its only
-// adaptations: matrix-ms fills Topology.MatrixMS in milliseconds, and
-// grant-lease no longer records whether it was set.
+// adaptations: matrix-ms fills Topology.MatrixMS in milliseconds,
+// grant-lease no longer records whether it was set, rtt-classes fills a
+// federation.RTTClasses, and it checks the result with Build as Parse
+// does.
 func referenceParse(data []byte) (*Scenario, error) {
 	root, err := parse(data)
 	if err != nil {
@@ -26,7 +29,7 @@ func referenceParse(data []byte) (*Scenario, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if err := sc.validate(); err != nil {
+	if _, err := sc.Build(-1); err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -282,7 +285,7 @@ func (d *refDecoder) hierarchy(n *node) *Hierarchy {
 		h.ReclaimLatency = d.durval(n, "reclaim-latency", "hierarchy")
 	}
 	if c := n.child("rtt-classes"); c != nil {
-		rc := &RTTClasses{}
+		rc := &federation.RTTClasses{}
 		if d.object(c, "rtt-classes", "intra-metro", "intra-region", "cross-region") {
 			if c.child("intra-metro") != nil {
 				rc.IntraMetro = d.durval(c, "intra-metro", "rtt-classes")

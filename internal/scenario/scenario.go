@@ -1,21 +1,24 @@
 // Package scenario is the declarative experiment surface: one file
 // describes a complete federated run — fleet, topology, workload, chaos
-// faults, and assertions — and a validating loader turns it into a
+// faults, and assertions — and one checked pass, Build, turns it into a
 // federation.Config the experiment registry (or `lass-sim -scenario`)
-// can execute by name.
+// can execute by name. Parse runs that same Build, so a scenario that
+// loads also builds.
 //
 // The format is a strict YAML subset (see yaml.go) whose keys are
 // `scenario:"key"` tags on the fields they set (see decoder): unknown
-// keys, malformed windows, out-of-range site references, and inconsistent
-// topology sizes are load-time errors with file/line context, never
-// silent runtime drift. Seed semantics are explicit: `seed` drives the
-// platform (service times, arrivals), `chaos.seed` drives the failure
-// processes, and replicated sweeps vary only the chaos seed so the
-// workload stays pinned while failures land differently — the
-// distributional-honesty contract.
+// keys, malformed windows, out-of-range site references, duplicate
+// effective site names, disagreeing per-site pool floors, and
+// inconsistent topology sizes are load-time errors with scenario or
+// file/line context, never silent runtime drift. Seed semantics are
+// explicit: `seed` drives the platform (service times, arrivals),
+// `chaos.seed` drives the failure processes, and replicated sweeps vary
+// only the chaos seed so the workload stays pinned while failures land
+// differently — the distributional-honesty contract.
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -38,7 +41,9 @@ import (
 )
 
 // Function is one function deployment at a site: a catalog spec name,
-// its pool floor, and its ingress workload (rate steps).
+// its prewarmed containers, and its ingress workload (rate steps).
+// MinContainers is the site's pool floor, one per site: functions that
+// set it must agree, and a site where none does keeps a floor of 1.
 type Function struct {
 	Spec          string          `scenario:"spec"`
 	Prewarm       int             `scenario:"prewarm"`
@@ -110,24 +115,17 @@ type HierarchyGroup struct {
 	Sites  []string         `scenario:"sites"`
 }
 
-// RTTClasses optionally derives the scenario's topology from its
-// hierarchy: one per-level one-way latency class (zero entries select the
-// federation defaults). Mutually exclusive with an explicit `topology:`
-// block.
-type RTTClasses struct {
-	IntraMetro  time.Duration `scenario:"intra-metro"`
-	IntraRegion time.Duration `scenario:"intra-region"`
-	CrossRegion time.Duration `scenario:"cross-region"`
-}
-
 // Hierarchy is the scenario's region → metro → site quota tree plus the
 // reclaim knobs riding on it (federation.Config.Hierarchy / Reclaim /
 // ReclaimLatency).
 type Hierarchy struct {
-	Reclaim        bool             `scenario:"reclaim"`
-	ReclaimLatency time.Duration    `scenario:"reclaim-latency"`
-	RTTClasses     *RTTClasses      `scenario:"rtt-classes"`
-	Groups         []HierarchyGroup `scenario:"groups,hierarchy group"`
+	Reclaim        bool          `scenario:"reclaim"`
+	ReclaimLatency time.Duration `scenario:"reclaim-latency"`
+	// RTTClasses optionally derives the topology from the tree (zero
+	// entries select the federation defaults). Mutually exclusive with an
+	// explicit `topology:` block.
+	RTTClasses *federation.RTTClasses `scenario:"rtt-classes"`
+	Groups     []HierarchyGroup       `scenario:"groups,hierarchy group"`
 }
 
 // tree lowers the declarative groups to the allocation layer's form under
@@ -171,21 +169,7 @@ type Scenario struct {
 	Assertions      Assertions    `scenario:"assertions"`
 }
 
-// siteNames returns each fleet site's effective name — the federation's
-// edge-i default when the scenario leaves a name unset. These are the
-// names a hierarchy block must cover.
-func (sc *Scenario) siteNames() []string {
-	out := make([]string, len(sc.Fleet))
-	for i, s := range sc.Fleet {
-		out[i] = s.Name
-		if out[i] == "" {
-			out[i] = fmt.Sprintf("edge-%d", i)
-		}
-	}
-	return out
-}
-
-// Load reads and validates one scenario file.
+// Load reads and checks one scenario file.
 func Load(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -198,7 +182,7 @@ func Load(path string) (*Scenario, error) {
 	return sc, nil
 }
 
-// Parse parses and validates one scenario document.
+// Parse parses one scenario document and checks it with Build.
 func Parse(data []byte) (*Scenario, error) {
 	root, err := parse(data)
 	if err != nil {
@@ -210,7 +194,7 @@ func Parse(data []byte) (*Scenario, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if err := sc.validate(); err != nil {
+	if _, err := sc.Build(-1); err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -432,148 +416,30 @@ func (d *decoder) scalar(n *node, v reflect.Value, what string, f field) {
 	}
 }
 
-// validate checks cross-field consistency the decoder cannot see
-// key-by-key: fleet present, topology size, placer/election names,
-// chaos fault targets in range (chaos.New revalidates, but here the
-// error carries scenario context before any engine is built).
-func (sc *Scenario) validate() error {
+// Build checks what the decoder cannot see key by key — fleet shape,
+// topology size, registry names, hierarchy coverage, chaos fault targets
+// — and assembles the federation config the scenario describes, in one
+// pass: each check sits next to the construction it guards, and every
+// error names the scenario. Parse runs it once, so a scenario Parse
+// accepts always builds. The chaos seed can be overridden (replicate
+// sweeps pass Seed^replicate mixes); chaosSeed < 0 keeps the file's seed.
+func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
+	fail := func(format string, args ...any) (federation.Config, error) {
+		return federation.Config{}, fmt.Errorf("scenario %q: "+format, append([]any{sc.Name}, args...)...)
+	}
 	if sc.Name == "" {
-		return fmt.Errorf("scenario has no name")
+		return federation.Config{}, fmt.Errorf("scenario has no name")
 	}
 	if sc.Duration <= 0 {
-		return fmt.Errorf("scenario %q: duration must be positive", sc.Name)
+		return fail("duration must be positive")
 	}
-	if len(sc.Fleet) == 0 {
-		return fmt.Errorf("scenario %q: fleet is empty", sc.Name)
-	}
-	seenSite := make(map[string]bool, len(sc.Fleet))
-	for i, s := range sc.Fleet {
-		if s.Name != "" && seenSite[s.Name] {
-			return fmt.Errorf("scenario %q: duplicate fleet site name %q", sc.Name, s.Name)
-		}
-		seenSite[s.Name] = true
-		if s.Nodes <= 0 || s.CPUPerNode <= 0 || s.MemPerNode <= 0 {
-			return fmt.Errorf("scenario %q: fleet site %d needs positive nodes/cpu-per-node/mem-per-node", sc.Name, i)
-		}
-		if len(s.Functions) == 0 {
-			return fmt.Errorf("scenario %q: fleet site %d deploys no functions", sc.Name, i)
-		}
-		for _, f := range s.Functions {
-			if f.Spec == "" {
-				return fmt.Errorf("scenario %q: fleet site %d has a function without a spec", sc.Name, i)
-			}
-			if _, err := functions.ByName(f.Spec); err != nil {
-				return fmt.Errorf("scenario %q: fleet site %d: %w", sc.Name, i, err)
-			}
-			if len(f.Steps) == 0 {
-				return fmt.Errorf("scenario %q: fleet site %d function %q has no workload", sc.Name, i, f.Spec)
-			}
-			if f.Prewarm < 0 || f.MinContainers < 0 {
-				return fmt.Errorf("scenario %q: fleet site %d function %q: negative prewarm (%d) or min-containers (%d)", sc.Name, i, f.Spec, f.Prewarm, f.MinContainers)
-			}
-		}
+	n := len(sc.Fleet)
+	if n == 0 {
+		return fail("fleet is empty")
 	}
 	if sc.Assertions.MaxViolationRate < 0 {
-		return fmt.Errorf("scenario %q: assertions max-violation-rate %v is negative", sc.Name, sc.Assertions.MaxViolationRate)
+		return fail("assertions max-violation-rate %v is negative", sc.Assertions.MaxViolationRate)
 	}
-	switch sc.Coordinator.Election {
-	case "", "fixed", "centroid":
-	default:
-		return fmt.Errorf("scenario %q: coordinator election %q is not fixed/centroid", sc.Name, sc.Coordinator.Election)
-	}
-	if sc.Coordinator.Site < 0 || sc.Coordinator.Site >= len(sc.Fleet) {
-		return fmt.Errorf("scenario %q: coordinator site %d out of range [0, %d)", sc.Name, sc.Coordinator.Site, len(sc.Fleet))
-	}
-	if sc.Topology != nil {
-		switch sc.Topology.Kind {
-		case "ring", "star":
-			if len(sc.Topology.MatrixMS) != 0 {
-				return fmt.Errorf("scenario %q: topology kind %q does not take a matrix", sc.Name, sc.Topology.Kind)
-			}
-			if sc.Topology.RTT <= 0 {
-				return fmt.Errorf("scenario %q: topology kind %q needs a positive \"rtt\" (got %v)", sc.Name, sc.Topology.Kind, sc.Topology.RTT)
-			}
-		case "matrix":
-			if len(sc.Topology.MatrixMS) != len(sc.Fleet) {
-				return fmt.Errorf("scenario %q: topology matrix is %d rows for %d sites", sc.Name, len(sc.Topology.MatrixMS), len(sc.Fleet))
-			}
-			for i, row := range sc.Topology.MatrixMS {
-				if len(row) != len(sc.Fleet) {
-					return fmt.Errorf("scenario %q: topology matrix row %d has %d cells for %d sites", sc.Name, i, len(row), len(sc.Fleet))
-				}
-				for j, ms := range row {
-					if math.Abs(ms*float64(time.Millisecond)) >= math.MaxInt64 {
-						return fmt.Errorf("scenario %q: topology matrix-ms cell (%d,%d) = %v does not fit a duration", sc.Name, i, j, ms)
-					}
-				}
-			}
-		default:
-			return fmt.Errorf("scenario %q: topology kind %q is not ring/star/matrix", sc.Name, sc.Topology.Kind)
-		}
-	}
-	if sc.Placer != "" {
-		if _, err := federation.PlacerByName(sc.Placer); err != nil {
-			return fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-	}
-	if sc.Hierarchy != nil {
-		if len(sc.Hierarchy.Groups) == 0 {
-			return fmt.Errorf("scenario %q: hierarchy declares no groups", sc.Name)
-		}
-		if sc.Hierarchy.Reclaim && !sc.GlobalFairShare {
-			return fmt.Errorf("scenario %q: hierarchy reclaim requires global-fairshare: true", sc.Name)
-		}
-		if sc.Hierarchy.RTTClasses != nil && sc.Topology != nil {
-			return fmt.Errorf("scenario %q: hierarchy rtt-classes and an explicit topology are mutually exclusive", sc.Name)
-		}
-		tree := sc.Hierarchy.tree()
-		if err := tree.Validate(); err != nil {
-			return fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		names := sc.siteNames()
-		if err := tree.Covers(names); err != nil {
-			return fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		// Covers allows superset trees (federation configs may share one
-		// hierarchy across fleets); a scenario is self-contained, so a
-		// group naming a site the fleet does not deploy is a typo.
-		fleet := make(map[string]bool, len(names))
-		for _, n := range names {
-			fleet[n] = true
-		}
-		var stray func(g HierarchyGroup) error
-		stray = func(g HierarchyGroup) error {
-			for _, s := range g.Sites {
-				if !fleet[s] {
-					return fmt.Errorf("scenario %q: hierarchy group %q names unknown site %q", sc.Name, g.Name, s)
-				}
-			}
-			for _, c := range g.Groups {
-				if err := stray(c); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, g := range sc.Hierarchy.Groups {
-			if err := stray(g); err != nil {
-				return err
-			}
-		}
-	}
-	// Dry-build the chaos engine so fault errors surface at load time.
-	if len(sc.Chaos.Faults) > 0 {
-		if _, err := chaos.New(chaos.Config{Sites: len(sc.Fleet), Seed: sc.Chaos.Seed, Faults: sc.Chaos.Faults}); err != nil {
-			return fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-	}
-	return nil
-}
-
-// Build assembles the federation config the scenario describes. The
-// chaos seed can be overridden (replicate sweeps pass Seed^replicate
-// mixes); chaosSeed < 0 keeps the file's seed.
-func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 	cfg := federation.Config{
 		GlobalFairShare:       sc.GlobalFairShare,
 		AllocEpoch:            sc.AllocEpoch,
@@ -583,20 +449,33 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 		OffloadAwareAdmission: sc.Admission,
 		GrantLease:            sc.GrantLease,
 	}
-	if sc.Coordinator.Election == "centroid" {
+	switch sc.Coordinator.Election {
+	case "", "fixed":
+	case "centroid":
 		cfg.CoordinatorElection = federation.RTTCentroid
+	default:
+		return fail("coordinator election %q is not fixed/centroid", sc.Coordinator.Election)
 	}
-	placer := sc.Placer
-	if placer == "" {
-		placer = "never"
+	if sc.Coordinator.Site < 0 || sc.Coordinator.Site >= n {
+		return fail("coordinator site %d out of range [0, %d)", sc.Coordinator.Site, n)
 	}
-	p, err := federation.PlacerByName(placer)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Placer = p
+	// names are the sites' effective names — the federation's edge-i
+	// default where the file sets none — which must be unique and which a
+	// hierarchy block must cover.
+	names, fleet := make([]string, n), make(map[string]bool, n)
 	for i, s := range sc.Fleet {
-		spec := core.Config{
+		names[i] = cmp.Or(s.Name, fmt.Sprintf("edge-%d", i))
+		if fleet[names[i]] {
+			return fail("duplicate fleet site name %q", names[i])
+		}
+		fleet[names[i]] = true
+		if s.Nodes <= 0 || s.CPUPerNode <= 0 || s.MemPerNode <= 0 {
+			return fail("fleet site %d needs positive nodes/cpu-per-node/mem-per-node", i)
+		}
+		if len(s.Functions) == 0 {
+			return fail("fleet site %d deploys no functions", i)
+		}
+		site := core.Config{
 			Cluster: cluster.Config{
 				Site:       s.Name,
 				Nodes:      s.Nodes,
@@ -607,60 +486,122 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 			Controller: controller.Config{MinContainers: 1},
 			Seed:       sc.Seed ^ uint64(0x5ce0+i),
 		}
+		floor := 0 // the site's pool floor, once a function sets one
 		for _, f := range s.Functions {
-			fspec, err := functions.ByName(f.Spec)
+			if f.Spec == "" {
+				return fail("fleet site %d has a function without a spec", i)
+			}
+			spec, err := functions.ByName(f.Spec)
 			if err != nil {
-				return cfg, err
+				return fail("fleet site %d: %w", i, err)
+			}
+			if len(f.Steps) == 0 {
+				return fail("fleet site %d function %q has no workload", i, f.Spec)
+			}
+			if f.Prewarm < 0 || f.MinContainers < 0 {
+				return fail("fleet site %d function %q: negative prewarm (%d) or min-containers (%d)", i, f.Spec, f.Prewarm, f.MinContainers)
+			}
+			if m := f.MinContainers; m > 0 {
+				if floor > 0 && m != floor {
+					return fail("fleet site %d sets min-containers %d and %d; the pool floor is one per site", i, floor, m)
+				}
+				floor, site.Controller.MinContainers = m, m
 			}
 			wl, err := workload.NewSteps(f.Steps)
 			if err != nil {
-				return cfg, fmt.Errorf("scenario %q: site %d %s workload: %w", sc.Name, i, f.Spec, err)
+				return fail("site %d %s workload: %w", i, f.Spec, err)
 			}
-			fc := core.FunctionConfig{Spec: fspec, Workload: wl, Prewarm: f.Prewarm}
-			if f.MinContainers > 0 {
-				spec.Controller.MinContainers = f.MinContainers
-			}
-			spec.Functions = append(spec.Functions, fc)
+			site.Functions = append(site.Functions, core.FunctionConfig{Spec: spec, Workload: wl, Prewarm: f.Prewarm})
 		}
-		cfg.Sites = append(cfg.Sites, spec)
+		cfg.Sites = append(cfg.Sites, site)
 	}
-	if sc.Topology != nil {
-		var topo *federation.Topology
+	if t := sc.Topology; t != nil {
 		var err error
-		switch sc.Topology.Kind {
-		case "ring":
-			topo, err = federation.Ring(len(sc.Fleet), sc.Topology.RTT)
-		case "star":
-			topo, err = federation.Star(len(sc.Fleet), sc.Topology.RTT)
+		switch t.Kind {
+		case "ring", "star":
+			if len(t.MatrixMS) != 0 {
+				return fail("topology kind %q does not take a matrix", t.Kind)
+			}
+			if t.RTT <= 0 {
+				return fail("topology kind %q needs a positive \"rtt\" (got %v)", t.Kind, t.RTT)
+			}
+			gen := federation.Ring
+			if t.Kind == "star" {
+				gen = federation.Star
+			}
+			cfg.Topology, err = gen(n, t.RTT)
 		case "matrix":
-			m := make([][]time.Duration, len(sc.Topology.MatrixMS))
-			for i, row := range sc.Topology.MatrixMS {
-				for _, ms := range row {
-					m[i] = append(m[i], time.Duration(ms*float64(time.Millisecond)))
+			if len(t.MatrixMS) != n {
+				return fail("topology matrix is %d rows for %d sites", len(t.MatrixMS), n)
+			}
+			m := make([][]time.Duration, n)
+			for i, row := range t.MatrixMS {
+				if len(row) != n {
+					return fail("topology matrix row %d has %d cells for %d sites", i, len(row), n)
+				}
+				for j, ms := range row {
+					d := ms * float64(time.Millisecond)
+					if math.Abs(d) >= math.MaxInt64 {
+						return fail("topology matrix-ms cell (%d,%d) = %v does not fit a duration", i, j, ms)
+					}
+					m[i] = append(m[i], time.Duration(d))
 				}
 			}
-			topo, err = federation.NewTopology(m)
+			cfg.Topology, err = federation.NewTopology(m)
+		default:
+			return fail("topology kind %q is not ring/star/matrix", t.Kind)
 		}
 		if err != nil {
-			return cfg, err
+			return fail("%w", err)
 		}
-		cfg.Topology = topo
 	}
+	p, err := federation.PlacerByName(cmp.Or(sc.Placer, "never"))
+	if err != nil {
+		return fail("%w", err)
+	}
+	cfg.Placer = p
 	if h := sc.Hierarchy; h != nil {
+		if len(h.Groups) == 0 {
+			return fail("hierarchy declares no groups")
+		}
+		if h.Reclaim && !sc.GlobalFairShare {
+			return fail("hierarchy reclaim requires global-fairshare: true")
+		}
+		if h.RTTClasses != nil && sc.Topology != nil {
+			return fail("hierarchy rtt-classes and an explicit topology are mutually exclusive")
+		}
 		tree := h.tree()
-		cfg.Hierarchy = tree
-		cfg.Reclaim = h.Reclaim
-		cfg.ReclaimLatency = h.ReclaimLatency
-		if rc := h.RTTClasses; rc != nil {
-			topo, err := federation.Hierarchical(sc.siteNames(), tree.Levels(), federation.RTTClasses{
-				IntraMetro:  rc.IntraMetro,
-				IntraRegion: rc.IntraRegion,
-				CrossRegion: rc.CrossRegion,
-			})
-			if err != nil {
-				return cfg, err
+		if err := tree.Validate(); err != nil {
+			return fail("%w", err)
+		}
+		if err := tree.Covers(names); err != nil {
+			return fail("%w", err)
+		}
+		// Covers allows superset trees (federation configs may share one
+		// hierarchy across fleets); a scenario is self-contained, so a
+		// group naming a site the fleet does not deploy is a typo.
+		var stray func(gs []HierarchyGroup) error
+		stray = func(gs []HierarchyGroup) error {
+			for _, g := range gs {
+				for _, s := range g.Sites {
+					if !fleet[s] {
+						return fmt.Errorf("hierarchy group %q names unknown site %q", g.Name, s)
+					}
+				}
+				if err := stray(g.Groups); err != nil {
+					return err
+				}
 			}
-			cfg.Topology = topo
+			return nil
+		}
+		if err := stray(h.Groups); err != nil {
+			return fail("%w", err)
+		}
+		cfg.Hierarchy, cfg.Reclaim, cfg.ReclaimLatency = tree, h.Reclaim, h.ReclaimLatency
+		if h.RTTClasses != nil {
+			if cfg.Topology, err = federation.Hierarchical(names, tree.Levels(), *h.RTTClasses); err != nil {
+				return fail("%w", err)
+			}
 		}
 	}
 	if len(sc.Chaos.Faults) > 0 {
@@ -668,11 +609,9 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 		if chaosSeed >= 0 {
 			seed = uint64(chaosSeed)
 		}
-		eng, err := chaos.New(chaos.Config{Sites: len(sc.Fleet), Seed: seed, Faults: sc.Chaos.Faults})
-		if err != nil {
-			return cfg, err
+		if cfg.Faults, err = chaos.New(chaos.Config{Sites: n, Seed: seed, Faults: sc.Chaos.Faults}); err != nil {
+			return fail("%w", err)
 		}
-		cfg.Faults = eng
 	}
 	return cfg, nil
 }

@@ -165,11 +165,46 @@ func TestBuildChaosSeedOverride(t *testing.T) {
 	}
 }
 
+// unnamedSite is one fleet item without a name.
+const unnamedSite = "  - nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"
+
 // matrixScenario is a two-site scenario whose matrix-ms rows are lines
 // 6 and 7.
 func matrixScenario(row0, row1 string) string {
-	site := "  - nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"
-	return "name: x\nduration: 1m\ntopology:\n  kind: matrix\n  matrix-ms:\n    - " + row0 + "\n    - " + row1 + "\nfleet:\n" + site + site
+	return "name: x\nduration: 1m\ntopology:\n  kind: matrix\n  matrix-ms:\n    - " + row0 + "\n    - " + row1 + "\nfleet:\n" + unnamedSite + unnamedSite
+}
+
+// withGeofence sets validScenario's site-1 squeezenet min-containers to
+// squeezenet and deploys geofence next to it with min-containers
+// geofence; an empty value leaves the key out.
+func withGeofence(squeezenet, geofence string) string {
+	key := func(v string) string {
+		if v == "" {
+			return ""
+		}
+		return "        min-containers: " + v + "\n"
+	}
+	src := strings.Replace(validScenario, "        min-containers: 1\n", key(squeezenet), 1)
+	return strings.Replace(src, "          - rate: 5\n", "          - rate: 5\n      - spec: geofence\n"+key(geofence)+"        workload:\n          - rate: 5\n", 1)
+}
+
+// TestPoolFloorIsPerSite: min-containers sets the floor of the site's one
+// pool, so one value, or several that agree, is that site's floor and a
+// site that sets none keeps 1.
+func TestPoolFloorIsPerSite(t *testing.T) {
+	for _, c := range []struct{ squeezenet, geofence string }{{"3", "3"}, {"", "3"}, {"3", ""}} {
+		sc, err := Parse([]byte(withGeofence(c.squeezenet, c.geofence)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := sc.Build(-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got0, got1 := cfg.Sites[0].Controller.MinContainers, cfg.Sites[1].Controller.MinContainers; got0 != 1 || got1 != 3 {
+			t.Errorf("min-containers %q/%q: site floors %d, %d; want 1, 3", c.squeezenet, c.geofence, got0, got1)
+		}
+	}
 }
 
 func TestScenarioValidationRejections(t *testing.T) {
@@ -200,6 +235,19 @@ func TestScenarioValidationRejections(t *testing.T) {
 		{"negative min-containers", strings.Replace(validScenario, "min-containers: 1", "min-containers: -2", 1), `fleet site 1 function "squeezenet": negative prewarm (1) or min-containers (-2)`},
 		{"negative prewarm", strings.Replace(validScenario, "prewarm: 1", "prewarm: -3", 1), `fleet site 0 function "squeezenet": negative prewarm (-3)`},
 		{"negative max-violation-rate", validScenario + "  max-violation-rate: -0.5\n", "max-violation-rate -0.5 is negative"},
+		{"zero nodes", strings.Replace(validScenario, "nodes: 2", "nodes: 0", 1), "fleet site 1 needs positive nodes/cpu-per-node/mem-per-node"},
+		{"negative cpu-per-node", strings.Replace(validScenario, "cpu-per-node: 4000", "cpu-per-node: -1", 1), "fleet site 0 needs positive nodes/cpu-per-node/mem-per-node"},
+		{"zero mem-per-node", strings.Replace(validScenario, "mem-per-node: 4096", "mem-per-node: 0", 1), "fleet site 1 needs positive nodes/cpu-per-node/mem-per-node"},
+		{"site without functions", "name: x\nduration: 1m\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n", "fleet site 0 deploys no functions"},
+		{"function without spec", strings.Replace(validScenario, "      - spec: squeezenet\n        prewarm: 1\n        min-containers: 1", "      - prewarm: 1\n        min-containers: 1", 1), "fleet site 1 has a function without a spec"},
+		{"function without workload", "name: x\nduration: 1m\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n", `fleet site 0 function "squeezenet" has no workload`},
+		{"coordinator site out of range", strings.Replace(validScenario, "  election: centroid", "  site: 2", 1), "coordinator site 2 out of range [0, 2)"},
+		{"star with a matrix", strings.Replace(validScenario, "  rtt: 5ms", "  rtt: 5ms\n  matrix-ms:\n    - [0, 1]\n    - [1, 0]", 1), `topology kind "star" does not take a matrix`},
+		{"matrix row length", matrixScenario("[0, 1]", "[1]"), "topology matrix row 1 has 1 cells for 2 sites"},
+		{"unknown topology kind", strings.Replace(validScenario, "kind: star", "kind: mesh", 1), `topology kind "mesh" is not ring/star/matrix`},
+		{"duplicate effective site name", "name: x\nduration: 1m\nfleet:\n" + unnamedSite + strings.Replace(unnamedSite, "  - ", "  - name: edge-0\n    ", 1), `duplicate fleet site name "edge-0"`},
+		{"two pool floors at one site", withGeofence("1", "3"), "fleet site 1 sets min-containers 1 and 3"},
+		{"hierarchy without groups", strings.Replace(validScenario, "topology:\n", "hierarchy:\n  reclaim: false\ntopology:\n", 1), "hierarchy declares no groups"},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.src))
