@@ -11,7 +11,11 @@
 //     capacity on the site → user → function tree
 //     (fairshare.AllocateTree). A site's entitlement may exceed its
 //     physical capacity — the excess is demand the federation owes it
-//     somewhere else.
+//     somewhere else. The Allocator divides this tree in two levels: once
+//     over the sites as stubs carrying their total desire, then each
+//     site's own subtree against its stub's grant — only for sites whose
+//     demand or grant changed since the previous epoch. The leaves come
+//     out bit for bit as in the one-level division.
 //  2. Feasibility: each site's enforceable grants are clamped to its
 //     physical capacity by re-running the site's subtree against that
 //     capacity, fair-sharing any shortfall with the same weights.

@@ -1,6 +1,7 @@
 package allocation
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -288,6 +289,68 @@ func TestAllocateRejectsNonFiniteWeights(t *testing.T) {
 			if !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "capacity") {
 				t.Errorf("%s %v: error %q should name the %s", c.name, bad, err, c.want)
 			}
+		}
+	}
+}
+
+// TestCrossSiteIDCollisionFails: site "a" serving function "b" has a leaf
+// "site:a/b", which is also the ID of site "a/b". The fair-share tree must
+// reject the collision — one-shot, and on every repeat of the same input
+// to a warm Allocator, flat or under a two-metro hierarchy, because a
+// failed epoch must not leave the ID check behind it. Once the colliding
+// site leaves, the warm Allocator must answer like a fresh one: the
+// failed epochs updated site "a" in place without committing its
+// entitlement, while its grant stayed at its full capacity.
+func TestCrossSiteIDCollisionFails(t *testing.T) {
+	const want = `fairshare: duplicate node id "site:a/b"`
+	siteA := func(c int64) SiteDemand {
+		return SiteDemand{Site: "a", CapacityCPU: 1000, Functions: []FunctionDemand{
+			{Name: "b", Weight: 1, DesiredCPU: 1500},
+			{Name: "c", Weight: 1, DesiredCPU: c},
+		}}
+	}
+	colliding := func() []SiteDemand {
+		return []SiteDemand{
+			siteA(300),
+			{Site: "a/b", CapacityCPU: 1000, Functions: []FunctionDemand{{Name: "c", Weight: 1, DesiredCPU: 300}}},
+		}
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", what, err, want)
+		}
+	}
+	_, err := Allocate(colliding(), true)
+	check("one-shot", err)
+
+	twoMetros := &Hierarchy{Root: &Group{ID: "root", Children: []*Group{
+		{ID: "m1", Sites: []string{"a"}},
+		{ID: "m2", Sites: []string{"a/b"}},
+	}}}
+	for _, h := range []*Hierarchy{nil, twoMetros} {
+		a := NewAllocator()
+		if err := a.SetHierarchy(h, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Allocate([]SiteDemand{siteA(400)}, true); err != nil {
+			t.Fatal(err)
+		}
+		for epoch := 0; epoch < 3; epoch++ {
+			_, err := a.Allocate(colliding(), true)
+			check(fmt.Sprintf("hierarchy %v, epoch %d", h != nil, epoch), err)
+		}
+		alone := []SiteDemand{siteA(300)}
+		got, err := a.Allocate(alone, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := allocateHierarchical(h, alone, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffHierResults(fresh, got); d != "" {
+			t.Errorf("hierarchy %v, after the collision: %s", h != nil, d)
 		}
 	}
 }

@@ -22,6 +22,21 @@ import (
 //     their pass-2 feasibility clamp. A site whose function names, users
 //     and weights are unchanged updates its subtrees in place; only a
 //     structural change rebuilds them.
+//   - Pass 1 divides in two levels. The upper division runs over the
+//     group vertices with each site mounted as a one-node stub that
+//     carries the site's total desire — about a tenth of the full tree's
+//     nodes. A site then re-divides its own subtree against its stub's
+//     grant only when it is dirty, has no cached entitlement, or its grant
+//     moved since last epoch; otherwise it keeps its entitlement. Both
+//     give the leaves of the full division bit for bit: the parent sees a
+//     subtree only through its total desire, and a subtree granted at
+//     least its total hands every leaf its desire either way
+//     (fairshare's TestSubtreeStubComposes).
+//   - Node IDs are checked for duplicates (fairshare.ValidateTree) on the
+//     fully mounted tree only when they can have changed: after a site
+//     rebuild, a relayout, SetHierarchy, or a failed epoch. Every
+//     division skips that check; every value is still validated every
+//     epoch.
 //   - Work is keyed by position, not by name: every per-function quantity
 //     (entitlement, deserved quota, clamp, grants, local allocation) is a
 //     slice in the site's Functions order, the passes address sites by
@@ -49,11 +64,14 @@ type Allocator struct {
 	res    Result
 
 	root     *fairshare.Node
-	entitled map[string]int64 // pass-1 output by leaf ID, copied onto the caches
-	leafOut  map[string]int64 // per-site clamp and local divisions
+	upperOut map[string]int64 // pass 1's division over the stubs, by stub ID
+	leafOut  map[string]int64 // per-site divisions: entitlement, clamp and local
 	spare    []int64          // by site position
 	inPool   []bool           // by site position: counted in this round's pool
 	allIdx   []int            // the flat federation's one spread scope
+
+	checkIDs  bool // check node IDs on the fully mounted tree this epoch
+	redivided int  // site subtrees pass 1 divided this epoch
 
 	siteSet, fnSet map[string]bool // validate's sets
 
@@ -91,10 +109,11 @@ type siteCache struct {
 	prev SiteDemand
 
 	// tree is the site's scheduling subtree with raw desires at the leaves.
-	// Pass 1 mounts it under the federation root (its weight is the site
-	// weight) and the drift pass re-divides it against the site's own
-	// capacity — AllocateTree never reads the root node's weight, so one
-	// tree serves both, exactly as two separately built subtrees would.
+	// Pass 1 divides it against the stub's grant and the drift pass against
+	// the site's own capacity — a division never reads the root node's
+	// weight, so one tree serves both, exactly as two separately built
+	// subtrees would. Its weight is the site weight, so the fully mounted
+	// tree whose IDs ValidateTree checks is the one-shot allocator's.
 	tree       *fairshare.Node
 	wantTree   *fairshare.Node   // same shape; leaves carry the clamp input
 	treeLeaves []*fairshare.Node // tree leaves
@@ -104,9 +123,16 @@ type siteCache struct {
 	fnIndex    map[string]int    // function name → Functions index
 	fnIDs      []int32           // interned function names
 
-	dirty    bool    // the report changed this epoch
-	entitled []int64 // pass 1
-	deserved []int64 // hierarchical deserved quota
+	// stub stands in for tree in pass 1's upper division: tree's ID and
+	// weight, and Desired the site's total desire, refreshed only when the
+	// site is dirty.
+	stub *fairshare.Node
+
+	dirty        bool    // the report changed this epoch
+	entitled     []int64 // pass 1: tree divided against grant
+	grant        int64   // the stub's pass-1 grant entitled was divided from
+	haveEntitled bool
+	deserved     []int64 // hierarchical deserved quota
 
 	want     []int64 // last clamp input: min(entitled, desired)
 	wantNext []int64 // this epoch's clamp input, swapped into want
@@ -143,8 +169,9 @@ type host struct {
 func NewAllocator() *Allocator {
 	return &Allocator{
 		caches:   make(map[string]*siteCache),
-		entitled: make(map[string]int64),
+		upperOut: make(map[string]int64),
 		leafOut:  make(map[string]int64),
+		checkIDs: true,
 		siteSet:  make(map[string]bool),
 		fnSet:    make(map[string]bool),
 		fnID:     make(map[string]int32),
@@ -184,10 +211,13 @@ func sameShape(a *SiteDemand, b *SiteDemand) bool {
 
 // fail invalidates every cached intermediate before surfacing err: an epoch
 // abandoned partway may have swapped want vectors or rebuilt trees without
-// committing matching grants, so nothing may be reused afterwards.
+// committing matching grants, so nothing may be reused afterwards, and the
+// next epoch checks node IDs again — the same input must fail the same way.
 func (a *Allocator) fail(err error) (*Result, error) {
 	a.havePrev = false
+	a.checkIDs = true
 	for _, c := range a.caches {
+		c.haveEntitled = false
 		c.haveWant = false
 		c.haveLocal = false
 	}
@@ -216,6 +246,7 @@ func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 	id := "site:" + s.Site
 	c.tree = subtree(c.prev, id, treeWeight(s.Weight), nil)
 	c.wantTree = subtree(c.prev, id, 1, nil)
+	c.stub = &fairshare.Node{ID: id, Weight: c.tree.Weight, Desired: totalDesire(s)}
 
 	n := len(c.prev.Functions)
 	if c.fnIndex == nil {
@@ -237,8 +268,18 @@ func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 	c.entitled = resize(c.entitled, n)
 	c.deserved = resize(c.deserved, n)
 	c.local = resize(c.local, n)
+	c.haveEntitled = false
 	c.haveWant = false
 	c.haveLocal = false
+}
+
+// totalDesire is the site's Σ DesiredCPU, its stub's desire.
+func totalDesire(s *SiteDemand) int64 {
+	var d int64
+	for _, fd := range s.Functions {
+		d += fd.DesiredCPU
+	}
+	return d
 }
 
 // collect walks the two same-shaped subtrees in step, indexing their
@@ -257,7 +298,8 @@ func (c *siteCache) collect(t, w *fairshare.Node, prefix int) {
 }
 
 // update applies a report with the cached shape (sameShape) in place: new
-// desires at the tree leaves, capacity, and the site weight.
+// desires at the tree leaves, capacity, and the site weight, on the tree
+// and its stub.
 func (c *siteCache) update(s *SiteDemand) {
 	c.prev.Weight = s.Weight
 	c.prev.CapacityCPU = s.CapacityCPU
@@ -266,6 +308,7 @@ func (c *siteCache) update(s *SiteDemand) {
 	for j, l := range c.treeLeaves {
 		l.Desired = s.Functions[j].DesiredCPU
 	}
+	c.stub.Weight, c.stub.Desired = c.tree.Weight, totalDesire(s)
 	c.haveLocal = false
 }
 
@@ -283,7 +326,7 @@ func (c *siteCache) clampSite(capped bool, out map[string]int64) error {
 	for j, l := range c.leaves {
 		l.Desired = c.want[j]
 	}
-	if err := fairshare.AllocateTreeInto(c.wantTree, c.prev.CapacityCPU, capped, out); err != nil {
+	if err := fairshare.DivideTreeInto(c.wantTree, c.prev.CapacityCPU, capped, out); err != nil {
 		return err
 	}
 	c.clamp = c.clamp[:0]
@@ -303,6 +346,7 @@ func (c *siteCache) clampSite(capped bool, out map[string]int64) error {
 // must have just succeeded, leaving every site name in a.siteSet.
 func (a *Allocator) relayout(sites []SiteDemand) error {
 	a.layout = false
+	a.checkIDs = true
 	if a.hier != nil {
 		for i := range sites {
 			if _, ok := a.hierSites[sites[i].Site]; !ok {
@@ -337,6 +381,37 @@ func (a *Allocator) relayout(sites []SiteDemand) error {
 	return nil
 }
 
+// mountSites hangs each site's pass-1 node under the federation root, in
+// site order, or in hierarchical mode under its leaf group's vertex, in
+// declaration order: the full subtree when full is set — the tree whose
+// node IDs ValidateTree checks — and otherwise the stub the division runs
+// over. A group none of whose sites is present is a zero-desire leaf of
+// the division.
+func (a *Allocator) mountSites(full bool) {
+	node := func(c *siteCache) *fairshare.Node {
+		if full {
+			return c.tree
+		}
+		return c.stub
+	}
+	if a.hier == nil {
+		a.root.Children = a.root.Children[:0]
+		for _, c := range a.sc {
+			a.root.Children = append(a.root.Children, node(c))
+		}
+		return
+	}
+	for _, g := range a.groups {
+		if !g.leaf {
+			continue
+		}
+		g.node.Children = g.node.Children[:0]
+		for _, i := range g.mount {
+			g.node.Children = append(g.node.Children, node(a.sc[i]))
+		}
+	}
+}
+
 // sameLayout reports whether sites has the names, in order, the position
 // lists were last computed for.
 func (a *Allocator) sameLayout(sites []SiteDemand) bool {
@@ -355,6 +430,7 @@ func (a *Allocator) sameLayout(sites []SiteDemand) bool {
 // epoch already established. The semantics — and the bits of the result —
 // are exactly Allocate's; see the package comment for the three passes.
 func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
+	a.redivided = 0
 	// Fast path: inputs identical to the previous successful epoch — the
 	// steady state between demand shifts. The cached result is that epoch's
 	// answer, which is the answer for these inputs too; nothing allocates.
@@ -383,6 +459,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		// The water-filling refinement changes every division; nothing
 		// cached under the other flag may be reused.
 		for _, c := range a.caches {
+			c.haveEntitled = false
 			c.haveWant = false
 			c.haveLocal = false
 		}
@@ -407,6 +484,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 			rebuilt = true
 		}
 	}
+	a.checkIDs = a.checkIDs || rebuilt
 	if rebuilt && len(a.fnID) > 2*slots+64 {
 		clear(a.fnID)
 		for _, c := range a.sc {
@@ -429,35 +507,43 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	a.res.DriftCPU = 0
 	a.res.ReclaimedCPU = 0
 	a.res.Reclaims = a.res.Reclaims[:0]
-	for i := range sites {
-		a.res.TotalCapacityCPU += sites[i].CapacityCPU
-		for _, fd := range sites[i].Functions {
-			a.res.TotalDesiredCPU += fd.DesiredCPU
-		}
+	for _, c := range a.sc {
+		a.res.TotalCapacityCPU += c.prev.CapacityCPU
+		a.res.TotalDesiredCPU += c.stub.Desired
 	}
 
 	// Pass 1 — entitlement: capped water-filling over the federation's
-	// total edge capacity, site → user → function. Clean sites mount their
-	// cached subtree unchanged; only the child lists that hold site trees
-	// are refilled (a rebuilt site has a new tree). In hierarchical mode
-	// the site trees mount under their group vertices instead — a depth-1
-	// hierarchy (one leaf group over every site) collapses to the identical
-	// flat tree, which is what keeps it bit-for-bit with the flat allocator.
-	if a.hier == nil {
-		a.root.Children = a.root.Children[:0]
-		for _, c := range a.sc {
-			a.root.Children = append(a.root.Children, c.tree)
+	// total edge capacity, site → user → function. In hierarchical mode
+	// the sites mount under their group vertices — a depth-1 hierarchy
+	// (one leaf group over every site) collapses to the identical flat
+	// tree, which is what keeps it bit-for-bit with the flat allocator.
+	// The node IDs are checked on the fully mounted tree when they may
+	// have changed; the division itself runs over the site stubs, and only
+	// a site that is dirty or whose grant moved re-divides its subtree.
+	if a.checkIDs {
+		a.mountSites(true)
+		if err := fairshare.ValidateTree(a.root); err != nil {
+			return a.fail(err)
 		}
-	} else {
-		a.mountSites()
+		a.checkIDs = false
 	}
-	if err := fairshare.AllocateTreeInto(a.root, a.res.TotalCapacityCPU, capped, a.entitled); err != nil {
+	a.mountSites(false)
+	if err := fairshare.DivideTreeInto(a.root, a.res.TotalCapacityCPU, capped, a.upperOut); err != nil {
 		return a.fail(err)
 	}
 	for _, c := range a.sc {
-		for j, id := range c.leafIDs {
-			c.entitled[j] = a.entitled[id]
+		g := a.upperOut[c.stub.ID]
+		if !c.dirty && c.haveEntitled && g == c.grant {
+			continue
 		}
+		if err := fairshare.DivideTreeInto(c.tree, g, capped, a.leafOut); err != nil {
+			return a.fail(err)
+		}
+		for j, id := range c.leafIDs {
+			c.entitled[j] = a.leafOut[id]
+		}
+		c.grant, c.haveEntitled = g, true
+		a.redivided++
 	}
 	if a.hier != nil {
 		// Deserved quotas: demand-independent guaranteed shares cascaded
@@ -707,7 +793,7 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 	// site's own demand report, so clean sites reuse last epoch's.
 	for _, c := range a.sc {
 		if !c.haveLocal {
-			if err := fairshare.AllocateTreeInto(c.tree, c.prev.CapacityCPU, capped, a.leafOut); err != nil {
+			if err := fairshare.DivideTreeInto(c.tree, c.prev.CapacityCPU, capped, a.leafOut); err != nil {
 				return a.fail(err)
 			}
 			for j, id := range c.leafIDs {

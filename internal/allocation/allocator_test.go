@@ -541,6 +541,68 @@ func TestAllocatorAllocsScaleWithDirtySites(t *testing.T) {
 	}
 }
 
+// TestPass1RedividesInProportionToChurn counts the site subtrees pass 1
+// re-divides on the control_churn-shaped federation while k sites change
+// one desire per epoch. Under capacity no level of the tree is overloaded,
+// every stub is granted its total, and exactly the k dirty sites
+// re-divide. Over capacity a moved desire shifts grants elsewhere too, so
+// the count is logged and only bounded by the fleet. Every epoch must
+// match the one-shot allocation.
+func TestPass1RedividesInProportionToChurn(t *testing.T) {
+	for _, over := range []bool{false, true} {
+		h, sites := churnFederation()
+		var capacity, desire int64
+		for i := range sites {
+			if over {
+				sites[i].CapacityCPU /= 2
+			}
+			capacity += sites[i].CapacityCPU
+			desire += totalDesire(&sites[i])
+		}
+		if over != (desire > capacity) {
+			t.Fatalf("test premise broken: over=%v with %d mC desired of %d mC", over, desire, capacity)
+		}
+		a := NewAllocator()
+		if err := a.SetHierarchy(h, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Allocate(sites, true); err != nil {
+			t.Fatal(err)
+		}
+		epoch := 0
+		for _, k := range []int{0, 1, 5, 20} {
+			total := 0
+			for range 10 {
+				epoch++
+				for d := 0; d < k; d++ {
+					s := &sites[(epoch*k+d)%len(sites)]
+					s.Functions[epoch%len(s.Functions)].DesiredCPU ^= 256
+				}
+				got, err := a.Allocate(sites, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := allocateHierarchical(h, sites, true, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := diffHierResults(want, got); d != "" {
+					t.Fatalf("over=%v k=%d epoch %d: %s", over, k, epoch, d)
+				}
+				n := a.redivided
+				total += n
+				if !over && n != k {
+					t.Errorf("under capacity, k=%d dirty sites: %d subtrees re-divided, want %d", k, n, k)
+				}
+				if over && n >= len(sites) {
+					t.Errorf("over capacity, k=%d dirty sites: every one of %d subtrees re-divided", k, n)
+				}
+			}
+			t.Logf("over=%v k=%d dirty sites: %.1f of %d site subtrees re-divided per epoch", over, k, float64(total)/10, len(sites))
+		}
+	}
+}
+
 // TestAllocatorSteadyStateZeroAllocs is the perf contract the federation
 // epoch loop relies on: when no site's demand report changed since the last
 // epoch, Allocate performs zero heap allocations.

@@ -156,16 +156,19 @@ type Reclaim struct {
 }
 
 // SetHierarchy switches the allocator between the flat federation (nil)
-// and a region→metro→site capacity tree: pass 1 mounts site subtrees
-// under the hierarchy's groups, pass 3 water-fills displaced entitlement
-// level by level (metro first, then outward), and — with reclaim enabled —
-// a final pass preempts borrowed capacity at metro peers for functions
-// starved of their deserved quota. The group vertices are built here, so
-// h must not change until the next SetHierarchy call. The previous result is
-// invalidated so the steady-state fast path can never serve an answer
-// computed under a different tree; per-site clamp and local-allocation
-// caches stay valid (they depend only on each site's own demand and want
-// vector).
+// and a region→metro→site capacity tree: pass 1 mounts the site stubs
+// under the hierarchy's groups for its upper division, pass 3 water-fills
+// displaced entitlement level by level (metro first, then outward), and —
+// with reclaim enabled — a final pass preempts borrowed capacity at metro
+// peers for functions starved of their deserved quota. The group vertices
+// are built here, so h must not change until the next SetHierarchy call.
+// The previous result is invalidated so the steady-state fast path can
+// never serve an answer computed under a different tree, and the next
+// epoch checks the node IDs of the newly mounted tree. Per-site caches
+// stay valid: the clamp and local allocation depend only on each site's
+// own demand and want vector, and the entitlement on the site's subtree
+// and its stub's grant, which a site re-divides for if the new tree moves
+// it.
 func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
 	if h != nil {
 		if err := h.Validate(); err != nil {
@@ -176,6 +179,7 @@ func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
 	a.reclaim = reclaim && h != nil
 	a.havePrev = false
 	a.layout = false
+	a.checkIDs = true
 	a.hierSites = nil
 	a.groups = a.groups[:0]
 	if h != nil {
@@ -191,7 +195,7 @@ type hierGroup struct {
 	g        *Group
 	node     *fairshare.Node
 	children []*hierGroup // interior groups only
-	leaf     bool         // a metro: lists sites, mounts their subtrees
+	leaf     bool         // a metro: lists sites, mounts its sites
 	mount    []int        // leaf: present members' positions, in declaration order
 	idxs     []int        // every member's position, ascending: the spread scope
 }
@@ -200,10 +204,10 @@ type hierGroup struct {
 // each group to a.groups after its children. Interior groups become
 // internal nodes over their child groups' nodes, IDs prefixed "group:" so
 // they can never collide with "site:..." subtree IDs; leaf groups mount
-// their member sites' cached subtrees each epoch (mountSites). The root
-// group's node is the federation root itself, so a root that is a leaf
-// group mounts the site trees directly under it — exactly the flat tree,
-// which is what makes depth-1 bit-identical.
+// their member sites' stubs each epoch (mountSites). The root group's node
+// is the federation root itself, so a root that is a leaf group mounts the
+// sites directly under it — exactly the flat tree, which is what makes
+// depth-1 bit-identical.
 func (a *Allocator) buildGroup(g *Group, n *fairshare.Node) *hierGroup {
 	hg := &hierGroup{g: g, node: n, leaf: len(g.Sites) > 0}
 	n.Children = nil
@@ -239,24 +243,10 @@ func (a *Allocator) placeGroups(sites []SiteDemand) {
 	}
 }
 
-// mountSites hangs each leaf group's present member subtrees under its
-// vertex, in declaration order. A group none of whose sites is present
-// is a zero-desire leaf of the division.
-func (a *Allocator) mountSites() {
-	for _, g := range a.groups {
-		if !g.leaf {
-			continue
-		}
-		g.node.Children = g.node.Children[:0]
-		for _, i := range g.mount {
-			g.node.Children = append(g.node.Children, a.sc[i].tree)
-		}
-	}
-}
-
-// cascadeDeserved walks the mounted tree assigning every node its
-// deserved quota — ⌊ω/Σω_siblings · parent's deserved⌋ — and records the
-// per-function result on each site's cache. Unlike the entitlement pass
+// cascadeDeserved walks the group vertices, through the mounted site
+// stubs into each site's subtree, assigning every node its deserved quota
+// — ⌊ω/Σω_siblings · parent's deserved⌋ — and records the per-function
+// result on each site's cache. Unlike the entitlement pass
 // this ignores demand entirely: deserved is what a queue is owed
 // unconditionally.
 func (a *Allocator) cascadeDeserved(g *hierGroup, share int64) {

@@ -8,6 +8,12 @@
 // container count times its per-container CPU size, and its guaranteed
 // share is ω_i/Σω_j of the cluster's total CPU (Eq 7). Working in integer
 // units keeps the floor operations of Eqs 7-8 exact.
+//
+// A tree is checked and divided in two steps: ValidateTree rejects
+// structural errors, duplicate node IDs included, and DivideTreeInto
+// divides a tree that passed. AllocateTree runs both. A caller that
+// divides trees of an unchanged shape every epoch validates only when the
+// shape changes, and may divide any subtree on its own.
 package fairshare
 
 import (
@@ -35,8 +41,8 @@ type Allocation struct {
 }
 
 // validate checks demands for structural errors. seen, when non-nil, also
-// rejects duplicate IDs; the tree division passes nil because its
-// whole-tree validation already rejected every duplicate.
+// rejects duplicate IDs; the tree division passes nil because node IDs
+// are ValidateTree's to check.
 func validate(demands []Demand, capacity int64, seen map[string]bool) error {
 	if capacity < 0 {
 		return fmt.Errorf("fairshare: negative capacity %d", capacity)
@@ -205,29 +211,31 @@ func (n *Node) Leaf() bool { return len(n.Children) == 0 }
 // recursively subdivided. The returned map contains one entry per leaf.
 // capped selects AdjustCapped (true) or the paper-faithful Adjust (false)
 // at every level.
+//
+// AllocateTree is ValidateTree followed by DivideTreeInto into a fresh
+// map; neither mutates the tree.
 func AllocateTree(root *Node, capacity int64, capped bool) (map[string]int64, error) {
+	if err := ValidateTree(root); err != nil {
+		return nil, err
+	}
 	out := make(map[string]int64)
-	if err := AllocateTreeInto(root, capacity, capped, out); err != nil {
+	if err := DivideTreeInto(root, capacity, capped, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// AllocateTreeInto is AllocateTree with a caller-owned result map: out is
-// cleared and refilled with one entry per leaf. Steady-state callers — the
-// federation's incremental allocator re-clamps site subtrees every epoch —
-// reuse one map instead of allocating a fresh one per call. The division
-// itself is identical to AllocateTree's; neither variant mutates the tree.
+// ValidateTree checks the whole tree for structural errors: duplicate node
+// IDs (internal or leaf, across any branches), negative or non-finite
+// weights, and negative leaf desires at any depth. The first error in
+// preorder is returned.
 //
-// The whole tree is validated up front: duplicate node IDs (internal or
-// leaf, across any branches), negative or non-finite weights, and negative
-// leaf desires at any depth fail before any capacity is divided, leaving
-// out untouched.
-//
-// The division works in reused scratch (treeScratch), so a call allocates
-// nothing beyond out's own growth once the scratch has seen a tree that
-// large.
-func AllocateTreeInto(root *Node, capacity int64, capped bool, out map[string]int64) error {
+// Node IDs are the only property DivideTreeInto does not check again, and
+// they change only with the tree's shape: a caller that divides the same
+// tree every epoch — the federation's allocator — validates it once per
+// structural change and divides it, or any of its subtrees, without
+// hashing every ID again.
+func ValidateTree(root *Node) error {
 	if root == nil {
 		return fmt.Errorf("fairshare: nil tree")
 	}
@@ -235,7 +243,33 @@ func AllocateTreeInto(root *Node, capacity int64, capped bool, out map[string]in
 	if shared {
 		defer scratch.mu.Unlock()
 	}
-	if err := s.validateTree(root); err != nil {
+	return s.measure(root, true)
+}
+
+// DivideTreeInto is AllocateTree's division with a caller-owned result
+// map, for a tree (or a subtree of one) that ValidateTree accepted since
+// its shape last changed: out is cleared and refilled with one entry per
+// leaf. Steady-state callers reuse one map instead of allocating a fresh
+// one per call.
+//
+// Every check ValidateTree makes except ID uniqueness is repeated before
+// any capacity is divided, leaving out untouched on error, and each
+// sibling group is validated again as it is divided. A tree with duplicate
+// IDs is divided as if they were distinct, and later leaves overwrite
+// earlier ones in out.
+//
+// The division works in reused scratch (treeScratch), so a call allocates
+// nothing beyond out's own growth once the scratch has seen a tree that
+// large.
+func DivideTreeInto(root *Node, capacity int64, capped bool, out map[string]int64) error {
+	if root == nil {
+		return fmt.Errorf("fairshare: nil tree")
+	}
+	s, shared := acquireScratch()
+	if shared {
+		defer scratch.mu.Unlock()
+	}
+	if err := s.measure(root, false); err != nil {
 		return err
 	}
 	clear(out)
@@ -247,10 +281,10 @@ func AllocateTreeInto(root *Node, capacity int64, capped bool, out map[string]in
 }
 
 // seenCap bounds the scratch's duplicate-ID set: past it, the IDs of trees
-// divided earlier are dropped wholesale.
+// validated earlier are dropped wholesale.
 const seenCap = 1 << 16
 
-// treeScratch is AllocateTreeInto's working memory.
+// treeScratch is the working memory of ValidateTree and DivideTreeInto.
 //
 //   - seen marks the IDs of the tree being validated with this call's gen,
 //     so the set is never cleared between calls.
@@ -272,7 +306,7 @@ type treeScratch struct {
 }
 
 // scratch is the process's one reusable treeScratch. A caller that finds it
-// busy divides in a fresh one instead of waiting, so concurrent callers
+// busy works in a fresh one instead of waiting, so concurrent callers
 // never serialise on it. Nothing a call reads survives from an earlier
 // one (seen is stamped per call), so sharing cannot change an answer. It
 // is not a sync.Pool because the race detector makes a Pool drop items at
@@ -286,38 +320,45 @@ var scratch struct {
 // caller unlocks scratch.mu), or a fresh one when it is busy.
 func acquireScratch() (s *treeScratch, shared bool) {
 	if scratch.mu.TryLock() {
-		s, shared = &scratch.s, true
-	} else {
-		s = &treeScratch{}
+		return &scratch.s, true
 	}
-	if s.seen == nil || len(s.seen) > seenCap {
-		s.seen = make(map[string]uint32)
-	}
-	s.gen++
-	if s.gen == 0 {
-		clear(s.seen)
-		s.gen = 1
-	}
-	s.size, s.total = s.size[:0], s.total[:0]
-	return s, shared
+	return &treeScratch{}, false
 }
 
-// validateTree rejects structural errors anywhere in the tree and records
-// each node's subtree size and total desire. Weight 0 is allowed here —
-// roots conventionally carry no weight — and zero-weight children are
-// still rejected by validate when their sibling group is divided, so only
-// strictly negative (and non-finite) weights fail at this layer.
-func (s *treeScratch) validateTree(n *Node) error {
+// measure rejects structural errors anywhere in the tree — duplicate IDs
+// too when ids is set — and records each node's subtree size and total
+// desire. Weight 0 is allowed here — roots conventionally carry no weight
+// — and zero-weight children are still rejected by validate when their
+// sibling group is divided, so only strictly negative (and non-finite)
+// weights fail at this layer.
+func (s *treeScratch) measure(root *Node, ids bool) error {
+	if ids {
+		if s.seen == nil || len(s.seen) > seenCap {
+			s.seen = make(map[string]uint32)
+		}
+		s.gen++
+		if s.gen == 0 {
+			clear(s.seen)
+			s.gen = 1
+		}
+	}
+	s.size, s.total = s.size[:0], s.total[:0]
+	return s.walk(root, ids)
+}
+
+func (s *treeScratch) walk(n *Node, ids bool) error {
 	if n.Weight < 0 {
 		return fmt.Errorf("fairshare: node %q has negative weight %v", n.ID, n.Weight)
 	}
 	if math.IsNaN(n.Weight) || math.IsInf(n.Weight, 0) {
 		return fmt.Errorf("fairshare: node %q has non-finite weight %v", n.ID, n.Weight)
 	}
-	if s.seen[n.ID] == s.gen {
-		return fmt.Errorf("fairshare: duplicate node id %q", n.ID)
+	if ids {
+		if s.seen[n.ID] == s.gen {
+			return fmt.Errorf("fairshare: duplicate node id %q", n.ID)
+		}
+		s.seen[n.ID] = s.gen
 	}
-	s.seen[n.ID] = s.gen
 	pre := len(s.size)
 	s.size = append(s.size, 1)
 	s.total = append(s.total, n.Desired)
@@ -330,7 +371,7 @@ func (s *treeScratch) validateTree(n *Node) error {
 	s.total[pre] = 0
 	for _, c := range n.Children {
 		at := len(s.size)
-		if err := s.validateTree(c); err != nil {
+		if err := s.walk(c, ids); err != nil {
 			return err
 		}
 		s.size[pre] += s.size[at]

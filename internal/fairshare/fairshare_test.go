@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -310,11 +311,12 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 	}
 }
 
-// TestAllocateTreeIntoReusesScratch: dividing trees of different sizes
-// back to back — the shared scratch growing, then serving smaller trees
-// with stale IDs still in its set — gives the same answers as on first
-// use, a warm call allocates nothing, and concurrent callers agree.
-func TestAllocateTreeIntoReusesScratch(t *testing.T) {
+// TestDivideTreeIntoReusesScratch: validating and dividing trees of
+// different sizes back to back — the shared scratch growing, then serving
+// smaller trees with stale IDs still in its set — gives the same answers
+// as on first use, a warm call allocates nothing, and concurrent callers
+// agree.
+func TestDivideTreeIntoReusesScratch(t *testing.T) {
 	build := func(users, fns int, desire int64) *Node {
 		root := &Node{ID: "root"}
 		for u := 0; u < users; u++ {
@@ -345,7 +347,10 @@ func TestAllocateTreeIntoReusesScratch(t *testing.T) {
 			capped bool
 			want   map[string]int64
 		}{{big, 20_000, true, wantBig}, {small, 3_000, false, wantSmall}} {
-			if err := AllocateTreeInto(c.root, c.cap, c.capped, out); err != nil {
+			if err := ValidateTree(c.root); err != nil {
+				t.Fatal(err)
+			}
+			if err := DivideTreeInto(c.root, c.cap, c.capped, out); err != nil {
 				t.Fatal(err)
 			}
 			if !maps.Equal(out, c.want) {
@@ -354,12 +359,15 @@ func TestAllocateTreeIntoReusesScratch(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := AllocateTreeInto(big, 20_000, true, out); err != nil {
+		if err := ValidateTree(big); err != nil {
+			panic(err)
+		}
+		if err := DivideTreeInto(big, 20_000, true, out); err != nil {
 			panic(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm AllocateTreeInto allocated %.1f times per call, want 0", allocs)
+		t.Fatalf("warm ValidateTree and DivideTreeInto allocated %.1f times per call, want 0", allocs)
 	}
 
 	// Concurrent callers: one holds the shared scratch, the others divide
@@ -375,7 +383,11 @@ func TestAllocateTreeIntoReusesScratch(t *testing.T) {
 				if (g+i)%2 == 1 {
 					root, capacity, capped, want = small, 3_000, false, wantSmall
 				}
-				if err := AllocateTreeInto(root, capacity, capped, out); err != nil {
+				if err := ValidateTree(root); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := DivideTreeInto(root, capacity, capped, out); err != nil {
 					t.Error(err)
 					return
 				}
@@ -518,8 +530,8 @@ func TestAllocateTreeDeepValidation(t *testing.T) {
 	// Errors surface before any division: the caller-owned map is left
 	// untouched on failure.
 	out := map[string]int64{"stale": 7}
-	if err := AllocateTreeInto(negDeep, 100, true, out); err == nil {
-		t.Error("want error from AllocateTreeInto")
+	if err := DivideTreeInto(negDeep, 100, true, out); err == nil {
+		t.Error("want error from DivideTreeInto")
 	} else if out["stale"] != 7 {
 		t.Error("failed validation must not clear the caller's map")
 	}
@@ -543,27 +555,34 @@ func TestAllocateTreeDeepValidation(t *testing.T) {
 	}
 }
 
+// quickTree is the random tree the quick checks divide: a root over one
+// to three weighted users, each over one to three weighted leaves with
+// desires up to 4000.
+func quickTree(rng *xrand.Rand, k uint8) *Node {
+	users := int(k%3) + 1
+	root := &Node{ID: "root", Weight: 1}
+	leafID := 0
+	for u := 0; u < users; u++ {
+		user := &Node{ID: string(rune('A' + u)), Weight: float64(rng.Intn(3) + 1)}
+		for f := 0; f < rng.Intn(3)+1; f++ {
+			leafID++
+			user.Children = append(user.Children, &Node{
+				ID:      string(rune('a' + leafID)),
+				Weight:  float64(rng.Intn(3) + 1),
+				Desired: int64(rng.Intn(4000)),
+			})
+		}
+		root.Children = append(root.Children, user)
+	}
+	return root
+}
+
 func TestQuickTreeConservation(t *testing.T) {
 	// Total granted never exceeds capacity; leaves never exceed desires.
 	rng := xrand.New(31)
 	f := func(capRaw uint16, k uint8) bool {
 		capacity := int64(capRaw%8000) + 100
-		users := int(k%3) + 1
-		root := &Node{ID: "root", Weight: 1}
-		leafID := 0
-		for u := 0; u < users; u++ {
-			user := &Node{ID: string(rune('A' + u)), Weight: float64(rng.Intn(3) + 1)}
-			for f := 0; f < rng.Intn(3)+1; f++ {
-				leafID++
-				user.Children = append(user.Children, &Node{
-					ID:      string(rune('a' + leafID)),
-					Weight:  float64(rng.Intn(3) + 1),
-					Desired: int64(rng.Intn(4000)),
-				})
-			}
-			root.Children = append(root.Children, user)
-		}
-		grants, err := AllocateTree(root, capacity, true)
+		grants, err := AllocateTree(quickTree(rng, k), capacity, true)
 		if err != nil {
 			return false
 		}
@@ -577,6 +596,54 @@ func TestQuickTreeConservation(t *testing.T) {
 		return total <= capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSubtreeStubComposes is the lemma the federation's allocator divides
+// by: replace an internal node by a stub leaf with the node's ID and
+// weight and its subtree's total desire, divide that tree, then divide the
+// subtree against the stub's grant — every leaf gets exactly what the
+// division of the whole tree gives it. The stub's grant is
+// min(adjusted, total); when the subtree was adjusted more than its total,
+// both divisions hand every leaf below it its desire.
+func TestSubtreeStubComposes(t *testing.T) {
+	rng := xrand.New(37)
+	f := func(capRaw uint16, k uint8, capped bool) bool {
+		capacity := int64(capRaw%8000) + 100
+		root := quickTree(rng, k)
+		full, err := AllocateTree(root, capacity, capped)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		for i, sub := range root.Children {
+			stub := &Node{ID: sub.ID, Weight: sub.Weight}
+			for _, l := range sub.Children {
+				stub.Desired += l.Desired
+			}
+			upper := &Node{ID: root.ID, Weight: root.Weight, Children: slices.Clone(root.Children)}
+			upper.Children[i] = stub
+			got, err := AllocateTree(upper, capacity, capped)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			below, err := AllocateTree(sub, got[stub.ID], capped)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			delete(got, stub.ID)
+			maps.Copy(got, below)
+			if !maps.Equal(got, full) {
+				t.Logf("capacity %d capped %v, stub %q: composed %v, full %v", capacity, capped, stub.ID, got, full)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
