@@ -8,8 +8,8 @@
 // The allocator runs three passes:
 //
 //  1. Entitlement: capped water-filling over the federation's total edge
-//     capacity on the site → user → function tree
-//     (fairshare.AllocateTree). A site's entitlement may exceed its
+//     capacity on the site → user → function tree (fairshare.ValidateTree,
+//     then fairshare.DivideTreeInto). A site's entitlement may exceed its
 //     physical capacity — the excess is demand the federation owes it
 //     somewhere else. The Allocator divides this tree in two levels: once
 //     over the sites as stubs carrying their total desire, then each
@@ -162,7 +162,8 @@ func validate(sites []SiteDemand, seenSite, seenFn map[string]bool) error {
 		return fmt.Errorf("allocation: no sites")
 	}
 	clear(seenSite)
-	for _, s := range sites {
+	for i := range sites {
+		s := &sites[i]
 		if s.Site == "" {
 			return fmt.Errorf("allocation: site with empty name")
 		}
@@ -170,36 +171,46 @@ func validate(sites []SiteDemand, seenSite, seenFn map[string]bool) error {
 			return fmt.Errorf("allocation: duplicate site %q", s.Site)
 		}
 		seenSite[s.Site] = true
-		if s.CapacityCPU < 0 {
-			return fmt.Errorf("allocation: site %q has negative capacity %d", s.Site, s.CapacityCPU)
+		if err := validateSite(s, seenFn); err != nil {
+			return err
 		}
-		if s.Weight < 0 {
-			return fmt.Errorf("allocation: site %q has negative weight %v", s.Site, s.Weight)
+	}
+	return nil
+}
+
+// validateSite checks one report's capacity, weight and functions —
+// everything validate checks apart from the site names, which only the
+// whole list can. seenFn is caller-owned scratch, cleared here.
+func validateSite(s *SiteDemand, seenFn map[string]bool) error {
+	if s.CapacityCPU < 0 {
+		return fmt.Errorf("allocation: site %q has negative capacity %d", s.Site, s.CapacityCPU)
+	}
+	if s.Weight < 0 {
+		return fmt.Errorf("allocation: site %q has negative weight %v", s.Site, s.Weight)
+	}
+	if !finite(s.Weight) {
+		return fmt.Errorf("allocation: site %q has non-finite weight %v", s.Site, s.Weight)
+	}
+	clear(seenFn)
+	for _, fd := range s.Functions {
+		if fd.Name == "" {
+			return fmt.Errorf("allocation: site %q has a function with empty name", s.Site)
 		}
-		if !finite(s.Weight) {
-			return fmt.Errorf("allocation: site %q has non-finite weight %v", s.Site, s.Weight)
+		if seenFn[fd.Name] {
+			return fmt.Errorf("allocation: site %q has duplicate function %q", s.Site, fd.Name)
 		}
-		clear(seenFn)
-		for _, fd := range s.Functions {
-			if fd.Name == "" {
-				return fmt.Errorf("allocation: site %q has a function with empty name", s.Site)
-			}
-			if seenFn[fd.Name] {
-				return fmt.Errorf("allocation: site %q has duplicate function %q", s.Site, fd.Name)
-			}
-			seenFn[fd.Name] = true
-			if fd.Weight <= 0 {
-				return fmt.Errorf("allocation: site %q function %q has non-positive weight %v", s.Site, fd.Name, fd.Weight)
-			}
-			if !finite(fd.Weight) {
-				return fmt.Errorf("allocation: site %q function %q has non-finite weight %v", s.Site, fd.Name, fd.Weight)
-			}
-			if !finite(fd.UserWeight) {
-				return fmt.Errorf("allocation: site %q function %q has non-finite user weight %v", s.Site, fd.Name, fd.UserWeight)
-			}
-			if fd.DesiredCPU < 0 {
-				return fmt.Errorf("allocation: site %q function %q has negative desire %d", s.Site, fd.Name, fd.DesiredCPU)
-			}
+		seenFn[fd.Name] = true
+		if fd.Weight <= 0 {
+			return fmt.Errorf("allocation: site %q function %q has non-positive weight %v", s.Site, fd.Name, fd.Weight)
+		}
+		if !finite(fd.Weight) {
+			return fmt.Errorf("allocation: site %q function %q has non-finite weight %v", s.Site, fd.Name, fd.Weight)
+		}
+		if !finite(fd.UserWeight) {
+			return fmt.Errorf("allocation: site %q function %q has non-finite user weight %v", s.Site, fd.Name, fd.UserWeight)
+		}
+		if fd.DesiredCPU < 0 {
+			return fmt.Errorf("allocation: site %q function %q has negative desire %d", s.Site, fd.Name, fd.DesiredCPU)
 		}
 	}
 	return nil

@@ -32,11 +32,31 @@ import (
 //     subtree only through its total desire, and a subtree granted at
 //     least its total hands every leaf its desire either way
 //     (fairshare's TestSubtreeStubComposes).
+//   - Divisions return their grants by leaf position
+//     (fairshare.DivideTreeInto), mapped back through each site's leaf
+//     order and, for the upper division, a leaf → site-position index
+//     computed with the layout; no grant is looked up by name.
 //   - Node IDs are checked for duplicates (fairshare.ValidateTree) on the
 //     fully mounted tree only when they can have changed: after a site
 //     rebuild, a relayout, SetHierarchy, or a failed epoch. Every
-//     division skips that check; every value is still validated every
-//     epoch.
+//     division skips that check.
+//   - While the site order is unchanged, one comparison per site with its
+//     last report marks it dirty, serves the steady-state fast path, and
+//     picks the sites to validate: only dirty ones, because a clean site
+//     equals a report that already passed, under names the layout already
+//     checked. A changed order validates every site.
+//   - A site neither dirty nor re-divided in pass 1 keeps its clamp input
+//     without recomputing it.
+//   - Deserved quotas depend on no demand: they are cascaded again only
+//     when the total capacity, a site weight, the layout or the hierarchy
+//     changed, a site was rebuilt, or an epoch failed.
+//   - Spread scopes collect overflow only from sites that overflow after
+//     pass 2 — grants only grow during spreading, so no other site can
+//     start to — and list servers only at sites with spare left, the only
+//     ones a placement ever reads, since spare only shrinks.
+//   - Reclaim snapshots and sorts a metro's victims only when the first
+//     starved claim there survives netting; no transfer has happened
+//     before it, so the snapshot is the one taken up front.
 //   - Work is keyed by position, not by name: every per-function quantity
 //     (entitlement, deserved quota, clamp, grants, local allocation) is a
 //     slice in the site's Functions order, the passes address sites by
@@ -45,7 +65,9 @@ import (
 //     from the site order — the position of each cache, the hierarchy's
 //     mounted member lists and spread scopes — is recomputed only when the
 //     site names or their order change.
-//   - Scratch (result rows, the entitlement map, spare, pool, spread and
+//   - The result rows keep their site and function names until the layout
+//     changes or a site is rebuilt; other epochs rewrite only the numbers.
+//   - Scratch (result rows, division outputs, spare, pool, spread and
 //     reclaim lists, validation sets) persists across epochs, so an epoch
 //     whose inputs are entirely unchanged — the steady state between demand
 //     shifts — performs zero heap allocations and returns the previous
@@ -62,16 +84,26 @@ type Allocator struct {
 	sc     []*siteCache // caches in the epoch's site order
 	layout bool         // sc and the position lists match the last site order
 	res    Result
+	rows   bool // res.Grants has a row per function of sc, Site and Function set
 
-	root     *fairshare.Node
-	upperOut map[string]int64 // pass 1's division over the stubs, by stub ID
-	leafOut  map[string]int64 // per-site divisions: entitlement, clamp and local
-	spare    []int64          // by site position
-	inPool   []bool           // by site position: counted in this round's pool
-	allIdx   []int            // the flat federation's one spread scope
+	root      *fairshare.Node
+	upperOut  []int64 // pass 1's division over the stubs, in leaf preorder
+	upperSite []int   // site position of each upperOut leaf; -1 for a group with no site present
+	leafOut   []int64 // per-site divisions: entitlement, clamp and local
+	spare     []int64 // by site position
+	inPool    []bool  // by site position: counted in this round's pool
+	allIdx    []int   // the flat federation's one spread scope
 
-	checkIDs  bool // check node IDs on the fully mounted tree this epoch
-	redivided int  // site subtrees pass 1 divided this epoch
+	checkIDs     bool  // check node IDs on the fully mounted tree this epoch
+	haveDeserved bool  // every cache's deserved quota is cascaded from deservedCap
+	deservedCap  int64 // the total capacity the deserved quotas were cascaded from
+
+	// Per-epoch work counters, for the tests that hold warm epochs to the
+	// churn.
+	redivided   int      // site subtrees pass 1 divided
+	validated   int      // site reports validated
+	cascades    int      // deserved cascades run
+	snapshotted []string // leaf groups whose reclaim victims were snapshotted
 
 	siteSet, fnSet map[string]bool // validate's sets
 
@@ -119,7 +151,6 @@ type siteCache struct {
 	treeLeaves []*fairshare.Node // tree leaves
 	leaves     []*fairshare.Node // wantTree leaves
 	dfs        []int             // Functions index of each leaf, in tree order
-	leafIDs    []string          // "site:<name>/<fn>"
 	fnIndex    map[string]int    // function name → Functions index
 	fnIDs      []int32           // interned function names
 
@@ -132,6 +163,7 @@ type siteCache struct {
 	entitled     []int64 // pass 1: tree divided against grant
 	grant        int64   // the stub's pass-1 grant entitled was divided from
 	haveEntitled bool
+	moved        bool    // entitled was re-divided this epoch
 	deserved     []int64 // hierarchical deserved quota
 
 	want     []int64 // last clamp input: min(entitled, desired)
@@ -140,6 +172,7 @@ type siteCache struct {
 
 	clamp  []int64 // pass-2 clamp result — the reusable value
 	sum    int64   // Σ clamp
+	over   bool    // some clamp is below its input: the site overflows
 	grants []int64 // working grants this epoch: clamp plus pass-3 spread
 
 	local     []int64 // drift pass: the site's own local allocation
@@ -169,8 +202,6 @@ type host struct {
 func NewAllocator() *Allocator {
 	return &Allocator{
 		caches:   make(map[string]*siteCache),
-		upperOut: make(map[string]int64),
-		leafOut:  make(map[string]int64),
 		checkIDs: true,
 		siteSet:  make(map[string]bool),
 		fnSet:    make(map[string]bool),
@@ -216,6 +247,7 @@ func sameShape(a *SiteDemand, b *SiteDemand) bool {
 func (a *Allocator) fail(err error) (*Result, error) {
 	a.havePrev = false
 	a.checkIDs = true
+	a.haveDeserved = false
 	for _, c := range a.caches {
 		c.haveEntitled = false
 		c.haveWant = false
@@ -253,9 +285,8 @@ func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 		c.fnIndex = make(map[string]int, n)
 	}
 	clear(c.fnIndex)
-	c.leafIDs, c.fnIDs = c.leafIDs[:0], c.fnIDs[:0]
+	c.fnIDs = c.fnIDs[:0]
 	for j, fd := range c.prev.Functions {
-		c.leafIDs = append(c.leafIDs, id+"/"+fd.Name)
 		c.fnIndex[fd.Name] = j
 		c.fnIDs = append(c.fnIDs, a.intern(fd.Name))
 	}
@@ -267,6 +298,7 @@ func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 	}
 	c.entitled = resize(c.entitled, n)
 	c.deserved = resize(c.deserved, n)
+	c.clamp = resize(c.clamp, n)
 	c.local = resize(c.local, n)
 	c.haveEntitled = false
 	c.haveWant = false
@@ -319,24 +351,25 @@ func resize(s []int64, n int) []int64 {
 // clampSite runs one site's pass-2 feasibility clamp: the site subtree with
 // desires capped at the entitlement, divided over the site's physical
 // capacity. Sites are independent subproblems: it writes only its own
-// site's cache (out is scratch).
+// site's cache (out is scratch, returned for reuse).
 //
 //lass:bitexact
-func (c *siteCache) clampSite(capped bool, out map[string]int64) error {
+func (c *siteCache) clampSite(capped bool, out []int64) ([]int64, error) {
 	for j, l := range c.leaves {
 		l.Desired = c.want[j]
 	}
-	if err := fairshare.DivideTreeInto(c.wantTree, c.prev.CapacityCPU, capped, out); err != nil {
-		return err
+	out, err := fairshare.DivideTreeInto(c.wantTree, c.prev.CapacityCPU, capped, out)
+	if err != nil {
+		return out, err
 	}
-	c.clamp = c.clamp[:0]
-	c.sum = 0
-	for _, id := range c.leafIDs {
-		g := out[id]
-		c.clamp = append(c.clamp, g)
+	c.sum, c.over = 0, false
+	for k, j := range c.dfs {
+		g := out[k]
+		c.clamp[j] = g
 		c.sum += g
+		c.over = c.over || g < c.want[j]
 	}
-	return nil
+	return out, nil
 }
 
 // relayout maps the epoch's site order onto caches — creating caches for
@@ -347,6 +380,8 @@ func (c *siteCache) clampSite(capped bool, out map[string]int64) error {
 func (a *Allocator) relayout(sites []SiteDemand) error {
 	a.layout = false
 	a.checkIDs = true
+	a.haveDeserved = false
+	a.rows = false
 	if a.hier != nil {
 		for i := range sites {
 			if _, ok := a.hierSites[sites[i].Site]; !ok {
@@ -374,8 +409,12 @@ func (a *Allocator) relayout(sites []SiteDemand) error {
 	for i := range sites {
 		a.allIdx = append(a.allIdx, i)
 	}
-	if a.hier != nil {
+	if a.hier == nil {
+		a.upperSite = append(a.upperSite[:0], a.allIdx...)
+	} else {
 		a.placeGroups(sites)
+		a.upperSite = a.upperSite[:0]
+		a.indexStubs(a.groups[len(a.groups)-1])
 	}
 	a.layout = true
 	return nil
@@ -430,29 +469,46 @@ func (a *Allocator) sameLayout(sites []SiteDemand) bool {
 // epoch already established. The semantics — and the bits of the result —
 // are exactly Allocate's; see the package comment for the three passes.
 func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
-	a.redivided = 0
-	// Fast path: inputs identical to the previous successful epoch — the
-	// steady state between demand shifts. The cached result is that epoch's
-	// answer, which is the answer for these inputs too; nothing allocates.
-	if a.havePrev && capped == a.capped && len(sites) == len(a.sc) {
-		same := true
-		for i := range sites {
-			if !siteEqual(&a.sc[i].prev, &sites[i]) {
-				same = false
-				break
-			}
+	a.redivided, a.validated, a.cascades = 0, 0, 0
+	a.snapshotted = a.snapshotted[:0]
+	// A new site order validates every report and recomputes everything
+	// indexed by position. Then one comparison per site marks it dirty;
+	// while the order holds, that also serves the fast path and picks the
+	// reports to validate.
+	sameOrder := a.sameLayout(sites)
+	if !sameOrder {
+		a.validated = len(sites)
+		if err := validate(sites, a.siteSet, a.fnSet); err != nil {
+			return a.fail(err)
 		}
-		if same {
-			return &a.res, nil
-		}
-	}
-
-	if err := validate(sites, a.siteSet, a.fnSet); err != nil {
-		return a.fail(err)
-	}
-	if !a.sameLayout(sites) {
 		if err := a.relayout(sites); err != nil {
 			return a.fail(err)
+		}
+	}
+	clean := true
+	for i, c := range a.sc {
+		c.dirty = !siteEqual(&c.prev, &sites[i])
+		clean = clean && !c.dirty
+	}
+	if sameOrder {
+		if clean && a.havePrev && capped == a.capped {
+			// Fast path: inputs identical to the previous successful epoch —
+			// the steady state between demand shifts. The cached result is
+			// that epoch's answer, which is the answer for these inputs too;
+			// nothing allocates.
+			return &a.res, nil
+		}
+		// The names are those the layout was computed for, so they passed
+		// validation then, and a clean site equals a report that passed
+		// too: only dirty sites are validated, and the first error among
+		// them is validate's.
+		for i, c := range a.sc {
+			if c.dirty {
+				a.validated++
+				if err := validateSite(&sites[i], a.fnSet); err != nil {
+					return a.fail(err)
+				}
+			}
 		}
 	}
 	if capped != a.capped {
@@ -466,25 +522,30 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		a.capped = capped
 	}
 
-	// Refresh per-site caches and mark dirty sites. Interned names only
+	// Refresh the dirty sites' caches. A rebuilt site may have new node IDs
+	// and, like a new site weight, new deserved quotas. Interned names only
 	// accumulate when functions come and go; re-intern once they outnumber
 	// the live function slots well beyond any churn.
 	slots, rebuilt := 0, false
 	for i, c := range a.sc {
 		s := &sites[i]
 		slots += len(s.Functions)
-		c.dirty = !siteEqual(&c.prev, s)
 		if !c.dirty {
 			continue
 		}
 		if c.tree != nil && sameShape(&c.prev, s) {
+			if c.prev.Weight != s.Weight {
+				a.haveDeserved = false
+			}
 			c.update(s)
 		} else {
 			c.rebuild(s, a)
 			rebuilt = true
 		}
 	}
-	a.checkIDs = a.checkIDs || rebuilt
+	if rebuilt {
+		a.checkIDs, a.haveDeserved, a.rows = true, false, false
+	}
 	if rebuilt && len(a.fnID) > 2*slots+64 {
 		clear(a.fnID)
 		for _, c := range a.sc {
@@ -500,7 +561,6 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	a.fnDesired = resize(a.fnDesired, nfn)
 	a.fnGranted = resize(a.fnGranted, nfn)
 
-	a.res.Grants = a.res.Grants[:0]
 	a.res.TotalCapacityCPU = 0
 	a.res.TotalDesiredCPU = 0
 	a.res.StrandedCPU = 0
@@ -528,49 +588,57 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		a.checkIDs = false
 	}
 	a.mountSites(false)
-	if err := fairshare.DivideTreeInto(a.root, a.res.TotalCapacityCPU, capped, a.upperOut); err != nil {
+	var err error
+	if a.upperOut, err = fairshare.DivideTreeInto(a.root, a.res.TotalCapacityCPU, capped, a.upperOut); err != nil {
 		return a.fail(err)
 	}
-	for _, c := range a.sc {
-		g := a.upperOut[c.stub.ID]
-		if !c.dirty && c.haveEntitled && g == c.grant {
+	for x, i := range a.upperSite {
+		if i < 0 {
+			continue // a group with no site present
+		}
+		c, g := a.sc[i], a.upperOut[x]
+		c.moved = c.dirty || !c.haveEntitled || g != c.grant
+		if !c.moved {
 			continue
 		}
-		if err := fairshare.DivideTreeInto(c.tree, g, capped, a.leafOut); err != nil {
+		if a.leafOut, err = fairshare.DivideTreeInto(c.tree, g, capped, a.leafOut); err != nil {
 			return a.fail(err)
 		}
-		for j, id := range c.leafIDs {
-			c.entitled[j] = a.leafOut[id]
+		for k, j := range c.dfs {
+			c.entitled[j] = a.leafOut[k]
 		}
 		c.grant, c.haveEntitled = g, true
 		a.redivided++
 	}
-	if a.hier != nil {
+	if a.hier != nil && (!a.haveDeserved || a.deservedCap != a.res.TotalCapacityCPU) {
 		// Deserved quotas: demand-independent guaranteed shares cascaded
 		// down the same tree the entitlement pass just divided.
 		a.cascadeDeserved(a.groups[len(a.groups)-1], a.res.TotalCapacityCPU)
+		a.haveDeserved, a.deservedCap = true, a.res.TotalCapacityCPU
+		a.cascades++
 	}
 
 	// Pass 2 — feasibility: clamp each site's enforceable grants to its
 	// physical capacity. The clamp input is the per-function
-	// min(entitlement, desire) vector; a clean site whose vector is
-	// unchanged — entitlements depend on every site, so dirtiness elsewhere
-	// can shift it — reuses last epoch's clamp verbatim.
-	for _, c := range a.sc {
-		c.wantNext = c.wantNext[:0]
-		for j, fd := range c.prev.Functions {
-			c.wantNext = append(c.wantNext, min(c.entitled[j], fd.DesiredCPU))
-		}
-		stale := c.dirty || !c.haveWant || !slices.Equal(c.wantNext, c.want)
-		c.want, c.wantNext = c.wantNext, c.want
-		c.haveWant = true
-		if stale {
-			if err := c.clampSite(capped, a.leafOut); err != nil {
-				return a.fail(err)
+	// min(entitlement, desire) vector: unchanged at a site neither dirty
+	// nor re-divided, and otherwise recomputed. A clean site whose vector
+	// is unchanged — entitlements depend on every site, so dirtiness
+	// elsewhere can shift it — reuses last epoch's clamp verbatim.
+	for i, c := range a.sc {
+		if c.dirty || c.moved || !c.haveWant {
+			c.wantNext = c.wantNext[:0]
+			for j, fd := range c.prev.Functions {
+				c.wantNext = append(c.wantNext, min(c.entitled[j], fd.DesiredCPU))
+			}
+			stale := c.dirty || !c.haveWant || !slices.Equal(c.wantNext, c.want)
+			c.want, c.wantNext = c.wantNext, c.want
+			c.haveWant = true
+			if stale {
+				if a.leafOut, err = c.clampSite(capped, a.leafOut); err != nil {
+					return a.fail(err)
+				}
 			}
 		}
-	}
-	for i, c := range a.sc {
 		// The pass-3 spread mutates the working grants in place; the pure
 		// clamp result stays in c.clamp so clean sites can reuse it next
 		// epoch.
@@ -608,11 +676,21 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 // name), hosts most-spare-first (ties by site position). Each overflowing
 // function's servers in the scope are listed once per call; every round
 // then reads spare by position. The flat federation is a single scope over
-// every site.
+// every site. Only sites flagged as overflowing after pass 2 are scanned
+// for overflow, and only sites with spare are listed as servers.
+//
+// A known defect, pinned by TestHierarchicalSpreadReoffersDisplacedDemand
+// and kept because fixing it moves every hierarchical result: a site's
+// miss is always want − grants at its own site, so demand an inner scope
+// already placed at a peer is offered again by every outer scope, and a
+// hierarchy can grant a function more than the flat allocator would.
 func (a *Allocator) spread(idxs []int) error {
 	a.overflow = a.overflow[:0]
 	for _, i := range idxs {
 		c := a.sc[i]
+		if !c.over {
+			continue
+		}
 		for j, fd := range c.prev.Functions {
 			if miss := c.want[j] - c.grants[j]; miss > 0 {
 				id := c.fnIDs[j]
@@ -650,6 +728,9 @@ func (a *Allocator) spread(idxs []int) error {
 		a.srv[k] = a.srv[k][:0]
 	}
 	for _, i := range idxs {
+		if a.spare[i] <= 0 {
+			continue
+		}
 		for j, id := range a.sc[i].fnIDs {
 			if k := a.ovOf[id]; k >= 0 {
 				a.srv[k] = append(a.srv[k], server{i, j})
@@ -793,11 +874,12 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 	// site's own demand report, so clean sites reuse last epoch's.
 	for _, c := range a.sc {
 		if !c.haveLocal {
-			if err := fairshare.DivideTreeInto(c.tree, c.prev.CapacityCPU, capped, a.leafOut); err != nil {
+			var err error
+			if a.leafOut, err = fairshare.DivideTreeInto(c.tree, c.prev.CapacityCPU, capped, a.leafOut); err != nil {
 				return a.fail(err)
 			}
-			for j, id := range c.leafIDs {
-				c.local[j] = a.leafOut[id]
+			for k, j := range c.dfs {
+				c.local[j] = a.leafOut[k]
 			}
 			c.haveLocal = true
 		}
@@ -810,15 +892,24 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 		}
 	}
 
+	// The result rows carry names that change only with the layout or a
+	// site rebuild; every other epoch rewrites just their numbers.
+	if !a.rows {
+		a.res.Grants = a.res.Grants[:0]
+		for _, c := range a.sc {
+			for _, fd := range c.prev.Functions {
+				a.res.Grants = append(a.res.Grants, Grant{Site: c.prev.Site, Function: fd.Name})
+			}
+		}
+		a.rows = true
+	}
+	rows := a.res.Grants
 	for _, c := range a.sc {
 		for j, fd := range c.prev.Functions {
-			g := Grant{
-				Site:        c.prev.Site,
-				Function:    fd.Name,
-				DesiredCPU:  fd.DesiredCPU,
-				EntitledCPU: c.entitled[j],
-				GrantedCPU:  c.grants[j],
-			}
+			g := &rows[j]
+			g.DesiredCPU = fd.DesiredCPU
+			g.EntitledCPU = c.entitled[j]
+			g.GrantedCPU = c.grants[j]
 			if a.hier != nil {
 				// Deserved is the demand-independent quota; anything
 				// granted above it is borrowed (and revocable by reclaim).
@@ -826,8 +917,8 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 				g.DeservedCPU = c.deserved[j]
 				g.BorrowedCPU = max(0, g.GrantedCPU-g.DeservedCPU)
 			}
-			a.res.Grants = append(a.res.Grants, g)
 		}
+		rows = rows[len(c.prev.Functions):]
 	}
 	a.havePrev = true
 	return &a.res, nil

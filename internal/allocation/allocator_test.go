@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -624,5 +625,245 @@ func TestAllocatorSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Allocate allocated %.1f times per epoch; want 0", allocs)
+	}
+}
+
+// starvedMetros lists, in declaration order, the leaf groups of h with at
+// least two sites present where some function's deserved-capped desire
+// still exceeds its grant after netting what it holds at metro peers
+// beyond their own deserved-capped desire — the claims reclaim acts on.
+// pre is the epoch's result with reclaim off: the grants reclaim starts
+// from, since reclaim is the last pass.
+func starvedMetros(h *Hierarchy, sites []SiteDemand, pre *Result) []string {
+	rows := map[string]map[string]Grant{}
+	for _, g := range pre.Grants {
+		if rows[g.Site] == nil {
+			rows[g.Site] = map[string]Grant{}
+		}
+		rows[g.Site][g.Function] = g
+	}
+	owed := func(g Grant) int64 { return min(g.DeservedCPU, g.DesiredCPU) }
+	var out []string
+	var walk func(g *Group)
+	walk = func(g *Group) {
+		for _, c := range g.Children {
+			walk(c)
+		}
+		var present []SiteDemand
+		for _, s := range sites {
+			if slices.Contains(g.Sites, s.Site) {
+				present = append(present, s)
+			}
+		}
+		if len(present) < 2 {
+			return
+		}
+		for _, home := range present {
+			for _, fd := range home.Functions {
+				gr := rows[home.Site][fd.Name]
+				short := owed(gr) - gr.GrantedCPU
+				for _, peer := range present {
+					if p, ok := rows[peer.Site][fd.Name]; ok && peer.Site != home.Site {
+						short -= max(0, p.GrantedCPU-owed(p))
+					}
+				}
+				if short > 0 {
+					out = append(out, g.ID)
+					return
+				}
+			}
+		}
+	}
+	walk(h.Root)
+	return out
+}
+
+// TestWarmEpochWorkScalesWithChurn counts what a warm epoch does on the
+// control_churn-shaped federation. With k sites changing desires, exactly
+// k reports are validated and no deserved cascade runs — deserved quotas
+// depend on no demand — while a capacity change, a site-weight change,
+// SetHierarchy and a failed epoch each cost exactly one cascade on the
+// next epoch. Reclaim snapshots its victims in exactly the metros with a
+// starved claim that survives netting; an unchanged epoch returns the last
+// result and runs nothing. Every epoch matches the one-shot allocation.
+func TestWarmEpochWorkScalesWithChurn(t *testing.T) {
+	h, sites := churnFederation()
+	a := NewAllocator()
+	if err := a.SetHierarchy(h, true); err != nil {
+		t.Fatal(err)
+	}
+	var snapshots, metroEpochs int
+	run := func(what string, validated, cascades int) {
+		t.Helper()
+		steady := validated == 0
+		got, err := a.Allocate(sites, true)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want, err := allocateHierarchical(h, sites, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffHierResults(want, got); d != "" {
+			t.Fatalf("%s: %s", what, d)
+		}
+		if a.validated != validated {
+			t.Errorf("%s: %d reports validated, want %d", what, a.validated, validated)
+		}
+		if a.cascades != cascades {
+			t.Errorf("%s: %d deserved cascades, want %d", what, a.cascades, cascades)
+		}
+		pre, err := allocateHierarchical(h, sites, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var starved []string
+		if !steady {
+			starved = starvedMetros(h, sites, pre)
+			metroEpochs += 10
+		}
+		if !slices.Equal(a.snapshotted, starved) {
+			t.Errorf("%s: reclaim snapshotted %v, want %v", what, a.snapshotted, starved)
+		}
+		snapshots += len(a.snapshotted)
+	}
+	run("cold epoch", len(sites), 1)
+	epoch := 0
+	for _, k := range []int{0, 1, 5, 20} {
+		for range 5 {
+			epoch++
+			for d := 0; d < k; d++ {
+				s := &sites[(epoch*k+d)%len(sites)]
+				s.Functions[epoch%len(s.Functions)].DesiredCPU ^= 256
+			}
+			run(fmt.Sprintf("k=%d epoch %d", k, epoch), k, 0)
+		}
+	}
+	sites[7].CapacityCPU += 1000
+	run("capacity change", 1, 1)
+	sites[12].Weight = 3
+	run("site-weight change", 1, 1)
+	sites[12].Functions[0].DesiredCPU += 250
+	run("demand after the weight change", 1, 0)
+	if err := a.SetHierarchy(h, true); err != nil {
+		t.Fatal(err)
+	}
+	run("after SetHierarchy", len(sites), 1)
+	sites[30].Functions[2].DesiredCPU = -1
+	if _, err := a.Allocate(sites, true); err == nil {
+		t.Fatal("negative desire accepted")
+	}
+	sites[30].Functions[2].DesiredCPU = 500
+	run("after a failed epoch", 1, 1)
+	t.Logf("reclaim snapshotted %d of %d metro-epochs", snapshots, metroEpochs)
+	if snapshots == 0 || snapshots >= metroEpochs/2 {
+		t.Errorf("test premise broken: %d snapshots in %d metro-epochs", snapshots, metroEpochs)
+	}
+
+	// A starved claim that netting cancels takes no snapshot: tiny is owed
+	// 1000 mC of f but holds 100, and the metro spread already granted the
+	// other 900 to f at big, beyond big's own deserved-capped desire of 0.
+	netted := []SiteDemand{
+		{Site: "tiny", CapacityCPU: 100, Functions: []FunctionDemand{{Name: "f", Weight: 1, DesiredCPU: 1000}}},
+		{Site: "big", CapacityCPU: 1900, Functions: []FunctionDemand{{Name: "f", Weight: 1, DesiredCPU: 0}}},
+	}
+	m := &Hierarchy{Root: &Group{ID: "m", Sites: []string{"tiny", "big"}}}
+	b := NewAllocator()
+	if err := b.SetHierarchy(m, true); err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Allocate(netted, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := grantOf(t, res, "tiny", "f"); g.GrantedCPU >= min(g.DeservedCPU, g.DesiredCPU) {
+		t.Fatalf("test premise broken: f at tiny is not starved: %+v", g)
+	}
+	if g := grantOf(t, res, "big", "f"); g.GrantedCPU != 900 {
+		t.Fatalf("test premise broken: spread granted f %d mC at big, want 900", g.GrantedCPU)
+	}
+	if len(b.snapshotted) != 0 || len(res.Reclaims) != 0 {
+		t.Errorf("netted-out claim: snapshotted %v, reclaims %v; want none", b.snapshotted, res.Reclaims)
+	}
+}
+
+// TestWarmValidationMatchesOneShot feeds a warm Allocator, flat and
+// hierarchical, every rejection class validate knows, with the site order
+// unchanged (only the broken sites are validated) and changed (every site
+// is). The error text must be the one-shot allocation's, and the next
+// valid epoch must equal a fresh Allocator's.
+func TestWarmValidationMatchesOneShot(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	classes := []struct {
+		name   string
+		rename bool // changes a site name, so the order always changes
+		breaks func(s []SiteDemand)
+	}{
+		{"empty site name", true, func(s []SiteDemand) { s[len(s)-1].Site = "" }},
+		{"duplicate site name", true, func(s []SiteDemand) { s[len(s)-1].Site = s[0].Site }},
+		{"negative capacity", false, func(s []SiteDemand) { s[len(s)-1].CapacityCPU = -1 }},
+		{"negative site weight", false, func(s []SiteDemand) { s[len(s)-1].Weight = -1 }},
+		{"NaN site weight", false, func(s []SiteDemand) { s[len(s)-1].Weight = nan }},
+		{"infinite site weight", false, func(s []SiteDemand) { s[len(s)-1].Weight = inf }},
+		{"empty function name", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].Name = "" }},
+		{"duplicate function name", false, func(s []SiteDemand) {
+			fns := s[len(s)-1].Functions
+			s[len(s)-1].Functions = append(fns, fns[0])
+		}},
+		{"zero function weight", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].Weight = 0 }},
+		{"negative function weight", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].Weight = -2 }},
+		{"NaN function weight", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].Weight = nan }},
+		{"infinite function weight", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].Weight = inf }},
+		{"NaN user weight", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].UserWeight = nan }},
+		{"infinite user weight", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].UserWeight = -inf }},
+		{"negative desire", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].DesiredCPU = -1 }},
+		{"two broken sites", false, func(s []SiteDemand) {
+			s[1].Functions[0].DesiredCPU = -1
+			s[len(s)-1].CapacityCPU = -1
+		}},
+	}
+	for _, h := range []*Hierarchy{nil, fuzzHierarchy(xrand.New(3))} {
+		for _, tc := range classes {
+			for _, reorder := range []bool{false, true} {
+				if tc.rename && !reorder {
+					continue
+				}
+				name := fmt.Sprintf("hierarchy=%v %s reorder=%v", h != nil, tc.name, reorder)
+				rng := xrand.New(11)
+				sites := fuzzFederation(rng)
+				a := NewAllocator()
+				if err := a.SetHierarchy(h, true); err != nil {
+					t.Fatal(err)
+				}
+				for range 3 {
+					s := &sites[rng.Intn(len(sites))]
+					s.Functions[rng.Intn(len(s.Functions))].DesiredCPU = int64(rng.Intn(7)) * 500
+					if _, err := a.Allocate(sites, true); err != nil {
+						t.Fatalf("%s: warm-up: %v", name, err)
+					}
+				}
+				bad := cloneSites(sites)
+				if reorder {
+					bad[0], bad[1] = bad[1], bad[0]
+				}
+				tc.breaks(bad)
+				_, err := a.Allocate(cloneSites(bad), true)
+				_, want := allocateHierarchical(h, cloneSites(bad), true, true)
+				if err == nil || want == nil || err.Error() != want.Error() {
+					t.Errorf("%s: warm error %v, one-shot %v", name, err, want)
+				}
+				got, err := a.Allocate(sites, true)
+				if err != nil {
+					t.Fatalf("%s: recovery: %v", name, err)
+				}
+				fresh, err := allocateHierarchical(h, cloneSites(sites), true, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := diffHierResults(fresh, got); d != "" {
+					t.Errorf("%s: recovery epoch: %s", name, d)
+				}
+			}
+		}
 	}
 }

@@ -243,6 +243,23 @@ func (a *Allocator) placeGroups(sites []SiteDemand) {
 	}
 }
 
+// indexStubs appends to upperSite, in preorder, the site position of each
+// leaf of pass 1's upper division below g: a metro's mounted stubs in
+// mount order, or -1 for a metro with no site present, which the division
+// sees as a zero-desire leaf.
+func (a *Allocator) indexStubs(g *hierGroup) {
+	switch {
+	case !g.leaf:
+		for _, c := range g.children {
+			a.indexStubs(c)
+		}
+	case len(g.mount) == 0:
+		a.upperSite = append(a.upperSite, -1)
+	default:
+		a.upperSite = append(a.upperSite, g.mount...)
+	}
+}
+
 // cascadeDeserved walks the group vertices, through the mounted site
 // stubs into each site's subtree, assigning every node its deserved quota
 // — ⌊ω/Σω_siblings · parent's deserved⌋ — and records the per-function
@@ -305,33 +322,16 @@ type reclaimVictim struct {
 // also serve the starved function. The transfer re-grants the capacity to
 // the starved function at the victim's site — the container runs there
 // and the placer offloads the home site's traffic to it.
+//
+// The snapshot is taken when the metro's first starved claim survives
+// netting: no transfer has happened before it, so it is the snapshot taken
+// before any, and a metro without such a claim never lists its victims.
 func (a *Allocator) runReclaim() {
 	for _, m := range a.groups {
 		if !m.leaf || len(m.idxs) < 2 {
 			continue // reclaim is cross-site; a one-site metro has no peers
 		}
-		a.victims = a.victims[:0]
-		for _, i := range m.idxs {
-			c := a.sc[i]
-			for j, fd := range c.prev.Functions {
-				if b := c.grants[j] - c.deserved[j]; b > 0 {
-					a.victims = append(a.victims, reclaimVictim{site: i, fn: j, name: fd.Name, borrowed: b})
-				}
-			}
-		}
-		if len(a.victims) == 0 {
-			continue
-		}
-		// A total order: names are unique within a site.
-		slices.SortFunc(a.victims, func(x, y reclaimVictim) int {
-			if c := cmp.Compare(y.borrowed, x.borrowed); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(x.site, y.site); c != 0 {
-				return c
-			}
-			return strings.Compare(x.name, y.name)
-		})
+		snapped := false
 		for _, i := range m.idxs {
 			c := a.sc[i]
 			for j, fd := range c.prev.Functions {
@@ -361,6 +361,10 @@ func (a *Allocator) runReclaim() {
 				}
 				if short <= 0 {
 					continue
+				}
+				if !snapped {
+					a.snapshotVictims(m)
+					snapped = true
 				}
 				for k := range a.victims {
 					v := &a.victims[k]
@@ -396,4 +400,29 @@ func (a *Allocator) runReclaim() {
 			}
 		}
 	}
+}
+
+// snapshotVictims lists metro m's over-quota (site, function) pairs in
+// a.victims, in drain order.
+func (a *Allocator) snapshotVictims(m *hierGroup) {
+	a.snapshotted = append(a.snapshotted, m.g.ID)
+	a.victims = a.victims[:0]
+	for _, i := range m.idxs {
+		c := a.sc[i]
+		for j, fd := range c.prev.Functions {
+			if b := c.grants[j] - c.deserved[j]; b > 0 {
+				a.victims = append(a.victims, reclaimVictim{site: i, fn: j, name: fd.Name, borrowed: b})
+			}
+		}
+	}
+	// A total order: names are unique within a site.
+	slices.SortFunc(a.victims, func(x, y reclaimVictim) int {
+		if c := cmp.Compare(y.borrowed, x.borrowed); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.site, y.site); c != 0 {
+			return c
+		}
+		return strings.Compare(x.name, y.name)
+	})
 }

@@ -3,6 +3,7 @@ package allocation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"lass/internal/xrand"
@@ -327,6 +328,50 @@ func checkHierInvariants(t *testing.T, seed int64, epoch int, sites []SiteDemand
 	if moved != res.ReclaimedCPU {
 		t.Fatalf("seed %d epoch %d: ReclaimedCPU %d != sum of directives %d",
 			seed, epoch, res.ReclaimedCPU, moved)
+	}
+}
+
+// TestHierarchicalSpreadReoffersDisplacedDemand pins a known defect of the
+// hierarchical spread pass; it asserts today's numbers and must change
+// when the defect is fixed. Each scope recomputes a site's miss as want −
+// grants at the site itself, so a need the metro scope already placed at a
+// peer is offered again by the root scope. Site a is entitled to f's 2000
+// mC but holds 1000; metro m1 places the other 1000 at b, and the root
+// scope places the same 1000 again at c: the hierarchy grants f 3000 mC
+// where the flat allocator grants the 2000 it is entitled to.
+func TestHierarchicalSpreadReoffersDisplacedDemand(t *testing.T) {
+	sites := []SiteDemand{
+		{Site: "a", CapacityCPU: 1000, Functions: []FunctionDemand{{Name: "f", Weight: 1, DesiredCPU: 2000}}},
+		{Site: "b", CapacityCPU: 1000, Functions: []FunctionDemand{{Name: "f", Weight: 1, DesiredCPU: 0}}},
+		{Site: "c", CapacityCPU: 1000, Functions: []FunctionDemand{{Name: "f", Weight: 1, DesiredCPU: 0}}},
+	}
+	h := &Hierarchy{Root: &Group{ID: "root", Children: []*Group{
+		{ID: "m1", Sites: []string{"a", "b"}},
+		{ID: "m2", Sites: []string{"c"}},
+	}}}
+	granted := func(res *Result) []int64 {
+		var g []int64
+		for _, s := range []string{"a", "b", "c"} {
+			g = append(g, grantOf(t, res, s, "f").GrantedCPU)
+		}
+		return g
+	}
+	flat, err := Allocate(cloneSites(sites), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := granted(flat), []int64{1000, 500, 500}; !slices.Equal(got, want) {
+		t.Errorf("flat: f granted %v at a, b, c; want %v (2000 in total)", got, want)
+	}
+	hier, err := allocateHierarchical(h, cloneSites(sites), true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := granted(hier), []int64{1000, 1000, 1000}; !slices.Equal(got, want) {
+		t.Errorf("hierarchy: f granted %v at a, b, c; want today's %v (3000 in total)", got, want)
+	}
+	if e := grantOf(t, hier, "a", "f").EntitledCPU; e != 2000 {
+		t.Errorf("hierarchy: f entitled %d at a, want 2000", e)
 	}
 }
 

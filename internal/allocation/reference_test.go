@@ -547,6 +547,19 @@ func FuzzAllocatorEpochs(f *testing.F) {
 	f.Add([]byte{3, 1, 40, 1, 77, 0, 0, 2, 9, 1, 200})
 	f.Add([]byte{8, 6, 13, 4, 90, 5, 31, 7, 2, 1, 150, 0, 0})
 	f.Add([]byte{21, 8, 17, 9, 4, 9, 5, 11, 60, 1, 3, 10, 0, 3, 2})
+	// Capacity-only epochs: the total moves, so deserved quotas are
+	// cascaded again, around a demand-only epoch that keeps them.
+	f.Add([]byte{7, 0, 0, 2, 17, 1, 33, 2, 40})
+	// Site-weight-only epochs, likewise around a demand-only one.
+	f.Add([]byte{8, 0, 0, 3, 5, 1, 21, 3, 6})
+	// A site retires its only function and stays mounted as a zero-function
+	// stub through demand and capacity epochs elsewhere: its subtree is a
+	// single leaf with no function behind it.
+	f.Add([]byte{9, 0, 0, 7, 0, 1, 5, 2, 13, 1, 26})
+	// With reclaim on, a starved claim appears in metro m0 on the third
+	// epoch and is gone on the fourth: the victim snapshot is taken only
+	// while it lasts.
+	f.Add([]byte{13, 0, 0, 1, 98, 1, 244, 1, 172})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

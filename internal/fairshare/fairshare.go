@@ -19,6 +19,7 @@ package fairshare
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -212,17 +213,32 @@ func (n *Node) Leaf() bool { return len(n.Children) == 0 }
 // capped selects AdjustCapped (true) or the paper-faithful Adjust (false)
 // at every level.
 //
-// AllocateTree is ValidateTree followed by DivideTreeInto into a fresh
-// map; neither mutates the tree.
+// AllocateTree is ValidateTree followed by DivideTreeInto, with the
+// values keyed by leaf ID; neither mutates the tree.
 func AllocateTree(root *Node, capacity int64, capped bool) (map[string]int64, error) {
 	if err := ValidateTree(root); err != nil {
 		return nil, err
 	}
-	out := make(map[string]int64)
-	if err := DivideTreeInto(root, capacity, capped, out); err != nil {
+	grants, err := DivideTreeInto(root, capacity, capped, nil)
+	if err != nil {
 		return nil, err
 	}
+	out := make(map[string]int64, len(grants))
+	keyLeaves(root, grants, out)
 	return out, nil
+}
+
+// keyLeaves stores grants, the leaf values of n's subtree in preorder, in out
+// under their leaves' IDs, and returns the values past n's subtree.
+func keyLeaves(n *Node, grants []int64, out map[string]int64) []int64 {
+	if n.Leaf() {
+		out[n.ID] = grants[0]
+		return grants[1:]
+	}
+	for _, c := range n.Children {
+		grants = keyLeaves(c, grants, out)
+	}
+	return grants
 }
 
 // ValidateTree checks the whole tree for structural errors: duplicate node
@@ -246,38 +262,46 @@ func ValidateTree(root *Node) error {
 	return s.measure(root, true)
 }
 
-// DivideTreeInto is AllocateTree's division with a caller-owned result
-// map, for a tree (or a subtree of one) that ValidateTree accepted since
-// its shape last changed: out is cleared and refilled with one entry per
-// leaf. Steady-state callers reuse one map instead of allocating a fresh
-// one per call.
+// DivideTreeInto is AllocateTree's division for a tree (or a subtree of
+// one) that ValidateTree accepted since its shape last changed, with the
+// grants returned by position instead of by ID: the i-th value is the
+// grant of the tree's i-th leaf in preorder (children in slice order), so
+// a single-leaf root yields one value. The values are written over out's
+// backing array, grown if it is too short, and the result is returned;
+// steady-state callers pass the previous result back in and allocate
+// nothing.
 //
 // Every check ValidateTree makes except ID uniqueness is repeated before
-// any capacity is divided, leaving out untouched on error, and each
-// sibling group is validated again as it is divided. A tree with duplicate
-// IDs is divided as if they were distinct, and later leaves overwrite
-// earlier ones in out.
+// any capacity is divided, and each sibling group is validated again as it
+// is divided. On error out itself is returned: untouched when the first
+// check fails, possibly partly overwritten when a sibling group does (a
+// zero-weight child). Node IDs are never read: a tree with duplicate IDs
+// is divided as if they were distinct.
 //
 // The division works in reused scratch (treeScratch), so a call allocates
 // nothing beyond out's own growth once the scratch has seen a tree that
 // large.
-func DivideTreeInto(root *Node, capacity int64, capped bool, out map[string]int64) error {
+func DivideTreeInto(root *Node, capacity int64, capped bool, out []int64) ([]int64, error) {
 	if root == nil {
-		return fmt.Errorf("fairshare: nil tree")
+		return out, fmt.Errorf("fairshare: nil tree")
 	}
 	s, shared := acquireScratch()
 	if shared {
 		defer scratch.mu.Unlock()
 	}
 	if err := s.measure(root, false); err != nil {
-		return err
+		return out, err
 	}
-	clear(out)
 	if n := len(s.size); len(s.dem) < n {
 		s.dem = make([]Demand, n)
 		s.alloc = make([]Allocation, n)
 	}
-	return s.divide(root, 0, capacity, capped, out, 0)
+	// A tree has fewer leaves than nodes: one growth at most.
+	grants, err := s.divide(root, 0, capacity, capped, slices.Grow(out[:0], len(s.size)), 0)
+	if err != nil {
+		return out, err
+	}
+	return grants, nil
 }
 
 // seenCap bounds the scratch's duplicate-ID set: past it, the IDs of trees
@@ -384,15 +408,10 @@ func (s *treeScratch) walk(n *Node, ids bool) error {
 // position is pre: n's children are one flat fair-share problem whose
 // demands are their subtrees' total desires, and each child's adjusted
 // capacity is divided recursively. n's segment of dem and alloc starts at
-// base.
-func (s *treeScratch) divide(n *Node, pre int, capacity int64, capped bool, out map[string]int64, base int) error {
+// base. Each leaf's grant is appended to out, which is returned.
+func (s *treeScratch) divide(n *Node, pre int, capacity int64, capped bool, out []int64, base int) ([]int64, error) {
 	if n.Leaf() {
-		grant := capacity
-		if n.Desired < grant {
-			grant = n.Desired
-		}
-		out[n.ID] = grant
-		return nil
+		return append(out, min(capacity, n.Desired)), nil
 	}
 	k := len(n.Children)
 	dem, alloc := s.dem[base:base+k], s.alloc[base:base+k]
@@ -402,7 +421,7 @@ func (s *treeScratch) divide(n *Node, pre int, capacity int64, capped bool, out 
 		at += s.size[at]
 	}
 	if err := validate(dem, capacity, nil); err != nil {
-		return fmt.Errorf("fairshare: at node %q: %w", n.ID, err)
+		return out, fmt.Errorf("fairshare: at node %q: %w", n.ID, err)
 	}
 	adjust(dem, capacity, alloc)
 	if capped {
@@ -410,10 +429,11 @@ func (s *treeScratch) divide(n *Node, pre int, capacity int64, capped bool, out 
 	}
 	at = pre + 1
 	for i, c := range n.Children {
-		if err := s.divide(c, at, alloc[i].Adjusted, capped, out, base+k); err != nil {
-			return err
+		var err error
+		if out, err = s.divide(c, at, alloc[i].Adjusted, capped, out, base+k); err != nil {
+			return out, err
 		}
 		at += s.size[at]
 	}
-	return nil
+	return out, nil
 }

@@ -331,29 +331,24 @@ func TestDivideTreeIntoReusesScratch(t *testing.T) {
 		return root
 	}
 	big, small := build(6, 9, 700), build(2, 3, 900)
-	wantBig, err := AllocateTree(big, 20_000, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSmall, err := AllocateTree(small, 3_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]int64{}
+	wantBig := preorderGrants(t, big, 20_000, true)
+	wantSmall := preorderGrants(t, small, 3_000, false)
+	var out []int64
 	for range 3 {
 		for _, c := range []struct {
 			root   *Node
 			cap    int64
 			capped bool
-			want   map[string]int64
+			want   []int64
 		}{{big, 20_000, true, wantBig}, {small, 3_000, false, wantSmall}} {
 			if err := ValidateTree(c.root); err != nil {
 				t.Fatal(err)
 			}
-			if err := DivideTreeInto(c.root, c.cap, c.capped, out); err != nil {
+			var err error
+			if out, err = DivideTreeInto(c.root, c.cap, c.capped, out); err != nil {
 				t.Fatal(err)
 			}
-			if !maps.Equal(out, c.want) {
+			if !slices.Equal(out, c.want) {
 				t.Fatalf("reused scratch diverged: got %v, want %v", out, c.want)
 			}
 		}
@@ -362,7 +357,8 @@ func TestDivideTreeIntoReusesScratch(t *testing.T) {
 		if err := ValidateTree(big); err != nil {
 			panic(err)
 		}
-		if err := DivideTreeInto(big, 20_000, true, out); err != nil {
+		var err error
+		if out, err = DivideTreeInto(big, 20_000, true, out); err != nil {
 			panic(err)
 		}
 	})
@@ -377,7 +373,7 @@ func TestDivideTreeIntoReusesScratch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := map[string]int64{}
+			var out []int64
 			for i := range 50 {
 				root, capacity, capped, want := big, int64(20_000), true, wantBig
 				if (g+i)%2 == 1 {
@@ -387,11 +383,12 @@ func TestDivideTreeIntoReusesScratch(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := DivideTreeInto(root, capacity, capped, out); err != nil {
+				var err error
+				if out, err = DivideTreeInto(root, capacity, capped, out); err != nil {
 					t.Error(err)
 					return
 				}
-				if !maps.Equal(out, want) {
+				if !slices.Equal(out, want) {
 					t.Errorf("goroutine %d call %d diverged: got %v, want %v", g, i, out, want)
 					return
 				}
@@ -527,13 +524,13 @@ func TestAllocateTreeDeepValidation(t *testing.T) {
 	if _, err := AllocateTree(negDeep, 100, true); err == nil {
 		t.Error("want error for negative weight three levels down")
 	}
-	// Errors surface before any division: the caller-owned map is left
-	// untouched on failure.
-	out := map[string]int64{"stale": 7}
-	if err := DivideTreeInto(negDeep, 100, true, out); err == nil {
+	// Errors surface before any division: the caller-owned slice is
+	// returned untouched on failure.
+	out := []int64{7}
+	if got, err := DivideTreeInto(negDeep, 100, true, out); err == nil {
 		t.Error("want error from DivideTreeInto")
-	} else if out["stale"] != 7 {
-		t.Error("failed validation must not clear the caller's map")
+	} else if len(got) != 1 || out[0] != 7 {
+		t.Error("failed validation must not touch the caller's slice")
 	}
 	// Weight 0 stays legal on roots (the federation allocator mounts site
 	// trees under a weight-0 synthetic root); zero-weight members of a
@@ -575,6 +572,65 @@ func quickTree(rng *xrand.Rand, k uint8) *Node {
 		root.Children = append(root.Children, user)
 	}
 	return root
+}
+
+// preorderLeaves lists the IDs of n's leaves in preorder.
+func preorderLeaves(n *Node, ids []string) []string {
+	if n.Leaf() {
+		return append(ids, n.ID)
+	}
+	for _, c := range n.Children {
+		ids = preorderLeaves(c, ids)
+	}
+	return ids
+}
+
+// preorderGrants is AllocateTree's answer for root listed in leaf preorder:
+// what DivideTreeInto must return.
+func preorderGrants(t *testing.T, root *Node, capacity int64, capped bool) []int64 {
+	t.Helper()
+	byID, err := AllocateTree(root, capacity, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []int64
+	for _, id := range preorderLeaves(root, nil) {
+		out = append(out, byID[id])
+	}
+	return out
+}
+
+// TestDivideTreeLeafOrder pins DivideTreeInto's positional contract: its
+// i-th value is AllocateTree's entry for the i-th leaf in preorder, on
+// random trees, on one user subtree divided alone, and on a single-leaf
+// root, which yields exactly one value.
+func TestDivideTreeLeafOrder(t *testing.T) {
+	rng := xrand.New(41)
+	var out []int64
+	f := func(capRaw uint16, k uint8, capped bool) bool {
+		capacity := int64(capRaw%8000) + 100
+		root := quickTree(rng, k)
+		for _, n := range []*Node{root, root.Children[0], root.Children[0].Children[0]} {
+			want := preorderGrants(t, n, capacity, capped)
+			var err error
+			if out, err = DivideTreeInto(n, capacity, capped, out); err != nil {
+				t.Log(err)
+				return false
+			}
+			if !slices.Equal(out, want) {
+				t.Logf("capacity %d capped %v, node %q: got %v, want %v", capacity, capped, n.ID, out, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	solo, err := DivideTreeInto(&Node{ID: "solo", Weight: 1, Desired: 700}, 500, true, nil)
+	if err != nil || !slices.Equal(solo, []int64{500}) {
+		t.Errorf("single-leaf root: got %v, %v; want [500]", solo, err)
+	}
 }
 
 func TestQuickTreeConservation(t *testing.T) {
