@@ -24,9 +24,10 @@ import (
 	icluster "lass/internal/cluster"
 )
 
-// BenchmarkSolverHomogeneous measures one homogeneous sizing as the
-// controller pays it once the sizing memo has seen the rate: every
-// iteration after the first is a memo hit.
+// BenchmarkSolverHomogeneous measures one homogeneous sizing once the
+// sizing memo has seen the rate: every iteration after the first is a
+// memo hit, which takes no lock. With no hint the hit scans up from the
+// stability floor; the controller's hits check its hint first.
 func BenchmarkSolverHomogeneous(b *testing.B) {
 	b.ReportAllocs()
 	slo := DefaultSLO()
@@ -35,6 +36,28 @@ func BenchmarkSolverHomogeneous(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSolverHomogeneousParallel measures the memo-hit path of
+// BenchmarkSolverHomogeneous from GOMAXPROCS goroutines at once, hinted
+// with the answer as the controller hints with last epoch's, the way
+// parallel sweep cells share the process-wide memo. Compare -cpu 1,2.
+func BenchmarkSolverHomogeneousParallel(b *testing.B) {
+	b.ReportAllocs()
+	slo := DefaultSLO()
+	hint, err := queuing.MinimalContainers(45, 10, slo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := queuing.MinimalContainersFrom(45, 10, slo, hint); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkSolverHomogeneousCold measures one Algorithm 1 scan from the

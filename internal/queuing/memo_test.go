@@ -3,6 +3,7 @@ package queuing
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,18 +15,22 @@ import (
 // resetSizingMemo empties the process-wide sizing memo.
 func resetSizingMemo() {
 	sizingMemo.mu.Lock()
-	sizingMemo.tabs = nil
+	sizingMemo.index.Store(nil)
 	sizingMemo.mu.Unlock()
 }
 
 // memoEdges returns copies of key's recorded facts.
 func memoEdges(k memoKey) (fits, short []float64) {
-	sizingMemo.mu.Lock()
-	defer sizingMemo.mu.Unlock()
-	if tab := sizingMemo.tabs[k]; tab != nil {
-		return slices.Clone(tab.fits), slices.Clone(tab.short)
+	p := sizingMemo.index.Load().find(k)
+	if p == nil {
+		return nil, nil
 	}
-	return nil, nil
+	tab := p.Load()
+	for i := range tab.fits {
+		fits = append(fits, fact(&tab.fits[i]))
+		short = append(short, fact(&tab.short[i]))
+	}
+	return fits, short
 }
 
 // memoSLOs are the SLOs the repo sizes against: slo95x100ms is
@@ -158,10 +163,10 @@ func checkAgainstAlgorithm1(t *testing.T, name string, cases []memoCase) (hits i
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := memoLookup(memoKey{cs.mu, wait, cs.slo.Percentile}, cs.lambda, stabilityFloor(cs.lambda, cs.mu)); ok {
+		key := memoCase{mu: cs.mu, slo: cs.slo}
+		if _, ok := memoLookup(memoKey{cs.mu, wait, cs.slo.Percentile}, cs.lambda, stabilityFloor(cs.lambda, cs.mu), hints[key]); ok {
 			hits++
 		}
-		key := memoCase{mu: cs.mu, slo: cs.slo}
 		got, err := MinimalContainersFrom(cs.lambda, cs.mu, cs.slo, hints[key])
 		if err != nil {
 			t.Fatalf("%s step %d: %v", name, i, err)
@@ -226,25 +231,28 @@ func TestSizingMemoMatchesAlgorithm1(t *testing.T) {
 		}
 
 		// Every recorded edge exactly, inside the guard band (deferred to
-		// the search), and just outside it.
+		// the search), and just outside it. A rate inside a band is asked
+		// both from the floor and with the edge's count as the hint, so
+		// neither the scan nor the hint-first check may decide it.
 		wait, _ := k.slo.WaitBudget(k.mu)
 		mk := memoKey{k.mu, wait, k.slo.Percentile}
-		decided := func(l float64) bool {
-			_, ok := memoLookup(mk, l, stabilityFloor(l, k.mu))
-			return ok
+		decided := func(l float64, hint int) bool {
+			_, scanned := memoLookup(mk, l, stabilityFloor(l, k.mu), 0)
+			_, hinted := memoLookup(mk, l, stabilityFloor(l, k.mu), hint)
+			return scanned || hinted
 		}
 		fits, short := memoEdges(mk)
 		var edges []float64
 		for c := range fits {
 			if f := fits[c]; f > 0 {
 				edges = append(edges, f, f*(1+memoGuard/2), f*(1-2*memoGuard))
-				if decided(f * (1 + memoGuard/2)) {
+				if decided(f*(1+memoGuard/2), c) {
 					t.Errorf("mu=%v: the memo decided a rate inside the guard band above fits[%d]=%v", k.mu, c, f)
 				}
 			}
 			if s := short[c]; !math.IsInf(s, 1) {
 				edges = append(edges, s, s*(1-memoGuard/2), s*(1+2*memoGuard))
-				if decided(s * (1 - memoGuard/2)) {
+				if decided(s*(1-memoGuard/2), c+1) {
 					t.Errorf("mu=%v: the memo decided a rate inside the guard band below short[%d]=%v", k.mu, c, s)
 				}
 			}
@@ -311,42 +319,168 @@ func TestSizingMemoGuardsRoundingReversal(t *testing.T) {
 	checkAgainstAlgorithm1(t, "reversal", []memoCase{{mu, slo95x100ms, fits}, {mu, slo95x100ms, fails}})
 }
 
-// TestSizingMemoConcurrent: readers and writers on several keys at once
-// (run under -race in CI), each answer checked against Algorithm 1.
+// TestSizingMemoConcurrent: readers race with two kinds of writer (run
+// under -race in CI), and every answer is checked against Algorithm 1.
+// Readers size rates up to 120 on every catalog service rate. Climbers
+// size rates up to 400 on the same keys, so the tables grow, and their
+// facts are republished as copies while the readers hit them. Clearers
+// bring 2 × memoKeys new keys, pushing the memo through its clear while
+// the readers hold tables from the index before it.
 func TestSizingMemoConcurrent(t *testing.T) {
 	resetSizingMemo()
 	defer resetSizingMemo()
 	mus := catalogMus()
+	const readTop, climbTop = 120.0, 400.0
 	want := map[[2]float64]int{}
 	for _, mu := range mus {
-		for l := 0.5; l < 120; l += 2.3 {
-			c, err := RequiredContainers(l, mu, slo95x100ms, 0)
-			if err != nil {
-				t.Fatal(err)
+		for _, step := range []float64{2.3, 3.7} {
+			for l := 0.5; l < climbTop; l += step {
+				c, err := RequiredContainers(l, mu, slo95x100ms, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[[2]float64{mu, l}] = c
 			}
-			want[[2]float64{mu, l}] = c
 		}
 	}
+	check := func(who string, g int, l, mu float64, slo SLO, got int, err error, w int) bool {
+		if err != nil || got != w {
+			t.Errorf("%s %d lambda=%v mu=%v %+v: (%d, %v), Algorithm 1 %d", who, g, l, mu, slo, got, err, w)
+			return false
+		}
+		return true
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	run := func(g int, f func(g int)) {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
+			f(g)
+		}()
+	}
+	for g := 0; g < 6; g++ {
+		run(g, func(g int) {
 			for rep := 0; rep < 3; rep++ {
 				for i := range mus {
 					mu := mus[(i+g)%len(mus)]
-					for l := 0.5; l < 120; l += 2.3 {
+					for l := 0.5; l < readTop; l += 2.3 {
 						got, err := MinimalContainersFrom(l, mu, slo95x100ms, g)
-						if w := want[[2]float64{mu, l}]; err != nil || got != w {
-							t.Errorf("goroutine %d lambda=%v mu=%v: (%d, %v), Algorithm 1 %d", g, l, mu, got, err, w)
+						if !check("reader", g, l, mu, slo95x100ms, got, err, want[[2]float64{mu, l}]) {
 							return
 						}
 					}
 				}
 			}
-		}(g)
+		})
+	}
+	for g := 0; g < 2; g++ {
+		run(g, func(g int) {
+			for i := range mus {
+				mu, hint := mus[(i+g)%len(mus)], 0
+				for l := 0.5; l < climbTop; l += 3.7 {
+					got, err := MinimalContainersFrom(l, mu, slo95x100ms, hint)
+					if !check("climber", g, l, mu, slo95x100ms, got, err, want[[2]float64{mu, l}]) {
+						return
+					}
+					hint = got
+				}
+			}
+		})
+	}
+	for g := 0; g < 2; g++ {
+		run(g, func(g int) {
+			for i := 0; i < memoKeys; i++ {
+				slo := SLO{Deadline: time.Duration(1000+g*memoKeys+i) * time.Microsecond, Percentile: 0.9, WaitingOnly: true}
+				w, err := RequiredContainers(3.1, 10, slo, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := MinimalContainersFrom(3.1, 10, slo, 0)
+				if !check("clearer", g, 3.1, 10, slo, got, err, w) {
+					return
+				}
+			}
+		})
 	}
 	wg.Wait()
+}
+
+// TestSizingMemoHitTakesNoLock: a memo hit answers while another
+// goroutine holds the writers' mutex. The wall clock bounds the wait for
+// an answer that, were a hit to lock, would never come.
+//
+//lass:wallclock
+func TestSizingMemoHitTakesNoLock(t *testing.T) {
+	resetSizingMemo()
+	defer resetSizingMemo()
+	const lambda, mu = 45.2, 10.0
+	want, err := RequiredContainers(lambda, mu, slo95x100ms, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MinimalContainers(lambda, mu, slo95x100ms); err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		c   int
+		err error
+	}
+	done := make(chan answer, 2)
+	sizingMemo.mu.Lock()
+	for _, hint := range []int{0, want} {
+		go func() {
+			c, err := MinimalContainersFrom(lambda, mu, slo95x100ms, hint)
+			done <- answer{c, err}
+		}()
+	}
+	timeout := time.After(5 * time.Second)
+	for range 2 {
+		select {
+		case a := <-done:
+			if a.err != nil || a.c != want {
+				t.Errorf("memo hit under a held lock: (%d, %v), Algorithm 1 %d", a.c, a.err, want)
+			}
+		case <-timeout:
+			sizingMemo.mu.Unlock()
+			t.Fatal("a memo hit did not answer within 5 s while the writers' mutex was held")
+		}
+	}
+	sizingMemo.mu.Unlock()
+}
+
+// TestMemoIndexSpreadsKeys: the keys the repo sizes against — the
+// control_churn service rates 8 to 12 and the catalog's, under the repo's
+// SLOs — sit at or next to their home slots. Their float bits differ only
+// in high bits, so a hash of the low bits would pile them into one slot.
+func TestMemoIndexSpreadsKeys(t *testing.T) {
+	resetSizingMemo()
+	defer resetSizingMemo()
+	mus := catalogMus()
+	for mu := 8.0; mu <= 12; mu++ {
+		mus = append(mus, mu)
+	}
+	for _, slo := range memoSLOs {
+		for _, mu := range mus {
+			if _, err := MinimalContainers(3, mu, slo); err != nil && !strings.Contains(err.Error(), "no waiting budget") {
+				t.Fatal(err)
+			}
+		}
+	}
+	x := sizingMemo.index.Load()
+	probes := 0
+	for i, s := range x.slots {
+		if s.tab != nil {
+			d := (i - int(s.key.hash()>>x.shift)) & (len(x.slots) - 1)
+			if d > 2 {
+				t.Errorf("key %+v sits %d slots past its home slot", s.key, d)
+			}
+			probes += d + 1
+		}
+	}
+	if mean := float64(probes) / float64(x.keys); x.keys < 10 || mean > 1.5 {
+		t.Fatalf("%d keys take %.2f probes each on average; want at least 10 keys and at most 1.5", x.keys, mean)
+	}
 }
 
 // TestSizingMemoBounded: a stream of 100k distinct keys, as a fuzzer
@@ -356,12 +490,18 @@ func TestSizingMemoBounded(t *testing.T) {
 	resetSizingMemo()
 	defer resetSizingMemo()
 	size := func() (keys, longest int) {
-		sizingMemo.mu.Lock()
-		defer sizingMemo.mu.Unlock()
-		for _, tab := range sizingMemo.tabs {
-			longest = max(longest, len(tab.fits), len(tab.short))
+		x := sizingMemo.index.Load()
+		if len(x.slots) > 2*memoKeys {
+			t.Fatalf("the memo's key index has %d slots, bound %d", len(x.slots), 2*memoKeys)
 		}
-		return len(sizingMemo.tabs), longest
+		for _, s := range x.slots {
+			if s.tab != nil {
+				keys++
+				tab := s.tab.Load()
+				longest = max(longest, len(tab.fits), len(tab.short))
+			}
+		}
+		return keys, longest
 	}
 	for i := 0; i < 100_000; i++ {
 		slo := SLO{Deadline: time.Duration(1+i%997) * time.Millisecond, Percentile: 0.5 + float64(i%49)/100, WaitingOnly: true}

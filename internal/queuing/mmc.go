@@ -20,7 +20,11 @@
 // relative 1e-9 of a recorded rate is searched instead: the computed
 // predicate's rounding reversals stay inside that band over the counts,
 // rates and SLOs TestMeetsNonincreasingInLambda checks, so there the
-// memo's answers equal the search's bit for bit.
+// memo's answers equal the search's bit for bit. A lookup takes no lock:
+// the memo is published through atomic pointers like the log-factorial
+// cache, and its facts only tighten, so a reader racing a writer still
+// reads only true ones. It checks the caller's hint before scanning up
+// from the stability floor.
 //
 // Two implementations of the M/M/c evaluation exist side by side:
 //

@@ -163,9 +163,10 @@ func MinimalContainers(lambda, mu float64, slo SLO) (int, error) {
 
 // MinimalContainersFrom returns exactly MinimalContainers' answer. It first
 // asks the process-wide sizing memo (memo.go), which answers with zero
-// probes whenever earlier searches for the same (μ, t, p) already proved
-// the answer for this λ. Otherwise it searches from hint — a previous
-// epoch's result for the same function. P(Q ≤ t) is nondecreasing in c for
+// probes and no lock whenever earlier searches for the same (μ, t, p)
+// already proved the answer for this λ, checking hint before any other
+// count. Otherwise it searches from hint — a previous epoch's result for
+// the same function. P(Q ≤ t) is nondecreasing in c for
 // fixed λ, μ, t (more containers both drain the queue faster and raise
 // the Eq 3 state bound L), so the satisfying counts are upward-closed and
 // search finds the count the cold scan from the stability floor finds,
@@ -183,7 +184,7 @@ func MinimalContainersFrom(lambda, mu float64, slo SLO, hint int) (int, error) {
 		return 0, err
 	}
 	lo, key := stabilityFloor(lambda, mu), memoKey{mu, t, slo.Percentile}
-	if c, ok := memoLookup(key, lambda, lo); ok {
+	if c, ok := memoLookup(key, lambda, lo, hint); ok {
 		return c, nil
 	}
 	c, err := search(lo, MaxSolverContainers, hint, func(c int) (bool, error) {

@@ -238,7 +238,7 @@ func TestWarmSizerAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := memoLookup(key, 45.2, lo); !ok || c != hint {
+	if c, ok := memoLookup(key, 45.2, lo, 0); !ok || c != hint {
 		t.Fatalf("memo after sizing 45.2: (%d, %v), want (%d, true)", c, ok, hint)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -256,7 +256,7 @@ func TestWarmSizerAllocationFree(t *testing.T) {
 	lambda := 45.2
 	allocs = testing.AllocsPerRun(200, func() {
 		lambda = math.Nextafter(lambda, 50)
-		if _, ok := memoLookup(key, lambda, lo); ok {
+		if _, ok := memoLookup(key, lambda, lo, hint); ok {
 			t.Fatalf("memo decided lambda=%v inside the guard band", lambda)
 		}
 		c, err := MinimalContainersFrom(lambda, 10, slo, hint)
