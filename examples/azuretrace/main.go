@@ -87,11 +87,7 @@ func main() {
 	var userCPU [2]float64
 	for i, m := range members {
 		fr := res.Functions[m.fn]
-		var sum float64
-		for _, p := range fr.CPU.Points {
-			sum += p.V
-		}
-		mean := sum / float64(len(fr.CPU.Points))
+		mean := fr.CPU.Mean()
 		if m.user == "user1" {
 			userCPU[0] += mean
 		} else {

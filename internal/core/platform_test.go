@@ -329,8 +329,15 @@ func TestOnePeriodicEventPerEpoch(t *testing.T) {
 		if creations != wantCreations {
 			t.Errorf("DisableController=%v: %d creations, want %d", disabled, creations, wantCreations)
 		}
-		if n := len(res.Functions[spec.Name].Containers.Points); n != int(d/(5*time.Second))+2 {
+		fr := res.Functions[spec.Name]
+		if n := fr.Containers.Samples; n != int(d/(5*time.Second))+2 {
 			t.Errorf("DisableController=%v: %d container samples, want one per epoch plus start and end", disabled, n)
+		}
+		// With no controller the pair never changes, so each series keeps
+		// the one point recorded at start.
+		if disabled && (len(fr.Containers.Points) != 1 || len(fr.CPU.Points) != 1) {
+			t.Errorf("DisableController=true: %d container and %d CPU points, want 1 each",
+				len(fr.Containers.Points), len(fr.CPU.Points))
 		}
 	}
 }

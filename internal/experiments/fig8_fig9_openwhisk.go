@@ -211,14 +211,7 @@ func Fig9(opt Options) (*Table, error) {
 		meanCPU[policy] = map[string]float64{}
 		for _, fc := range cfgs {
 			fr := res.Functions[fc.Spec.Name]
-			var sum float64
-			for _, pt := range fr.CPU.Points {
-				sum += pt.V
-			}
-			mean := 0.0
-			if len(fr.CPU.Points) > 0 {
-				mean = sum / float64(len(fr.CPU.Points))
-			}
+			mean := fr.CPU.Mean()
 			meanCPU[policy][fc.Spec.Name] = mean
 			t.AddRow(policy.String(), fc.Spec.Name, fc.User,
 				fmt.Sprintf("%.0f", mean),

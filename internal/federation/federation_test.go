@@ -11,6 +11,7 @@ import (
 	"lass/internal/controller"
 	"lass/internal/core"
 	"lass/internal/functions"
+	"lass/internal/metrics"
 	"lass/internal/workload"
 	"lass/internal/xrand"
 )
@@ -112,7 +113,8 @@ func TestNeverMatchesStandalone(t *testing.T) {
 // heap allocation per fired event on the many-site never-placer harness:
 // ten one-node sites each replaying an hour of its own steady trace. It
 // measures about 0.04; a per-event or per-request allocation anywhere in
-// the stack pushes it past 1 on any host.
+// the stack pushes it past 1 on any host. The same run pins how few points
+// each site's series keep against the samples they count.
 func TestMetroAllocsPerEvent(t *testing.T) {
 	const nsites, minutes = 10, 60
 	spec, err := functions.ByName("squeezenet")
@@ -144,7 +146,8 @@ func TestMetroAllocsPerEvent(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := fed.Run(minutes * time.Minute); err != nil {
+	res, err := fed.Run(minutes * time.Minute)
+	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -155,6 +158,25 @@ func TestMetroAllocsPerEvent(t *testing.T) {
 	if perEvent := float64(allocs) / float64(events); perEvent >= 1 {
 		t.Errorf("%d heap allocations over %d events = %.3f per event; the pooled hot path must stay below 1",
 			allocs, events, perEvent)
+	}
+	// Series keep change points only: on this steady fleet the container
+	// count, CPU and utilization hold one value all hour and desired takes
+	// two, while every series still counts each epoch's sample plus the
+	// start and end ones.
+	epochs := int(minutes * time.Minute / controller.Default().EvalInterval)
+	for i, s := range res.Sites {
+		fr := s.Core.Functions[spec.Name]
+		for _, c := range []struct {
+			series    *metrics.Series
+			maxPoints int
+		}{{fr.Containers, 1}, {fr.CPU, 1}, {fr.Desired, 2}, {s.Core.UtilizationTS, 1}} {
+			if n := len(c.series.Points); n > c.maxPoints {
+				t.Errorf("site %d %s keeps %d points, want at most %d", i, c.series.Name, n, c.maxPoints)
+			}
+			if c.series.Samples != epochs+2 {
+				t.Errorf("site %d %s counts %d samples, want %d epochs + 2", i, c.series.Name, c.series.Samples, epochs)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package metrics provides the measurement primitives used by the LaSS
 // reproduction: exact-quantile reservoirs for waiting/response times,
 // log-bucketed histograms for high-volume latency capture, time-weighted
-// averages for utilization accounting, and time-series recorders for the
+// averages for utilization accounting, and step-function series, stored as
+// change points with an exact sample count and mean, for the
 // allocation-over-time figures.
 //
 // The paper reports P95 waiting times (Figs 3, 4), cluster utilization
@@ -235,18 +236,43 @@ type Point struct {
 }
 
 // Series records a named time series, used to reproduce the
-// allocation-over-time and workload-over-time plots (Figs 6, 8, 9).
+// allocation-over-time and workload-over-time plots (Figs 6, 8, 9). It is a
+// right-continuous step function stored as change points: Points holds a
+// sample only when its value's bits differ from the last point's, so a value
+// held for a whole run costs one point. Samples counts every Record, and Mean
+// averages every recorded value, repeats included, exactly.
 type Series struct {
 	Name   string
 	Points []Point
+	// Samples is the number of Record calls, repeats included.
+	Samples int
+	sum     float64
 }
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// Record appends a point. Points are expected in time order.
+// Record samples the series at t. Points are expected in time order. A value
+// whose bits repeat the last point's adds no point (−0 and +0, and NaNs with
+// different payloads, stay distinct), so ValueAt, Last and Max answer as if
+// every sample were kept.
 func (s *Series) Record(t time.Duration, v float64) {
-	s.Points = append(s.Points, Point{T: t, V: v})
+	s.Samples++
+	s.sum += v
+	if n := len(s.Points); n == 0 || math.Float64bits(s.Points[n-1].V) != math.Float64bits(v) {
+		s.Points = append(s.Points, Point{T: t, V: v})
+	}
+}
+
+// Mean returns the mean of every recorded value, or 0 if empty. It adds the
+// values in recording order, so it is bit-identical to summing a series that
+// kept every sample and dividing by the count (a NaN result aside, whose
+// payload Go leaves unspecified).
+func (s *Series) Mean() float64 {
+	if s.Samples == 0 {
+		return 0
+	}
+	return s.sum / float64(s.Samples)
 }
 
 // Last returns the most recent value, or 0 if empty.

@@ -199,7 +199,7 @@ func TestTimeWeightedAverageBackwardsPanics(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	s := NewSeries("alloc")
-	if s.Last() != 0 || s.ValueAt(time.Second) != 0 || s.Max() != 0 {
+	if s.Last() != 0 || s.ValueAt(time.Second) != 0 || s.Max() != 0 || s.Mean() != 0 {
 		t.Error("empty series should report zeros")
 	}
 	s.Record(0, 1)
@@ -219,6 +219,120 @@ func TestSeries(t *testing.T) {
 	}
 	if s.Max() != 3 {
 		t.Errorf("max=%v", s.Max())
+	}
+}
+
+// everySample is the append-every-sample series that Series replaced, with
+// Fig 9's summing loop for the mean: the reference TestSeriesMatchesEverySample
+// holds the change-point Series to.
+type everySample struct{ points []Point }
+
+func (r *everySample) record(t time.Duration, v float64) {
+	r.points = append(r.points, Point{T: t, V: v})
+}
+
+func (r *everySample) last() float64 {
+	if len(r.points) == 0 {
+		return 0
+	}
+	return r.points[len(r.points)-1].V
+}
+
+func (r *everySample) valueAt(t time.Duration) float64 {
+	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].T > t })
+	if idx == 0 {
+		return 0
+	}
+	return r.points[idx-1].V
+}
+
+func (r *everySample) max() float64 {
+	m := 0.0
+	for i, p := range r.points {
+		if i == 0 || p.V > m {
+			m = p.V
+		}
+	}
+	return m
+}
+
+func (r *everySample) mean() float64 {
+	var sum float64
+	for _, p := range r.points {
+		sum += p.V
+	}
+	if len(r.points) == 0 {
+		return 0
+	}
+	return sum / float64(len(r.points))
+}
+
+// TestSeriesMatchesEverySample records seeded sequences with long repeat
+// runs, signed zeros, NaNs with distinct payloads, infinities and equal
+// timestamps, and after every Record compares the bits of every answer with
+// the series that keeps every sample. Recording a repeated value must not
+// allocate.
+func TestSeriesMatchesEverySample(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	// Go leaves the payload of a computed NaN unspecified: adding two NaNs
+	// may keep either operand's, depending on the instructions emitted.
+	sameSum := func(a, b float64) bool { return same(a, b) || math.IsNaN(a) && math.IsNaN(b) }
+	palette := []float64{
+		0, math.Copysign(0, -1), 1, 2, 3.5, -1,
+		math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000000),
+		math.Inf(1), math.Inf(-1),
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := xrand.New(seed)
+		s, ref := NewSeries("prop"), &everySample{}
+		now := time.Duration(rng.Intn(10)) * time.Second
+		v := palette[rng.Intn(len(palette))]
+		for step := 0; step < 300; step++ {
+			if rng.Float64() < 0.7 {
+				now += time.Duration(1+rng.Intn(5)) * time.Second
+			}
+			switch u := rng.Float64(); {
+			case u < 0.15:
+				v = palette[rng.Intn(len(palette))]
+			case u < 0.2:
+				v = rng.Norm(0, 10)
+			}
+			s.Record(now, v)
+			ref.record(now, v)
+			if !same(s.Last(), ref.last()) || !same(s.Max(), ref.max()) || !sameSum(s.Mean(), ref.mean()) || s.Samples != len(ref.points) {
+				t.Fatalf("seed %d step %d: Last/Max/Mean/Samples = %v/%v/%v/%d, every sample gives %v/%v/%v/%d",
+					seed, step, s.Last(), s.Max(), s.Mean(), s.Samples, ref.last(), ref.max(), ref.mean(), len(ref.points))
+			}
+			probes := []time.Duration{ref.points[0].T - time.Second}
+			for i, p := range ref.points {
+				probes = append(probes, p.T)
+				if i > 0 && p.T > ref.points[i-1].T {
+					probes = append(probes, (ref.points[i-1].T+p.T)/2)
+				}
+			}
+			for _, at := range probes {
+				if g, w := s.ValueAt(at), ref.valueAt(at); !same(g, w) {
+					t.Fatalf("seed %d step %d: ValueAt(%v) = %v, every sample gives %v", seed, step, at, g, w)
+				}
+			}
+		}
+		if len(s.Points) >= len(ref.points) {
+			t.Errorf("seed %d: %d points kept of %d samples; repeats must not add points", seed, len(s.Points), len(ref.points))
+		}
+	}
+
+	// Each call records 1<<14 repeats: appending every sample would grow
+	// the slice at least once per call.
+	s, now := NewSeries("repeat"), time.Duration(0)
+	s.Record(now, 4)
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < 1<<14; i++ {
+			now += time.Second
+			s.Record(now, 4)
+		}
+	})
+	if allocs != 0 || len(s.Points) != 1 {
+		t.Errorf("recording a repeated value: %v allocations per call, %d points; want 0 and 1", allocs, len(s.Points))
 	}
 }
 
