@@ -189,7 +189,7 @@ type Controller struct {
 	cluster  *cluster.Cluster
 	hooks    Hooks
 	funcs    map[string]*Function
-	order    []string // registration order, for deterministic iteration
+	order    []*Function // registration order, for deterministic iteration
 	users    map[string]float64
 	drained  map[cluster.ContainerID]time.Duration // when marked draining
 	stats    Stats
@@ -313,7 +313,7 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 		smoother:  sm,
 	}
 	ctl.funcs[spec.Name] = f
-	ctl.order = append(ctl.order, spec.Name)
+	ctl.order = append(ctl.order, f)
 	return f, nil
 }
 
@@ -323,11 +323,17 @@ func (ctl *Controller) Function(name string) (*Function, bool) {
 	return f, ok
 }
 
-// RecordArrival feeds the estimator; the data path calls it for every
-// incoming request.
+// RecordArrivalOf feeds f's estimator; the data path calls it for every
+// incoming request, with the handle Register returned.
+func (ctl *Controller) RecordArrivalOf(f *Function) {
+	f.estimator.RecordArrival(ctl.hooks.Now())
+}
+
+// RecordArrival is RecordArrivalOf by name, for a caller that holds no
+// handle (the benchmark's controller replay); unknown names are ignored.
 func (ctl *Controller) RecordArrival(function string) {
 	if f, ok := ctl.funcs[function]; ok {
-		f.estimator.RecordArrival(ctl.hooks.Now())
+		ctl.RecordArrivalOf(f)
 	}
 }
 
@@ -426,18 +432,17 @@ func (ctl *Controller) desiredContainers(f *Function, lambda float64) (int, erro
 // the report later copy it (the federation's epoch snapshot does).
 func (ctl *Controller) Demands() []allocation.FunctionDemand {
 	out := ctl.demandsOut[:0]
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.order {
 		uw := 1.0
 		if w := ctl.users[f.User]; w > 0 {
 			uw = w
 		}
 		desired := int64(max(f.Desired, ctl.cfg.MinContainers)) * f.Spec.CPUMillis
 		if ctl.stats.Steps == 0 {
-			desired = max(desired, liveCPU(ctl.liveContainers(name)))
+			desired = max(desired, liveCPU(ctl.liveContainers(f.Spec.Name)))
 		}
 		out = append(out, allocation.FunctionDemand{
-			Name:       name,
+			Name:       f.Spec.Name,
 			User:       f.User,
 			Weight:     f.Weight,
 			UserWeight: uw,
@@ -555,8 +560,7 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 	ctl.stats.Steps++
 
 	// 1. Rate estimates.
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.order {
 		raw, burst := f.estimator.Rate(now)
 		if ctl.cfg.NoBurstDetection {
 			burst = false
@@ -581,15 +585,14 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 
 	// 2. Model-driven desired capacity.
 	demands := ctl.demandScratch[:0]
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.order {
 		want, err := ctl.desiredContainers(f, f.LambdaHat)
 		if err != nil {
-			return nil, fmt.Errorf("controller: sizing %s: %w", name, err)
+			return nil, fmt.Errorf("controller: sizing %s: %w", f.Spec.Name, err)
 		}
 		f.Desired = want
 		demands = append(demands, fairshare.Demand{
-			ID:      name,
+			ID:      f.Spec.Name,
 			Weight:  f.Weight,
 			Desired: int64(want) * f.Spec.CPUMillis,
 		})
@@ -652,8 +655,7 @@ func (ctl *Controller) grantTargets(demands []fairshare.Demand, capacity int64) 
 // its desire, so its drained containers go at once, not lazily.
 func (ctl *Controller) enforce(targets map[string]int64, overloaded bool) error {
 	bound := false
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.order {
 		if t, binds := target(f, targets, overloaded); binds {
 			bound = true
 			if err := ctl.shrinkTo(f, t); err != nil {
@@ -664,8 +666,7 @@ func (ctl *Controller) enforce(targets map[string]int64, overloaded bool) error 
 	if bound {
 		ctl.stats.Overloads++
 	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.order {
 		t, binds := target(f, targets, overloaded)
 		var err error
 		if binds {
@@ -717,8 +718,8 @@ func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (m
 
 // expireDrained terminates Draining containers older than drainTTL.
 func (ctl *Controller) expireDrained(now time.Duration) {
-	for _, name := range ctl.order {
-		for _, c := range ctl.drainingContainers(name) {
+	for _, f := range ctl.order {
+		for _, c := range ctl.drainingContainers(f.Spec.Name) {
 			at, ok := ctl.drained[c.ID]
 			if ok && now-at >= drainTTL {
 				ctl.terminate(c)
@@ -783,8 +784,8 @@ func (ctl *Controller) reclaimDrainedFor(cpu, mem int64) bool {
 		at time.Duration
 	}
 	var cands []cand
-	for _, name := range ctl.order {
-		for _, c := range ctl.drainingContainers(name) {
+	for _, f := range ctl.order {
+		for _, c := range ctl.drainingContainers(f.Spec.Name) {
 			cands = append(cands, cand{c, ctl.drained[c.ID]})
 		}
 	}

@@ -141,7 +141,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := h.ctl.RegisterUser("::default", 1); err == nil || !strings.Contains(err.Error(), `"::default"`) {
 		t.Errorf("reserved user name: got %v, want an error naming it", err)
 	}
-	if fns := h.ctl.order; len(fns) != 1 || fns[0] != "micro-benchmark" {
+	if fns := h.ctl.order; len(fns) != 1 || fns[0].Spec.Name != "micro-benchmark" {
 		t.Errorf("functions=%v", fns)
 	}
 }

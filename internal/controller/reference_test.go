@@ -51,8 +51,7 @@ func referenceEnforceLocal(ctl *Controller, demands []fairshare.Demand) error {
 	ctl.headroom = capacity - totalDesired
 	if totalDesired <= capacity {
 		// No resource pressure: grant everyone their desire (§3.3).
-		for _, name := range ctl.order {
-			f := ctl.funcs[name]
+		for _, f := range ctl.order {
 			if err := ctl.reconcileNormal(f, f.Desired); err != nil {
 				return err
 			}
@@ -68,15 +67,13 @@ func referenceEnforceLocal(ctl *Controller, demands []fairshare.Demand) error {
 		return err
 	}
 	// Reclaim first (free capacity), then grow into the freed space.
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		if err := ctl.shrinkTo(f, grants[name]); err != nil {
+	for _, f := range ctl.order {
+		if err := ctl.shrinkTo(f, grants[f.Spec.Name]); err != nil {
 			return err
 		}
 	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		if err := ctl.growTo(f, grants[name]); err != nil {
+	for _, f := range ctl.order {
+		if err := ctl.growTo(f, grants[f.Spec.Name]); err != nil {
 			return err
 		}
 	}
@@ -154,25 +151,23 @@ func referenceEnforceGrants(ctl *Controller, demands []fairshare.Demand) error {
 		ctl.stats.Overloads++
 	}
 	// Reclaim grant-bound pools first (freeing capacity), then grow.
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
-		if targets[name] < int64(f.Desired)*f.Spec.CPUMillis {
-			if err := ctl.shrinkTo(f, targets[name]); err != nil {
+	for _, f := range ctl.order {
+		if targets[f.Spec.Name] < int64(f.Desired)*f.Spec.CPUMillis {
+			if err := ctl.shrinkTo(f, targets[f.Spec.Name]); err != nil {
 				return err
 			}
 		}
 	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.order {
 		desired := int64(f.Desired) * f.Spec.CPUMillis
-		if targets[name] < desired {
-			if err := ctl.growTo(f, targets[name]); err != nil {
+		if targets[f.Spec.Name] < desired {
+			if err := ctl.growTo(f, targets[f.Spec.Name]); err != nil {
 				return err
 			}
 			continue
 		}
 		want := f.Desired
-		if w := int(targets[name] / f.Spec.CPUMillis); w > want {
+		if w := int(targets[f.Spec.Name] / f.Spec.CPUMillis); w > want {
 			want = w // pre-provision toward the granted container count
 		}
 		if err := ctl.reconcileNormal(f, want); err != nil {
@@ -187,8 +182,8 @@ func referenceEnforceGrants(ctl *Controller, demands []fairshare.Demand) error {
 // adjustment.
 func referenceFairShares(ctl *Controller, demands []fairshare.Demand, capacity int64) (map[string]int64, error) {
 	hierarchical := false
-	for _, name := range ctl.order {
-		if ctl.funcs[name].User != "" {
+	for _, f := range ctl.order {
+		if f.User != "" {
 			hierarchical = true
 			break
 		}
@@ -211,8 +206,7 @@ func referenceFairShares(ctl *Controller, demands []fairshare.Demand, capacity i
 	for _, d := range demands {
 		demandOf[d.ID] = d.Desired
 	}
-	for _, name := range ctl.order {
-		f := ctl.funcs[name]
+	for _, f := range ctl.order {
 		user := f.User
 		if user == "" {
 			user = "::default"
@@ -228,9 +222,9 @@ func referenceFairShares(ctl *Controller, demands []fairshare.Demand, capacity i
 			root.Children = append(root.Children, un)
 		}
 		un.Children = append(un.Children, &fairshare.Node{
-			ID:      name,
+			ID:      f.Spec.Name,
 			Weight:  f.Weight,
-			Desired: demandOf[name],
+			Desired: demandOf[f.Spec.Name],
 		})
 	}
 	return fairshare.AllocateTree(root, capacity, true)

@@ -50,7 +50,8 @@ type Config struct {
 	// Engine, when non-nil, is the discrete-event engine the platform
 	// runs on instead of a private one. The federation layer passes a
 	// shared engine so several edge-site platforms advance on one virtual
-	// clock; such platforms are driven with Start/Collect rather than Run.
+	// clock; such platforms are driven with Start, Tick and Collect rather
+	// than Run, and their host calls Tick once per evaluation interval.
 	Engine *sim.Engine
 }
 
@@ -203,7 +204,7 @@ const arrivalBatch = 64
 type arrivalStream struct {
 	p      *Platform
 	arr    *workload.Arrivals
-	name   string
+	fn     *controller.Function
 	res    *FunctionResult
 	q      *dispatch.Queue
 	fireFn func()
@@ -219,7 +220,7 @@ func (s *arrivalStream) fire() {
 	// and counting it here would inflate this site's demand estimate with
 	// load it never serves.
 	if s.q.Arrive() != nil {
-		s.p.Controller.RecordArrival(s.name)
+		s.p.Controller.RecordArrivalOf(s.fn)
 	}
 	s.armNext()
 }
@@ -244,17 +245,16 @@ func (s *arrivalStream) armNext() {
 }
 
 // startArrivals launches the Poisson arrival stream for one function.
-func (p *Platform) startArrivals(fc FunctionConfig, res *FunctionResult) {
+func (p *Platform) startArrivals(fc FunctionConfig, t tracked) {
 	if fc.Workload == nil {
 		return
 	}
-	name := fc.Spec.Name
 	s := &arrivalStream{
-		p:    p,
-		arr:  workload.NewArrivals(fc.Workload, p.rng.Fork()),
-		name: name,
-		res:  res,
-		q:    p.Queues[name],
+		p:   p,
+		arr: workload.NewArrivals(fc.Workload, p.rng.Fork()),
+		fn:  t.fn,
+		res: t.res,
+		q:   p.Queues[fc.Spec.Name],
 	}
 	s.fireFn = s.fire
 	// The first batch starts from t=0 regardless of when the stream is
@@ -286,10 +286,11 @@ func (p *Platform) record() {
 	}
 }
 
-// tick is the platform's one periodic event: a controller epoch (unless the
-// controller is disabled or the run has failed), then a sample of the
-// series at the same instant.
-func (p *Platform) tick() {
+// Tick is the platform's epoch: a controller step (unless the controller
+// is disabled or the run has failed), then a sample of the series at the
+// same instant. Run calls it from one periodic event per evaluation
+// interval; a federation calls every site's Tick from one fleet event.
+func (p *Platform) Tick() {
 	if !p.cfg.DisableController && p.runErr == nil {
 		if err := p.Controller.Step(); err != nil {
 			p.runErr = err
@@ -298,16 +299,16 @@ func (p *Platform) tick() {
 	p.record()
 }
 
-// Start installs the platform's arrival chains and its controller tick on
-// its engine without running it. Standalone runs use Run; the federation
-// layer Starts each edge-site platform on a shared engine, drives the
+// Start installs the platform's arrival chains on its engine and records
+// the initial sample, without running it or arming its epochs. Standalone
+// runs use Run; the federation layer Starts each edge-site platform on a
+// shared engine, Ticks every site from one periodic event, drives the
 // engine itself, and then Collects per-site results.
 func (p *Platform) Start() {
 	for i, fc := range p.cfg.Functions {
-		p.startArrivals(fc, p.results[i].res)
+		p.startArrivals(fc, p.results[i])
 	}
 	p.record()
-	p.Engine.Every(p.Controller.Config().EvalInterval, p.tick)
 }
 
 // Run simulates the platform for the given duration, which must be
@@ -317,6 +318,7 @@ func (p *Platform) Run(duration time.Duration) (*Result, error) {
 		return nil, fmt.Errorf("core: run duration must be positive, got %v", duration)
 	}
 	p.Start()
+	p.Engine.Every(p.Controller.Config().EvalInterval, p.Tick)
 	p.Engine.RunUntil(duration)
 	return p.Collect(duration)
 }

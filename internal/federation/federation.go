@@ -68,6 +68,7 @@ import (
 
 	"lass/internal/allocation"
 	"lass/internal/chaos"
+	"lass/internal/controller"
 	"lass/internal/core"
 	"lass/internal/dispatch"
 	"lass/internal/metrics"
@@ -375,9 +376,10 @@ type placeTable struct {
 	origin *Site
 	q      *dispatch.Queue // the origin's queue for fn
 	fn     string
-	// queues is site-indexed: each site's queue for fn, nil where the site
-	// does not serve it.
+	// queues and fns are site-indexed: each site's queue for fn and its
+	// controller's handle for fn, nil where the site does not serve it.
 	queues []*dispatch.Queue
+	fns    []*controller.Function
 }
 
 // Federation is an assembled multi-cluster deployment.
@@ -491,6 +493,7 @@ func New(cfg Config) (*Federation, error) {
 	if cfg.CoordinatorElection == RTTCentroid {
 		f.coordinator = cfg.Topology.RTTCentroid()
 	}
+	var interval time.Duration // every site's controller EvalInterval
 	for i, sc := range cfg.Sites {
 		sc.Engine = engine
 		if sc.Cluster.Site == "" {
@@ -499,6 +502,16 @@ func New(cfg Config) (*Federation, error) {
 		p, err := core.New(sc)
 		if err != nil {
 			return nil, fmt.Errorf("federation: site %d: %w", i, err)
+		}
+		// Run ticks every site from one fleet event, so all share its period.
+		switch iv := p.Controller.Config().EvalInterval; {
+		case iv <= 0:
+			return nil, fmt.Errorf("federation: site %s: eval interval %v is not positive", sc.Cluster.Site, iv)
+		case i == 0:
+			interval = iv
+		case iv != interval:
+			return nil, fmt.Errorf("federation: site %s: eval interval %v differs from site %s's %v",
+				sc.Cluster.Site, iv, f.Sites[0].Name, interval)
 		}
 		s := &Site{
 			Name:      sc.Cluster.Site,
@@ -513,7 +526,11 @@ func New(cfg Config) (*Federation, error) {
 		s.observeDone = func(r *dispatch.Request) { s.observe(r.Response()) }
 		f.Sites = append(f.Sites, s)
 	}
-	byFn := make(map[string][]*dispatch.Queue) // function → site-indexed queues
+	type handles struct {
+		queues []*dispatch.Queue
+		fns    []*controller.Function
+	}
+	byFn := make(map[string]handles) // function → site-indexed handles
 	for _, s := range f.Sites {
 		s.peers = f.peersByRTT(s)
 		s.legs = make([]float64, len(f.Sites))
@@ -522,12 +539,12 @@ func New(cfg Config) (*Federation, error) {
 		}
 		for _, fc := range f.cfg.Sites[s.Index].Functions {
 			fn := fc.Spec.Name
-			queues, ok := byFn[fn]
+			h, ok := byFn[fn]
 			if !ok {
-				queues = f.queuesFor(fn)
-				byFn[fn] = queues
+				h.queues, h.fns = f.handlesFor(fn)
+				byFn[fn] = h
 			}
-			f.wire(&placeTable{origin: s, q: queues[s.Index], fn: fn, queues: queues})
+			f.wire(&placeTable{origin: s, q: h.queues[s.Index], fn: fn, queues: h.queues, fns: h.fns})
 		}
 	}
 	if cfg.Reclaim && cfg.Hierarchy == nil {
@@ -592,14 +609,16 @@ func (f *Federation) siteDark(i int, t time.Duration) bool {
 	return f.cfg.Faults != nil && f.cfg.Faults.SiteDown(i, t)
 }
 
-// queuesFor returns every site's queue for fn, indexed by site; nil where a
-// site does not serve it.
-func (f *Federation) queuesFor(fn string) []*dispatch.Queue {
+// handlesFor returns every site's queue and controller handle for fn,
+// indexed by site; nil where a site does not serve it.
+func (f *Federation) handlesFor(fn string) ([]*dispatch.Queue, []*controller.Function) {
 	queues := make([]*dispatch.Queue, len(f.Sites))
+	fns := make([]*controller.Function, len(f.Sites))
 	for i, s := range f.Sites {
 		queues[i] = s.Platform.Queues[fn]
+		fns[i], _ = s.Platform.Controller.Function(fn)
 	}
-	return queues
+	return queues, fns
 }
 
 // peersByRTT returns the other sites' indices ordered by ascending RTT from
@@ -635,7 +654,7 @@ func (f *Federation) wire(t *placeTable) {
 			// here (and offloadToPeer skips the host-side record). This is
 			// what lets the coordinator see an overloaded site's full
 			// demand instead of just the share it kept.
-			s.Platform.Controller.RecordArrival(t.fn)
+			s.Platform.Controller.RecordArrivalOf(t.fns[s.Index])
 		}
 		switch d.Kind {
 		case RejectRequest:
@@ -824,7 +843,7 @@ func (o *peerOffload) arrive() {
 		// Locally-allocating hosts must provision for absorbed work;
 		// under the global allocator the demand was already recorded
 		// at the origin and capacity arrives via the grant.
-		o.target.Platform.Controller.RecordArrival(o.t.fn)
+		o.target.Platform.Controller.RecordArrivalOf(o.t.fns[o.target.Index])
 	}
 	pr := o.t.queues[o.target.Index].ArriveOffloaded()
 	pr.Done = o.doneFn
@@ -1244,6 +1263,13 @@ type Result struct {
 	Hierarchical bool
 }
 
+// tick is the fleet epoch: every site's platform epoch, in site order.
+func (f *Federation) tick() {
+	for _, s := range f.Sites {
+		s.Platform.Tick()
+	}
+}
+
 // Run drives all sites on the shared engine for the given simulated
 // duration, which must be positive, and collects per-site results.
 func (f *Federation) Run(duration time.Duration) (*Result, error) {
@@ -1253,6 +1279,8 @@ func (f *Federation) Run(duration time.Duration) (*Result, error) {
 	for _, s := range f.Sites {
 		s.Platform.Start()
 	}
+	// One periodic event per epoch Ticks every site, in site order.
+	f.Engine.Every(f.Sites[0].Platform.Controller.Config().EvalInterval, f.tick)
 	if f.cfg.GlobalFairShare {
 		// Scheduled after the platforms so that, on shared epoch
 		// timestamps, every controller's demand estimate is fresh before

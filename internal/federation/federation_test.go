@@ -331,6 +331,67 @@ func TestModelDrivenBeatsNeverUnderOverload(t *testing.T) {
 	}
 }
 
+// TestOneFleetTickPerEpoch is a host-independent floor on the fleet's
+// fixed cost: with no workload, a run of D fires one periodic event per
+// evaluation interval for the whole fleet — not one per site — plus one
+// cold-start event per container created.
+func TestOneFleetTickPerEpoch(t *testing.T) {
+	const d = 10 * time.Minute
+	spec := functions.MicroBenchmark(100 * time.Millisecond)
+	for _, n := range []int{1, 10} {
+		sites := make([]core.Config, n)
+		for i := range sites {
+			sites[i] = core.Config{
+				Cluster:    cluster.PaperCluster(),
+				Controller: controller.Config{EvalInterval: 5 * time.Second, MinContainers: 3},
+				Seed:       uint64(i),
+				Functions:  []core.FunctionConfig{{Spec: spec, Prewarm: 2}},
+			}
+		}
+		fed, err := New(Config{Sites: sites})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fed.Run(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var creations uint64
+		for _, s := range res.Sites {
+			creations += s.Core.ControllerOps.Creations
+		}
+		if creations != uint64(3*n) {
+			t.Errorf("%d sites: %d creations, want 3 per site", n, creations)
+		}
+		if want := uint64(d/(5*time.Second)) + creations; fed.Engine.Fired() != want {
+			t.Errorf("%d sites: fired %d events, want %d (one per fleet epoch + %d cold starts)",
+				n, fed.Engine.Fired(), want, creations)
+		}
+	}
+}
+
+// TestNewRejectsMixedEvalIntervals: one fleet event ticks every site, so a
+// site whose controller runs at another interval — or at none — is a
+// configuration error naming that site, never a panic inside Run.
+func TestNewRejectsMixedEvalIntervals(t *testing.T) {
+	for _, c := range []struct {
+		interval time.Duration
+		want     string
+	}{
+		{10 * time.Second, "federation: site far: eval interval 10s differs from site near's 5s"},
+		{-time.Second, "federation: site far: eval interval -1s is not positive"},
+	} {
+		near := staticSite(t, "squeezenet", 5, 1, tinyCluster())
+		near.Cluster.Site = "near"
+		far := staticSite(t, "squeezenet", 5, 2, tinyCluster())
+		far.Cluster.Site = "far"
+		far.Controller.EvalInterval = c.interval
+		if _, err := New(Config{Sites: []core.Config{near, far}}); err == nil || err.Error() != c.want {
+			t.Errorf("interval %v: New returned %v, want %q", c.interval, err, c.want)
+		}
+	}
+}
+
 func TestNewRejectsEmpty(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted a federation with no sites")

@@ -391,8 +391,8 @@ func (ctx *PlacementContext) DesiredCPU(site int) int64 {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return 0
 	}
-	f, ok := ctx.f.Sites[site].Platform.Controller.Function(ctx.t.fn)
-	if !ok {
+	f := ctx.t.fns[site]
+	if f == nil {
 		return 0
 	}
 	return int64(f.Desired) * f.Spec.CPUMillis

@@ -363,7 +363,8 @@ func TestBuiltinPlacersAllocationFree(t *testing.T) {
 		}
 		for _, s := range fed.Sites {
 			for fn, q := range s.Platform.Queues {
-				table := &placeTable{origin: s, q: q, fn: fn, queues: fed.queuesFor(fn)}
+				queues, fns := fed.handlesFor(fn)
+				table := &placeTable{origin: s, q: q, fn: fn, queues: queues, fns: fns}
 				for _, sheddable := range []bool{false, true} {
 					fed.ctxScratch = PlacementContext{f: fed, t: table, sheddable: sheddable,
 						now: fed.Engine.Now(), originDark: fed.siteDark(s.Index, fed.Engine.Now())}

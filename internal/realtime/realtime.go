@@ -70,6 +70,7 @@ type worker struct {
 
 // fnState is one registered function.
 type fnState struct {
+	fn      *controller.Function
 	handler Handler
 	queue   []*invocation
 	workers map[cluster.ContainerID]*worker
@@ -184,6 +185,7 @@ func (p *Platform) Register(spec functions.Spec, handler Handler, slo queuing.SL
 		return err
 	}
 	p.fns[spec.Name] = &fnState{
+		fn:      f,
 		handler: handler,
 		workers: make(map[cluster.ContainerID]*worker),
 		waits:   metrics.NewReservoir(),
@@ -218,7 +220,7 @@ func (p *Platform) Invoke(ctx context.Context, function string, payload []byte) 
 		arrived: time.Since(p.origin),
 		done:    make(chan result, 1),
 	}
-	p.ctl.RecordArrival(function)
+	p.ctl.RecordArrivalOf(f.fn)
 	f.queue = append(f.queue, inv)
 	p.pumpLocked(f)
 	p.mu.Unlock()
