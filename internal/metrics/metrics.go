@@ -1,6 +1,8 @@
 // Package metrics provides the measurement primitives used by the LaSS
 // reproduction: exact-quantile reservoirs for waiting/response times,
-// log-bucketed histograms for high-volume latency capture, time-weighted
+// fixed-size log-linear histograms for high-volume latency capture (the live
+// runtime's waits; nearest-rank quantiles within 2^-(k+1) relative error of
+// the exact order statistic, k mantissa bits per bucket), time-weighted
 // averages for utilization accounting, and step-function series, stored as
 // change points with an exact sample count and mean, for the
 // allocation-over-time figures.
@@ -99,90 +101,122 @@ func (r *Reservoir) FractionBelow(limit float64) float64 {
 	return float64(idx) / float64(len(r.samples))
 }
 
-// Histogram is a log-bucketed latency histogram with bounded relative error,
-// suitable for high-volume capture on the real-time data path where keeping
-// every sample would be wasteful. Buckets grow geometrically from min to max.
+// Histogram is a fixed-size log-linear histogram (HDR style) with a stated
+// relative error, for high-volume capture where keeping every sample would
+// grow memory with run length. A bucket is a float64's exponent plus its top
+// k mantissa bits, so Add is a shift and a subtraction on math.Float64bits:
+// no logarithm, no allocation, and the state never grows after NewHistogram.
+// Each octave splits into 2^k equal-width buckets, at most 2^-k of their
+// lower edge wide.
+//
+// Quantile(q) is nearest-rank: the sample of rank ⌈q·n⌉ (at least 1) in
+// sorted order. It reports that sample's bucket midpoint, clamped to the
+// exact minimum and maximum seen, so it is within 2^-(k+1) relative error
+// of the exact order statistic whenever that statistic lies in the tracked
+// range; Quantile(0) and Quantile(1) are the exact min and max, and a
+// constant stream reads back exactly.
+//
+// Inputs: a value below the range, including zero, negatives and -Inf,
+// counts as underflow; one above it, including +Inf, as overflow. Both count
+// in the rank and in the exact min and max, and a rank that falls among them
+// reports the range edge they passed. NaN has no rank: Add ignores it.
 type Histogram struct {
-	min     float64
-	growth  float64
+	lo, hi  float64 // tracked range [min, max]
+	shift   uint    // 52 - k: drops the mantissa bits below the bucket
+	base    uint64  // the bucket index of lo, in shifted bits
 	counts  []uint64
 	total   uint64
 	underf  uint64
 	overf   uint64
+	minSeen float64
 	maxSeen float64
 }
 
-// NewHistogram returns a histogram covering [min, max] with the given number
-// of geometric buckets. Typical latency use: NewHistogram(1e-6, 100, 256)
-// for 1 microsecond to 100 seconds with ~7% relative bucket width.
+// NewHistogram returns a histogram tracking [min, max] at a resolution no
+// coarser than buckets geometric buckets over that range: k is the fewest
+// mantissa bits whose bucket width, 2^-k of its lower edge, is at most the
+// geometric buckets' width (one bucket per octave at the coarsest). For
+// geometric buckets narrower than an octave that is fewer than three
+// counters per bucket asked for, plus 2^k. min must be a normal positive
+// float64 and max finite. Typical latency use: NewHistogram(1e-6, 100, 256),
+// 1 µs to 100 s at k = 4 (within 3.1%).
 func NewHistogram(min, max float64, buckets int) *Histogram {
-	if min <= 0 || max <= min || buckets < 1 {
+	if !(min >= 0x1p-1022) || !(max > min) || math.IsInf(max, 1) || buckets < 1 {
 		panic("metrics: invalid histogram parameters")
 	}
+	width := math.Expm1(math.Log(max/min) / float64(buckets))
+	k := 0
+	for k < 52 && math.Ldexp(1, -k) > width {
+		k++
+	}
+	shift := uint(52 - k)
+	base := math.Float64bits(min) >> shift
 	return &Histogram{
-		min:    min,
-		growth: math.Pow(max/min, 1/float64(buckets)),
-		counts: make([]uint64, buckets),
+		lo:      min,
+		hi:      max,
+		shift:   shift,
+		base:    base,
+		counts:  make([]uint64, math.Float64bits(max)>>shift-base+1),
+		minSeen: math.Inf(1),
+		maxSeen: math.Inf(-1),
 	}
-}
-
-func (h *Histogram) bucketOf(v float64) int {
-	if v < h.min {
-		return -1
-	}
-	b := int(math.Log(v/h.min) / math.Log(h.growth))
-	if b >= len(h.counts) {
-		return len(h.counts)
-	}
-	return b
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
-	h.total++
+	if v != v {
+		return
+	}
+	if v < h.minSeen {
+		h.minSeen = v
+	}
 	if v > h.maxSeen {
 		h.maxSeen = v
 	}
-	switch b := h.bucketOf(v); {
-	case b < 0:
+	h.total++
+	switch {
+	case v < h.lo:
 		h.underf++
-	case b >= len(h.counts):
+	case v > h.hi:
 		h.overf++
 	default:
-		h.counts[b]++
+		h.counts[math.Float64bits(v)>>h.shift-h.base]++
 	}
 }
 
-// Quantile returns an approximate q-quantile using the geometric midpoint of
-// the containing bucket. Underflow samples report as min; overflow as the
-// maximum observed value.
+// Quantile returns the nearest-rank q-quantile (q clamped to [0, 1]) within
+// the error stated on Histogram, or 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
+	rank := uint64(1)
+	if q >= 1 {
+		rank = h.total
+	} else if q > 0 {
+		rank = max(1, uint64(math.Ceil(q*float64(h.total))))
 	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64 = h.underf
-	if cum >= target {
-		return h.min
-	}
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			hiEdge := h.min * math.Pow(h.growth, float64(i+1))
-			loEdge := h.min * math.Pow(h.growth, float64(i))
-			return math.Sqrt(hiEdge * loEdge)
+	var est float64
+	switch {
+	case rank == 1:
+		return h.minSeen
+	case rank == h.total:
+		return h.maxSeen
+	case rank <= h.underf:
+		est = h.lo
+	case rank > h.total-h.overf:
+		est = h.hi
+	default:
+		cum := h.underf
+		for i, c := range h.counts {
+			if cum += c; cum >= rank {
+				b := (h.base + uint64(i)) << h.shift
+				est = (math.Float64frombits(b) + math.Float64frombits(b+1<<h.shift)) / 2
+				break
+			}
 		}
 	}
-	return h.maxSeen
+	return math.Min(math.Max(est, h.minSeen), h.maxSeen)
 }
 
 // TimeWeightedAverage integrates a piecewise-constant signal over time and

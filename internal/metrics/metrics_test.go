@@ -112,20 +112,39 @@ func TestQuickReservoirQuantileMatchesSort(t *testing.T) {
 	}
 }
 
+// nearestRank is the exact order statistic Histogram.Quantile estimates: the
+// sample of rank ⌈q·n⌉ (at least 1) in sorted, which must be non-empty.
+func nearestRank(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	rank := 1
+	if q >= 1 {
+		rank = n
+	} else if q > 0 {
+		rank = max(1, int(math.Ceil(q*float64(n))))
+	}
+	return sorted[rank-1]
+}
+
+// errorBound is h's stated relative error, 2^-(k+1) for k mantissa bits.
+func errorBound(h *Histogram) float64 { return math.Ldexp(1, int(h.shift)-53) }
+
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	h := NewHistogram(1e-6, 100, 512)
+	if b := errorBound(h); b != 1.0/64 {
+		t.Fatalf("512 buckets over 1e-6..100 keep k=%d mantissa bits (bound %v), want 5", 52-h.shift, b)
+	}
 	rng := xrand.New(21)
-	exact := NewReservoir()
+	var vals []float64
 	for i := 0; i < 100000; i++ {
 		v := rng.Exp(10) // mean 0.1s
 		h.Add(v)
-		exact.Add(v)
+		vals = append(vals, v)
 	}
+	sort.Float64s(vals)
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		hq := h.Quantile(q)
-		eq := exact.Quantile(q)
-		if math.Abs(hq-eq)/eq > 0.05 {
-			t.Errorf("q=%v: hist=%v exact=%v", q, hq, eq)
+		hq, eq := h.Quantile(q), nearestRank(vals, q)
+		if math.Abs(hq-eq) > errorBound(h)*eq {
+			t.Errorf("q=%v: hist=%v exact=%v, beyond %v relative", q, hq, eq, errorBound(h))
 		}
 	}
 }
@@ -133,15 +152,126 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 func TestHistogramUnderOverflow(t *testing.T) {
 	h := NewHistogram(0.001, 1, 16)
 	h.Add(0.0001) // underflow
+	h.Add(0.0002) // underflow
 	h.Add(100)    // overflow
-	if h.total != 2 {
-		t.Errorf("count=%d", h.total)
+	if h.total != 3 || h.underf != 2 || h.overf != 1 {
+		t.Errorf("count=%d under=%d over=%d, want 3 2 1", h.total, h.underf, h.overf)
 	}
-	if q := h.Quantile(0.01); q != 0.001 {
-		t.Errorf("underflow quantile=%v want min", q)
+	if q := h.Quantile(0.01); q != 0.0001 {
+		t.Errorf("rank-1 quantile=%v want the exact min", q)
+	}
+	if q := h.Quantile(0.5); q != 0.001 {
+		t.Errorf("underflow quantile=%v want the range's min", q)
 	}
 	if q := h.Quantile(1); q != 100 {
 		t.Errorf("overflow quantile=%v want max seen", q)
+	}
+}
+
+// TestHistogramInfIsOverflow: +Inf is above every range, so it counts as
+// overflow and is the exact max (it once landed in underflow and read back
+// as the range's min).
+func TestHistogramInfIsOverflow(t *testing.T) {
+	h := NewHistogram(0.001, 1, 16)
+	h.Add(0.5)
+	h.Add(math.Inf(1))
+	if h.underf != 0 || h.overf != 1 {
+		t.Errorf("under=%d over=%d, want 0 1", h.underf, h.overf)
+	}
+	if q := h.Quantile(1); !math.IsInf(q, 1) {
+		t.Errorf("Quantile(1)=%v want +Inf", q)
+	}
+	if q := h.Quantile(0); q != 0.5 {
+		t.Errorf("Quantile(0)=%v want 0.5", q)
+	}
+}
+
+func TestHistogramConstantStreamIsExact(t *testing.T) {
+	h := NewHistogram(0.001, 1, 16)
+	for i := 0; i < 1000; i++ {
+		h.Add(0.5)
+	}
+	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+		if got := h.Quantile(q); got != 0.5 {
+			t.Errorf("Quantile(%v)=%v of a constant 0.5 stream", q, got)
+		}
+	}
+}
+
+// TestHistogramNaNZeroNegative: NaN is ignored; zero, −0, negatives and −Inf
+// are underflow, and the exact min keeps the smallest of them.
+func TestHistogramNaNZeroNegative(t *testing.T) {
+	h := NewHistogram(0.001, 1, 16)
+	h.Add(math.NaN())
+	if h.total != 0 || h.Quantile(0.5) != 0 {
+		t.Errorf("NaN counted: total=%d", h.total)
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -3, math.Inf(-1)} {
+		h.Add(v)
+	}
+	h.Add(0.5)
+	if h.total != 5 || h.underf != 4 {
+		t.Errorf("total=%d under=%d, want 5 4", h.total, h.underf)
+	}
+	if q := h.Quantile(0); !math.IsInf(q, -1) {
+		t.Errorf("Quantile(0)=%v want -Inf", q)
+	}
+	if q := h.Quantile(0.5); q != 0.001 {
+		t.Errorf("underflow quantile=%v want the range's min", q)
+	}
+	if q := h.Quantile(1); q != 0.5 {
+		t.Errorf("Quantile(1)=%v want 0.5", q)
+	}
+	if q := h.Quantile(math.NaN()); !math.IsInf(q, -1) {
+		t.Errorf("Quantile(NaN)=%v want the min", q)
+	}
+}
+
+// TestHistogramStateIsFixed: Add allocates nothing and the bucket array never
+// grows, so memory is flat in the number of samples.
+func TestHistogramStateIsFixed(t *testing.T) {
+	h := NewHistogram(100e-9, 1e4, 3000)
+	n, c := len(h.counts), cap(h.counts)
+	rng := xrand.New(5)
+	if a := testing.AllocsPerRun(1000, func() { h.Add(rng.Exp(1e3)) }); a != 0 {
+		t.Errorf("Add allocates %v times per call", a)
+	}
+	for i := 0; i < 1_000_000; i++ {
+		h.Add(rng.LogNormal(-9, 6)) // spills far past both ends
+	}
+	if len(h.counts) != n || cap(h.counts) != c {
+		t.Errorf("buckets went from len %d cap %d to len %d cap %d", n, c, len(h.counts), cap(h.counts))
+	}
+	if h.underf == 0 || h.overf == 0 {
+		t.Errorf("under=%d over=%d: the stream should spill both ways", h.underf, h.overf)
+	}
+}
+
+// TestHistogramResolution: every bucket is at most as wide, relative to its
+// lower edge, as one of the requested geometric buckets, and, when those are
+// narrower than an octave, the counters stay under three per requested bucket
+// plus one octave.
+func TestHistogramResolution(t *testing.T) {
+	for _, tc := range []struct {
+		min, max float64
+		buckets  int
+	}{{1e-6, 100, 256}, {10, 1e11, 1200}, {100e-9, 1e4, 3000}, {1, 2, 1}, {0.5, 1e300, 7}, {1, 1.001, 100000}} {
+		h := NewHistogram(tc.min, tc.max, tc.buckets)
+		geo := math.Expm1(math.Log(tc.max/tc.min) / float64(tc.buckets))
+		octave := 1 << (52 - h.shift)
+		if geo < 1 && len(h.counts) >= 3*tc.buckets+octave {
+			t.Errorf("%+v: %d counters", tc, len(h.counts))
+		}
+		for i := range h.counts {
+			b := (h.base + uint64(i)) << h.shift
+			lo, hi := math.Float64frombits(b), math.Float64frombits(b+1<<h.shift)
+			if (hi-lo)/lo > geo {
+				t.Fatalf("%+v: bucket %d [%v, %v) is wider than %v", tc, i, lo, hi, geo)
+			}
+		}
+		if first := math.Float64frombits(h.base << h.shift); first > tc.min {
+			t.Errorf("%+v: first bucket starts at %v", tc, first)
+		}
 	}
 }
 
@@ -153,12 +283,93 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramInvalidParamsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic")
+	for _, tc := range []struct {
+		min, max float64
+		buckets  int
+	}{{0, 1, 16}, {-1, 1, 16}, {1, 1, 16}, {1, 0.5, 16}, {1, 2, 0},
+		{0x1p-1074, 1, 16}, {1, math.Inf(1), 16}, {math.NaN(), 1, 16}, {1, math.NaN(), 16}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHistogram(%v, %v, %d): want panic", tc.min, tc.max, tc.buckets)
+				}
+			}()
+			NewHistogram(tc.min, tc.max, tc.buckets)
+		}()
+	}
+}
+
+// FuzzHistogram decodes bytes into a stream of in-range, underflow, overflow,
+// ±Inf, NaN, zero and negative samples and checks count, min and max exactly
+// and every quantile against a sorted copy: within the exact min and max, and
+// within the stated bound when the order statistic is in range, else between
+// it and the range edge it passed.
+// Seeds: testdata/fuzz/FuzzHistogram.
+func FuzzHistogram(f *testing.F) {
+	const lo, hi = 1e-3, 1e3
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 256 { // longer streams add no coverage
+			return
 		}
-	}()
-	NewHistogram(0, 1, 16)
+		h := NewHistogram(lo, hi, []int{1, 7, 64, 1000}[data[0]%4])
+		var vals []float64
+		for i := 1; i+1 < len(data); i += 2 {
+			x := float64(data[i+1])
+			var v float64
+			switch data[i] % 8 {
+			case 0, 1, 2:
+				v = lo * math.Pow(hi/lo, x/255)
+			case 3: // powers of two: exact bucket edges
+				v = math.Ldexp(1, int(data[i+1]%21)-10)
+			case 4:
+				v = lo * x / 256
+			case 5:
+				v = hi * (1 + x)
+			case 6:
+				v = math.Inf(1 - 2*int(data[i+1]%2))
+			case 7:
+				v = -x
+				if data[i+1]%2 == 1 {
+					v = math.NaN()
+				}
+			}
+			h.Add(v)
+			if v == v {
+				vals = append(vals, v)
+			}
+		}
+		sort.Float64s(vals)
+		if h.total != uint64(len(vals)) {
+			t.Fatalf("count %d, want %d", h.total, len(vals))
+		}
+		if len(vals) == 0 {
+			if q := h.Quantile(0.5); q != 0 {
+				t.Fatalf("empty Quantile=%v", q)
+			}
+			return
+		}
+		if h.minSeen != vals[0] || h.maxSeen != vals[len(vals)-1] {
+			t.Fatalf("min %v max %v, want %v %v", h.minSeen, h.maxSeen, vals[0], vals[len(vals)-1])
+		}
+		bound := errorBound(h) * (1 + 1e-12)
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			got, want := h.Quantile(q), nearestRank(vals, q)
+			var ok bool
+			switch {
+			case q == 0 || q == 1:
+				ok = got == want
+			case want < lo:
+				ok = want <= got && got <= lo
+			case want > hi:
+				ok = hi <= got && got <= want
+			default:
+				ok = math.Abs(got-want) <= bound*want
+			}
+			if !ok || got < vals[0] || got > vals[len(vals)-1] {
+				t.Fatalf("Quantile(%v)=%v, exact %v (bound %v, %d samples)", q, got, want, errorBound(h), len(vals))
+			}
+		}
+	})
 }
 
 func TestTimeWeightedAverage(t *testing.T) {
@@ -358,5 +569,32 @@ func TestSLOTracker(t *testing.T) {
 	tr2.Observe(100 * time.Millisecond)
 	if tr2.Violations() != 0 {
 		t.Error("deadline-exact latency should not violate")
+	}
+}
+
+// BenchmarkHistogramAdd and BenchmarkHistogramQuantile time the live
+// runtime's wait store at its own bounds.
+func BenchmarkHistogramAdd(b *testing.B) {
+	h := NewHistogram(100e-9, 1e4, 3000)
+	vals := make([]float64, 1024)
+	rng := xrand.New(3)
+	for i := range vals {
+		vals[i] = rng.Exp(1e5)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(vals[i&1023])
+	}
+}
+
+func BenchmarkHistogramQuantile(b *testing.B) {
+	h := NewHistogram(100e-9, 1e4, 3000)
+	rng := xrand.New(3)
+	for i := 0; i < 1_000_000; i++ {
+		h.Add(rng.Exp(1e5))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Quantile(0.95)
 	}
 }

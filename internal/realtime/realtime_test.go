@@ -300,3 +300,46 @@ func TestStatsUnknownFunction(t *testing.T) {
 		t.Error("want error")
 	}
 }
+
+// TestQueueClearsPoppedSlots: popped slots hold no invocation, an emptied
+// queue reuses its array from the start, and a full array with popped slots
+// in front slides its waiting entries down, in order, before growing.
+func TestQueueClearsPoppedSlots(t *testing.T) {
+	f := &fnState{}
+	invs := make([]*invocation, 6)
+	for i := range invs {
+		invs[i] = &invocation{}
+	}
+	for _, inv := range invs[:4] {
+		f.push(inv)
+	}
+	arr := f.queue[:cap(f.queue)]
+	f.pop()
+	f.pop()
+	if arr[0] != nil || arr[1] != nil {
+		t.Error("popped slots still hold their invocations")
+	}
+	for range 2 {
+		f.pop()
+	}
+	if f.head != 0 || len(f.queue) != 0 {
+		t.Fatalf("empty queue at head %d len %d", f.head, len(f.queue))
+	}
+	for _, inv := range invs[:cap(arr)] {
+		f.push(inv)
+	}
+	if &f.queue[0] != &arr[0] {
+		t.Error("an emptied queue did not reuse its array")
+	}
+	f.pop()
+	f.push(invs[5])
+	if &f.queue[0] != &arr[0] || f.head != 0 {
+		t.Error("a full array with a popped slot grew instead of sliding down")
+	}
+	want := append(append([]*invocation{}, invs[1:cap(arr)]...), invs[5])
+	for i, inv := range f.queue {
+		if inv != want[i] {
+			t.Fatalf("slot %d out of order after the slide", i)
+		}
+	}
+}
