@@ -65,7 +65,7 @@ func (d *refDecoder) object(n *node, what string, allowed ...string) bool {
 			}
 		}
 		if !found {
-			d.fail(n.children[k].line, "unknown %s key %q (allowed: %s)", what, k, strings.Join(allowed, ", "))
+			d.fail(n.child(k).line, "unknown %s key %q (allowed: %s)", what, k, strings.Join(allowed, ", "))
 			return false
 		}
 	}

@@ -190,7 +190,7 @@ func Parse(data []byte) (*Scenario, error) {
 	}
 	sc := &Scenario{}
 	d := &decoder{}
-	d.object(root, reflect.ValueOf(sc).Elem(), "scenario")
+	d.object(root, reflect.ValueOf(sc).Elem(), schemaOf(reflect.TypeOf(*sc)), "scenario")
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -226,19 +226,16 @@ func (d *decoder) fail(line int, format string, args ...any) {
 	}
 }
 
-// field is one key of a struct type; index is its path through inline
-// fields.
+// field is one key of a struct type with its options resolved; index is
+// its path through inline fields.
 type field struct {
-	key   string
-	opts  []string
-	index []int
+	key, label               string
+	required, nonneg, frozen bool
+	index                    []int
 }
 
-func (f field) has(opt string) bool { return slices.Contains(f.opts, opt) }
-
 // schema is one struct type's keys in declaration order, worked out once
-// per type: the metro-scale documents decode hundreds of thousands of
-// mappings.
+// per type and looked up once per list, not per item.
 type schema struct {
 	fields []field
 	keys   []string
@@ -264,8 +261,10 @@ func (s *schema) add(t reflect.Type, prefix []int) {
 			continue
 		}
 		opts := strings.Split(tag, ",")
-		f := field{key: opts[0], opts: opts[1:], index: append(append([]int(nil), prefix...), i)}
-		if f.has("inline") {
+		f := field{key: opts[0], label: opts[min(1, len(opts)-1)], index: append(slices.Clone(prefix), i),
+			required: slices.Contains(opts[1:], "required"), nonneg: slices.Contains(opts[1:], "nonneg"),
+			frozen: slices.Contains(opts[1:], "frozen")}
+		if slices.Contains(opts[1:], "inline") {
 			ft := sf.Type
 			if ft.Kind() == reflect.Pointer {
 				ft = ft.Elem()
@@ -278,23 +277,23 @@ func (s *schema) add(t reflect.Type, prefix []int) {
 	}
 }
 
-// object decodes mapping n into struct v, named what in errors.
-func (d *decoder) object(n *node, v reflect.Value, what string) {
+// object decodes mapping n into struct v of schema s, named what in errors.
+func (d *decoder) object(n *node, v reflect.Value, s *schema, what string) {
 	if n.kind != mapNode {
 		d.fail(n.line, "%s must be a mapping, got a %v", what, n.kind)
 		return
 	}
-	s := schemaOf(v.Type())
-	for _, k := range n.keys {
+	for i, k := range n.keys {
 		if !slices.Contains(s.keys, k) {
-			d.fail(n.child(k).line, "unknown %s key %q (allowed: %s)", what, k, strings.Join(s.keys, ", "))
+			d.fail(n.items[i].line, "unknown %s key %q (allowed: %s)", what, k, strings.Join(s.keys, ", "))
 			return
 		}
 	}
-	for _, f := range s.fields {
+	for i := range s.fields {
+		f := &s.fields[i]
 		c := n.child(f.key)
 		if c == nil {
-			if f.has("required") {
+			if f.required {
 				d.fail(n.line, "%s %q is required", what, f.key)
 				return
 			}
@@ -317,13 +316,13 @@ func (d *decoder) object(n *node, v reflect.Value, what string) {
 }
 
 // value decodes n into v, the field f of a mapping named what.
-func (d *decoder) value(n *node, v reflect.Value, what string, f field) {
+func (d *decoder) value(n *node, v reflect.Value, what string, f *field) {
 	switch v.Kind() {
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
 		d.value(n, v.Elem(), what, f)
 	case reflect.Struct:
-		d.object(n, v, f.key)
+		d.object(n, v, schemaOf(v.Type()), f.key)
 	case reflect.Slice:
 		if n.kind != listNode {
 			d.fail(n.line, "%s %q must be a list", what, f.key)
@@ -332,15 +331,15 @@ func (d *decoder) value(n *node, v reflect.Value, what string, f field) {
 		if len(n.items) == 0 {
 			return
 		}
-		items := reflect.MakeSlice(v.Type(), len(n.items), len(n.items))
-		for i, item := range n.items {
-			if el := items.Index(i); el.Kind() == reflect.Struct {
-				d.object(item, el, f.opts[0])
+		items, es := reflect.MakeSlice(v.Type(), len(n.items), len(n.items)), (*schema)(nil)
+		if et := v.Type().Elem(); et.Kind() == reflect.Struct {
+			es = schemaOf(et)
+		}
+		for i := 0; i < len(n.items) && d.err == nil; i++ {
+			if es != nil {
+				d.object(n.items[i], items.Index(i), es, f.label)
 			} else {
-				d.value(item, el, what, f)
-			}
-			if d.err != nil {
-				return
+				d.value(n.items[i], items.Index(i), what, f)
 			}
 		}
 		v.Set(items)
@@ -349,7 +348,7 @@ func (d *decoder) value(n *node, v reflect.Value, what string, f field) {
 	}
 }
 
-func (d *decoder) scalar(n *node, v reflect.Value, what string, f field) {
+func (d *decoder) scalar(n *node, v reflect.Value, what string, f *field) {
 	if n.kind != scalarNode {
 		d.fail(n.line, "%s %q must be a scalar", what, f.key)
 		return
@@ -358,14 +357,14 @@ func (d *decoder) scalar(n *node, v reflect.Value, what string, f field) {
 	bad := func(want string) { d.fail(n.line, "%s %q: %q is not %s", what, f.key, s, want) }
 	switch v.Type() {
 	case reflect.TypeOf(time.Duration(0)):
-		if s == "frozen" && f.has("frozen") {
+		if s == "frozen" && f.frozen {
 			v.SetInt(-1)
 			return
 		}
 		dur, err := time.ParseDuration(s)
 		if err != nil {
 			bad("a duration (e.g. 30s, 5ms)")
-		} else if dur < 0 && f.has("nonneg") {
+		} else if dur < 0 && f.nonneg {
 			d.fail(n.line, "%s %q: %v is negative (omit it for the default)", what, f.key, dur)
 		}
 		v.SetInt(int64(dur))
@@ -384,11 +383,7 @@ func (d *decoder) scalar(n *node, v reflect.Value, what string, f field) {
 	case reflect.String:
 		v.SetString(s)
 	case reflect.Bool:
-		switch s {
-		case "true":
-			v.SetBool(true)
-		case "false":
-		default:
+		if v.SetBool(s == "true"); s != "true" && s != "false" {
 			bad("true/false")
 		}
 	case reflect.Int, reflect.Int64:
@@ -632,19 +627,16 @@ func (sc *Scenario) Check(res *federation.Result) error {
 			}
 		}
 	}
-	if res.AllocEpochs < a.MinAllocEpochs {
+	switch {
+	case res.AllocEpochs < a.MinAllocEpochs:
 		return fmt.Errorf("scenario %q: %d allocation epochs, want at least %d", sc.Name, res.AllocEpochs, a.MinAllocEpochs)
-	}
-	if res.MissedAllocEpochs < a.MinMissedEpochs {
+	case res.MissedAllocEpochs < a.MinMissedEpochs:
 		return fmt.Errorf("scenario %q: %d missed epochs, want at least %d", sc.Name, res.MissedAllocEpochs, a.MinMissedEpochs)
-	}
-	if a.RequireLeaseExpirations && res.GrantLeaseExpirations == 0 {
+	case a.RequireLeaseExpirations && res.GrantLeaseExpirations == 0:
 		return fmt.Errorf("scenario %q: no grant-lease expirations", sc.Name)
-	}
-	if a.RequirePartitionedEpochs && res.PartitionedEpochs == 0 {
+	case a.RequirePartitionedEpochs && res.PartitionedEpochs == 0:
 		return fmt.Errorf("scenario %q: no partitioned epochs", sc.Name)
-	}
-	if res.Reclaimed < a.MinReclaimedCPU {
+	case res.Reclaimed < a.MinReclaimedCPU:
 		return fmt.Errorf("scenario %q: %d millicores reclaimed, want at least %d", sc.Name, res.Reclaimed, a.MinReclaimedCPU)
 	}
 	return nil

@@ -4,17 +4,28 @@
 //
 //   - block mappings (`key: value` / `key:` + indented block)
 //   - block lists (`- item`, including `- key: value` starting a map)
-//   - flow lists `[a, b]` and flow maps `{k: v}`, nesting allowed
+//   - flow lists `[a, b]` and flow maps `{k: v}`, nesting allowed, one
+//     trailing comma allowed
 //   - `#` comments, blank lines, single- or double-quoted scalars
 //
 // Indentation is spaces only (a tab is an error), anchors/aliases,
 // multi-line block scalars, and multi-document streams are rejected by
-// construction. Every node carries its source line for loader errors.
+// construction. Every node carries its source line for loader errors. A
+// quote opens a run that ends at the same quote character; inside it,
+// `#`, `:`, `,` and brackets are text.
+//
+// The tree is built in one pass, reading one line ahead; one scan of a
+// line finds its indent, comment and `key:` colon. Nodes (80 bytes), child
+// pointers (8) and mapping keys (16) are carved from slabs sized from the
+// line count, so none of them is an allocation of its own.
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
+	"unicode"
 )
 
 type nodeKind int
@@ -25,363 +36,360 @@ const (
 	listNode
 )
 
-func (k nodeKind) String() string {
-	switch k {
-	case scalarNode:
-		return "scalar"
-	case mapNode:
-		return "mapping"
-	case listNode:
-		return "list"
-	}
-	return "unknown"
-}
+func (k nodeKind) String() string { return [...]string{"scalar", "mapping", "list"}[k] }
 
-// node is one parsed YAML value. Mappings keep their keys in file order
-// (keys slice) so decoding and error reporting are deterministic.
+// node is one parsed YAML value. A mapping keeps its keys in file order
+// and their values in items, index for index, so decoding and error
+// reporting are deterministic.
 type node struct {
-	kind     nodeKind
-	scalar   string
-	keys     []string
-	children map[string]*node
-	items    []*node
-	line     int
+	kind   nodeKind
+	line   int
+	scalar string
+	keys   []string
+	items  []*node
 }
 
-func (n *node) child(key string) *node { return n.children[key] }
+// child returns the value under key, or nil. No mapping in the DSL has
+// more than a couple of dozen keys, so a scan beats a hashed map.
+func (n *node) child(key string) *node {
+	if i := slices.Index(n.keys, key); i >= 0 {
+		return n.items[i]
+	}
+	return nil
+}
 
-// srcLine is one logical input line after comment stripping.
+// srcLine is one non-blank input line, cut at its comment.
 type srcLine struct {
 	indent int
-	text   string
+	text   string // after the indent, without trailing spaces
+	colon  int    // index in text of the `key: value` separator, or -1
 	num    int
 }
 
-// stripComment removes a trailing `#` comment, respecting quotes.
-func stripComment(s string) string {
-	quote := byte(0)
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case quote != 0:
-			if c == quote {
-				quote = 0
-			}
-		case c == '\'' || c == '"':
-			quote = c
-		case c == '#' && (i == 0 || s[i-1] == ' ' || s[i-1] == '\t'):
-			return s[:i]
-		}
-	}
-	return s
-}
+type parser struct {
+	src   string
+	off   int     // start of the next unscanned line; past len(src) at the end
+	lines int     // the document's line count
+	num   int     // number of the last scanned line
+	cur   srcLine // the lookahead while ok, else the last non-blank line
+	ok    bool
+	err   error // a tab in indentation, which outranks every other error
 
-func splitLines(data []byte) ([]srcLine, error) {
-	var out []srcLine
-	for num, raw := range strings.Split(string(data), "\n") {
-		line := stripComment(raw)
-		trimmed := strings.TrimRight(line, " \r")
-		indent := 0
-		for indent < len(trimmed) && trimmed[indent] == ' ' {
-			indent++
-		}
-		body := trimmed[indent:]
-		if body == "" {
-			continue
-		}
-		if strings.HasPrefix(body, "\t") || strings.Contains(trimmed[:indent], "\t") {
-			return nil, fmt.Errorf("line %d: tab in indentation (use spaces)", num+1)
-		}
-		out = append(out, srcLine{indent: indent, text: body, num: num + 1})
-	}
-	return out, nil
+	nodes slab[node]
+	ptrs  slab[*node]
+	strs  slab[string]
+	stack []*node  // children of the collections being built
+	keys  []string // keys of the mappings being built
 }
 
 // parse parses one YAML-subset document into its root node.
 func parse(data []byte) (*node, error) {
-	lines, err := splitLines(data)
-	if err != nil {
+	src := string(data)
+	p := &parser{src: src, lines: strings.Count(src, "\n") + 1}
+	if p.next(); !p.ok {
+		return nil, cmp.Or(p.err, fmt.Errorf("empty document"))
+	}
+	root, err := p.parseBlock(p.cur.indent)
+	if err == nil && p.ok {
+		err = fmt.Errorf("line %d: unexpected indentation", p.cur.num)
+	}
+	for p.ok {
+		p.next() // a tab on a later line is reported first
+	}
+	if err = cmp.Or(p.err, err); err != nil {
 		return nil, err
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("empty document")
-	}
-	p := &parser{lines: lines}
-	root, err := p.parseBlock(lines[0].indent)
-	if err != nil {
-		return nil, err
-	}
-	if p.pos < len(p.lines) {
-		l := p.lines[p.pos]
-		return nil, fmt.Errorf("line %d: unexpected indentation", l.num)
 	}
 	return root, nil
 }
 
-type parser struct {
-	lines []srcLine
-	pos   int
+// marks are the bytes the line and flow scans stop at.
+var marks = [256]bool{'\'': true, '"': true, '#': true, '[': true, ']': true, '{': true, '}': true, ':': true, ',': true}
+
+// next scans the following non-blank line into cur, or clears ok at the
+// end of the document or at a tab in indentation (setting err).
+func (p *parser) next() {
+	for p.ok = false; p.err == nil && p.off <= len(p.src); {
+		raw := p.src[p.off:]
+		if i := strings.IndexByte(raw, '\n'); i >= 0 {
+			raw = raw[:i]
+		}
+		p.off, p.num = p.off+len(raw)+1, p.num+1
+		indent := 0
+		for indent < len(raw) && raw[indent] == ' ' {
+			indent++
+		}
+		// The `key:` separator is the first unquoted colon outside brackets
+		// that a space follows, else such a colon ending the line.
+		depth, end, colon, lastColon := 0, len(raw), -1, -1
+	scan:
+		for i := indent; i < len(raw); i++ {
+			switch c := raw[i]; {
+			case !marks[c]:
+			case c == '\'' || c == '"':
+				j := strings.IndexByte(raw[i+1:], c)
+				if j < 0 {
+					break scan // an open quote runs to the end of the line
+				}
+				i += j + 1
+			case c == '#':
+				if i == 0 || raw[i-1] == ' ' || raw[i-1] == '\t' {
+					end = i
+					break scan
+				}
+			case c == '[' || c == '{':
+				depth++
+			case c == ']' || c == '}':
+				depth--
+			case c == ':' && depth == 0:
+				lastColon = i
+				if colon < 0 && i+1 < len(raw) && raw[i+1] == ' ' {
+					colon = i
+				}
+			}
+		}
+		for end > indent && (raw[end-1] == ' ' || raw[end-1] == '\r') {
+			end--
+		}
+		if end == indent {
+			continue
+		}
+		if raw[indent] == '\t' {
+			p.err = fmt.Errorf("line %d: tab in indentation (use spaces)", p.num)
+			return
+		}
+		if colon < 0 && lastColon == end-1 {
+			colon = lastColon
+		}
+		p.cur, p.ok = srcLine{indent: indent, text: raw[indent:end], colon: max(colon-indent, -1), num: p.num}, true
+		return
+	}
 }
 
-func (p *parser) peek() (srcLine, bool) {
-	if p.pos >= len(p.lines) {
-		return srcLine{}, false
+// slab hands out runs of zeroed elements from shared chunks. The first
+// chunk holds one element per line of the document; a later one holds
+// what the lines read so far took, extrapolated over the lines to come.
+type slab[T any] struct {
+	free []T // the current chunk's unused tail
+	used int
+}
+
+func (s *slab[T]) take(p *parser, n int) []T {
+	if len(s.free) < n {
+		size := p.lines
+		if s.used > 0 {
+			size = s.used*(p.lines-p.num)/p.num + 64
+		}
+		s.free = make([]T, max(size, n))
 	}
-	return p.lines[p.pos], true
+	run := s.free[:n:n]
+	s.free, s.used = s.free[n:], s.used+n
+	return run
+}
+
+// node returns a fresh node.
+func (p *parser) node(kind nodeKind, line int, scalar string) *node {
+	n := &p.nodes.take(p, 1)[0]
+	n.kind, n.line, n.scalar = kind, line, scalar
+	return n
+}
+
+// carve moves (*stack)[mark:] into a run from s and returns the run.
+func carve[T any](p *parser, s *slab[T], stack *[]T, mark int) []T {
+	run := s.take(p, len(*stack)-mark)
+	for i := range run { // runs are short: a loop beats a bulk copy
+		run[i] = (*stack)[mark+i]
+	}
+	*stack = (*stack)[:mark]
+	return run
+}
+
+// close gives n the children (and keys) pushed since the marks.
+func (p *parser) close(n *node, mark, kmark int) *node {
+	n.keys, n.items = carve(p, &p.strs, &p.keys, kmark), carve(p, &p.ptrs, &p.stack, mark)
+	return n
 }
 
 // parseBlock parses the run of lines at exactly the given indent as one
 // value: a list if they start with "-", a mapping if they look like
 // "key:", a bare scalar otherwise.
 func (p *parser) parseBlock(indent int) (*node, error) {
-	l, ok := p.peek()
-	if !ok || l.indent < indent {
-		return nil, fmt.Errorf("line %d: expected a value", p.lastNum())
-	}
-	if l.indent > indent {
+	l := p.cur
+	switch {
+	case !p.ok || l.indent < indent:
+		return nil, fmt.Errorf("line %d: expected a value", l.num)
+	case l.indent > indent:
 		return nil, fmt.Errorf("line %d: unexpected indentation", l.num)
-	}
-	if isListItem(l.text) {
+	case isListItem(l.text):
 		return p.parseList(indent)
-	}
-	if keyOf(l.text) != "" {
+	case keyOf(l) != "":
 		return p.parseMap(indent)
 	}
 	// Inline value on its own line: a flow list/map or a bare scalar.
-	p.pos++
-	return parseValue(l.text, l.num)
-}
-
-func (p *parser) lastNum() int {
-	if len(p.lines) == 0 {
-		return 0
-	}
-	if p.pos >= len(p.lines) {
-		return p.lines[len(p.lines)-1].num
-	}
-	return p.lines[p.pos].num
+	p.next()
+	return p.parseValue(l.text, l.num)
 }
 
 func isListItem(text string) bool {
 	return text == "-" || strings.HasPrefix(text, "- ")
 }
 
-// colonIndex returns the position of the `key: value` separator — the
-// first depth-0, unquoted colon followed by a space or end of line — or
-// -1 when the line is not a `key:` form.
-func colonIndex(text string) int {
-	quote := byte(0)
-	depth := 0
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		switch {
-		case quote != 0:
-			if c == quote {
-				quote = 0
-			}
-		case c == '\'' || c == '"':
-			quote = c
-		case c == '[' || c == '{':
-			depth++
-		case c == ']' || c == '}':
-			depth--
-		case c == ':' && depth == 0:
-			if i+1 == len(text) || text[i+1] == ' ' {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // keyOf returns the mapping key a line introduces, or "" when the line
 // is not a `key:` form.
-func keyOf(text string) string {
-	i := colonIndex(text)
-	if i < 0 {
+func keyOf(l srcLine) string {
+	if l.colon < 0 {
 		return ""
 	}
-	return strings.TrimSpace(unquote(strings.TrimSpace(text[:i])))
+	return strings.TrimSpace(unquote(strings.TrimSpace(l.text[:l.colon])))
 }
 
 func (p *parser) parseList(indent int) (*node, error) {
-	first, _ := p.peek()
-	n := &node{kind: listNode, line: first.num}
-	for {
-		l, ok := p.peek()
-		if !ok || l.indent != indent || !isListItem(l.text) {
-			break
-		}
-		body := strings.TrimPrefix(strings.TrimPrefix(l.text, "-"), " ")
-		if body == "" {
+	n, mark := p.node(listNode, p.cur.num, ""), len(p.stack)
+	for p.ok && p.cur.indent == indent && isListItem(p.cur.text) {
+		l := p.cur
+		if l.text == "-" {
 			// `-` alone: the item is the following deeper block.
-			p.pos++
-			next, ok := p.peek()
-			if !ok || next.indent <= indent {
+			if p.next(); !p.ok || p.cur.indent <= indent {
 				return nil, fmt.Errorf("line %d: empty list item", l.num)
 			}
-			item, err := p.parseBlock(next.indent)
-			if err != nil {
-				return nil, err
-			}
-			n.items = append(n.items, item)
-			continue
+		} else {
+			// `- content`: content behaves as if it started a block at the
+			// column it appears in — splice it back as the lookahead.
+			p.cur = srcLine{indent: indent + 2, text: l.text[2:], colon: max(l.colon-2, -1), num: l.num}
 		}
-		// `- content`: content behaves as if it started a block at the
-		// column it appears in — splice it back as a synthetic line.
-		itemIndent := l.indent + (len(l.text) - len(body))
-		p.lines[p.pos] = srcLine{indent: itemIndent, text: body, num: l.num}
-		item, err := p.parseBlock(itemIndent)
+		item, err := p.parseBlock(p.cur.indent)
 		if err != nil {
 			return nil, err
 		}
-		n.items = append(n.items, item)
+		p.stack = append(p.stack, item)
 	}
-	return n, nil
+	return p.close(n, mark, len(p.keys)), nil
 }
 
 func (p *parser) parseMap(indent int) (*node, error) {
-	first, _ := p.peek()
-	n := &node{kind: mapNode, children: map[string]*node{}, line: first.num}
-	for {
-		l, ok := p.peek()
-		if !ok || l.indent != indent || isListItem(l.text) {
-			break
-		}
-		key := keyOf(l.text)
+	n, mark, kmark := p.node(mapNode, p.cur.num, ""), len(p.stack), len(p.keys)
+	for p.ok && p.cur.indent == indent && !isListItem(p.cur.text) {
+		l := p.cur
+		key := keyOf(l)
 		if key == "" {
 			return nil, fmt.Errorf("line %d: expected 'key: value', got %q", l.num, l.text)
 		}
-		if _, dup := n.children[key]; dup {
+		if slices.Contains(p.keys[kmark:], key) {
 			return nil, fmt.Errorf("line %d: duplicate key %q", l.num, key)
 		}
-		rest := strings.TrimSpace(l.text[colonIndex(l.text)+1:])
-		p.pos++
+		rest := strings.TrimSpace(l.text[l.colon+1:])
+		p.next()
 		var child *node
-		if rest != "" {
-			v, err := parseValue(rest, l.num)
-			if err != nil {
-				return nil, err
-			}
-			child = v
-		} else {
-			next, ok := p.peek()
-			if ok && (next.indent > indent || (next.indent == indent && isListItem(next.text))) {
-				blockIndent := next.indent
-				v, err := p.parseBlock(blockIndent)
-				if err != nil {
-					return nil, err
-				}
-				child = v
-			} else {
-				// Bare `key:` with nothing under it: empty scalar.
-				child = &node{kind: scalarNode, line: l.num}
-			}
+		var err error
+		switch {
+		case rest != "":
+			child, err = p.parseValue(rest, l.num)
+		case p.ok && (p.cur.indent > indent || (p.cur.indent == indent && isListItem(p.cur.text))):
+			child, err = p.parseBlock(p.cur.indent)
+		default: // bare `key:` with nothing under it: empty scalar
+			child = p.node(scalarNode, l.num, "")
 		}
-		n.keys = append(n.keys, key)
-		n.children[key] = child
-	}
-	return n, nil
-}
-
-// parseValue parses an inline value: flow list, flow map, or scalar.
-func parseValue(s string, line int) (*node, error) {
-	s = strings.TrimSpace(s)
-	if strings.HasPrefix(s, "[") || strings.HasPrefix(s, "{") {
-		v, rest, err := parseFlow(s, line)
 		if err != nil {
 			return nil, err
 		}
-		if strings.TrimSpace(rest) != "" {
-			return nil, fmt.Errorf("line %d: trailing content %q after flow value", line, rest)
-		}
-		return v, nil
+		p.keys, p.stack = append(p.keys, key), append(p.stack, child)
 	}
-	if strings.HasPrefix(s, "|") || strings.HasPrefix(s, ">") || strings.HasPrefix(s, "&") || strings.HasPrefix(s, "*") {
-		return nil, fmt.Errorf("line %d: unsupported YAML feature %q (this subset has no block scalars or anchors)", line, s[:1])
-	}
-	return &node{kind: scalarNode, scalar: unquote(s), line: line}, nil
+	return p.close(n, mark, kmark), nil
 }
 
-// parseFlow parses one flow value ([...], {...}, or a scalar up to a
-// flow delimiter) and returns the unconsumed remainder.
-func parseFlow(s string, line int) (*node, string, error) {
+// parseValue parses an inline value: flow list, flow map, or scalar.
+func (p *parser) parseValue(s string, line int) (*node, error) {
 	s = strings.TrimSpace(s)
-	switch {
-	case strings.HasPrefix(s, "["):
-		n := &node{kind: listNode, line: line}
-		rest := strings.TrimSpace(s[1:])
-		if strings.HasPrefix(rest, "]") {
-			return n, rest[1:], nil
+	if strings.HasPrefix(s, "[") || strings.HasPrefix(s, "{") {
+		v, i, err := p.parseFlow(s, 0, line)
+		if err == nil && strings.TrimSpace(s[i:]) != "" {
+			return nil, fmt.Errorf("line %d: trailing content %q after flow value", line, s[i:])
 		}
-		for {
-			item, r, err := parseFlow(rest, line)
-			if err != nil {
-				return nil, "", err
-			}
-			n.items = append(n.items, item)
-			r = strings.TrimSpace(r)
-			if strings.HasPrefix(r, ",") {
-				rest = strings.TrimSpace(r[1:])
-				continue
-			}
-			if strings.HasPrefix(r, "]") {
-				return n, r[1:], nil
-			}
-			return nil, "", fmt.Errorf("line %d: unterminated flow list", line)
-		}
-	case strings.HasPrefix(s, "{"):
-		n := &node{kind: mapNode, children: map[string]*node{}, line: line}
-		rest := strings.TrimSpace(s[1:])
-		if strings.HasPrefix(rest, "}") {
-			return n, rest[1:], nil
-		}
-		for {
-			colon := strings.Index(rest, ":")
-			if colon < 0 {
-				return nil, "", fmt.Errorf("line %d: flow map entry without ':'", line)
-			}
-			key := strings.TrimSpace(unquote(strings.TrimSpace(rest[:colon])))
-			if key == "" {
-				return nil, "", fmt.Errorf("line %d: empty flow map key", line)
-			}
-			if _, dup := n.children[key]; dup {
-				return nil, "", fmt.Errorf("line %d: duplicate key %q", line, key)
-			}
-			val, r, err := parseFlow(rest[colon+1:], line)
-			if err != nil {
-				return nil, "", err
-			}
-			n.keys = append(n.keys, key)
-			n.children[key] = val
-			r = strings.TrimSpace(r)
-			if strings.HasPrefix(r, ",") {
-				rest = strings.TrimSpace(r[1:])
-				continue
-			}
-			if strings.HasPrefix(r, "}") {
-				return n, r[1:], nil
-			}
-			return nil, "", fmt.Errorf("line %d: unterminated flow map", line)
-		}
-	default:
-		// Scalar up to the next flow delimiter at depth 0.
-		end := len(s)
-		for i := 0; i < len(s); i++ {
-			if s[i] == ',' || s[i] == ']' || s[i] == '}' {
-				end = i
-				break
-			}
-		}
-		return &node{kind: scalarNode, scalar: unquote(strings.TrimSpace(s[:end])), line: line}, s[end:], nil
+		return v, err
 	}
+	if s != "" && strings.IndexByte("|>&*", s[0]) >= 0 {
+		return nil, fmt.Errorf("line %d: unsupported YAML feature %q (this subset has no block scalars or anchors)", line, s[:1])
+	}
+	return p.node(scalarNode, line, unquote(s)), nil
+}
+
+// parseFlow parses the flow value at s[i:] ([...], {...}, or a scalar up
+// to a flow delimiter) and returns the index just past it. s has no
+// trailing white space.
+func (p *parser) parseFlow(s string, i, line int) (*node, int, error) {
+	if i = skipSpace(s, i); i == len(s) || (s[i] != '[' && s[i] != '{') {
+		end := i + flowEnd(s[i:], false)
+		return p.node(scalarNode, line, unquote(strings.TrimSpace(s[i:end]))), end, nil
+	}
+	n, closer, what := p.node(listNode, line, ""), byte(']'), "list"
+	if s[i] == '{' {
+		n.kind, closer, what = mapNode, '}', "map"
+	}
+	mark, kmark := len(p.stack), len(p.keys)
+	// Entries end at a comma or the closer; a comma before the closer ends
+	// the collection like no comma at all.
+	for i = skipSpace(s, i+1); i == len(s) || s[i] != closer; {
+		if i < len(s) && s[i] == ',' {
+			return nil, 0, fmt.Errorf("line %d: empty flow %s entry", line, what)
+		}
+		if n.kind == mapNode {
+			colon := i + flowEnd(s[i:], true)
+			if colon == len(s) {
+				return nil, 0, fmt.Errorf("line %d: flow map entry without ':'", line)
+			}
+			key := strings.TrimSpace(unquote(strings.TrimSpace(s[i:colon])))
+			if key == "" {
+				return nil, 0, fmt.Errorf("line %d: empty flow map key", line)
+			}
+			if slices.Contains(p.keys[kmark:], key) {
+				return nil, 0, fmt.Errorf("line %d: duplicate key %q", line, key)
+			}
+			p.keys, i = append(p.keys, key), colon+1
+		}
+		item, j, err := p.parseFlow(s, i, line)
+		if err != nil {
+			return nil, 0, err
+		}
+		p.stack = append(p.stack, item)
+		if i = skipSpace(s, j); i < len(s) && s[i] == ',' {
+			i = skipSpace(s, i+1)
+		} else if i == len(s) || s[i] != closer {
+			return nil, 0, fmt.Errorf("line %d: unterminated flow %s", line, what)
+		}
+	}
+	return p.close(n, mark, kmark), i + 1, nil
+}
+
+// skipSpace returns the index of the first byte of s at or after i that
+// is not white space as strings.TrimSpace counts it.
+func skipSpace(s string, i int) int {
+	for i < len(s) && s[i] == ' ' {
+		i++
+	}
+	return len(s) - len(strings.TrimLeftFunc(s[i:], unicode.IsSpace))
+}
+
+// flowEnd returns the index in s of the first unquoted flow delimiter —
+// the key's ':' when key is set, else ',', ']' or '}' — or len(s).
+func flowEnd(s string, key bool) int {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case !marks[c]:
+		case c == '\'' || c == '"':
+			j := strings.IndexByte(s[i+1:], c)
+			if j < 0 {
+				return len(s)
+			}
+			i += j + 1
+		case key && c == ':', !key && (c == ',' || c == ']' || c == '}'):
+			return i
+		}
+	}
+	return len(s)
 }
 
 func unquote(s string) string {
-	if len(s) >= 2 {
-		if (s[0] == '"' && s[len(s)-1] == '"') || (s[0] == '\'' && s[len(s)-1] == '\'') {
-			return s[1 : len(s)-1]
-		}
+	if len(s) >= 2 && (s[0] == '"' || s[0] == '\'') && s[len(s)-1] == s[0] {
+		return s[1 : len(s)-1]
 	}
 	return s
 }
