@@ -16,6 +16,10 @@ var (
 	moduleOnce sync.Once
 	modulePkgs []*analysis.Pkg
 	moduleErr  error
+
+	usesOnce sync.Once
+	usesAll  map[string]bool
+	usesErr  error
 )
 
 // loadModule type-checks every non-test package of the module, benchmark/
@@ -32,6 +36,30 @@ func loadModule(t *testing.T) []*analysis.Pkg {
 		t.Fatal(moduleErr)
 	}
 	return modulePkgs
+}
+
+// usedWithTests returns the declKey of every object any file of the module
+// uses, test files included, from a second type-check.
+func usedWithTests(t *testing.T) map[string]bool {
+	t.Helper()
+	usesOnce.Do(func() {
+		var pkgs []*analysis.Pkg
+		if pkgs, usesErr = analysis.Load(".", []string{"./..."}, true); usesErr != nil {
+			return
+		}
+		usesAll = make(map[string]bool)
+		for _, p := range pkgs {
+			for _, obj := range p.Info.Uses {
+				if k := declKey(obj); k != "" {
+					usesAll[k] = true
+				}
+			}
+		}
+	})
+	if usesErr != nil {
+		t.Fatal(usesErr)
+	}
+	return usesAll
 }
 
 // guardedConfigs are the configuration structs whose every field must have
@@ -229,9 +257,10 @@ func handedTypes(iface *types.Interface) []string {
 // receiver type does not keep the type alive. A const counts when any const
 // of its block does. A method counts when a method of its name on an
 // interface of this module is called (dynamic dispatch), when it is String
-// or Error, or when its type is public API: a parameter of an interface the
-// root package re-exports, like the PlacementContext a custom Placer reads.
-// keptOracles lists the exceptions.
+// or Error, or when its type is public API — a parameter of an interface the
+// root package re-exports, like the PlacementContext a custom Placer reads —
+// and some file of the module, tests included, uses it. keptOracles lists
+// the exceptions.
 func TestDeclarationsHaveCallers(t *testing.T) {
 	pkgs := loadModule(t)
 	declared := make(map[string]token.Position)
@@ -331,7 +360,7 @@ func TestDeclarationsHaveCallers(t *testing.T) {
 		if used[k] {
 			continue
 		}
-		if recv, ok := recvOf[k]; ok && (dynamic[strings.TrimPrefix(k, recv+".")] || exempt[recv]) {
+		if recv, ok := recvOf[k]; ok && (dynamic[strings.TrimPrefix(k, recv+".")] || exempt[recv] && usedWithTests(t)[k]) {
 			continue
 		}
 		if _, ok := keptOracles[k]; ok {
@@ -341,6 +370,10 @@ func TestDeclarationsHaveCallers(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, k := range dead {
+		if exempt[recvOf[k]] {
+			t.Errorf("%s: %s is public API that no file of the module uses, tests included: give it a use or delete it", declared[k], k)
+			continue
+		}
 		t.Errorf("%s: %s is used by no non-test code: delete it or move it into the test that needs it", declared[k], k)
 	}
 	for k := range keptOracles {

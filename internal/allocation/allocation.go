@@ -89,6 +89,10 @@ type Grant struct {
 
 // Result is one global allocation epoch's outcome.
 type Result struct {
+	// Grants has one row per function per site, grouped by site in the
+	// order the sites were passed to Allocate; each site's rows follow its
+	// SiteDemand.Functions order. A caller may therefore take a site's
+	// grants as the next len(Functions) rows.
 	Grants []Grant
 	// TotalCapacityCPU and TotalDesiredCPU summarize the epoch's inputs.
 	TotalCapacityCPU int64

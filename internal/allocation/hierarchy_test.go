@@ -412,6 +412,74 @@ func TestHierarchySteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// checkRowOrder fails t unless res.Grants holds one row per function per
+// site, grouped by site in input order and each site's rows in its
+// Functions order: the contract that lets the federation take a site's
+// grant vector as the next len(Functions) rows.
+func checkRowOrder(t *testing.T, step string, sites []SiteDemand, res *Result) {
+	t.Helper()
+	rows := res.Grants
+	for _, s := range sites {
+		if len(rows) < len(s.Functions) {
+			t.Fatalf("%s: %d rows left for site %s's %d functions", step, len(rows), s.Site, len(s.Functions))
+		}
+		for j, fd := range s.Functions {
+			if g := rows[j]; g.Site != s.Site || g.Function != fd.Name {
+				t.Fatalf("%s: row for %s/%s holds %s/%s", step, s.Site, fd.Name, g.Site, g.Function)
+			}
+		}
+		rows = rows[len(s.Functions):]
+	}
+	if len(rows) != 0 {
+		t.Fatalf("%s: %d rows beyond the last site's", step, len(rows))
+	}
+}
+
+// TestGrantRowsFollowInputOrder pins Result.Grants' row order, flat and
+// hierarchical, on a warm allocator: after the first epoch, a steady
+// epoch, a site reorder, a site whose functions are reordered (a rebuild),
+// one that gains and one that loses a function, and a random walk of
+// mutate's epochs.
+func TestGrantRowsFollowInputOrder(t *testing.T) {
+	for _, hier := range []bool{false, true} {
+		rng := xrand.New(46)
+		a := NewAllocator()
+		if hier {
+			if err := a.SetHierarchy(fuzzHierarchy(rng), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sites := fuzzFederation(rng)
+		for len(sites) < 3 || len(sites[len(sites)-1].Functions) < 2 {
+			sites = fuzzFederation(rng)
+		}
+		allocate := func(step string) {
+			t.Helper()
+			res, err := a.Allocate(sites, true)
+			if err != nil {
+				t.Fatalf("hierarchical %v, %s: %v", hier, step, err)
+			}
+			checkRowOrder(t, fmt.Sprintf("hierarchical %v, %s", hier, step), sites, res)
+		}
+		allocate("first epoch")
+		allocate("steady epoch")
+		slices.Reverse(sites)
+		allocate("site reorder")
+		slices.Reverse(sites[0].Functions)
+		sites[0].Functions[0].DesiredCPU += 500
+		allocate("function reorder")
+		sites[1].Functions = append(sites[1].Functions, FunctionDemand{Name: "extra", Weight: 1, DesiredCPU: 1500})
+		sites[2].Functions = sites[2].Functions[1:]
+		allocate("function added and removed")
+		for epoch := 0; epoch < 60; epoch++ {
+			sites = mutate(rng, sites)
+			if res, err := a.Allocate(sites, true); err == nil {
+				checkRowOrder(t, fmt.Sprintf("hierarchical %v, walk epoch %d", hier, epoch), sites, res)
+			}
+		}
+	}
+}
+
 // BenchmarkHierarchicalAllocator measures all-dirty hierarchical epochs
 // (the expensive end: every pass runs, including metro-scoped spreading
 // and reclaim) on a 32-site, 4-metro federation.

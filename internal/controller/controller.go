@@ -166,6 +166,9 @@ type Function struct {
 	// even across service-rate or demand swings. The homogeneous count
 	// needs no hint: queuing's sizing memo answers it.
 	hetHint int
+	// pos is the function's registration position: its index in Demands
+	// and in a grant vector.
+	pos int
 }
 
 // Stats are the controller's cumulative action counters.
@@ -193,8 +196,8 @@ type Controller struct {
 	users    map[string]float64
 	drained  map[cluster.ContainerID]time.Duration // when marked draining
 	stats    Stats
-	headroom int64            // capacity minus model-desired CPU, from the last Step
-	grants   map[string]int64 // externally-imposed CPU grants (nil = local allocation)
+	headroom int64   // capacity minus model-desired CPU, from the last Step
+	grants   []int64 // externally-imposed CPU grants by position (nil = local allocation)
 	// grantDeadline is when the current grant lease lapses (0 = no lease:
 	// grants stay valid until explicitly replaced or cleared).
 	grantDeadline time.Duration
@@ -204,14 +207,15 @@ type Controller struct {
 	// helper across a second call to it.
 	liveScratch  []*cluster.Container
 	drainScratch []*cluster.Container
-	// Per-epoch scratch: estimate, Demands, desiredContainers and
-	// grantTargets return views of these buffers so a steady-state control
-	// epoch performs no heap allocations. Each helper's result is valid
-	// only until its next call on this controller.
+	// Per-epoch scratch: estimate, Demands, desiredContainers, grantTargets
+	// and fairShares return views of these buffers so a steady-state
+	// control epoch performs no heap allocations. Each helper's result is
+	// valid only until its next call on this controller. targetScratch has
+	// one entry per registered function, added by Register.
 	demandScratch []fairshare.Demand
 	demandsOut    []allocation.FunctionDemand
 	rateScratch   []float64
-	targetScratch map[string]int64
+	targetScratch []int64
 	feasScratch   []fairshare.Demand
 }
 
@@ -225,14 +229,13 @@ func New(cfg Config, cl *cluster.Cluster, hooks Hooks) (*Controller, error) {
 	}
 	cfg.fillDefaults()
 	return &Controller{
-		cfg:           cfg,
-		cluster:       cl,
-		hooks:         hooks,
-		funcs:         make(map[string]*Function),
-		users:         make(map[string]float64),
-		drained:       make(map[cluster.ContainerID]time.Duration),
-		headroom:      cl.TotalCPU(), // optimistic until the first Step runs
-		targetScratch: make(map[string]int64),
+		cfg:      cfg,
+		cluster:  cl,
+		hooks:    hooks,
+		funcs:    make(map[string]*Function),
+		users:    make(map[string]float64),
+		drained:  make(map[cluster.ContainerID]time.Duration),
+		headroom: cl.TotalCPU(), // optimistic until the first Step runs
 	}, nil
 }
 
@@ -311,9 +314,11 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 		User:      user,
 		estimator: est,
 		smoother:  sm,
+		pos:       len(ctl.order),
 	}
 	ctl.funcs[spec.Name] = f
 	ctl.order = append(ctl.order, f)
+	ctl.targetScratch = append(ctl.targetScratch, 0)
 	return f, nil
 }
 
@@ -457,27 +462,28 @@ func (ctl *Controller) Demands() []allocation.FunctionDemand {
 func (ctl *Controller) Capacity() int64 { return ctl.cluster.TotalCPU() }
 
 // SetCapacityGrantsLeased imposes externally-computed per-function CPU
-// grants valid for lease from now. Subsequent Steps take their targets
-// from the grants instead of from the local fair share (the
-// federation-level global fair-share path); a function absent from the
-// map targets its model-computed desire. The map is copied. When the
-// lease lapses without a renewal (another call), the controller falls back
-// to local enforcement instead of freezing on stale grants forever: the
-// next Step — or an explicit ExpireGrantLease call, which the federation
-// schedules on its shared engine at the expiry instant — drops the grants.
-// A non-positive lease means no expiry (the freeze-on-stale legacy); a nil
-// map restores local allocation immediately.
-func (ctl *Controller) SetCapacityGrantsLeased(grants map[string]int64, lease time.Duration) {
+// grants valid for lease from now: one entry per registered function, in
+// Demands order. Subsequent Steps take their targets from the grants
+// instead of from the local fair share (the federation-level global
+// fair-share path). The controller keeps the slice, so the caller must not
+// change it afterwards. When the lease lapses without a renewal (another
+// call), the controller falls back to local enforcement instead of
+// freezing on stale grants forever: the next Step — or an explicit
+// ExpireGrantLease call, which the federation schedules on its shared
+// engine at the expiry instant — drops the grants. A non-positive lease
+// means no expiry (the freeze-on-stale legacy); a nil slice restores local
+// allocation immediately. A non-nil slice of the wrong length is a caller
+// bug and panics.
+func (ctl *Controller) SetCapacityGrantsLeased(grants []int64, lease time.Duration) {
 	if grants == nil {
 		ctl.grants = nil
 		ctl.grantDeadline = 0
 		return
 	}
-	g := make(map[string]int64, len(grants))
-	for k, v := range grants {
-		g[k] = v
+	if len(grants) != len(ctl.order) {
+		panic(fmt.Sprintf("controller: %d grants for %d registered functions", len(grants), len(ctl.order)))
 	}
-	ctl.grants = g
+	ctl.grants = grants
 	if lease > 0 {
 		ctl.grantDeadline = ctl.hooks.Now() + lease
 	} else {
@@ -505,16 +511,16 @@ func (ctl *Controller) ExpireGrantLease() bool {
 // governs this controller's capacity enforcement.
 func (ctl *Controller) GrantedExternally() bool { return ctl.grants != nil }
 
-// Granted returns the externally-imposed CPU grant (millicores) for one
-// function and whether such a grant exists. The federation's placement
-// context exposes this per candidate site, so allocator-aware policies can
-// credit granted-but-not-yet-materialized capacity.
-func (ctl *Controller) Granted(fn string) (int64, bool) {
-	if ctl.grants == nil {
+// GrantOf returns the externally-imposed CPU grant (millicores) for the
+// function handle f, and whether such a grant exists (never for a nil f).
+// The federation's placement context exposes this per candidate site, so
+// allocator-aware policies can credit granted-but-not-yet-materialized
+// capacity.
+func (ctl *Controller) GrantOf(f *Function) (int64, bool) {
+	if ctl.grants == nil || f == nil {
 		return 0, false
 	}
-	g, ok := ctl.grants[fn]
-	return g, ok
+	return ctl.grants[f.pos], true
 }
 
 // Step runs one allocation epoch (§3.3): estimate rates and size every
@@ -536,7 +542,7 @@ func (ctl *Controller) Step() error {
 	for _, d := range demands {
 		ctl.headroom -= d.Desired
 	}
-	var targets map[string]int64
+	var targets []int64
 	overloaded := ctl.grants == nil && ctl.headroom < 0
 	switch {
 	case ctl.grants != nil:
@@ -602,8 +608,8 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 }
 
 // grantTargets computes the per-function CPU targets the external-grant
-// path enforces: each granted function's target is its grant (the model
-// desire where no grant exists), floored at MinContainers' worth of CPU —
+// path enforces: each function's target is its grant, floored at
+// MinContainers' worth of CPU —
 // an external allocator's snapshot is at least an epoch and a round trip
 // stale, and may predate this site's first demand report entirely, so a
 // stale or zero grant must not shrink a pool below the configured minimum.
@@ -611,33 +617,29 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 // down by one local capped adjustment, so enforcement never tries to place
 // more CPU than physically exists.
 //
-// The returned map aliases controller-owned scratch, valid only until the
-// next grantTargets call (i.e. within the Step that requested it).
-func (ctl *Controller) grantTargets(demands []fairshare.Demand, capacity int64) (map[string]int64, error) {
-	clear(ctl.targetScratch)
+// The returned slice, indexed by registration position, aliases
+// controller-owned scratch, valid only until the next grantTargets or
+// fairShares call (i.e. within the Step that requested it).
+func (ctl *Controller) grantTargets(demands []fairshare.Demand, capacity int64) ([]int64, error) {
 	targets := ctl.targetScratch
 	var totalTarget int64
-	for _, d := range demands {
-		t := d.Desired
-		if g, ok := ctl.grants[d.ID]; ok {
-			t = g
-		}
-		t = max(t, 0, int64(ctl.cfg.MinContainers)*ctl.funcs[d.ID].Spec.CPUMillis)
-		targets[d.ID] = t
+	for i := range demands {
+		t := max(ctl.grants[i], 0, int64(ctl.cfg.MinContainers)*ctl.order[i].Spec.CPUMillis)
+		targets[i] = t
 		totalTarget += t
 	}
 	if totalTarget > capacity {
 		feasible := ctl.feasScratch[:0]
-		for _, d := range demands {
-			feasible = append(feasible, fairshare.Demand{ID: d.ID, Weight: d.Weight, Desired: targets[d.ID]})
+		for i, d := range demands {
+			feasible = append(feasible, fairshare.Demand{ID: d.ID, Weight: d.Weight, Desired: targets[i]})
 		}
 		ctl.feasScratch = feasible
 		allocs, err := fairshare.AdjustCapped(feasible, capacity)
 		if err != nil {
 			return nil, err
 		}
-		for _, a := range allocs {
-			targets[a.ID] = a.Adjusted
+		for i, a := range allocs {
+			targets[i] = a.Adjusted
 		}
 	}
 	return targets, nil
@@ -649,11 +651,12 @@ func (ctl *Controller) grantTargets(demands []fairshare.Demand, capacity int64) 
 // policy (§4.2), freeing capacity, and then grown into their targets.
 // Every other pool is reconciled normally toward its desired count, or
 // toward its target's count when that is larger: a grant can pre-provision
-// capacity for offloaded work the global allocator expects to arrive. A
-// function absent from targets (all of them when targets is nil) targets
-// its desire. Overload binds every pool, even one whose fair share covers
-// its desire, so its drained containers go at once, not lazily.
-func (ctl *Controller) enforce(targets map[string]int64, overloaded bool) error {
+// capacity for offloaded work the global allocator expects to arrive.
+// targets is indexed by registration position; when it is nil every
+// function targets its desire. Overload binds every pool, even one whose
+// fair share covers its desire, so its drained containers go at once, not
+// lazily.
+func (ctl *Controller) enforce(targets []int64, overloaded bool) error {
 	bound := false
 	for _, f := range ctl.order {
 		if t, binds := target(f, targets, overloaded); binds {
@@ -682,11 +685,11 @@ func (ctl *Controller) enforce(targets map[string]int64, overloaded bool) error 
 }
 
 // target returns f's CPU target for enforce and whether it binds.
-func target(f *Function, targets map[string]int64, overloaded bool) (int64, bool) {
+func target(f *Function, targets []int64, overloaded bool) (int64, bool) {
 	desired := int64(f.Desired) * f.Spec.CPUMillis
-	t, ok := targets[f.Spec.Name]
-	if !ok {
-		t = desired
+	t := desired
+	if targets != nil {
+		t = targets[f.pos]
 	}
 	return t, overloaded || t < desired
 }
@@ -695,12 +698,13 @@ func target(f *Function, targets map[string]int64, overloaded bool) (int64, bool
 // (weighted) → functions (weighted). Functions without a user share the
 // weight-1 "::default" namespace; with no users at all it is the root's
 // only child, gets the whole capacity, and the functions divide it exactly
-// as one flat §4.1 capped adjustment would.
-func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (map[string]int64, error) {
+// as one flat §4.1 capped adjustment would. The result is indexed like
+// grantTargets'.
+func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) ([]int64, error) {
 	root := &fairshare.Node{ID: "::cluster"}
 	userNodes := make(map[string]*fairshare.Node)
-	for _, d := range demands {
-		f := ctl.funcs[d.ID]
+	for i, d := range demands {
+		f := ctl.order[i]
 		user, w := f.User, ctl.users[f.User]
 		if user == "" {
 			user, w = "::default", 1
@@ -713,7 +717,14 @@ func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) (m
 		}
 		un.Children = append(un.Children, &fairshare.Node{ID: d.ID, Weight: d.Weight, Desired: d.Desired})
 	}
-	return fairshare.AllocateTree(root, capacity, true)
+	shares, err := fairshare.AllocateTree(root, capacity, true)
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range demands {
+		ctl.targetScratch[i] = shares[d.ID]
+	}
+	return ctl.targetScratch, nil
 }
 
 // expireDrained terminates Draining containers older than drainTTL.

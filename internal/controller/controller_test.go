@@ -558,7 +558,7 @@ func TestHeadroomSignal(t *testing.T) {
 // federation-wide allocator drives: a grant below the model desire binds
 // (the pool shrinks to the granted CPU), a grant above it pre-provisions
 // (the pool grows past the model count for expected offloads), and a nil
-// grant map restores local allocation.
+// grant vector restores local allocation.
 func TestExternalGrantsEnforced(t *testing.T) {
 	h := newHarness(t, Config{}, cluster.PaperCluster()) // 3 nodes x 4000 mC
 	spec := mustSpec(t, "squeezenet")                    // 1000 mC standard
@@ -581,11 +581,29 @@ func TestExternalGrantsEnforced(t *testing.T) {
 		t.Fatalf("Demands() = %+v, want desired CPU %d", ds, int64(f.Desired)*spec.CPUMillis)
 	}
 
+	if _, ok := h.ctl.GrantOf(f); ok {
+		t.Error("GrantOf reports a grant before any grant")
+	}
+
 	// Binding grant: the pool must shrink to the granted CPU.
-	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 2000}, 0)
+	h.ctl.SetCapacityGrantsLeased([]int64{2000}, 0)
 	if !h.ctl.GrantedExternally() {
 		t.Error("GrantedExternally false after SetCapacityGrantsLeased")
 	}
+	if g, ok := h.ctl.GrantOf(f); !ok || g != 2000 {
+		t.Errorf("GrantOf = %d, %v; want 2000, true", g, ok)
+	}
+	if _, ok := h.ctl.GrantOf(nil); ok {
+		t.Error("GrantOf(nil) reports a grant")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a grant vector longer than the function list was accepted")
+			}
+		}()
+		h.ctl.SetCapacityGrantsLeased([]int64{2000, 1000}, 0)
+	}()
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
 	if cpu := liveCPU(liveOf(h.cl, spec.Name)); cpu > 2000 {
@@ -593,7 +611,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	}
 
 	// Pre-provisioning grant: the pool must grow past the model desire.
-	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 9000}, 0)
+	h.ctl.SetCapacityGrantsLeased([]int64{9000}, 0)
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
 	if live := len(liveOf(h.cl, spec.Name)); live < 9 {
@@ -602,7 +620,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 
 	// An infeasible grant set is scaled to cluster capacity, not placed
 	// blindly.
-	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 50000}, 0)
+	h.ctl.SetCapacityGrantsLeased([]int64{50000}, 0)
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
 	if cpu := liveCPU(liveOf(h.cl, spec.Name)); cpu > h.cl.TotalCPU() {
@@ -637,7 +655,7 @@ func TestExternalGrantsKeepHeadroomSignal(t *testing.T) {
 	if _, err := h.ctl.Register(spec, "", 1, queuing.SLO{}); err != nil {
 		t.Fatal(err)
 	}
-	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 1000}, 0)
+	h.ctl.SetCapacityGrantsLeased([]int64{1000}, 0)
 	h.offer(spec.Name, 800, 5*time.Second)
 	h.step()
 	if !h.ctl.Overloaded() {
@@ -668,7 +686,7 @@ func TestGrantLeaseExpiryRestoresLocalPath(t *testing.T) {
 	for _, h := range []*harness{granted, local} {
 		h.offer(spec.Name, 40, 5*time.Second)
 	}
-	granted.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 2000}, 4*time.Second)
+	granted.ctl.SetCapacityGrantsLeased([]int64{2000}, 4*time.Second)
 	for _, h := range []*harness{granted, local} {
 		h.step()
 	}
@@ -714,10 +732,10 @@ func TestGrantLeaseExpiryRestoresLocalPath(t *testing.T) {
 	// check is against the latest deadline, not the first.
 	h := mk()
 	h.offer(spec.Name, 40, 5*time.Second)
-	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 2000}, 4*time.Second)
+	h.ctl.SetCapacityGrantsLeased([]int64{2000}, 4*time.Second)
 	h.step()
 	h.now += 3 * time.Second
-	h.ctl.SetCapacityGrantsLeased(map[string]int64{spec.Name: 2000}, 4*time.Second)
+	h.ctl.SetCapacityGrantsLeased([]int64{2000}, 4*time.Second)
 	if h.ctl.ExpireGrantLease() {
 		t.Error("ExpireGrantLease dropped a just-renewed lease")
 	}

@@ -45,25 +45,27 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestStepGrantedSteadyStateZeroAllocs is the same contract when the
-// federation drives the targets: with feasible grants in place,
-// grantTargets and enforce reuse scratch too.
+// federation drives the targets: a grant vector delivered again each epoch
+// is kept, not copied, and with feasible grants in place grantTargets and
+// enforce reuse scratch too.
 func TestStepGrantedSteadyStateZeroAllocs(t *testing.T) {
 	h := steadyController(t)
-	grants := make(map[string]int64, 3)
+	var grants []int64
 	for _, d := range h.ctl.Demands() {
-		grants[d.Name] = d.DesiredCPU
+		grants = append(grants, d.DesiredCPU)
 	}
 	h.ctl.SetCapacityGrantsLeased(grants, 0)
 	for i := 0; i < 10; i++ {
 		h.step()
 	}
 	allocs := testing.AllocsPerRun(100, func() {
+		h.ctl.SetCapacityGrantsLeased(grants, 0)
 		if err := h.ctl.Step(); err != nil {
 			panic(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state granted Step allocated %.1f times per epoch; want 0", allocs)
+		t.Fatalf("re-delivering grants and stepping allocated %.1f times per epoch; want 0", allocs)
 	}
 }
 

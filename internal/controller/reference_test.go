@@ -21,7 +21,7 @@ import (
 // the live code; everything that decides which function gets what, and
 // which of those mechanics runs, is copied here. The copies are verbatim
 // except that referenceGrantTargets allocates where grantTargets reuses
-// scratch.
+// scratch, and reads the grants by registration position.
 func referenceStep(ctl *Controller) error {
 	demands, err := ctl.estimate()
 	if err != nil {
@@ -81,18 +81,15 @@ func referenceEnforceLocal(ctl *Controller, demands []fairshare.Demand) error {
 }
 
 // referenceGrantTargets computes the per-function CPU targets the
-// external-grant path enforces: each granted function's target is its
-// grant (the model desire where no grant exists), floored at
-// MinContainers' worth of CPU. An infeasible target set (summing beyond
-// cluster capacity) is scaled down by one local capped adjustment.
+// external-grant path enforces: each function's target is its grant,
+// floored at MinContainers' worth of CPU. An infeasible target set
+// (summing beyond cluster capacity) is scaled down by one local capped
+// adjustment.
 func referenceGrantTargets(ctl *Controller, demands []fairshare.Demand, capacity int64) (map[string]int64, error) {
 	targets := make(map[string]int64, len(demands))
 	var totalTarget int64
-	for _, d := range demands {
-		t := d.Desired
-		if g, ok := ctl.grants[d.ID]; ok {
-			t = g
-		}
+	for i, d := range demands {
+		t := ctl.grants[i]
 		if t < 0 {
 			t = 0
 		}
@@ -395,13 +392,13 @@ func runStepProgram(t *testing.T, prog []byte, epochs int) programCover {
 }
 
 // setProgramGrants reads one grant byte per function and imposes the same
-// grants on both twins: absent, zero, half the desire, the desire, or above
-// it. The desires are twin 0's; the twins agree on them as long as
+// grants on both twins: zero, half the desire, the desire, or above it.
+// The desires are twin 0's; the twins agree on them as long as
 // compareTwins keeps passing. A leased set lapses after 4-32 s, read from
 // the first grant byte.
 func setProgramGrants(r *progReader, twins [2]*harness, names []string, leased bool) programCover {
 	var cov programCover
-	grants := make(map[string]int64, len(names))
+	grants := make([]int64, len(names))
 	var sum int64
 	lease := time.Duration(0)
 	for i, name := range names {
@@ -411,22 +408,19 @@ func setProgramGrants(r *progReader, twins [2]*harness, names []string, leased b
 		if i == 0 && leased {
 			lease = time.Duration(1+g>>5) * 4 * time.Second
 		}
-		switch g % 5 {
-		case 0: // absent: the function targets its desire
-			sum += desired
-			continue
-		case 1:
-			grants[name] = 0
+		switch g % 4 {
+		case 0:
+			grants[i] = 0
 			cov.zero++
+		case 1:
+			grants[i] = desired / 2
 		case 2:
-			grants[name] = desired / 2
+			grants[i] = desired
 		case 3:
-			grants[name] = desired
-		case 4:
-			grants[name] = 2*desired + f.Spec.CPUMillis
+			grants[i] = 2*desired + f.Spec.CPUMillis
 			cov.above++
 		}
-		sum += grants[name]
+		sum += grants[i]
 	}
 	if sum > twins[0].cl.TotalCPU() {
 		cov.infeasible++
@@ -507,9 +501,9 @@ func poolOf(cl *cluster.Cluster, fn string) []poolEntry {
 
 // TestStepMatchesReference drives Step and the frozen two-path reference
 // through seeded programs: rate swings into and out of overload; grants
-// that are feasible, infeasible, zero, absent or above desire; grants
-// cleared and leases lapsing; with and without users; both reclamation
-// policies; MinContainers 0 and 2; NoInflateOnSlack; delayed cold starts.
+// that are feasible, infeasible, zero or above desire; grants cleared and
+// leases lapsing; with and without users; both reclamation policies;
+// MinContainers 0 and 2; NoInflateOnSlack; delayed cold starts.
 func TestStepMatchesReference(t *testing.T) {
 	var cov programCover
 	for seed := uint64(1); seed <= 16; seed++ {

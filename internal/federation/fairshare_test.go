@@ -1,11 +1,16 @@
 package federation
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"lass/internal/allocation"
 	"lass/internal/cluster"
+	"lass/internal/controller"
 	"lass/internal/core"
+	"lass/internal/functions"
+	"lass/internal/workload"
 )
 
 // TestGlobalFairShareAppliesGrants: with the global allocator on, epochs
@@ -39,6 +44,92 @@ func TestGlobalFairShareAppliesGrants(t *testing.T) {
 		if !s.Platform.Controller.GrantedExternally() {
 			t.Errorf("site %d controller never received grants", i)
 		}
+	}
+}
+
+// TestGrantVectorsLandByPosition: grants travel as per-site vectors in
+// each controller's registration order, so sites that register the same
+// functions in different orders, one with an extra function and one with
+// none, must each read back — by handle — exactly the allocator's row for
+// that site and function. The function-less site receives an empty vector
+// and is governed externally all the same: nil would mean local
+// allocation.
+func TestGrantVectorsLandByPosition(t *testing.T) {
+	site := func(seed uint64, fns ...string) core.Config {
+		cfg := core.Config{
+			Cluster:    cluster.PaperCluster(),
+			Controller: controller.Config{MinContainers: 1},
+			Seed:       seed,
+		}
+		for i, fn := range fns {
+			spec, err := functions.ByName(fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := workload.NewStatic(float64(4 + 6*i + int(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Functions = append(cfg.Functions, core.FunctionConfig{Spec: spec, Workload: wl, Prewarm: 1})
+		}
+		return cfg
+	}
+	fed, err := New(Config{
+		Sites: []core.Config{
+			site(1, "squeezenet", "binaryalert", "geofence"),
+			site(2, "geofence", "squeezenet", "binaryalert"),
+			site(3, "binaryalert", "geofence", "squeezenet", "image-resizer"),
+			site(4),
+		},
+		Placer:          neverPlacer{},
+		GlobalFairShare: true,
+		Seed:            9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dur = 12 * time.Second // between the 10 s and 15 s epochs
+	if _, err := fed.Run(dur); err != nil {
+		t.Fatal(err)
+	}
+	// One more epoch by hand, held to a one-shot allocation of the same
+	// demand reports.
+	var sites []allocation.SiteDemand
+	for _, s := range fed.Sites {
+		ctl := s.Platform.Controller
+		sites = append(sites, allocation.SiteDemand{
+			Site:        s.Name,
+			Weight:      1,
+			CapacityCPU: ctl.Capacity(),
+			Functions:   slices.Clone(ctl.Demands()),
+		})
+	}
+	want, err := allocation.Allocate(sites, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := fed.grantDeliveries
+	fed.allocEpoch()
+	fed.Engine.RunUntil(dur + time.Second)
+	if got := fed.grantDeliveries - delivered; got != uint64(len(fed.Sites)) {
+		t.Fatalf("%d deliveries landed, want %d", got, len(fed.Sites))
+	}
+	if len(want.Grants) != 10 {
+		t.Fatalf("%d allocator rows, want 10", len(want.Grants))
+	}
+	for _, g := range want.Grants {
+		i := slices.IndexFunc(fed.Sites, func(s *Site) bool { return s.Name == g.Site })
+		ctl := fed.Sites[i].Platform.Controller
+		f, ok := ctl.Function(g.Function)
+		if !ok {
+			t.Fatalf("site %s has no handle for %s", g.Site, g.Function)
+		}
+		if got, ok := ctl.GrantOf(f); !ok || got != g.GrantedCPU {
+			t.Errorf("site %s, %s: GrantOf = %d, %v; allocator row %d", g.Site, g.Function, got, ok, g.GrantedCPU)
+		}
+	}
+	if !fed.Sites[3].Platform.Controller.GrantedExternally() {
+		t.Error("the site with no functions fell back to local allocation after a delivery")
 	}
 }
 

@@ -63,6 +63,7 @@ package federation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -364,7 +365,6 @@ type Site struct {
 	// at assembly and shared by every placement decision made here.
 	peers       []int
 	legs        []float64
-	borrowed    int64 // over-quota millicores in the last landed grant set
 	observeDone func(*dispatch.Request)
 }
 
@@ -410,12 +410,11 @@ type Federation struct {
 	// change reuse their previous feasibility clamps (steady-state epochs
 	// allocate nothing at all inside the allocator).
 	alloc *allocation.Allocator
-	// metroOf / regionOf map site index → hierarchy level (Config.
-	// Hierarchy.Levels()); nil for flat federations. byName resolves the
-	// site names reclaim directives carry back to Site values.
-	metroOf  []int
-	regionOf []int
-	byName   map[string]*Site
+	// metroOf maps site index → metro (Config.Hierarchy.Levels()); nil for
+	// flat federations. byName resolves the site names reclaim directives
+	// carry back to Site values.
+	metroOf []int
+	byName  map[string]*Site
 	// snapFree pools the demand-snapshot buffers allocEpoch uploads to the
 	// coordinator. A snapshot stays checked out while its gather leg is in
 	// flight — gathers can overlap the next epoch boundary on slow
@@ -565,10 +564,8 @@ func New(cfg Config) (*Federation, error) {
 		}
 		levels := cfg.Hierarchy.Levels()
 		f.metroOf = make([]int, len(f.Sites))
-		f.regionOf = make([]int, len(f.Sites))
 		for i, s := range f.Sites {
-			lv := levels[s.Name]
-			f.metroOf[i], f.regionOf[i] = lv.Metro, lv.Region
+			f.metroOf[i] = levels[s.Name].Metro
 		}
 	}
 	return f, nil
@@ -1050,18 +1047,17 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 	f.allocEpochs++
 	f.strandedSum += float64(res.StrandedCPU)
 	f.driftSum += float64(res.DriftCPU)
-	// One pass over the grant list builds every site's delivery map —
-	// a per-site scan of res.Grants would rescan the whole list S times. The
-	// maps outlive res (they ride the return-leg events), so they are
-	// fresh per epoch; the site controllers copy them on receipt.
-	bySite := make(map[string]map[string]int64, len(f.Sites))
-	for _, g := range res.Grants {
-		m := bySite[g.Site]
-		if m == nil {
-			m = make(map[string]int64, 8)
-			bySite[g.Site] = m
-		}
-		m[g.Function] = g.GrantedCPU
+	// Result.Grants groups its rows by site in snapshot order, each site's
+	// in its demand report's order, which is its controller's registration
+	// order: every row's grant goes into one vector, and each site's grant
+	// vector is its contiguous run of it. The vector outlives res (it rides
+	// the return-leg events, and controllers keep what they receive), so
+	// it is fresh per epoch. make never returns nil, so a site with no
+	// functions still receives an empty grant set — nil would mean "return
+	// to local allocation".
+	all := make([]int64, len(res.Grants))
+	for k, g := range res.Grants {
+		all[k] = g.GrantedCPU
 	}
 	lease := f.cfg.GrantLease // negative = unleased (freeze on stale)
 	reclaimLag := f.cfg.ReclaimLatency
@@ -1070,46 +1066,10 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 	// pre-reclaim assignment stand for the whole epoch (reclaim is inert at
 	// such extreme latencies, and the sweep tables make that visible).
 	skipReclaim := lease > 0 && reclaimLag >= lease
-	// bySite above is the allocator's *post-reclaim* assignment. Preempting
-	// a borrowed container is not free, so the grants land in two steps:
-	// the pre-reclaim assignment (directives reversed) rides the normal
-	// return leg, and the full post-reclaim set follows one ReclaimLatency
-	// later with the residue of the same lease — both steps share one
-	// absolute expiry deadline, so the base delivery's expiry event covers
-	// the renewed lease too.
-	var preBySite map[string]map[string]int64
-	var reclaimsAt map[string][]allocation.Reclaim
-	if len(res.Reclaims) > 0 && !skipReclaim {
-		reclaimsAt = make(map[string][]allocation.Reclaim, 4)
-		for _, d := range res.Reclaims {
-			reclaimsAt[d.Site] = append(reclaimsAt[d.Site], d)
-		}
-	}
-	if len(res.Reclaims) > 0 && reclaimLag > 0 {
-		preBySite = make(map[string]map[string]int64, 4)
-		for _, d := range res.Reclaims {
-			m := preBySite[d.Site]
-			if m == nil {
-				m = make(map[string]int64, len(bySite[d.Site]))
-				for fn, g := range bySite[d.Site] {
-					m[fn] = g
-				}
-				preBySite[d.Site] = m
-			}
-			m[d.From] += d.CPU
-			m[d.To] -= d.CPU
-		}
-	}
-	// Per-site borrowed totals (over-quota millicores) feed the placement
-	// layer's BorrowedCPU signal; only hierarchical runs produce any.
-	var borrowedBy map[string]int64
-	if f.metroOf != nil {
-		borrowedBy = make(map[string]int64, len(f.Sites))
-		for _, g := range res.Grants {
-			borrowedBy[g.Site] += g.BorrowedCPU
-		}
-	}
-	for _, i := range snap.idx {
+	for k, i := range snap.idx {
+		fns := snap.sites[k].Functions
+		grants := all[:len(fns):len(fns)]
+		all = all[len(fns):]
 		s := f.Sites[i]
 		if !f.linkUp(f.coordinator, i, now) {
 			// The return leg went dark while the demand was in flight: the
@@ -1121,25 +1081,36 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 			s.GrantsLost++
 			continue
 		}
-		grants := bySite[s.Name]
-		if grants == nil {
-			// A site with no registered functions still receives an empty
-			// grant set — nil would mean "return to local allocation".
-			grants = map[string]int64{}
+		// grants is the allocator's *post-reclaim* assignment. Preempting a
+		// borrowed container is not free, so the grants land in two steps:
+		// the pre-reclaim assignment (directives reversed) rides the normal
+		// return leg, and the full post-reclaim set follows one
+		// ReclaimLatency later with the residue of the same lease — both
+		// steps share one absolute expiry deadline, so the base delivery's
+		// expiry event covers the renewed lease too.
+		var topUp []allocation.Reclaim
+		for _, d := range res.Reclaims {
+			if d.Site == s.Name {
+				topUp = append(topUp, d)
+			}
 		}
 		base := grants
-		if m := preBySite[s.Name]; m != nil {
-			base = m
+		if len(topUp) > 0 && reclaimLag > 0 {
+			base = slices.Clone(grants)
+			for _, d := range topUp {
+				base[functionPos(fns, d.From)] += d.CPU
+				base[functionPos(fns, d.To)] -= d.CPU
+			}
 		}
-		topUp := reclaimsAt[s.Name]
+		if skipReclaim {
+			topUp = nil
+		}
 		back := f.rtt(f.coordinator, i)
 		delay := gather + back
 		site, ctl := s, s.Platform.Controller
-		borrowed := borrowedBy[s.Name]
 		f.Engine.After(back, func() {
 			f.grantDelaySum += delay
 			f.grantDeliveries++
-			site.borrowed = borrowed
 			ctl.SetCapacityGrantsLeased(base, lease)
 			if lease > 0 {
 				// The expiry event makes the fallback visible to the
@@ -1177,6 +1148,12 @@ func (f *Federation) allocDeliver(snap *demandSnapshot, gather time.Duration) {
 			})
 		})
 	}
+}
+
+// functionPos returns the position of the function named name in a site's
+// demand report.
+func functionPos(fns []allocation.FunctionDemand, name string) int {
+	return slices.IndexFunc(fns, func(fd allocation.FunctionDemand) bool { return fd.Name == name })
 }
 
 // applyReclaims books a landed reclaim commit: the applying site hosted the

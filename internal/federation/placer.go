@@ -288,35 +288,12 @@ func (ctx *PlacementContext) Metro(site int) int {
 	return ctx.f.metroOf[site]
 }
 
-// Region returns the site's region index under the federation's hierarchy
-// (the root's immediate branches), or -1 when the federation is flat or
-// the site is out of range.
-func (ctx *PlacementContext) Region(site int) int {
-	if ctx.f.regionOf == nil || site < 0 || site >= len(ctx.f.regionOf) {
-		return -1
-	}
-	return ctx.f.regionOf[site]
-}
-
 // SameMetro reports whether two sites share a metro under the
 // federation's hierarchy — the scope within which over-quota borrowing is
 // water-filled first and cross-site reclaim operates. Always false for
 // flat federations.
 func (ctx *PlacementContext) SameMetro(i, j int) bool {
 	return ctx.Metro(i) >= 0 && ctx.Metro(i) == ctx.Metro(j)
-}
-
-// BorrowedCPU returns the site's over-quota millicores in its last landed
-// grant set — capacity granted above the hierarchy's deserved quota,
-// revocable by cross-site reclaim. A peer holding borrowed capacity is a
-// softer offload target than one inside its quota: its headroom can be
-// clawed back next epoch. Zero for flat federations and before the first
-// grant delivery.
-func (ctx *PlacementContext) BorrowedCPU(site int) int64 {
-	if site < 0 || site >= len(ctx.f.Sites) {
-		return 0
-	}
-	return ctx.f.Sites[site].borrowed
 }
 
 // QueueLength returns the site's waiting (not in service) request count
@@ -365,10 +342,6 @@ func (ctx *PlacementContext) ServiceCapacity(site int) float64 {
 	return 0
 }
 
-// GloballyAllocated reports whether the run uses the federation-wide §4.1
-// fair-share allocator (Config.GlobalFairShare).
-func (ctx *PlacementContext) GloballyAllocated() bool { return ctx.f.cfg.GlobalFairShare }
-
 // GrantedCPU returns the global allocator's current CPU grant (millicores)
 // for this function at the site, and whether such a grant exists. Grants
 // lag pool reconciliation by up to a controller epoch plus the cold-start
@@ -379,7 +352,7 @@ func (ctx *PlacementContext) GrantedCPU(site int) (int64, bool) {
 	if site < 0 || site >= len(ctx.f.Sites) {
 		return 0, false
 	}
-	return ctx.f.Sites[site].Platform.Controller.Granted(ctx.t.fn)
+	return ctx.f.Sites[site].Platform.Controller.GrantOf(ctx.t.fns[site])
 }
 
 // DesiredCPU returns the site controller's model-computed CPU desire

@@ -170,9 +170,9 @@ type Placer = federation.Placer
 // matrix), Overloaded / Accepts (the epoch-level overload and absorption
 // signals), Headroom (controller capacity headroom, §3.3), QueueLength /
 // Backlog / Containers / IdleContainers / ServiceCapacity (live pool
-// state), and GrantedCPU / DesiredCPU / GloballyAllocated (the
-// federation-wide §4.1 fair-share allocator's grants versus the model's
-// desires, including granted-but-cold pre-provisioned pools). Cloud
+// state), and GrantedCPU / DesiredCPU (the federation-wide §4.1
+// fair-share allocator's grants versus the model's desires, including
+// granted-but-cold pre-provisioned pools). Cloud
 // state: PredictCloud (response including cold start and the queue at the
 // concurrency cap), CloudAdmits (throttle headroom), and
 // CloudCostPerRequest (the invocation + GB-second price). SelectPeer is
