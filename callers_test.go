@@ -1,6 +1,7 @@
 package lass_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -385,5 +386,118 @@ func TestDeclarationsHaveCallers(t *testing.T) {
 	}
 	if len(keptOracles) > 8 {
 		t.Errorf("keptOracles has %d entries; keep at most 8", len(keptOracles))
+	}
+}
+
+// keptConstants are the parameters every non-test call passes the same
+// constant that stay on purpose, keyed "declKey.param".
+var keptConstants = map[string]string{
+	"lass/internal/analysis.Annotations.Sanctioned.tag":    "OnLine and FuncHas, which it combines, take any tag; only the wallclock check needs both today",
+	"lass/internal/baseline.Platform.Register.sloDeadline": "the deadline the baseline provisions against; its tests register 100 ms, 500 ms and 1 s",
+	"lass/internal/sim.Engine.EveryFrom.start":             "the federation's start-0 call fires at once, unlike Every; the sim tests pin later and past starts",
+	"lass/internal/workload.Schedule.ExpectedCount.from":   "its only caller is the benchmark's replay, which must not change outside a benchmark change",
+	"lass/internal/controller.NewEWMA.alpha":               "the estimator tests exercise the smoother at other weights and its range check",
+	"lass/internal/queuing.RequiredContainersGGC.ca2":      "the Allen-Cunneen arrival variability; the solver tests size bursty arrivals (ca2 = 4) and reject non-finite ones",
+}
+
+// TestParametersVary fails when a parameter of a function or method
+// declared in a non-test file under internal/ receives the same constant
+// at every non-test call site of the module (benchmark/ included), unless
+// the function is also used as a value, where a caller the type checker
+// cannot see may pass anything. Such a parameter is a constant in
+// disguise: it belongs in the function body. keptConstants lists the
+// exceptions. Variadic parameters and calls that spread a multi-value
+// call over the parameters are not judged.
+func TestParametersVary(t *testing.T) {
+	pkgs := loadModule(t)
+	type param struct {
+		name   string
+		value  string // the constant every call so far passed
+		varies bool
+	}
+	calls := make(map[string][]param) // declKey -> per-parameter state
+	asValue := make(map[string]bool)
+	for _, p := range pkgs {
+		callee := make(map[*ast.Ident]bool) // identifiers in a call's function position
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+				if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
+					id, ok = sel.Sel, true
+				}
+				if !ok {
+					return true
+				}
+				fn, ok := p.Info.Uses[id].(*types.Func)
+				if !ok || !strings.HasPrefix(declKey(fn), "lass/internal/") {
+					return true
+				}
+				k := declKey(fn)
+				callee[id] = true
+				sig := fn.Origin().Signature()
+				np := sig.Params().Len()
+				if sig.Variadic() {
+					np--
+				}
+				ps := calls[k]
+				if ps == nil {
+					ps = make([]param, np)
+					for i := range ps {
+						ps[i] = param{name: sig.Params().At(i).Name(), value: "?"}
+					}
+					calls[k] = ps
+				}
+				spread := len(call.Args) < np // f(g()) with a multi-value g
+				for i := range ps {
+					var tv types.TypeAndValue
+					if !spread {
+						tv = p.Info.Types[call.Args[i]]
+					}
+					switch {
+					case tv.Value == nil:
+						ps[i].varies = true
+					case ps[i].value == "?":
+						ps[i].value = tv.Value.ExactString()
+					case ps[i].value != tv.Value.ExactString():
+						ps[i].varies = true
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok && !callee[id] {
+				asValue[declKey(fn)] = true
+			}
+		}
+	}
+	var found []string
+	for k, ps := range calls {
+		if asValue[k] {
+			continue
+		}
+		for _, pr := range ps {
+			if !pr.varies {
+				found = append(found, fmt.Sprintf("%s.%s = %s", k, pr.name, pr.value))
+			}
+		}
+	}
+	sort.Strings(found)
+	seen := make(map[string]bool)
+	for _, c := range found {
+		key := c[:strings.Index(c, " = ")]
+		seen[key] = true
+		if _, kept := keptConstants[key]; !kept {
+			t.Errorf("%s at every non-test call: make it a constant in the body or give it a caller that varies it", c)
+		}
+	}
+	for k := range keptConstants {
+		if !seen[k] {
+			t.Errorf("keptConstants lists %s, which no longer gets one constant everywhere: drop the entry", k)
+		}
 	}
 }

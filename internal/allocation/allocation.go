@@ -114,12 +114,29 @@ type Result struct {
 	Reclaims     []Reclaim
 }
 
-// subtree builds one site's user → function subtree. desire maps the leaf
-// desire per function; when nil the raw demands are used.
-func subtree(s SiteDemand, id string, weight float64, desire map[string]int64) *fairshare.Node {
-	site := &fairshare.Node{ID: id, Weight: weight}
-	userNodes := make(map[string]*fairshare.Node)
-	for _, fd := range s.Functions {
+// ShareTree is one site's §5 user → function share tree: a node per user
+// namespace, in order of first appearance — functions without one share
+// the weight-1 "::default" — over a leaf per function. It divides by
+// position: desires go in, and grants come out, indexed like the
+// []FunctionDemand it was built from. Both the site controller's local
+// fair share and the Allocator's per-site divisions run on it, so the
+// allocation a site would compute locally is one division, not two.
+type ShareTree struct {
+	root   *fairshare.Node
+	leaves []*fairshare.Node // by function position
+	order  []int             // function position of each leaf, in preorder
+	pre    []int64           // a division's grants, in leaf preorder
+}
+
+// NewShareTree builds fns' tree under a root node with the given ID and
+// weight. Its other node IDs are id+"/user:"+user and id+"/"+name, so the
+// trees of a whole federation can be checked for duplicates at once. A
+// user weight that is not positive counts as 1.
+func NewShareTree(id string, weight float64, fns []FunctionDemand) *ShareTree {
+	t := &ShareTree{root: &fairshare.Node{ID: id, Weight: weight}}
+	users := make(map[string]int)
+	var members [][]int // function positions under each user node
+	for j, fd := range fns {
 		user, uw := fd.User, fd.UserWeight
 		if user == "" {
 			user, uw = "::default", 1
@@ -127,23 +144,61 @@ func subtree(s SiteDemand, id string, weight float64, desire map[string]int64) *
 		if uw <= 0 {
 			uw = 1
 		}
-		un := userNodes[user]
-		if un == nil {
-			un = &fairshare.Node{ID: id + "/user:" + user, Weight: uw}
-			userNodes[user] = un
-			site.Children = append(site.Children, un)
+		u, ok := users[user]
+		if !ok {
+			u = len(members)
+			users[user] = u
+			members = append(members, nil)
+			t.root.Children = append(t.root.Children, &fairshare.Node{ID: id + "/user:" + user, Weight: uw})
 		}
-		d := fd.DesiredCPU
-		if desire != nil {
-			d = desire[fd.Name]
-		}
-		un.Children = append(un.Children, &fairshare.Node{
-			ID:      id + "/" + fd.Name,
-			Weight:  fd.Weight,
-			Desired: d,
-		})
+		leaf := &fairshare.Node{ID: id + "/" + fd.Name, Weight: fd.Weight}
+		t.root.Children[u].Children = append(t.root.Children[u].Children, leaf)
+		t.leaves = append(t.leaves, leaf)
+		members[u] = append(members[u], j)
 	}
-	return site
+	for _, m := range members { // preorder: users in turn, functions in position order
+		t.order = append(t.order, m...)
+	}
+	return t
+}
+
+// Divide divides capacity over the tree with desire[j] at function j's
+// leaf and writes function j's grant to out[j]; both have one entry per
+// function, and they may be the same slice. capped selects AdjustCapped
+// (true) or the paper-faithful Adjust at every level. Node IDs are not
+// checked (fairshare.ValidateTree does that); every other input check of
+// fairshare.DivideTreeInto is.
+func (t *ShareTree) Divide(desire []int64, capacity int64, capped bool, out []int64) error {
+	for j, l := range t.leaves {
+		l.Desired = desire[j]
+	}
+	var err error
+	if t.pre, err = fairshare.DivideTreeInto(t.root, capacity, capped, t.pre); err != nil {
+		return err
+	}
+	for k, j := range t.order {
+		out[j] = t.pre[k]
+	}
+	return nil
+}
+
+// cascade writes to out, by function position, the deserved quota of each
+// leaf below n, whose first leaf is the k-th in preorder: share split by
+// weight alone, ⌊ω/Σω_siblings · parent⌋ at every level. It returns the
+// next leaf's preorder index.
+func (t *ShareTree) cascade(n *fairshare.Node, share int64, k int, out []int64) int {
+	if n.Leaf() {
+		out[t.order[k]] = share
+		return k + 1
+	}
+	var w float64
+	for _, c := range n.Children {
+		w += c.Weight
+	}
+	for _, c := range n.Children {
+		k = t.cascade(c, int64(float64(share)*c.Weight/w), k, out)
+	}
+	return k
 }
 
 // finite reports whether w is neither NaN nor infinite.

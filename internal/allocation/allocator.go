@@ -32,10 +32,10 @@ import (
 //     subtree only through its total desire, and a subtree granted at
 //     least its total hands every leaf its desire either way
 //     (fairshare's TestSubtreeStubComposes).
-//   - Divisions return their grants by leaf position
-//     (fairshare.DivideTreeInto), mapped back through each site's leaf
-//     order and, for the upper division, a leaf → site-position index
-//     computed with the layout; no grant is looked up by name.
+//   - Divisions return their grants by position: a site's share tree
+//     (ShareTree) by function position, and the upper division through a
+//     leaf → site-position index computed with the layout; no grant is
+//     looked up by name.
 //   - Node IDs are checked for duplicates (fairshare.ValidateTree) on the
 //     fully mounted tree only when they can have changed: after a site
 //     rebuild, a relayout, SetHierarchy, or a failed epoch. Every
@@ -89,7 +89,6 @@ type Allocator struct {
 	root      *fairshare.Node
 	upperOut  []int64 // pass 1's division over the stubs, in leaf preorder
 	upperSite []int   // site position of each upperOut leaf; -1 for a group with no site present
-	leafOut   []int64 // per-site divisions: entitlement, clamp and local
 	spare     []int64 // by site position
 	inPool    []bool  // by site position: counted in this round's pool
 	allIdx    []int   // the flat federation's one spread scope
@@ -140,19 +139,15 @@ type siteCache struct {
 	// report to decide dirtiness.
 	prev SiteDemand
 
-	// tree is the site's scheduling subtree with raw desires at the leaves.
-	// Pass 1 divides it against the stub's grant and the drift pass against
-	// the site's own capacity — a division never reads the root node's
-	// weight, so one tree serves both, exactly as two separately built
-	// subtrees would. Its weight is the site weight, so the fully mounted
-	// tree whose IDs ValidateTree checks is the one-shot allocator's.
-	tree       *fairshare.Node
-	wantTree   *fairshare.Node   // same shape; leaves carry the clamp input
-	treeLeaves []*fairshare.Node // tree leaves
-	leaves     []*fairshare.Node // wantTree leaves
-	dfs        []int             // Functions index of each leaf, in tree order
-	fnIndex    map[string]int    // function name → Functions index
-	fnIDs      []int32           // interned function names
+	// tree is the site's share tree. Pass 1 divides the raw desires against
+	// the stub's grant, pass 2 the clamp input and the drift pass the raw
+	// desires against the site's own capacity — a division never reads the
+	// root node's weight, so one tree serves all three. Its root weight is
+	// the site weight, so the fully mounted tree whose IDs ValidateTree
+	// checks is the one-shot allocator's.
+	tree    *ShareTree
+	desired []int64 // the report's desires
+	fnIDs   []int32 // interned function names
 
 	// stub stands in for tree in pass 1's upper division: tree's ID and
 	// weight, and Desired the site's total desire, refreshed only when the
@@ -267,7 +262,7 @@ func (a *Allocator) intern(name string) int32 {
 }
 
 // rebuild refreshes c from s: deep-copies the demand report and rebuilds the
-// subtrees, leaf index, and per-function scratch. Called only for new sites
+// share tree, stub and per-function scratch. Called only for new sites
 // and structurally changed ones — others are updated in place or reused.
 func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 	c.prev.Site = s.Site
@@ -276,25 +271,15 @@ func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 	c.prev.Functions = append(c.prev.Functions[:0], s.Functions...)
 
 	id := "site:" + s.Site
-	c.tree = subtree(c.prev, id, treeWeight(s.Weight), nil)
-	c.wantTree = subtree(c.prev, id, 1, nil)
-	c.stub = &fairshare.Node{ID: id, Weight: c.tree.Weight, Desired: totalDesire(s)}
+	c.tree = NewShareTree(id, treeWeight(s.Weight), c.prev.Functions)
+	c.stub = &fairshare.Node{ID: id, Weight: c.tree.root.Weight, Desired: totalDesire(s)}
 
 	n := len(c.prev.Functions)
-	if c.fnIndex == nil {
-		c.fnIndex = make(map[string]int, n)
-	}
-	clear(c.fnIndex)
 	c.fnIDs = c.fnIDs[:0]
-	for j, fd := range c.prev.Functions {
-		c.fnIndex[fd.Name] = j
+	c.desired = c.desired[:0]
+	for _, fd := range c.prev.Functions {
 		c.fnIDs = append(c.fnIDs, a.intern(fd.Name))
-	}
-	c.treeLeaves = slices.Grow(c.treeLeaves[:0], n)[:n]
-	c.leaves = slices.Grow(c.leaves[:0], n)[:n]
-	c.dfs = c.dfs[:0]
-	if n > 0 {
-		c.collect(c.tree, c.wantTree, len(id)+1)
+		c.desired = append(c.desired, fd.DesiredCPU)
 	}
 	c.entitled = resize(c.entitled, n)
 	c.deserved = resize(c.deserved, n)
@@ -314,33 +299,17 @@ func totalDesire(s *SiteDemand) int64 {
 	return d
 }
 
-// collect walks the two same-shaped subtrees in step, indexing their
-// function leaves by Functions position and recording the tree order.
-// prefix is the length of the leaf IDs' "site:<name>/" prefix.
-func (c *siteCache) collect(t, w *fairshare.Node, prefix int) {
-	if t.Leaf() {
-		j := c.fnIndex[t.ID[prefix:]]
-		c.treeLeaves[j], c.leaves[j] = t, w
-		c.dfs = append(c.dfs, j)
-		return
-	}
-	for i := range t.Children {
-		c.collect(t.Children[i], w.Children[i], prefix)
-	}
-}
-
 // update applies a report with the cached shape (sameShape) in place: new
-// desires at the tree leaves, capacity, and the site weight, on the tree
-// and its stub.
+// desires, capacity, and the site weight, on the tree and its stub.
 func (c *siteCache) update(s *SiteDemand) {
 	c.prev.Weight = s.Weight
 	c.prev.CapacityCPU = s.CapacityCPU
 	copy(c.prev.Functions, s.Functions)
-	c.tree.Weight = treeWeight(s.Weight)
-	for j, l := range c.treeLeaves {
-		l.Desired = s.Functions[j].DesiredCPU
+	c.tree.root.Weight = treeWeight(s.Weight)
+	for j, fd := range s.Functions {
+		c.desired[j] = fd.DesiredCPU
 	}
-	c.stub.Weight, c.stub.Desired = c.tree.Weight, totalDesire(s)
+	c.stub.Weight, c.stub.Desired = c.tree.root.Weight, totalDesire(s)
 	c.haveLocal = false
 }
 
@@ -348,28 +317,22 @@ func resize(s []int64, n int) []int64 {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// clampSite runs one site's pass-2 feasibility clamp: the site subtree with
-// desires capped at the entitlement, divided over the site's physical
-// capacity. Sites are independent subproblems: it writes only its own
-// site's cache (out is scratch, returned for reuse).
+// clampSite runs one site's pass-2 feasibility clamp: the site's share
+// tree with desires capped at the entitlement, divided over the site's
+// physical capacity. Sites are independent subproblems: it writes only its
+// own site's cache.
 //
 //lass:bitexact
-func (c *siteCache) clampSite(capped bool, out []int64) ([]int64, error) {
-	for j, l := range c.leaves {
-		l.Desired = c.want[j]
-	}
-	out, err := fairshare.DivideTreeInto(c.wantTree, c.prev.CapacityCPU, capped, out)
-	if err != nil {
-		return out, err
+func (c *siteCache) clampSite(capped bool) error {
+	if err := c.tree.Divide(c.want, c.prev.CapacityCPU, capped, c.clamp); err != nil {
+		return err
 	}
 	c.sum, c.over = 0, false
-	for k, j := range c.dfs {
-		g := out[k]
-		c.clamp[j] = g
+	for j, g := range c.clamp {
 		c.sum += g
 		c.over = c.over || g < c.want[j]
 	}
-	return out, nil
+	return nil
 }
 
 // relayout maps the epoch's site order onto caches — creating caches for
@@ -429,7 +392,7 @@ func (a *Allocator) relayout(sites []SiteDemand) error {
 func (a *Allocator) mountSites(full bool) {
 	node := func(c *siteCache) *fairshare.Node {
 		if full {
-			return c.tree
+			return c.tree.root
 		}
 		return c.stub
 	}
@@ -601,11 +564,8 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		if !c.moved {
 			continue
 		}
-		if a.leafOut, err = fairshare.DivideTreeInto(c.tree, g, capped, a.leafOut); err != nil {
+		if err := c.tree.Divide(c.desired, g, capped, c.entitled); err != nil {
 			return a.fail(err)
-		}
-		for k, j := range c.dfs {
-			c.entitled[j] = a.leafOut[k]
 		}
 		c.grant, c.haveEntitled = g, true
 		a.redivided++
@@ -634,7 +594,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 			c.want, c.wantNext = c.wantNext, c.want
 			c.haveWant = true
 			if stale {
-				if a.leafOut, err = c.clampSite(capped, a.leafOut); err != nil {
+				if err := c.clampSite(capped); err != nil {
 					return a.fail(err)
 				}
 			}
@@ -874,12 +834,8 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 	// site's own demand report, so clean sites reuse last epoch's.
 	for _, c := range a.sc {
 		if !c.haveLocal {
-			var err error
-			if a.leafOut, err = fairshare.DivideTreeInto(c.tree, c.prev.CapacityCPU, capped, a.leafOut); err != nil {
+			if err := c.tree.Divide(c.desired, c.prev.CapacityCPU, capped, c.local); err != nil {
 				return a.fail(err)
-			}
-			for k, j := range c.dfs {
-				c.local[j] = a.leafOut[k]
 			}
 			c.haveLocal = true
 		}

@@ -38,7 +38,7 @@ func referenceAllocate(sites []SiteDemand, capped bool) (*Result, error) {
 		}
 		root.Children = append(root.Children, subtree(s, "site:"+s.Site, w, nil))
 	}
-	entitled, err := fairshare.AllocateTree(root, res.TotalCapacityCPU, capped)
+	entitled, err := allocateTree(root, res.TotalCapacityCPU, capped)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func referenceAllocate(sites []SiteDemand, capped bool) (*Result, error) {
 			}
 			want[fd.Name] = e
 		}
-		g, err := fairshare.AllocateTree(subtree(s, id, 1, want), s.CapacityCPU, capped)
+		g, err := allocateTree(subtree(s, id, 1, want), s.CapacityCPU, capped)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +226,7 @@ func referenceAllocate(sites []SiteDemand, capped bool) (*Result, error) {
 
 	for _, s := range sites {
 		id := "site:" + s.Site
-		local, err := fairshare.AllocateTree(subtree(s, id, 1, nil), s.CapacityCPU, capped)
+		local, err := allocateTree(subtree(s, id, 1, nil), s.CapacityCPU, capped)
 		if err != nil {
 			return nil, err
 		}
@@ -270,6 +270,44 @@ func diffResults(want, got *Result) string {
 		}
 	}
 	return ""
+}
+
+// TestShareTreeMatchesSubtree holds ShareTree's positional division to the
+// frozen subtree's keyed one, on random sites and desires, capped and not,
+// and checks that a site with no functions divides to nothing.
+func TestShareTreeMatchesSubtree(t *testing.T) {
+	rng := xrand.New(47)
+	for trial := 0; trial < 200; trial++ {
+		for _, s := range fuzzFederation(rng) {
+			id := "site:" + s.Site
+			tree := NewShareTree(id, treeWeight(s.Weight), s.Functions)
+			desire := make([]int64, len(s.Functions))
+			byName := make(map[string]int64, len(s.Functions))
+			for j, fd := range s.Functions {
+				desire[j] = int64(rng.Intn(9)) * 250
+				byName[fd.Name] = desire[j]
+			}
+			capacity := int64(rng.Intn(8)) * 500
+			for _, capped := range []bool{false, true} {
+				want, err := allocateTree(subtree(s, id, treeWeight(s.Weight), byName), capacity, capped)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]int64, len(s.Functions))
+				if err := tree.Divide(desire, capacity, capped, got); err != nil {
+					t.Fatal(err)
+				}
+				for j, fd := range s.Functions {
+					if got[j] != want[id+"/"+fd.Name] {
+						t.Fatalf("trial %d, %s capped=%v: %s got %d, subtree %d", trial, s.Site, capped, fd.Name, got[j], want[id+"/"+fd.Name])
+					}
+				}
+			}
+		}
+	}
+	if err := NewShareTree("site:empty", 1, nil).Divide(nil, 1000, true, nil); err != nil {
+		t.Errorf("empty site: %v", err)
+	}
 }
 
 // fuzzFnPool is the function-name pool fuzzed sites draw from.

@@ -278,31 +278,13 @@ func (a *Allocator) cascadeDeserved(g *hierGroup, share int64) {
 	for i, c := range n.Children {
 		s := int64(float64(share) * c.Weight / w)
 		if g.leaf {
-			if sc := a.sc[g.mount[i]]; len(sc.dfs) > 0 {
-				sc.cascadeDeserved(sc.tree, s, 0)
+			if sc := a.sc[g.mount[i]]; len(sc.deserved) > 0 {
+				sc.tree.cascade(sc.tree.root, s, 0, sc.deserved)
 			}
 		} else {
 			a.cascadeDeserved(g.children[i], s)
 		}
 	}
-}
-
-// cascadeDeserved continues the cascade inside the site's subtree from n,
-// whose first leaf is the k-th in tree order, and returns the next leaf's
-// tree-order index.
-func (c *siteCache) cascadeDeserved(n *fairshare.Node, share int64, k int) int {
-	if n.Leaf() {
-		c.deserved[c.dfs[k]] = share
-		return k + 1
-	}
-	var w float64
-	for _, ch := range n.Children {
-		w += ch.Weight
-	}
-	for _, ch := range n.Children {
-		k = c.cascadeDeserved(ch, int64(float64(share)*ch.Weight/w), k)
-	}
-	return k
 }
 
 // reclaimVictim is one over-quota (site, function) holding that metro's
@@ -350,8 +332,8 @@ func (a *Allocator) runReclaim() {
 						continue
 					}
 					pc := a.sc[p]
-					pj, ok := pc.fnIndex[fd.Name]
-					if !ok {
+					pj := slices.Index(pc.fnIDs, c.fnIDs[j])
+					if pj < 0 {
 						continue
 					}
 					powed := min(pc.deserved[pj], pc.prev.Functions[pj].DesiredCPU)
@@ -375,8 +357,8 @@ func (a *Allocator) runReclaim() {
 						continue // moving a grant to itself is a no-op
 					}
 					vc := a.sc[v.site]
-					tj, serves := vc.fnIndex[fd.Name]
-					if !serves {
+					tj := slices.Index(vc.fnIDs, c.fnIDs[j])
+					if tj < 0 {
 						continue // the peer cannot host the starved function
 					}
 					t := min(short, v.borrowed)

@@ -10,6 +10,65 @@ import (
 	"lass/internal/xrand"
 )
 
+// subtree builds one site's user → function subtree, frozen verbatim from
+// before ShareTree replaced it, so the references below share no tree code
+// with the Allocator. desire maps the leaf desire per function; when nil
+// the raw demands are used.
+func subtree(s SiteDemand, id string, weight float64, desire map[string]int64) *fairshare.Node {
+	site := &fairshare.Node{ID: id, Weight: weight}
+	userNodes := make(map[string]*fairshare.Node)
+	for _, fd := range s.Functions {
+		user, uw := fd.User, fd.UserWeight
+		if user == "" {
+			user, uw = "::default", 1
+		}
+		if uw <= 0 {
+			uw = 1
+		}
+		un := userNodes[user]
+		if un == nil {
+			un = &fairshare.Node{ID: id + "/user:" + user, Weight: uw}
+			userNodes[user] = un
+			site.Children = append(site.Children, un)
+		}
+		d := fd.DesiredCPU
+		if desire != nil {
+			d = desire[fd.Name]
+		}
+		un.Children = append(un.Children, &fairshare.Node{
+			ID:      id + "/" + fd.Name,
+			Weight:  fd.Weight,
+			Desired: d,
+		})
+	}
+	return site
+}
+
+// allocateTree validates and divides root and keys the grants by leaf ID,
+// the one-shot tree division the references were written against.
+func allocateTree(root *fairshare.Node, capacity int64, capped bool) (map[string]int64, error) {
+	if err := fairshare.ValidateTree(root); err != nil {
+		return nil, err
+	}
+	grants, err := fairshare.DivideTreeInto(root, capacity, capped, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]int64, len(grants))
+	var key func(n *fairshare.Node)
+	key = func(n *fairshare.Node) {
+		if n.Leaf() {
+			out[n.ID], grants = grants[0], grants[1:]
+			return
+		}
+		for _, c := range n.Children {
+			key(c)
+		}
+	}
+	key(root)
+	return out, nil
+}
+
 // refHier is the hierarchical allocation path frozen as a one-shot oracle:
 // pass 1 over the mounted group tree, cascadeDeserved, the pass-2 clamp,
 // spreadHier/spread and runReclaim exactly as the name-keyed Allocator ran
@@ -77,7 +136,7 @@ func referenceAllocateHierarchical(h *Hierarchy, sites []SiteDemand, capped, rec
 	}
 	root := &fairshare.Node{ID: "::federation"}
 	refMountChildren(h.Root, root, trees)
-	entitled, err := fairshare.AllocateTree(root, r.res.TotalCapacityCPU, capped)
+	entitled, err := allocateTree(root, r.res.TotalCapacityCPU, capped)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +158,7 @@ func referenceAllocateHierarchical(h *Hierarchy, sites []SiteDemand, capped, rec
 			wantMap[fd.Name] = e
 			idx[fd.Name] = j
 		}
-		g, err := fairshare.AllocateTree(subtree(s, id, 1, wantMap), s.CapacityCPU, capped)
+		g, err := allocateTree(subtree(s, id, 1, wantMap), s.CapacityCPU, capped)
 		if err != nil {
 			return nil, err
 		}
@@ -445,7 +504,7 @@ func (r *refHier) finish(capped bool) (*Result, error) {
 	}
 	for _, s := range r.sites {
 		id := "site:" + s.Site
-		local, err := fairshare.AllocateTree(subtree(s, id, 1, nil), s.CapacityCPU, capped)
+		local, err := allocateTree(subtree(s, id, 1, nil), s.CapacityCPU, capped)
 		if err != nil {
 			return nil, err
 		}

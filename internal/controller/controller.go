@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -207,12 +208,16 @@ type Controller struct {
 	// helper across a second call to it.
 	liveScratch  []*cluster.Container
 	drainScratch []*cluster.Container
-	// Per-epoch scratch: estimate, Demands, desiredContainers, grantTargets
-	// and fairShares return views of these buffers so a steady-state
-	// control epoch performs no heap allocations. Each helper's result is
-	// valid only until its next call on this controller. targetScratch has
-	// one entry per registered function, added by Register.
-	demandScratch []fairshare.Demand
+	// shares is the §5 user → function share tree over the registered
+	// functions, rebuilt only by Register and RegisterUser. Its node IDs
+	// are never validated: Register rules out duplicate and reserved
+	// names, and the division repeats every other check.
+	shares *allocation.ShareTree
+	// Per-epoch scratch: Demands, desiredContainers, grantTargets and
+	// fairShares return views of these buffers so a steady-state control
+	// epoch performs no heap allocations. Each helper's result is valid
+	// only until its next call on this controller. targetScratch has one
+	// entry per registered function, added by Register.
 	demandsOut    []allocation.FunctionDemand
 	rateScratch   []float64
 	targetScratch []int64
@@ -257,21 +262,23 @@ func (ctl *Controller) Headroom() int64 { return ctl.headroom }
 // exceeding cluster capacity.
 func (ctl *Controller) Overloaded() bool { return ctl.headroom < 0 }
 
-// reservedPrefix starts the share tree's own node IDs (its root and one
-// node per namespace), so no function or user name may start with it.
+// reservedPrefix starts the share tree's own names (its root's ID and the
+// "::default" namespace of functions without a user), so no function or
+// user name may start with it.
 const reservedPrefix = "::"
 
 // RegisterUser sets a namespace weight for the two-level hierarchical
 // share tree (§5). Functions registered with this user name share the
 // user's cluster fraction.
 func (ctl *Controller) RegisterUser(name string, weight float64) error {
-	if name == "" || weight <= 0 {
+	if name == "" || weight <= 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
 		return fmt.Errorf("controller: invalid user %q weight %v", name, weight)
 	}
 	if strings.HasPrefix(name, reservedPrefix) {
 		return fmt.Errorf("controller: user %q: names starting with %q are reserved", name, reservedPrefix)
 	}
 	ctl.users[name] = weight
+	ctl.shares = allocation.NewShareTree("::cluster", 0, ctl.Demands())
 	return nil
 }
 
@@ -287,6 +294,9 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 	}
 	if _, dup := ctl.funcs[spec.Name]; dup {
 		return nil, fmt.Errorf("controller: function %q already registered", spec.Name)
+	}
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return nil, fmt.Errorf("controller: function %q has non-finite weight %v", spec.Name, weight)
 	}
 	if weight <= 0 {
 		weight = spec.Weight
@@ -319,6 +329,7 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 	ctl.funcs[spec.Name] = f
 	ctl.order = append(ctl.order, f)
 	ctl.targetScratch = append(ctl.targetScratch, 0)
+	ctl.shares = allocation.NewShareTree("::cluster", 0, ctl.Demands())
 	return f, nil
 }
 
@@ -531,24 +542,24 @@ func (ctl *Controller) GrantOf(f *Function) (int64, bool) {
 // cluster, the §4.1 fair shares (§5's user tree); otherwise none, and
 // every function gets its model desire.
 func (ctl *Controller) Step() error {
-	demands, err := ctl.estimate()
-	if err != nil {
+	if err := ctl.estimate(); err != nil {
 		return err
 	}
 	ctl.ExpireGrantLease()
 	ctl.expireDrained(ctl.hooks.Now())
 	capacity := ctl.cluster.TotalCPU()
 	ctl.headroom = capacity
-	for _, d := range demands {
-		ctl.headroom -= d.Desired
+	for _, f := range ctl.order {
+		ctl.headroom -= int64(f.Desired) * f.Spec.CPUMillis
 	}
 	var targets []int64
+	var err error
 	overloaded := ctl.grants == nil && ctl.headroom < 0
 	switch {
 	case ctl.grants != nil:
-		targets, err = ctl.grantTargets(demands, capacity)
+		targets, err = ctl.grantTargets(capacity)
 	case overloaded:
-		targets, err = ctl.fairShares(demands, capacity)
+		targets, err = ctl.fairShares(capacity)
 	}
 	if err != nil {
 		return err
@@ -557,11 +568,9 @@ func (ctl *Controller) Step() error {
 }
 
 // estimate runs the demand-estimation half of an epoch: per-function rate
-// estimates and model-driven desired capacity, with no enforcement. The
-// returned slice aliases a controller-owned scratch buffer, valid only
-// until the next estimate call — Step's enforcement consumes it before the
-// epoch ends, so a steady-state epoch allocates nothing here.
-func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
+// estimates and model-driven desired container counts, left on the
+// function handles, with no enforcement.
+func (ctl *Controller) estimate() error {
 	now := ctl.hooks.Now()
 	ctl.stats.Steps++
 
@@ -590,21 +599,14 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 	}
 
 	// 2. Model-driven desired capacity.
-	demands := ctl.demandScratch[:0]
 	for _, f := range ctl.order {
 		want, err := ctl.desiredContainers(f, f.LambdaHat)
 		if err != nil {
-			return nil, fmt.Errorf("controller: sizing %s: %w", f.Spec.Name, err)
+			return fmt.Errorf("controller: sizing %s: %w", f.Spec.Name, err)
 		}
 		f.Desired = want
-		demands = append(demands, fairshare.Demand{
-			ID:      f.Spec.Name,
-			Weight:  f.Weight,
-			Desired: int64(want) * f.Spec.CPUMillis,
-		})
 	}
-	ctl.demandScratch = demands
-	return demands, nil
+	return nil
 }
 
 // grantTargets computes the per-function CPU targets the external-grant
@@ -620,18 +622,18 @@ func (ctl *Controller) estimate() ([]fairshare.Demand, error) {
 // The returned slice, indexed by registration position, aliases
 // controller-owned scratch, valid only until the next grantTargets or
 // fairShares call (i.e. within the Step that requested it).
-func (ctl *Controller) grantTargets(demands []fairshare.Demand, capacity int64) ([]int64, error) {
+func (ctl *Controller) grantTargets(capacity int64) ([]int64, error) {
 	targets := ctl.targetScratch
 	var totalTarget int64
-	for i := range demands {
-		t := max(ctl.grants[i], 0, int64(ctl.cfg.MinContainers)*ctl.order[i].Spec.CPUMillis)
+	for i, f := range ctl.order {
+		t := max(ctl.grants[i], 0, int64(ctl.cfg.MinContainers)*f.Spec.CPUMillis)
 		targets[i] = t
 		totalTarget += t
 	}
 	if totalTarget > capacity {
 		feasible := ctl.feasScratch[:0]
-		for i, d := range demands {
-			feasible = append(feasible, fairshare.Demand{ID: d.ID, Weight: d.Weight, Desired: targets[i]})
+		for i, f := range ctl.order {
+			feasible = append(feasible, fairshare.Demand{ID: f.Spec.Name, Weight: f.Weight, Desired: targets[i]})
 		}
 		ctl.feasScratch = feasible
 		allocs, err := fairshare.AdjustCapped(feasible, capacity)
@@ -695,34 +697,19 @@ func target(f *Function, targets []int64, overloaded bool) (int64, bool) {
 }
 
 // fairShares divides capacity over the two-level tree of §5: users
-// (weighted) → functions (weighted). Functions without a user share the
-// weight-1 "::default" namespace; with no users at all it is the root's
-// only child, gets the whole capacity, and the functions divide it exactly
-// as one flat §4.1 capped adjustment would. The result is indexed like
+// (weighted) → functions (weighted), with capped adjustments. Functions
+// without a user share the weight-1 "::default" namespace; with no users
+// at all it is the root's only child, gets the whole capacity, and the
+// functions divide it exactly as one flat §4.1 capped adjustment would.
+// It is the division the federation's allocator reports drift against for
+// this site (allocation.ShareTree). The result is indexed like
 // grantTargets'.
-func (ctl *Controller) fairShares(demands []fairshare.Demand, capacity int64) ([]int64, error) {
-	root := &fairshare.Node{ID: "::cluster"}
-	userNodes := make(map[string]*fairshare.Node)
-	for i, d := range demands {
-		f := ctl.order[i]
-		user, w := f.User, ctl.users[f.User]
-		if user == "" {
-			user, w = "::default", 1
-		}
-		un := userNodes[user]
-		if un == nil {
-			un = &fairshare.Node{ID: "::user:" + user, Weight: w}
-			userNodes[user] = un
-			root.Children = append(root.Children, un)
-		}
-		un.Children = append(un.Children, &fairshare.Node{ID: d.ID, Weight: d.Weight, Desired: d.Desired})
+func (ctl *Controller) fairShares(capacity int64) ([]int64, error) {
+	for _, f := range ctl.order {
+		ctl.targetScratch[f.pos] = int64(f.Desired) * f.Spec.CPUMillis
 	}
-	shares, err := fairshare.AllocateTree(root, capacity, true)
-	if err != nil {
+	if err := ctl.shares.Divide(ctl.targetScratch, capacity, true, ctl.targetScratch); err != nil {
 		return nil, err
-	}
-	for i, d := range demands {
-		ctl.targetScratch[i] = shares[d.ID]
 	}
 	return ctl.targetScratch, nil
 }

@@ -1,13 +1,17 @@
 package controller
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"lass/internal/allocation"
 	"lass/internal/cluster"
 	"lass/internal/functions"
 	"lass/internal/queuing"
+	"lass/internal/xrand"
 )
 
 // harness drives a Controller with fake time and instant cold starts.
@@ -130,8 +134,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := h.ctl.RegisterUser("u", 0); err == nil {
 		t.Error("want error for zero user weight")
 	}
-	// The share tree's own node IDs start with "::": a function named
-	// "::cluster" would collide with its root, and a user "::default"
+	// The share tree's own names start with "::": a user "::default"
 	// would merge with the functions that have no user.
 	reserved := spec
 	reserved.Name = "::cluster"
@@ -140,6 +143,16 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if err := h.ctl.RegisterUser("::default", 1); err == nil || !strings.Contains(err.Error(), `"::default"`) {
 		t.Errorf("reserved user name: got %v, want an error naming it", err)
+	}
+	// A non-finite weight would fail the first overloaded Step's division;
+	// registration rejects it, naming the function or user.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := h.ctl.Register(mustSpec(t, "geofence"), "", w, queuing.SLO{}); err == nil || !strings.Contains(err.Error(), `"geofence"`) {
+			t.Errorf("function weight %v: got %v, want an error naming the function", w, err)
+		}
+		if err := h.ctl.RegisterUser("u", w); err == nil || !strings.Contains(err.Error(), `"u"`) {
+			t.Errorf("user weight %v: got %v, want an error naming the user", w, err)
+		}
 	}
 	if fns := h.ctl.order; len(fns) != 1 || fns[0].Spec.Name != "micro-benchmark" {
 		t.Errorf("functions=%v", fns)
@@ -749,5 +762,63 @@ func TestGrantLeaseExpiryRestoresLocalPath(t *testing.T) {
 	}
 	if h.ctl.GrantedExternally() {
 		t.Error("grants survived an explicit expiry")
+	}
+}
+
+// TestLocalSharesMatchAllocator ties together the two layers that divide a
+// site by §5's user → function tree. Under overload, the controller's
+// local fair shares must equal, row by row, what the federation's
+// allocator computes for the controller's Demands as one site at its own
+// capacity: the allocation DriftCPU measures the global grants against,
+// which must then read zero.
+func TestLocalSharesMatchAllocator(t *testing.T) {
+	rng := xrand.New(47)
+	overloaded := 0
+	for trial := 0; trial < 200; trial++ {
+		h := newHarness(t, Config{}, cluster.PaperCluster())
+		users := []string{""}
+		for u := rng.Intn(4); u > 0; u-- {
+			name := fmt.Sprintf("user%d", u)
+			if err := h.ctl.RegisterUser(name, float64(1+rng.Intn(4))); err != nil {
+				t.Fatal(err)
+			}
+			users = append(users, name)
+		}
+		var desired int64
+		for i := 1 + rng.Intn(8); i >= 0; i-- {
+			spec := functions.MicroBenchmark(100 * time.Millisecond)
+			spec.Name = fmt.Sprintf("fn%d", i)
+			f, err := h.ctl.Register(spec, users[rng.Intn(len(users))], float64(1+rng.Intn(6))/2, queuing.SLO{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Desired = rng.Intn(24)
+			desired += int64(f.Desired) * spec.CPUMillis
+		}
+		h.ctl.stats.Steps = 1 // past bootstrap: Demands reports the model desires
+		capacity := h.ctl.Capacity()
+		if desired > capacity {
+			overloaded++
+		}
+		got, err := h.ctl.fairShares(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		site := allocation.SiteDemand{Site: "local", CapacityCPU: capacity, Functions: h.ctl.Demands()}
+		res, err := allocation.Allocate([]allocation.SiteDemand{site}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range res.Grants {
+			if got[i] != g.GrantedCPU || got[i] != g.EntitledCPU {
+				t.Fatalf("trial %d, %s: local share %d, allocator entitled %d granted %d", trial, g.Function, got[i], g.EntitledCPU, g.GrantedCPU)
+			}
+		}
+		if res.DriftCPU != 0 {
+			t.Fatalf("trial %d: one site at its own capacity drifts %d from its local shares", trial, res.DriftCPU)
+		}
+	}
+	if overloaded < 100 {
+		t.Fatalf("only %d of 200 trials overloaded the cluster", overloaded)
 	}
 }

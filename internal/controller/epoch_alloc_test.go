@@ -44,6 +44,48 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestStepOverloadedSteadyStateZeroAllocs is the same contract under
+// overload, where every Step divides the cluster by the §5 share tree: the
+// tree is built at registration, so a Step only sets its leaf desires and
+// divides into scratch. It holds with every function in the default
+// namespace and with two weighted users.
+func TestStepOverloadedSteadyStateZeroAllocs(t *testing.T) {
+	for _, users := range []bool{false, true} {
+		h := newHarness(t, Config{}, cluster.PaperCluster())
+		if users {
+			for i, u := range []string{"alice", "bob"} {
+				if err := h.ctl.RegisterUser(u, float64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i, fn := range []string{"geofence", "binaryalert", "squeezenet"} {
+			user := ""
+			if users {
+				user = []string{"alice", "bob"}[i%2]
+			}
+			if _, err := h.ctl.Register(mustSpec(t, fn), user, 1, queuing.SLO{}); err != nil {
+				t.Fatal(err)
+			}
+			h.offer(fn, 400, 2*time.Second)
+		}
+		for i := 0; i < 50; i++ {
+			h.step()
+		}
+		if !h.ctl.Overloaded() {
+			t.Fatalf("users=%v: 400 req/s on three functions does not overload the cluster", users)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := h.ctl.Step(); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("users=%v: overloaded Step allocated %.1f times per epoch; want 0", users, allocs)
+		}
+	}
+}
+
 // TestStepGrantedSteadyStateZeroAllocs is the same contract when the
 // federation drives the targets: a grant vector delivered again each epoch
 // is kept, not copied, and with feasible grants in place grantTargets and

@@ -21,17 +21,32 @@ import (
 // the live code; everything that decides which function gets what, and
 // which of those mechanics runs, is copied here. The copies are verbatim
 // except that referenceGrantTargets allocates where grantTargets reuses
-// scratch, and reads the grants by registration position.
+// scratch, and reads the grants by registration position, and that
+// referenceDemands lists the demands estimate used to return.
 func referenceStep(ctl *Controller) error {
-	demands, err := ctl.estimate()
-	if err != nil {
+	if err := ctl.estimate(); err != nil {
 		return err
 	}
+	demands := referenceDemands(ctl)
 	ctl.ExpireGrantLease()
 	if ctl.grants != nil {
 		return referenceEnforceGrants(ctl, demands)
 	}
 	return referenceEnforceLocal(ctl, demands)
+}
+
+// referenceDemands lists each function's model-desired CPU and weight in
+// registration order, as estimate returned them when it built the slice.
+func referenceDemands(ctl *Controller) []fairshare.Demand {
+	var demands []fairshare.Demand
+	for _, f := range ctl.order {
+		demands = append(demands, fairshare.Demand{
+			ID:      f.Spec.Name,
+			Weight:  f.Weight,
+			Desired: int64(f.Desired) * f.Spec.CPUMillis,
+		})
+	}
+	return demands
 }
 
 // referenceEnforceLocal is the paper's enforcement path: detect overload
@@ -224,7 +239,21 @@ func referenceFairShares(ctl *Controller, demands []fairshare.Demand, capacity i
 			Desired: demandOf[f.Spec.Name],
 		})
 	}
-	return fairshare.AllocateTree(root, capacity, true)
+	if err := fairshare.ValidateTree(root); err != nil {
+		return nil, err
+	}
+	grants, err := fairshare.DivideTreeInto(root, capacity, true, nil)
+	if err != nil {
+		return nil, err
+	}
+	// Key the grants, which come in leaf preorder, by leaf ID.
+	out := make(map[string]int64, len(grants))
+	for _, un := range root.Children {
+		for _, leaf := range un.Children {
+			out[leaf.ID], grants = grants[0], grants[1:]
+		}
+	}
+	return out, nil
 }
 
 // progReader hands out a differential program's bytes, then zeros once

@@ -205,7 +205,7 @@ func TestDeflatedContainerServesSlower(t *testing.T) {
 	}
 	engine.Run()
 	mean := (serviceSum / time.Duration(n)).Seconds()
-	want := q.Spec().MeanServiceTimeAt(0.4).Seconds()
+	want := q.Spec().MeanServiceTime.Seconds() * q.Spec().ServiceTimeMultiplier(0.4)
 	if math.Abs(mean-want)/want > 0.1 {
 		t.Errorf("deflated mean service %vs want ~%vs", mean, want)
 	}

@@ -24,19 +24,3 @@ func ExampleAdjust() {
 	// hungry-a: guaranteed=250 adjusted=300
 	// hungry-b: guaranteed=500 adjusted=600
 }
-
-// The two-level hierarchy of §5: users weighted 1:2, functions inside
-// each user sharing the user's grant.
-func ExampleAllocateTree() {
-	root := &fairshare.Node{ID: "cluster", Weight: 1, Children: []*fairshare.Node{
-		{ID: "user1", Weight: 1, Children: []*fairshare.Node{
-			{ID: "f1", Weight: 1, Desired: 4000},
-		}},
-		{ID: "user2", Weight: 2, Children: []*fairshare.Node{
-			{ID: "f2", Weight: 1, Desired: 4000},
-		}},
-	}}
-	grants, _ := fairshare.AllocateTree(root, 3000, false)
-	fmt.Println(grants["f1"], grants["f2"])
-	// Output: 1000 2000
-}

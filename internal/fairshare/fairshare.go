@@ -11,9 +11,9 @@
 //
 // A tree is checked and divided in two steps: ValidateTree rejects
 // structural errors, duplicate node IDs included, and DivideTreeInto
-// divides a tree that passed. AllocateTree runs both. A caller that
-// divides trees of an unchanged shape every epoch validates only when the
-// shape changes, and may divide any subtree on its own.
+// divides a tree that passed, returning the grants by leaf position. A
+// caller that divides trees of an unchanged shape every epoch validates
+// only when the shape changes, and may divide any subtree on its own.
 package fairshare
 
 import (
@@ -206,41 +206,6 @@ type Node struct {
 // Leaf reports whether the node has no children.
 func (n *Node) Leaf() bool { return len(n.Children) == 0 }
 
-// AllocateTree divides capacity over the tree: at each internal node the
-// children are treated as a flat fair-share problem (their demands are
-// their subtrees' total desires) and each child's adjusted capacity is
-// recursively subdivided. The returned map contains one entry per leaf.
-// capped selects AdjustCapped (true) or the paper-faithful Adjust (false)
-// at every level.
-//
-// AllocateTree is ValidateTree followed by DivideTreeInto, with the
-// values keyed by leaf ID; neither mutates the tree.
-func AllocateTree(root *Node, capacity int64, capped bool) (map[string]int64, error) {
-	if err := ValidateTree(root); err != nil {
-		return nil, err
-	}
-	grants, err := DivideTreeInto(root, capacity, capped, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int64, len(grants))
-	keyLeaves(root, grants, out)
-	return out, nil
-}
-
-// keyLeaves stores grants, the leaf values of n's subtree in preorder, in out
-// under their leaves' IDs, and returns the values past n's subtree.
-func keyLeaves(n *Node, grants []int64, out map[string]int64) []int64 {
-	if n.Leaf() {
-		out[n.ID] = grants[0]
-		return grants[1:]
-	}
-	for _, c := range n.Children {
-		grants = keyLeaves(c, grants, out)
-	}
-	return grants
-}
-
 // ValidateTree checks the whole tree for structural errors: duplicate node
 // IDs (internal or leaf, across any branches), negative or non-finite
 // weights, and negative leaf desires at any depth. The first error in
@@ -262,11 +227,15 @@ func ValidateTree(root *Node) error {
 	return s.measure(root, true)
 }
 
-// DivideTreeInto is AllocateTree's division for a tree (or a subtree of
-// one) that ValidateTree accepted since its shape last changed, with the
-// grants returned by position instead of by ID: the i-th value is the
-// grant of the tree's i-th leaf in preorder (children in slice order), so
-// a single-leaf root yields one value. The values are written over out's
+// DivideTreeInto divides capacity over a tree (or a subtree of one) that
+// ValidateTree accepted since its shape last changed: at each internal
+// node the children are one flat fair-share problem whose demands are
+// their subtrees' total desires, and each child's adjusted capacity is
+// divided recursively. capped selects AdjustCapped (true) or the
+// paper-faithful Adjust (false) at every level. The grants come back by
+// position: the i-th value is the grant of the tree's i-th leaf in
+// preorder (children in slice order), so a single-leaf root yields one
+// value. The values are written over out's
 // backing array, grown if it is too short, and the result is returned;
 // steady-state callers pass the previous result back in and allocate
 // nothing.

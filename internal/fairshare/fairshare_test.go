@@ -13,6 +13,52 @@ import (
 	"lass/internal/xrand"
 )
 
+// AllocateTree validates root, divides capacity over it and returns each
+// leaf's grant under its ID: the keyed form of DivideTreeInto the tree
+// tests and ExampleAllocateTree are written against. It is declared in a
+// test file, so only tests can reach it.
+func AllocateTree(root *Node, capacity int64, capped bool) (map[string]int64, error) {
+	if err := ValidateTree(root); err != nil {
+		return nil, err
+	}
+	grants, err := DivideTreeInto(root, capacity, capped, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]int64, len(grants))
+	keyLeaves(root, grants, out)
+	return out, nil
+}
+
+// keyLeaves stores grants, the leaf values of n's subtree in preorder, in out
+// under their leaves' IDs, and returns the values past n's subtree.
+func keyLeaves(n *Node, grants []int64, out map[string]int64) []int64 {
+	if n.Leaf() {
+		out[n.ID] = grants[0]
+		return grants[1:]
+	}
+	for _, c := range n.Children {
+		grants = keyLeaves(c, grants, out)
+	}
+	return grants
+}
+
+// The two-level hierarchy of §5: users weighted 1:2, functions inside
+// each user sharing the user's grant.
+func ExampleAllocateTree() {
+	root := &Node{ID: "cluster", Weight: 1, Children: []*Node{
+		{ID: "user1", Weight: 1, Children: []*Node{
+			{ID: "f1", Weight: 1, Desired: 4000},
+		}},
+		{ID: "user2", Weight: 2, Children: []*Node{
+			{ID: "f2", Weight: 1, Desired: 4000},
+		}},
+	}}
+	grants, _ := AllocateTree(root, 3000, false)
+	fmt.Println(grants["f1"], grants["f2"])
+	// Output: 1000 2000
+}
+
 func TestNoOverloadEveryoneGetsDesired(t *testing.T) {
 	demands := []Demand{
 		{ID: "a", Weight: 1, Desired: 300},

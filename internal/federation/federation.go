@@ -858,7 +858,7 @@ func (o *peerOffload) done(pr *dispatch.Request) {
 // cold start the request would pay if no idle warm instance will greet it.
 func (f *Federation) predictCloud(q *dispatch.Queue) float64 {
 	spec := q.Spec()
-	resp := 2*cloudRTT + spec.MeanServiceTimeAt(1.0)
+	resp := 2*cloudRTT + spec.MeanServiceTime
 	pool := f.cloudPools[spec.Name]
 	at := f.Engine.Now() + cloudRTT
 	var wait time.Duration

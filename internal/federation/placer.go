@@ -265,7 +265,7 @@ func (ctx *PlacementContext) CloudAdmits() bool { return ctx.f.cloudAdmits(ctx.t
 func (ctx *PlacementContext) CloudCostPerRequest() float64 {
 	spec := ctx.t.q.Spec()
 	return cloudPricePerInvocation +
-		spec.MeanServiceTimeAt(1.0).Seconds()*cloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
+		spec.MeanServiceTime.Seconds()*cloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
 }
 
 // Headroom returns the site controller's capacity-headroom signal

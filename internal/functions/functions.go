@@ -130,12 +130,6 @@ func (s Spec) RateAt(cpuFraction float64) float64 {
 	return s.ServiceRate() / m
 }
 
-// MeanServiceTimeAt returns the mean service time at the given CPU
-// fraction.
-func (s Spec) MeanServiceTimeAt(cpuFraction float64) time.Duration {
-	return time.Duration(float64(s.MeanServiceTime) * s.ServiceTimeMultiplier(cpuFraction))
-}
-
 // SampleServiceTime draws one service time for a request executing in a
 // container at the given CPU fraction. SCV selects the distribution family:
 // 0 → deterministic, 1 → exponential, otherwise lognormal with matching

@@ -200,7 +200,7 @@ func TestSampleServiceTimeDeflatedMean(t *testing.T) {
 		sum += s.SampleServiceTime(rng, 0.4)
 	}
 	mean := (sum / time.Duration(n)).Seconds()
-	want := s.MeanServiceTimeAt(0.4).Seconds()
+	want := s.MeanServiceTime.Seconds() * s.ServiceTimeMultiplier(0.4)
 	if math.Abs(mean-want)/want > 0.05 {
 		t.Errorf("deflated sampled mean %vs want %vs", mean, want)
 	}

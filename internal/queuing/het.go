@@ -3,6 +3,7 @@ package queuing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -19,31 +20,35 @@ type HetMMC struct {
 	sorted  []float64 // ascending copy of Rates
 	prefix  []float64 // prefix[k] = μ_1 + ... + μ_k (1-based, prefix[0]=0)
 	logPref []float64 // logPref[k] = Σ_{j=1..k} log(prefix[j])
+	terms   []float64 // logP0's and ProbWaitLE's log-sum-exp scratch
 }
 
-// NewHetMMC builds the model, sorting rates ascending as the worst-case
-// analysis requires (slowest containers first).
-func NewHetMMC(lambda float64, rates []float64) (*HetMMC, error) {
+// reset builds the model over rates, sorting them ascending as the
+// worst-case analysis requires (slowest containers first). It reuses h's
+// buffers, so a search that rebuilds one model per probe allocates only
+// when the pool outgrows them.
+func (h *HetMMC) reset(lambda float64, rates []float64) error {
 	if lambda < 0 {
-		return nil, fmt.Errorf("queuing: negative arrival rate %v", lambda)
+		return fmt.Errorf("queuing: negative arrival rate %v", lambda)
 	}
 	if len(rates) == 0 {
-		return nil, fmt.Errorf("queuing: heterogeneous model needs at least one container")
+		return fmt.Errorf("queuing: heterogeneous model needs at least one container")
 	}
-	h := &HetMMC{Lambda: lambda, Rates: rates}
-	h.sorted = append([]float64(nil), rates...)
+	h.Lambda, h.Rates = lambda, rates
+	h.sorted = append(h.sorted[:0], rates...)
 	sort.Float64s(h.sorted)
 	if h.sorted[0] <= 0 {
-		return nil, fmt.Errorf("queuing: non-positive service rate %v", h.sorted[0])
+		return fmt.Errorf("queuing: non-positive service rate %v", h.sorted[0])
 	}
 	c := len(h.sorted)
-	h.prefix = make([]float64, c+1)
-	h.logPref = make([]float64, c+1)
+	h.prefix = slices.Grow(h.prefix[:0], c+1)[:c+1]
+	h.logPref = slices.Grow(h.logPref[:0], c+1)[:c+1]
+	h.prefix[0], h.logPref[0] = 0, 0
 	for k := 1; k <= c; k++ {
 		h.prefix[k] = h.prefix[k-1] + h.sorted[k-1]
 		h.logPref[k] = h.logPref[k-1] + math.Log(h.prefix[k])
 	}
-	return h, nil
+	return nil
 }
 
 // TotalRate returns the aggregate service rate Σ μ_j.
@@ -85,13 +90,14 @@ func (h *HetMMC) logP0() (float64, error) {
 		return 0, ErrUnstable
 	}
 	c := len(h.sorted)
-	terms := make([]float64, 0, c+2)
+	terms := h.terms[:0]
 	for n := 0; n <= c; n++ {
 		terms = append(terms, h.logA(n))
 	}
 	// Σ_{n=c+1}^∞ a_n = a_c · x/(1-x), x = λ/S_c.
 	x := h.Lambda / h.prefix[c]
 	terms = append(terms, h.logA(c)+math.Log(x)-math.Log(1-x))
+	h.terms = terms
 	return -logSumExp(terms), nil
 }
 
@@ -142,7 +148,7 @@ func (h *HetMMC) ProbWaitLE(t float64) (float64, error) {
 		return 0, nil
 	}
 	c := len(h.sorted)
-	terms := make([]float64, 0, min(L, c)+2)
+	terms := h.terms[:0]
 	for n := 0; n <= L && n <= c; n++ {
 		terms = append(terms, h.logA(n))
 	}
@@ -155,6 +161,7 @@ func (h *HetMMC) ProbWaitLE(t float64) (float64, error) {
 			terms = append(terms, partial)
 		}
 	}
+	h.terms = terms
 	p := math.Exp(lp0 + logSumExp(terms))
 	if p > 1 {
 		p = 1

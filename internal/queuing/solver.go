@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -249,6 +250,16 @@ func AdditionalHetContainers(lambda float64, existing []float64, newRate float64
 	return AdditionalHetContainersFrom(lambda, existing, newRate, slo, 0)
 }
 
+// hetScratch is the heterogeneous search's reusable model and rate list. A
+// caller that finds it busy works in fresh ones instead of waiting, so
+// concurrent sizings never serialise on it; nothing a search reads
+// survives from an earlier one, so sharing cannot change an answer.
+var hetScratch struct {
+	mu    sync.Mutex
+	h     HetMMC
+	rates []float64
+}
+
 // AdditionalHetContainersFrom returns exactly AdditionalHetContainers'
 // answer, seeding the search for the addition count at hint (a previous
 // epoch's result). Adding a standard container only ever raises the Alves
@@ -270,7 +281,13 @@ func AdditionalHetContainersFrom(lambda float64, existing []float64, newRate flo
 	if err != nil {
 		return 0, err
 	}
-	rates := append([]float64(nil), existing...)
+	h, rates := &HetMMC{}, []float64(nil)
+	if hetScratch.mu.TryLock() {
+		defer hetScratch.mu.Unlock()
+		h, rates = &hetScratch.h, hetScratch.rates[:0]
+		defer func() { hetScratch.rates = rates }()
+	}
+	rates = append(rates, existing...)
 	add, err := search(0, max(0, MaxSolverContainers-len(existing)), hint, func(add int) (bool, error) {
 		if len(existing)+add == 0 {
 			return false, nil
@@ -278,8 +295,7 @@ func AdditionalHetContainersFrom(lambda float64, existing []float64, newRate flo
 		for len(rates) < len(existing)+add {
 			rates = append(rates, newRate)
 		}
-		h, err := NewHetMMC(lambda, rates[:len(existing)+add])
-		if err != nil || !h.Stable() {
+		if err := h.reset(lambda, rates[:len(existing)+add]); err != nil || !h.Stable() {
 			return false, err
 		}
 		p, err := h.ProbWaitLE(t)
