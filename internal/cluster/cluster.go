@@ -7,14 +7,13 @@
 // see README.md's opening paragraph). The package is pure resource
 // accounting and lifecycle state: time (cold starts) and request flow live
 // in the platform and dispatch layers, so the same cluster code serves both
-// the discrete-event simulation and the wall-clock runtime.
+// the discrete-event simulation and the wall-clock runtime. It keeps no
+// index of containers by function or by node: which containers a function
+// has is the controller's decision, and the controller's record
+// (controller.Function.Containers).
 package cluster
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // State is the lifecycle state of a container.
 type State int
@@ -94,9 +93,8 @@ type Node struct {
 	CPUCapacity int64 // millicores
 	MemCapacity int64 // MiB
 
-	cpuUsed    int64
-	memUsed    int64
-	containers map[ContainerID]*Container
+	cpuUsed int64
+	memUsed int64
 }
 
 // CPUFree returns unallocated CPU millicores on the node.
@@ -136,12 +134,13 @@ func (p PlacementPolicy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// Cluster is a set of nodes with a placement policy.
+// Cluster is a set of nodes with a placement policy. It accounts for
+// every container's resources on its node but holds no per-function list
+// of them: a caller that places containers keeps its own.
 type Cluster struct {
 	nodes  []*Node
 	policy PlacementPolicy
 	nextID ContainerID
-	byFunc map[string][]*Container // live containers per function, ascending ID
 }
 
 // Config describes a cluster to build.
@@ -170,13 +169,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.CPUPerNode <= 0 || cfg.MemPerNode <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive node capacity (%d mC, %d MiB)", cfg.CPUPerNode, cfg.MemPerNode)
 	}
-	c := &Cluster{policy: cfg.Policy, byFunc: make(map[string][]*Container)}
+	c := &Cluster{policy: cfg.Policy}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.nodes = append(c.nodes, &Node{
 			ID:          i,
 			CPUCapacity: cfg.CPUPerNode,
 			MemCapacity: cfg.MemPerNode,
-			containers:  make(map[ContainerID]*Container),
 		})
 	}
 	return c, nil
@@ -261,25 +259,7 @@ func (cl *Cluster) Place(function string, cpu, mem int64) (*Container, error) {
 	if cpu <= 0 || mem <= 0 {
 		return nil, fmt.Errorf("cluster: invalid container size (%d mC, %d MiB)", cpu, mem)
 	}
-	n := cl.selectNode(cpu, mem)
-	if n == nil {
-		return nil, ErrNoCapacity{CPU: cpu, Mem: mem}
-	}
-	cl.nextID++
-	c := &Container{
-		ID:          cl.nextID,
-		Function:    function,
-		CPUStandard: cpu,
-		CPUCurrent:  cpu,
-		MemoryMiB:   mem,
-		node:        n,
-		state:       Starting,
-	}
-	n.cpuUsed += cpu
-	n.memUsed += mem
-	n.containers[c.ID] = c
-	cl.byFunc[function] = append(cl.byFunc[function], c) // IDs only grow
-	return c, nil
+	return cl.PlaceDeflated(function, cpu, cpu, mem)
 }
 
 // PlaceDeflated creates a container already running below its standard
@@ -305,8 +285,6 @@ func (cl *Cluster) PlaceDeflated(function string, cpuStandard, cpuCurrent, mem i
 	}
 	n.cpuUsed += cpuCurrent
 	n.memUsed += mem
-	n.containers[c.ID] = c
-	cl.byFunc[function] = append(cl.byFunc[function], c) // IDs only grow
 	return c, nil
 }
 
@@ -347,11 +325,6 @@ func (cl *Cluster) Terminate(c *Container) error {
 	n := c.node
 	n.cpuUsed -= c.CPUCurrent
 	n.memUsed -= c.MemoryMiB
-	delete(n.containers, c.ID)
-	fn := cl.byFunc[c.Function]
-	if i, ok := slices.BinarySearchFunc(fn, c.ID, func(x *Container, id ContainerID) int { return cmp.Compare(x.ID, id) }); ok {
-		cl.byFunc[c.Function] = slices.Delete(fn, i, i+1)
-	}
 	c.state = Terminated
 	c.node = nil
 	return nil
@@ -377,34 +350,4 @@ func (cl *Cluster) Resize(c *Container, newCPU int64) error {
 	c.node.cpuUsed += delta
 	c.CPUCurrent = newCPU
 	return nil
-}
-
-// ContainersOf returns the live containers of a function in ID order.
-func (cl *Cluster) ContainersOf(function string) []*Container {
-	return cl.AppendContainersOf(function, make([]*Container, 0, len(cl.byFunc[function])))
-}
-
-// AppendContainersOf appends the live containers of a function to dst in
-// ID order and returns the extended slice, allocating only when dst lacks
-// capacity. Hot-path callers pass a reused scratch buffer (dst[:0]) to
-// keep the per-epoch reconcile loops allocation-free.
-func (cl *Cluster) AppendContainersOf(function string, dst []*Container) []*Container {
-	return append(dst, cl.byFunc[function]...)
-}
-
-// EachContainerOf calls f for every live container of a function in ID
-// order without allocating. f must not place or terminate containers.
-func (cl *Cluster) EachContainerOf(function string, f func(*Container)) {
-	for _, c := range cl.byFunc[function] {
-		f(c)
-	}
-}
-
-// CPUOf returns the aggregate current CPU allocated to a function.
-func (cl *Cluster) CPUOf(function string) int64 {
-	var t int64
-	for _, c := range cl.byFunc[function] {
-		t += c.CPUCurrent
-	}
-	return t
 }

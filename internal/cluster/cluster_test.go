@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -134,8 +132,10 @@ func TestClusterFillsCompletely(t *testing.T) {
 	if _, err := cl.Place("f", 1000, 512); err == nil {
 		t.Error("13th container should not fit")
 	}
-	if n := len(cl.ContainersOf("f")); n != 12 {
-		t.Errorf("live=%d", n)
+	for _, n := range cl.Nodes() {
+		if n.CPUFree() != 0 {
+			t.Errorf("node %d has %d mC free", n.ID, n.CPUFree())
+		}
 	}
 }
 
@@ -284,70 +284,41 @@ func TestTerminateFreesCurrentNotStandard(t *testing.T) {
 	}
 }
 
-func TestContainersOfAndCPUOf(t *testing.T) {
-	cl := newTestCluster(t)
-	cl.Place("a", 1000, 512)
-	cl.Place("b", 500, 256)
-	c3, _ := cl.Place("a", 1000, 512)
-	cl.Resize(c3, 600)
-	if got := len(cl.ContainersOf("a")); got != 2 {
-		t.Errorf("a has %d containers", got)
-	}
-	if got := cl.CPUOf("a"); got != 1600 {
-		t.Errorf("a CPU=%d want 1600", got)
-	}
-	if got := cl.CPUOf("b"); got != 500 {
-		t.Errorf("b CPU=%d", got)
-	}
-	if got := cl.CPUOf("none"); got != 0 {
-		t.Errorf("unknown function CPU=%d", got)
-	}
-	fns := liveFunctions(cl)
-	if len(fns) != 2 || fns[0] != "a" || fns[1] != "b" {
-		t.Errorf("functions=%v", fns)
-	}
-	cl.Terminate(c3)
-	if got := cl.CPUOf("a"); got != 1000 {
-		t.Errorf("after terminate a CPU=%d", got)
-	}
-}
-
-func TestContainersOfIDOrder(t *testing.T) {
-	cl := newTestCluster(t)
-	for i := 0; i < 5; i++ {
-		cl.Place("f", 100, 64)
-	}
-	cs := cl.ContainersOf("f")
-	for i := 1; i < len(cs); i++ {
-		if cs[i].ID <= cs[i-1].ID {
-			t.Fatal("not in ID order")
-		}
-	}
-}
-
-// TestContainerIndexMatchesOracle runs seeded Place / PlaceDeflated /
+// TestLifecycleMatchesOracle runs seeded Place / PlaceDeflated /
 // MarkRunning / MarkDraining / Revive / Resize / Terminate programs over
-// three functions and, after every operation, compares every per-function
-// read of the ID-ordered index with a map-plus-sort oracle.
-func TestContainerIndexMatchesOracle(t *testing.T) {
-	names := []string{"a", "b", "c", "none"}
+// three functions and, after every operation, checks every container's
+// state against the lifecycle rules and every node's used CPU and memory
+// against the sums over the containers the program placed there and has
+// not terminated. IDs must grow with every placement: the controller keeps
+// each function's pool in ID order by appending.
+func TestLifecycleMatchesOracle(t *testing.T) {
+	names := []string{"a", "b", "c"}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := xrand.New(seed)
 		cl, err := New(Config{Nodes: 3, CPUPerNode: 4000, MemPerNode: 8192, Policy: PlacementPolicy(seed % 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := map[string]map[ContainerID]*Container{}
 		var all []*Container // every container ever placed, terminated included
+		want := map[*Container]State{}
 		for step := 0; step < 2000; step++ {
-			fn := names[rng.Intn(3)]
 			var pick *Container
 			if len(all) > 0 {
 				pick = all[rng.Intn(len(all))]
 			}
+			// move checks that an operation succeeded exactly when pick was
+			// in state from, and records the state it moved pick to.
+			move := func(err error, from, to State) {
+				if (err == nil) != (want[pick] == from) {
+					t.Fatalf("seed %d step %d: container %d was %v, %v → %v returned %v", seed, step, pick.ID, want[pick], from, to, err)
+				}
+				if err == nil {
+					want[pick] = to
+				}
+			}
 			switch op := rng.Intn(7); {
 			case op <= 1:
-				cpu := int64(rng.Intn(1500) + 100)
+				fn, cpu := names[rng.Intn(3)], int64(rng.Intn(1500)+100)
 				var c *Container
 				if op == 0 {
 					c, err = cl.Place(fn, cpu, 64)
@@ -355,58 +326,45 @@ func TestContainerIndexMatchesOracle(t *testing.T) {
 					c, err = cl.PlaceDeflated(fn, cpu, cpu-int64(rng.Intn(int(cpu))), 64)
 				}
 				if err == nil {
-					all = append(all, c)
-					if oracle[fn] == nil {
-						oracle[fn] = map[ContainerID]*Container{}
+					if len(all) > 0 && c.ID <= all[len(all)-1].ID {
+						t.Fatalf("seed %d step %d: ID %d after %d", seed, step, c.ID, all[len(all)-1].ID)
 					}
-					oracle[fn][c.ID] = c
+					all = append(all, c)
+					want[c] = Starting
 				}
 			case pick == nil:
 			case op == 2:
-				cl.MarkRunning(pick)
+				move(cl.MarkRunning(pick), Starting, Running)
 			case op == 3:
-				cl.MarkDraining(pick)
+				move(cl.MarkDraining(pick), Running, Draining)
 			case op == 4:
-				cl.Revive(pick)
+				move(cl.Revive(pick), Draining, Running)
 			case op == 5:
-				cl.Resize(pick, int64(rng.Intn(int(pick.CPUStandard)))+1)
+				if err := cl.Resize(pick, int64(rng.Intn(int(pick.CPUStandard)))+1); err == nil && want[pick] == Terminated {
+					t.Fatalf("seed %d step %d: resized terminated container %d", seed, step, pick.ID)
+				}
 			default:
-				if cl.Terminate(pick) == nil {
-					delete(oracle[pick.Function], pick.ID)
+				if err := cl.Terminate(pick); (err == nil) == (want[pick] == Terminated) {
+					t.Fatalf("seed %d step %d: Terminate(%d) in %v returned %v", seed, step, pick.ID, want[pick], err)
+				}
+				want[pick] = Terminated
+			}
+			cpu, mem := map[*Node]int64{}, map[*Node]int64{}
+			for _, c := range all {
+				if c.State() != want[c] {
+					t.Fatalf("seed %d step %d: container %d is %v, oracle %v", seed, step, c.ID, c.State(), want[c])
+				}
+				if (c.Node() == nil) != (want[c] == Terminated) {
+					t.Fatalf("seed %d step %d: container %d in %v has node %v", seed, step, c.ID, want[c], c.Node())
+				}
+				if c.Node() != nil {
+					cpu[c.Node()] += c.CPUCurrent
+					mem[c.Node()] += c.MemoryMiB
 				}
 			}
-			var live []string
-			for f, m := range oracle {
-				if len(m) > 0 {
-					live = append(live, f)
-				}
-			}
-			sort.Strings(live)
-			if got := liveFunctions(cl); !slices.Equal(got, live) {
-				t.Fatalf("seed %d step %d: Functions=%v, oracle %v", seed, step, got, live)
-			}
-			for _, f := range names {
-				var want []*Container
-				var cpu int64
-				for _, c := range oracle[f] {
-					want = append(want, c)
-					cpu += c.CPUCurrent
-				}
-				sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
-				prefix := []*Container{nil}
-				if got := cl.AppendContainersOf(f, prefix); got[0] != nil || !slices.Equal(got[1:], want) {
-					t.Fatalf("seed %d step %d: AppendContainersOf(%s) differs from the oracle", seed, step, f)
-				}
-				if got := cl.ContainersOf(f); !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d: ContainersOf(%s) differs from the oracle", seed, step, f)
-				}
-				var walked []*Container
-				cl.EachContainerOf(f, func(c *Container) { walked = append(walked, c) })
-				if !slices.Equal(walked, want) {
-					t.Fatalf("seed %d step %d: EachContainerOf(%s) differs from the oracle", seed, step, f)
-				}
-				if got := cl.CPUOf(f); got != cpu {
-					t.Fatalf("seed %d step %d: CPUOf(%s)=%d, oracle %d", seed, step, f, got, cpu)
+			for _, n := range cl.Nodes() {
+				if n.cpuUsed != cpu[n] || n.memUsed != mem[n] {
+					t.Fatalf("seed %d step %d: node %d uses %d mC and %d MiB, oracle %d and %d", seed, step, n.ID, n.cpuUsed, n.memUsed, cpu[n], mem[n])
 				}
 			}
 		}
@@ -452,12 +410,13 @@ func TestQuickResourceConservation(t *testing.T) {
 				}
 			}
 		}
+		nodeSums := map[*Node]int64{}
+		for _, c := range live {
+			nodeSums[c.Node()] += c.CPUCurrent
+		}
 		var sumContainers int64
 		for _, n := range cl.Nodes() {
-			var nodeSum int64
-			for _, c := range n.containers {
-				nodeSum += c.CPUCurrent
-			}
+			nodeSum := nodeSums[n]
 			if nodeSum != n.cpuUsed {
 				return false
 			}
@@ -484,16 +443,4 @@ func TestStateStrings(t *testing.T) {
 	if FirstFit.String() != "first-fit" || BestFit.String() != "best-fit" || WorstFit.String() != "worst-fit" {
 		t.Error("policy strings wrong")
 	}
-}
-
-// liveFunctions returns the names of functions with live containers, sorted.
-func liveFunctions(cl *Cluster) []string {
-	var out []string
-	for f, m := range cl.byFunc {
-		if len(m) > 0 {
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -130,7 +130,8 @@ type Hooks struct {
 	// OnRemove fires when a container is terminated; the host must
 	// detach it from the data path (requeueing any in-flight request).
 	OnRemove func(c *cluster.Container)
-	// OnResize fires after a container's CPU allocation changed.
+	// OnResize fires after a container's CPU allocation changed. It is
+	// optional: New puts a no-op in its place.
 	OnResize func(c *cluster.Container)
 }
 
@@ -170,7 +171,17 @@ type Function struct {
 	// pos is the function's registration position: its index in Demands
 	// and in a grant vector.
 	pos int
+	// containers holds every container the controller placed for the
+	// function and has not terminated, in any state, in ID order:
+	// createContainer appends (IDs only grow) and terminate removes.
+	containers []*cluster.Container
 }
+
+// Containers returns the function's containers that are not terminated —
+// Starting, Running and Draining — in ID order. The slice is the
+// controller's own: callers must not modify it, and it is valid only until
+// the controller next creates or terminates a container.
+func (f *Function) Containers() []*cluster.Container { return f.containers }
 
 // Stats are the controller's cumulative action counters.
 type Stats struct {
@@ -233,6 +244,9 @@ func New(cfg Config, cl *cluster.Cluster, hooks Hooks) (*Controller, error) {
 		return nil, err
 	}
 	cfg.fillDefaults()
+	if hooks.OnResize == nil {
+		hooks.OnResize = func(*cluster.Container) {}
+	}
 	return &Controller{
 		cfg:      cfg,
 		cluster:  cl,
@@ -353,35 +367,33 @@ func (ctl *Controller) RecordArrival(function string) {
 	}
 }
 
-// liveContainers returns fn's containers that count toward its allocation
+// liveContainers returns f's containers that count toward its allocation
 // (Starting or Running; Draining containers are spare capacity pending
-// lazy reclaim).
+// lazy reclaim), in ID order.
 // The result aliases a controller-owned scratch buffer: it is valid only
 // until the next liveContainers call and must not be retained.
-func (ctl *Controller) liveContainers(fn string) []*cluster.Container {
-	buf := ctl.cluster.AppendContainersOf(fn, ctl.liveScratch[:0])
-	ctl.liveScratch = buf
-	out := buf[:0]
-	for _, c := range buf {
+func (ctl *Controller) liveContainers(f *Function) []*cluster.Container {
+	out := ctl.liveScratch[:0]
+	for _, c := range f.containers {
 		if c.State() == cluster.Starting || c.State() == cluster.Running {
 			out = append(out, c)
 		}
 	}
+	ctl.liveScratch = out
 	return out
 }
 
 // drainingContainers mirrors liveContainers for the Draining state, on its
 // own scratch buffer (see the struct comment); the same retention rule
 // applies.
-func (ctl *Controller) drainingContainers(fn string) []*cluster.Container {
-	buf := ctl.cluster.AppendContainersOf(fn, ctl.drainScratch[:0])
-	ctl.drainScratch = buf
-	out := buf[:0]
-	for _, c := range buf {
+func (ctl *Controller) drainingContainers(f *Function) []*cluster.Container {
+	out := ctl.drainScratch[:0]
+	for _, c := range f.containers {
 		if c.State() == cluster.Draining {
 			out = append(out, c)
 		}
 	}
+	ctl.drainScratch = out
 	return out
 }
 
@@ -406,7 +418,7 @@ func (ctl *Controller) desiredContainers(f *Function, lambda float64) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	live := ctl.liveContainers(f.Spec.Name)
+	live := ctl.liveContainers(f)
 	if slices.ContainsFunc(live, (*cluster.Container).Deflated) {
 		// How many standard containers must join the deflated pool (Fig
 		// 4's reaction)? When none, the pool may shrink to the homogeneous
@@ -455,7 +467,7 @@ func (ctl *Controller) Demands() []allocation.FunctionDemand {
 		}
 		desired := int64(max(f.Desired, ctl.cfg.MinContainers)) * f.Spec.CPUMillis
 		if ctl.stats.Steps == 0 {
-			desired = max(desired, liveCPU(ctl.liveContainers(f.Spec.Name)))
+			desired = max(desired, liveCPU(ctl.liveContainers(f)))
 		}
 		out = append(out, allocation.FunctionDemand{
 			Name:       f.Spec.Name,
@@ -717,21 +729,24 @@ func (ctl *Controller) fairShares(capacity int64) ([]int64, error) {
 // expireDrained terminates Draining containers older than drainTTL.
 func (ctl *Controller) expireDrained(now time.Duration) {
 	for _, f := range ctl.order {
-		for _, c := range ctl.drainingContainers(f.Spec.Name) {
+		for _, c := range ctl.drainingContainers(f) {
 			at, ok := ctl.drained[c.ID]
 			if ok && now-at >= drainTTL {
-				ctl.terminate(c)
+				ctl.terminate(f, c)
 			}
 		}
 	}
 }
 
-// terminate removes a container everywhere.
-func (ctl *Controller) terminate(c *cluster.Container) {
+// terminate removes f's container c everywhere.
+func (ctl *Controller) terminate(f *Function, c *cluster.Container) {
 	delete(ctl.drained, c.ID)
 	wasServable := c.Servable()
 	if err := ctl.cluster.Terminate(c); err != nil {
 		return
+	}
+	if i := slices.Index(f.containers, c); i >= 0 {
+		f.containers = slices.Delete(f.containers, i, i+1)
 	}
 	ctl.stats.Terminations++
 	if wasServable {
@@ -761,6 +776,7 @@ func (ctl *Controller) createContainer(f *Function, cpu int64) (*cluster.Contain
 			return nil, err
 		}
 	}
+	f.containers = append(f.containers, c)
 	ctl.stats.Creations++
 	ctl.hooks.ScheduleColdStart(c, f.Spec.ColdStart, func() {
 		if c.State() != cluster.Starting {
@@ -778,13 +794,14 @@ func (ctl *Controller) createContainer(f *Function, cpu int64) (*cluster.Contain
 // whether any progress was made.
 func (ctl *Controller) reclaimDrainedFor(cpu, mem int64) bool {
 	type cand struct {
+		f  *Function
 		c  *cluster.Container
 		at time.Duration
 	}
 	var cands []cand
 	for _, f := range ctl.order {
-		for _, c := range ctl.drainingContainers(f.Spec.Name) {
-			cands = append(cands, cand{c, ctl.drained[c.ID]})
+		for _, c := range ctl.drainingContainers(f) {
+			cands = append(cands, cand{f, c, ctl.drained[c.ID]})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -798,7 +815,7 @@ func (ctl *Controller) reclaimDrainedFor(cpu, mem int64) bool {
 		if ctl.fits(cpu, mem) {
 			return true
 		}
-		ctl.terminate(cd.c)
+		ctl.terminate(cd.f, cd.c)
 		progress = true
 	}
 	return progress && ctl.fits(cpu, mem)

@@ -20,6 +20,7 @@ type harness struct {
 	now     time.Duration
 	cl      *cluster.Cluster
 	ctl     *Controller
+	created []*cluster.Container // every container the controller placed
 	ready   []*cluster.Container
 	removed []*cluster.Container
 	pending []func() // delayed cold starts when instant=false
@@ -37,6 +38,7 @@ func newHarness(t *testing.T, cfg Config, clCfg cluster.Config) *harness {
 	hooks := Hooks{
 		Now: func() time.Duration { return h.now },
 		ScheduleColdStart: func(c *cluster.Container, delay time.Duration, ready func()) {
+			h.created = append(h.created, c)
 			if h.instant {
 				ready()
 			} else {
@@ -45,7 +47,6 @@ func newHarness(t *testing.T, cfg Config, clCfg cluster.Config) *harness {
 		},
 		OnReady:  func(c *cluster.Container) { h.ready = append(h.ready, c) },
 		OnRemove: func(c *cluster.Container) { h.removed = append(h.removed, c) },
-		OnResize: func(c *cluster.Container) {},
 	}
 	ctl, err := New(cfg, cl, hooks)
 	if err != nil {
@@ -76,15 +77,30 @@ func (h *harness) step() {
 	}
 }
 
-func liveOf(cl *cluster.Cluster, fn string) []*cluster.Container {
+// fn returns the handle of a registered function.
+func (h *harness) fn(name string) *Function {
+	h.t.Helper()
+	f, ok := h.ctl.Function(name)
+	if !ok {
+		h.t.Fatalf("function %s not registered", name)
+	}
+	return f
+}
+
+// liveOf returns f's Starting and Running containers.
+func liveOf(f *Function) []*cluster.Container {
 	var out []*cluster.Container
-	for _, c := range cl.ContainersOf(fn) {
+	for _, c := range f.Containers() {
 		if c.State() == cluster.Starting || c.State() == cluster.Running {
 			out = append(out, c)
 		}
 	}
 	return out
 }
+
+// cpuOf sums the current CPU of every container of f, draining ones
+// included.
+func cpuOf(f *Function) int64 { return liveCPU(f.Containers()) }
 
 func mustSpec(t *testing.T, name string) functions.Spec {
 	t.Helper()
@@ -178,7 +194,7 @@ func TestScaleUpOnLoad(t *testing.T) {
 	if f.Desired != want {
 		t.Errorf("desired=%d want %d", f.Desired, want)
 	}
-	if got := len(liveOf(h.cl, spec.Name)); got != want {
+	if got := len(liveOf(h.fn(spec.Name))); got != want {
 		t.Errorf("live containers=%d want %d", got, want)
 	}
 	if len(h.ready) != want {
@@ -193,7 +209,7 @@ func TestScaleDownMarksDrainingThenExpires(t *testing.T) {
 
 	h.offer(spec.Name, 30, 30*time.Second)
 	h.step()
-	before := len(liveOf(h.cl, spec.Name))
+	before := len(liveOf(h.fn(spec.Name)))
 	if before < 4 {
 		t.Fatalf("setup: live=%d", before)
 	}
@@ -201,13 +217,13 @@ func TestScaleDownMarksDrainingThenExpires(t *testing.T) {
 	// Load vanishes; estimates decay over the 2-minute window.
 	h.offer(spec.Name, 0, 3*time.Minute)
 	h.step()
-	after := len(liveOf(h.cl, spec.Name))
+	after := len(liveOf(h.fn(spec.Name)))
 	if after != 0 {
 		t.Errorf("live=%d want 0 after idle", after)
 	}
 	// Surplus went to Draining, not terminated (lazy, §3.3).
 	draining := 0
-	for _, c := range h.cl.ContainersOf(spec.Name) {
+	for _, c := range h.fn(spec.Name).Containers() {
 		if c.State() == cluster.Draining {
 			draining++
 		}
@@ -222,7 +238,7 @@ func TestScaleDownMarksDrainingThenExpires(t *testing.T) {
 	// After the TTL, the next step reaps them.
 	h.now += drainTTL + time.Second
 	h.step()
-	if n := len(h.cl.ContainersOf(spec.Name)); n != 0 {
+	if n := len(h.fn(spec.Name).Containers()); n != 0 {
 		t.Errorf("containers after TTL=%d want 0", n)
 	}
 	if len(h.removed) != before {
@@ -261,7 +277,7 @@ func TestBurstReactsInOneStep(t *testing.T) {
 
 	h.offer(spec.Name, 5, 2*time.Minute)
 	h.step()
-	small := len(liveOf(h.cl, spec.Name))
+	small := len(liveOf(h.fn(spec.Name)))
 
 	// 6x burst for 10 seconds: the short window must win immediately.
 	h.offer(spec.Name, 30, 10*time.Second)
@@ -272,7 +288,7 @@ func TestBurstReactsInOneStep(t *testing.T) {
 	if f.LambdaHat < 25 {
 		t.Errorf("lambdaHat=%v want ~30 (short window, unsmoothed)", f.LambdaHat)
 	}
-	if got := len(liveOf(h.cl, spec.Name)); got <= small {
+	if got := len(liveOf(h.fn(spec.Name))); got <= small {
 		t.Errorf("containers=%d did not grow from %d on burst", got, small)
 	}
 }
@@ -283,7 +299,7 @@ func TestMinContainersFloor(t *testing.T) {
 	h.ctl.Register(spec, "", 1, queuing.SLO{})
 	h.now = 10 * time.Second
 	h.step() // no traffic at all
-	if got := len(liveOf(h.cl, spec.Name)); got != 2 {
+	if got := len(liveOf(h.fn(spec.Name))); got != 2 {
 		t.Errorf("live=%d want MinContainers=2", got)
 	}
 }
@@ -317,7 +333,7 @@ func TestProvision(t *testing.T) {
 	if err := h.ctl.Provision(spec.Name, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(liveOf(h.cl, spec.Name)); got != 3 {
+	if got := len(liveOf(h.fn(spec.Name))); got != 3 {
 		t.Errorf("live=%d", got)
 	}
 	if err := h.ctl.Provision("ghost", 1); err == nil ||
@@ -340,7 +356,7 @@ func TestOverloadFairShareTerminationPolicy(t *testing.T) {
 	// Saturate the micro-benchmark first: it takes over the cluster.
 	h.offer(mb.Name, 250, 30*time.Second)
 	h.step()
-	mbCPU := h.cl.CPUOf(mb.Name)
+	mbCPU := cpuOf(h.fn(mb.Name))
 	if mbCPU <= 6000 {
 		t.Fatalf("setup: micro-benchmark only has %d mC", mbCPU)
 	}
@@ -359,8 +375,8 @@ func TestOverloadFairShareTerminationPolicy(t *testing.T) {
 	h.now = end
 	h.step()
 
-	mbCPU = h.cl.CPUOf(mb.Name)
-	moCPU := h.cl.CPUOf(mobile.Name)
+	mbCPU = cpuOf(h.fn(mb.Name))
+	moCPU := cpuOf(h.fn(mobile.Name))
 	// Guaranteed share is 6000 each; termination quantizes to whole
 	// containers (mobilenet: 2000 mC each -> exactly 6000; micro: 400 -> 6000).
 	if mbCPU > 6000 {
@@ -402,7 +418,7 @@ func TestOverloadDeflationPolicyKeepsMoreContainers(t *testing.T) {
 		}
 		h.now = end
 		h.step()
-		return len(liveOf(h.cl, mobile.Name)), h.cl.CPUOf(mobile.Name), h.cl.CPUUtilization()
+		return len(liveOf(h.fn(mobile.Name))), cpuOf(h.fn(mobile.Name)), h.cl.CPUUtilization()
 	}
 	tN, tCPU, tUtil := run(Termination)
 	dN, dCPU, dUtil := run(Deflation)
@@ -436,7 +452,7 @@ func TestDeflationRespectsThreshold(t *testing.T) {
 	}
 	h.now = end
 	h.step()
-	for _, c := range h.cl.ContainersOf(mobile.Name) {
+	for _, c := range h.fn(mobile.Name).Containers() {
 		if c.CPUFraction() < 1-deflationThreshold-1e-9 {
 			t.Errorf("container %d deflated to %.2f, below 1-τ=0.70", c.ID, c.CPUFraction())
 		}
@@ -466,8 +482,8 @@ func TestHierarchicalSharesWeightedUsers(t *testing.T) {
 	}
 	h.now = end
 	h.step()
-	u1 := h.cl.CPUOf(f1.Name)
-	u2 := h.cl.CPUOf(f2.Name)
+	u1 := cpuOf(h.fn(f1.Name))
+	u2 := cpuOf(h.fn(f2.Name))
 	if u1 > 4000 {
 		t.Errorf("user1 got %d mC > 1/3 share 4000", u1)
 	}
@@ -486,7 +502,7 @@ func TestColdStartDelayedReady(t *testing.T) {
 	if len(h.ready) != 0 {
 		t.Fatal("ready fired before cold start completed")
 	}
-	for _, c := range liveOf(h.cl, spec.Name) {
+	for _, c := range liveOf(h.fn(spec.Name)) {
 		if c.State() != cluster.Starting {
 			t.Errorf("container %d state %v want starting", c.ID, c.State())
 		}
@@ -497,7 +513,7 @@ func TestColdStartDelayedReady(t *testing.T) {
 	if len(h.ready) == 0 {
 		t.Fatal("ready not fired after cold start")
 	}
-	for _, c := range liveOf(h.cl, spec.Name) {
+	for _, c := range liveOf(h.fn(spec.Name)) {
 		if c.State() != cluster.Running {
 			t.Errorf("container %d state %v want running", c.ID, c.State())
 		}
@@ -510,7 +526,7 @@ func TestColdStartOnTerminatedContainerIsNoop(t *testing.T) {
 	spec := functions.MicroBenchmark(100 * time.Millisecond)
 	h.ctl.Register(spec, "", 1, queuing.SLO{})
 	h.ctl.Provision(spec.Name, 1)
-	c := h.cl.ContainersOf(spec.Name)[0]
+	c := h.fn(spec.Name).Containers()[0]
 	h.cl.Terminate(c)
 	for _, fn := range h.pending {
 		fn() // must not panic or mark a terminated container running
@@ -619,7 +635,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	}()
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
-	if cpu := liveCPU(liveOf(h.cl, spec.Name)); cpu > 2000 {
+	if cpu := liveCPU(liveOf(h.fn(spec.Name))); cpu > 2000 {
 		t.Errorf("live CPU %d under a 2000 mC grant", cpu)
 	}
 
@@ -627,7 +643,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	h.ctl.SetCapacityGrantsLeased([]int64{9000}, 0)
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
-	if live := len(liveOf(h.cl, spec.Name)); live < 9 {
+	if live := len(liveOf(h.fn(spec.Name))); live < 9 {
 		t.Errorf("%d live containers under a 9000 mC grant; want 9 (pre-provisioned)", live)
 	}
 
@@ -636,7 +652,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	h.ctl.SetCapacityGrantsLeased([]int64{50000}, 0)
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
-	if cpu := liveCPU(liveOf(h.cl, spec.Name)); cpu > h.cl.TotalCPU() {
+	if cpu := liveCPU(liveOf(h.fn(spec.Name))); cpu > h.cl.TotalCPU() {
 		t.Errorf("live CPU %d exceeds cluster capacity %d", cpu, h.cl.TotalCPU())
 	}
 
@@ -653,7 +669,7 @@ func TestExternalGrantsEnforced(t *testing.T) {
 	h.offer(spec.Name, 40, 5*time.Second)
 	h.step()
 	f, _ = h.ctl.Function(spec.Name)
-	if live := len(liveOf(h.cl, spec.Name)); live > f.Desired+1 {
+	if live := len(liveOf(h.fn(spec.Name))); live > f.Desired+1 {
 		t.Errorf("%d live containers after restoring local allocation; desire %d", live, f.Desired)
 	}
 }
@@ -706,10 +722,10 @@ func TestGrantLeaseExpiryRestoresLocalPath(t *testing.T) {
 	if !granted.ctl.GrantedExternally() {
 		t.Fatal("lease not yet expired but GrantedExternally is false")
 	}
-	if cpu := liveCPU(liveOf(granted.cl, spec.Name)); cpu > 2000 {
+	if cpu := liveCPU(liveOf(granted.fn(spec.Name))); cpu > 2000 {
 		t.Fatalf("binding leased grant not enforced: %d mC live", cpu)
 	}
-	if cpuL := liveCPU(liveOf(local.cl, spec.Name)); cpuL <= 2000 {
+	if cpuL := liveCPU(liveOf(local.fn(spec.Name))); cpuL <= 2000 {
 		t.Fatalf("local twin unexpectedly small (%d mC); the grant was not binding", cpuL)
 	}
 
@@ -734,7 +750,7 @@ func TestGrantLeaseExpiryRestoresLocalPath(t *testing.T) {
 		t.Errorf("post-expiry model state diverged: desired %d/%d lambda %v/%v",
 			gf.Desired, lf.Desired, gf.LambdaHat, lf.LambdaHat)
 	}
-	if g, l := liveCPU(liveOf(granted.cl, spec.Name)), liveCPU(liveOf(local.cl, spec.Name)); g != l {
+	if g, l := liveCPU(liveOf(granted.fn(spec.Name))), liveCPU(liveOf(local.fn(spec.Name))); g != l {
 		t.Errorf("post-expiry live pool %d mC != never-granted twin %d mC", g, l)
 	}
 	if g, l := granted.ctl.Headroom(), local.ctl.Headroom(); g != l {

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"sort"
 
 	"lass/internal/cluster"
@@ -47,23 +48,21 @@ func (ctl *Controller) reconcileNormal(f *Function, want int) error {
 	now := ctl.hooks.Now()
 	// Restore deflated containers to standard size while headroom allows.
 	if !ctl.cfg.NoInflateOnSlack {
-		for _, c := range ctl.liveContainers(f.Spec.Name) {
+		for _, c := range ctl.liveContainers(f) {
 			if c.Deflated() {
 				if err := ctl.cluster.Resize(c, c.CPUStandard); err == nil {
 					ctl.stats.Inflations++
-					if ctl.hooks.OnResize != nil {
-						ctl.hooks.OnResize(c)
-					}
+					ctl.hooks.OnResize(c)
 				}
 			}
 		}
 	}
-	live := ctl.liveContainers(f.Spec.Name)
+	live := ctl.liveContainers(f)
 	switch {
 	case len(live) < want:
 		deficit := want - len(live)
 		// Revive lazily-drained containers first: they are warm (§3.3).
-		draining := ctl.drainingContainers(f.Spec.Name)
+		draining := ctl.drainingContainers(f)
 		sort.Slice(draining, func(i, j int) bool {
 			return ctl.drained[draining[i].ID] > ctl.drained[draining[j].ID]
 		})
@@ -98,7 +97,7 @@ func (ctl *Controller) reconcileNormal(f *Function, want int) error {
 			switch c.State() {
 			case cluster.Starting:
 				// Never entered service; reclaim immediately.
-				ctl.terminate(c)
+				ctl.terminate(f, c)
 				surplus--
 			case cluster.Running:
 				ctl.markDraining(c, now)
@@ -113,10 +112,10 @@ func (ctl *Controller) reconcileNormal(f *Function, want int) error {
 // configured reclamation policy (§4.2). Draining containers are terminated
 // outright first: during overload reclamation is immediate, not lazy.
 func (ctl *Controller) shrinkTo(f *Function, grant int64) error {
-	for _, c := range ctl.drainingContainers(f.Spec.Name) {
-		ctl.terminate(c)
+	for _, c := range ctl.drainingContainers(f) {
+		ctl.terminate(f, c)
 	}
-	live := ctl.liveContainers(f.Spec.Name)
+	live := ctl.liveContainers(f)
 	cur := liveCPU(live)
 	if cur <= grant {
 		return nil
@@ -126,7 +125,7 @@ func (ctl *Controller) shrinkTo(f *Function, grant int64) error {
 		if cur <= grant {
 			return nil
 		}
-		live = ctl.liveContainers(f.Spec.Name)
+		live = ctl.liveContainers(f)
 	}
 	// Termination policy — or deflation exhausted at τ (§4.2: "some
 	// containers are terminated until the aggregate CPU allocation ...
@@ -137,7 +136,7 @@ func (ctl *Controller) shrinkTo(f *Function, grant int64) error {
 			break
 		}
 		cur -= c.CPUCurrent
-		ctl.terminate(c)
+		ctl.terminate(f, c)
 	}
 	return nil
 }
@@ -175,9 +174,7 @@ func (ctl *Controller) deflatePool(f *Function, live []*cluster.Container, cur, 
 			cur -= delta
 			progressed = true
 			ctl.stats.Deflations++
-			if ctl.hooks.OnResize != nil {
-				ctl.hooks.OnResize(c)
-			}
+			ctl.hooks.OnResize(c)
 		}
 		if !progressed {
 			break
@@ -192,7 +189,7 @@ func (ctl *Controller) deflatePool(f *Function, live []*cluster.Container, cur, 
 // remaining fragment with one deflated container, which is how deflation
 // achieves strictly more concurrency than termination (§4.2).
 func (ctl *Controller) growTo(f *Function, grant int64) error {
-	live := ctl.liveContainers(f.Spec.Name)
+	live := ctl.liveContainers(f)
 	cur := liveCPU(live)
 	if cur >= grant {
 		return nil
@@ -224,9 +221,7 @@ func (ctl *Controller) growTo(f *Function, grant int64) error {
 		}
 		budget -= delta
 		ctl.stats.Inflations++
-		if ctl.hooks.OnResize != nil {
-			ctl.hooks.OnResize(c)
-		}
+		ctl.hooks.OnResize(c)
 	}
 	// Create standard containers while the budget allows.
 	for budget >= f.Spec.CPUMillis {
@@ -268,7 +263,7 @@ func (ctl *Controller) createFragment(f *Function, budget int64) bool {
 func (ctl *Controller) Provision(function string, n int) error {
 	f, ok := ctl.funcs[function]
 	if !ok {
-		return errUnknown(function)
+		return fmt.Errorf("controller: unknown function %s", function)
 	}
 	for i := 0; i < n; i++ {
 		if _, err := ctl.createContainer(f, f.Spec.CPUMillis); err != nil {
@@ -276,14 +271,4 @@ func (ctl *Controller) Provision(function string, n int) error {
 		}
 	}
 	return nil
-}
-
-func errUnknown(fn string) error {
-	return &unknownFunctionError{fn}
-}
-
-type unknownFunctionError struct{ fn string }
-
-func (e *unknownFunctionError) Error() string {
-	return "controller: unknown function " + e.fn
 }

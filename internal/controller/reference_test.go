@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -302,8 +303,10 @@ func (c *programCover) add(o programCover) {
 // set and an epoch script, and drives two twin controllers on twin
 // clusters through it: one with Step, one with referenceStep. After every
 // epoch it fails t unless both left the same pools (container ID, state
-// and CPU), counters, headroom, desires and error text. The script runs
-// until its bytes run out, for at most epochs epochs.
+// and CPU), counters, headroom, desires and error text, and unless each
+// twin's pools are exactly the containers it created and has not
+// terminated (checkPools). The script runs until its bytes run out, for at
+// most epochs epochs.
 //
 // Byte 0 picks the configuration (bit 0 Termination, bit 1 MinContainers
 // 2, bit 2 NoInflateOnSlack, bit 3 delayed cold starts, bit 4 users, bit 5
@@ -486,12 +489,41 @@ func compareTwins(t *testing.T, e int, twins [2]*harness, steps [2]func(*Control
 		if fa.Desired != fb.Desired {
 			t.Fatalf("epoch %d: %s desired %d, reference %d", e, name, fa.Desired, fb.Desired)
 		}
-		if pa, pb := poolOf(a.cl, name), poolOf(b.cl, name); !slices.Equal(pa, pb) {
+		if pa, pb := poolOf(a.fn(name).Containers()), poolOf(b.fn(name).Containers()); !slices.Equal(pa, pb) {
 			t.Fatalf("epoch %d: %s pool %v, reference %v", e, name, pa, pb)
 		}
 	}
 	if len(a.pending) != len(b.pending) {
 		t.Fatalf("epoch %d: %d pending cold starts, reference %d", e, len(a.pending), len(b.pending))
+	}
+	for _, h := range twins {
+		checkPools(t, e, h, names)
+	}
+}
+
+// checkPools fails t unless each function's Containers() is exactly the
+// containers h saw the controller create for it (through
+// ScheduleColdStart) that are not terminated, in ID order, and the pools'
+// CPU adds up to the cluster's.
+func checkPools(t *testing.T, e int, h *harness, names []string) {
+	t.Helper()
+	byID := func(a, b *cluster.Container) int { return cmp.Compare(a.ID, b.ID) }
+	var cpu int64
+	for _, name := range names {
+		var want []*cluster.Container
+		for _, c := range h.created {
+			if c.Function == name && c.State() != cluster.Terminated {
+				want = append(want, c)
+			}
+		}
+		got := h.fn(name).Containers()
+		if !slices.Equal(got, want) || !slices.IsSortedFunc(got, byID) {
+			t.Fatalf("epoch %d: %s pool %v, created and not terminated %v", e, name, poolOf(got), poolOf(want))
+		}
+		cpu += liveCPU(got)
+	}
+	if cpu != h.cl.UsedCPU() {
+		t.Fatalf("epoch %d: pools hold %d mC, cluster uses %d", e, cpu, h.cl.UsedCPU())
 	}
 }
 
@@ -520,9 +552,9 @@ type poolEntry struct {
 	cpu   int64
 }
 
-func poolOf(cl *cluster.Cluster, fn string) []poolEntry {
+func poolOf(cs []*cluster.Container) []poolEntry {
 	var out []poolEntry
-	for _, c := range cl.ContainersOf(fn) {
+	for _, c := range cs {
 		out = append(out, poolEntry{c.ID, c.State(), c.CPUCurrent})
 	}
 	return out

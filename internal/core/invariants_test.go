@@ -64,7 +64,8 @@ func TestInvariantCapacityNeverExceeded(t *testing.T) {
 		p.Engine.Every(5*time.Second, func() {
 			used := make(map[*cluster.Node]int64)
 			for _, fc := range cfgs {
-				for _, c := range p.Cluster.ContainersOf(fc.Spec.Name) {
+				f, _ := p.Controller.Function(fc.Spec.Name)
+				for _, c := range f.Containers() {
 					if c.CPUCurrent <= 0 || c.CPUCurrent > c.CPUStandard {
 						t.Fatalf("trial %d: container %d CPU %d outside (0,%d]",
 							trial, c.ID, c.CPUCurrent, c.CPUStandard)

@@ -273,12 +273,12 @@ func (p *Platform) record() {
 	for _, t := range p.results {
 		live := 0
 		var cpu int64
-		p.Cluster.EachContainerOf(t.res.Name, func(c *cluster.Container) {
+		for _, c := range t.fn.Containers() {
 			if c.State() == cluster.Starting || c.State() == cluster.Running {
 				live++
 				cpu += c.CPUCurrent
 			}
-		})
+		}
 		t.res.Containers.Record(now, float64(live))
 		t.res.CPU.Record(now, float64(cpu))
 		t.res.LambdaHat.Record(now, t.fn.LambdaHat)

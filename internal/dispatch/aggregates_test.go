@@ -40,9 +40,6 @@ func checkAggregates(t testing.TB, q *Queue, step int, op byte) {
 	if got := q.IdleContainers(); got != idle {
 		t.Fatalf("step %d (op %d): IdleContainers %d, loop recomputation %d", step, op, got, idle)
 	}
-	if len(q.order) != len(q.entries) {
-		t.Fatalf("step %d (op %d): %d ordered entries, %d mapped", step, op, len(q.order), len(q.entries))
-	}
 }
 
 // aggregateOps is how many operations driveAggregates knows; maxProgram

@@ -14,8 +14,9 @@
 package dispatch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"lass/internal/cluster"
@@ -110,15 +111,14 @@ type Queue struct {
 	spec   functions.Spec
 	rng    *xrand.Rand
 
-	fifo    []*Request // waiting requests live in fifo[head:]
-	head    int
-	pool    []*Request // recycled Request objects
-	entries map[cluster.ContainerID]*wrrEntry
-	// order holds the attached entries sorted by container ID. Every
-	// per-request walk (WRR selection, capacity sums) iterates it instead
-	// of the entries map: the float accumulations below must not follow
-	// the map's randomized iteration order, or replayed runs stop being
-	// bit-identical.
+	fifo []*Request // waiting requests live in fifo[head:]
+	head int
+	pool []*Request // recycled Request objects
+	// order holds the attached entries sorted by container ID, the only
+	// index of them: lookups binary-search it (find), and every
+	// per-request walk (WRR selection, capacity sums) iterates it, so the
+	// float accumulations below follow one fixed order and replayed runs
+	// stay bit-identical.
 	order  []*wrrEntry
 	nextID uint64
 
@@ -169,7 +169,6 @@ func NewQueue(engine *sim.Engine, spec functions.Spec, sloDeadline time.Duration
 		engine:    engine,
 		spec:      spec,
 		rng:       rng,
-		entries:   make(map[cluster.ContainerID]*wrrEntry),
 		Waits:     metrics.NewReservoir(),
 		Responses: metrics.NewReservoir(),
 		SLO:       metrics.NewSLOTracker(sloDeadline),
@@ -246,7 +245,7 @@ func (q *Queue) Rejected() uint64 { return q.rejected }
 func (q *Queue) Reject(r *Request) { q.rejected++ }
 
 // Containers returns the number of containers attached to the queue.
-func (q *Queue) Containers() int { return len(q.entries) }
+func (q *Queue) Containers() int { return len(q.order) }
 
 // ServiceCapacity returns the aggregate service rate (req/s) of the
 // attached containers at their current (possibly deflated) CPU
@@ -264,12 +263,18 @@ func (q *Queue) IdleContainers() int { return len(q.order) - q.busy }
 // the pool's ServiceCapacity follow. Containers not attached here — still
 // cold-starting, or another function's — are ignored.
 func (q *Queue) Resized(c *cluster.Container) {
-	e, ok := q.entries[c.ID]
-	if !ok || e.cpu == c.CPUCurrent {
+	at, ok := q.find(c)
+	if !ok || q.order[at].cpu == c.CPUCurrent {
 		return
 	}
-	q.setRate(e)
+	q.setRate(q.order[at])
 	q.resumCapacity()
+}
+
+// find returns the position in order where c's entry is, or would be
+// inserted, and whether it is attached.
+func (q *Queue) find(c *cluster.Container) (int, bool) {
+	return slices.BinarySearchFunc(q.order, c.ID, func(e *wrrEntry, id cluster.ContainerID) int { return cmp.Compare(e.c.ID, id) })
 }
 
 // setRate memoizes e's service rate at its container's current CPU.
@@ -301,20 +306,17 @@ func (q *Queue) AddContainer(c *cluster.Container) error {
 	if !c.Servable() {
 		return fmt.Errorf("dispatch: container %d is %v, not servable", c.ID, c.State())
 	}
-	if _, dup := q.entries[c.ID]; dup {
+	at, dup := q.find(c)
+	if dup {
 		return fmt.Errorf("dispatch: container %d already attached", c.ID)
 	}
 	e := &wrrEntry{q: q, c: c}
 	e.completeFn = e.complete
 	e.timeoutFn = e.timeout
 	q.setRate(e)
-	q.entries[c.ID] = e
 	// Keep order sorted by container ID. IDs are issued monotonically, so
 	// the common case appends; reattachment after churn inserts.
-	at := sort.Search(len(q.order), func(i int) bool { return q.order[i].c.ID >= c.ID })
-	q.order = append(q.order, nil)
-	copy(q.order[at+1:], q.order[at:])
-	q.order[at] = e
+	q.order = slices.Insert(q.order, at, e)
 	q.resumCapacity()
 	q.pump()
 	return nil
@@ -325,13 +327,12 @@ func (q *Queue) AddContainer(c *cluster.Container) error {
 // original arrival time, so its eventual waiting time reflects the rerun
 // cost the paper attributes to termination).
 func (q *Queue) RemoveContainer(c *cluster.Container) error {
-	e, ok := q.entries[c.ID]
+	at, ok := q.find(c)
 	if !ok {
 		return fmt.Errorf("dispatch: container %d not attached", c.ID)
 	}
-	delete(q.entries, c.ID)
-	at := sort.Search(len(q.order), func(i int) bool { return q.order[i].c.ID >= c.ID })
-	q.order = append(q.order[:at], q.order[at+1:]...)
+	e := q.order[at]
+	q.order = slices.Delete(q.order, at, at+1)
 	q.resumCapacity()
 	if e.busy && e.inflight != nil {
 		q.busy--
@@ -362,7 +363,7 @@ func (q *Queue) requeueFront(r *Request) {
 
 // Has reports whether the container is attached.
 func (q *Queue) Has(c *cluster.Container) bool {
-	_, ok := q.entries[c.ID]
+	_, ok := q.find(c)
 	return ok
 }
 

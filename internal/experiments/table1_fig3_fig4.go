@@ -159,7 +159,8 @@ func Fig4(opt Options) (*Table, error) {
 			rng := xrand.New(opt.Seed ^ 0xf19_4 ^ uint64(lambda))
 			prop := prop
 			p.Engine.Schedule(warmup, func() {
-				cs := p.Cluster.ContainersOf(spec.Name)
+				f, _ := p.Controller.Function(spec.Name)
+				cs := f.Containers()
 				perm := rng.Perm(len(cs))
 				n := int(prop * float64(len(cs)))
 				for i := 0; i < n && i < len(cs); i++ {

@@ -47,7 +47,8 @@ func newOracle(f *Federation, fn string) oracle {
 		}
 		p := oraclePool{q: q}
 		spec := q.Spec()
-		for _, c := range s.Platform.Cluster.ContainersOf(fn) {
+		h, _ := s.Platform.Controller.Function(fn)
+		for _, c := range h.Containers() {
 			if q.Has(c) {
 				p.capacity += spec.RateAt(c.CPUFraction())
 				p.attached++

@@ -177,7 +177,6 @@ func New(cfg Config) (*Platform, error) {
 				}
 			}
 		},
-		OnResize: func(c *cluster.Container) {},
 	}
 	ctl, err := controller.New(cfg.Controller, cl, hooks)
 	if err != nil {
@@ -366,14 +365,14 @@ func (p *Platform) Stats(function string) (Snapshot, error) {
 	s := Snapshot{
 		Function:   function,
 		Containers: len(f.workers),
-		CPUMillis:  p.cl.CPUOf(function),
 		QueueLen:   len(f.queue) - f.head,
+		LambdaHat:  f.fn.LambdaHat,
+		Desired:    f.fn.Desired,
 		P95Wait:    time.Duration(f.waits.Quantile(0.95) * float64(time.Second)),
 		Attainment: f.slo.Attainment(),
 	}
-	if lf, ok := p.ctl.Function(function); ok {
-		s.LambdaHat = lf.LambdaHat
-		s.Desired = lf.Desired
+	for _, c := range f.fn.Containers() {
+		s.CPUMillis += c.CPUCurrent
 	}
 	return s, nil
 }
