@@ -284,14 +284,35 @@ func TestTerminateFreesCurrentNotStandard(t *testing.T) {
 	}
 }
 
-// TestLifecycleMatchesOracle runs seeded Place / PlaceDeflated /
+// TestContainersOfIDOrder checks that IDs grow with every placement: the
+// controller keeps each function's pool in ID order by appending.
+func TestContainersOfIDOrder(t *testing.T) {
+	cl := newTestCluster(t)
+	var prev *Container
+	for i := 0; i < 5; i++ {
+		fn := []string{"f", "g"}[i%2]
+		c, err := cl.Place(fn, 100, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && c.ID <= prev.ID {
+			t.Fatalf("ID %d placed after %d", c.ID, prev.ID)
+		}
+		if i == 2 {
+			cl.Terminate(c) // a freed ID is never handed out again
+		}
+		prev = c
+	}
+}
+
+// TestContainerIndexMatchesOracle runs seeded Place / PlaceDeflated /
 // MarkRunning / MarkDraining / Revive / Resize / Terminate programs over
 // three functions and, after every operation, checks every container's
 // state against the lifecycle rules and every node's used CPU and memory
 // against the sums over the containers the program placed there and has
-// not terminated. IDs must grow with every placement: the controller keeps
-// each function's pool in ID order by appending.
-func TestLifecycleMatchesOracle(t *testing.T) {
+// not terminated. IDs must grow with every placement, failed ones
+// between them included.
+func TestContainerIndexMatchesOracle(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := xrand.New(seed)
