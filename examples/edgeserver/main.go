@@ -1,9 +1,10 @@
 // Edge server in real time: the same LaSS controller that drives the
-// simulations autoscaling actual goroutine worker pools against the wall
-// clock. The example registers an image-classification-like handler,
-// pushes a two-phase load through it (quiet, then a burst), and prints how
-// the pool and the tail latency respond. Everything runs in-process; no
-// network is involved (see cmd/lass-server for the HTTP front end).
+// simulations autoscaling real pools of concurrency slots, in which callers
+// run their handlers, against the wall clock. The example registers an
+// image-classification-like handler, pushes a two-phase load through it
+// (quiet, then a burst), and prints how the pool and the tail latency
+// respond. Everything runs in-process; no network is involved (see
+// cmd/lass-server for the HTTP front end).
 package main
 
 import (

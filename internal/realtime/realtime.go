@@ -1,9 +1,9 @@
 // Package realtime runs the LaSS control plane against the wall clock: a
-// small Function-as-a-Service runtime where "containers" are worker
-// goroutines executing registered Go handlers, the dispatcher is the same
-// weighted-round-robin FCFS queue design as the simulation's data path,
-// and the identical controller code (internal/controller) estimates rates
-// and reconciles pools every evaluation interval.
+// small Function-as-a-Service runtime where a "container" is a concurrency
+// slot in which the goroutine that called Invoke runs the registered Go
+// handler, the dispatcher is the same weighted-round-robin FCFS queue design
+// as the simulation's data path, and the identical controller code
+// (internal/controller) estimates rates and reconciles pools every epoch.
 //
 // It exists to demonstrate that the reproduction is a real platform, not
 // only a simulator: cmd/lass-server exposes it over HTTP and
@@ -14,9 +14,11 @@
 package realtime
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,9 +29,10 @@ import (
 	"lass/internal/queuing"
 )
 
-// Handler executes one invocation. The context carries the container's
-// CPU fraction (CPUFraction(ctx)); implementations emulating CPU-bound
-// work should scale their effort by it.
+// Handler executes one invocation on the caller's goroutine. Its context,
+// derived from the caller's, ends when the caller gives up, the container is
+// removed or the platform stops, and carries the container's CPU fraction
+// (CPUFraction(ctx)), by which CPU-bound emulations should scale their work.
 type Handler func(ctx context.Context, payload []byte) ([]byte, error)
 
 type ctxKey int
@@ -45,19 +48,17 @@ func CPUFraction(ctx context.Context) float64 {
 	return 1
 }
 
-// invocation is one queued request. cancelled is set, under the platform
-// lock, when the caller's context ends while the request is still queued:
-// the pump then drops it instead of running it.
+// invocation is one queued request. Under the platform lock the pump sets w
+// and the handler's ctx and signals ready if the caller waits (only then is
+// it made); Stop signals it with w nil. cancelled is set when the caller's
+// ctx ends while the request is still queued: the pump then drops it.
 type invocation struct {
+	ctx       context.Context
 	payload   []byte
 	arrived   time.Duration
-	done      chan result
+	w         *worker
+	ready     chan struct{}
 	cancelled bool
-}
-
-type result struct {
-	out []byte
-	err error
 }
 
 // worker is the run-time state of one container.
@@ -76,7 +77,7 @@ type fnState struct {
 	// drained invocation and its payload are not kept alive.
 	queue   []*invocation
 	head    int
-	workers map[cluster.ContainerID]*worker
+	workers []*worker // ID order; inserted, as cold starts can end out of order
 
 	waits *metrics.Histogram // seconds
 	slo   *metrics.SLOTracker
@@ -153,27 +154,27 @@ func New(cfg Config) (*Platform, error) {
 	hooks := controller.Hooks{
 		Now: func() time.Duration { return time.Since(p.origin) },
 		ScheduleColdStart: func(c *cluster.Container, delay time.Duration, ready func()) {
-			timer := time.AfterFunc(delay, func() {
+			time.AfterFunc(delay, func() {
 				p.mu.Lock()
 				defer p.mu.Unlock()
 				ready()
 			})
-			_ = timer
 		},
 		// Hooks run with p.mu held (controller calls happen under it).
 		OnReady: func(c *cluster.Container) {
 			if f, ok := p.fns[c.Function]; ok {
-				f.workers[c.ID] = &worker{c: c}
+				i, _ := f.search(c.ID)
+				f.workers = slices.Insert(f.workers, i, &worker{c: c})
 				p.pumpLocked(f)
 			}
 		},
 		OnRemove: func(c *cluster.Container) {
 			if f, ok := p.fns[c.Function]; ok {
-				if w := f.workers[c.ID]; w != nil {
-					if w.cancel != nil {
+				if i, found := f.search(c.ID); found {
+					if w := f.workers[i]; w.cancel != nil {
 						w.cancel() // in-flight handler is cancelled
 					}
-					delete(f.workers, c.ID)
+					f.workers = slices.Delete(f.workers, i, i+1)
 				}
 			}
 		},
@@ -221,7 +222,6 @@ func (p *Platform) Register(spec functions.Spec, handler Handler, slo queuing.SL
 	p.fns[spec.Name] = &fnState{
 		fn:      f,
 		handler: handler,
-		workers: make(map[cluster.ContainerID]*worker),
 		waits:   metrics.NewHistogram(waitMin, waitMax, waitBuckets),
 		slo:     metrics.NewSLOTracker(f.SLO.Deadline),
 	}
@@ -235,7 +235,9 @@ func (p *Platform) Provision(function string, n int) error {
 	return p.ctl.Provision(function, n)
 }
 
-// Invoke runs one invocation, blocking until it completes or ctx is done.
+// Invoke runs one invocation on the calling goroutine once a container is
+// free. If ctx ends while it is queued, Invoke returns ctx.Err() and it never
+// runs; if ctx ends while it runs, the handler's context is cancelled.
 //
 //lass:wallclock live-request arrival timestamps come from the machine clock.
 func (p *Platform) Invoke(ctx context.Context, function string, payload []byte) ([]byte, error) {
@@ -249,27 +251,41 @@ func (p *Platform) Invoke(ctx context.Context, function string, payload []byte) 
 		p.mu.Unlock()
 		return nil, fmt.Errorf("realtime: unknown function %q", function)
 	}
-	inv := &invocation{
-		payload: payload,
-		arrived: time.Since(p.origin),
-		done:    make(chan result, 1),
-	}
+	inv := &invocation{ctx: ctx, payload: payload, arrived: time.Since(p.origin)}
 	p.ctl.RecordArrivalOf(f.fn)
 	f.push(inv)
 	p.pumpLocked(f)
-	p.mu.Unlock()
-
-	select {
-	case r := <-inv.done:
-		return r.out, r.err
-	case <-ctx.Done():
-		// An invocation already dispatched runs to completion; one still
-		// queued must never occupy a worker or count in Stats.
-		p.mu.Lock()
-		inv.cancelled = true
+	if inv.w == nil {
+		inv.ready = make(chan struct{}, 1)
 		p.mu.Unlock()
-		return nil, ctx.Err()
+		err := ErrStopped
+		select {
+		case <-inv.ready:
+		case <-ctx.Done():
+			// Dispatched meanwhile, it runs; still queued, it never will.
+			p.mu.Lock()
+			inv.cancelled = inv.w == nil
+			p.mu.Unlock()
+			err = ctx.Err()
+		}
+		if inv.w == nil {
+			return nil, err
+		}
+	} else {
+		p.mu.Unlock()
 	}
+	defer p.release(f, inv.w)
+	return f.handler(inv.ctx, inv.payload)
+}
+
+// release frees w once its handler has returned and hands it on.
+func (p *Platform) release(f *fnState, w *worker) {
+	p.mu.Lock()
+	w.cancel()
+	w.busy, w.cancel = false, nil
+	p.pumpLocked(f)
+	p.mu.Unlock()
+	p.wg.Done()
 }
 
 // pumpLocked dispatches queued invocations to idle workers, dropping the
@@ -290,14 +306,16 @@ func (p *Platform) pumpLocked(f *fnState) {
 	}
 }
 
+// search finds container id's worker, or where it belongs.
+func (f *fnState) search(id cluster.ContainerID) (int, bool) {
+	return slices.BinarySearchFunc(f.workers, id, func(w *worker, id cluster.ContainerID) int { return cmp.Compare(w.c.ID, id) })
+}
+
 // selectIdleLocked is smooth WRR over idle workers, weighted by current
-// CPU (identical to the simulation's data path).
+// CPU (identical to the simulation's data path); ties go to the lowest ID.
 func (p *Platform) selectIdleLocked(f *fnState) *worker {
 	var total float64
 	var best *worker
-	// Live traffic: worker selection races arrivals anyway, and the
-	// smooth-WRR winner is order-independent given the ID tie-break below.
-	//lass:unordered
 	for _, w := range f.workers {
 		if w.busy || !w.c.Servable() {
 			continue
@@ -305,8 +323,7 @@ func (p *Platform) selectIdleLocked(f *fnState) *worker {
 		wt := float64(w.c.CPUCurrent)
 		w.current += wt
 		total += wt
-		if best == nil || w.current > best.current ||
-			(w.current == best.current && w.c.ID < best.c.ID) {
+		if best == nil || w.current > best.current {
 			best = w
 		}
 	}
@@ -316,27 +333,20 @@ func (p *Platform) selectIdleLocked(f *fnState) *worker {
 	return best
 }
 
+// startLocked assigns w to inv and wakes inv's caller if it is waiting.
+//
 //lass:wallclock live waiting times are measured on the machine clock.
 func (p *Platform) startLocked(f *fnState, w *worker, inv *invocation) {
-	now := time.Since(p.origin)
-	wait := now - inv.arrived
+	wait := time.Since(p.origin) - inv.arrived
 	f.waits.Add(wait.Seconds())
 	f.slo.Observe(wait)
 	w.busy = true
-	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), cpuFractionKey, w.c.CPUFraction()))
-	w.cancel = cancel
+	inv.ctx, w.cancel = context.WithCancel(context.WithValue(inv.ctx, cpuFractionKey, w.c.CPUFraction()))
+	inv.w = w
 	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		out, err := f.handler(ctx, inv.payload)
-		cancel()
-		inv.done <- result{out: out, err: err}
-		p.mu.Lock()
-		w.busy = false
-		w.cancel = nil
-		p.pumpLocked(f)
-		p.mu.Unlock()
-	}()
+	if inv.ready != nil {
+		inv.ready <- struct{}{}
+	}
 }
 
 // Snapshot reports a function's current state.
@@ -385,7 +395,7 @@ func (p *Platform) Utilization() float64 {
 }
 
 // Stop shuts the platform down. Queued invocations fail with ErrStopped;
-// in-flight handlers are cancelled.
+// in-flight handlers are cancelled, and Stop returns once they have returned.
 func (p *Platform) Stop() {
 	p.mu.Lock()
 	if p.stopped {
@@ -396,7 +406,7 @@ func (p *Platform) Stop() {
 	close(p.stopCh)
 	for _, f := range p.fns {
 		for _, inv := range f.queue[f.head:] {
-			inv.done <- result{err: ErrStopped}
+			inv.ready <- struct{}{}
 		}
 		f.queue, f.head = nil, 0
 		for _, w := range f.workers {

@@ -2,6 +2,8 @@ package realtime
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,5 +343,198 @@ func TestQueueClearsPoppedSlots(t *testing.T) {
 		if inv != want[i] {
 			t.Fatalf("slot %d out of order after the slide", i)
 		}
+	}
+}
+
+// TestSmoothWRRPickSequence pins the pick sequence over workers of unequal
+// CPU in container-ID order: the 2-core container takes half the picks,
+// and the tie between the two 1-core ones goes to the lower ID.
+func TestSmoothWRRPickSequence(t *testing.T) {
+	cl, err := cluster.New(cluster.PaperCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fnState{}
+	for _, cpu := range []int64{1000, 2000, 1000} {
+		c, err := cl.Place("fn", cpu, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.MarkRunning(c); err != nil {
+			t.Fatal(err)
+		}
+		f.workers = append(f.workers, &worker{c: c})
+	}
+	var p Platform
+	var got []cluster.ContainerID
+	for range 8 {
+		got = append(got, p.selectIdleLocked(f).c.ID)
+	}
+	want := []cluster.ContainerID{2, 1, 3, 2, 2, 1, 3, 2}
+	if !slices.Equal(got, want) {
+		t.Errorf("picks %v, want %v", got, want)
+	}
+}
+
+// oneWorker starts a platform whose only function has one warm container
+// and no controller step during the test.
+//
+//lass:wallclock waits for the container's cold start in real time.
+func oneWorker(t *testing.T, handler Handler) *Platform {
+	t.Helper()
+	cfg := fastConfig()
+	cfg.Controller.EvalInterval = time.Hour
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Stop)
+	if err := p.Register(echoSpec(), handler, queuing.SLO{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Provision("micro-benchmark", 1); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := p.Stats("micro-benchmark")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Containers == 1 {
+			return p
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the worker's cold start")
+		}
+	}
+}
+
+// TestCancelledCallerCancelsItsHandler: the caller runs its own handler, so
+// cancelling the caller's ctx cancels the running handler, the caller
+// returns promptly, and the freed worker serves the next call.
+//
+//lass:wallclock exercises the live platform in real time.
+func TestCancelledCallerCancelsItsHandler(t *testing.T) {
+	started := make(chan struct{}, 1)
+	p := oneWorker(t, func(ctx context.Context, payload []byte) ([]byte, error) {
+		if string(payload) != "block" {
+			return payload, nil
+		}
+		started <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := p.Invoke(ctx, "micro-benchmark", []byte("block"))
+		errCh <- err
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled caller returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled caller still blocked in its handler")
+	}
+	next, stop := context.WithTimeout(context.Background(), 2*time.Second)
+	defer stop()
+	if out, err := p.Invoke(next, "micro-benchmark", []byte("hi")); err != nil || string(out) != "hi" {
+		t.Fatalf("next call on the freed worker: %q, %v", out, err)
+	}
+}
+
+// TestRacingCancelsKeepTheHandOff: callers whose deadlines end while they
+// queue for one worker, or just as it is handed to them, never lose it: a
+// call returns its handler's result exactly when the handler ran for it,
+// and the worker serves the next call afterwards.
+//
+//lass:wallclock exercises the live platform in real time.
+func TestRacingCancelsKeepTheHandOff(t *testing.T) {
+	var runs atomic.Int64
+	p := oneWorker(t, func(ctx context.Context, payload []byte) ([]byte, error) {
+		runs.Add(1)
+		time.Sleep(50 * time.Microsecond)
+		return payload, nil
+	})
+	var ok atomic.Int64
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration((g*50+i)%7)*100*time.Microsecond)
+				out, err := p.Invoke(ctx, "micro-benchmark", []byte("x"))
+				cancel()
+				switch {
+				case err == nil && string(out) == "x":
+					ok.Add(1)
+				case !errors.Is(err, context.DeadlineExceeded):
+					t.Errorf("call returned %q, %v", out, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ok.Load() != runs.Load() {
+		t.Errorf("%d calls returned a result but the handler ran %d times", ok.Load(), runs.Load())
+	}
+	next, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := p.Invoke(next, "micro-benchmark", []byte("x")); err != nil {
+		t.Fatalf("worker not free after the racing cancels: %v", err)
+	}
+}
+
+// TestStopJoinsCallerRunHandler: Stop cancels a handler running on its
+// caller's goroutine and returns only after that handler has returned.
+//
+//lass:wallclock exercises the live platform in real time.
+func TestStopJoinsCallerRunHandler(t *testing.T) {
+	started := make(chan struct{}, 1)
+	var returned atomic.Bool
+	p := oneWorker(t, func(ctx context.Context, payload []byte) ([]byte, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		time.Sleep(20 * time.Millisecond)
+		returned.Store(true)
+		return nil, ctx.Err()
+	})
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := p.Invoke(context.Background(), "micro-benchmark", nil)
+		errCh <- err
+	}()
+	<-started
+	p.Stop()
+	if !returned.Load() {
+		t.Fatal("Stop returned before the in-flight handler")
+	}
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Errorf("stopped caller returned %v, want context.Canceled", err)
+	}
+}
+
+// TestWarmInvokeAllocs caps the heap allocations of a call that finds an
+// idle worker: the invocation, the handler's two contexts, their cancel
+// func and the boxed CPU fraction.
+//
+//lass:wallclock exercises the live platform in real time.
+func TestWarmInvokeAllocs(t *testing.T) {
+	p := oneWorker(t, func(ctx context.Context, payload []byte) ([]byte, error) {
+		return payload, nil
+	})
+	ctx, payload := context.Background(), []byte("x")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := p.Invoke(ctx, "micro-benchmark", payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Errorf("warm Invoke: %.1f allocs, want at most 5", allocs)
 	}
 }
