@@ -40,6 +40,7 @@ package allocation
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"lass/internal/fairshare"
 )
@@ -132,34 +133,98 @@ type ShareTree struct {
 // weight. Its other node IDs are id+"/user:"+user and id+"/"+name, so the
 // trees of a whole federation can be checked for duplicates at once. A
 // user weight that is not positive counts as 1.
+//
+// A tree takes a handful of allocations whatever its size: its nodes sit
+// in one slab, their child lists and the leaves in one pointer slab, and
+// every ID below the root is a substring of one string. Each child list is
+// capped at its own length, so appending to one cannot overwrite another.
+// Users are found by a linear scan, not a map: a site has few users.
 func NewShareTree(id string, weight float64, fns []FunctionDemand) *ShareTree {
-	t := &ShareTree{root: &fairshare.Node{ID: id, Weight: weight}}
-	users := make(map[string]int)
-	var members [][]int // function positions under each user node
-	for j, fd := range fns {
-		user, uw := fd.User, fd.UserWeight
-		if user == "" {
-			user, uw = "::default", 1
+	n := len(fns)
+	// userOf[j] is function j's user index; first[u] is the position of
+	// user u's first function, which fixes its name and weight. size is
+	// the total length of the IDs below the root.
+	ints := make([]int, 3*n)
+	userOf, order, first := ints[:n:n], ints[n:n:2*n], ints[2*n:2*n]
+	size := 0
+	for j := range fns {
+		user := userName(&fns[j])
+		u := 0
+		for u < len(first) && userName(&fns[first[u]]) != user {
+			u++
 		}
-		if uw <= 0 {
-			uw = 1
+		if u == len(first) {
+			first = append(first, j)
+			size += len(id) + len("/user:") + len(user)
 		}
-		u, ok := users[user]
-		if !ok {
-			u = len(members)
-			users[user] = u
-			members = append(members, nil)
-			t.root.Children = append(t.root.Children, &fairshare.Node{ID: id + "/user:" + user, Weight: uw})
-		}
-		leaf := &fairshare.Node{ID: id + "/" + fd.Name, Weight: fd.Weight}
-		t.root.Children[u].Children = append(t.root.Children[u].Children, leaf)
-		t.leaves = append(t.leaves, leaf)
-		members[u] = append(members[u], j)
+		userOf[j] = u
+		size += len(id) + len("/") + len(fns[j].Name)
 	}
-	for _, m := range members { // preorder: users in turn, functions in position order
-		t.order = append(t.order, m...)
+	users := len(first)
+
+	var b strings.Builder
+	b.Grow(size)
+	for _, f := range first {
+		b.WriteString(id)
+		b.WriteString("/user:")
+		b.WriteString(userName(&fns[f]))
 	}
+	for j := range fns {
+		b.WriteString(id)
+		b.WriteString("/")
+		b.WriteString(fns[j].Name)
+	}
+	ids := b.String()
+	cut := func(l int) string {
+		s := ids[:l]
+		ids = ids[l:]
+		return s
+	}
+
+	// Slabs: the root, the users in order of appearance, then the leaves
+	// in preorder; the root's children, the users' children (leaf
+	// preorder), then the leaves by function position.
+	nodes := make([]fairshare.Node, 1+users+n)
+	ptrs := make([]*fairshare.Node, users+2*n)
+	t := &ShareTree{root: &nodes[0], leaves: ptrs[users+n:]}
+	t.root.ID, t.root.Weight = id, weight
+	t.root.Children = ptrs[:users:users]
+	leafNodes, kids := nodes[1+users:], ptrs[users:users+n]
+	for u, f := range first {
+		un := &nodes[1+u]
+		un.ID = cut(len(id) + len("/user:") + len(userName(&fns[f])))
+		un.Weight = fns[f].UserWeight
+		if fns[f].User == "" || un.Weight <= 0 {
+			un.Weight = 1
+		}
+		t.root.Children[u] = un
+		from := len(order)
+		for j := f; j < n; j++ { // preorder: users in turn, functions in position order
+			if userOf[j] == u {
+				order = append(order, j)
+			}
+		}
+		for k := from; k < len(order); k++ {
+			kids[k] = &leafNodes[k]
+			t.leaves[order[k]] = &leafNodes[k]
+		}
+		un.Children = kids[from:len(order):len(order)]
+	}
+	for j := range fns {
+		l := t.leaves[j]
+		l.ID = cut(len(id) + len("/") + len(fns[j].Name))
+		l.Weight = fns[j].Weight
+	}
+	t.order = order
 	return t
+}
+
+// userName is the user node fd falls under: its User, or "::default".
+func userName(fd *FunctionDemand) string {
+	if fd.User == "" {
+		return "::default"
+	}
+	return fd.User
 }
 
 // Divide divides capacity over the tree with desire[j] at function j's

@@ -68,11 +68,15 @@ import (
 //   - The result rows keep their site and function names until the layout
 //     changes or a site is rebuilt; other epochs rewrite only the numbers.
 //   - Scratch (result rows, division outputs, spare, pool, spread and
-//     reclaim lists, validation sets) persists across epochs, so an epoch
-//     whose inputs are entirely unchanged — the steady state between demand
-//     shifts — performs zero heap allocations and returns the previous
-//     result, and a churning epoch allocates little beyond the spread
-//     pass's fair-share calls.
+//     reclaim lists, the spread pass's one-level arbitration tree,
+//     validation sets) persists across epochs, so an epoch whose inputs
+//     are entirely unchanged — the steady state between demand shifts —
+//     performs zero heap allocations and returns the previous result, and
+//     a churning epoch allocates only when a reused list outgrows its
+//     backing array. A cold epoch allocates per site, not per tree node:
+//     a site's share tree is a few slabs and one ID string, its eight
+//     per-function vectors one slice, the new caches one slice, and the
+//     maps and result rows are sized from the first epoch's reports.
 //
 // An Allocator is not safe for concurrent use. The returned Result is owned
 // by the Allocator and valid until the next Allocate call.
@@ -86,7 +90,7 @@ type Allocator struct {
 	res    Result
 	rows   bool // res.Grants has a row per function of sc, Site and Function set
 
-	root      *fairshare.Node
+	root      fairshare.Node
 	upperOut  []int64 // pass 1's division over the stubs, in leaf preorder
 	upperSite []int   // site position of each upperOut leaf; -1 for a group with no site present
 	spare     []int64 // by site position
@@ -116,8 +120,14 @@ type Allocator struct {
 	overflow []spreadDemand
 	srv      [][]server // per overflow entry: its servers in the scope
 	demOf    []int      // per spread-round demand: its overflow entry
-	demands  []fairshare.Demand
 	hosts    []host
+
+	// A spread round's arbitration is a one-level tree: arb's children
+	// point into arbLeaves, one per round demand, and arbOut receives the
+	// grants. Dividing it runs AdjustCapped's arithmetic in reused memory.
+	arb       fairshare.Node
+	arbLeaves []fairshare.Node
+	arbOut    []int64
 
 	// Hierarchical mode (SetHierarchy): the capacity tree's vertices, built
 	// once, with the cross-site reclaim scratch. Unused for flat
@@ -152,7 +162,12 @@ type siteCache struct {
 	// stub stands in for tree in pass 1's upper division: tree's ID and
 	// weight, and Desired the site's total desire, refreshed only when the
 	// site is dirty.
-	stub *fairshare.Node
+	stub fairshare.Node
+
+	// vecs backs the eight per-function vectors (desired, entitled,
+	// deserved, clamp, local, want, wantNext and grants), each capped at
+	// the function count so none can grow into the next.
+	vecs []int64
 
 	dirty        bool    // the report changed this epoch
 	entitled     []int64 // pass 1: tree divided against grant
@@ -195,15 +210,23 @@ type host struct {
 // NewAllocator returns an empty Allocator; the first Allocate call behaves
 // exactly like the one-shot Allocate and primes the caches.
 func NewAllocator() *Allocator {
-	return &Allocator{
-		caches:   make(map[string]*siteCache),
-		checkIDs: true,
-		siteSet:  make(map[string]bool),
-		fnSet:    make(map[string]bool),
-		fnID:     make(map[string]int32),
-		sitePos:  make(map[string]int),
-		root:     &fairshare.Node{ID: "::federation"},
+	a := &Allocator{checkIDs: true}
+	a.root.ID = "::federation"
+	return a
+}
+
+// makeMaps sizes the allocator's maps from its first epoch's reports: a
+// slot per site, and per function name as many as the largest site has.
+func (a *Allocator) makeMaps(sites []SiteDemand) {
+	fns := 0
+	for i := range sites {
+		fns = max(fns, len(sites[i].Functions))
 	}
+	a.caches = make(map[string]*siteCache, len(sites))
+	a.siteSet = make(map[string]bool, len(sites))
+	a.sitePos = make(map[string]int, len(sites))
+	a.fnSet = make(map[string]bool, fns)
+	a.fnID = make(map[string]int32, fns)
 }
 
 func siteEqual(a *SiteDemand, b *SiteDemand) bool {
@@ -272,19 +295,23 @@ func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 
 	id := "site:" + s.Site
 	c.tree = NewShareTree(id, treeWeight(s.Weight), c.prev.Functions)
-	c.stub = &fairshare.Node{ID: id, Weight: c.tree.root.Weight, Desired: totalDesire(s)}
+	c.stub = fairshare.Node{ID: id, Weight: c.tree.root.Weight, Desired: totalDesire(s)}
 
 	n := len(c.prev.Functions)
-	c.fnIDs = c.fnIDs[:0]
-	c.desired = c.desired[:0]
-	for _, fd := range c.prev.Functions {
-		c.fnIDs = append(c.fnIDs, a.intern(fd.Name))
-		c.desired = append(c.desired, fd.DesiredCPU)
+	if cap(c.vecs) < 8*n {
+		c.vecs = make([]int64, 8*n)
 	}
-	c.entitled = resize(c.entitled, n)
-	c.deserved = resize(c.deserved, n)
-	c.clamp = resize(c.clamp, n)
-	c.local = resize(c.local, n)
+	vec := func(k int) []int64 { return c.vecs[k*n : (k+1)*n : (k+1)*n] }
+	c.desired, c.entitled, c.deserved, c.clamp = vec(0), vec(1), vec(2), vec(3)
+	c.local, c.want, c.wantNext, c.grants = vec(4), vec(5), vec(6), vec(7)
+	if cap(c.fnIDs) < n {
+		c.fnIDs = make([]int32, 0, n)
+	}
+	c.fnIDs = c.fnIDs[:0]
+	for j, fd := range c.prev.Functions {
+		c.fnIDs = append(c.fnIDs, a.intern(fd.Name))
+		c.desired[j] = fd.DesiredCPU
+	}
 	c.haveEntitled = false
 	c.haveWant = false
 	c.haveLocal = false
@@ -352,23 +379,32 @@ func (a *Allocator) relayout(sites []SiteDemand) error {
 			}
 		}
 	}
-	a.sc = a.sc[:0]
+	// New sites' caches come from one slab.
+	fresh := 0
+	for i := range sites {
+		if a.caches[sites[i].Site] == nil {
+			fresh++
+		}
+	}
+	slab := make([]siteCache, fresh)
+	a.sc = slices.Grow(a.sc[:0], len(sites))
 	for i := range sites {
 		c := a.caches[sites[i].Site]
 		if c == nil {
-			c = &siteCache{}
+			c, slab = &slab[0], slab[1:]
 			a.caches[sites[i].Site] = c
 		}
 		a.sc = append(a.sc, c)
 	}
-	for name := range a.caches {
+	for name, c := range a.caches {
 		if !a.siteSet[name] {
+			*c = siteCache{} // its slab may outlive it: drop what it holds
 			delete(a.caches, name)
 		}
 	}
 	a.spare = resize(a.spare, len(sites))
 	a.inPool = slices.Grow(a.inPool[:0], len(sites))[:len(sites)]
-	a.allIdx = a.allIdx[:0]
+	a.allIdx = slices.Grow(a.allIdx[:0], len(sites))
 	for i := range sites {
 		a.allIdx = append(a.allIdx, i)
 	}
@@ -394,10 +430,10 @@ func (a *Allocator) mountSites(full bool) {
 		if full {
 			return c.tree.root
 		}
-		return c.stub
+		return &c.stub
 	}
 	if a.hier == nil {
-		a.root.Children = a.root.Children[:0]
+		a.root.Children = slices.Grow(a.root.Children[:0], len(a.sc))
 		for _, c := range a.sc {
 			a.root.Children = append(a.root.Children, node(c))
 		}
@@ -407,7 +443,7 @@ func (a *Allocator) mountSites(full bool) {
 		if !g.leaf {
 			continue
 		}
-		g.node.Children = g.node.Children[:0]
+		g.node.Children = slices.Grow(g.node.Children[:0], len(g.mount))
 		for _, i := range g.mount {
 			g.node.Children = append(g.node.Children, node(a.sc[i]))
 		}
@@ -432,6 +468,9 @@ func (a *Allocator) sameLayout(sites []SiteDemand) bool {
 // epoch already established. The semantics — and the bits of the result —
 // are exactly Allocate's; see the package comment for the three passes.
 func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
+	if a.caches == nil {
+		a.makeMaps(sites)
+	}
 	a.redivided, a.validated, a.cascades = 0, 0, 0
 	a.snapshotted = a.snapshotted[:0]
 	// A new site order validates every report and recomputes everything
@@ -545,14 +584,14 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	// a site that is dirty or whose grant moved re-divides its subtree.
 	if a.checkIDs {
 		a.mountSites(true)
-		if err := fairshare.ValidateTree(a.root); err != nil {
+		if err := fairshare.ValidateTree(&a.root); err != nil {
 			return a.fail(err)
 		}
 		a.checkIDs = false
 	}
 	a.mountSites(false)
 	var err error
-	if a.upperOut, err = fairshare.DivideTreeInto(a.root, a.res.TotalCapacityCPU, capped, a.upperOut); err != nil {
+	if a.upperOut, err = fairshare.DivideTreeInto(&a.root, a.res.TotalCapacityCPU, capped, a.upperOut); err != nil {
 		return a.fail(err)
 	}
 	for x, i := range a.upperSite {
@@ -702,7 +741,7 @@ func (a *Allocator) spread(idxs []int) error {
 	}
 
 	for {
-		a.demands = a.demands[:0]
+		a.arbLeaves = a.arbLeaves[:0]
 		a.demOf = a.demOf[:0]
 		var pool int64
 		clear(a.inPool)
@@ -720,7 +759,7 @@ func (a *Allocator) spread(idxs []int) error {
 			if hostSpare == 0 {
 				continue
 			}
-			a.demands = append(a.demands, fairshare.Demand{ID: d.fn, Weight: d.weight, Desired: min(d.need, hostSpare)})
+			a.arbLeaves = append(a.arbLeaves, fairshare.Node{ID: d.fn, Weight: d.weight, Desired: min(d.need, hostSpare)})
 			a.demOf = append(a.demOf, k)
 			for _, s := range a.srv[k] {
 				if sp := a.spare[s.site]; sp > 0 && !a.inPool[s.site] {
@@ -729,18 +768,25 @@ func (a *Allocator) spread(idxs []int) error {
 				}
 			}
 		}
-		if len(a.demands) == 0 {
+		if len(a.arbLeaves) == 0 {
 			break
 		}
-		allocs, err := fairshare.AdjustCapped(a.demands, pool)
-		if err != nil {
+		// The overflow names are unique, so the duplicate-ID check
+		// AdjustCapped would make cannot fail, and a leaf's grant is its
+		// capped adjustment, never above its desire.
+		a.arb.Children = a.arb.Children[:0]
+		for x := range a.arbLeaves {
+			a.arb.Children = append(a.arb.Children, &a.arbLeaves[x])
+		}
+		var err error
+		if a.arbOut, err = fairshare.DivideTreeInto(&a.arb, pool, true, a.arbOut); err != nil {
 			return err
 		}
 		progress := false
-		for x, al := range allocs {
+		for x, adjusted := range a.arbOut {
 			k := a.demOf[x]
 			hosts, hostSpare := a.hostsOf(k)
-			amount := min(al.Adjusted, hostSpare)
+			amount := min(adjusted, hostSpare)
 			if amount <= 0 {
 				continue
 			}
@@ -851,7 +897,11 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 	// The result rows carry names that change only with the layout or a
 	// site rebuild; every other epoch rewrites just their numbers.
 	if !a.rows {
-		a.res.Grants = a.res.Grants[:0]
+		n := 0
+		for _, c := range a.sc {
+			n += len(c.prev.Functions)
+		}
+		a.res.Grants = slices.Grow(a.res.Grants[:0], n)
 		for _, c := range a.sc {
 			for _, fd := range c.prev.Functions {
 				a.res.Grants = append(a.res.Grants, Grant{Site: c.prev.Site, Function: fd.Name})

@@ -184,7 +184,7 @@ func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
 	a.groups = a.groups[:0]
 	if h != nil {
 		a.hierSites = h.Levels()
-		a.buildGroup(h.Root, a.root)
+		a.buildGroup(h.Root, &a.root)
 	}
 	return nil
 }
@@ -229,13 +229,17 @@ func (a *Allocator) placeGroups(sites []SiteDemand) {
 		a.sitePos[sites[i].Site] = i
 	}
 	for _, hg := range a.groups { // children before parents
-		hg.mount = hg.mount[:0]
+		hg.mount = slices.Grow(hg.mount[:0], len(hg.g.Sites))
 		for _, name := range hg.g.Sites {
 			if i, ok := a.sitePos[name]; ok {
 				hg.mount = append(hg.mount, i)
 			}
 		}
-		hg.idxs = append(hg.idxs[:0], hg.mount...)
+		n := len(hg.mount)
+		for _, c := range hg.children {
+			n += len(c.idxs)
+		}
+		hg.idxs = append(slices.Grow(hg.idxs[:0], n), hg.mount...)
 		for _, c := range hg.children {
 			hg.idxs = append(hg.idxs, c.idxs...)
 		}

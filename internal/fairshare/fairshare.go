@@ -19,7 +19,6 @@ package fairshare
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -247,6 +246,15 @@ func ValidateTree(root *Node) error {
 // zero-weight child). Node IDs are never read: a tree with duplicate IDs
 // is divided as if they were distinct.
 //
+// A tree under no pressure returns before any sibling group is divided:
+// when the root's total desire fits the capacity, no node below the root
+// has weight 0 and no subtree total overflows, every leaf gets its
+// desire. That is exactly what the full division gives, because Adjust
+// hands every child its subtree's total at every level when the group's
+// desires fit, and waterFill changes nothing then. Any tree the full
+// division would reject takes the full division, so its error is the
+// same.
+//
 // The division works in reused scratch (treeScratch), so a call allocates
 // nothing beyond out's own growth once the scratch has seen a tree that
 // large.
@@ -261,16 +269,37 @@ func DivideTreeInto(root *Node, capacity int64, capped bool, out []int64) ([]int
 	if err := s.measure(root, false); err != nil {
 		return out, err
 	}
+	if s.slack && s.total[0] <= capacity {
+		// No level can bind: Adjust hands every child its subtree's total
+		// when the sibling group's desires fit, capped or not, so every
+		// leaf receives its desire. The leaves are the size-1 positions.
+		out = emptied(out, len(s.size))
+		for p, n := range s.size {
+			if n == 1 {
+				out = append(out, s.total[p])
+			}
+		}
+		return out, nil
+	}
 	if n := len(s.size); len(s.dem) < n {
 		s.dem = make([]Demand, n)
 		s.alloc = make([]Allocation, n)
 	}
 	// A tree has fewer leaves than nodes: one growth at most.
-	grants, err := s.divide(root, 0, capacity, capped, slices.Grow(out[:0], len(s.size)), 0)
+	grants, err := s.divide(root, 0, capacity, capped, emptied(out, len(s.size)), 0)
 	if err != nil {
 		return out, err
 	}
 	return grants, nil
+}
+
+// emptied returns out with length 0 and room for n values, reallocated
+// only when it has less.
+func emptied(out []int64, n int) []int64 {
+	if cap(out) < n {
+		return make([]int64, 0, n)
+	}
+	return out[:0]
 }
 
 // seenCap bounds the scratch's duplicate-ID set: past it, the IDs of trees
@@ -283,6 +312,10 @@ const seenCap = 1 << 16
 //     so the set is never cleared between calls.
 //   - size and total hold each node's subtree node count and total leaf
 //     desire, by preorder position.
+//   - slack records that the measured tree has no non-root node of weight
+//     0 and no subtree total that overflowed: every input check the
+//     division would repeat passes on it once the root's total fits the
+//     capacity.
 //   - dem and alloc are stacks of per-node segments: an internal node's
 //     children's demands and allocations sit at [base, base+len(children))
 //     while its subtrees are divided above them. A tree of n nodes never
@@ -293,6 +326,7 @@ type treeScratch struct {
 	gen   uint32
 	size  []int
 	total []int64
+	slack bool
 	dem   []Demand
 	alloc []Allocation
 	unsat []int
@@ -336,6 +370,7 @@ func (s *treeScratch) measure(root *Node, ids bool) error {
 		}
 	}
 	s.size, s.total = s.size[:0], s.total[:0]
+	s.slack = true
 	return s.walk(root, ids)
 }
 
@@ -353,6 +388,9 @@ func (s *treeScratch) walk(n *Node, ids bool) error {
 		s.seen[n.ID] = s.gen
 	}
 	pre := len(s.size)
+	if n.Weight == 0 && pre > 0 {
+		s.slack = false // validate rejects it when its sibling group is divided
+	}
 	s.size = append(s.size, 1)
 	s.total = append(s.total, n.Desired)
 	if n.Leaf() {
@@ -369,6 +407,9 @@ func (s *treeScratch) walk(n *Node, ids bool) error {
 		}
 		s.size[pre] += s.size[at]
 		s.total[pre] += s.total[at]
+		if s.total[pre] < 0 {
+			s.slack = false // overflowed: a negative demand to validate
+		}
 	}
 	return nil
 }

@@ -598,6 +598,119 @@ func TestAllocateTreeDeepValidation(t *testing.T) {
 	}
 }
 
+// TestNoPressureExitKeepsErrors pins the inputs DivideTreeInto must not
+// answer from its no-pressure exit even though the capacity covers the
+// root's total desire: a zero-weight child, at the root or below, a
+// negative desire, and a subtree total that overflows int64. Each fails
+// with the error the level-by-level division has always given, capped or
+// not.
+func TestNoPressureExitKeepsErrors(t *testing.T) {
+	leaf := func(id string, w float64, d int64) *Node { return &Node{ID: id, Weight: w, Desired: d} }
+	user := func(id string, w float64, kids ...*Node) *Node { return &Node{ID: id, Weight: w, Children: kids} }
+	root := func(kids ...*Node) *Node { return &Node{ID: "root", Children: kids} }
+	cases := []struct {
+		name string
+		tree *Node
+		want string
+	}{
+		{"zero-weight leaf", root(leaf("a", 1, 10), leaf("b", 0, 5)),
+			`fairshare: at node "root": fairshare: demand "b" has non-positive weight 0`},
+		{"zero-weight user", root(leaf("a", 1, 10), user("u", 0, leaf("b", 1, 5))),
+			`fairshare: at node "root": fairshare: demand "u" has non-positive weight 0`},
+		{"zero-weight leaf below a user", root(user("u", 1, leaf("a", 1, 10), leaf("b", 0, 5))),
+			`fairshare: at node "u": fairshare: demand "b" has non-positive weight 0`},
+		{"negative desire", root(leaf("a", 1, 10), user("u", 2, leaf("b", 1, -5))),
+			`fairshare: leaf "b" has negative desired capacity -5`},
+		{"overflowing subtree", root(user("u", 1, leaf("a", 1, math.MaxInt64), leaf("b", 1, math.MaxInt64)), leaf("c", 1, 3)),
+			`fairshare: at node "root": fairshare: demand "u" has negative desired capacity -2`},
+	}
+	for _, c := range cases {
+		for _, capped := range []bool{false, true} {
+			_, err := DivideTreeInto(c.tree, 1000, capped, nil)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, capped=%v: got error %v, want %q", c.name, capped, err, c.want)
+			}
+		}
+	}
+}
+
+// levelDivide divides capacity over the tree one sibling group at a time
+// with the exported Adjust or AdjustCapped, appending the leaves' grants
+// in preorder: the division DivideTreeInto must equal, with no shortcut.
+func levelDivide(n *Node, capacity int64, capped bool, out []int64) ([]int64, error) {
+	if n.Leaf() {
+		return append(out, min(capacity, n.Desired)), nil
+	}
+	var dem []Demand
+	for _, c := range n.Children {
+		dem = append(dem, Demand{ID: c.ID, Weight: c.Weight, Desired: subtreeDesire(c)})
+	}
+	adjust := Adjust
+	if capped {
+		adjust = AdjustCapped
+	}
+	alloc, err := adjust(dem, capacity)
+	if err != nil {
+		return out, err
+	}
+	for i, c := range n.Children {
+		if out, err = levelDivide(c, alloc[i].Adjusted, capped, out); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// subtreeDesire is the total desire of n's leaves.
+func subtreeDesire(n *Node) int64 {
+	if n.Leaf() {
+		return n.Desired
+	}
+	var d int64
+	for _, c := range n.Children {
+		d += subtreeDesire(c)
+	}
+	return d
+}
+
+// TestNoPressureExitMatchesLevelDivision holds DivideTreeInto to the
+// level-by-level division on random trees whose capacity sits just below,
+// at and above their total desire, so that both its no-pressure exit and
+// its full division run, capped and not, with some desires zero.
+func TestNoPressureExitMatchesLevelDivision(t *testing.T) {
+	rng := xrand.New(54)
+	var out []int64
+	f := func(k uint8, slack int16, capped bool) bool {
+		root := quickTree(rng, k)
+		for _, u := range root.Children {
+			for _, l := range u.Children {
+				if rng.Intn(4) == 0 {
+					l.Desired = 0
+				}
+			}
+		}
+		total := subtreeDesire(root)
+		capacity := max(0, total+int64(slack%64))
+		want, err := levelDivide(root, capacity, capped, nil)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if out, err = DivideTreeInto(root, capacity, capped, out); err != nil {
+			t.Log(err)
+			return false
+		}
+		if !slices.Equal(out, want) {
+			t.Logf("capacity %d (total %d) capped %v: got %v, want %v", capacity, total, capped, out, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // quickTree is the random tree the quick checks divide: a root over one
 // to three weighted users, each over one to three weighted leaves with
 // desires up to 4000.
