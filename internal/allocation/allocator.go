@@ -119,6 +119,7 @@ type Allocator struct {
 
 	overflow []spreadDemand
 	srv      [][]server // per overflow entry: its servers in the scope
+	srvLen   []int      // carveServers' scratch: each list's new capacity
 	demOf    []int      // per spread-round demand: its overflow entry
 	hosts    []host
 
@@ -684,7 +685,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 // already placed at a peer is offered again by every outer scope, and a
 // hierarchy can grant a function more than the flat allocator would.
 func (a *Allocator) spread(idxs []int) error {
-	a.overflow = a.overflow[:0]
+	a.overflow = slices.Grow(a.overflow[:0], len(a.ovOf)) // one entry per function at most
 	for _, i := range idxs {
 		c := a.sc[i]
 		if !c.over {
@@ -719,23 +720,20 @@ func (a *Allocator) spread(idxs []int) error {
 		}
 		return strings.Compare(x.fn, y.fn)
 	})
-	for len(a.srv) < len(a.overflow) {
-		a.srv = append(a.srv, nil)
-	}
+	nov := len(a.overflow)
 	for k := range a.overflow {
 		a.ovOf[a.overflow[k].id] = int32(k)
-		a.srv[k] = a.srv[k][:0]
 	}
-	for _, i := range idxs {
-		if a.spare[i] <= 0 {
-			continue
-		}
-		for j, id := range a.sc[i].fnIDs {
-			if k := a.ovOf[id]; k >= 0 {
-				a.srv[k] = append(a.srv[k], server{i, j})
-			}
-		}
+	if len(a.srv) < nov {
+		a.srv = append(a.srv, make([][]server, nov-len(a.srv))...)
 	}
+	if !a.listServers(idxs, nov) {
+		a.carveServers(idxs, nov)
+		a.listServers(idxs, nov)
+	}
+	a.arbLeaves = slices.Grow(a.arbLeaves[:0], nov)
+	a.demOf = slices.Grow(a.demOf[:0], nov)
+	a.arb.Children = slices.Grow(a.arb.Children[:0], nov)
 	for k := range a.overflow {
 		a.ovOf[a.overflow[k].id] = -1
 	}
@@ -815,6 +813,64 @@ func (a *Allocator) spread(idxs []int) error {
 		}
 	}
 	return nil
+}
+
+// listServers lists, in site order, each of the scope's first nov
+// overflow entries' servers: the scope's sites with spare that serve its
+// function. It reports false, leaving the lists partial, as soon as one
+// is full, so a list never grows by append.
+func (a *Allocator) listServers(idxs []int, nov int) bool {
+	for k := range nov {
+		a.srv[k] = a.srv[k][:0]
+	}
+	for _, i := range idxs {
+		if a.spare[i] <= 0 {
+			continue
+		}
+		for j, id := range a.sc[i].fnIDs {
+			if k := a.ovOf[id]; k >= 0 {
+				l := &a.srv[k]
+				n := len(*l)
+				if n == cap(*l) {
+					return false
+				}
+				*l = (*l)[:n+1]
+				(*l)[n] = server{i, j}
+			}
+		}
+	}
+	return true
+}
+
+// carveServers gives each of the first nov server lists room for its
+// servers in the scope, and at least the capacity it had, from one slab:
+// capacities only grow, so warm epochs stop carving, and a cold one
+// allocates a slab per scope rather than growing each list one server at
+// a time.
+func (a *Allocator) carveServers(idxs []int, nov int) {
+	a.srvLen = slices.Grow(a.srvLen[:0], nov)[:nov]
+	clear(a.srvLen)
+	for _, i := range idxs {
+		if a.spare[i] <= 0 {
+			continue
+		}
+		for _, id := range a.sc[i].fnIDs {
+			if k := a.ovOf[id]; k >= 0 {
+				a.srvLen[k]++
+			}
+		}
+	}
+	total, most := 0, 0
+	for k, n := range a.srvLen {
+		a.srvLen[k] = max(n, cap(a.srv[k]))
+		total += a.srvLen[k]
+		most = max(most, n)
+	}
+	slab := make([]server, total)
+	for k, n := range a.srvLen {
+		a.srv[k], slab = slab[:0:n], slab[n:]
+	}
+	a.hosts = slices.Grow(a.hosts[:0], most)
 }
 
 // hostsOf lists overflow entry k's servers that have spare capacity, with

@@ -593,11 +593,13 @@ func coldEpoch(h *Hierarchy, sites []SiteDemand) (*Result, error) {
 // TestColdEpochAllocs holds a cold epoch on the control_churn-shaped
 // federation to coldEpochAllocs heap allocations — about ten per site,
 // not per tree node and node ID: each share tree is a few slabs and one
-// ID string, each site's vectors one slice, the caches one slice, and the
-// maps and result rows are sized once. The fairshare scratch is shared
-// across allocators, so after the first run it is not counted.
+// ID string, each site's vectors one slice, the caches one slice, the
+// hierarchy's vertices and the spread's server lists one slab each, and
+// the maps and result rows are sized once. The fairshare scratch is shared
+// across allocators, so after the first run it is not counted. The limit
+// is the measured 1,119 (1,171 under -race) plus a small margin.
 func TestColdEpochAllocs(t *testing.T) {
-	const coldEpochAllocs = 1500
+	const coldEpochAllocs = 1200
 	h, sites := churnFederation()
 	got := testing.AllocsPerRun(20, func() {
 		if _, err := coldEpoch(h, sites); err != nil {

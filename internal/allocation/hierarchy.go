@@ -48,12 +48,37 @@ type Group struct {
 // either interior or leaf (never both, never neither), unique group IDs,
 // unique site assignment, and no negative weights — at any depth.
 func (h *Hierarchy) Validate() error {
+	_, _, err := h.check()
+	return err
+}
+
+// check validates h and returns its exact group and site counts.
+func (h *Hierarchy) check() (groups, sites int, err error) {
 	if h == nil || h.Root == nil {
-		return fmt.Errorf("allocation: hierarchy has no root group")
+		return 0, 0, fmt.Errorf("allocation: hierarchy has no root group")
 	}
-	groups := make(map[string]bool)
-	sites := make(map[string]bool)
-	return h.Root.validate(groups, sites)
+	ng, ns := h.Root.size()
+	gs, ss := make(map[string]bool, ng), make(map[string]bool, ns)
+	err = h.Root.validate(gs, ss)
+	return len(gs), len(ss), err
+}
+
+// sizeWalkLimit bounds size's walk, so a Group graph with a cycle, which
+// validate rejects as a duplicate ID, cannot stall it.
+const sizeWalkLimit = 1 << 12
+
+// size counts the groups at and below g and the sites they list, to size
+// maps: exact for a valid tree of at most sizeWalkLimit groups, a lower
+// bound otherwise.
+func (g *Group) size() (groups, sites int) {
+	stack := []*Group{g}
+	for len(stack) > 0 && groups < sizeWalkLimit {
+		g := stack[len(stack)-1]
+		stack = append(stack[:len(stack)-1], g.Children...)
+		groups++
+		sites += len(g.Sites)
+	}
+	return groups, sites
 }
 
 func (g *Group) validate(groups, sites map[string]bool) error {
@@ -92,10 +117,16 @@ func (g *Group) validate(groups, sites map[string]bool) error {
 // branch the site falls under; 0 everywhere when the root is itself a
 // leaf). Topology generators key RTT classes on these.
 func (h *Hierarchy) Levels() map[string]Level {
-	out := make(map[string]Level)
 	if h == nil || h.Root == nil {
-		return out
+		return make(map[string]Level)
 	}
+	_, sites := h.Root.size()
+	return h.levels(sites)
+}
+
+// levels is Levels for a non-empty h, with its map sized for sites.
+func (h *Hierarchy) levels(sites int) map[string]Level {
+	out := make(map[string]Level, sites)
 	metro := 0
 	if len(h.Root.Sites) > 0 {
 		h.Root.levels(0, &metro, out)
@@ -170,8 +201,10 @@ type Reclaim struct {
 // and its stub's grant, which a site re-divides for if the new tree moves
 // it.
 func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
+	var groups, sites int
 	if h != nil {
-		if err := h.Validate(); err != nil {
+		var err error
+		if groups, sites, err = h.check(); err != nil {
 			return err
 		}
 	}
@@ -183,8 +216,8 @@ func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
 	a.hierSites = nil
 	a.groups = a.groups[:0]
 	if h != nil {
-		a.hierSites = h.Levels()
-		a.buildGroup(h.Root, &a.root)
+		a.hierSites = h.levels(sites)
+		a.buildGroups(h.Root, groups)
 	}
 	return nil
 }
@@ -208,16 +241,68 @@ type hierGroup struct {
 // is the federation root itself, so a root that is a leaf group mounts the
 // sites directly under it — exactly the flat tree, which is what makes
 // depth-1 bit-identical.
-func (a *Allocator) buildGroup(g *Group, n *fairshare.Node) *hierGroup {
-	hg := &hierGroup{g: g, node: n, leaf: len(g.Sites) > 0}
-	n.Children = nil
-	for _, c := range g.Children {
-		cn := &fairshare.Node{ID: "group:" + c.ID, Weight: treeWeight(c.Weight)}
-		n.Children = append(n.Children, cn)
-		hg.children = append(hg.children, a.buildGroup(c, cn))
+func (a *Allocator) buildGroup(g *Group, n *fairshare.Node, s *groupSlabs) *hierGroup {
+	hg := &s.groups[0]
+	s.groups = s.groups[1:]
+	*hg = hierGroup{g: g, node: n, leaf: len(g.Sites) > 0}
+	k := len(g.Children)
+	n.Children, s.ptrs = s.ptrs[:k:k], s.ptrs[k:]
+	hg.children, s.kids = s.kids[:k:k], s.kids[k:]
+	for i, c := range g.Children {
+		l := len("group:") + len(c.ID)
+		cn := &s.nodes[0]
+		s.nodes = s.nodes[1:]
+		*cn = fairshare.Node{ID: s.ids[:l], Weight: treeWeight(c.Weight)}
+		s.ids = s.ids[l:]
+		n.Children[i] = cn
+		hg.children[i] = a.buildGroup(c, cn, s)
 	}
 	a.groups = append(a.groups, hg)
 	return hg
+}
+
+// groupSlabs backs a hierarchy's vertices: buildGroup takes each group's
+// vertex, child nodes, child lists and node IDs off the front of these.
+type groupSlabs struct {
+	groups []hierGroup
+	nodes  []fairshare.Node  // every group's node but the root's
+	ptrs   []*fairshare.Node // interior nodes' Children
+	kids   []*hierGroup      // interior groups' children
+	ids    string            // "group:"+ID of every non-root group, in preorder
+}
+
+// buildGroups builds the vertices of root's valid tree of n groups, root's
+// node being the federation root, from one slab of each kind.
+func (a *Allocator) buildGroups(root *Group, n int) {
+	var b strings.Builder
+	b.Grow(root.idBytes())
+	root.writeIDs(&b)
+	a.groups = slices.Grow(a.groups[:0], n)
+	a.buildGroup(root, &a.root, &groupSlabs{
+		groups: make([]hierGroup, n),
+		nodes:  make([]fairshare.Node, n-1),
+		ptrs:   make([]*fairshare.Node, n-1),
+		kids:   make([]*hierGroup, n-1),
+		ids:    b.String(),
+	})
+}
+
+// idBytes is the length of the node IDs writeIDs writes.
+func (g *Group) idBytes() int {
+	n := 0
+	for _, c := range g.Children {
+		n += len("group:") + len(c.ID) + c.idBytes()
+	}
+	return n
+}
+
+// writeIDs writes the node ID of every group below g, in preorder.
+func (g *Group) writeIDs(b *strings.Builder) {
+	for _, c := range g.Children {
+		b.WriteString("group:")
+		b.WriteString(c.ID)
+		c.writeIDs(b)
+	}
 }
 
 // placeGroups resolves every group's members against the epoch's site

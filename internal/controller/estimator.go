@@ -88,12 +88,20 @@ func (d *DualWindow) advance(now time.Duration) {
 		d.head = sec
 		return
 	}
+	// Wrap by compare, not %: n is not a constant, and this loop runs once
+	// per simulated second per function.
 	n := len(d.buckets)
 	for d.head < sec {
 		done := d.buckets[d.headPos]
 		d.head++
-		d.headPos = (d.headPos + 1) % n
-		d.shortSum += done - d.buckets[(d.headPos+n-d.shortSecs-1)%n]
+		if d.headPos++; d.headPos == n {
+			d.headPos = 0
+		}
+		leaving := d.headPos - d.shortSecs - 1 // ≥ −n, as shortSecs < n
+		if leaving < 0 {
+			leaving += n
+		}
+		d.shortSum += done - d.buckets[leaving]
 		d.longSum += done - d.buckets[d.headPos]
 		d.buckets[d.headPos] = 0
 	}

@@ -1182,13 +1182,13 @@ type SiteResult struct {
 	Counters
 
 	// Unresolved counts ingress requests that never completed before the
-	// run ended — still queued, in service, in the network, or killed by
-	// a time limit (local or cloud). They are excluded from Responses/SLO
-	// (which observe completions only); a backlogged policy can strand
-	// thousands of its worst-latency requests here, so honest SLO
-	// comparisons must count them as misses rather than ignore them.
-	// Cloud-killed requests are a subset of Unresolved, so they are
-	// already counted as violations.
+	// run ended — rejected by admission, still queued, in service, in the
+	// network, or killed by a time limit (local or cloud). They are
+	// excluded from Responses/SLO (which observe completions only); a
+	// backlogged policy can strand thousands of its worst-latency requests
+	// here, so honest SLO comparisons must count them as misses rather
+	// than ignore them. Rejected and cloud-killed requests are subsets of
+	// Unresolved, so they are already counted as violations.
 	Unresolved uint64
 }
 

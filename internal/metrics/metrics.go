@@ -1,6 +1,8 @@
 // Package metrics provides the measurement primitives used by the LaSS
-// reproduction: exact-quantile reservoirs for waiting/response times,
-// fixed-size log-linear histograms for high-volume latency capture (the live
+// reproduction: exact-quantile reservoirs for waiting/response times
+// (zero durations counted, others kept as 32-bit nanoseconds, with answers
+// bit-identical to sorting every sample as a float64), fixed-size
+// log-linear histograms for high-volume latency capture (the live
 // runtime's waits; nearest-rank quantiles within 2^-(k+1) relative error of
 // the exact order statistic, k mantissa bits per bucket), time-weighted
 // averages for utilization accounting, and step-function series, stored as
@@ -15,6 +17,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -23,9 +26,26 @@ import (
 // At the scales used in this repository (at most a few million samples per
 // experiment) exact quantiles are affordable and remove any estimator error
 // from the model-validation figures.
+//
+// Storage is compact while every sample has come from AddDuration as a
+// duration in [0, 2^32) ns (4.29 s), which is all the simulator records:
+// zero durations, a request that found an idle container, are only counted,
+// and the others are kept as uint32 nanoseconds, 4 bytes a sample. Any other
+// sample, an Add or a duration out of that range, switches the reservoir
+// once to a []float64 of every sample.
+//
+// The answers do not depend on the storage. time.Duration.Seconds, the
+// float AddDuration records, is monotone on [0, 2^32) ns, so the counted
+// zeros followed by the sorted uint32 values, each converted on read, are
+// exactly the sequence sorting those samples as float64 gives. Quantile,
+// FractionBelow and Max read that sequence with the float64 path's
+// arithmetic and comparisons.
 type Reservoir struct {
-	samples []float64
-	sorted  bool
+	zeros  int       // compact: samples of 0 ns
+	ns     []uint32  // compact: samples in [1, 2^32) ns
+	floats []float64 // every sample, once wide
+	wide   bool      // storage is floats
+	sorted bool      // the storage in use is sorted
 }
 
 // NewReservoir returns an empty reservoir.
@@ -33,53 +53,107 @@ func NewReservoir() *Reservoir { return &Reservoir{} }
 
 // Add records one sample.
 func (r *Reservoir) Add(v float64) {
-	r.samples = append(r.samples, v)
+	if !r.wide {
+		r.widen()
+	}
+	r.floats = append(r.floats, v)
 	r.sorted = false
 }
 
 // AddDuration records a duration sample in seconds.
-func (r *Reservoir) AddDuration(d time.Duration) { r.Add(d.Seconds()) }
+func (r *Reservoir) AddDuration(d time.Duration) {
+	switch {
+	case r.wide || d < 0 || d > math.MaxUint32:
+		r.Add(d.Seconds())
+	case d == 0:
+		r.zeros++
+	default:
+		r.ns = append(r.ns, uint32(d))
+		r.sorted = false
+	}
+}
+
+// widen moves the compact samples to floats, zeros first, so a sorted
+// reservoir stays sorted.
+func (r *Reservoir) widen() {
+	r.floats = make([]float64, r.zeros, r.zeros+len(r.ns)+1)
+	for _, v := range r.ns {
+		r.floats = append(r.floats, time.Duration(v).Seconds())
+	}
+	r.zeros, r.ns, r.wide = 0, nil, true
+}
 
 // Count returns the number of samples recorded.
-func (r *Reservoir) Count() int { return len(r.samples) }
+func (r *Reservoir) Count() int { return r.zeros + len(r.ns) + len(r.floats) }
+
+// ensureSorted sorts the storage in use, once per batch of samples.
+func (r *Reservoir) ensureSorted() {
+	if r.sorted {
+		return
+	}
+	if r.wide {
+		sort.Float64s(r.floats)
+	} else {
+		slices.Sort(r.ns)
+	}
+	r.sorted = true
+}
+
+// at returns the i-th smallest sample of a sorted reservoir.
+func (r *Reservoir) at(i int) float64 {
+	switch {
+	case r.wide:
+		return r.floats[i]
+	case i < r.zeros:
+		return 0
+	default:
+		return time.Duration(r.ns[i-r.zeros]).Seconds()
+	}
+}
 
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics. It returns 0 for an empty reservoir.
 func (r *Reservoir) Quantile(q float64) float64 {
-	n := len(r.samples)
+	n := r.Count()
 	if n == 0 {
 		return 0
 	}
-	if !r.sorted {
-		sort.Float64s(r.samples)
-		r.sorted = true
-	}
+	r.ensureSorted()
 	if q <= 0 {
-		return r.samples[0]
+		return r.at(0)
 	}
 	if q >= 1 {
-		return r.samples[n-1]
+		return r.at(n - 1)
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := lo + 1
 	if hi >= n {
-		return r.samples[n-1]
+		return r.at(n - 1)
 	}
 	frac := pos - float64(lo)
-	return r.samples[lo]*(1-frac) + r.samples[hi]*frac
+	return r.at(lo)*(1-frac) + r.at(hi)*frac
 }
 
 // Max returns the largest sample, or 0 if empty.
 func (r *Reservoir) Max() float64 {
-	if len(r.samples) == 0 {
+	if !r.wide {
+		if len(r.ns) == 0 {
+			return 0
+		}
+		if r.sorted {
+			return time.Duration(r.ns[len(r.ns)-1]).Seconds()
+		}
+		return time.Duration(slices.Max(r.ns)).Seconds()
+	}
+	if len(r.floats) == 0 {
 		return 0
 	}
 	if r.sorted {
-		return r.samples[len(r.samples)-1]
+		return r.floats[len(r.floats)-1]
 	}
-	m := r.samples[0]
-	for _, v := range r.samples[1:] {
+	m := r.floats[0]
+	for _, v := range r.floats[1:] {
 		if v > m {
 			m = v
 		}
@@ -89,16 +163,22 @@ func (r *Reservoir) Max() float64 {
 
 // FractionBelow returns the fraction of samples <= limit.
 func (r *Reservoir) FractionBelow(limit float64) float64 {
-	if len(r.samples) == 0 {
+	n := r.Count()
+	if n == 0 {
 		return 0
 	}
-	if !r.sorted {
-		sort.Float64s(r.samples)
-		r.sorted = true
+	r.ensureSorted()
+	// Upper bound: the number of samples not at or above the next float
+	// past limit, which for a NaN limit is every sample.
+	next := math.Nextafter(limit, math.Inf(1))
+	if r.wide {
+		return float64(sort.SearchFloat64s(r.floats, next)) / float64(n)
 	}
-	// Upper bound: first index with sample > limit.
-	idx := sort.SearchFloat64s(r.samples, math.Nextafter(limit, math.Inf(1)))
-	return float64(idx) / float64(len(r.samples))
+	idx := sort.Search(len(r.ns), func(i int) bool { return time.Duration(r.ns[i]).Seconds() >= next })
+	if !(0 >= next) {
+		idx += r.zeros
+	}
+	return float64(idx) / float64(n)
 }
 
 // Histogram is a fixed-size log-linear histogram (HDR style) with a stated

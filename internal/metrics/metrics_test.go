@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,204 @@ func TestQuickReservoirQuantileMatchesSort(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// floatReservoir is the spec Reservoir's compact storage must answer like,
+// bit for bit: the float64-only reservoir it replaced, which keeps every
+// sample as a float64, sorts them in place with sort.Float64s when a query
+// needs order, and applies the documented formulas.
+type floatReservoir struct {
+	samples []float64
+	sorted  bool
+}
+
+func (r *floatReservoir) add(v float64) { r.samples = append(r.samples, v); r.sorted = false }
+
+func (r *floatReservoir) sort() {
+	if !r.sorted {
+		sort.Float64s(r.samples)
+		r.sorted = true
+	}
+}
+
+func (r *floatReservoir) quantile(q float64) float64 {
+	n := len(r.samples)
+	if n == 0 {
+		return 0
+	}
+	r.sort()
+	if q <= 0 {
+		return r.samples[0]
+	}
+	if q >= 1 {
+		return r.samples[n-1]
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	if lo+1 >= n {
+		return r.samples[n-1]
+	}
+	frac := pos - float64(lo)
+	return r.samples[lo]*(1-frac) + r.samples[lo+1]*frac
+}
+
+func (r *floatReservoir) max() float64 {
+	if len(r.samples) == 0 {
+		return 0
+	}
+	if r.sorted {
+		return r.samples[len(r.samples)-1]
+	}
+	m := r.samples[0]
+	for _, v := range r.samples[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+func (r *floatReservoir) fractionBelow(limit float64) float64 {
+	if len(r.samples) == 0 {
+		return 0
+	}
+	r.sort()
+	return float64(sort.SearchFloat64s(r.samples, math.Nextafter(limit, math.Inf(1)))) / float64(len(r.samples))
+}
+
+// durationEdges are durations at the edges of the compact range and of
+// Duration.Seconds' whole-second split.
+var durationEdges = []time.Duration{
+	1, 2, time.Second - 1, time.Second, time.Second + 1, 4*time.Second - 1,
+	math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 1, -1,
+	math.MinInt64, math.MaxInt64,
+}
+
+// FuzzReservoir decodes bytes into interleaved AddDuration (zero, in the
+// compact range, negative, at or past 2^32 ns, range edges), Add (±0, NaN,
+// ±Inf, ordinary floats) and Quantile / FractionBelow queries, and checks
+// every answer, with Count and Max after each operation, against
+// floatReservoir's bits. Zeros of either sign are one answer once a −0 has
+// been added, since sort.Float64s leaves ±0 in arrival order, which compact
+// storage does not keep; NaNs are one answer. Quantile at NaN panics in both
+// and is not fuzzed. Seeds: testdata/fuzz/FuzzReservoir.
+func FuzzReservoir(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 3*128 { // longer programs add no coverage
+			return
+		}
+		r, spec := NewReservoir(), &floatReservoir{}
+		negZero := false
+		same := func(got, want float64) bool {
+			return math.Float64bits(got) == math.Float64bits(want) ||
+				got != got && want != want || negZero && got == 0 && want == 0
+		}
+		for i := 0; i+2 < len(data); i += 3 {
+			op, a := data[i], int64(data[i+1])<<8|int64(data[i+2])
+			shift := op >> 4
+			var d time.Duration
+			switch op % 8 {
+			case 0:
+				d = 0
+			case 1: // fine steps below 2^23 ns, coarse ones up to 2^32
+				d = 1 + time.Duration(a)<<shift
+				if shift >= 8 {
+					d = 1 + time.Duration(a)*time.Duration(shift-7)<<13
+				}
+			case 2:
+				d = durationEdges[int(a)%len(durationEdges)]
+			case 3:
+				d = -1 - time.Duration(a)<<shift
+			case 4:
+				d = math.MaxUint32 + 1 + time.Duration(a)<<(2*shift)
+			case 5:
+				v := [...]float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+					float64(a)/1000 - 10, float64(a) * 1e-300, float64(a) * 1e300}[a%8]
+				negZero = negZero || math.Signbit(v) && v == 0
+				r.Add(v)
+				spec.add(v)
+			case 6:
+				q := [...]float64{0, 1, -1, 2, math.Inf(1), math.Inf(-1), float64(a) / 65535, 0.5}[shift%8]
+				if got, want := r.Quantile(q), spec.quantile(q); !same(got, want) {
+					t.Fatalf("op %d: Quantile(%v) = %v, want %v", i/3, q, got, want)
+				}
+			case 7:
+				limit := time.Duration(a << shift).Seconds()
+				switch shift % 8 {
+				case 1:
+					limit = math.Nextafter(limit, math.Inf(-1))
+				case 2:
+					limit = math.Nextafter(limit, math.Inf(1))
+				case 3:
+					limit = math.NaN()
+				case 4:
+					limit = math.Inf(int(a%2)*2 - 1)
+				case 5:
+					limit = -limit
+				case 6:
+					limit = float64(a)/1000 - 10
+				}
+				if got, want := r.FractionBelow(limit), spec.fractionBelow(limit); !same(got, want) {
+					t.Fatalf("op %d: FractionBelow(%v) = %v, want %v", i/3, limit, got, want)
+				}
+			}
+			if op%8 <= 4 {
+				r.AddDuration(d)
+				spec.add(d.Seconds())
+			}
+			if r.Count() != len(spec.samples) {
+				t.Fatalf("op %d: Count = %d, want %d", i/3, r.Count(), len(spec.samples))
+			}
+			if got, want := r.Max(), spec.max(); !same(got, want) {
+				t.Fatalf("op %d: Max = %v, want %v", i/3, got, want)
+			}
+		}
+	})
+}
+
+// heapGrowth is the live heap that build's result holds, in bytes.
+func heapGrowth(build func() *Reservoir) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestReservoirCompactStorage holds AddDuration's storage to its stated
+// cost: a zero duration allocates and retains nothing, and an in-range one
+// retains 4 bytes plus append slack, where a float64 would retain 8.
+func TestReservoirCompactStorage(t *testing.T) {
+	r := NewReservoir()
+	if a := testing.AllocsPerRun(1000, func() { r.AddDuration(0) }); a != 0 {
+		t.Errorf("AddDuration(0): %v allocations, want 0", a)
+	}
+	const n = 1_000_000
+	zeros := heapGrowth(func() *Reservoir {
+		r := NewReservoir()
+		for range n {
+			r.AddDuration(0)
+		}
+		return r
+	})
+	if zeros > 64<<10 {
+		t.Errorf("%d zero samples retain %d bytes, want nothing", n, zeros)
+	}
+	inRange := heapGrowth(func() *Reservoir {
+		r := NewReservoir()
+		for i := range n {
+			r.AddDuration(time.Duration(1 + i*4093))
+		}
+		return r
+	})
+	if inRange > 6*n { // 4 bytes a sample, plus at most half again of append slack
+		t.Errorf("%d in-range samples retain %d bytes (%.2f per sample), want at most 6 per sample",
+			n, inRange, float64(inRange)/n)
+	}
+	t.Logf("retained: %d zeros %d B, %d in range %d B (%.2f per sample)", n, zeros, n, inRange, float64(inRange)/n)
 }
 
 // nearestRank is the exact order statistic Histogram.Quantile estimates: the
