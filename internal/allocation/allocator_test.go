@@ -870,6 +870,112 @@ func TestWarmEpochWorkScalesWithChurn(t *testing.T) {
 	}
 }
 
+// TestAllocatorInvalidationTable walks a warm Allocator, flat and on the
+// control_churn-shaped hierarchy with reclaim, through one input class per
+// row and pins the work the next epoch does: site subtrees pass 1
+// re-divides, reports validated, deserved cascades run and metros whose
+// reclaim victims are snapshotted. Every row's result must equal a fresh
+// Allocator's on the same input.
+func TestAllocatorInvalidationTable(t *testing.T) {
+	type work struct{ redivided, validated, cascades, snapshotted int }
+	const hot = 3 // a site of region 0's hot metro, so its changes reach reclaim
+	var removed SiteDemand
+	rows := []struct {
+		name      string
+		capped    bool
+		change    func(t *testing.T, a *Allocator, h *Hierarchy, sites []SiteDemand) []SiteDemand
+		flat, hie work
+	}{
+		{"unchanged", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			return s
+		}, work{0, 0, 0, 0}, work{0, 0, 0, 0}},
+		{"one site's demand", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			s[hot].Functions[2].DesiredCPU += 500
+			return s
+		}, work{1, 1, 0, 0}, work{1, 1, 0, 2}},
+		{"capacity", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			s[hot].CapacityCPU += 1000
+			return s
+		}, work{1, 1, 0, 0}, work{1, 1, 1, 2}},
+		{"site weight", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			s[hot].Weight = 3
+			return s
+		}, work{1, 1, 0, 0}, work{1, 1, 1, 2}},
+		{"function added", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			fns := s[hot].Functions
+			s[hot].Functions = append(fns[:len(fns):len(fns)], FunctionDemand{Name: "f99", User: "u0", UserWeight: 1, Weight: 2, DesiredCPU: 750})
+			return s
+		}, work{1, 1, 0, 0}, work{1, 1, 1, 2}},
+		{"function removed", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			s[hot].Functions = s[hot].Functions[:len(s[hot].Functions)-1]
+			return s
+		}, work{1, 1, 0, 0}, work{1, 1, 1, 2}},
+		{"site reorder", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			s[10], s[60] = s[60], s[10]
+			return s
+		}, work{0, 100, 0, 0}, work{0, 100, 1, 2}},
+		{"site removed", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			removed = s[55]
+			return slices.Delete(slices.Clone(s), 55, 56)
+		}, work{0, 99, 0, 0}, work{0, 99, 1, 2}},
+		{"site added", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			return slices.Insert(slices.Clone(s), 55, removed)
+		}, work{1, 100, 0, 0}, work{1, 100, 1, 2}},
+		{"SetHierarchy with the same tree", true, func(t *testing.T, a *Allocator, h *Hierarchy, s []SiteDemand) []SiteDemand {
+			if err := a.SetHierarchy(h, true); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, work{0, 100, 0, 0}, work{0, 100, 1, 2}},
+		{"failed epoch, then recovery", true, func(t *testing.T, a *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			d := s[30].Functions[2].DesiredCPU
+			s[30].Functions[2].DesiredCPU = -1
+			if _, err := a.Allocate(s, true); err == nil {
+				t.Fatal("negative desire accepted")
+			}
+			s[30].Functions[2].DesiredCPU = d
+			return s
+		}, work{100, 0, 0, 0}, work{100, 0, 1, 2}},
+		{"capped flip", false, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
+			return s
+		}, work{100, 0, 0, 0}, work{100, 0, 0, 2}},
+	}
+	h, base := churnFederation()
+	for _, tree := range []*Hierarchy{nil, h} {
+		sites := cloneSites(base)
+		a := NewAllocator()
+		if err := a.SetHierarchy(tree, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Allocate(sites, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			name := fmt.Sprintf("hierarchy=%v %s", tree != nil, r.name)
+			sites = r.change(t, a, tree, sites)
+			res, err := a.Allocate(sites, r.capped)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := work{a.redivided, a.validated, a.cascades, len(a.snapshotted)}
+			want := r.flat
+			if tree != nil {
+				want = r.hie
+			}
+			if got != want {
+				t.Errorf("%s: work %+v, want %+v", name, got, want)
+			}
+			fresh, err := allocateHierarchical(tree, cloneSites(sites), r.capped, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := diffHierResults(fresh, res); d != "" {
+				t.Errorf("%s: %s", name, d)
+			}
+		}
+	}
+}
+
 // TestWarmValidationMatchesOneShot feeds a warm Allocator, flat and
 // hierarchical, every rejection class validate knows, with the site order
 // unchanged (only the broken sites are validated) and changed (every site
