@@ -2,7 +2,6 @@ package allocation
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strings"
 
@@ -14,42 +13,64 @@ import (
 // randomized epoch sequences, flat and hierarchical, against frozen one-shot
 // copies of the original implementation (allocator_test.go,
 // reference_test.go) — while reusing everything an epoch shares with the
-// previous one:
+// previous one. A flat federation is a hierarchy of one metro over every
+// site, with no deserved quotas and no reclaim, so both run one set of
+// passes.
 //
-//   - Sites whose SiteDemand is unchanged keep their cached pass-1 subtree,
-//     their drift-pass local allocation, and — when their pass-2 clamp input
-//     (the per-function min(entitlement, desire) vector) is also unchanged —
-//     their pass-2 feasibility clamp. A site whose function names, users
-//     and weights are unchanged updates its subtrees in place; only a
-//     structural change rebuilds them.
+// One rule decides what an epoch may reuse:
+//
+//   - Warm state is trusted only if the last epoch succeeded under the same
+//     capped flag (havePrev). A failed epoch may have swapped vectors or
+//     rebuilt trees without committing matching grants, and the flag
+//     changes every division, so either distrusts everything below.
+//   - A site's own state — its share tree, entitlement, clamp and local
+//     allocation — is trusted only if the site is clean: its report equals
+//     the last one (dirty).
+//   - State indexed by site position — the caches' order, each group's
+//     member lists and spread scope, the stub → site index — is trusted
+//     only while the site order holds (layout). SetHierarchy drops it and
+//     nothing else: the per-site state depends on no tree.
+//
+// What follows from the rule:
+//
+//   - An epoch whose order holds, whose sites are all clean and whose warm
+//     state is trusted — the steady state between demand shifts — returns
+//     the previous result, which is the answer for these inputs too, and
+//     allocates nothing.
+//   - An epoch is reshaped when the order changed, a site was rebuilt or
+//     warm state is distrusted. Only then can node IDs have changed, so
+//     only then are they checked for duplicates (fairshare.ValidateTree) on
+//     the fully mounted tree, and the result rows renamed; every division
+//     skips that check, and other epochs rewrite only the rows' numbers.
+//   - While the order holds, one comparison per site with its last report
+//     marks it dirty and picks the sites to validate: only dirty ones,
+//     because a clean site equals a report that already passed, under
+//     names the layout already checked. A changed order validates every
+//     site.
+//   - A dirty site whose function names, users and weights are unchanged
+//     updates its share tree in place; only a structural change rebuilds
+//     it.
 //   - Pass 1 divides in two levels. The upper division runs over the
 //     group vertices with each site mounted as a one-node stub that
 //     carries the site's total desire — about a tenth of the full tree's
 //     nodes. A site then re-divides its own subtree against its stub's
-//     grant only when it is dirty, has no cached entitlement, or its grant
+//     grant only when it is dirty, warm state is distrusted, or its grant
 //     moved since last epoch; otherwise it keeps its entitlement. Both
 //     give the leaves of the full division bit for bit: the parent sees a
 //     subtree only through its total desire, and a subtree granted at
 //     least its total hands every leaf its desire either way
 //     (fairshare's TestSubtreeStubComposes).
+//   - A site that did not re-divide keeps its clamp input, the
+//     per-function min(entitlement, desire) vector, without recomputing
+//     it; a clean site whose input is unchanged reuses its pass-2 clamp,
+//     and a clean site its drift-pass local allocation.
+//   - Deserved quotas depend on no demand: they are cascaded again only
+//     in a reshaped epoch or when a site weight or the total capacity
+//     changed.
 //   - Divisions return their grants by position: a site's share tree
 //     (ShareTree) by function position, and the upper division through a
 //     leaf → site-position index computed with the layout; no grant is
 //     looked up by name.
-//   - Node IDs are checked for duplicates (fairshare.ValidateTree) on the
-//     fully mounted tree only when they can have changed: after a site
-//     rebuild, a relayout, SetHierarchy, or a failed epoch. Every
-//     division skips that check.
-//   - While the site order is unchanged, one comparison per site with its
-//     last report marks it dirty, serves the steady-state fast path, and
-//     picks the sites to validate: only dirty ones, because a clean site
-//     equals a report that already passed, under names the layout already
-//     checked. A changed order validates every site.
-//   - A site neither dirty nor re-divided in pass 1 keeps its clamp input
-//     without recomputing it.
-//   - Deserved quotas depend on no demand: they are cascaded again only
-//     when the total capacity, a site weight, the layout or the hierarchy
-//     changed, a site was rebuilt, or an epoch failed.
 //   - Spread scopes collect overflow only from sites that overflow after
 //     pass 2 — grants only grow during spreading, so no other site can
 //     start to — and list servers only at sites with spare left, the only
@@ -61,45 +82,34 @@ import (
 //     (entitlement, deserved quota, clamp, grants, local allocation) is a
 //     slice in the site's Functions order, the passes address sites by
 //     their index in the epoch's site list, and function names are interned
-//     once to dense IDs for the per-function aggregates. Everything derived
-//     from the site order — the position of each cache, the hierarchy's
-//     mounted member lists and spread scopes — is recomputed only when the
-//     site names or their order change.
-//   - The result rows keep their site and function names until the layout
-//     changes or a site is rebuilt; other epochs rewrite only the numbers.
+//     once to dense IDs for the per-function aggregates.
 //   - Scratch (result rows, division outputs, spare, pool, spread and
 //     reclaim lists, the spread pass's one-level arbitration tree,
-//     validation sets) persists across epochs, so an epoch whose inputs
-//     are entirely unchanged — the steady state between demand shifts —
-//     performs zero heap allocations and returns the previous result, and
-//     a churning epoch allocates only when a reused list outgrows its
-//     backing array. A cold epoch allocates per site, not per tree node:
-//     a site's share tree is a few slabs and one ID string, its eight
-//     per-function vectors one slice, the new caches one slice, and the
-//     maps and result rows are sized from the first epoch's reports.
+//     validation sets) persists across epochs, so a churning epoch
+//     allocates only when a reused list outgrows its backing array. A cold
+//     epoch allocates per site, not per tree node: a site's share tree is a
+//     few slabs and one ID string, its eight per-function vectors one
+//     slice, the new caches one slice, and the maps and result rows are
+//     sized from the first epoch's reports.
 //
 // An Allocator is not safe for concurrent use. The returned Result is owned
 // by the Allocator and valid until the next Allocate call.
 type Allocator struct {
-	havePrev bool
+	havePrev bool // the last epoch succeeded, under capped
 	capped   bool
 
 	caches map[string]*siteCache
 	sc     []*siteCache // caches in the epoch's site order
 	layout bool         // sc and the position lists match the last site order
 	res    Result
-	rows   bool // res.Grants has a row per function of sc, Site and Function set
 
 	root      fairshare.Node
 	upperOut  []int64 // pass 1's division over the stubs, in leaf preorder
 	upperSite []int   // site position of each upperOut leaf; -1 for a group with no site present
 	spare     []int64 // by site position
 	inPool    []bool  // by site position: counted in this round's pool
-	allIdx    []int   // the flat federation's one spread scope
 
-	checkIDs     bool  // check node IDs on the fully mounted tree this epoch
-	haveDeserved bool  // every cache's deserved quota is cascaded from deservedCap
-	deservedCap  int64 // the total capacity the deserved quotas were cascaded from
+	deservedCap int64 // the total capacity the deserved quotas were cascaded from
 
 	// Per-epoch work counters, for the tests that hold warm epochs to the
 	// churn.
@@ -130,9 +140,9 @@ type Allocator struct {
 	arbLeaves []fairshare.Node
 	arbOut    []int64
 
-	// Hierarchical mode (SetHierarchy): the capacity tree's vertices, built
-	// once, with the cross-site reclaim scratch. Unused for flat
-	// federations, whose code path is unchanged.
+	// The capacity tree's vertices, built once per SetHierarchy, with the
+	// cross-site reclaim scratch. A flat federation (hier nil) is one leaf
+	// group on root, with no Group.
 	hier      *Hierarchy
 	reclaim   bool
 	hierSites map[string]Level
@@ -170,24 +180,21 @@ type siteCache struct {
 	// the function count so none can grow into the next.
 	vecs []int64
 
-	dirty        bool    // the report changed this epoch
-	entitled     []int64 // pass 1: tree divided against grant
-	grant        int64   // the stub's pass-1 grant entitled was divided from
-	haveEntitled bool
-	moved        bool    // entitled was re-divided this epoch
-	deserved     []int64 // hierarchical deserved quota
+	dirty    bool    // the report changed this epoch
+	entitled []int64 // pass 1: tree divided against grant
+	grant    int64   // the stub's pass-1 grant entitled was divided from
+	moved    bool    // entitled was re-divided this epoch
+	deserved []int64 // hierarchical deserved quota
 
 	want     []int64 // last clamp input: min(entitled, desired)
 	wantNext []int64 // this epoch's clamp input, swapped into want
-	haveWant bool
 
 	clamp  []int64 // pass-2 clamp result — the reusable value
 	sum    int64   // Σ clamp
 	over   bool    // some clamp is below its input: the site overflows
 	grants []int64 // working grants this epoch: clamp plus pass-3 spread
 
-	local     []int64 // drift pass: the site's own local allocation
-	haveLocal bool
+	local []int64 // drift pass: the site's own local allocation
 }
 
 type spreadDemand struct {
@@ -208,11 +215,13 @@ type host struct {
 	spare int64
 }
 
-// NewAllocator returns an empty Allocator; the first Allocate call behaves
-// exactly like the one-shot Allocate and primes the caches.
+// NewAllocator returns an empty Allocator for a flat federation; the first
+// Allocate call behaves exactly like the one-shot Allocate and primes the
+// caches.
 func NewAllocator() *Allocator {
-	a := &Allocator{checkIDs: true}
+	a := &Allocator{}
 	a.root.ID = "::federation"
+	_ = a.SetHierarchy(nil, false) // a nil hierarchy has nothing to reject
 	return a
 }
 
@@ -259,19 +268,12 @@ func sameShape(a *SiteDemand, b *SiteDemand) bool {
 	return true
 }
 
-// fail invalidates every cached intermediate before surfacing err: an epoch
-// abandoned partway may have swapped want vectors or rebuilt trees without
-// committing matching grants, so nothing may be reused afterwards, and the
-// next epoch checks node IDs again — the same input must fail the same way.
+// fail distrusts all warm state before surfacing err: an epoch abandoned
+// partway may have swapped want vectors or rebuilt trees without committing
+// matching grants, so the next epoch recomputes everything and checks node
+// IDs again — the same input must fail the same way.
 func (a *Allocator) fail(err error) (*Result, error) {
 	a.havePrev = false
-	a.checkIDs = true
-	a.haveDeserved = false
-	for _, c := range a.caches {
-		c.haveEntitled = false
-		c.haveWant = false
-		c.haveLocal = false
-	}
 	return nil, err
 }
 
@@ -313,9 +315,6 @@ func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 		c.fnIDs = append(c.fnIDs, a.intern(fd.Name))
 		c.desired[j] = fd.DesiredCPU
 	}
-	c.haveEntitled = false
-	c.haveWant = false
-	c.haveLocal = false
 }
 
 // totalDesire is the site's Σ DesiredCPU, its stub's desire.
@@ -338,7 +337,6 @@ func (c *siteCache) update(s *SiteDemand) {
 		c.desired[j] = fd.DesiredCPU
 	}
 	c.stub.Weight, c.stub.Desired = c.tree.root.Weight, totalDesire(s)
-	c.haveLocal = false
 }
 
 func resize(s []int64, n int) []int64 {
@@ -370,15 +368,8 @@ func (c *siteCache) clampSite(capped bool) error {
 // must have just succeeded, leaving every site name in a.siteSet.
 func (a *Allocator) relayout(sites []SiteDemand) error {
 	a.layout = false
-	a.checkIDs = true
-	a.haveDeserved = false
-	a.rows = false
-	if a.hier != nil {
-		for i := range sites {
-			if _, ok := a.hierSites[sites[i].Site]; !ok {
-				return fmt.Errorf("allocation: site %q not assigned to any hierarchy group", sites[i].Site)
-			}
-		}
+	if err := a.placeGroups(sites); err != nil {
+		return err
 	}
 	// New sites' caches come from one slab.
 	fresh := 0
@@ -405,40 +396,24 @@ func (a *Allocator) relayout(sites []SiteDemand) error {
 	}
 	a.spare = resize(a.spare, len(sites))
 	a.inPool = slices.Grow(a.inPool[:0], len(sites))[:len(sites)]
-	a.allIdx = slices.Grow(a.allIdx[:0], len(sites))
-	for i := range sites {
-		a.allIdx = append(a.allIdx, i)
-	}
-	if a.hier == nil {
-		a.upperSite = append(a.upperSite[:0], a.allIdx...)
-	} else {
-		a.placeGroups(sites)
-		a.upperSite = a.upperSite[:0]
-		a.indexStubs(a.groups[len(a.groups)-1])
-	}
+	a.upperSite = a.upperSite[:0]
+	a.indexStubs(a.groups[len(a.groups)-1])
 	a.layout = true
 	return nil
 }
 
-// mountSites hangs each site's pass-1 node under the federation root, in
-// site order, or in hierarchical mode under its leaf group's vertex, in
-// declaration order: the full subtree when full is set — the tree whose
-// node IDs ValidateTree checks — and otherwise the stub the division runs
-// over. A group none of whose sites is present is a zero-desire leaf of
-// the division.
+// mountSites hangs each site's pass-1 node under its leaf group's vertex,
+// in declaration order — a flat federation's one group is the federation
+// root, over every site in site order: the full subtree when full is set —
+// the tree whose node IDs ValidateTree checks — and otherwise the stub the
+// division runs over. A group none of whose sites is present is a
+// zero-desire leaf of the division.
 func (a *Allocator) mountSites(full bool) {
 	node := func(c *siteCache) *fairshare.Node {
 		if full {
 			return c.tree.root
 		}
 		return &c.stub
-	}
-	if a.hier == nil {
-		a.root.Children = slices.Grow(a.root.Children[:0], len(a.sc))
-		for _, c := range a.sc {
-			a.root.Children = append(a.root.Children, node(c))
-		}
-		return
 	}
 	for _, g := range a.groups {
 		if !g.leaf {
@@ -474,6 +449,11 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	}
 	a.redivided, a.validated, a.cascades = 0, 0, 0
 	a.snapshotted = a.snapshotted[:0]
+	if capped != a.capped {
+		// The water-filling refinement changes every division; nothing
+		// computed under the other flag may be reused.
+		a.havePrev, a.capped = false, capped
+	}
 	// A new site order validates every report and recomputes everything
 	// indexed by position. Then one comparison per site marks it dirty;
 	// while the order holds, that also serves the fast path and picks the
@@ -494,7 +474,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		clean = clean && !c.dirty
 	}
 	if sameOrder {
-		if clean && a.havePrev && capped == a.capped {
+		if clean && a.havePrev {
 			// Fast path: inputs identical to the previous successful epoch —
 			// the steady state between demand shifts. The cached result is
 			// that epoch's answer, which is the answer for these inputs too;
@@ -514,22 +494,12 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 			}
 		}
 	}
-	if capped != a.capped {
-		// The water-filling refinement changes every division; nothing
-		// cached under the other flag may be reused.
-		for _, c := range a.caches {
-			c.haveEntitled = false
-			c.haveWant = false
-			c.haveLocal = false
-		}
-		a.capped = capped
-	}
 
 	// Refresh the dirty sites' caches. A rebuilt site may have new node IDs
 	// and, like a new site weight, new deserved quotas. Interned names only
 	// accumulate when functions come and go; re-intern once they outnumber
 	// the live function slots well beyond any churn.
-	slots, rebuilt := 0, false
+	slots, rebuilt, reweighed := 0, false, false
 	for i, c := range a.sc {
 		s := &sites[i]
 		slots += len(s.Functions)
@@ -537,18 +507,16 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 			continue
 		}
 		if c.tree != nil && sameShape(&c.prev, s) {
-			if c.prev.Weight != s.Weight {
-				a.haveDeserved = false
-			}
+			reweighed = reweighed || c.prev.Weight != s.Weight
 			c.update(s)
 		} else {
 			c.rebuild(s, a)
 			rebuilt = true
 		}
 	}
-	if rebuilt {
-		a.checkIDs, a.haveDeserved, a.rows = true, false, false
-	}
+	// A new order, a rebuilt site or distrusted warm state may bring node
+	// IDs and row names that no successful epoch checked and wrote.
+	reshaped := !sameOrder || rebuilt || !a.havePrev
 	if rebuilt && len(a.fnID) > 2*slots+64 {
 		clear(a.fnID)
 		for _, c := range a.sc {
@@ -576,19 +544,17 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	}
 
 	// Pass 1 — entitlement: capped water-filling over the federation's
-	// total edge capacity, site → user → function. In hierarchical mode
-	// the sites mount under their group vertices — a depth-1 hierarchy
-	// (one leaf group over every site) collapses to the identical flat
-	// tree, which is what keeps it bit-for-bit with the flat allocator.
-	// The node IDs are checked on the fully mounted tree when they may
-	// have changed; the division itself runs over the site stubs, and only
-	// a site that is dirty or whose grant moved re-divides its subtree.
-	if a.checkIDs {
+	// total edge capacity, group → site → user → function; a flat
+	// federation's one group is the root. The node IDs are checked on the
+	// fully mounted tree when they may have changed; the division itself
+	// runs over the site stubs, and only a site that is dirty or whose
+	// grant moved re-divides its subtree.
+	if reshaped {
 		a.mountSites(true)
 		if err := fairshare.ValidateTree(&a.root); err != nil {
 			return a.fail(err)
 		}
-		a.checkIDs = false
+		a.nameRows()
 	}
 	a.mountSites(false)
 	var err error
@@ -600,39 +566,40 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 			continue // a group with no site present
 		}
 		c, g := a.sc[i], a.upperOut[x]
-		c.moved = c.dirty || !c.haveEntitled || g != c.grant
+		c.moved = c.dirty || !a.havePrev || g != c.grant
 		if !c.moved {
 			continue
 		}
 		if err := c.tree.Divide(c.desired, g, capped, c.entitled); err != nil {
 			return a.fail(err)
 		}
-		c.grant, c.haveEntitled = g, true
+		c.grant = g
 		a.redivided++
 	}
-	if a.hier != nil && (!a.haveDeserved || a.deservedCap != a.res.TotalCapacityCPU) {
+	if a.hier != nil && (reshaped || reweighed || a.deservedCap != a.res.TotalCapacityCPU) {
 		// Deserved quotas: demand-independent guaranteed shares cascaded
 		// down the same tree the entitlement pass just divided.
 		a.cascadeDeserved(a.groups[len(a.groups)-1], a.res.TotalCapacityCPU)
-		a.haveDeserved, a.deservedCap = true, a.res.TotalCapacityCPU
+		a.deservedCap = a.res.TotalCapacityCPU
 		a.cascades++
 	}
 
 	// Pass 2 — feasibility: clamp each site's enforceable grants to its
 	// physical capacity. The clamp input is the per-function
-	// min(entitlement, desire) vector: unchanged at a site neither dirty
-	// nor re-divided, and otherwise recomputed. A clean site whose vector
-	// is unchanged — entitlements depend on every site, so dirtiness
-	// elsewhere can shift it — reuses last epoch's clamp verbatim.
+	// min(entitlement, desire) vector: unchanged at a site that did not
+	// re-divide in pass 1 — every present site is mounted, and a dirty one
+	// always re-divides — and otherwise recomputed. A clean site whose
+	// vector is unchanged — entitlements depend on every site, so
+	// dirtiness elsewhere can shift it — reuses last epoch's clamp
+	// verbatim.
 	for i, c := range a.sc {
-		if c.dirty || c.moved || !c.haveWant {
+		if c.moved {
 			c.wantNext = c.wantNext[:0]
 			for j, fd := range c.prev.Functions {
 				c.wantNext = append(c.wantNext, min(c.entitled[j], fd.DesiredCPU))
 			}
-			stale := c.dirty || !c.haveWant || !slices.Equal(c.wantNext, c.want)
+			stale := c.dirty || !a.havePrev || !slices.Equal(c.wantNext, c.want)
 			c.want, c.wantNext = c.wantNext, c.want
-			c.haveWant = true
 			if stale {
 				if err := c.clampSite(capped); err != nil {
 					return a.fail(err)
@@ -648,24 +615,18 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 
 	// Pass 3 — spreading: entitlement displaced by the physical clamp is
 	// granted at other sites that serve the same function and have idle
-	// capacity, arbitrated by a second weight-proportional water-filling.
-	// Flat federations spread over every site at once; hierarchies spread
-	// level by level, metro scopes first, and reclaim — when enabled —
-	// then preempts borrowed capacity for starved deserved quotas before
-	// stranded/drift accounting sees the grants.
-	if a.hier == nil {
-		if err := a.spread(a.allIdx); err != nil {
+	// capacity, arbitrated by a second weight-proportional water-filling,
+	// level by level, metro scopes first — a flat federation's one scope
+	// is every site. Reclaim — when enabled — then preempts borrowed
+	// capacity for starved deserved quotas before stranded/drift
+	// accounting sees the grants.
+	for _, g := range a.groups {
+		if err := a.spread(g.idxs); err != nil {
 			return a.fail(err)
 		}
-	} else {
-		for _, g := range a.groups {
-			if err := a.spread(g.idxs); err != nil {
-				return a.fail(err)
-			}
-		}
-		if a.reclaim {
-			a.runReclaim()
-		}
+	}
+	if a.reclaim {
+		a.runReclaim()
 	}
 
 	return a.finish(capped)
@@ -907,6 +868,21 @@ func (a *Allocator) nextHost(hosts []host) host {
 	return hosts[best]
 }
 
+// nameRows writes the result rows' site and function names, a row per
+// function of every site in site order; finish fills in their numbers.
+func (a *Allocator) nameRows() {
+	n := 0
+	for _, c := range a.sc {
+		n += len(c.prev.Functions)
+	}
+	a.res.Grants = slices.Grow(a.res.Grants[:0], n)
+	for _, c := range a.sc {
+		for _, fd := range c.prev.Functions {
+			a.res.Grants = append(a.res.Grants, Grant{Site: c.prev.Site, Function: fd.Name})
+		}
+	}
+}
+
 // finish computes the stranded/drift accounting and materializes the
 // result rows from the per-site working grants — common to flat and
 // hierarchical epochs, always over the final (post-spread, post-reclaim)
@@ -935,11 +911,10 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 	// locally from the same demands. The local division depends only on the
 	// site's own demand report, so clean sites reuse last epoch's.
 	for _, c := range a.sc {
-		if !c.haveLocal {
+		if c.dirty || !a.havePrev {
 			if err := c.tree.Divide(c.desired, c.prev.CapacityCPU, capped, c.local); err != nil {
 				return a.fail(err)
 			}
-			c.haveLocal = true
 		}
 		for j, l := range c.local {
 			d := c.grants[j] - l
@@ -950,21 +925,6 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 		}
 	}
 
-	// The result rows carry names that change only with the layout or a
-	// site rebuild; every other epoch rewrites just their numbers.
-	if !a.rows {
-		n := 0
-		for _, c := range a.sc {
-			n += len(c.prev.Functions)
-		}
-		a.res.Grants = slices.Grow(a.res.Grants[:0], n)
-		for _, c := range a.sc {
-			for _, fd := range c.prev.Functions {
-				a.res.Grants = append(a.res.Grants, Grant{Site: c.prev.Site, Function: fd.Name})
-			}
-		}
-		a.rows = true
-	}
 	rows := a.res.Grants
 	for _, c := range a.sc {
 		for j, fd := range c.prev.Functions {

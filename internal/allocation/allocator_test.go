@@ -938,7 +938,7 @@ func TestAllocatorInvalidationTable(t *testing.T) {
 		}, work{100, 0, 0, 0}, work{100, 0, 1, 2}},
 		{"capped flip", false, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
 			return s
-		}, work{100, 0, 0, 0}, work{100, 0, 0, 2}},
+		}, work{100, 0, 0, 0}, work{100, 0, 1, 2}},
 	}
 	h, base := churnFederation()
 	for _, tree := range []*Hierarchy{nil, h} {

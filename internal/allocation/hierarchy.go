@@ -27,8 +27,9 @@ import (
 //     reclaim enabled) preempts them at a peer when a function's deserved
 //     share is starved at its home site.
 //
-// A Hierarchy whose root is a single leaf Group over every site is
-// depth-1 and reproduces the flat federation allocator bit for bit.
+// A flat federation is depth-1: the Allocator runs it as a single leaf
+// group over every site, so an explicit Hierarchy of that shape gives the
+// same grants.
 type Hierarchy struct {
 	Root *Group
 }
@@ -186,22 +187,23 @@ type Reclaim struct {
 	CPU      int64  // millicores moved
 }
 
-// SetHierarchy switches the allocator between the flat federation (nil)
-// and a region→metro→site capacity tree: pass 1 mounts the site stubs
-// under the hierarchy's groups for its upper division, pass 3 water-fills
-// displaced entitlement level by level (metro first, then outward), and —
-// with reclaim enabled — a final pass preempts borrowed capacity at metro
-// peers for functions starved of their deserved quota. The group vertices
-// are built here, so h must not change until the next SetHierarchy call.
-// The previous result is invalidated so the steady-state fast path can
-// never serve an answer computed under a different tree, and the next
-// epoch checks the node IDs of the newly mounted tree. Per-site caches
-// stay valid: the clamp and local allocation depend only on each site's
-// own demand and want vector, and the entitlement on the site's subtree
-// and its stub's grant, which a site re-divides for if the new tree moves
-// it.
+// SetHierarchy switches the allocator between the flat federation (nil),
+// one leaf group over every site in site order, and a region→metro→site
+// capacity tree: pass 1 mounts the site stubs under the hierarchy's groups
+// for its upper division, pass 3 water-fills displaced entitlement level
+// by level (metro first, then outward), deserved quotas are cascaded down
+// the tree, and — with reclaim enabled — a final pass preempts borrowed
+// capacity at metro peers for functions starved of their deserved quota.
+// The group vertices are built here, so h must not change until the next
+// SetHierarchy call. It drops only the state indexed by site position:
+// the next epoch therefore lays the sites out again, misses the
+// steady-state fast path, checks the node IDs of the newly mounted tree
+// and cascades deserved quotas. Per-site caches stay valid: the clamp and
+// local allocation depend only on each site's own demand and want vector,
+// and the entitlement on the site's subtree and its stub's grant, which a
+// site re-divides for if the new tree moves it.
 func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
-	var groups, sites int
+	groups, sites := 1, 0
 	if h != nil {
 		var err error
 		if groups, sites, err = h.check(); err != nil {
@@ -210,22 +212,19 @@ func (a *Allocator) SetHierarchy(h *Hierarchy, reclaim bool) error {
 	}
 	a.hier = h
 	a.reclaim = reclaim && h != nil
-	a.havePrev = false
 	a.layout = false
-	a.checkIDs = true
 	a.hierSites = nil
-	a.groups = a.groups[:0]
 	if h != nil {
 		a.hierSites = h.levels(sites)
-		a.buildGroups(h.Root, groups)
 	}
+	a.buildGroups(h, groups)
 	return nil
 }
 
 // hierGroup is one hierarchy group's vertex in the pass-1 tree and its
 // member lists against the current site order (placeGroups).
 type hierGroup struct {
-	g        *Group
+	g        *Group // nil for the flat federation's one group
 	node     *fairshare.Node
 	children []*hierGroup // interior groups only
 	leaf     bool         // a metro: lists sites, mounts its sites
@@ -271,13 +270,19 @@ type groupSlabs struct {
 	ids    string            // "group:"+ID of every non-root group, in preorder
 }
 
-// buildGroups builds the vertices of root's valid tree of n groups, root's
-// node being the federation root, from one slab of each kind.
-func (a *Allocator) buildGroups(root *Group, n int) {
+// buildGroups builds the vertices of h's valid tree of n groups, its root's
+// node being the federation root, from one slab of each kind. A nil h is
+// the flat federation's one leaf group, with no Group.
+func (a *Allocator) buildGroups(h *Hierarchy, n int) {
+	a.groups = slices.Grow(a.groups[:0], n)
+	if h == nil {
+		a.groups = append(a.groups, &hierGroup{node: &a.root, leaf: true})
+		return
+	}
+	root := h.Root
 	var b strings.Builder
 	b.Grow(root.idBytes())
 	root.writeIDs(&b)
-	a.groups = slices.Grow(a.groups[:0], n)
 	a.buildGroup(root, &a.root, &groupSlabs{
 		groups: make([]hierGroup, n),
 		nodes:  make([]fairshare.Node, n-1),
@@ -308,9 +313,23 @@ func (g *Group) writeIDs(b *strings.Builder) {
 // placeGroups resolves every group's members against the epoch's site
 // order: leaf groups' present members in declaration order (their mount
 // order), and each group's member positions ascending (its spread scope).
-func (a *Allocator) placeGroups(sites []SiteDemand) {
+// The flat federation's one group has every site, in site order; under a
+// hierarchy, a site no group lists is an error.
+func (a *Allocator) placeGroups(sites []SiteDemand) error {
+	if a.hier == nil {
+		g := a.groups[0]
+		g.mount = slices.Grow(g.mount[:0], len(sites))
+		for i := range sites {
+			g.mount = append(g.mount, i)
+		}
+		g.idxs = g.mount
+		return nil
+	}
 	clear(a.sitePos)
 	for i := range sites {
+		if _, ok := a.hierSites[sites[i].Site]; !ok {
+			return fmt.Errorf("allocation: site %q not assigned to any hierarchy group", sites[i].Site)
+		}
 		a.sitePos[sites[i].Site] = i
 	}
 	for _, hg := range a.groups { // children before parents
@@ -330,6 +349,7 @@ func (a *Allocator) placeGroups(sites []SiteDemand) {
 		}
 		slices.Sort(hg.idxs)
 	}
+	return nil
 }
 
 // indexStubs appends to upperSite, in preorder, the site position of each

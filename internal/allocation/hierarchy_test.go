@@ -70,8 +70,8 @@ func TestHierarchyValidate(t *testing.T) {
 }
 
 // depth1 builds the degenerate hierarchy — one leaf group over every site
-// name the fuzz can generate — which must reproduce the flat allocator
-// bit for bit on everything the flat allocator computes.
+// name the fuzz can generate — spelled out as an explicit Group, the same
+// shape as the flat allocator's implicit one.
 func depth1() *Hierarchy {
 	g := &Group{ID: "all"}
 	for i := 0; i < 12; i++ {
@@ -105,12 +105,15 @@ func diffFlatFields(want, got *Result) string {
 	return ""
 }
 
-// TestDepth1HierarchyMatchesFlatFuzz is the PR's differential guard: a
-// depth-1 hierarchy (one leaf group over every site, reclaim off) mounts
-// the identical pass-1 tree and runs a single spread scope, so its output
-// must match the flat incremental allocator — which the flat fuzz in turn
-// pins to the frozen one-shot reference — on every flat field, across
-// randomized epoch sequences, including error parity.
+// TestDepth1HierarchyMatchesFlatFuzz compares the flat allocator's
+// implicit one-metro group — the federation root over every site, in site
+// order — with an explicit one (a depth-1 Hierarchy, reclaim off): both
+// mount the identical pass-1 tree and run a single spread scope, so their
+// output must match — and the flat fuzz in turn pins the flat allocator
+// to the frozen one-shot reference — on every flat field, across
+// randomized epoch sequences, including error parity. The explicit group
+// mounts its sites in declaration order, which the fuzz's site order
+// need not follow; it still must agree.
 func TestDepth1HierarchyMatchesFlatFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := xrand.New(uint64(seed))

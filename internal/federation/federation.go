@@ -202,8 +202,9 @@ type Config struct {
 	// tree and water-fills displaced demand level by level — same-metro
 	// first — instead of in one federation-wide pool; each grant reports
 	// its DeservedCPU and the revocable BorrowedCPU above it. The tree must
-	// cover every site name. Nil means a flat federation, bit-for-bit the
-	// historical allocator.
+	// cover every site name. Nil means a flat federation, which the
+	// allocator runs as one group over every site, with no deserved or
+	// borrowed quotas.
 	Hierarchy *allocation.Hierarchy
 	// Reclaim enables cross-site reclamation within each metro: when a
 	// function's deserved share is starved at its home site, the allocator
