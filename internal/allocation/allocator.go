@@ -29,7 +29,8 @@ import (
 //   - State indexed by site position — the caches' order, each group's
 //     member lists and spread scope, the stub → site index — is trusted
 //     only while the site order holds (layout). SetHierarchy drops it and
-//     nothing else: the per-site state depends on no tree.
+//     nothing else: of a site's state only its deserved quotas depend on
+//     the tree, and a new order cascades them again.
 //
 // What follows from the rule:
 //
@@ -38,10 +39,11 @@ import (
 //     the previous result, which is the answer for these inputs too, and
 //     allocates nothing.
 //   - An epoch is reshaped when the order changed, a site was rebuilt or
-//     warm state is distrusted. Only then can node IDs have changed, so
-//     only then are they checked for duplicates (fairshare.ValidateTree) on
-//     the fully mounted tree, and the result rows renamed; every division
-//     skips that check, and other epochs rewrite only the rows' numbers.
+//     warm state is distrusted. Only then can the tree carry node IDs that
+//     no successful epoch checked, so only then are they checked for
+//     duplicates (fairshare.ValidateTree) on the fully mounted tree, and
+//     the result rows renamed; every division skips that check, and other
+//     epochs rewrite only the rows' numbers.
 //   - While the order holds, one comparison per site with its last report
 //     marks it dirty and picks the sites to validate: only dirty ones,
 //     because a clean site equals a report that already passed, under

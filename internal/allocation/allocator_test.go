@@ -597,7 +597,7 @@ func coldEpoch(h *Hierarchy, sites []SiteDemand) (*Result, error) {
 // hierarchy's vertices and the spread's server lists one slab each, and
 // the maps and result rows are sized once. The fairshare scratch is shared
 // across allocators, so after the first run it is not counted. The limit
-// is the measured 1,119 (1,171 under -race) plus a small margin.
+// is the measured 1,120 (1,172 under -race) plus a small margin.
 func TestColdEpochAllocs(t *testing.T) {
 	const coldEpochAllocs = 1200
 	h, sites := churnFederation()

@@ -27,7 +27,7 @@ import (
 //     reclaim enabled) preempts them at a peer when a function's deserved
 //     share is starved at its home site.
 //
-// A flat federation is depth-1: the Allocator runs it as a single leaf
+// A flat federation *is* depth-1: the Allocator runs it as a single leaf
 // group over every site, so an explicit Hierarchy of that shape gives the
 // same grants.
 type Hierarchy struct {

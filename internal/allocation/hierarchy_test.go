@@ -107,13 +107,12 @@ func diffFlatFields(want, got *Result) string {
 
 // TestDepth1HierarchyMatchesFlatFuzz compares the flat allocator's
 // implicit one-metro group — the federation root over every site, in site
-// order — with an explicit one (a depth-1 Hierarchy, reclaim off): both
-// mount the identical pass-1 tree and run a single spread scope, so their
-// output must match — and the flat fuzz in turn pins the flat allocator
-// to the frozen one-shot reference — on every flat field, across
-// randomized epoch sequences, including error parity. The explicit group
-// mounts its sites in declaration order, which the fuzz's site order
-// need not follow; it still must agree.
+// order — with an explicit one: a depth-1 Hierarchy with reclaim off,
+// which mounts its sites in declaration order even when the fuzz reorders
+// them. Both divide the same pass-1 tree and run a single spread scope,
+// so their output must match on every flat field, errors included, across
+// randomized epoch sequences; the flat fuzz in turn pins the flat
+// allocator to the frozen one-shot reference.
 func TestDepth1HierarchyMatchesFlatFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := xrand.New(uint64(seed))
