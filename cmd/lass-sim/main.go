@@ -146,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			if i >= len(traceRows) {
 				return fmt.Errorf("trace has %d rows but %d functions requested", len(traceRows), i+1)
 			}
-			wl, err = azure.Schedule(traceRows[i].Counts)
+			wl, err = workload.FromPerMinuteCounts(traceRows[i].Counts)
 		} else {
 			rate := 10.0
 			if len(parts) == 2 {

@@ -58,8 +58,7 @@ type FunctionDemand struct {
 // SiteDemand is one edge site's demand report for a global epoch.
 type SiteDemand struct {
 	Site        string
-	Weight      float64 // site weight at the tree root (0 → 1)
-	CapacityCPU int64   // the site's physical CPU capacity, millicores
+	CapacityCPU int64 // the site's physical CPU capacity, millicores
 	Functions   []FunctionDemand
 }
 
@@ -129,8 +128,8 @@ type ShareTree struct {
 	pre    []int64           // a division's grants, in leaf preorder
 }
 
-// NewShareTree builds fns' tree under a root node with the given ID and
-// weight. Its other node IDs are id+"/user:"+user and id+"/"+name, so the
+// NewShareTree builds fns' tree under a weight-1 root node with the given
+// ID. Its other node IDs are id+"/user:"+user and id+"/"+name, so the
 // trees of a whole federation can be checked for duplicates at once. A
 // user weight that is not positive counts as 1.
 //
@@ -139,7 +138,7 @@ type ShareTree struct {
 // every ID below the root is a substring of one string. Each child list is
 // capped at its own length, so appending to one cannot overwrite another.
 // Users are found by a linear scan, not a map: a site has few users.
-func NewShareTree(id string, weight float64, fns []FunctionDemand) *ShareTree {
+func NewShareTree(id string, fns []FunctionDemand) *ShareTree {
 	n := len(fns)
 	// userOf[j] is function j's user index; first[u] is the position of
 	// user u's first function, which fixes its name and weight. size is
@@ -187,7 +186,7 @@ func NewShareTree(id string, weight float64, fns []FunctionDemand) *ShareTree {
 	nodes := make([]fairshare.Node, 1+users+n)
 	ptrs := make([]*fairshare.Node, users+2*n)
 	t := &ShareTree{root: &nodes[0], leaves: ptrs[users+n:]}
-	t.root.ID, t.root.Weight = id, weight
+	t.root.ID, t.root.Weight = id, 1
 	t.root.Children = ptrs[:users:users]
 	leafNodes, kids := nodes[1+users:], ptrs[users:users+n]
 	for u, f := range first {
@@ -269,8 +268,8 @@ func (t *ShareTree) cascade(n *fairshare.Node, share int64, k int, out []int64) 
 // finite reports whether w is neither NaN nor infinite.
 func finite(w float64) bool { return !math.IsNaN(w) && !math.IsInf(w, 0) }
 
-// treeWeight is a site's or group's weight in the fair-share tree: 0 means
-// the default 1.
+// treeWeight is a hierarchy group's weight in the fair-share tree: 0 means
+// the default 1, the weight every site has.
 func treeWeight(w float64) float64 {
 	if w == 0 {
 		return 1
@@ -302,18 +301,12 @@ func validate(sites []SiteDemand, seenSite, seenFn map[string]bool) error {
 	return nil
 }
 
-// validateSite checks one report's capacity, weight and functions —
+// validateSite checks one report's capacity and functions —
 // everything validate checks apart from the site names, which only the
 // whole list can. seenFn is caller-owned scratch, cleared here.
 func validateSite(s *SiteDemand, seenFn map[string]bool) error {
 	if s.CapacityCPU < 0 {
 		return fmt.Errorf("allocation: site %q has negative capacity %d", s.Site, s.CapacityCPU)
-	}
-	if s.Weight < 0 {
-		return fmt.Errorf("allocation: site %q has negative weight %v", s.Site, s.Weight)
-	}
-	if !finite(s.Weight) {
-		return fmt.Errorf("allocation: site %q has non-finite weight %v", s.Site, s.Weight)
 	}
 	clear(seenFn)
 	for _, fd := range s.Functions {

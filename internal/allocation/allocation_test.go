@@ -142,39 +142,6 @@ func TestAllocateZeroDemandSite(t *testing.T) {
 	}
 }
 
-// Site weights shift entitlement: with a heavy root weight, a site's
-// functions win the federation-level arbitration during global overload,
-// and the light site's functions are held below their local fair share.
-func TestAllocateSiteWeights(t *testing.T) {
-	mk := func(heavyWeight float64) []SiteDemand {
-		return []SiteDemand{
-			{Site: "a", Weight: heavyWeight, CapacityCPU: 4000, Functions: []FunctionDemand{
-				{Name: "f", Weight: 1, DesiredCPU: 5000},
-			}},
-			{Site: "b", Weight: 1, CapacityCPU: 4000, Functions: []FunctionDemand{
-				{Name: "g", Weight: 1, DesiredCPU: 5000},
-			}},
-		}
-	}
-	even, err := Allocate(mk(1), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skew, err := Allocate(mk(3), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evenB := grantOf(t, even, "b", "g").GrantedCPU
-	skewB := grantOf(t, skew, "b", "g").GrantedCPU
-	if skewB >= evenB {
-		t.Errorf("b/g granted %d under 3:1 site weights, want < %d (even weights)", skewB, evenB)
-	}
-	// a cannot physically host more than 4000 regardless of weight.
-	if a := grantOf(t, skew, "a", "f").GrantedCPU; a != 4000 {
-		t.Errorf("a/f granted %d want clamp at 4000", a)
-	}
-}
-
 // User namespaces arbitrate inside each site exactly as the §5 two-level
 // tree does.
 func TestAllocateUserHierarchy(t *testing.T) {
@@ -257,14 +224,13 @@ func TestAllocateValidation(t *testing.T) {
 }
 
 // TestAllocateRejectsNonFiniteWeights: a NaN or infinite function weight
-// used to come out as a MinInt64 grant with a nil error, a NaN site weight
-// was accepted, and a NaN or infinite user weight failed only deep inside
-// the division, blaming a negative capacity. Each is now rejected up
-// front, naming the weight.
+// used to come out as a MinInt64 grant with a nil error, and a NaN or
+// infinite user weight failed only deep inside the division, blaming a
+// negative capacity. Each is now rejected up front, naming the weight.
 func TestAllocateRejectsNonFiniteWeights(t *testing.T) {
-	site := func(w, fw, uw float64) []SiteDemand {
+	site := func(fw, uw float64) []SiteDemand {
 		return []SiteDemand{
-			{Site: "a", Weight: w, CapacityCPU: 1000, Functions: []FunctionDemand{
+			{Site: "a", CapacityCPU: 1000, Functions: []FunctionDemand{
 				{Name: "f", User: "u", UserWeight: uw, Weight: fw, DesiredCPU: 400},
 				{Name: "g", Weight: 1, DesiredCPU: 900},
 			}},
@@ -276,9 +242,8 @@ func TestAllocateRejectsNonFiniteWeights(t *testing.T) {
 			name, want string
 			sites      []SiteDemand
 		}{
-			{"site weight", "weight", site(bad, 1, 1)},
-			{"function weight", "weight", site(0, bad, 1)},
-			{"user weight", "user weight", site(0, 1, bad)},
+			{"function weight", "weight", site(bad, 1)},
+			{"user weight", "user weight", site(1, bad)},
 		}
 		for _, c := range cases {
 			res, err := Allocate(c.sites, true)

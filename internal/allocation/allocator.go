@@ -67,8 +67,7 @@ import (
 //     it; a clean site whose input is unchanged reuses its pass-2 clamp,
 //     and a clean site its drift-pass local allocation.
 //   - Deserved quotas depend on no demand: they are cascaded again only
-//     in a reshaped epoch or when a site weight or the total capacity
-//     changed.
+//     in a reshaped epoch or when the total capacity changed.
 //   - Divisions return their grants by position: a site's share tree
 //     (ShareTree) by function position, and the upper division through a
 //     leaf → site-position index computed with the layout; no grant is
@@ -165,16 +164,15 @@ type siteCache struct {
 	// tree is the site's share tree. Pass 1 divides the raw desires against
 	// the stub's grant, pass 2 the clamp input and the drift pass the raw
 	// desires against the site's own capacity — a division never reads the
-	// root node's weight, so one tree serves all three. Its root weight is
-	// the site weight, so the fully mounted tree whose IDs ValidateTree
-	// checks is the one-shot allocator's.
+	// root node's weight, so one tree serves all three. Mounted whole, it
+	// is the subtree whose IDs ValidateTree checks.
 	tree    *ShareTree
 	desired []int64 // the report's desires
 	fnIDs   []int32 // interned function names
 
-	// stub stands in for tree in pass 1's upper division: tree's ID and
-	// weight, and Desired the site's total desire, refreshed only when the
-	// site is dirty.
+	// stub stands in for tree in pass 1's upper division: tree's ID, weight
+	// 1, and Desired the site's total desire, refreshed only when the site
+	// is dirty.
 	stub fairshare.Node
 
 	// vecs backs the eight per-function vectors (desired, entitled,
@@ -242,8 +240,7 @@ func (a *Allocator) makeMaps(sites []SiteDemand) {
 }
 
 func siteEqual(a *SiteDemand, b *SiteDemand) bool {
-	if a.Site != b.Site || a.Weight != b.Weight ||
-		a.CapacityCPU != b.CapacityCPU || len(a.Functions) != len(b.Functions) {
+	if a.Site != b.Site || a.CapacityCPU != b.CapacityCPU || len(a.Functions) != len(b.Functions) {
 		return false
 	}
 	for i := range a.Functions {
@@ -256,7 +253,7 @@ func siteEqual(a *SiteDemand, b *SiteDemand) bool {
 
 // sameShape reports whether b has a's function names, users and weights in
 // the same order — everything the subtrees' shape, IDs and weights depend
-// on apart from the site weight.
+// on.
 func sameShape(a *SiteDemand, b *SiteDemand) bool {
 	if len(a.Functions) != len(b.Functions) {
 		return false
@@ -294,13 +291,12 @@ func (a *Allocator) intern(name string) int32 {
 // and structurally changed ones — others are updated in place or reused.
 func (c *siteCache) rebuild(s *SiteDemand, a *Allocator) {
 	c.prev.Site = s.Site
-	c.prev.Weight = s.Weight
 	c.prev.CapacityCPU = s.CapacityCPU
 	c.prev.Functions = append(c.prev.Functions[:0], s.Functions...)
 
 	id := "site:" + s.Site
-	c.tree = NewShareTree(id, treeWeight(s.Weight), c.prev.Functions)
-	c.stub = fairshare.Node{ID: id, Weight: c.tree.root.Weight, Desired: totalDesire(s)}
+	c.tree = NewShareTree(id, c.prev.Functions)
+	c.stub = fairshare.Node{ID: id, Weight: 1, Desired: totalDesire(s)}
 
 	n := len(c.prev.Functions)
 	if cap(c.vecs) < 8*n {
@@ -329,16 +325,14 @@ func totalDesire(s *SiteDemand) int64 {
 }
 
 // update applies a report with the cached shape (sameShape) in place: new
-// desires, capacity, and the site weight, on the tree and its stub.
+// desires and capacity, and the stub's total desire.
 func (c *siteCache) update(s *SiteDemand) {
-	c.prev.Weight = s.Weight
 	c.prev.CapacityCPU = s.CapacityCPU
 	copy(c.prev.Functions, s.Functions)
-	c.tree.root.Weight = treeWeight(s.Weight)
 	for j, fd := range s.Functions {
 		c.desired[j] = fd.DesiredCPU
 	}
-	c.stub.Weight, c.stub.Desired = c.tree.root.Weight, totalDesire(s)
+	c.stub.Desired = totalDesire(s)
 }
 
 func resize(s []int64, n int) []int64 {
@@ -498,10 +492,10 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	}
 
 	// Refresh the dirty sites' caches. A rebuilt site may have new node IDs
-	// and, like a new site weight, new deserved quotas. Interned names only
-	// accumulate when functions come and go; re-intern once they outnumber
-	// the live function slots well beyond any churn.
-	slots, rebuilt, reweighed := 0, false, false
+	// and new deserved quotas. Interned names only accumulate when
+	// functions come and go; re-intern once they outnumber the live
+	// function slots well beyond any churn.
+	slots, rebuilt := 0, false
 	for i, c := range a.sc {
 		s := &sites[i]
 		slots += len(s.Functions)
@@ -509,7 +503,6 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 			continue
 		}
 		if c.tree != nil && sameShape(&c.prev, s) {
-			reweighed = reweighed || c.prev.Weight != s.Weight
 			c.update(s)
 		} else {
 			c.rebuild(s, a)
@@ -578,7 +571,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		c.grant = g
 		a.redivided++
 	}
-	if a.hier != nil && (reshaped || reweighed || a.deservedCap != a.res.TotalCapacityCPU) {
+	if a.hier != nil && (reshaped || a.deservedCap != a.res.TotalCapacityCPU) {
 		// Deserved quotas: demand-independent guaranteed shares cascaded
 		// down the same tree the entitlement pass just divided.
 		a.cascadeDeserved(a.groups[len(a.groups)-1], a.res.TotalCapacityCPU)

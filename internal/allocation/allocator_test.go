@@ -32,11 +32,7 @@ func referenceAllocate(sites []SiteDemand, capped bool) (*Result, error) {
 	// total edge capacity, site → user → function.
 	root := &fairshare.Node{ID: "::federation"}
 	for _, s := range sites {
-		w := s.Weight
-		if w == 0 {
-			w = 1
-		}
-		root.Children = append(root.Children, subtree(s, "site:"+s.Site, w, nil))
+		root.Children = append(root.Children, subtree(s, "site:"+s.Site, nil))
 	}
 	entitled, err := allocateTree(root, res.TotalCapacityCPU, capped)
 	if err != nil {
@@ -57,7 +53,7 @@ func referenceAllocate(sites []SiteDemand, capped bool) (*Result, error) {
 			}
 			want[fd.Name] = e
 		}
-		g, err := allocateTree(subtree(s, id, 1, want), s.CapacityCPU, capped)
+		g, err := allocateTree(subtree(s, id, want), s.CapacityCPU, capped)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +222,7 @@ func referenceAllocate(sites []SiteDemand, capped bool) (*Result, error) {
 
 	for _, s := range sites {
 		id := "site:" + s.Site
-		local, err := allocateTree(subtree(s, id, 1, nil), s.CapacityCPU, capped)
+		local, err := allocateTree(subtree(s, id, nil), s.CapacityCPU, capped)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +276,7 @@ func TestShareTreeMatchesSubtree(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		for _, s := range fuzzFederation(rng) {
 			id := "site:" + s.Site
-			tree := NewShareTree(id, treeWeight(s.Weight), s.Functions)
+			tree := NewShareTree(id, s.Functions)
 			desire := make([]int64, len(s.Functions))
 			byName := make(map[string]int64, len(s.Functions))
 			for j, fd := range s.Functions {
@@ -289,7 +285,7 @@ func TestShareTreeMatchesSubtree(t *testing.T) {
 			}
 			capacity := int64(rng.Intn(8)) * 500
 			for _, capped := range []bool{false, true} {
-				want, err := allocateTree(subtree(s, id, treeWeight(s.Weight), byName), capacity, capped)
+				want, err := allocateTree(subtree(s, id, byName), capacity, capped)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -305,7 +301,7 @@ func TestShareTreeMatchesSubtree(t *testing.T) {
 			}
 		}
 	}
-	if err := NewShareTree("site:empty", 1, nil).Divide(nil, 1000, true, nil); err != nil {
+	if err := NewShareTree("site:empty", nil).Divide(nil, 1000, true, nil); err != nil {
 		t.Errorf("empty site: %v", err)
 	}
 }
@@ -315,8 +311,8 @@ var fuzzFnPool = []string{"auth", "encode", "infer", "ocr", "resize", "translate
 
 // fuzzFederation generates a random valid federation: sites drawing
 // functions from a shared pool (so the spread pass has cross-site hosts),
-// occasional user namespaces, per-site weight disagreements, zero desires,
-// and zero-capacity sites.
+// occasional user namespaces, per-site function-weight disagreements, zero
+// desires, and zero-capacity sites.
 func fuzzFederation(rng *xrand.Rand) []SiteDemand {
 	fnPool := fuzzFnPool
 	n := 2 + rng.Intn(9)
@@ -324,7 +320,6 @@ func fuzzFederation(rng *xrand.Rand) []SiteDemand {
 	for i := 0; i < n; i++ {
 		s := SiteDemand{
 			Site:        fmt.Sprintf("s%02d", i),
-			Weight:      float64(rng.Intn(4)), // 0 means "default 1"
 			CapacityCPU: int64(rng.Intn(6)) * 1000,
 		}
 		k := 1 + rng.Intn(len(fnPool))
@@ -423,9 +418,6 @@ func mutate(rng *xrand.Rand, sites []SiteDemand) []SiteDemand {
 			s.Functions[j].DesiredCPU = int64(rng.Intn(7)) * 500
 			if rng.Intn(4) == 0 {
 				s.CapacityCPU = int64(rng.Intn(6)) * 1000
-			}
-			if rng.Intn(8) == 0 {
-				s.Weight = float64(rng.Intn(4))
 			}
 		}
 		return sites
@@ -764,9 +756,8 @@ func starvedMetros(h *Hierarchy, sites []SiteDemand, pre *Result) []string {
 // TestWarmEpochWorkScalesWithChurn counts what a warm epoch does on the
 // control_churn-shaped federation. With k sites changing desires, exactly
 // k reports are validated and no deserved cascade runs — deserved quotas
-// depend on no demand — while a capacity change, a site-weight change,
-// SetHierarchy and a failed epoch each cost exactly one cascade on the
-// next epoch. Reclaim snapshots its victims in exactly the metros with a
+// depend on no demand — while a capacity change, SetHierarchy and a
+// failed epoch each cost exactly one cascade on the next epoch. Reclaim snapshots its victims in exactly the metros with a
 // starved claim that survives netting; an unchanged epoch returns the last
 // result and runs nothing. Every epoch matches the one-shot allocation.
 func TestWarmEpochWorkScalesWithChurn(t *testing.T) {
@@ -824,10 +815,8 @@ func TestWarmEpochWorkScalesWithChurn(t *testing.T) {
 	}
 	sites[7].CapacityCPU += 1000
 	run("capacity change", 1, 1)
-	sites[12].Weight = 3
-	run("site-weight change", 1, 1)
 	sites[12].Functions[0].DesiredCPU += 250
-	run("demand after the weight change", 1, 0)
+	run("demand after the capacity change", 1, 0)
 	if err := a.SetHierarchy(h, true); err != nil {
 		t.Fatal(err)
 	}
@@ -895,10 +884,6 @@ func TestAllocatorInvalidationTable(t *testing.T) {
 		}, work{1, 1, 0, 0}, work{1, 1, 0, 2}},
 		{"capacity", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
 			s[hot].CapacityCPU += 1000
-			return s
-		}, work{1, 1, 0, 0}, work{1, 1, 1, 2}},
-		{"site weight", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
-			s[hot].Weight = 3
 			return s
 		}, work{1, 1, 0, 0}, work{1, 1, 1, 2}},
 		{"function added", true, func(_ *testing.T, _ *Allocator, _ *Hierarchy, s []SiteDemand) []SiteDemand {
@@ -991,9 +976,6 @@ func TestWarmValidationMatchesOneShot(t *testing.T) {
 		{"empty site name", true, func(s []SiteDemand) { s[len(s)-1].Site = "" }},
 		{"duplicate site name", true, func(s []SiteDemand) { s[len(s)-1].Site = s[0].Site }},
 		{"negative capacity", false, func(s []SiteDemand) { s[len(s)-1].CapacityCPU = -1 }},
-		{"negative site weight", false, func(s []SiteDemand) { s[len(s)-1].Weight = -1 }},
-		{"NaN site weight", false, func(s []SiteDemand) { s[len(s)-1].Weight = nan }},
-		{"infinite site weight", false, func(s []SiteDemand) { s[len(s)-1].Weight = inf }},
 		{"empty function name", false, func(s []SiteDemand) { s[len(s)-1].Functions[0].Name = "" }},
 		{"duplicate function name", false, func(s []SiteDemand) {
 			fns := s[len(s)-1].Functions

@@ -165,14 +165,14 @@ func TestDepth1HierarchyMatchesFlatFuzz(t *testing.T) {
 // revokes granted, not idle, capacity) can recover it.
 func hierReclaimSites() []SiteDemand {
 	return []SiteDemand{
-		{Site: "tiny", Weight: 1, CapacityCPU: 100, Functions: []FunctionDemand{
+		{Site: "tiny", CapacityCPU: 100, Functions: []FunctionDemand{
 			{Name: "f", Weight: 1, DesiredCPU: 1000},
 		}},
-		{Site: "big", Weight: 1, CapacityCPU: 1000, Functions: []FunctionDemand{
+		{Site: "big", CapacityCPU: 1000, Functions: []FunctionDemand{
 			{Name: "f", Weight: 1, DesiredCPU: 0},
 			{Name: "bulk", Weight: 1, DesiredCPU: 2000},
 		}},
-		{Site: "idle", Weight: 1, CapacityCPU: 1000, Functions: []FunctionDemand{
+		{Site: "idle", CapacityCPU: 1000, Functions: []FunctionDemand{
 			{Name: "other", Weight: 1, DesiredCPU: 100},
 		}},
 	}
@@ -248,7 +248,10 @@ func TestHierarchyReclaimMovesBorrowed(t *testing.T) {
 }
 
 // fuzzHierarchy partitions the fuzz site-name space into 1–3 metros under
-// 1–2 regions.
+// 1–2 regions: the first sites seat one per metro, so none is empty, and
+// the rest are drawn at random. Each site sNN's metro also lists
+// "sNN/<fn>" for every pool function — the names FuzzAllocatorEpochs
+// renames a site to, whose root node ID collides with sNN's leaf.
 func fuzzHierarchy(rng *xrand.Rand) *Hierarchy {
 	metros := 1 + rng.Intn(3)
 	groups := make([]*Group, metros)
@@ -256,8 +259,15 @@ func fuzzHierarchy(rng *xrand.Rand) *Hierarchy {
 		groups[m] = &Group{ID: fmt.Sprintf("m%d", m), Weight: float64(1 + rng.Intn(3))}
 	}
 	for i := 0; i < 12; i++ {
-		m := rng.Intn(metros)
-		groups[m].Sites = append(groups[m].Sites, fmt.Sprintf("s%02d", i))
+		m := i
+		if i >= metros {
+			m = rng.Intn(metros)
+		}
+		name := fmt.Sprintf("s%02d", i)
+		groups[m].Sites = append(groups[m].Sites, name)
+		for _, fn := range fuzzFnPool {
+			groups[m].Sites = append(groups[m].Sites, name+"/"+fn)
+		}
 	}
 	if metros == 1 {
 		return &Hierarchy{Root: groups[0]}
@@ -497,7 +507,7 @@ func BenchmarkHierarchicalAllocator(b *testing.B) {
 		name := fmt.Sprintf("s%02d", i)
 		g.Sites = append(g.Sites, name)
 		sites = append(sites, SiteDemand{
-			Site: name, Weight: 1, CapacityCPU: int64(1000 + 100*(i%7)),
+			Site: name, CapacityCPU: int64(1000 + 100*(i%7)),
 			Functions: []FunctionDemand{
 				{Name: "auth", Weight: 2, DesiredCPU: int64(400 * (i % 5))},
 				{Name: "encode", Weight: 1, DesiredCPU: int64(300 * ((i + 2) % 4))},

@@ -10,12 +10,13 @@ import (
 	"lass/internal/xrand"
 )
 
-// subtree builds one site's user → function subtree, frozen verbatim from
-// before ShareTree replaced it, so the references below share no tree code
-// with the Allocator. desire maps the leaf desire per function; when nil
-// the raw demands are used.
-func subtree(s SiteDemand, id string, weight float64, desire map[string]int64) *fairshare.Node {
-	site := &fairshare.Node{ID: id, Weight: weight}
+// subtree builds one site's user → function subtree, frozen from before
+// ShareTree replaced it, so the references below share no tree code with
+// the Allocator; only its root weight, now always 1, has changed since.
+// desire maps the leaf desire per function; when nil the raw demands are
+// used.
+func subtree(s SiteDemand, id string, desire map[string]int64) *fairshare.Node {
+	site := &fairshare.Node{ID: id, Weight: 1}
 	userNodes := make(map[string]*fairshare.Node)
 	for _, fd := range s.Functions {
 		user, uw := fd.User, fd.UserWeight
@@ -128,11 +129,7 @@ func referenceAllocateHierarchical(h *Hierarchy, sites []SiteDemand, capped, rec
 	// cascade down the same tree.
 	trees := make(map[string]*fairshare.Node, len(sites))
 	for _, s := range sites {
-		w := s.Weight
-		if w == 0 {
-			w = 1
-		}
-		trees[s.Site] = subtree(s, "site:"+s.Site, w, nil)
+		trees[s.Site] = subtree(s, "site:"+s.Site, nil)
 	}
 	root := &fairshare.Node{ID: "::federation"}
 	refMountChildren(h.Root, root, trees)
@@ -158,7 +155,7 @@ func referenceAllocateHierarchical(h *Hierarchy, sites []SiteDemand, capped, rec
 			wantMap[fd.Name] = e
 			idx[fd.Name] = j
 		}
-		g, err := allocateTree(subtree(s, id, 1, wantMap), s.CapacityCPU, capped)
+		g, err := allocateTree(subtree(s, id, wantMap), s.CapacityCPU, capped)
 		if err != nil {
 			return nil, err
 		}
@@ -504,7 +501,7 @@ func (r *refHier) finish(capped bool) (*Result, error) {
 	}
 	for _, s := range r.sites {
 		id := "site:" + s.Site
-		local, err := allocateTree(subtree(s, id, 1, nil), s.CapacityCPU, capped)
+		local, err := allocateTree(subtree(s, id, nil), s.CapacityCPU, capped)
 		if err != nil {
 			return nil, err
 		}
@@ -597,11 +594,14 @@ func TestHierarchicalAllocatorMatchesReferenceFuzz(t *testing.T) {
 //	op%12  0 nothing (the fast path)   6 deploy a function
 //	       1 one function's desire     7 retire a function
 //	       2 a site's capacity         8 swap two sites
-//	       3 a site's weight           9 drop a site, or add one back
+//	       3 rename a site to collide  9 drop a site, or add one back
 //	       4 a function's weight      10 flip capped
 //	       5 a function's user        11 a negative desire (an error epoch)
 //
-// x picks the site, the function and the new value.
+// x picks the site, the function and the new value. Op 3 renames one site
+// to "<another site>/<one of its functions>": the renamed site's root node
+// ID is then the other site's leaf ID, an error epoch that repeats until
+// the collision goes.
 func FuzzAllocatorEpochs(f *testing.F) {
 	f.Add([]byte{3, 1, 40, 1, 77, 0, 0, 2, 9, 1, 200})
 	f.Add([]byte{8, 6, 13, 4, 90, 5, 31, 7, 2, 1, 150, 0, 0})
@@ -609,8 +609,9 @@ func FuzzAllocatorEpochs(f *testing.F) {
 	// Capacity-only epochs: the total moves, so deserved quotas are
 	// cascaded again, around a demand-only epoch that keeps them.
 	f.Add([]byte{7, 0, 0, 2, 17, 1, 33, 2, 40})
-	// Site-weight-only epochs, likewise around a demand-only one.
-	f.Add([]byte{8, 0, 0, 3, 5, 1, 21, 3, 6})
+	// A cross-site ID collision, then epochs that leave it in place: each
+	// must fail again, though the site order holds and no site is rebuilt.
+	f.Add([]byte{8, 0, 0, 3, 5, 1, 21, 0, 0, 2, 6})
 	// A site retires its only function and stays mounted as a zero-function
 	// stub through demand and capacity epochs elsewhere: its subtree is a
 	// single leaf with no function behind it.
@@ -629,7 +630,7 @@ func FuzzAllocatorEpochs(f *testing.F) {
 		sites := fuzzFederation(rng)
 		a := NewAllocator()
 		if err := a.SetHierarchy(h, reclaim); err != nil {
-			return // fuzzHierarchy left a metro empty
+			t.Fatal(err)
 		}
 		capped := true
 		for epoch := 0; len(data) >= 3 && epoch < 64; epoch++ {
@@ -679,7 +680,9 @@ func fuzzMutate(sites []SiteDemand, op byte, x int) []SiteDemand {
 	case 2:
 		s.CapacityCPU = int64(x%6) * 1000
 	case 3:
-		s.Weight = float64(x % 4)
+		if o := &sites[(x/n)%n]; o != s && len(o.Functions) > 0 {
+			s.Site = o.Site + "/" + o.Functions[x%len(o.Functions)].Name
+		}
 	case 4:
 		if fd != nil {
 			fd.Weight = 0.5 + float64(x%8)/2

@@ -51,10 +51,10 @@ func FuzzShareTreeSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const id = "site:s"
 		fns := shareTreeSite(data)
-		tree := NewShareTree(id, 2, fns)
+		tree := NewShareTree(id, fns)
 		root := tree.root
-		if root.ID != id || root.Weight != 2 {
-			t.Fatalf("root %q weight %v, want %q weight 2", root.ID, root.Weight, id)
+		if root.ID != id || root.Weight != 1 {
+			t.Fatalf("root %q weight %v, want %q weight 1", root.ID, root.Weight, id)
 		}
 		if len(tree.leaves) != len(fns) {
 			t.Fatalf("%d leaves for %d functions", len(tree.leaves), len(fns))

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strconv"
 
-	"lass/internal/workload"
 	"lass/internal/xrand"
 )
 
@@ -48,12 +47,6 @@ func (r Row) Window(from, to int) []float64 {
 		return nil
 	}
 	return r.Counts[from:to]
-}
-
-// Schedule converts a count window into an arrival-rate schedule
-// ("discrete change mode that adjusts the arrival rate each minute", §6.1).
-func Schedule(counts []float64) (*workload.Schedule, error) {
-	return workload.FromPerMinuteCounts(counts)
 }
 
 // Read parses trace rows from CSV in the Azure schema:

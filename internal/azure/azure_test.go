@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lass/internal/workload"
 	"lass/internal/xrand"
 )
 
@@ -152,7 +153,7 @@ func TestWindowClamps(t *testing.T) {
 
 func TestScheduleFromTrace(t *testing.T) {
 	r := Row{Counts: []float64{60, 600}}
-	s, err := Schedule(r.Counts)
+	s, err := workload.FromPerMinuteCounts(r.Counts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,13 +70,11 @@ func sortWindows(ws []Window) []Window {
 }
 
 // GilbertElliott parameterizes a two-state up/down process: holding
-// times are exponential with means MeanUp and MeanDown, alternating. The
-// process starts up unless StartDown is set.
+// times are exponential with means MeanUp and MeanDown, alternating,
+// starting in the up state.
 type GilbertElliott struct {
 	MeanUp   time.Duration `scenario:"mean-up"`
 	MeanDown time.Duration `scenario:"mean-down"`
-	// StartDown starts the process in the down state at time zero.
-	StartDown bool `scenario:"start-down"`
 }
 
 func (g GilbertElliott) validate() error {
@@ -230,7 +228,7 @@ func newStaticTimeline(ws []Window) *timeline {
 }
 
 func newGETimeline(g GilbertElliott, rng *xrand.Rand) *timeline {
-	return &timeline{rng: rng, ge: g, down: g.StartDown}
+	return &timeline{rng: rng, ge: g}
 }
 
 // extend materializes the schedule through t (exclusive of the state

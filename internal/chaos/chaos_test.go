@@ -148,7 +148,7 @@ func TestQueryOrderIndependence(t *testing.T) {
 func TestSameSeedSameRealization(t *testing.T) {
 	cfg := Config{Sites: 3, Seed: 7, Faults: []Fault{
 		{Kind: FaultCoordinator, GE: &GilbertElliott{MeanUp: 40 * time.Second, MeanDown: 12 * time.Second}},
-		{Kind: FaultSite, Site: 0, GE: &GilbertElliott{MeanUp: 25 * time.Second, MeanDown: 8 * time.Second, StartDown: true}},
+		{Kind: FaultSite, Site: 0, GE: &GilbertElliott{MeanUp: 25 * time.Second, MeanDown: 8 * time.Second}},
 	}}
 	a, b := mustNew(cfg), mustNew(cfg)
 	diff := mustNew(Config{Sites: 3, Seed: 8, Faults: cfg.Faults})
@@ -189,15 +189,6 @@ func TestGroupCascadeLag(t *testing.T) {
 		if got := e.SiteDown(c.site, c.at); got != c.down {
 			t.Errorf("SiteDown(%d, %v) = %v, want %v", c.site, c.at, got, c.down)
 		}
-	}
-}
-
-func TestStartDown(t *testing.T) {
-	e := mustNew(Config{Sites: 1, Seed: 4, Faults: []Fault{
-		{Kind: FaultSite, Site: 0, GE: &GilbertElliott{MeanUp: time.Hour, MeanDown: time.Hour, StartDown: true}},
-	}})
-	if !e.SiteDown(0, 0) {
-		t.Error("StartDown process is up at time zero")
 	}
 }
 

@@ -292,7 +292,7 @@ func (ctl *Controller) RegisterUser(name string, weight float64) error {
 		return fmt.Errorf("controller: user %q: names starting with %q are reserved", name, reservedPrefix)
 	}
 	ctl.users[name] = weight
-	ctl.shares = allocation.NewShareTree("::cluster", 0, ctl.Demands())
+	ctl.shares = allocation.NewShareTree("::cluster", ctl.Demands())
 	return nil
 }
 
@@ -343,7 +343,7 @@ func (ctl *Controller) Register(spec functions.Spec, user string, weight float64
 	ctl.funcs[spec.Name] = f
 	ctl.order = append(ctl.order, f)
 	ctl.targetScratch = append(ctl.targetScratch, 0)
-	ctl.shares = allocation.NewShareTree("::cluster", 0, ctl.Demands())
+	ctl.shares = allocation.NewShareTree("::cluster", ctl.Demands())
 	return f, nil
 }
 

@@ -28,30 +28,30 @@ func edgeSite(spec functions.Spec, wl *workload.Schedule, seed uint64) core.Conf
 	}
 }
 
-// federationSites builds the three-site scenario the synthetic offload
-// sweep runs on: every site serves SqueezeNet; site edge-0 takes a
-// 3×-overload burst mid-run while its two peers stay lightly loaded, so
-// shedding has both a nearby absorber and a cloud fallback to choose from.
-func federationSites(opt Options, unit time.Duration) ([]core.Config, time.Duration, error) {
+// burstSites builds the n-site fleet the synthetic sweeps run on: every
+// site serves SqueezeNet; site 0 takes a 3×-capacity burst through the
+// middle third of the run while its peers stay lightly loaded — the
+// skewed shape that gives shedding both a nearby absorber and a cloud
+// fallback, and makes global fair share (and therefore coordinator
+// placement and failover) matter. Site i's seed is opt.Seed^(salt+i).
+func burstSites(opt Options, unit time.Duration, n int, salt uint64) ([]core.Config, time.Duration, error) {
 	spec, err := functions.ByName("squeezenet")
 	if err != nil {
 		return nil, 0, err
 	}
-	end := 9 * unit
-	rates := [][]workload.Step{
-		{{Start: 0, Rate: 20}, {Start: 3 * unit, Rate: 120}, {Start: 6 * unit, Rate: 20}},
-		{{Start: 0, Rate: 10}},
-		{{Start: 0, Rate: 10}},
-	}
 	var sites []core.Config
-	for i, steps := range rates {
+	for i := range n {
+		steps := []workload.Step{{Start: 0, Rate: 10}}
+		if i == 0 {
+			steps = []workload.Step{{Start: 0, Rate: 20}, {Start: 3 * unit, Rate: 120}, {Start: 6 * unit, Rate: 20}}
+		}
 		wl, err := workload.NewSteps(steps)
 		if err != nil {
 			return nil, 0, err
 		}
-		sites = append(sites, edgeSite(spec, wl, opt.Seed^uint64(0xfed1+i)))
+		sites = append(sites, edgeSite(spec, wl, opt.Seed^(salt+uint64(i))))
 	}
-	return sites, end, nil
+	return sites, 9 * unit, nil
 }
 
 // fedSeed is the federation-level RNG seed of every sweep cell; the site
@@ -226,7 +226,7 @@ func Federation(opt Options) (*Table, error) {
 	}
 	unit := opt.dur(time.Minute, 10*time.Second)
 	if err := sweepFederationPolicies(t, opt, func() ([]core.Config, time.Duration, error) {
-		return federationSites(opt, unit)
+		return burstSites(opt, unit, 3, 0xfed1)
 	}); err != nil {
 		return nil, err
 	}

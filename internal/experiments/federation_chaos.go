@@ -115,7 +115,7 @@ func FederationChaos(opt Options) (*Table, error) {
 	// emitted afterwards in variant order.
 	results, err := runCells(len(chaosVariants)*reps, opt.SweepWorkers, func(i int) (federation.Config, time.Duration, error) {
 		v := chaosVariants[i/reps]
-		sites, end, err := coordinatorSites(opt, unit)
+		sites, end, err := burstSites(opt, unit, 4, 0xc00d)
 		if err != nil {
 			return federation.Config{}, 0, err
 		}

@@ -5,10 +5,7 @@ import (
 	"time"
 
 	"lass/internal/chaos"
-	"lass/internal/core"
 	"lass/internal/federation"
-	"lass/internal/functions"
-	"lass/internal/workload"
 )
 
 // coordinatorTopology builds the asymmetric star the coordinator sweep
@@ -42,34 +39,6 @@ func coordinatorTopology() (*federation.Topology, int, error) {
 	}
 	topo, err := federation.NewTopology(m)
 	return topo, hub, err
-}
-
-// coordinatorSites builds the sweep's workload: the far-spoke site 0
-// takes a 3×-capacity burst through the middle third of the run while the
-// hub and the near spokes stay lightly loaded — the skewed shape that
-// makes global fair share (and therefore coordinator placement and
-// failover) matter.
-func coordinatorSites(opt Options, unit time.Duration) ([]core.Config, time.Duration, error) {
-	spec, err := functions.ByName("squeezenet")
-	if err != nil {
-		return nil, 0, err
-	}
-	end := 9 * unit
-	rates := [][]workload.Step{
-		{{Start: 0, Rate: 20}, {Start: 3 * unit, Rate: 120}, {Start: 6 * unit, Rate: 20}},
-		{{Start: 0, Rate: 10}},
-		{{Start: 0, Rate: 10}},
-		{{Start: 0, Rate: 10}},
-	}
-	var sites []core.Config
-	for i, steps := range rates {
-		wl, err := workload.NewSteps(steps)
-		if err != nil {
-			return nil, 0, err
-		}
-		sites = append(sites, edgeSite(spec, wl, opt.Seed^uint64(0xc00d+i)))
-	}
-	return sites, end, nil
 }
 
 // coordinatorVariant is one run of the coordinator sweep.
@@ -120,7 +89,7 @@ func FederationCoordinator(opt Options) (*Table, error) {
 	// emitted in variant order.
 	results, err := runCells(len(variants), opt.SweepWorkers, func(i int) (federation.Config, time.Duration, error) {
 		v := variants[i]
-		sites, end, err := coordinatorSites(opt, unit)
+		sites, end, err := burstSites(opt, unit, 4, 0xc00d)
 		if err != nil {
 			return federation.Config{}, 0, err
 		}

@@ -5,7 +5,6 @@ import (
 
 	"lass/internal/azure"
 	"lass/internal/federation"
-	"lass/internal/xrand"
 )
 
 // fairshareArchetypes is the skewed-load scenario the local-vs-global
@@ -18,29 +17,10 @@ import (
 // clamps its grant at physical capacity, and spreads the displaced
 // entitlement to the peers — which pre-provision for the offloads before
 // they arrive.
-var fairshareArchetypes = []struct {
-	archetype     azure.Archetype
-	meanPerMinute float64
-}{
+var fairshareArchetypes = []siteTrace{
 	{azure.Bursty, 1500}, // busy periods ≈ 3× mean ≈ 75 req/s vs 40 req/s capacity
 	{azure.Steady, 240},  // ≈ 4 req/s mean: ~90% idle
 	{azure.Steady, 240},
-}
-
-// fairshareRows synthesizes the skewed per-site trace rows
-// deterministically from the seed.
-func fairshareRows(opt Options) ([]azure.Row, error) {
-	rng := xrand.New(opt.Seed ^ 0x6f5)
-	rows := make([]azure.Row, len(fairshareArchetypes))
-	for i, a := range fairshareArchetypes {
-		row, err := azure.Synthesize(rng, azure.SynthConfig{
-			Archetype: a.archetype, MeanPerMinute: a.meanPerMinute})
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = row
-	}
-	return rows, nil
 }
 
 // FederationFairShare sweeps per-site-local versus federation-wide
@@ -65,7 +45,7 @@ func FederationFairShare(opt Options) (*Table, error) {
 	if opt.Quick {
 		minutes = 6
 	}
-	rows, err := fairshareRows(opt)
+	rows, err := traceRows(opt, 0x6f5, fairshareArchetypes)
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +86,6 @@ func FederationFairShare(opt Options) (*Table, error) {
 	t.AddNote("policy=never rows allow no placement, so sheddable requests are rejected at the origin — the paper's single-cluster admission control verbatim")
 	t.AddNote("alloc=global gathers per-function demand/weight from every site each epoch, water-fills the federation's total edge capacity (site → user → function), and pushes grants back after the coordination round trip")
 	t.AddNote("under alloc=global, demand is estimated from offered load at the ingress, so the coordinator sees an overloaded site's full demand — not just the share it kept")
-	for i, row := range rows {
-		st := azure.Summarize(row.Counts)
-		t.AddNote("site edge-%d trace %s (%s): mean %.0f/min, max %.0f/min, CV %.2f",
-			i, row.FunctionHash, row.Trigger, st.Mean, st.Max, st.CV)
-	}
+	addTraceNotes(t, rows)
 	return t, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"lass/internal/azure"
 	"lass/internal/federation"
 )
 
@@ -31,7 +30,7 @@ func FederationPlacers(opt Options) (*Table, error) {
 	if opt.Quick {
 		minutes = 6
 	}
-	rows, err := fairshareRows(opt)
+	rows, err := traceRows(opt, 0x6f5, fairshareArchetypes)
 	if err != nil {
 		return nil, err
 	}
@@ -61,10 +60,6 @@ func FederationPlacers(opt Options) (*Table, error) {
 	t.AddNote("every row runs under the federation-wide §4.1 allocator with offload-aware admission and a cloud throttled to %d concurrent instances per function", throttledCloud)
 	t.AddNote("grant-aware = model-driven with the global grants and granted-but-cold pre-provisioned pools folded into the per-candidate prediction")
 	t.AddNote("cost-bounded = cheapest candidate whose predicted response meets the SLO (edge is free, cloud bills per invocation + GB-second)")
-	for i, row := range rows {
-		st := azure.Summarize(row.Counts)
-		t.AddNote("site edge-%d trace %s (%s): mean %.0f/min, max %.0f/min, CV %.2f",
-			i, row.FunctionHash, row.Trigger, st.Mean, st.Max, st.CV)
-	}
+	addTraceNotes(t, rows)
 	return t, nil
 }

@@ -11,25 +11,28 @@ import (
 	"lass/internal/xrand"
 )
 
+// siteTrace is one site's synthesized trace shape.
+type siteTrace struct {
+	archetype     azure.Archetype
+	meanPerMinute float64
+}
+
 // federationTraceArchetypes are the per-site trace shapes the synthesized
 // scenario uses: the hot site follows an on/off bursty pattern whose busy
 // periods exceed its capacity, while its two peers carry steady diurnal
 // load with headroom to absorb offloads.
-var federationTraceArchetypes = []struct {
-	archetype     azure.Archetype
-	meanPerMinute float64
-}{
+var federationTraceArchetypes = []siteTrace{
 	{azure.Bursty, 1200}, // busy periods ≈ 3× mean ≈ 60 req/s vs 40 req/s capacity
 	{azure.Steady, 600},  // ≈ 10 req/s mean
 	{azure.Steady, 600},
 }
 
-// federationTraceRows synthesizes one Azure-format trace row per site,
-// deterministically from the seed.
-func federationTraceRows(opt Options) ([]azure.Row, error) {
-	rng := xrand.New(opt.Seed ^ 0x7ace)
-	rows := make([]azure.Row, len(federationTraceArchetypes))
-	for i, a := range federationTraceArchetypes {
+// traceRows synthesizes one Azure-format trace row per site, in the
+// shapes given, deterministically from the seed and the sweep's salt.
+func traceRows(opt Options, salt uint64, shapes []siteTrace) ([]azure.Row, error) {
+	rng := xrand.New(opt.Seed ^ salt)
+	rows := make([]azure.Row, len(shapes))
+	for i, a := range shapes {
 		row, err := azure.Synthesize(rng, azure.SynthConfig{Archetype: a.archetype, MeanPerMinute: a.meanPerMinute})
 		if err != nil {
 			return nil, err
@@ -37,6 +40,16 @@ func federationTraceRows(opt Options) ([]azure.Row, error) {
 		rows[i] = row
 	}
 	return rows, nil
+}
+
+// addTraceNotes notes each site's trace row: its hash, trigger, and
+// per-minute mean, max and coefficient of variation.
+func addTraceNotes(t *Table, rows []azure.Row) {
+	for i, row := range rows {
+		st := azure.Summarize(row.Counts)
+		t.AddNote("site edge-%d trace %s (%s): mean %.0f/min, max %.0f/min, CV %.2f",
+			i, row.FunctionHash, row.Trigger, st.Mean, st.Max, st.CV)
+	}
 }
 
 // federationTraceSites builds the trace-driven scenario: each edge site's
@@ -84,7 +97,7 @@ func FederationTrace(opt Options) (*Table, error) {
 	if opt.Quick {
 		minutes = 6
 	}
-	rows, err := federationTraceRows(opt)
+	rows, err := traceRows(opt, 0x7ace, federationTraceArchetypes)
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +107,7 @@ func FederationTrace(opt Options) (*Table, error) {
 		return nil, err
 	}
 	t.AddNote("trace rows: synthesized (deterministic per seed); %d-minute window aligned to the hot site's busiest slice", minutes)
-	for i, row := range rows {
-		st := azure.Summarize(row.Counts)
-		t.AddNote("site edge-%d trace %s (%s): mean %.0f/min, max %.0f/min, CV %.2f",
-			i, row.FunctionHash, row.Trigger, st.Mean, st.Max, st.CV)
-	}
+	addTraceNotes(t, rows)
 	t.AddNote("policy=never verified bit-for-bit against standalone single-cluster replays of each site's trace")
 	return t, nil
 }

@@ -154,7 +154,7 @@ func fig9Setup(opt Options, minutes int) ([]core.FunctionConfig, map[string]floa
 	start := azure.FindActiveWindow(rows["mobilenet-v2"].Counts, minutes)
 	var cfgs []core.FunctionConfig
 	for _, m := range members {
-		sched, err := azure.Schedule(rows[m.fn].Window(start, start+minutes))
+		sched, err := workload.FromPerMinuteCounts(rows[m.fn].Window(start, start+minutes))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -36,8 +36,8 @@ func fourSites(t *testing.T, seed uint64) []core.Config {
 	}
 }
 
-// TestCoordinatorElection: Fixed keeps the configured index (the zero
-// value reproduces today's site-0 default), RTTCentroid elects the
+// TestCoordinatorElection: Fixed (the zero value) seats site 0,
+// RTTCentroid elects the
 // topology's round-trip centroid, and the run's Result reports
 // both the seat and the mode.
 func TestCoordinatorElection(t *testing.T) {
@@ -58,7 +58,7 @@ func TestCoordinatorElection(t *testing.T) {
 
 	fed := build(Fixed)
 	if fed.coordinator != 0 {
-		t.Errorf("Fixed election seated site %d, want the configured default 0", fed.coordinator)
+		t.Errorf("Fixed election seated site %d, want 0", fed.coordinator)
 	}
 
 	fed = build(RTTCentroid)
@@ -339,7 +339,6 @@ func TestDefaultConfigMatchesExplicitLegacyKnobs(t *testing.T) {
 		}
 		if legacy {
 			cfg.CoordinatorElection = Fixed
-			cfg.Coordinator = 0
 			cfg.Faults = nil
 			cfg.GrantLease = -1 // infinite: never expires
 		}
@@ -380,39 +379,26 @@ func TestDefaultConfigMatchesExplicitLegacyKnobs(t *testing.T) {
 
 // TestCloudAdmitsLatencyFloor is the regression for the admission bug: a
 // cold, empty cloud pool whose 2×cloudRTT + ColdStart + mean service
-// already exceeds the SLO is a guaranteed violation and must be rejected,
-// not admitted just because no queue has formed yet.
+// already exceeds the 250ms response SLO is a guaranteed violation and
+// must be rejected, not admitted just because no queue has formed yet.
 func TestCloudAdmitsLatencyFloor(t *testing.T) {
-	build := func(slo time.Duration, alwaysWarm bool) *Federation {
+	for _, c := range []struct {
+		coldStart time.Duration
+		admit     bool
+	}{
+		// SqueezeNet's floor is 2×50ms RTT + ColdStart + 100ms mean service.
+		{400 * time.Millisecond, false}, // 600ms
+		{0, true},                       // 200ms: always warm
+		{40 * time.Millisecond, true},   // 240ms
+	} {
 		site := staticSite(t, "squeezenet", 10, 71, cluster.PaperCluster())
-		if alwaysWarm {
-			site.Functions[0].Spec.ColdStart = 0
-		}
-		fed, err := New(Config{
-			Sites:       []core.Config{site},
-			Placer:      cloudOnlyPlacer{},
-			ResponseSLO: slo,
-			Seed:        9,
-		})
+		site.Functions[0].Spec.ColdStart = c.coldStart
+		fed, err := New(Config{Sites: []core.Config{site}, Placer: cloudOnlyPlacer{}, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fed
-	}
-	// SqueezeNet cold floor: 2×50ms RTT + 400ms cold start + 100ms mean
-	// service = 600ms. A 250ms SLO cannot be met by a cold pool.
-	fed := build(250*time.Millisecond, false)
-	if fed.cloudAdmits(fed.Sites[0].Platform.Queues["squeezenet"]) {
-		t.Error("cloudAdmits admitted a cold pool whose latency floor (600ms) exceeds the 250ms SLO")
-	}
-	// The same tight SLO is reachable warm (200ms floor)…
-	fed = build(250*time.Millisecond, true)
-	if !fed.cloudAdmits(fed.Sites[0].Platform.Queues["squeezenet"]) {
-		t.Error("cloudAdmits rejected an always-warm pool inside its 200ms floor")
-	}
-	// …and a cold pool is fine under a loose SLO.
-	fed = build(time.Second, false)
-	if !fed.cloudAdmits(fed.Sites[0].Platform.Queues["squeezenet"]) {
-		t.Error("cloudAdmits rejected a cold pool whose 600ms floor fits a 1s SLO")
+		if got := fed.cloudAdmits(fed.Sites[0].Platform.Queues["squeezenet"]); got != c.admit {
+			t.Errorf("cold start %v: cloudAdmits = %v, want %v", c.coldStart, got, c.admit)
+		}
 	}
 }

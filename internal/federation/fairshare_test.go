@@ -99,7 +99,6 @@ func TestGrantVectorsLandByPosition(t *testing.T) {
 		ctl := s.Platform.Controller
 		sites = append(sites, allocation.SiteDemand{
 			Site:        s.Name,
-			Weight:      1,
 			CapacityCPU: ctl.Capacity(),
 			Functions:   slices.Clone(ctl.Demands()),
 		})

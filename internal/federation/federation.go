@@ -82,8 +82,8 @@ import (
 type CoordinatorElection int
 
 const (
-	// Fixed pins the coordinator at Config.Coordinator (default site 0) —
-	// the historical behaviour, and deliberately the zero value.
+	// Fixed pins the coordinator at site 0 — the historical behaviour, and
+	// deliberately the zero value.
 	Fixed CoordinatorElection = iota
 	// RTTCentroid elects the site minimizing the round-trip sum over the
 	// Topology matrix (Topology.RTTCentroid): the placement that minimizes
@@ -146,12 +146,6 @@ type Config struct {
 	// matrix; its size must match Sites. When nil, the federation uses
 	// Ring(len(Sites), 5ms) — the original ring-distance model.
 	Topology *Topology
-	// ResponseSLO is the end-to-end response deadline the federation
-	// accounts violations against, network RTT included (default 250ms).
-	// This is deliberately a response-time SLO, unlike the controller's
-	// waiting-time SLO: offloading trades queueing delay for network
-	// delay, and only an end-to-end metric ranks that trade fairly.
-	ResponseSLO time.Duration
 	// Seed drives the cloud backend's service-time sampling.
 	Seed uint64
 
@@ -169,18 +163,14 @@ type Config struct {
 	// AllocEpoch is the global allocator's period (default 5s, the
 	// controller evaluation interval).
 	AllocEpoch time.Duration
-	// Coordinator is the site index hosting the global allocator under
-	// Fixed election (default 0; ignored under RTTCentroid). Epoch timing
-	// is honest both ways: the coordinator waits for the slowest site's
-	// demand upload (max_j rtt(j→coord)), computes grants from those
-	// RTT-stale snapshots, and each site's grants land only after the
-	// return leg rtt(coord→i) — coordination latency is charged, not
-	// assumed away.
-	Coordinator int
-	// CoordinatorElection selects how the coordinator site is chosen:
-	// Fixed (the zero value — Config.Coordinator, today's behaviour) or
-	// RTTCentroid (the topology's round-trip centroid, re-elected
-	// when the federation is reassembled with different membership).
+	// CoordinatorElection selects the site hosting the global allocator:
+	// Fixed (the zero value, site 0) or RTTCentroid (the topology's
+	// round-trip centroid, re-elected when the federation is reassembled
+	// with different membership). Epoch timing is honest both ways: the
+	// coordinator waits for the slowest site's demand upload
+	// (max_j rtt(j→coord)), computes grants from those RTT-stale
+	// snapshots, and each site's grants land only after the return leg
+	// rtt(coord→i) — coordination latency is charged, not assumed away.
 	CoordinatorElection CoordinatorElection
 	// Faults, when set, is the failure oracle for the run — typically a
 	// chaos.Engine built from seeded Gilbert-Elliott site/link processes
@@ -247,6 +237,12 @@ const (
 	// overloadQueueDepth is the per-container backlog beyond which an
 	// epoch-level overloaded site starts shedding.
 	overloadQueueDepth = 4
+	// responseSLO is the end-to-end response deadline the federation
+	// accounts violations against, network RTT included. This is
+	// deliberately a response-time SLO, unlike the controller's
+	// waiting-time SLO: offloading trades queueing delay for network
+	// delay, and only an end-to-end metric ranks that trade fairly.
+	responseSLO = 250 * time.Millisecond
 )
 
 // zeroDefault applies the duration knobs' shared sentinel convention: a
@@ -264,9 +260,6 @@ func zeroDefault(v, def time.Duration) time.Duration {
 // fillDefaults resolves every zero-valued knob but ReclaimLatency, whose
 // default reads the resolved Topology.
 func (c *Config) fillDefaults() {
-	if c.ResponseSLO == 0 {
-		c.ResponseSLO = 250 * time.Millisecond
-	}
 	if c.AllocEpoch == 0 {
 		c.AllocEpoch = 5 * time.Second
 	}
@@ -455,10 +448,6 @@ func New(cfg Config) (*Federation, error) {
 	// A reclaim commit travels one more coordinator→peer message, so the
 	// cheapest peer link is the honest default charge.
 	cfg.ReclaimLatency = zeroDefault(cfg.ReclaimLatency, cfg.Topology.nearestLink())
-	if cfg.Coordinator < 0 || cfg.Coordinator >= len(cfg.Sites) {
-		return nil, fmt.Errorf("federation: coordinator index %d out of range (have %d sites)",
-			cfg.Coordinator, len(cfg.Sites))
-	}
 	switch cfg.CoordinatorElection {
 	case Fixed, RTTCentroid:
 	default:
@@ -466,9 +455,6 @@ func New(cfg Config) (*Federation, error) {
 	}
 	if cfg.AllocEpoch < 0 {
 		return nil, fmt.Errorf("federation: alloc epoch %v is negative (use 0 for the default 5s)", cfg.AllocEpoch)
-	}
-	if cfg.ResponseSLO < 0 {
-		return nil, fmt.Errorf("federation: response SLO %v is negative (use 0 for the default 250ms)", cfg.ResponseSLO)
 	}
 	if cfg.CloudMaxConcurrency < 0 {
 		return nil, fmt.Errorf("federation: cloud max concurrency %d is negative (use 0 for unbounded)", cfg.CloudMaxConcurrency)
@@ -486,10 +472,10 @@ func New(cfg Config) (*Federation, error) {
 		cloudPools: make(map[string]*cloudPool),
 		alloc:      allocation.NewAllocator(),
 	}
-	// Elect the coordinator. Membership is fixed for the federation's
-	// lifetime, so the election runs once at assembly; rebuilding with a
-	// different Sites list (or Topology) re-elects.
-	f.coordinator = cfg.Coordinator
+	// Elect the coordinator; Fixed leaves it at site 0. Membership is fixed
+	// for the federation's lifetime, so the election runs once at
+	// assembly; rebuilding with a different Sites list (or Topology)
+	// re-elects.
 	if cfg.CoordinatorElection == RTTCentroid {
 		f.coordinator = cfg.Topology.RTTCentroid()
 	}
@@ -518,7 +504,7 @@ func New(cfg Config) (*Federation, error) {
 			Index:     i,
 			Platform:  p,
 			Responses: metrics.NewReservoir(),
-			SLO:       metrics.NewSLOTracker(cfg.ResponseSLO),
+			SLO:       metrics.NewSLOTracker(responseSLO),
 		}
 		// Bound once per site: the locally-served completion callback is
 		// on the hot path, and a per-request closure there would undo the
@@ -885,7 +871,7 @@ func (f *Federation) predictCloud(q *dispatch.Queue) float64 {
 // compare only the queue wait against the SLO, admitting cold pools whose
 // 2×cloudRTT + ColdStart + mean service alone guaranteed a miss.)
 func (f *Federation) cloudAdmits(q *dispatch.Queue) bool {
-	return f.predictCloud(q) <= f.cfg.ResponseSLO.Seconds()
+	return f.predictCloud(q) <= responseSLO.Seconds()
 }
 
 // offloadToCloud serves the request on the cloud backend: it reaches the
@@ -995,7 +981,6 @@ func (f *Federation) allocEpoch() {
 		fns := append(snap.sites[count].Functions[:0], s.Platform.Controller.Demands()...)
 		snap.sites[count] = allocation.SiteDemand{
 			Site:        s.Name,
-			Weight:      1,
 			CapacityCPU: s.Platform.Controller.Capacity(),
 			Functions:   fns,
 		}

@@ -413,9 +413,8 @@ func TestRunRejectsNonPositiveDuration(t *testing.T) {
 }
 
 // TestNewRejectsNegativeKnobs: a negative allocation epoch (sim.EveryFrom
-// would panic on it inside Run), a negative cloud concurrency cap (the
-// pool would treat it as unbounded) and a negative response SLO (every
-// request would count as a violation) are configuration errors.
+// would panic on it inside Run) and a negative cloud concurrency cap (the
+// pool would treat it as unbounded) are configuration errors.
 func TestNewRejectsNegativeKnobs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -425,7 +424,6 @@ func TestNewRejectsNegativeKnobs(t *testing.T) {
 		{"alloc epoch", func(c *Config) { c.GlobalFairShare = true; c.AllocEpoch = -time.Second }, "alloc epoch"},
 		{"alloc epoch, local allocation", func(c *Config) { c.AllocEpoch = -time.Second }, "alloc epoch"},
 		{"cloud max concurrency", func(c *Config) { c.CloudMaxConcurrency = -1 }, "cloud max concurrency"},
-		{"response SLO", func(c *Config) { c.ResponseSLO = -250 * time.Millisecond }, "response SLO"},
 	} {
 		cfg := Config{Sites: []core.Config{staticSite(t, "squeezenet", 5, 1, tinyCluster())}}
 		c.mutate(&cfg)

@@ -123,7 +123,7 @@ func (ctx *PlacementContext) NumSites() int { return len(ctx.f.Sites) }
 
 // ResponseSLO returns the end-to-end response deadline the federation
 // accounts violations against (network RTT included).
-func (ctx *PlacementContext) ResponseSLO() time.Duration { return ctx.f.cfg.ResponseSLO }
+func (ctx *PlacementContext) ResponseSLO() time.Duration { return responseSLO }
 
 // Sheddable reports whether §3.4 offload-aware admission applies to this
 // request: admission control is enabled and the origin is overloaded. The

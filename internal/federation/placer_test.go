@@ -31,7 +31,7 @@ func (l legacyEnumPlacer) Name() string { return "legacy-" + l.policy }
 func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 	f, s, q := ctx.f, ctx.t.origin.Index, ctx.t.q
 	o := newOracle(f, q.Spec().Name)
-	deadline := f.cfg.ResponseSLO.Seconds()
+	deadline := responseSLO.Seconds()
 	// bestPeer is the model-driven scan: the fastest predicted peer strictly
 	// better than floor, or -1.
 	bestPeer := func(floor float64) (int, float64) {

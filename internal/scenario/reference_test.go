@@ -17,8 +17,9 @@ import (
 // the two to the same scenarios and the same error texts. Its only
 // adaptations: matrix-ms fills Topology.MatrixMS in milliseconds,
 // grant-lease no longer records whether it was set, rtt-classes fills a
-// federation.RTTClasses, and it checks the result with Build as Parse
-// does.
+// federation.RTTClasses, it checks the result with Build as Parse does,
+// and it drops the keys the DSL dropped (response-slo, coordinator.site,
+// min-containers, start-down) and the grant-lease value frozen.
 func referenceParse(data []byte) (*Scenario, error) {
 	root, err := parse(data)
 	if err != nil {
@@ -169,7 +170,7 @@ func (d *refDecoder) list(n *node, key, what string) []*node {
 func (d *refDecoder) scenario(root *node) *Scenario {
 	sc := &Scenario{}
 	if !d.object(root, "scenario",
-		"name", "description", "seed", "duration", "response-slo", "placer",
+		"name", "description", "seed", "duration", "placer",
 		"global-fairshare", "admission", "alloc-epoch", "grant-lease",
 		"coordinator", "topology", "hierarchy", "fleet", "chaos", "assertions") {
 		return sc
@@ -181,9 +182,6 @@ func (d *refDecoder) scenario(root *node) *Scenario {
 	}
 	if root.child("duration") != nil {
 		sc.Duration = d.durval(root, "duration", "scenario")
-	}
-	if root.child("response-slo") != nil {
-		sc.ResponseSLO = d.durval(root, "response-slo", "scenario")
 	}
 	sc.Placer = d.str(root, "placer", "scenario")
 	if root.child("global-fairshare") != nil {
@@ -198,12 +196,8 @@ func (d *refDecoder) scenario(root *node) *Scenario {
 			d.fail(c.line, "scenario \"alloc-epoch\": %v is negative (omit it for the 5s default)", sc.AllocEpoch)
 		}
 	}
-	if c := root.child("grant-lease"); c != nil {
-		if c.kind == scalarNode && c.scalar == "frozen" {
-			sc.GrantLease = -1
-		} else {
-			sc.GrantLease = d.durval(root, "grant-lease", "scenario")
-		}
+	if root.child("grant-lease") != nil {
+		sc.GrantLease = d.durval(root, "grant-lease", "scenario")
 	}
 	if c := root.child("coordinator"); c != nil {
 		sc.Coordinator = d.coordinator(c)
@@ -228,13 +222,10 @@ func (d *refDecoder) scenario(root *node) *Scenario {
 
 func (d *refDecoder) coordinator(n *node) Coordinator {
 	var c Coordinator
-	if !d.object(n, "coordinator", "election", "site") {
+	if !d.object(n, "coordinator", "election") {
 		return c
 	}
 	c.Election = d.str(n, "election", "coordinator")
-	if n.child("site") != nil {
-		c.Site = d.intval(n, "site", "coordinator")
-	}
 	return c
 }
 
@@ -344,15 +335,12 @@ func (d *refDecoder) site(n *node) Site {
 
 func (d *refDecoder) function(n *node) Function {
 	var f Function
-	if !d.object(n, "function", "spec", "prewarm", "min-containers", "workload") {
+	if !d.object(n, "function", "spec", "prewarm", "workload") {
 		return f
 	}
 	f.Spec = d.str(n, "spec", "function")
 	if n.child("prewarm") != nil {
 		f.Prewarm = d.intval(n, "prewarm", "function")
-	}
-	if n.child("min-containers") != nil {
-		f.MinContainers = d.intval(n, "min-containers", "function")
 	}
 	for _, item := range d.list(n, "workload", "function") {
 		if !d.object(item, "workload step", "start", "rate") {
@@ -385,7 +373,7 @@ func (d *refDecoder) fault(n *node) chaos.Fault {
 	var f chaos.Fault
 	if !d.object(n, "fault",
 		"kind", "site", "from", "to", "bidirectional", "sites", "lag",
-		"windows", "mean-up", "mean-down", "start-down") {
+		"windows", "mean-up", "mean-down") {
 		return f
 	}
 	switch kind := d.str(n, "kind", "fault"); kind {
@@ -437,15 +425,11 @@ func (d *refDecoder) fault(n *node) chaos.Fault {
 			End:   d.durval(w, "end", "window"),
 		})
 	}
-	if n.child("mean-up") != nil || n.child("mean-down") != nil || n.child("start-down") != nil {
-		ge := &chaos.GilbertElliott{
+	if n.child("mean-up") != nil || n.child("mean-down") != nil {
+		f.GE = &chaos.GilbertElliott{
 			MeanUp:   d.durval(n, "mean-up", "fault"),
 			MeanDown: d.durval(n, "mean-down", "fault"),
 		}
-		if n.child("start-down") != nil {
-			ge.StartDown = d.boolval(n, "start-down", "fault")
-		}
-		f.GE = ge
 	}
 	return f
 }

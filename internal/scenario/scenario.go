@@ -8,13 +8,12 @@
 // The format is a strict YAML subset (see yaml.go) whose keys are
 // `scenario:"key"` tags on the fields they set (see decoder): unknown
 // keys, malformed windows, out-of-range site references, duplicate
-// effective site names, disagreeing per-site pool floors, and
-// inconsistent topology sizes are load-time errors with scenario or
-// file/line context, never silent runtime drift. Seed semantics are
-// explicit: `seed` drives the platform (service times, arrivals),
-// `chaos.seed` drives the failure processes, and replicated sweeps vary
-// only the chaos seed so the workload stays pinned while failures land
-// differently — the distributional-honesty contract.
+// effective site names, and inconsistent topology sizes are load-time
+// errors with scenario or file/line context, never silent runtime drift.
+// Seed semantics are explicit: `seed` drives the platform (service times,
+// arrivals), `chaos.seed` drives the failure processes, and replicated
+// sweeps vary only the chaos seed so the workload stays pinned while
+// failures land differently — the distributional-honesty contract.
 package scenario
 
 import (
@@ -41,14 +40,12 @@ import (
 )
 
 // Function is one function deployment at a site: a catalog spec name,
-// its prewarmed containers, and its ingress workload (rate steps).
-// MinContainers is the site's pool floor, one per site: functions that
-// set it must agree, and a site where none does keeps a floor of 1.
+// its prewarmed containers, and its ingress workload (rate steps). Every
+// site keeps a pool floor of one container.
 type Function struct {
-	Spec          string          `scenario:"spec"`
-	Prewarm       int             `scenario:"prewarm"`
-	MinContainers int             `scenario:"min-containers"`
-	Steps         []workload.Step `scenario:"workload,workload step"`
+	Spec    string          `scenario:"spec"`
+	Prewarm int             `scenario:"prewarm"`
+	Steps   []workload.Step `scenario:"workload,workload step"`
 }
 
 // Site is one edge site: cluster shape plus its function deployments.
@@ -70,11 +67,10 @@ type Topology struct {
 	MatrixMS [][]float64 `scenario:"matrix-ms"`
 }
 
-// Coordinator declares the allocator seat: election mode and (under
-// fixed election) the hosting site.
+// Coordinator declares the allocator seat's election mode: "fixed" (site
+// 0) or "centroid".
 type Coordinator struct {
-	Election string `scenario:"election"` // "fixed" or "centroid"
-	Site     int    `scenario:"site"`
+	Election string `scenario:"election"`
 }
 
 // Assertions are the scenario's pass/fail contract, checked against the
@@ -153,14 +149,13 @@ type Scenario struct {
 	Description string        `scenario:"description"`
 	Seed        uint64        `scenario:"seed"`
 	Duration    time.Duration `scenario:"duration"`
-	ResponseSLO time.Duration `scenario:"response-slo,nonneg"`
 	Placer      string        `scenario:"placer"`
 	// GlobalFairShare enables the federation-wide allocator; AllocEpoch
-	// and GrantLease tune it (GrantLease < 0 = frozen grants).
+	// and GrantLease tune it (GrantLease < 0 = unleased, frozen grants).
 	GlobalFairShare bool          `scenario:"global-fairshare"`
 	Admission       bool          `scenario:"admission"`
 	AllocEpoch      time.Duration `scenario:"alloc-epoch,nonneg"`
-	GrantLease      time.Duration `scenario:"grant-lease,frozen"`
+	GrantLease      time.Duration `scenario:"grant-lease"`
 	Coordinator     Coordinator   `scenario:"coordinator"`
 	Topology        *Topology     `scenario:"topology"`
 	Hierarchy       *Hierarchy    `scenario:"hierarchy"`
@@ -210,8 +205,7 @@ func Parse(data []byte) (*Scenario, error) {
 //   - required: the key must be present;
 //   - inline (with an empty key): the field's own keys sit flat in the
 //     parent mapping, and a pointer is allocated when any of them appears;
-//   - nonneg: a negative duration is an error on its line;
-//   - frozen: the scalar `frozen` decodes as a −1 duration.
+//   - nonneg: a negative duration is an error on its line.
 //
 // Scalars are strings, ints, uint64s, finite float64s, true/false,
 // durations and fault kinds by name. Every error carries the offending
@@ -229,9 +223,9 @@ func (d *decoder) fail(line int, format string, args ...any) {
 // field is one key of a struct type with its options resolved; index is
 // its path through inline fields.
 type field struct {
-	key, label               string
-	required, nonneg, frozen bool
-	index                    []int
+	key, label       string
+	required, nonneg bool
+	index            []int
 }
 
 // schema is one struct type's keys in declaration order, worked out once
@@ -262,8 +256,7 @@ func (s *schema) add(t reflect.Type, prefix []int) {
 		}
 		opts := strings.Split(tag, ",")
 		f := field{key: opts[0], label: opts[min(1, len(opts)-1)], index: append(slices.Clone(prefix), i),
-			required: slices.Contains(opts[1:], "required"), nonneg: slices.Contains(opts[1:], "nonneg"),
-			frozen: slices.Contains(opts[1:], "frozen")}
+			required: slices.Contains(opts[1:], "required"), nonneg: slices.Contains(opts[1:], "nonneg")}
 		if slices.Contains(opts[1:], "inline") {
 			ft := sf.Type
 			if ft.Kind() == reflect.Pointer {
@@ -357,10 +350,6 @@ func (d *decoder) scalar(n *node, v reflect.Value, what string, f *field) {
 	bad := func(want string) { d.fail(n.line, "%s %q: %q is not %s", what, f.key, s, want) }
 	switch v.Type() {
 	case reflect.TypeOf(time.Duration(0)):
-		if s == "frozen" && f.frozen {
-			v.SetInt(-1)
-			return
-		}
 		dur, err := time.ParseDuration(s)
 		if err != nil {
 			bad("a duration (e.g. 30s, 5ms)")
@@ -438,9 +427,7 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 	cfg := federation.Config{
 		GlobalFairShare:       sc.GlobalFairShare,
 		AllocEpoch:            sc.AllocEpoch,
-		ResponseSLO:           sc.ResponseSLO,
 		Seed:                  sc.Seed,
-		Coordinator:           sc.Coordinator.Site,
 		OffloadAwareAdmission: sc.Admission,
 		GrantLease:            sc.GrantLease,
 	}
@@ -450,9 +437,6 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 		cfg.CoordinatorElection = federation.RTTCentroid
 	default:
 		return fail("coordinator election %q is not fixed/centroid", sc.Coordinator.Election)
-	}
-	if sc.Coordinator.Site < 0 || sc.Coordinator.Site >= n {
-		return fail("coordinator site %d out of range [0, %d)", sc.Coordinator.Site, n)
 	}
 	// names are the sites' effective names — the federation's edge-i
 	// default where the file sets none — which must be unique and which a
@@ -481,7 +465,6 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 			Controller: controller.Config{MinContainers: 1},
 			Seed:       sc.Seed ^ uint64(0x5ce0+i),
 		}
-		floor := 0 // the site's pool floor, once a function sets one
 		for _, f := range s.Functions {
 			if f.Spec == "" {
 				return fail("fleet site %d has a function without a spec", i)
@@ -493,14 +476,8 @@ func (sc *Scenario) Build(chaosSeed int64) (federation.Config, error) {
 			if len(f.Steps) == 0 {
 				return fail("fleet site %d function %q has no workload", i, f.Spec)
 			}
-			if f.Prewarm < 0 || f.MinContainers < 0 {
-				return fail("fleet site %d function %q: negative prewarm (%d) or min-containers (%d)", i, f.Spec, f.Prewarm, f.MinContainers)
-			}
-			if m := f.MinContainers; m > 0 {
-				if floor > 0 && m != floor {
-					return fail("fleet site %d sets min-containers %d and %d; the pool floor is one per site", i, floor, m)
-				}
-				floor, site.Controller.MinContainers = m, m
+			if f.Prewarm < 0 {
+				return fail("fleet site %d function %q: negative prewarm (%d)", i, f.Spec, f.Prewarm)
 			}
 			wl, err := workload.NewSteps(f.Steps)
 			if err != nil {

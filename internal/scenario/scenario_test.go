@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -18,7 +19,6 @@ name: unit-valid
 description: "loader round-trip fixture"
 seed: 9
 duration: 1m
-response-slo: 250ms
 placer: model-driven
 global-fairshare: true
 admission: true
@@ -48,7 +48,6 @@ fleet:
     functions:
       - spec: squeezenet
         prewarm: 1
-        min-containers: 1
         workload:
           - rate: 5
 chaos:
@@ -174,39 +173,6 @@ func matrixScenario(row0, row1 string) string {
 	return "name: x\nduration: 1m\ntopology:\n  kind: matrix\n  matrix-ms:\n    - " + row0 + "\n    - " + row1 + "\nfleet:\n" + unnamedSite + unnamedSite
 }
 
-// withGeofence sets validScenario's site-1 squeezenet min-containers to
-// squeezenet and deploys geofence next to it with min-containers
-// geofence; an empty value leaves the key out.
-func withGeofence(squeezenet, geofence string) string {
-	key := func(v string) string {
-		if v == "" {
-			return ""
-		}
-		return "        min-containers: " + v + "\n"
-	}
-	src := strings.Replace(validScenario, "        min-containers: 1\n", key(squeezenet), 1)
-	return strings.Replace(src, "          - rate: 5\n", "          - rate: 5\n      - spec: geofence\n"+key(geofence)+"        workload:\n          - rate: 5\n", 1)
-}
-
-// TestPoolFloorIsPerSite: min-containers sets the floor of the site's one
-// pool, so one value, or several that agree, is that site's floor and a
-// site that sets none keeps 1.
-func TestPoolFloorIsPerSite(t *testing.T) {
-	for _, c := range []struct{ squeezenet, geofence string }{{"3", "3"}, {"", "3"}, {"3", ""}} {
-		sc, err := Parse([]byte(withGeofence(c.squeezenet, c.geofence)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := sc.Build(-1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got0, got1 := cfg.Sites[0].Controller.MinContainers, cfg.Sites[1].Controller.MinContainers; got0 != 1 || got1 != 3 {
-			t.Errorf("min-containers %q/%q: site floors %d, %d; want 1, 3", c.squeezenet, c.geofence, got0, got1)
-		}
-	}
-}
-
 func TestScenarioValidationRejections(t *testing.T) {
 	base := func(mutate string) string { return mutate }
 	cases := []struct {
@@ -227,26 +193,22 @@ func TestScenarioValidationRejections(t *testing.T) {
 		{"star with zero rtt", base("name: x\nduration: 1m\ntopology:\n  kind: star\n  rtt: 0ms\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
 		{"ring without rtt", base("name: x\nduration: 1m\ntopology:\n  kind: ring\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
 		{"ring with negative rtt", base("name: x\nduration: 1m\ntopology:\n  kind: ring\n  rtt: -5ms\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n        workload:\n          - rate: 1\n"), "needs a positive \"rtt\""},
-		{"negative response-slo", base("name: x\nduration: 1m\nresponse-slo: -250ms\n"), "line 3: scenario \"response-slo\""},
 		{"NaN matrix cell", matrixScenario("[0, NaN]", "[NaN, 0]"), `line 6: topology "matrix-ms": "NaN" is not a finite number`},
 		{"+Inf matrix cell", matrixScenario("[0, +Inf]", "[1, 0]"), `line 6: topology "matrix-ms": "+Inf" is not a finite number`},
 		{"-Inf matrix cell", matrixScenario("[0, 1]", "[-Inf, 0]"), `line 7: topology "matrix-ms": "-Inf" is not a finite number`},
 		{"overflowing matrix cell", matrixScenario("[0, 1e300]", "[1, 0]"), "matrix-ms cell (0,1) = 1e+300 does not fit a duration"},
-		{"negative min-containers", strings.Replace(validScenario, "min-containers: 1", "min-containers: -2", 1), `fleet site 1 function "squeezenet": negative prewarm (1) or min-containers (-2)`},
 		{"negative prewarm", strings.Replace(validScenario, "prewarm: 1", "prewarm: -3", 1), `fleet site 0 function "squeezenet": negative prewarm (-3)`},
 		{"negative max-violation-rate", validScenario + "  max-violation-rate: -0.5\n", "max-violation-rate -0.5 is negative"},
 		{"zero nodes", strings.Replace(validScenario, "nodes: 2", "nodes: 0", 1), "fleet site 1 needs positive nodes/cpu-per-node/mem-per-node"},
 		{"negative cpu-per-node", strings.Replace(validScenario, "cpu-per-node: 4000", "cpu-per-node: -1", 1), "fleet site 0 needs positive nodes/cpu-per-node/mem-per-node"},
 		{"zero mem-per-node", strings.Replace(validScenario, "mem-per-node: 4096", "mem-per-node: 0", 1), "fleet site 1 needs positive nodes/cpu-per-node/mem-per-node"},
 		{"site without functions", "name: x\nduration: 1m\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n", "fleet site 0 deploys no functions"},
-		{"function without spec", strings.Replace(validScenario, "      - spec: squeezenet\n        prewarm: 1\n        min-containers: 1", "      - prewarm: 1\n        min-containers: 1", 1), "fleet site 1 has a function without a spec"},
+		{"function without spec", strings.Replace(validScenario, "      - spec: squeezenet\n        prewarm: 1\n        workload:\n          - rate: 5", "      - prewarm: 1\n        workload:\n          - rate: 5", 1), "fleet site 1 has a function without a spec"},
 		{"function without workload", "name: x\nduration: 1m\nfleet:\n  - name: a\n    nodes: 1\n    cpu-per-node: 1000\n    mem-per-node: 512\n    functions:\n      - spec: squeezenet\n", `fleet site 0 function "squeezenet" has no workload`},
-		{"coordinator site out of range", strings.Replace(validScenario, "  election: centroid", "  site: 2", 1), "coordinator site 2 out of range [0, 2)"},
 		{"star with a matrix", strings.Replace(validScenario, "  rtt: 5ms", "  rtt: 5ms\n  matrix-ms:\n    - [0, 1]\n    - [1, 0]", 1), `topology kind "star" does not take a matrix`},
 		{"matrix row length", matrixScenario("[0, 1]", "[1]"), "topology matrix row 1 has 1 cells for 2 sites"},
 		{"unknown topology kind", strings.Replace(validScenario, "kind: star", "kind: mesh", 1), `topology kind "mesh" is not ring/star/matrix`},
 		{"duplicate effective site name", "name: x\nduration: 1m\nfleet:\n" + unnamedSite + strings.Replace(unnamedSite, "  - ", "  - name: edge-0\n    ", 1), `duplicate fleet site name "edge-0"`},
-		{"two pool floors at one site", withGeofence("1", "3"), "fleet site 1 sets min-containers 1 and 3"},
 		{"hierarchy without groups", strings.Replace(validScenario, "topology:\n", "hierarchy:\n  reclaim: false\ntopology:\n", 1), "hierarchy declares no groups"},
 	}
 	for _, c := range cases {
@@ -296,11 +258,10 @@ func TestCommittedScenariosLoad(t *testing.T) {
 	}
 }
 
-// TestGrantLeaseKeys: `frozen` is the −1 (unleased) lease all the way
-// into the federation config, and an omitted key and an explicit 0s both
-// leave the federation default in charge.
+// TestGrantLeaseKeys: an omitted key and an explicit 0s both leave the
+// federation default in charge.
 func TestGrantLeaseKeys(t *testing.T) {
-	build := func(lease string) (*Scenario, federation.Config) {
+	build := func(lease string) federation.Config {
 		t.Helper()
 		sc, err := Parse([]byte(strings.Replace(validScenario, "grant-lease: 10s\n", lease, 1)))
 		if err != nil {
@@ -310,14 +271,9 @@ func TestGrantLeaseKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc, cfg
+		return cfg
 	}
-	sc, cfg := build("grant-lease: frozen\n")
-	if sc.GrantLease != -1 || cfg.GrantLease != -1 {
-		t.Errorf("frozen: scenario lease %v, config lease %v; want -1ns both", sc.GrantLease, cfg.GrantLease)
-	}
-	_, omitted := build("")
-	_, zero := build("grant-lease: 0s\n")
+	omitted, zero := build(""), build("grant-lease: 0s\n")
 	if omitted.GrantLease != 0 || !reflect.DeepEqual(omitted, zero) {
 		t.Errorf("omitted and 0s grant-lease build different configs: %+v vs %+v", omitted, zero)
 	}
@@ -350,5 +306,107 @@ func TestDSLFieldsAreTagged(t *testing.T) {
 	walk(reflect.TypeOf(Scenario{}))
 	if len(seen) < 14 {
 		t.Errorf("walked %d struct types, want the 14 the DSL declares", len(seen))
+	}
+}
+
+// benchmarkKeys are the scenario keys only benchmark/gen.go writes, in the
+// documents it generates: no file under scenarios/ sets them. Each must
+// still appear in gen.go as "key:", so an entry cannot outlive its writer.
+var benchmarkKeys = map[string]string{
+	"scenario.HierarchyGroup weight": "fed_full gives every region's first metro weight 3",
+	"chaos.Fault site":               "fed_full darkens one site for a window",
+}
+
+// TestDSLKeysHaveInputs fails on a scenario key that no committed input
+// writes: a key every input leaves at its default has one value in use,
+// so it belongs in a constant. It walks every scenarios/*.yaml against
+// Scenario's schema, marking each (struct type, key) pair it meets, with
+// benchmarkKeys standing in for the documents benchmark/gen.go generates.
+func TestDSLKeysHaveInputs(t *testing.T) {
+	elem := func(typ reflect.Type) reflect.Type {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		return typ
+	}
+	// pair names one key of one struct type, its inline fields flattened.
+	pair := func(typ reflect.Type, key string) string { return typ.String() + " " + key }
+	keyType := func(typ reflect.Type, f *field) reflect.Type {
+		for _, i := range f.index {
+			typ = elem(typ).Field(i).Type
+		}
+		return elem(typ)
+	}
+
+	written := map[string]bool{}
+	var walk func(n *node, typ reflect.Type)
+	walk = func(n *node, typ reflect.Type) {
+		if typ.Kind() != reflect.Struct {
+			return
+		}
+		if n.kind == listNode {
+			for _, item := range n.items {
+				walk(item, typ)
+			}
+			return
+		}
+		s := schemaOf(typ)
+		for i, k := range n.keys {
+			if j := slices.Index(s.keys, k); j >= 0 {
+				written[pair(typ, k)] = true
+				walk(n.items[i], keyType(typ, &s.fields[j]))
+			}
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed scenarios (%v)", err)
+	}
+	for _, p := range files {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		walk(root, reflect.TypeOf(Scenario{}))
+	}
+
+	gen, err := os.ReadFile(filepath.Join("..", "..", "benchmark", "gen.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	seen := map[reflect.Type]bool{}
+	var check func(typ reflect.Type)
+	check = func(typ reflect.Type) {
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		s := schemaOf(typ)
+		for i := range s.fields {
+			f := &s.fields[i]
+			p := pair(typ, f.key)
+			declared[p] = true
+			_, bench := benchmarkKeys[p]
+			switch {
+			case bench && written[p]:
+				t.Errorf("%s is written by a committed scenario: drop its benchmarkKeys entry", p)
+			case bench && !strings.Contains(string(gen), f.key+":"):
+				t.Errorf("%s is in benchmarkKeys, but benchmark/gen.go no longer writes it", p)
+			case !bench && !written[p]:
+				t.Errorf("%s is written by no committed scenario or benchmark input: make it a constant or delete it", p)
+			}
+			check(keyType(typ, f))
+		}
+	}
+	check(reflect.TypeOf(Scenario{}))
+	for p := range benchmarkKeys {
+		if !declared[p] {
+			t.Errorf("benchmarkKeys lists %s, which is no scenario key", p)
+		}
 	}
 }

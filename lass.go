@@ -239,15 +239,13 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 }
 
 // CoordinatorElection selects how the global allocator's coordinator site
-// is chosen under FederationConfig.GlobalFairShare: pinned at
-// FederationConfig.Coordinator, or elected at the topology's round-trip
-// centroid.
+// is chosen under FederationConfig.GlobalFairShare: pinned at site 0, or
+// elected at the topology's round-trip centroid.
 type CoordinatorElection = federation.CoordinatorElection
 
 // Coordinator election modes.
 const (
-	// CoordinatorFixed pins the coordinator at
-	// FederationConfig.Coordinator (default site 0) — the historical
+	// CoordinatorFixed pins the coordinator at site 0 — the historical
 	// behaviour, and the zero value.
 	CoordinatorFixed = federation.Fixed
 	// CoordinatorRTTCentroid elects the site minimizing the round-trip
