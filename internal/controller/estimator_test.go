@@ -292,3 +292,49 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 		t.Errorf("value=%v", e.value)
 	}
 }
+
+// TestDualWindowStepResponse pins how many 5 s epochs (§5's monitoring
+// interval) the default estimator takes to read 90% of a new rate after a
+// step from 20 req/s held for five minutes, with exact per-second counts
+// and no RNG. The detector switches to the short window only when it holds
+// BurstFactor× the long window, which contains it, so a 2× step never
+// switches and λ̂ follows the long window for 20 epochs (100 s), where a 3×
+// step takes 2. The 2× row records a known failure: a burst of exactly
+// BurstFactor× is never caught. A change to the rule updates this table.
+func TestDualWindowStepResponse(t *testing.T) {
+	const base, epoch, held = 20, 5, 300 // req/s, s, s
+	for _, tc := range []struct {
+		factor float64
+		epochs int  // first epoch after the step with λ̂ ≥ 90% of the new rate
+		burst  bool // whether the short window was ever used on the way
+	}{
+		{1.5, 18, false},
+		{2, 20, false},
+		{3, 2, true},
+		{10, 2, true},
+	} {
+		d, _ := NewDualWindow(DefaultDualWindow())
+		target := int(tc.factor * base)
+		got, burst := -1, false
+		for sec := 0; got < 0 && sec < held+300; sec++ {
+			if sec >= held && (sec-held)%epoch == 0 {
+				rate, b := d.Rate(time.Duration(sec) * time.Second)
+				burst = burst || b
+				if rate >= 0.9*float64(target) {
+					got = (sec - held) / epoch
+				}
+			}
+			n := base
+			if sec >= held {
+				n = target
+			}
+			for i := 0; i < n; i++ {
+				d.RecordArrival(time.Duration(sec)*time.Second + time.Duration(i)*time.Second/time.Duration(n))
+			}
+		}
+		if got != tc.epochs || burst != tc.burst {
+			t.Errorf("%v× step (%d → %d req/s): 90%% after %d epochs (burst %v), want %d (burst %v)",
+				tc.factor, base, target, got, burst, tc.epochs, tc.burst)
+		}
+	}
+}

@@ -73,6 +73,12 @@ type wrrEntry struct {
 	// changed nothing costs one compare.
 	rate float64
 	cpu  int64
+	// law is the container's service-time distribution at lawCPU (-1
+	// before its first request). start recomputes it whenever CPUCurrent
+	// differs, whether or not Resized was called, and leaves rate and the
+	// pool's capacity alone.
+	law    functions.ServiceLaw
+	lawCPU int64
 
 	completeFn func()
 	timeoutFn  func()
@@ -310,7 +316,7 @@ func (q *Queue) AddContainer(c *cluster.Container) error {
 	if dup {
 		return fmt.Errorf("dispatch: container %d already attached", c.ID)
 	}
-	e := &wrrEntry{q: q, c: c}
+	e := &wrrEntry{q: q, c: c, lawCPU: -1}
 	e.completeFn = e.complete
 	e.timeoutFn = e.timeout
 	q.setRate(e)
@@ -453,7 +459,11 @@ func (q *Queue) start(e *wrrEntry, r *Request) {
 	r.Start = q.engine.Now()
 	q.Waits.AddDuration(r.Wait())
 	q.SLO.Observe(r.Wait())
-	service := q.spec.SampleServiceTime(q.rng, e.c.CPUFraction())
+	if e.lawCPU != e.c.CPUCurrent {
+		e.lawCPU = e.c.CPUCurrent
+		e.law = q.spec.ServiceLaw(e.c.CPUFraction())
+	}
+	service := e.law.Sample(q.rng)
 	e.busy = true
 	e.inflight = r
 	q.busy++

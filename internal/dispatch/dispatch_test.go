@@ -406,3 +406,39 @@ func TestServiceCapacitySumsAttachedRates(t *testing.T) {
 		t.Errorf("capacity %v want %v", got, want)
 	}
 }
+
+// TestUnreportedResizeSamplesAtNewCPU checks that a container whose CPU
+// changed without a Resized call still draws its service times at its new
+// CPU: each start refreshes the container's service law from CPUCurrent,
+// while the memoized rate and the pool's capacity wait for Resized.
+func TestUnreportedResizeSamplesAtNewCPU(t *testing.T) {
+	engine, cl, q := testSetup(t)
+	c := addRunning(t, cl, q, 400)
+	capacity := q.ServiceCapacity()
+	oracle := xrand.New(1) // the queue's own seed; only service draws use it
+	var service time.Duration
+	serve := func() time.Duration {
+		t.Helper()
+		q.Arrive().Done = func(r *Request) { service = r.Finish - r.Start }
+		engine.Run()
+		return service
+	}
+	if got, want := serve(), q.Spec().ServiceLaw(1).Sample(oracle); got != want {
+		t.Fatalf("standard container served in %v, want %v", got, want)
+	}
+	if err := cl.Resize(c, 160); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if got, want := serve(), q.Spec().ServiceLaw(0.4).Sample(oracle); got != want {
+			t.Fatalf("request %d after an unreported resize served in %v, want %v (the 40%% CPU law)", i, got, want)
+		}
+	}
+	if got := q.ServiceCapacity(); got != capacity {
+		t.Errorf("capacity moved to %v without Resized, want %v", got, capacity)
+	}
+	q.Resized(c)
+	if got, want := q.ServiceCapacity(), q.Spec().RateAt(0.4); got != want {
+		t.Errorf("capacity after Resized %v, want %v", got, want)
+	}
+}

@@ -135,19 +135,39 @@ func (s Spec) RateAt(cpuFraction float64) float64 {
 // 0 → deterministic, 1 → exponential, otherwise lognormal with matching
 // mean and SCV.
 func (s Spec) SampleServiceTime(rng *xrand.Rand, cpuFraction float64) time.Duration {
+	return s.ServiceLaw(cpuFraction).Sample(rng)
+}
+
+// ServiceLaw is a spec's service-time distribution at one CPU fraction,
+// with its parameters worked out once so that a container drawing many
+// requests at the same CPU pays for them once.
+type ServiceLaw struct {
+	mean      float64 // nanoseconds; +Inf for a container with no CPU
+	scv       float64
+	rate      float64 // 1/mean, the exponential's rate
+	mu, sigma float64 // the lognormal's parameters
+}
+
+// ServiceLaw returns the service-time distribution of a container at the
+// given fraction of the standard CPU size.
+func (s Spec) ServiceLaw(cpuFraction float64) ServiceLaw {
 	mean := float64(s.MeanServiceTime) * s.ServiceTimeMultiplier(cpuFraction)
-	if math.IsInf(mean, 1) {
+	sigma2 := math.Log(1 + s.SCV)
+	return ServiceLaw{mean: mean, scv: s.SCV, rate: 1 / mean, mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
+}
+
+// Sample draws one service time.
+func (l ServiceLaw) Sample(rng *xrand.Rand) time.Duration {
+	if math.IsInf(l.mean, 1) {
 		return time.Duration(math.MaxInt64)
 	}
 	switch {
-	case s.SCV == 0:
-		return time.Duration(mean)
-	case s.SCV == 1:
-		return time.Duration(rng.Exp(1 / mean))
+	case l.scv == 0:
+		return time.Duration(l.mean)
+	case l.scv == 1:
+		return time.Duration(rng.Exp(l.rate))
 	default:
-		sigma2 := math.Log(1 + s.SCV)
-		mu := math.Log(mean) - sigma2/2
-		return time.Duration(rng.LogNormal(mu, math.Sqrt(sigma2)))
+		return time.Duration(rng.LogNormal(l.mu, l.sigma))
 	}
 }
 

@@ -218,3 +218,55 @@ func TestIsDNN(t *testing.T) {
 		}
 	}
 }
+
+// referenceSampleServiceTime is SampleServiceTime as it was before service
+// laws: every draw re-derives the mean and the lognormal's parameters.
+// Frozen here as the oracle ServiceLaw must match bit for bit.
+func referenceSampleServiceTime(s Spec, rng *xrand.Rand, cpuFraction float64) time.Duration {
+	mean := float64(s.MeanServiceTime) * s.ServiceTimeMultiplier(cpuFraction)
+	if math.IsInf(mean, 1) {
+		return time.Duration(math.MaxInt64)
+	}
+	switch {
+	case s.SCV == 0:
+		return time.Duration(mean)
+	case s.SCV == 1:
+		return time.Duration(rng.Exp(1 / mean))
+	default:
+		sigma2 := math.Log(1 + s.SCV)
+		mu := math.Log(mean) - sigma2/2
+		return time.Duration(rng.LogNormal(mu, math.Sqrt(sigma2)))
+	}
+}
+
+// TestServiceLawMatchesReference draws from ServiceLaw and from the frozen
+// per-draw formula with twin generators, for every catalog spec at SCV 0, 1
+// and lognormal values, at CPU fractions from none through the slack
+// boundary to inflated: the durations and the generators' states must stay
+// equal.
+func TestServiceLawMatchesReference(t *testing.T) {
+	for _, base := range Catalog() {
+		u := 1 - base.Slack
+		fracs := []float64{0, -0.5, u / 2, u * 0.999, u, (u + 1) / 2, 0.999, 1, 1.5, 4}
+		for _, scv := range []float64{base.SCV, 0, 1, 0.01, 0.25, 0.5, 2.5, 9} {
+			s := base
+			s.SCV = scv
+			for _, f := range fracs {
+				law := s.ServiceLaw(f)
+				got, want := xrand.New(7), xrand.New(7)
+				for i := 0; i < 50; i++ {
+					g, w := law.Sample(got), referenceSampleServiceTime(s, want, f)
+					if g != w {
+						t.Fatalf("%s scv=%v f=%v draw %d: ServiceLaw %v, reference %v", s.Name, scv, f, i, g, w)
+					}
+				}
+				if got.Uint64() != want.Uint64() {
+					t.Fatalf("%s scv=%v f=%v: generators diverged", s.Name, scv, f)
+				}
+				if g, w := s.SampleServiceTime(got, f), referenceSampleServiceTime(s, want, f); g != w {
+					t.Fatalf("%s scv=%v f=%v: SampleServiceTime %v, reference %v", s.Name, scv, f, g, w)
+				}
+			}
+		}
+	}
+}

@@ -134,16 +134,32 @@ func runFuzzScript(e fuzzEng, seed uint64) []string {
 	return trace
 }
 
+// differentialSeeds are the scripts TestSchedulerDifferential names and
+// FuzzSchedulerDifferential starts its corpus from.
+var differentialSeeds = []uint64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
+
 func TestSchedulerDifferential(t *testing.T) {
-	seeds := []uint64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
-	for _, seed := range seeds {
-		seed := seed
+	for _, seed := range differentialSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			ref := runFuzzScript(refAdapter{NewRefEngine()}, seed)
-			got := runFuzzScript(prodAdapter{NewEngine()}, seed)
-			diffTraces(t, "reference vs heap", ref, got)
+			checkDifferential(t, seed)
 		})
 	}
+}
+
+// FuzzSchedulerDifferential runs the script at any seed:
+//
+//	go test -run '^$' -fuzz FuzzSchedulerDifferential -fuzztime 10s ./internal/sim
+func FuzzSchedulerDifferential(f *testing.F) {
+	for _, seed := range differentialSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(checkDifferential)
+}
+
+func checkDifferential(t *testing.T, seed uint64) {
+	ref := runFuzzScript(refAdapter{NewRefEngine()}, seed)
+	got := runFuzzScript(prodAdapter{NewEngine()}, seed)
+	diffTraces(t, "reference vs heap", ref, got)
 }
 
 func diffTraces(t *testing.T, label string, want, got []string) {

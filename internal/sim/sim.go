@@ -275,34 +275,74 @@ func (e *Engine) Run() {
 // allocation) and pays no virtual dispatch on the sift paths. Cancelled
 // timers stay queued as corpses: the engine filters them after popping and
 // sweeps them via compact.
+//
+// pop leaves the root vacant instead of moving the last timer there and
+// sifting it down. A push that follows (the completion a firing arrival
+// schedules, or popLive's push-back) drops into the vacancy and sifts down
+// from the root, usually only a level or two; a pop that follows refills
+// it bottom-up (fill). Either way most events pay one sift, not two.
 type heapScheduler struct {
-	h []timer
+	h      []timer
+	vacant bool // h[0] is a hole left by pop
 }
 
 func (s *heapScheduler) push(tm timer) {
+	if s.vacant {
+		s.vacant = false
+		s.h[0] = tm
+		s.down(0)
+		return
+	}
 	s.h = append(s.h, tm)
 	s.up(len(s.h) - 1)
 }
 
 func (s *heapScheduler) pop() (timer, bool) {
+	if s.vacant {
+		s.fill()
+	}
 	if len(s.h) == 0 {
 		return timer{}, false
 	}
-	top := s.h[0]
-	n := len(s.h) - 1
-	s.h[0] = s.h[n]
-	s.h = s.h[:n]
-	if n > 0 {
-		s.down(0)
-	}
-	return top, true
+	s.vacant = true
+	return s.h[0], true
 }
 
-func (s *heapScheduler) len() int { return len(s.h) }
+func (s *heapScheduler) len() int {
+	if s.vacant {
+		return len(s.h) - 1
+	}
+	return len(s.h)
+}
+
+// fill closes the vacant root Floyd's way: the hole walks to a leaf along
+// the smaller child, one comparison per level, and the last timer moves
+// into it and sifts up (rarely far, since it came from the bottom).
+func (s *heapScheduler) fill() {
+	s.vacant = false
+	n := len(s.h) - 1
+	last := s.h[n]
+	s.h = s.h[:n]
+	if n == 0 {
+		return
+	}
+	i := 0
+	for l := 1; l < n; l = 2*i + 1 {
+		if r := l + 1; r < n && timerLess(s.h[r], s.h[l]) {
+			l = r
+		}
+		s.h[i] = s.h[l]
+		i = l
+	}
+	s.h[i] = last
+	s.up(i)
+}
 
 // compact removes every timer whose slot generation has moved on,
-// preserving the pop order of the survivors.
+// preserving the pop order of the survivors. A vacant root still holds the
+// popped timer, which popLive has consumed, so it goes with the corpses.
 func (s *heapScheduler) compact(slots []slot) {
+	s.vacant = false
 	live := s.h[:0]
 	for _, tm := range s.h {
 		if slots[tm.slot].gen == tm.gen {
@@ -316,31 +356,34 @@ func (s *heapScheduler) compact(slots []slot) {
 }
 
 func (s *heapScheduler) up(i int) {
+	tm := s.h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !timerLess(s.h[i], s.h[p]) {
+		if !timerLess(tm, s.h[p]) {
 			break
 		}
-		s.h[i], s.h[p] = s.h[p], s.h[i]
+		s.h[i] = s.h[p]
 		i = p
 	}
+	s.h[i] = tm
 }
 
 func (s *heapScheduler) down(i int) {
 	n := len(s.h)
+	tm := s.h[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
-		m := l
 		if r := l + 1; r < n && timerLess(s.h[r], s.h[l]) {
-			m = r
+			l = r
 		}
-		if !timerLess(s.h[m], s.h[i]) {
-			return
+		if !timerLess(s.h[l], tm) {
+			break
 		}
-		s.h[i], s.h[m] = s.h[m], s.h[i]
-		i = m
+		s.h[i] = s.h[l]
+		i = l
 	}
+	s.h[i] = tm
 }

@@ -321,6 +321,88 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	})
 }
 
+// TestCancelInsideCallbackCompactsVacantRoot cancels most of the queue
+// from inside a firing callback, while the popped root is still vacant, so
+// compact runs over the vacancy: the survivors must fire in order and the
+// books must balance.
+func TestCancelInsideCallbackCompactsVacantRoot(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	evs := make([]Event, 40)
+	for i := range evs {
+		evs[i] = e.Schedule(time.Duration(i+2)*time.Second, func() { order = append(order, i) })
+	}
+	e.Schedule(time.Second, func() {
+		if !e.sched.vacant {
+			t.Error("root not vacant inside a callback")
+		}
+		for i := range evs {
+			if i%8 != 0 {
+				evs[i].Cancel()
+			}
+		}
+		// Only compact clears the vacancy without a push.
+		if e.sched.vacant || e.dead < 0 || pending(e) != 5+e.dead {
+			t.Errorf("after the sweep: vacant=%v pending=%d dead=%d, want no vacancy and 5 live", e.sched.vacant, pending(e), e.dead)
+		}
+		e.After(0, func() { order = append(order, -1) })
+	})
+	e.Run()
+	want := []int{-1, 0, 8, 16, 24, 32}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+}
+
+// TestRunUntilPushBackFillsVacancy stops RunUntil at a timer beyond its
+// deadline: the push-back must fill the vacant root, not append behind it.
+func TestRunUntilPushBackFillsVacancy(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	for i := 1; i <= 5; i++ {
+		e.Schedule(time.Duration(i)*time.Second, func() { order = append(order, i) })
+	}
+	e.RunUntil(2500 * time.Millisecond)
+	if e.sched.vacant || pending(e) != 3 || len(e.sched.h) != 3 {
+		t.Fatalf("after RunUntil: vacant=%v pending=%d queued=%d, want false 3 3", e.sched.vacant, pending(e), len(e.sched.h))
+	}
+	e.Run()
+	if len(order) != 5 || order[2] != 3 || order[4] != 5 {
+		t.Errorf("fired %v, want 1..5", order)
+	}
+}
+
+// TestStepAfterLastTimer steps past the last timer, whose pop leaves the
+// root vacant over an otherwise empty queue, and then schedules again.
+func TestStepAfterLastTimer(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(time.Second, func() {})
+	if !e.Step() {
+		t.Fatal("Step did not fire the only timer")
+	}
+	if pending(e) != 0 {
+		t.Errorf("pending=%d after the last timer fired, want 0", pending(e))
+	}
+	for i := 0; i < 2; i++ {
+		if e.Step() {
+			t.Fatal("Step fired on an empty queue")
+		}
+	}
+	if pending(e) != 0 || len(e.sched.h) != 0 {
+		t.Errorf("pending=%d queued=%d after stepping an empty queue, want 0 0", pending(e), len(e.sched.h))
+	}
+	fired := false
+	e.Schedule(2*time.Second, func() { fired = true })
+	if !e.Step() || !fired || e.Now() != 2*time.Second {
+		t.Errorf("timer scheduled after the queue drained: fired=%v now=%v", fired, e.Now())
+	}
+}
+
 // TestPendingNeverUndercounts is the regression test for the old engine's
 // double bookkeeping: Step and RunUntil each drained corpses with their own
 // dead-- path, so an interleaving of cancels, compactions, and mixed

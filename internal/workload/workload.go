@@ -92,20 +92,32 @@ func (s *Schedule) RateAt(t time.Duration) float64 {
 	if s.end > 0 && t >= s.end {
 		return 0
 	}
-	idx := sort.Search(len(s.steps), func(i int) bool { return s.steps[i].Start > t })
-	if idx == 0 {
+	i := s.segment(t, -1)
+	if i < 0 {
 		return 0 // before schedule start (t < 0)
 	}
-	return s.steps[idx-1].Rate
+	return s.steps[i].Rate
 }
 
-// segmentEnd returns when the segment containing t ends (schedule end, the
-// next step, or infinity).
-func (s *Schedule) segmentEnd(t time.Duration) time.Duration {
-	idx := sort.Search(len(s.steps), func(i int) bool { return s.steps[i].Start > t })
+// segment returns the index of the last step starting at or before t (-1
+// for t < 0). It walks forward from a hint at or before that step, and
+// binary-searches for a hint of -1 or one past t.
+func (s *Schedule) segment(t time.Duration, hint int) int {
+	if hint < 0 || s.steps[hint].Start > t {
+		return sort.Search(len(s.steps), func(i int) bool { return s.steps[i].Start > t }) - 1
+	}
+	for hint+1 < len(s.steps) && s.steps[hint+1].Start <= t {
+		hint++
+	}
+	return hint
+}
+
+// stepEnd returns when step i's segment ends: the next step's start, or
+// infinity after the last step, capped at the schedule's end.
+func (s *Schedule) stepEnd(i int) time.Duration {
 	var e time.Duration = math.MaxInt64
-	if idx < len(s.steps) {
-		e = s.steps[idx].Start
+	if i+1 < len(s.steps) {
+		e = s.steps[i+1].Start
 	}
 	if s.end > 0 && s.end < e {
 		e = s.end
@@ -113,12 +125,16 @@ func (s *Schedule) segmentEnd(t time.Duration) time.Duration {
 	return e
 }
 
-// Arrivals generates Poisson arrival times following a Schedule. It is a
-// stateless sampler over the schedule: each Next call advances from the
-// given time, so multiple independent Arrivals can share one Schedule.
+// Arrivals generates Poisson arrival times following a Schedule. Each Next
+// call samples from the time it is given, so multiple independent Arrivals
+// can share one Schedule. Besides the RNG, an Arrivals keeps only a segment
+// cursor, and that is a hint: a Next at or after the last one's segment
+// walks it forward in O(1) amortized time, an earlier time falls back to a
+// binary search, and neither changes an answer.
 type Arrivals struct {
 	sched *Schedule
 	rng   *xrand.Rand
+	seg   int // the step the last Next ended in
 }
 
 // NewArrivals returns a Poisson arrival generator for the schedule.
@@ -140,8 +156,9 @@ func (a *Arrivals) Next(after time.Duration) (time.Duration, bool) {
 		if a.sched.end > 0 && t >= a.sched.end {
 			return 0, false
 		}
-		rate := a.sched.RateAt(t)
-		segEnd := a.sched.segmentEnd(t)
+		a.seg = a.sched.segment(t, a.seg)
+		rate := a.sched.steps[a.seg].Rate
+		segEnd := a.sched.stepEnd(a.seg)
 		if rate <= 0 {
 			if segEnd == math.MaxInt64 {
 				return 0, false // zero rate forever
@@ -184,7 +201,7 @@ func (s *Schedule) ExpectedCount(from, to time.Duration) float64 {
 	total := 0.0
 	t := from
 	for t < to {
-		end := s.segmentEnd(t)
+		end := s.stepEnd(s.segment(t, -1))
 		if end > to {
 			end = to
 		}

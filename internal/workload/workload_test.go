@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -265,5 +266,155 @@ func TestPhaseSchedule(t *testing.T) {
 	bad := PhaseSchedule{"x": {{Start: time.Second, Rate: 1}}}
 	if _, err := bad.Schedules(); err == nil {
 		t.Error("want error for invalid phase schedule")
+	}
+}
+
+// referenceNext is Arrivals.Next as it was before the segment cursor: two
+// binary searches of the schedule per segment visited. Frozen here as the
+// oracle the cursor must match bit for bit.
+func referenceNext(s *Schedule, rng *xrand.Rand, after time.Duration) (time.Duration, bool) {
+	search := func(t time.Duration) int {
+		return sort.Search(len(s.steps), func(i int) bool { return s.steps[i].Start > t })
+	}
+	w := rng.Exp(1)
+	t := after
+	if t < 0 {
+		t = 0
+	}
+	for {
+		if s.end > 0 && t >= s.end {
+			return 0, false
+		}
+		idx := search(t)
+		rate := 0.0
+		if idx > 0 {
+			rate = s.steps[idx-1].Rate
+		}
+		var segEnd time.Duration = math.MaxInt64
+		if idx < len(s.steps) {
+			segEnd = s.steps[idx].Start
+		}
+		if s.end > 0 && s.end < segEnd {
+			segEnd = s.end
+		}
+		if rate <= 0 {
+			if segEnd == math.MaxInt64 {
+				return 0, false
+			}
+			t = segEnd
+			continue
+		}
+		dt := time.Duration(w / rate * float64(time.Second))
+		if segEnd == math.MaxInt64 || t+dt < segEnd {
+			return t + dt, true
+		}
+		w -= rate * (segEnd - t).Seconds()
+		t = segEnd
+	}
+}
+
+// TestCursorMatchesSearch drives Next and NextN with times that follow the
+// last arrival, jump forward, repeat and go backwards (below zero too),
+// over schedules with an end, zero-rate segments, one step and many, with
+// two Arrivals sharing each schedule. Every answer and every generator
+// state must equal the frozen search-based sampler's.
+func TestCursorMatchesSearch(t *testing.T) {
+	mustSteps := func(steps []Step) *Schedule {
+		s, err := NewSteps(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	single, _ := NewStatic(25)
+	perMinute, err := FromPerMinuteCounts([]float64{300, 0, 0, 6000, 5, 0, 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := xrand.New(3)
+	var many []Step
+	for i := 0; i < 720; i++ {
+		rate := float64(gen.Uint64()%50) / 2
+		if i%7 == 3 {
+			rate = 0
+		}
+		many = append(many, Step{Start: time.Duration(i) * time.Second, Rate: rate})
+	}
+	schedules := []struct {
+		name  string
+		sched *Schedule
+	}{
+		{"single step", single},
+		{"single step, ended", single.WithEnd(40 * time.Second)},
+		{"zero segments", mustSteps([]Step{{0, 5}, {10 * time.Second, 0}, {20 * time.Second, 0}, {30 * time.Second, 12}, {45 * time.Second, 0}})},
+		{"zero start, ended", mustSteps([]Step{{0, 0}, {5 * time.Second, 40}, {6 * time.Second, 0}, {9 * time.Second, 3}}).WithEnd(12 * time.Second)},
+		{"per-minute trace", perMinute},
+		{"720 steps", mustSteps(many)},
+		{"720 steps, ended", mustSteps(many).WithEnd(500 * time.Second)},
+	}
+	for _, tc := range schedules {
+		sched := tc.sched
+		t.Run(tc.name, func(t *testing.T) {
+			drive := xrand.New(11)
+			span := 800 * time.Second
+			type pair struct {
+				a    *Arrivals
+				ref  *xrand.Rand
+				last time.Duration
+			}
+			pairs := []*pair{
+				{a: NewArrivals(sched, xrand.New(1)), ref: xrand.New(1)},
+				{a: NewArrivals(sched, xrand.New(2)), ref: xrand.New(2)},
+			}
+			out := make([]time.Duration, 8)
+			for op := 0; op < 3000; op++ {
+				p := pairs[drive.Uint64()%2]
+				after := p.last
+				switch drive.Uint64() % 10 {
+				case 0, 1: // jump forward
+					after += time.Duration(drive.Uint64() % uint64(span/4))
+				case 2: // go backwards, possibly below zero
+					after -= time.Duration(drive.Uint64() % uint64(span/2))
+				case 3: // restart anywhere
+					after = time.Duration(drive.Uint64()%uint64(span)) - time.Second
+				}
+				if drive.Uint64()%4 == 0 {
+					k := 1 + int(drive.Uint64()%uint64(len(out)))
+					n := p.a.NextN(after, out[:k])
+					want, tm := 0, after
+					for want < k {
+						next, ok := referenceNext(sched, p.ref, tm)
+						if !ok {
+							break
+						}
+						if want >= n || out[want] != next {
+							t.Fatalf("op %d: NextN(%v) = %v, reference arrival %d is %v", op, after, out[:n], want, next)
+						}
+						want++
+						tm = next
+					}
+					if want != n {
+						t.Fatalf("op %d: NextN(%v) gave %d arrivals, reference %d", op, after, n, want)
+					}
+					if n > 0 {
+						p.last = out[n-1]
+					}
+				} else {
+					got, gotOK := p.a.Next(after)
+					want, wantOK := referenceNext(sched, p.ref, after)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("op %d: Next(%v) = %v,%v, reference %v,%v", op, after, got, gotOK, want, wantOK)
+					}
+					if gotOK {
+						p.last = got
+					} else {
+						p.last = after
+					}
+				}
+				if p.a.rng.Uint64() != p.ref.Uint64() {
+					t.Fatalf("op %d: generators diverged", op)
+				}
+			}
+		})
 	}
 }
