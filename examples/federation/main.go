@@ -1,14 +1,14 @@
 // Edge–cloud federation with dynamic offload. Three small edge sites run
 // SqueezeNet behind the LaSS controller on a star topology (edge-0 is the
 // hub); the middle of the run slams site edge-0 with three times its
-// capacity. The example runs the same scenario under every registered
-// placement policy — the never single-cluster baseline, cloud-only,
-// nearest-peer, model-driven, grant-aware, and cost-bounded, each resolved
-// by name from the placer registry — and prints where each site's
-// requests were served, the cloud cold starts and dollars each policy
-// paid, and the end-to-end SLO violation rate, network RTT included.
-// Registering a custom lass.Placer before the loop would add it to the
-// comparison automatically. A closing section reruns the scenario under
+// capacity. The example runs the same scenario under the seven built-in
+// placement policies — the never single-cluster baseline, cloud-only,
+// nearest-peer, model-driven, grant-aware, cost-bounded and metro-affine,
+// each resolved by name (lass.PlacerNames, lass.PlacerByName) — and prints
+// where each site's requests were served, the cloud cold starts and
+// dollars each policy paid, and the end-to-end SLO violation rate, network
+// RTT included. A custom lass.Placer joins the comparison by setting it in
+// FederationConfig.Placer for one more run. A closing section reruns the scenario under
 // the federation-wide fair-share allocator with an elected,
 // failure-prone coordinator: RTT-centroid election, a mid-run outage
 // window, and grant leases versus the frozen-grants legacy.

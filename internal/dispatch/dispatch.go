@@ -399,10 +399,18 @@ func (q *Queue) ArriveOffloaded() *Request {
 }
 
 // enqueue appends the request to the FIFO, which owns it from here; the
-// dispatch/complete path releases it.
+// dispatch/complete path releases it. pump rewinds head only when the FIFO
+// empties, so under a standing backlog a full array first slides its
+// waiting requests down over the slack before head: the array then grows
+// only with the backlog itself, not with every arrival of the busy period.
 //
 //lass:transfers
 func (q *Queue) enqueue(r *Request) {
+	if q.head > 0 && len(q.fifo) == cap(q.fifo) {
+		n := copy(q.fifo, q.fifo[q.head:])
+		clear(q.fifo[n:])
+		q.fifo, q.head = q.fifo[:n], 0
+	}
 	q.fifo = append(q.fifo, r)
 	q.pump()
 }
@@ -410,7 +418,8 @@ func (q *Queue) enqueue(r *Request) {
 // selectIdle picks the idle container by smooth weighted round-robin with
 // weights equal to current CPU allocation. Returns nil when all busy.
 // Walking q.order pins the accumulation to container-ID order, so selection
-// is a pure function of the queue state.
+// is a pure function of the queue state, and the strict comparison gives
+// ties to the lowest container ID.
 //
 //lass:bitexact the running weights and their total are floats.
 func (q *Queue) selectIdle() *wrrEntry {
@@ -423,9 +432,7 @@ func (q *Queue) selectIdle() *wrrEntry {
 		w := float64(e.c.CPUCurrent)
 		e.current += w
 		total += w
-		if best == nil || e.current > best.current ||
-			// Deterministic tie-break on container ID.
-			(e.current == best.current && e.c.ID < best.c.ID) {
+		if best == nil || e.current > best.current {
 			best = e
 		}
 	}

@@ -442,3 +442,58 @@ func TestUnreportedResizeSamplesAtNewCPU(t *testing.T) {
 		t.Errorf("capacity after Resized %v, want %v", got, want)
 	}
 }
+
+// TestFIFOBoundedUnderStandingBacklog holds a queue at a small standing
+// backlog (one arrival per completion) for tens of thousands of requests:
+// the busy period never drains the FIFO, so only the slide-down in enqueue
+// keeps its array near the peak backlog rather than the busy period's
+// arrival count. The queue must still serve strictly in arrival order,
+// including a request a container removal bounces back to the front
+// mid-run.
+func TestFIFOBoundedUnderStandingBacklog(t *testing.T) {
+	engine, cl, q := testSetup(t)
+	c := addRunning(t, cl, q, 1000)
+	var served []uint64
+	done := func(r *Request) { served = append(served, r.ID) }
+	arrivals := 0
+	arrive := func() {
+		q.Arrive().Done = done
+		arrivals++
+	}
+	const backlog, rounds = 8, 20000
+	for range backlog + 1 { // one in service, backlog waiting
+		arrive()
+	}
+	peak := 0
+	for i := range rounds {
+		if i == rounds/2 {
+			if err := q.RemoveContainer(c); err != nil {
+				t.Fatal(err)
+			}
+			c = addRunning(t, cl, q, 1000)
+		}
+		before := q.Completed()
+		for q.Completed() == before && engine.Step() {
+		}
+		arrive()
+		peak = max(peak, q.QueueLength())
+		if limit := 4 * peak; cap(q.fifo) > limit {
+			t.Fatalf("round %d: FIFO array holds %d slots, peak backlog %d (limit %d)", i, cap(q.fifo), peak, limit)
+		}
+	}
+	engine.Run()
+	if peak > backlog+1 {
+		t.Errorf("peak backlog %d, want at most %d", peak, backlog+1)
+	}
+	if q.Requeued() != 1 {
+		t.Errorf("requeued %d, want 1", q.Requeued())
+	}
+	if len(served) != arrivals {
+		t.Fatalf("served %d of %d arrivals", len(served), arrivals)
+	}
+	for i := 1; i < len(served); i++ {
+		if served[i] <= served[i-1] {
+			t.Fatalf("completion %d served request %d after %d: FIFO order lost", i, served[i], served[i-1])
+		}
+	}
+}

@@ -378,7 +378,7 @@ func TestFederationTraceShapeHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := 4 * len(federation.PlacerNames()); len(tab.Rows) != want {
-		t.Fatalf("rows=%d want %d (every registered policy x (3 sites + aggregate))", len(tab.Rows), want)
+		t.Fatalf("rows=%d want %d (every built-in policy x (3 sites + aggregate))", len(tab.Rows), want)
 	}
 	agg := func(policy string) []string {
 		for _, row := range tab.Rows {

@@ -178,7 +178,7 @@ func addFederationRows(t *Table, res *federation.Result) {
 		fmt.Sprintf("%.4f", violationRate(violations(res.Sites))))
 }
 
-// sweepFederationPolicies runs every registered placement policy over
+// sweepFederationPolicies runs every built-in placement policy over
 // freshly built sites, appends per-site and aggregate rows to the table,
 // and verifies the never policy bit-for-bit against standalone runs. The
 // sweep runs under per-site-local allocation, which is where that
@@ -208,11 +208,10 @@ func sweepFederationPolicies(t *Table, opt Options, build siteBuilder) error {
 	return nil
 }
 
-// Federation sweeps every registered placement policy (the six built-ins,
-// plus any custom placers registered at run time) over the three-site
-// edge–cloud scenario and reports, per policy and site, where requests
-// were served, the cloud cold starts and cost they incurred, and the
-// end-to-end SLO-violation rate (response time including network RTT,
+// Federation sweeps the seven built-in placement policies over the
+// three-site edge–cloud scenario and reports, per policy and site, where
+// requests were served, the cloud cold starts and cost they incurred, and
+// the end-to-end SLO-violation rate (response time including network RTT,
 // 250 ms deadline).
 //
 // The never policy is additionally cross-checked against standalone

@@ -6,10 +6,10 @@ import (
 	"lass/internal/federation"
 )
 
-// FederationPlacers sweeps every registered placement policy — the four
-// legacy enum policies rebuilt on the Placer API, the two policies the API
-// made possible (grant-aware and cost-bounded), and any custom placers
-// registered at run time — over the skewed-trace scenario (one bursty hot
+// FederationPlacers sweeps the seven built-in placement policies — the
+// four legacy enum policies rebuilt on the Placer API and the three it
+// made possible (grant-aware, cost-bounded and metro-affine) — over the
+// skewed-trace scenario (one bursty hot
 // site, two mostly-idle steady peers) with the federation-wide fair-share
 // allocator, offload-aware §3.4 admission, and a throttled cloud all on.
 //
@@ -19,11 +19,11 @@ import (
 // granted-but-cold pools into its per-candidate prediction — should beat
 // plain model-driven (which only sees live pools) on violations, and
 // cost-bounded exposes the violations-versus-cloud-bill trade. One row
-// set per registered policy.
+// set per built-in policy.
 func FederationPlacers(opt Options) (*Table, error) {
 	t := &Table{
 		ID:     "federation-placers",
-		Title:  "Placement-policy sweep: all registered placers on skewed traces (global fair share + admission)",
+		Title:  "Placement-policy sweep: all built-in placers on skewed traces (global fair share + admission)",
 		Header: append([]string(nil), federationSweepHeader...),
 	}
 	minutes := 60

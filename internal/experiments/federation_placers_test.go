@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"testing"
 
 	"lass/internal/federation"
@@ -35,7 +34,7 @@ func TestFederationPlacersGrantAwareBeatsModelDriven(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := 4 * len(federation.PlacerNames()); len(tab.Rows) != want {
-		t.Fatalf("rows=%d want %d (every registered policy x (3 sites + aggregate))", len(tab.Rows), want)
+		t.Fatalf("rows=%d want %d (every built-in policy x (3 sites + aggregate))", len(tab.Rows), want)
 	}
 	// Arrivals are workload-driven: identical across policies or the
 	// comparison is meaningless.
@@ -76,41 +75,6 @@ func TestFederationPlacersGrantAwareBeatsModelDriven(t *testing.T) {
 	if costBill > modelBill {
 		t.Errorf("cost-bounded cloud bill $%.6f above model-driven's $%.6f", costBill, modelBill)
 	}
-}
-
-// TestExperimentResolvesCustomPlacer: a placer registered from outside
-// internal/federation gets its own row set in the registry's policy sweep.
-func TestExperimentResolvesCustomPlacer(t *testing.T) {
-	// Tolerate re-registration: the registry is process-global, so a
-	// second in-process run (go test -count=N) already has the placer.
-	if err := federation.RegisterPlacer(alwaysCloudPlacer{}); err != nil &&
-		!strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
-	tab, err := Run("federation", quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := placerAggregate(tab, "always-cloud")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[4] != "0" {
-		t.Errorf("always-cloud served %s locally", row[4])
-	}
-	if row[6] == "0" {
-		t.Error("always-cloud sent nothing to the cloud")
-	}
-}
-
-// alwaysCloudPlacer ships every request to the cloud — a degenerate custom
-// policy proving the registry path end to end.
-type alwaysCloudPlacer struct{}
-
-func (alwaysCloudPlacer) Name() string { return "always-cloud" }
-
-func (alwaysCloudPlacer) Place(ctx *federation.PlacementContext) federation.Decision {
-	return federation.ToCloud()
 }
 
 // placerAggregate finds the aggregate ("all") row for one policy in a

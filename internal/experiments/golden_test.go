@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
-
-	"lass/internal/federation"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/golden/*.csv from the current tree")
@@ -63,7 +61,6 @@ func TestExperimentGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run(%s): %v", id, err)
 			}
-			dropCustomPlacerRows(tab)
 			var got bytes.Buffer
 			if err := tab.WriteCSV(&got); err != nil {
 				t.Fatalf("WriteCSV: %v", err)
@@ -85,25 +82,4 @@ func TestExperimentGoldens(t *testing.T) {
 			}
 		})
 	}
-}
-
-// dropCustomPlacerRows removes the rows of registered placers outside the
-// built-in set: the placer registry is process-global, so a custom placer
-// another test registered earlier in the same run adds rows to every
-// policy sweep.
-func dropCustomPlacerRows(tab *Table) {
-	custom := make(map[string]bool)
-	for _, name := range federation.PlacerNames() {
-		custom[name] = true
-	}
-	for _, name := range federation.BuiltinPlacerNames {
-		delete(custom, name)
-	}
-	rows := tab.Rows[:0]
-	for _, row := range tab.Rows {
-		if !custom[row[0]] {
-			rows = append(rows, row)
-		}
-	}
-	tab.Rows = rows
 }

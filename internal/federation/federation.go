@@ -9,11 +9,11 @@
 // Placement is pluggable: every decision goes through a Placer
 // (Place(ctx *PlacementContext) Decision), and the PlacementContext hands
 // the policy everything the federation knows about the request's
-// candidates — predicted responses, topology RTTs, controller headroom and
-// backlog, global fair-share grants, and cloud prediction/queue/cost
-// state. The built-in policies are placers registered by name; custom
-// policies register with RegisterPlacer and are selected by name without
-// touching this package.
+// candidates — predicted responses, peers in RTT order, controller
+// headroom and backlog, global fair-share grants, and cloud
+// prediction/queue/cost state. The seven built-in policies form a fixed table looked up by name
+// (PlacerByName); a custom policy is any other Placer set in
+// Config.Placer, without touching this package.
 //
 // The paper (§3.4) evaluates admission control on a single
 // resource-constrained cluster; this package opens the scenario family of
@@ -139,8 +139,8 @@ type Config struct {
 	Sites []core.Config
 	// Placer is the placement policy consulted at every site's ingress;
 	// nil means the built-in "never" placer (every request served at its
-	// ingress site). Built-in and custom policies alike come from
-	// PlacerByName / RegisterPlacer and need no federation changes.
+	// ingress site). A built-in comes from PlacerByName; a custom policy is
+	// any other Placer and needs no federation changes.
 	Placer Placer
 	// Topology, when set, is the explicit one-way inter-site latency
 	// matrix; its size must match Sites. When nil, the federation uses
@@ -727,9 +727,9 @@ func (s *Site) observe(resp time.Duration) {
 func (f *Federation) overloaded(s *Site, q *dispatch.Queue) bool {
 	if q == nil {
 		// The site does not serve fn at all: it can absorb nothing, which
-		// for placement purposes is the same as being overloaded. Internal
-		// callers never hit this, but PlacementContext.Overloaded hands
-		// custom placers any site index without a bounds obligation.
+		// for placement purposes is the same as being overloaded. The
+		// federation's own callers never hit this, but
+		// PlacementContext.Overloaded answers any placer about any site.
 		return true
 	}
 	n := q.Containers()
@@ -1195,8 +1195,8 @@ func (r SiteResult) ViolationRate() float64 {
 
 // Result is the outcome of a federated run.
 type Result struct {
-	// Placer names the placement policy the run used (the registry key,
-	// e.g. "model-driven" or a custom name).
+	// Placer names the placement policy the run used (its Name, e.g.
+	// "model-driven" or a custom name).
 	Placer      string
 	Duration    time.Duration
 	Sites       []SiteResult

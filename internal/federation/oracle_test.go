@@ -164,7 +164,7 @@ type checkedPlacer struct {
 func (p *checkedPlacer) Name() string { return p.inner.Name() }
 
 func (p *checkedPlacer) Place(ctx *PlacementContext) Decision {
-	t, origin, fn := p.t, ctx.Origin(), ctx.Function()
+	t, origin, fn := p.t, ctx.Origin(), ctx.t.fn
 	o := newOracle(p.fed, fn)
 	p.calls++
 	if ctx.Sheddable() {
@@ -184,18 +184,22 @@ func (p *checkedPlacer) Place(ctx *PlacementContext) Decision {
 			}
 		}
 		reach, pool := o.reachable(origin, site), o.pool(site)
-		if !reach && site >= 0 && site < len(p.fed.Sites) {
-			p.unreachable++
+		if site >= 0 && site < len(p.fed.Sites) {
+			if !reach {
+				p.unreachable++
+			}
+			at("reaches", ctx.reaches(site), reach)
+			at("accepts", ctx.accepts(site), o.accepts(origin, site))
+			if q := ctx.t.queues[site]; q != nil {
+				at("IdleContainers", q.IdleContainers(), pool.idle)
+			}
 		}
-		at("Reachable", ctx.Reachable(site), reach)
 		at("Serves", ctx.Serves(site), pool.q != nil)
 		at("PredictResponse bits", math.Float64bits(ctx.PredictResponse(site)), math.Float64bits(o.predict(origin, site)))
 		at("ServiceCapacity bits", math.Float64bits(ctx.ServiceCapacity(site)), math.Float64bits(pool.capacity))
 		at("Backlog", ctx.Backlog(site), o.backlog(site))
 		at("Containers", ctx.Containers(site), pool.attached)
-		at("IdleContainers", ctx.IdleContainers(site), pool.idle)
 		at("Overloaded", ctx.Overloaded(site), o.overloaded(site))
-		at("Accepts", ctx.Accepts(site), o.accepts(origin, site))
 	}
 	if got, want := ctx.SelectPeer(), o.selectPeer(origin); got != want {
 		t.Fatalf("call %d origin %d %s: SelectPeer %d, oracle %d", p.calls, origin, fn, got, want)
@@ -306,6 +310,132 @@ func TestPlacementTablesMatchFirstPrinciples(t *testing.T) {
 			offloaded == 0 || deflated == 0 || res.Reclaimed == 0 {
 			t.Errorf("%s: harness too quiet: %d decisions, %d unreachable candidates, %d sheddable, %d peer offloads, %d deflations, %d mC reclaimed",
 				policy, checked.calls, checked.unreachable, checked.sheddable, offloaded, deflated, res.Reclaimed)
+		}
+	}
+}
+
+// frozenMetroAffine is metro-affine's decision as it stood before the
+// policy became placePredictive with the metro flag: one scan tracking the
+// fastest peer and the fastest same-metro peer with positive headroom,
+// then its own copy of the model-driven endgame. A flat federation falls
+// back to the frozen model-driven decision (legacyEnumPlacer).
+func frozenMetroAffine(ctx *PlacementContext) Decision {
+	origin := ctx.Origin()
+	if ctx.Metro(origin) < 0 {
+		return legacyEnumPlacer{policy: "model-driven"}.Place(ctx)
+	}
+	deadline := ctx.ResponseSLO().Seconds()
+	local := math.Inf(1)
+	if !ctx.Sheddable() {
+		if local = ctx.PredictResponse(origin); local <= deadline {
+			return Local()
+		}
+	}
+	best, bestResp := -1, math.Inf(1)
+	metro, metroResp := -1, math.Inf(1)
+	for _, p := range ctx.PeersByRTT() {
+		resp := ctx.PredictResponse(p)
+		if resp < bestResp {
+			best, bestResp = p, resp
+		}
+		if ctx.SameMetro(origin, p) && ctx.Headroom(p) > 0 && resp < metroResp {
+			metro, metroResp = p, resp
+		}
+	}
+	if metro >= 0 && metroResp <= deadline && metroResp < local {
+		return ToSite(metro)
+	}
+	if cloud := ctx.PredictCloud(); cloud < bestResp && cloud < local {
+		if !ctx.Sheddable() {
+			return ToCloud()
+		}
+		if cloud <= deadline && ctx.CloudAdmits() {
+			return ToCloud()
+		}
+		return Reject()
+	}
+	if bestResp <= deadline || (!ctx.Sheddable() && bestResp < local) {
+		return ToSite(best)
+	}
+	if ctx.Sheddable() {
+		return Reject()
+	}
+	return Local()
+}
+
+// metroDiffPlacer runs the built-in metro-affine policy and fails on the
+// first decision that differs from frozenMetroAffine's. It also counts the
+// states the comparison must have covered: sheddable calls, unreachable
+// peers, offloads to a same-metro peer, and decisions where the metro
+// preference overrode what model-driven would have chosen.
+type metroDiffPlacer struct {
+	t     *testing.T
+	inner Placer
+
+	calls, sheddable, unreachable, metroPicks, overrides int
+}
+
+func (p *metroDiffPlacer) Name() string { return p.inner.Name() }
+
+func (p *metroDiffPlacer) Place(ctx *PlacementContext) Decision {
+	p.calls++
+	got, want := p.inner.Place(ctx), frozenMetroAffine(ctx)
+	if got != want {
+		p.t.Fatalf("call %d at %v origin %d %s (sheddable %v): metro-affine decided %v, frozen reference %v",
+			p.calls, ctx.now, ctx.Origin(), ctx.t.fn, ctx.Sheddable(), got, want)
+	}
+	if ctx.Sheddable() {
+		p.sheddable++
+	}
+	for _, peer := range ctx.PeersByRTT() {
+		if !ctx.reaches(peer) {
+			p.unreachable++
+		}
+	}
+	if got.Kind == OffloadSite && ctx.SameMetro(ctx.Origin(), got.Site) {
+		p.metroPicks++
+	}
+	if got != (modelDrivenPlacer{}).Place(ctx) {
+		p.overrides++
+	}
+	return got
+}
+
+// TestMetroAffineMatchesFrozenDecision holds metro-affine, now
+// placePredictive with the metro flag, to its frozen stand-alone decision
+// on every call: on the fed_full-shaped federation (hierarchy, reclaim,
+// admission, chaos), where the metro preference must actually override
+// model-driven, and on the same fleet flattened, where it must not.
+func TestMetroAffineMatchesFrozenDecision(t *testing.T) {
+	inner, err := PlacerByName("metro-affine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flat := range []bool{false, true} {
+		diff := &metroDiffPlacer{t: t, inner: inner}
+		cfg := fedFullShaped(t, diff, 1)
+		if flat {
+			cfg.Hierarchy, cfg.Reclaim = nil, false
+		}
+		fed, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fed.Run(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if diff.calls == 0 || diff.sheddable == 0 || diff.unreachable == 0 {
+			t.Errorf("flat=%v: harness too quiet: %d decisions, %d sheddable, %d unreachable peers",
+				flat, diff.calls, diff.sheddable, diff.unreachable)
+		}
+		if flat {
+			if diff.metroPicks != 0 || diff.overrides != 0 {
+				t.Errorf("flat federation: %d same-metro picks, %d decisions unlike model-driven; want 0 and 0",
+					diff.metroPicks, diff.overrides)
+			}
+		} else if diff.metroPicks == 0 || diff.overrides == 0 {
+			t.Errorf("hierarchical federation: %d same-metro picks, %d decisions unlike model-driven; want both positive",
+				diff.metroPicks, diff.overrides)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"lass/internal/dispatch"
@@ -17,15 +16,15 @@ import (
 // deterministic functions of the context (a policy that wants randomness
 // owns a seeded xrand stream), so federated runs stay exactly reproducible.
 //
-// The built-in policies (never, cloud-only, nearest-peer, model-driven and
-// the rest of BuiltinPlacerNames) are themselves Placers registered under
-// their names; custom policies register with RegisterPlacer and are
-// selected by name through PlacerByName (the scenario DSL's
-// federation.placer key resolves that way) — no federation code needs to
-// change to add one.
+// The seven built-in policies (never, cloud-only, nearest-peer,
+// model-driven, grant-aware, cost-bounded, metro-affine) are Placers in a
+// fixed table that PlacerByName and PlacerNames read (the scenario DSL's
+// federation.placer key resolves that way); a custom policy is any other
+// Placer passed in Config.Placer — no federation code needs to change to
+// add one.
 type Placer interface {
-	// Name is the registry key ("never", "model-driven", ...): lower-case,
-	// no whitespace.
+	// Name labels the policy in results and tables ("never",
+	// "model-driven", ...).
 	Name() string
 	// Place decides where the request described by ctx is served. The
 	// federation sanitizes the decision (an out-of-range or non-serving
@@ -89,12 +88,12 @@ func (d Decision) String() string {
 
 // PlacementContext exposes, per candidate location, everything the
 // federation computes about one arriving request: the request's function
-// and end-to-end SLO, predicted responses (§3.1's queueing model extended
-// with the network legs), one-way RTTs from the topology, controller
+// spec and end-to-end SLO, predicted responses (§3.1's queueing model
+// extended with the network legs), the peers in RTT order, controller
 // headroom and backlog, the global fair-share allocator's grants
 // (including granted-but-cold pre-provisioned pools), and the cloud's
 // predicted response, admission headroom, and per-request cost. Site
-// arguments are federation site indices (Origin, 0..NumSites-1); accessors
+// arguments are federation site indices (Origin, PeersByRTT); accessors
 // return +Inf / zero values for out-of-range sites, so placers need no
 // bounds checks.
 type PlacementContext struct {
@@ -108,18 +107,12 @@ type PlacementContext struct {
 	originDark bool
 }
 
-// Function returns the request's function name.
-func (ctx *PlacementContext) Function() string { return ctx.t.fn }
-
 // Spec returns the request's function spec (container size, service-time
 // model, cold start — Table 1).
 func (ctx *PlacementContext) Spec() functions.Spec { return ctx.t.q.Spec() }
 
 // Origin returns the ingress site's index.
 func (ctx *PlacementContext) Origin() int { return ctx.t.origin.Index }
-
-// NumSites returns the number of edge sites in the federation.
-func (ctx *PlacementContext) NumSites() int { return len(ctx.f.Sites) }
 
 // ResponseSLO returns the end-to-end response deadline the federation
 // accounts violations against (network RTT included).
@@ -147,41 +140,18 @@ func (ctx *PlacementContext) Overloaded(site int) bool {
 	return ctx.f.overloaded(ctx.f.Sites[site], ctx.t.queues[site])
 }
 
-// Accepts reports whether the site would absorb offloaded work for this
-// function right now: it is reachable from the origin (no chaos fault
-// darkens the link or either endpoint), serves the function, is not
-// overloaded, and either its controller reports spare capacity or —
-// under the global allocator — it holds pre-provisioned (spread-granted)
-// idle containers.
-func (ctx *PlacementContext) Accepts(site int) bool {
-	if site < 0 || site >= len(ctx.f.Sites) {
-		return false
-	}
-	return ctx.accepts(site)
-}
-
-// accepts is Accepts for an in-range site: reachability first — a peer
-// behind a dark link can absorb nothing from this origin, whatever its
-// headroom says.
+// accepts reports whether the in-range site would absorb offloaded work
+// for this function right now (Federation.accepts), reachability first: a
+// peer behind a dark link can absorb nothing from this origin, whatever
+// its headroom says.
 func (ctx *PlacementContext) accepts(site int) bool {
 	return ctx.reaches(site) && ctx.f.accepts(ctx.f.Sites[site], ctx.t.queues[site])
 }
 
-// Reachable reports whether the origin can currently reach the site: no
-// chaos fault darkens the directed origin→site link or either endpoint's
-// network. Always true for the origin itself, and in fault-free runs.
-// Unreachability is binary — placement must exclude the peer, not price
-// it in as extra RTT.
-func (ctx *PlacementContext) Reachable(site int) bool {
-	if site < 0 || site >= len(ctx.f.Sites) {
-		return false
-	}
-	return ctx.reaches(site)
-}
-
-// reaches is Reachable for an in-range site: Federation.linkUp from the
-// origin at the decision's instant, with the origin's own half of the
-// answer already in hand.
+// reaches reports whether the origin can currently reach the in-range
+// site: Federation.linkUp from the origin at the decision's instant, with
+// the origin's own half of the answer already in hand. Unreachability is
+// binary — placement excludes the peer rather than pricing it as RTT.
 func (ctx *PlacementContext) reaches(site int) bool {
 	faults := ctx.f.cfg.Faults
 	if faults == nil || site == ctx.t.origin.Index {
@@ -194,7 +164,7 @@ func (ctx *PlacementContext) reaches(site int) bool {
 // SelectPeer scans the origin's peers nearest first and returns the index
 // of the first that accepts the request, or -1 when no peer does. Other
 // selection strategies (power-of-two-choices, say) are custom placers over
-// PeersByRTT, Headroom and Reachable.
+// PeersByRTT, Headroom and PredictResponse.
 func (ctx *PlacementContext) SelectPeer() int {
 	for _, p := range ctx.t.origin.peers {
 		if ctx.accepts(p) {
@@ -210,16 +180,6 @@ func (ctx *PlacementContext) SelectPeer() int {
 // own, shared by every decision at this origin: callers must not modify
 // it (copy it to reorder).
 func (ctx *PlacementContext) PeersByRTT() []int { return ctx.t.origin.peers }
-
-// RTT returns the one-way network latency from site i to site j, read from
-// the topology matrix.
-func (ctx *PlacementContext) RTT(i, j int) time.Duration {
-	n := len(ctx.f.Sites)
-	if i < 0 || i >= n || j < 0 || j >= n {
-		return 0
-	}
-	return ctx.f.rtt(i, j)
-}
 
 // PredictResponse estimates the end-to-end response time (seconds) of
 // serving this request at the given site: current backlog drained at the
@@ -296,15 +256,6 @@ func (ctx *PlacementContext) SameMetro(i, j int) bool {
 	return ctx.Metro(i) >= 0 && ctx.Metro(i) == ctx.Metro(j)
 }
 
-// QueueLength returns the site's waiting (not in service) request count
-// for this function.
-func (ctx *PlacementContext) QueueLength(site int) int {
-	if q := ctx.siteQueue(site); q != nil {
-		return q.QueueLength()
-	}
-	return 0
-}
-
 // Backlog returns the site's queued plus in-service request count for this
 // function — the numerator of the drain-time prediction.
 func (ctx *PlacementContext) Backlog(site int) int {
@@ -319,16 +270,6 @@ func (ctx *PlacementContext) Backlog(site int) int {
 func (ctx *PlacementContext) Containers(site int) int {
 	if q := ctx.siteQueue(site); q != nil {
 		return q.Containers()
-	}
-	return 0
-}
-
-// IdleContainers returns the site's attached, currently idle container
-// count for this function — under the global allocator, warm
-// pre-provisioned capacity waiting for offloads.
-func (ctx *PlacementContext) IdleContainers(site int) int {
-	if q := ctx.siteQueue(site); q != nil {
-		return q.IdleContainers()
 	}
 	return 0
 }
@@ -378,84 +319,42 @@ func (ctx *PlacementContext) siteQueue(site int) *dispatch.Queue {
 	return ctx.t.queues[site]
 }
 
-// --- registry ---
-
-var placerMu sync.Mutex
-var placerByName = make(map[string]Placer)
-var placerOrder []string
-
-// RegisterPlacer adds a placement policy to the name-keyed registry, making
-// it selectable via PlacerByName and giving it a row set in every experiment
-// sweep over the registry. Names are case-insensitive and must be non-empty
-// without whitespace; registering a duplicate name is an error. The
-// built-in policies are pre-registered.
-func RegisterPlacer(p Placer) error {
-	if p == nil {
-		return fmt.Errorf("federation: nil placer")
-	}
-	name := canonicalPlacerName(p.Name())
-	if name == "" || strings.ContainsAny(name, " \t\n|,") {
-		return fmt.Errorf("federation: invalid placer name %q", p.Name())
-	}
-	placerMu.Lock()
-	defer placerMu.Unlock()
-	if _, dup := placerByName[name]; dup {
-		return fmt.Errorf("federation: placer %q already registered", name)
-	}
-	placerByName[name] = p
-	placerOrder = append(placerOrder, name)
-	return nil
-}
-
-// PlacerByName returns the registered placement policy with the given
-// (case-insensitive) name.
-func PlacerByName(name string) (Placer, error) {
-	placerMu.Lock()
-	defer placerMu.Unlock()
-	if p, ok := placerByName[canonicalPlacerName(name)]; ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("federation: unknown placement policy %q (registered: %s)",
-		name, strings.Join(placerOrder, ", "))
-}
-
-// PlacerNames returns every registered policy name in registration order
-// (built-ins first, in sweep order); the federation sweeps run one row per
-// entry.
-func PlacerNames() []string {
-	placerMu.Lock()
-	defer placerMu.Unlock()
-	return append([]string(nil), placerOrder...)
-}
-
-func canonicalPlacerName(name string) string {
-	return strings.ToLower(strings.TrimSpace(name))
-}
-
-func mustRegister(p Placer) {
-	if err := RegisterPlacer(p); err != nil {
-		panic(err)
-	}
-}
-
-// BuiltinPlacerNames lists the built-in placement policies in sweep order;
-// the experiment goldens keep only these policies' rows.
-var BuiltinPlacerNames []string
-
-func init() {
-	// Sweep order: the four original policies first, then the ones the
-	// Placer API made possible.
-	mustRegister(neverPlacer{})
-	mustRegister(cloudOnlyPlacer{})
-	mustRegister(nearestPeerPlacer{})
-	mustRegister(modelDrivenPlacer{})
-	mustRegister(grantAwarePlacer{})
-	mustRegister(costBoundedPlacer{})
-	mustRegister(metroAffinePlacer{})
-	BuiltinPlacerNames = PlacerNames()
-}
-
 // --- built-in placers ---
+
+// placers is every built-in policy in sweep order: the four original
+// policies first, then the ones the Placer API made possible.
+var placers = [...]Placer{
+	neverPlacer{},
+	cloudOnlyPlacer{},
+	nearestPeerPlacer{},
+	modelDrivenPlacer{},
+	grantAwarePlacer{},
+	costBoundedPlacer{},
+	metroAffinePlacer{},
+}
+
+// PlacerByName returns the built-in placement policy with the given name,
+// case-insensitive and whitespace-trimmed.
+func PlacerByName(name string) (Placer, error) {
+	key := strings.ToLower(strings.TrimSpace(name))
+	for _, p := range placers {
+		if p.Name() == key {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("federation: unknown placement policy %q (built-in: %s)",
+		name, strings.Join(PlacerNames(), ", "))
+}
+
+// PlacerNames returns the built-in policy names in sweep order; the
+// federation sweeps run one row set per entry.
+func PlacerNames() []string {
+	names := make([]string, len(placers))
+	for i, p := range placers {
+		names[i] = p.Name()
+	}
+	return names
+}
 
 // neverPlacer serves every request at its ingress site. Under §3.4
 // admission a sheddable request is rejected at the origin (the paper's
@@ -505,63 +404,64 @@ type modelDrivenPlacer struct{}
 func (modelDrivenPlacer) Name() string { return "model-driven" }
 
 func (modelDrivenPlacer) Place(ctx *PlacementContext) Decision {
-	return placePredictive(ctx, (*PlacementContext).predictReachable)
+	return placePredictive(ctx, (*PlacementContext).predictReachable, false)
 }
 
 // placePredictive is the shared decision logic of the model-driven family:
 // predict every candidate with the given estimator, serve locally while
 // the local prediction meets the deadline, otherwise offload to the
 // fastest alternative (cloud included), rejecting sheddable requests when
-// nothing admissible meets the deadline. The scan itself drops peers the
-// origin cannot reach, so an estimator prices only reachable sites and no
-// member of the family can pick a peer behind a dark link.
-func placePredictive(ctx *PlacementContext, predict func(ctx *PlacementContext, site int) float64) Decision {
+// nothing admissible meets the deadline. With metro set, a same-metro
+// peer with positive headroom that meets the deadline and beats local
+// service wins before the fastest alternative is considered. The scan
+// itself drops peers the origin cannot reach, so an estimator prices only
+// reachable sites and no member of the family can pick a peer behind a
+// dark link.
+func placePredictive(ctx *PlacementContext, predict func(ctx *PlacementContext, site int) float64, metro bool) Decision {
 	deadline := ctx.ResponseSLO().Seconds()
-	if ctx.Sheddable() {
-		// §3.4 coupled to placement: best predicted alternative (peers by
-		// backlog+RTT, cloud); reject when even the best prediction misses
-		// the SLO.
-		best, bestResp := -1, math.Inf(1)
-		for _, p := range ctx.PeersByRTT() {
-			if !ctx.reaches(p) {
-				continue
-			}
-			if resp := predict(ctx, p); resp < bestResp {
-				best, bestResp = p, resp
-			}
+	origin := ctx.Origin()
+	// §3.4 coupled to placement: a sheddable request never queues at its
+	// origin, so local service is no candidate at all.
+	local := math.Inf(1)
+	if !ctx.Sheddable() {
+		if local = predict(ctx, origin); local <= deadline {
+			return Local()
 		}
-		if cloud := ctx.PredictCloud(); cloud < bestResp {
-			if cloud <= deadline && ctx.CloudAdmits() {
-				return ToCloud()
-			}
-			return Reject()
-		}
-		if bestResp <= deadline {
-			return ToSite(best)
-		}
-		return Reject()
 	}
-	local := predict(ctx, ctx.Origin())
-	if local <= deadline {
-		return Local()
-	}
-	// Predicted SLO miss: pick the fastest alternative, local included —
-	// offloading must actually help. Peer predictions pay both network
-	// legs, which may differ under an asymmetric topology.
-	best, bestResp := -1, local
+	// Predicted SLO miss: one scan over the deterministic candidate order
+	// tracks the fastest peer and, for metro affinity, the fastest
+	// same-metro peer with borrowable headroom. Peer predictions pay both
+	// network legs, which may differ under an asymmetric topology.
+	best, bestResp := -1, math.Inf(1)
+	inMetro, inMetroResp := -1, math.Inf(1)
 	for _, p := range ctx.PeersByRTT() {
 		if !ctx.reaches(p) {
 			continue
 		}
-		if resp := predict(ctx, p); resp < bestResp {
+		resp := predict(ctx, p)
+		if resp < bestResp {
 			best, bestResp = p, resp
 		}
+		if metro && resp < inMetroResp && ctx.SameMetro(origin, p) && ctx.Headroom(p) > 0 {
+			inMetro, inMetroResp = p, resp
+		}
 	}
-	if ctx.PredictCloud() < bestResp {
-		return ToCloud()
+	if inMetro >= 0 && inMetroResp <= deadline && inMetroResp < local {
+		return ToSite(inMetro)
 	}
-	if best >= 0 {
+	// Offloading must actually help: the cloud wins only when it beats
+	// every peer and local service.
+	if cloud := ctx.PredictCloud(); cloud < bestResp && cloud < local {
+		if !ctx.Sheddable() || (cloud <= deadline && ctx.CloudAdmits()) {
+			return ToCloud()
+		}
+		return Reject()
+	}
+	if bestResp <= deadline || (!ctx.Sheddable() && bestResp < local) {
 		return ToSite(best)
+	}
+	if ctx.Sheddable() {
+		return Reject()
 	}
 	return Local()
 }
@@ -583,7 +483,7 @@ type grantAwarePlacer struct{}
 func (grantAwarePlacer) Name() string { return "grant-aware" }
 
 func (grantAwarePlacer) Place(ctx *PlacementContext) Decision {
-	return placePredictive(ctx, predictGrantAware)
+	return placePredictive(ctx, predictGrantAware, false)
 }
 
 // predictGrantAware estimates the end-to-end response time (seconds) at a
@@ -690,55 +590,11 @@ func (costBoundedPlacer) Place(ctx *PlacementContext) Decision {
 // keeps it inside the scope where the allocator water-fills borrowing
 // first and reclaim can repatriate capacity. Under a flat federation (no
 // Config.Hierarchy) every Metro() is -1 and the policy degrades to
-// exactly model-driven.
+// exactly model-driven: it is placePredictive with the metro flag set.
 type metroAffinePlacer struct{}
 
 func (metroAffinePlacer) Name() string { return "metro-affine" }
 
 func (metroAffinePlacer) Place(ctx *PlacementContext) Decision {
-	origin := ctx.Origin()
-	if ctx.Metro(origin) < 0 {
-		return placePredictive(ctx, (*PlacementContext).predictReachable)
-	}
-	deadline := ctx.ResponseSLO().Seconds()
-	local := math.Inf(1)
-	if !ctx.Sheddable() {
-		if local = ctx.PredictResponse(origin); local <= deadline {
-			return Local()
-		}
-	}
-	// One scan over the deterministic candidate order tracks both the
-	// globally best prediction and the best same-metro peer that has
-	// borrowable headroom.
-	best, bestResp := -1, math.Inf(1)
-	metro, metroResp := -1, math.Inf(1)
-	for _, p := range ctx.PeersByRTT() {
-		resp := ctx.PredictResponse(p)
-		if resp < bestResp {
-			best, bestResp = p, resp
-		}
-		if ctx.SameMetro(origin, p) && ctx.Headroom(p) > 0 && resp < metroResp {
-			metro, metroResp = p, resp
-		}
-	}
-	if metro >= 0 && metroResp <= deadline && metroResp < local {
-		return ToSite(metro)
-	}
-	// No qualifying metro peer: fall through to the model-driven endgame.
-	if cloud := ctx.PredictCloud(); cloud < bestResp && cloud < local {
-		if !ctx.Sheddable() {
-			return ToCloud()
-		}
-		if cloud <= deadline && ctx.CloudAdmits() {
-			return ToCloud()
-		}
-		return Reject()
-	}
-	if bestResp <= deadline || (!ctx.Sheddable() && bestResp < local) {
-		return ToSite(best)
-	}
-	if ctx.Sheddable() {
-		return Reject()
-	}
-	return Local()
+	return placePredictive(ctx, (*PlacementContext).predictReachable, true)
 }

@@ -3,7 +3,7 @@ package federation
 import (
 	"math"
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
@@ -356,11 +356,8 @@ func TestBuiltinPlacersAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink Decision
-	for _, name := range BuiltinPlacerNames {
-		placer, err := PlacerByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, placer := range placers {
+		name := placer.Name()
 		for _, s := range fed.Sites {
 			for fn, q := range s.Platform.Queues {
 				queues, fns := fed.handlesFor(fn)
@@ -379,14 +376,20 @@ func TestBuiltinPlacersAllocationFree(t *testing.T) {
 	_ = sink
 }
 
-// TestPlacerRegistry covers the registry contract: built-ins resolvable,
-// case-insensitive lookup, unknown names and duplicate/invalid
-// registrations rejected, custom placers selectable end-to-end.
+// TestPlacerRegistry covers the built-in table's lookup contract: the
+// seven built-ins in sweep order, each resolvable, case-insensitive and
+// whitespace-trimmed lookup, unknown names rejected — and a custom placer
+// running end to end through Config.Placer.
 func TestPlacerRegistry(t *testing.T) {
-	for _, name := range BuiltinPlacerNames {
+	want := []string{"never", "cloud-only", "nearest-peer", "model-driven",
+		"grant-aware", "cost-bounded", "metro-affine"}
+	if got := PlacerNames(); !slices.Equal(got, want) {
+		t.Fatalf("PlacerNames() = %v, want %v", got, want)
+	}
+	for _, name := range want {
 		p, err := PlacerByName(name)
 		if err != nil {
-			t.Fatalf("built-in %q not registered: %v", name, err)
+			t.Fatalf("built-in %q not found: %v", name, err)
 		}
 		if p.Name() != name {
 			t.Errorf("placer %q reports name %q", name, p.Name())
@@ -401,31 +404,13 @@ func TestPlacerRegistry(t *testing.T) {
 	if _, err := PlacerByName("bogus"); err == nil {
 		t.Error("unknown placer name accepted")
 	}
-	if err := RegisterPlacer(neverPlacer{}); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if err := RegisterPlacer(badNamePlacer{}); err == nil {
-		t.Error("whitespace placer name accepted")
-	}
-	if err := RegisterPlacer(nil); err == nil {
-		t.Error("nil placer accepted")
-	}
 
-	registerForTest(t, stickyFirstPeer{})
-	names := PlacerNames()
-	if names[len(names)-1] != "sticky-first-peer" {
-		t.Fatalf("custom placer missing from PlacerNames: %v", names)
-	}
-	p, err := PlacerByName("sticky-first-peer")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fed, err := New(Config{
 		Sites: []core.Config{
 			staticSite(t, "squeezenet", 60, 33, tinyCluster()),
 			staticSite(t, "squeezenet", 2, 44, cluster.PaperCluster()),
 		},
-		Placer: p,
+		Placer: stickyFirstPeer{},
 		Seed:   7,
 	})
 	if err != nil {
@@ -446,23 +431,8 @@ func TestPlacerRegistry(t *testing.T) {
 	}
 }
 
-// registerForTest registers a test placer, tolerating the duplicate-name
-// error so repeated runs in one process (go test -count=N) still pass —
-// the registry is process-global and has no unregister.
-func registerForTest(t *testing.T, p Placer) {
-	t.Helper()
-	if err := RegisterPlacer(p); err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
-}
-
-type badNamePlacer struct{}
-
-func (badNamePlacer) Name() string                     { return "has space" }
-func (badNamePlacer) Place(*PlacementContext) Decision { return Local() }
-
 // stickyFirstPeer always sheds overload to the nearest peer, cloud never —
-// a minimal custom policy exercising registration end to end.
+// a minimal custom policy exercising Config.Placer end to end.
 type stickyFirstPeer struct{}
 
 func (stickyFirstPeer) Name() string { return "sticky-first-peer" }
@@ -508,8 +478,8 @@ func TestDecisionSanitized(t *testing.T) {
 	}
 }
 
-// selfTargetPlacer sweeps every accessor over every site index (in range
-// and out), then alternates between offloading to the origin itself, an
+// selfTargetPlacer sweeps every per-site accessor over every site index
+// (in range and out), then alternates between offloading to the origin itself, an
 // out-of-range site, and a peer that does not serve the function — all
 // invalid.
 type selfTargetPlacer struct{}
@@ -517,20 +487,18 @@ type selfTargetPlacer struct{}
 func (selfTargetPlacer) Name() string { return "self-target" }
 
 func (p selfTargetPlacer) Place(ctx *PlacementContext) Decision {
-	for site := -1; site <= ctx.NumSites(); site++ {
+	// The origin plus its peers are every site: indices 0..len(peers).
+	for site := -1; site <= len(ctx.PeersByRTT())+1; site++ {
 		ctx.Overloaded(site)
-		ctx.Accepts(site)
 		ctx.Serves(site)
 		ctx.PredictResponse(site)
 		ctx.Headroom(site)
-		ctx.QueueLength(site)
+		ctx.Metro(site)
 		ctx.Backlog(site)
 		ctx.Containers(site)
-		ctx.IdleContainers(site)
 		ctx.ServiceCapacity(site)
 		ctx.GrantedCPU(site)
 		ctx.DesiredCPU(site)
-		ctx.RTT(ctx.Origin(), site)
 	}
 	switch ctx.Backlog(ctx.Origin()) % 3 {
 	case 0:

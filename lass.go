@@ -20,8 +20,9 @@
 //     backend one fixed 50ms RTT away with warm-pool cold starts and cost
 //     accounting at one FaaS price point, with per-request dynamic offload
 //     after Das et al.'s edge-cloud task placement (2020) through a
-//     pluggable placement API (Placer, PlacementContext, RegisterPlacer):
-//     seven built-in policies and user-defined ones, selectable by name.
+//     pluggable placement API (Placer, PlacementContext, PlacerByName):
+//     seven built-in policies selectable by name, and user-defined ones
+//     passed in FederationConfig.Placer.
 //     The federation-wide fair-share allocator's coordinator is an
 //     elected, failure-tolerant role: CoordinatorRTTCentroid places it at
 //     the topology's RTT centroid, OutageWindow schedules coordinator
@@ -153,32 +154,31 @@ type FederationResult = federation.Result
 // ingress request is handed to the configured Placer as a
 // PlacementContext, and the returned Decision serves it locally, at a peer
 // site, in the cloud, or rejects it (§3.4 admission). Implement Name and
-// Place, register with RegisterPlacer, and the policy becomes selectable
-// by name everywhere a built-in is — FederationConfig.Placer, a scenario
-// file's federation.placer key, and the experiment sweeps — without
-// touching the federation internals.
+// Place and set the policy in FederationConfig.Placer — no federation
+// internals change. The scenario file's federation.placer key and the
+// experiment sweeps name the seven built-ins only (PlacerByName).
 type Placer = federation.Placer
 
 // PlacementContext exposes everything the federation knows about one
-// arriving request to the placement policy. Request state: Function /
-// Spec (the Table 1 catalog entry), ResponseSLO (the end-to-end deadline,
-// network included), Origin (the ingress site index), and Sheddable
-// (whether §3.4 offload-aware admission applies — a sheddable request is
-// never queued at its overloaded origin). Per-candidate signals, indexed
-// by site: PredictResponse (the §3.1 queueing model's backlog-drain
-// estimate plus both network legs), RTT (the topology's one-way latency
-// matrix), Overloaded / Accepts (the epoch-level overload and absorption
-// signals), Headroom (controller capacity headroom, §3.3), QueueLength /
-// Backlog / Containers / IdleContainers / ServiceCapacity (live pool
-// state), and GrantedCPU / DesiredCPU (the federation-wide §4.1
-// fair-share allocator's grants versus the model's desires, including
-// granted-but-cold pre-provisioned pools). Cloud
-// state: PredictCloud (response including cold start and the queue at the
-// concurrency cap), CloudAdmits (throttle headroom), and
-// CloudCostPerRequest (the invocation + GB-second price). SelectPeer is
-// the nearest-first accepting-peer scan; PeersByRTT is the deterministic
-// RTT-ordered candidate list custom strategies iterate — a slice shared
-// across decisions, not to be modified.
+// arriving request to the placement policy. Request state: Spec (the
+// Table 1 catalog entry), ResponseSLO (the end-to-end deadline, network
+// included), Origin (the ingress site index), and Sheddable (whether §3.4
+// offload-aware admission applies — a sheddable request is never queued
+// at its overloaded origin). Per-candidate signals, indexed by site:
+// PredictResponse (the §3.1 queueing model's backlog-drain estimate plus
+// both network legs), Serves / Overloaded (whether the site runs the
+// function, and its epoch-level overload signal), Headroom (controller
+// capacity headroom, §3.3), Metro / SameMetro (the hierarchy's metros),
+// Backlog / Containers / ServiceCapacity (live pool state), and
+// GrantedCPU / DesiredCPU (the federation-wide §4.1 fair-share
+// allocator's grants versus the model's desires, including
+// granted-but-cold pre-provisioned pools). Cloud state: PredictCloud
+// (response including cold start and the queue at the concurrency cap),
+// CloudAdmits (throttle headroom), and CloudCostPerRequest (the
+// invocation + GB-second price). SelectPeer is the nearest-first
+// accepting-peer scan; PeersByRTT is the deterministic RTT-ordered
+// candidate list custom strategies iterate — a slice shared across
+// decisions, not to be modified.
 type PlacementContext = federation.PlacementContext
 
 // PlacementDecision is a Placer's verdict for one request.
@@ -197,20 +197,13 @@ func PlaceInCloud() PlacementDecision { return federation.ToCloud() }
 // violation at its origin.
 func PlaceReject() PlacementDecision { return federation.Reject() }
 
-// RegisterPlacer adds a custom placement policy to the name-keyed
-// registry. Registered placers are selectable via PlacerByName,
-// FederationConfig.Placer, and every federation sweep (one row set per
-// registered policy).
-func RegisterPlacer(p Placer) error { return federation.RegisterPlacer(p) }
-
-// PlacerByName returns the registered placement policy with the given
-// (case-insensitive) name: the built-ins "never", "cloud-only",
-// "nearest-peer", "model-driven", "grant-aware", "cost-bounded",
-// "metro-affine", or any custom policy added with RegisterPlacer.
+// PlacerByName returns the built-in placement policy with the given
+// (case-insensitive, whitespace-trimmed) name: "never", "cloud-only",
+// "nearest-peer", "model-driven", "grant-aware", "cost-bounded" or
+// "metro-affine".
 func PlacerByName(name string) (Placer, error) { return federation.PlacerByName(name) }
 
-// PlacerNames returns every registered placement policy name in
-// registration order (built-ins first, in sweep order).
+// PlacerNames returns the built-in placement policy names in sweep order.
 func PlacerNames() []string { return federation.PlacerNames() }
 
 // FederationTopology is an explicit, validated one-way inter-site latency

@@ -3,7 +3,6 @@ package lass_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 
 	"lass/internal/cluster"
 	"lass/internal/controller"
-	"lass/internal/experiments"
 )
 
 func TestPublicAPISimulation(t *testing.T) {
@@ -201,8 +199,8 @@ func TestPublicAPICoordinatorElection(t *testing.T) {
 	}
 }
 
-// slowPeerPlacer is the README's example custom policy: offload overload
-// to whichever peer currently has the most idle containers, cloud never.
+// slowPeerPlacer is a custom policy: offload overload to whichever peer
+// currently has the most containers its backlog leaves free, cloud never.
 type slowPeerPlacer struct{}
 
 func (slowPeerPlacer) Name() string { return "most-idle-peer" }
@@ -213,7 +211,7 @@ func (slowPeerPlacer) Place(ctx *lass.PlacementContext) lass.PlacementDecision {
 	}
 	best, idle := -1, 0
 	for _, p := range ctx.PeersByRTT() {
-		if n := ctx.IdleContainers(p); n > idle {
+		if n := ctx.Containers(p) - ctx.Backlog(p); n > idle {
 			best, idle = p, n
 		}
 	}
@@ -223,31 +221,10 @@ func (slowPeerPlacer) Place(ctx *lass.PlacementContext) lass.PlacementDecision {
 	return lass.PlaceLocal()
 }
 
-// TestPublicAPICustomPlacer registers a placement policy through the
-// public surface and selects it by name end to end — federation config
-// resolution, its row set in the experiment registry's policy sweep, and
+// TestPublicAPICustomPlacer runs a placement policy defined outside the
+// library through FederationConfig.Placer end to end — its decisions and
 // the run's result labelling — without touching internal/federation.
 func TestPublicAPICustomPlacer(t *testing.T) {
-	// Tolerate re-registration: the registry is process-global, so a
-	// second in-process run (go test -count=N) already has the placer.
-	if err := lass.RegisterPlacer(slowPeerPlacer{}); err != nil &&
-		!strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
-	found := false
-	for _, name := range lass.PlacerNames() {
-		if name == "most-idle-peer" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("registered placer missing from PlacerNames: %v", lass.PlacerNames())
-	}
-	placer, err := lass.PlacerByName("most-idle-peer")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	spec, err := lass.FunctionByName("squeezenet")
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +243,7 @@ func TestPublicAPICustomPlacer(t *testing.T) {
 	}
 	fed, err := lass.NewFederation(lass.FederationConfig{
 		Sites:  []lass.SimulationConfig{site(60, 1, 1), site(2, 2, 8), site(2, 3, 8)},
-		Placer: placer,
+		Placer: slowPeerPlacer{},
 		Seed:   7,
 	})
 	if err != nil {
@@ -284,19 +261,5 @@ func TestPublicAPICustomPlacer(t *testing.T) {
 	}
 	if res.Sites[0].OffloadedCloud != 0 {
 		t.Errorf("most-idle-peer used the cloud: %+v", res.Sites[0])
-	}
-
-	// The experiment registry sweeps every registered policy, so the
-	// custom one has its aggregate row.
-	tab, err := experiments.Run("federation", experiments.Options{Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	swept := false
-	for _, row := range tab.Rows {
-		swept = swept || row[0] == "most-idle-peer" && row[2] == "all"
-	}
-	if !swept {
-		t.Errorf("no aggregate row for most-idle-peer in %s", tab.ID)
 	}
 }
