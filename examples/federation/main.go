@@ -16,7 +16,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"lass"
@@ -56,22 +58,29 @@ func sites() ([]lass.SimulationConfig, error) {
 }
 
 func main() {
-	fmt.Printf("%-14s %-8s %8s %8s %8s %9s %6s %10s %11s\n",
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the placement comparison and the coordinator demo to w.
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "%-14s %-8s %8s %8s %8s %9s %6s %10s %11s\n",
 		"policy", "site", "local", "to-peer", "to-cloud", "peer-in", "cold", "cost-$", "violations")
 	for _, name := range lass.PlacerNames() {
 		placer, err := lass.PlacerByName(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cfgs, err := sites()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Hub-and-spoke: the hot site edge-0 is 3 ms from each peer; the
 		// peers reach each other through it at 6 ms.
 		topo, err := lass.StarTopology(len(cfgs), 3*time.Millisecond)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fed, err := lass.NewFederation(lass.FederationConfig{
 			Sites:    cfgs,
@@ -80,21 +89,21 @@ func main() {
 			Seed:     1,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := fed.Run(9 * time.Minute)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, s := range res.Sites {
 			// ViolationRate counts requests still backlogged at run end as
 			// misses, so the never policy's stranded burst isn't flattered.
-			fmt.Printf("%-14s %-8s %8d %8d %8d %9d %6d %10.6f %10.1f%%\n",
+			fmt.Fprintf(w, "%-14s %-8s %8d %8d %8d %9d %6d %10.6f %10.1f%%\n",
 				res.Placer, s.Name, s.ServedLocal, s.OffloadedPeer, s.OffloadedCloud,
 				s.PeerServed, s.CloudColdStarts, s.CloudCost, 100*s.ViolationRate())
 		}
 	}
-	coordinatorDemo()
+	return coordinatorDemo(w)
 }
 
 // coordinatorDemo reruns the scenario under the federation-wide §4.1
@@ -107,22 +116,22 @@ func main() {
 // federation-coordinator) runs the stressed version of this comparison — an
 // asymmetric star with a throttled cloud — where lease fallback measurably
 // cuts the outage-window violation spike versus frozen grants.
-func coordinatorDemo() {
-	fmt.Printf("\nglobal fair share with an elected, failure-prone coordinator:\n")
-	fmt.Printf("%-22s %-12s %8s %8s %10s %12s %11s\n",
+func coordinatorDemo(w io.Writer) error {
+	fmt.Fprintf(w, "\nglobal fair share with an elected, failure-prone coordinator:\n")
+	fmt.Fprintf(w, "%-22s %-12s %8s %8s %10s %12s %11s\n",
 		"variant", "coordinator", "epochs", "missed", "lease-exp", "grant-delay", "violations")
-	run := func(label string, election lass.CoordinatorElection, outages []lass.OutageWindow, lease time.Duration) {
+	run := func(label string, election lass.CoordinatorElection, outages []lass.OutageWindow, lease time.Duration) error {
 		cfgs, err := sites()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		topo, err := lass.StarTopology(len(cfgs), 3*time.Millisecond)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		placer, err := lass.PlacerByName("model-driven")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cfg := lass.FederationConfig{
 			Sites:               cfgs,
@@ -138,31 +147,36 @@ func coordinatorDemo() {
 				{Kind: lass.ChaosFaultCoordinator, Windows: outages},
 			}})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			cfg.Faults = faults
 		}
 		fed, err := lass.NewFederation(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res, err := fed.Run(9 * time.Minute)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var violated, total uint64
 		for _, s := range res.Sites {
 			violated += s.Violations()
 			total += s.SLO.Total() + s.Unresolved
 		}
-		fmt.Printf("%-22s %-12s %8d %8d %10d %12v %10.1f%%\n",
+		fmt.Fprintf(w, "%-22s %-12s %8d %8d %10d %12v %10.1f%%\n",
 			label, fmt.Sprintf("%s@%d", res.Election, res.Coordinator),
 			res.AllocEpochs, res.MissedAllocEpochs, res.GrantLeaseExpirations,
 			res.MeanGrantDelay, 100*float64(violated)/float64(total))
+		return nil
 	}
 	// The burst hits edge-0 during minutes 3-6; the outage covers it.
 	outage := []lass.OutageWindow{{Start: 150 * time.Second, End: 6 * time.Minute}}
-	run("centroid, healthy", lass.CoordinatorRTTCentroid, nil, 0)
-	run("centroid, outage", lass.CoordinatorRTTCentroid, outage, 0)
-	run("outage, frozen grants", lass.CoordinatorRTTCentroid, outage, -1)
+	if err := run("centroid, healthy", lass.CoordinatorRTTCentroid, nil, 0); err != nil {
+		return err
+	}
+	if err := run("centroid, outage", lass.CoordinatorRTTCentroid, outage, 0); err != nil {
+		return err
+	}
+	return run("outage, frozen grants", lass.CoordinatorRTTCentroid, outage, -1)
 }

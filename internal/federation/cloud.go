@@ -2,6 +2,9 @@ package federation
 
 import (
 	"time"
+
+	"lass/internal/dispatch"
+	"lass/internal/functions"
 )
 
 // The cloud backend is one fixed network distance and one price point,
@@ -41,27 +44,55 @@ type cloudPool struct {
 	instances []*cloudInstance
 }
 
-// hasWarm reports whether a request arriving at time at would find an
-// idle warm instance (i.e. would skip the cold start).
-func (p *cloudPool) hasWarm(at time.Duration) bool {
-	for _, in := range p.instances {
-		if in.busyUntil <= at && in.warmUntil >= at {
-			return true
+// pick returns, without changing the pool, the instance a request
+// arriving at time at would get: the idle warm instance with the latest
+// warm deadline (ties to the first); with every live instance busy and
+// maxConc > 0 of them, the one that frees first (queued, ties to the
+// first); otherwise nil, a new instance. Instances whose warm window
+// lapsed before at are skipped whether or not acquire has pruned them.
+func (p *cloudPool) pick(at time.Duration, maxConc int) (in *cloudInstance, queued bool) {
+	live := 0
+	var soonest *cloudInstance
+	for _, c := range p.instances {
+		if c.warmUntil < at {
+			continue
+		}
+		live++
+		if c.busyUntil <= at {
+			if in == nil || c.warmUntil > in.warmUntil {
+				in = c
+			}
+		} else if soonest == nil || c.busyUntil < soonest.busyUntil {
+			soonest = c
 		}
 	}
-	return false
+	if in != nil || maxConc <= 0 || live < maxConc {
+		return in, false
+	}
+	return soonest, true
 }
 
-// acquire reserves an instance for a request arriving at time at that will
-// execute for run. It returns the queueing delay the request pays at the
-// concurrency cap (zero when uncapped or a slot is free) and the
-// cold-start delay (zero when an idle warm instance is reused, coldStart
-// when a fresh instance must be provisioned). With maxConc > 0 the pool
-// never exceeds that many instances: a request finding all of them busy
-// waits FIFO for the earliest-free instance and starts on it warm — the
-// handoff is instance reuse, not a fresh provision. The chosen instance
-// is busy until wait + cold + run after arrival and then stays warm for
-// cloudWarmWindow.
+// delay returns what acquire would charge a request arriving at time at:
+// the wait for the instance that frees first at the cap, coldStart for a
+// new instance, or zero for a warm reuse.
+func (p *cloudPool) delay(at, coldStart time.Duration, maxConc int) time.Duration {
+	switch in, queued := p.pick(at, maxConc); {
+	case queued:
+		return in.busyUntil - at
+	case in == nil:
+		return coldStart
+	}
+	return 0
+}
+
+// acquire reserves the instance pick chooses for a request arriving at
+// time at that will execute for run. It returns the queueing delay the
+// request pays at the concurrency cap and the cold-start delay it pays on
+// a new instance; at most one is nonzero. A hand-off at the cap starts
+// warm on the instance that frees first: arrivals come in time order, so
+// extending that instance's busy horizon keeps the hand-offs FIFO. The
+// instance is busy until wait + cold + run after arrival and then stays
+// warm for cloudWarmWindow.
 func (p *cloudPool) acquire(at, run, coldStart time.Duration, maxConc int) (wait, cold time.Duration) {
 	// Drop instances whose warm window has lapsed; a busy instance is
 	// always within its window (warmUntil >= busyUntil), so nothing
@@ -74,64 +105,72 @@ func (p *cloudPool) acquire(at, run, coldStart time.Duration, maxConc int) (wait
 	}
 	p.instances = live
 
-	var best *cloudInstance
-	for _, in := range p.instances {
-		if in.busyUntil > at {
-			continue
-		}
-		if best == nil || in.warmUntil > best.warmUntil {
-			best = in
-		}
-	}
-	if best == nil {
-		if maxConc > 0 && len(p.instances) >= maxConc {
-			// At the cap: queue for the instance that frees first.
-			// Arrivals are processed in time order, so bumping its busy
-			// horizon keeps the hand-offs FIFO.
-			soonest := p.instances[0]
-			for _, in := range p.instances[1:] {
-				if in.busyUntil < soonest.busyUntil {
-					soonest = in
-				}
-			}
-			wait = soonest.busyUntil - at
-			soonest.busyUntil += run
-			soonest.warmUntil = soonest.busyUntil + cloudWarmWindow
-			return wait, 0
-		}
+	in, queued := p.pick(at, maxConc)
+	switch {
+	case queued:
+		wait = in.busyUntil - at
+	case in == nil:
 		cold = coldStart
-		best = &cloudInstance{}
-		p.instances = append(p.instances, best)
+		in = &cloudInstance{}
+		p.instances = append(p.instances, in)
 	}
-	best.busyUntil = at + cold + run
-	best.warmUntil = best.busyUntil + cloudWarmWindow
-	return 0, cold
+	in.busyUntil = at + wait + cold + run
+	in.warmUntil = in.busyUntil + cloudWarmWindow
+	return wait, cold
 }
 
-// predictWait returns the queueing delay a request arriving at time at
-// would pay before starting execution: zero when uncapped, when an idle
-// warm instance exists, or when the pool may still grow; otherwise the
-// time until the earliest-free instance hands over.
-func (p *cloudPool) predictWait(at time.Duration, maxConc int) time.Duration {
-	if maxConc <= 0 {
-		return 0
+// cloudBill returns the price ($) of one cloud invocation of spec billed
+// for run: the per-invocation price plus run at the GB-second price for
+// the function's memory.
+func cloudBill(spec functions.Spec, run time.Duration) float64 {
+	return cloudPricePerInvocation +
+		run.Seconds()*cloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
+}
+
+// predictCloud estimates the end-to-end response time (seconds) of serving
+// one request of t's function in the cloud right now: both network legs,
+// the mean standard service time, and what the function's pool would
+// charge on arrival — the queueing delay at the concurrency cap, or the
+// cold start when no idle warm instance will greet it.
+func (f *Federation) predictCloud(t *placeTable) float64 {
+	spec := t.q.Spec()
+	delay := t.cloud.delay(f.Engine.Now()+cloudRTT, spec.ColdStart, f.cfg.CloudMaxConcurrency)
+	return (2*cloudRTT + spec.MeanServiceTime + delay).Seconds()
+}
+
+// offloadToCloud serves the request on the cloud backend: it reaches the
+// cloud one RTT later, takes an instance from the function's pool (paying
+// the cold start of a new one, or at the concurrency cap queueing FIFO for
+// the next free one, with the wait counted toward response time), executes
+// a sampled standard-size service time capped by the function's hard
+// execution limit, and accrues the invocation's cost at the origin site. A
+// request killed by the limit never completes: it is counted in
+// CloudTimedOut and remains an SLO violation at the origin (via the
+// unresolved accounting).
+func (f *Federation) offloadToCloud(t *placeTable, r *dispatch.Request) {
+	origin, spec := t.origin, t.q.Spec()
+	origin.OffloadedCloud++
+	service := spec.SampleServiceTime(f.cloudRng, 1.0)
+	run := service
+	killed := false
+	if tl := t.q.TimeLimit; tl > 0 && service > tl {
+		run = tl
+		killed = true
 	}
-	live := 0
-	var soonest time.Duration = -1
-	for _, in := range p.instances {
-		if in.warmUntil < at {
-			continue
-		}
-		live++
-		if in.busyUntil <= at {
-			return 0 // idle warm instance: immediate start
-		}
-		if soonest < 0 || in.busyUntil < soonest {
-			soonest = in.busyUntil
-		}
+	wait, cold := t.cloud.acquire(f.Engine.Now()+cloudRTT, run, spec.ColdStart, f.cfg.CloudMaxConcurrency)
+	if cold > 0 {
+		origin.CloudColdStarts++
 	}
-	if live < maxConc {
-		return 0
+	if wait > 0 {
+		origin.CloudQueued++
 	}
-	return soonest - at
+	origin.CloudCost += cloudBill(spec, run)
+	if killed {
+		origin.CloudTimedOut++
+		return
+	}
+	arrival := r.Arrival
+	f.Engine.After(2*cloudRTT+wait+cold+service, func() {
+		origin.observe(f.Engine.Now() - arrival)
+	})
 }

@@ -242,8 +242,8 @@ func TestPredictResponseDeflatedPool(t *testing.T) {
 
 // TestCloudPoolConcurrencyCapFIFO pins the capped pool's arithmetic: at
 // the cap a request waits exactly until the earliest-free instance hands
-// over, hand-offs are warm (no cold start), and predictWait agrees with
-// what acquire then charges.
+// over, hand-offs are warm (no cold start), and delay agrees with what
+// acquire then charges.
 func TestCloudPoolConcurrencyCapFIFO(t *testing.T) {
 	p := &cloudPool{}
 	const (
@@ -256,8 +256,8 @@ func TestCloudPoolConcurrencyCapFIFO(t *testing.T) {
 		t.Fatalf("first acquire: wait=%v cold=%v want 0/%v", wait, gotCold, cold)
 	}
 	// busy until 150ms. A request at 10ms must wait 140ms and start warm.
-	if w := p.predictWait(10*time.Millisecond, 1); w != 140*time.Millisecond {
-		t.Errorf("predictWait = %v want 140ms", w)
+	if d := p.delay(10*time.Millisecond, cold, 1); d != 140*time.Millisecond {
+		t.Errorf("delay = %v want 140ms", d)
 	}
 	wait, gotCold = p.acquire(10*time.Millisecond, run, cold, 1)
 	if wait != 140*time.Millisecond || gotCold != 0 {
@@ -268,9 +268,9 @@ func TestCloudPoolConcurrencyCapFIFO(t *testing.T) {
 	if wait != 230*time.Millisecond || gotCold != 0 {
 		t.Errorf("second capped acquire: wait=%v cold=%v want 230ms/0", wait, gotCold)
 	}
-	// Uncapped pools never wait.
-	if w := p.predictWait(20*time.Millisecond, 0); w != 0 {
-		t.Errorf("uncapped predictWait = %v want 0", w)
+	// Uncapped pools never wait: a busy pool grows by a cold instance.
+	if d := p.delay(20*time.Millisecond, cold, 0); d != cold {
+		t.Errorf("uncapped delay = %v want the %v cold start", d, cold)
 	}
 	// After the backlog drains, an idle warm instance is reused directly.
 	wait, gotCold = p.acquire(time.Second, run, cold, 1)
@@ -317,4 +317,60 @@ func TestCloudConcurrencyCapCountsQueueWait(t *testing.T) {
 	if cp95 <= up95 {
 		t.Errorf("capped P95 %.3fs not above uncapped %.3fs: queue wait not in response time", cp95, up95)
 	}
+}
+
+// FuzzCloudPool drives one cloud pool with byte-decoded arrival programs
+// and holds the pool to its contract before every acquire: the predicted
+// delay is exactly what acquire then charges, a request pays a queue wait
+// or a cold start but never both, a capped pool never holds more live
+// instances than its cap, and requests that queue at the cap start in
+// arrival order. The first byte picks the cap (0–3, 0 uncapped); then
+// each arrival is three bytes: the gap since the previous arrival (high
+// bit set: whole 5 s steps, so 120 lands exactly on a warm window's end;
+// otherwise milliseconds), the run length and the cold start.
+func FuzzCloudPool(f *testing.F) {
+	// Capped at one: a cold start, two queued hand-offs, a warm reuse.
+	f.Add([]byte{1, 0, 100, 50, 10, 100, 50, 10, 100, 50, 255, 100, 50})
+	// Uncapped: overlapping cold starts, then a gap to the warm edge.
+	f.Add([]byte{0, 0, 40, 200, 1, 40, 200, 0xf8, 40, 200, 0xf8, 0, 0})
+	// Capped at three with zero-length runs and zero cold starts.
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 9})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		maxConc := int(prog[0] % 4)
+		p := &cloudPool{}
+		var at, lastQueued time.Duration
+		for i := 1; i+3 <= len(prog); i += 3 {
+			gap, run, cold := prog[i], prog[i+1], prog[i+2]
+			if gap&0x80 != 0 {
+				at += time.Duration(gap&0x7f) * 5 * time.Second
+			} else {
+				at += time.Duration(gap) * time.Millisecond
+			}
+			runD := time.Duration(run) * time.Millisecond
+			coldD := time.Duration(cold) * 2 * time.Millisecond
+			want := p.delay(at, coldD, maxConc)
+			wait, gotCold := p.acquire(at, runD, coldD, maxConc)
+			if wait+gotCold != want {
+				t.Fatalf("arrival %d at %v: delay predicted %v, acquire charged wait %v + cold %v",
+					i/3, at, want, wait, gotCold)
+			}
+			if wait != 0 && gotCold != 0 {
+				t.Fatalf("arrival %d at %v: charged both wait %v and cold %v", i/3, at, wait, gotCold)
+			}
+			if maxConc > 0 && len(p.instances) > maxConc {
+				t.Fatalf("arrival %d at %v: %d live instances over cap %d", i/3, at, len(p.instances), maxConc)
+			}
+			if wait > 0 {
+				start := at + wait
+				if start < lastQueued {
+					t.Fatalf("arrival %d at %v: queued start %v before an earlier queued start %v",
+						i/3, at, start, lastQueued)
+				}
+				lastQueued = start
+			}
+		}
+	})
 }

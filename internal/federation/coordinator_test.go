@@ -7,6 +7,7 @@ import (
 	"lass/internal/chaos"
 	"lass/internal/cluster"
 	"lass/internal/core"
+	"lass/internal/functions"
 )
 
 // asymmetricStar builds the four-site matrix the coordinator tests run
@@ -380,7 +381,10 @@ func TestDefaultConfigMatchesExplicitLegacyKnobs(t *testing.T) {
 // TestCloudAdmitsLatencyFloor is the regression for the admission bug: a
 // cold, empty cloud pool whose 2×cloudRTT + ColdStart + mean service
 // already exceeds the 250ms response SLO is a guaranteed violation and
-// must be rejected, not admitted just because no queue has formed yet.
+// must be rejected, not admitted just because no queue has formed yet. It
+// goes through decide end to end: the origin can host no container, so
+// every request is sheddable and cloud-only sends each one to the cloud
+// gate.
 func TestCloudAdmitsLatencyFloor(t *testing.T) {
 	for _, c := range []struct {
 		coldStart time.Duration
@@ -391,14 +395,32 @@ func TestCloudAdmitsLatencyFloor(t *testing.T) {
 		{0, true},                       // 200ms: always warm
 		{40 * time.Millisecond, true},   // 240ms
 	} {
-		site := staticSite(t, "squeezenet", 10, 71, cluster.PaperCluster())
-		site.Functions[0].Spec.ColdStart = c.coldStart
-		fed, err := New(Config{Sites: []core.Config{site}, Placer: cloudOnlyPlacer{}, Seed: 9})
+		spec, err := functions.ByName("squeezenet")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fed.cloudAdmits(fed.Sites[0].Platform.Queues["squeezenet"]); got != c.admit {
-			t.Errorf("cold start %v: cloudAdmits = %v, want %v", c.coldStart, got, c.admit)
+		spec.ColdStart = c.coldStart
+		fed, err := New(Config{
+			Sites:                 []core.Config{shedAllSite(t, spec, 10, 71, 0)},
+			Placer:                cloudOnlyPlacer{},
+			OffloadAwareAdmission: true,
+			Seed:                  9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fed.Run(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals := res.Sites[0].Core.Functions["squeezenet"].Arrivals
+		want := uint64(0)
+		if !c.admit {
+			want = arrivals
+		}
+		if arrivals == 0 || res.Rejected != want || res.OffloadedCloud != arrivals-want {
+			t.Errorf("cold start %v: %d arrivals, %d rejected, %d to the cloud; want %d rejected",
+				c.coldStart, arrivals, res.Rejected, res.OffloadedCloud, want)
 		}
 	}
 }

@@ -235,9 +235,9 @@ func TestAdmissionRejectsOnlyWithoutHeadroom(t *testing.T) {
 }
 
 // TestAdmissionRejectsWhenCloudThrottled: with no peers and a cloud
-// throttled to one instance, the projected queue wait quickly exceeds the
-// SLO and admission rejects rather than stranding work in a hopeless
-// queue.
+// throttled to one instance, the predicted cloud response (its queue wait
+// included) quickly exceeds the SLO and admission rejects rather than
+// stranding work in a hopeless queue.
 func TestAdmissionRejectsWhenCloudThrottled(t *testing.T) {
 	// A zero cold start isolates the throttle gate under test: with cold
 	// starts modelled, admission's latency floor would reject every cloud

@@ -217,8 +217,9 @@ type Config struct {
 	// a request that would be rejected at an overloaded origin is first
 	// offered along the placement policy's preferences — peers with
 	// headroom, then the cloud — and only rejected outright when no
-	// site's grant has headroom and the cloud's projected queueing delay
-	// already exceeds the response SLO. Under the never placer no placement
+	// site's grant has headroom and the cloud's predicted response (both
+	// network legs, the mean service time, and the queueing delay at the
+	// concurrency cap or the cold start) already exceeds the response SLO. Under the never placer no placement
 	// is allowed, so sheddable requests are rejected at the origin (the
 	// paper's single-cluster admission control, verbatim). Off by default
 	// (requests queue at the origin as before).
@@ -374,6 +375,9 @@ type placeTable struct {
 	// controller's handle for fn, nil where the site does not serve it.
 	queues []*dispatch.Queue
 	fns    []*controller.Function
+	// cloud is fn's warm-instance pool on the cloud backend, shared by
+	// every origin's stream of fn.
+	cloud *cloudPool
 }
 
 // Federation is an assembled multi-cluster deployment.
@@ -381,11 +385,9 @@ type Federation struct {
 	Engine *sim.Engine
 	Sites  []*Site
 
-	cfg         Config
-	placer      Placer
-	cloudRng    *xrand.Rand
-	cloudServed uint64
-	cloudPools  map[string]*cloudPool // per-function warm-instance pools
+	cfg      Config
+	placer   Placer
+	cloudRng *xrand.Rand
 
 	// Global fair-share state: the elected coordinator, the epoch-level
 	// waste/drift accumulators the sweep reports, and the coordinator
@@ -465,12 +467,11 @@ func New(cfg Config) (*Federation, error) {
 	}
 	engine := sim.NewEngine()
 	f := &Federation{
-		Engine:     engine,
-		cfg:        cfg,
-		placer:     placer,
-		cloudRng:   xrand.New(cfg.Seed ^ 0xfed0),
-		cloudPools: make(map[string]*cloudPool),
-		alloc:      allocation.NewAllocator(),
+		Engine:   engine,
+		cfg:      cfg,
+		placer:   placer,
+		cloudRng: xrand.New(cfg.Seed ^ 0xfed0),
+		alloc:    allocation.NewAllocator(),
 	}
 	// Elect the coordinator; Fixed leaves it at site 0. Membership is fixed
 	// for the federation's lifetime, so the election runs once at
@@ -515,6 +516,7 @@ func New(cfg Config) (*Federation, error) {
 	type handles struct {
 		queues []*dispatch.Queue
 		fns    []*controller.Function
+		cloud  *cloudPool
 	}
 	byFn := make(map[string]handles) // function → site-indexed handles
 	for _, s := range f.Sites {
@@ -528,9 +530,10 @@ func New(cfg Config) (*Federation, error) {
 			h, ok := byFn[fn]
 			if !ok {
 				h.queues, h.fns = f.handlesFor(fn)
+				h.cloud = &cloudPool{}
 				byFn[fn] = h
 			}
-			f.wire(&placeTable{origin: s, q: h.queues[s.Index], fn: fn, queues: h.queues, fns: h.fns})
+			f.wire(&placeTable{origin: s, q: h.queues[s.Index], fn: fn, queues: h.queues, fns: h.fns, cloud: h.cloud})
 		}
 	}
 	if cfg.Reclaim && cfg.Hierarchy == nil {
@@ -646,7 +649,7 @@ func (f *Federation) wire(t *placeTable) {
 			q.Reject(r)
 			return true
 		case OffloadCloud:
-			f.offloadToCloud(s, q, r)
+			f.offloadToCloud(t, r)
 			return true
 		case OffloadSite:
 			f.offloadToPeer(t, d.Site, r)
@@ -664,10 +667,11 @@ func (f *Federation) wire(t *placeTable) {
 // target falls back to local service, and — for a sheddable request —
 // the §3.4 admission invariants are enforced independently of the policy:
 // the request is never queued at its overloaded origin (ServeLocal becomes
-// RejectRequest), and a cloud landing is gated by the cloud's projected
-// queueing delay (cloudAdmits). Composing admission here is what lets any
-// custom placer participate in offload-aware admission without
-// special-casing.
+// RejectRequest), and a cloud landing whose predicted response
+// (PlacementContext.PredictCloud, priced at most once per decision)
+// misses the response SLO becomes RejectRequest too. Composing admission
+// here is what lets any custom placer participate in offload-aware
+// admission without special-casing.
 func (f *Federation) decide(t *placeTable) Decision {
 	s, q := t.origin, t.q
 	now := f.Engine.Now()
@@ -702,7 +706,7 @@ func (f *Federation) decide(t *placeTable) Decision {
 		case ServeLocal:
 			d = Reject()
 		case OffloadCloud:
-			if !f.cloudAdmits(q) {
+			if ctx.PredictCloud() > responseSLO.Seconds() {
 				d = Reject()
 			}
 		}
@@ -837,85 +841,6 @@ func (o *peerOffload) arrive() {
 func (o *peerOffload) done(pr *dispatch.Request) {
 	o.t.origin.observe(pr.Finish - o.arrival + o.back)
 	o.f.offloadFree = append(o.f.offloadFree, o)
-}
-
-// predictCloud estimates the end-to-end response time (seconds) of serving
-// one request in the cloud right now: both network legs, the mean standard
-// service time, the queueing delay a capped pool would impose, and the
-// cold start the request would pay if no idle warm instance will greet it.
-func (f *Federation) predictCloud(q *dispatch.Queue) float64 {
-	spec := q.Spec()
-	resp := 2*cloudRTT + spec.MeanServiceTime
-	pool := f.cloudPools[spec.Name]
-	at := f.Engine.Now() + cloudRTT
-	var wait time.Duration
-	if pool != nil {
-		wait = pool.predictWait(at, f.cfg.CloudMaxConcurrency)
-	}
-	if wait > 0 {
-		// Queueing at the cap ends in a warm FIFO hand-off, never a cold
-		// start — charge one or the other, not both.
-		resp += wait
-	} else if pool == nil || !pool.hasWarm(at) {
-		resp += spec.ColdStart
-	}
-	return resp.Seconds()
-}
-
-// cloudAdmits reports whether a cloud landing for one more fn request can
-// still meet the response SLO: the full predictCloud floor — both network
-// legs, the mean service time, and either the projected queueing delay at
-// the concurrency cap or the cold start a pool with no warm instance would
-// pay — must fit within the SLO. Beyond that a cloud landing is already a
-// guaranteed violation, so admission rejects instead. (The check used to
-// compare only the queue wait against the SLO, admitting cold pools whose
-// 2×cloudRTT + ColdStart + mean service alone guaranteed a miss.)
-func (f *Federation) cloudAdmits(q *dispatch.Queue) bool {
-	return f.predictCloud(q) <= responseSLO.Seconds()
-}
-
-// offloadToCloud serves the request on the cloud backend: it reaches the
-// cloud one RTT later, reuses an idle warm instance when one exists
-// (otherwise paying the function's cold start — or, at the per-function
-// concurrency cap, queueing FIFO for the next free instance, with the
-// wait counted toward response time), executes a sampled standard-size
-// service time capped by the function's hard execution limit, and accrues
-// the invocation's cost at the origin site. A request killed by the limit
-// never completes: it is counted in CloudTimedOut and remains an SLO
-// violation at the origin (via the unresolved accounting).
-func (f *Federation) offloadToCloud(origin *Site, q *dispatch.Queue, r *dispatch.Request) {
-	spec := q.Spec()
-	origin.OffloadedCloud++
-	f.cloudServed++
-	service := spec.SampleServiceTime(f.cloudRng, 1.0)
-	run := service
-	killed := false
-	if tl := q.TimeLimit; tl > 0 && service > tl {
-		run = tl
-		killed = true
-	}
-	pool := f.cloudPools[spec.Name]
-	if pool == nil {
-		pool = &cloudPool{}
-		f.cloudPools[spec.Name] = pool
-	}
-	wait, cold := pool.acquire(f.Engine.Now()+cloudRTT, run, spec.ColdStart, f.cfg.CloudMaxConcurrency)
-	if cold > 0 {
-		origin.CloudColdStarts++
-	}
-	if wait > 0 {
-		origin.CloudQueued++
-	}
-	origin.CloudCost += cloudPricePerInvocation +
-		run.Seconds()*cloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
-	if killed {
-		origin.CloudTimedOut++
-		return
-	}
-	arrival := r.Arrival
-	f.Engine.After(2*cloudRTT+wait+cold+service, func() {
-		origin.observe(f.Engine.Now() - arrival)
-	})
 }
 
 // demandSnapshot is one epoch's pooled demand upload: the compacted
@@ -1260,7 +1185,6 @@ func (f *Federation) Run(duration time.Duration) (*Result, error) {
 		return nil, fmt.Errorf("federation: global allocator: %w", f.allocErr)
 	}
 	res := &Result{Placer: f.placer.Name(), Duration: duration,
-		CloudServed:     f.cloudServed,
 		GlobalFairShare: f.cfg.GlobalFairShare, AllocEpochs: f.allocEpochs,
 		Coordinator: f.coordinator, Election: f.cfg.CoordinatorElection,
 		MissedAllocEpochs: f.missedAllocEpochs,
@@ -1295,5 +1219,6 @@ func (f *Federation) Run(duration time.Duration) (*Result, error) {
 		})
 		res.Counters.add(s.Counters)
 	}
+	res.CloudServed = res.OffloadedCloud
 	return res, nil
 }

@@ -244,6 +244,9 @@ func TestOverloadedShedsToCloud(t *testing.T) {
 	if cloudOnly.Sites[0].OffloadedCloud == 0 || cloudOnly.CloudServed == 0 {
 		t.Fatalf("overloaded site shed nothing to cloud: %+v", cloudOnly.Sites[0])
 	}
+	if cloudOnly.CloudServed != cloudOnly.Sites[0].OffloadedCloud {
+		t.Errorf("cloud served %d, site offloaded %d to the cloud", cloudOnly.CloudServed, cloudOnly.Sites[0].OffloadedCloud)
+	}
 	if attainment["cloud-only"] <= attainment["never"] {
 		t.Errorf("cloud-only attainment %.3f not better than never %.3f",
 			attainment["cloud-only"], attainment["never"])
@@ -325,6 +328,13 @@ func TestModelDrivenBeatsNeverUnderOverload(t *testing.T) {
 	model := build(modelDrivenPlacer{})
 	if model.Sites[0].OffloadedPeer+model.Sites[0].OffloadedCloud == 0 {
 		t.Fatalf("model-driven shed nothing from the hot site: %+v", model.Sites[0])
+	}
+	var offloadedCloud uint64
+	for _, s := range model.Sites {
+		offloadedCloud += s.OffloadedCloud
+	}
+	if model.CloudServed != offloadedCloud {
+		t.Errorf("cloud served %d, sites offloaded %d to the cloud", model.CloudServed, offloadedCloud)
 	}
 	if g, w := model.Sites[0].SLO.Attainment(), never.Sites[0].SLO.Attainment(); g <= w {
 		t.Errorf("model-driven attainment %.3f not better than never %.3f on the hot site", g, w)

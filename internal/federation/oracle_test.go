@@ -349,7 +349,7 @@ func frozenMetroAffine(ctx *PlacementContext) Decision {
 		if !ctx.Sheddable() {
 			return ToCloud()
 		}
-		if cloud <= deadline && ctx.CloudAdmits() {
+		if cloud <= deadline {
 			return ToCloud()
 		}
 		return Reject()

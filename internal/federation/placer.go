@@ -31,7 +31,8 @@ type Placer interface {
 	// peer target falls back to local service) and enforces §3.4 admission
 	// on sheddable requests: a sheddable request is never queued at its
 	// overloaded origin (ServeLocal becomes RejectRequest) and a cloud
-	// landing is gated by CloudAdmits. ctx is only valid for the duration
+	// landing whose PredictCloud misses ResponseSLO becomes RejectRequest.
+	// ctx is only valid for the duration
 	// of the call — the federation reuses one context value across
 	// decisions, so implementations must not retain it.
 	Place(ctx *PlacementContext) Decision
@@ -92,7 +93,7 @@ func (d Decision) String() string {
 // extended with the network legs), the peers in RTT order, controller
 // headroom and backlog, the global fair-share allocator's grants
 // (including granted-but-cold pre-provisioned pools), and the cloud's
-// predicted response, admission headroom, and per-request cost. Site
+// predicted response and per-request cost. Site
 // arguments are federation site indices (Origin, PeersByRTT); accessors
 // return +Inf / zero values for out-of-range sites, so placers need no
 // bounds checks.
@@ -105,6 +106,10 @@ type PlacementContext struct {
 	// answer, asked of the fault view once.
 	now        time.Duration
 	originDark bool
+	// cloud caches PredictCloud's answer for the decision; a price is
+	// never zero (it includes both network legs), so zero means not
+	// priced yet.
+	cloud float64
 }
 
 // Spec returns the request's function spec (container size, service-time
@@ -205,18 +210,17 @@ func (ctx *PlacementContext) predictReachable(site int) float64 {
 
 // PredictCloud estimates the end-to-end response time (seconds) of serving
 // this request in the cloud right now: both network legs, the mean
-// standard service time, the queueing delay a capped pool would impose,
-// and the cold start the request would pay if no warm instance will greet
-// it.
-func (ctx *PlacementContext) PredictCloud() float64 { return ctx.f.predictCloud(ctx.t.q) }
-
-// CloudAdmits reports whether a cloud landing for one more request of
-// this function can still meet the response SLO: the full PredictCloud
-// floor — both network legs, the mean service time, and either the
-// projected queueing delay at the concurrency cap or the cold start a
-// pool with no idle warm instance would pay — must fit the deadline.
-// This is the gate §3.4 admission applies to sheddable cloud decisions.
-func (ctx *PlacementContext) CloudAdmits() bool { return ctx.f.cloudAdmits(ctx.t.q) }
+// standard service time, and what the function's pool would charge on
+// arrival — the queueing delay at the concurrency cap, or the cold start
+// when no idle warm instance will greet it. The cloud is priced once per
+// decision: the placer and §3.4 admission, which rejects a sheddable
+// cloud landing whose prediction misses ResponseSLO, read the same answer.
+func (ctx *PlacementContext) PredictCloud() float64 {
+	if ctx.cloud == 0 {
+		ctx.cloud = ctx.f.predictCloud(ctx.t)
+	}
+	return ctx.cloud
+}
 
 // CloudCostPerRequest returns the expected bill ($) for serving one
 // request of this function in the cloud: the per-invocation price plus the
@@ -224,8 +228,7 @@ func (ctx *PlacementContext) CloudAdmits() bool { return ctx.f.cloudAdmits(ctx.t
 // sweep tables report).
 func (ctx *PlacementContext) CloudCostPerRequest() float64 {
 	spec := ctx.t.q.Spec()
-	return cloudPricePerInvocation +
-		spec.MeanServiceTime.Seconds()*cloudPricePerGBSecond*float64(spec.MemoryMiB)/1024
+	return cloudBill(spec, spec.MeanServiceTime)
 }
 
 // Headroom returns the site controller's capacity-headroom signal
@@ -452,7 +455,7 @@ func placePredictive(ctx *PlacementContext, predict func(ctx *PlacementContext, 
 	// Offloading must actually help: the cloud wins only when it beats
 	// every peer and local service.
 	if cloud := ctx.PredictCloud(); cloud < bestResp && cloud < local {
-		if !ctx.Sheddable() || (cloud <= deadline && ctx.CloudAdmits()) {
+		if !ctx.Sheddable() || cloud <= deadline {
 			return ToCloud()
 		}
 		return Reject()
@@ -547,7 +550,7 @@ func (costBoundedPlacer) Place(ctx *PlacementContext) Decision {
 		cands = append(cands, candidate{ToSite(p), 0, ctx.PredictResponse(p)})
 	}
 	// The cloud is always a candidate: the selection loop below filters by
-	// the same PredictCloud-vs-deadline floor CloudAdmits applies, and the
+	// the same PredictCloud-vs-deadline test §3.4 admission applies, and the
 	// no-candidate-meets-SLO fallback must still be able to pick the cloud
 	// when it is the fastest miss (e.g. a 600ms cold cloud beats a
 	// hopelessly backlogged local queue).

@@ -29,8 +29,8 @@ type legacyEnumPlacer struct{ policy string }
 func (l legacyEnumPlacer) Name() string { return "legacy-" + l.policy }
 
 func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
-	f, s, q := ctx.f, ctx.t.origin.Index, ctx.t.q
-	o := newOracle(f, q.Spec().Name)
+	f, s := ctx.f, ctx.t.origin.Index
+	o := newOracle(f, ctx.t.q.Spec().Name)
 	deadline := responseSLO.Seconds()
 	// bestPeer is the model-driven scan: the fastest predicted peer strictly
 	// better than floor, or -1.
@@ -48,7 +48,7 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 		case "never":
 			return Reject()
 		case "cloud-only":
-			if f.cloudAdmits(q) {
+			if ctx.PredictCloud() <= deadline {
 				return ToCloud()
 			}
 			return Reject()
@@ -56,14 +56,14 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 			if p := o.selectPeer(s); p >= 0 {
 				return ToSite(p)
 			}
-			if f.cloudAdmits(q) {
+			if ctx.PredictCloud() <= deadline {
 				return ToCloud()
 			}
 			return Reject()
 		case "model-driven":
 			best, bestResp := bestPeer(math.Inf(1))
-			if cloud := f.predictCloud(q); cloud < bestResp {
-				if cloud <= deadline && f.cloudAdmits(q) {
+			if cloud := ctx.PredictCloud(); cloud < bestResp {
+				if cloud <= deadline {
 					return ToCloud()
 				}
 				return Reject()
@@ -93,7 +93,7 @@ func (l legacyEnumPlacer) Place(ctx *PlacementContext) Decision {
 			return Local()
 		}
 		best, bestResp := bestPeer(local)
-		if f.predictCloud(q) < bestResp {
+		if ctx.PredictCloud() < bestResp {
 			return ToCloud()
 		}
 		if best >= 0 {
@@ -361,7 +361,8 @@ func TestBuiltinPlacersAllocationFree(t *testing.T) {
 		for _, s := range fed.Sites {
 			for fn, q := range s.Platform.Queues {
 				queues, fns := fed.handlesFor(fn)
-				table := &placeTable{origin: s, q: q, fn: fn, queues: queues, fns: fns}
+				// The never placer never lands in the cloud: every pool is empty.
+				table := &placeTable{origin: s, q: q, fn: fn, queues: queues, fns: fns, cloud: &cloudPool{}}
 				for _, sheddable := range []bool{false, true} {
 					fed.ctxScratch = PlacementContext{f: fed, t: table, sheddable: sheddable,
 						now: fed.Engine.Now(), originDark: fed.siteDark(s.Index, fed.Engine.Now())}

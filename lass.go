@@ -173,9 +173,10 @@ type Placer = federation.Placer
 // GrantedCPU / DesiredCPU (the federation-wide §4.1 fair-share
 // allocator's grants versus the model's desires, including
 // granted-but-cold pre-provisioned pools). Cloud state: PredictCloud
-// (response including cold start and the queue at the concurrency cap),
-// CloudAdmits (throttle headroom), and CloudCostPerRequest (the
-// invocation + GB-second price). SelectPeer is the nearest-first
+// (response including cold start and the queue at the concurrency cap;
+// §3.4 admission rejects a sheddable cloud landing whose prediction misses
+// the response SLO) and CloudCostPerRequest (the invocation + GB-second
+// price). SelectPeer is the nearest-first
 // accepting-peer scan; PeersByRTT is the deterministic RTT-ordered
 // candidate list custom strategies iterate — a slice shared across
 // decisions, not to be modified.
