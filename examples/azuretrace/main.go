@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"lass"
@@ -22,6 +24,13 @@ type tenant struct {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run replays the busiest trace hour and prints each tenant's service to w.
+func run(w io.Writer) error {
 	// Means are invocations/minute; the archetypes concentrate volume
 	// (Sporadic packs its mean into ~3% of minutes, so 18/min means
 	// ~10 req/s bursts; Periodic spikes at ~5 req/s on 25/min).
@@ -42,22 +51,22 @@ func main() {
 	for i, m := range members {
 		row, err := lass.SynthesizeTrace(uint64(100+i), m.archetype, m.perMinute, 1440)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rows[m.fn] = row
 	}
 	start := lass.FindActiveTraceWindow(rows["mobilenet-v2"].Counts, minutes)
-	fmt.Printf("sampling trace minutes %d-%d (busiest MobileNet hour)\n\n", start, start+minutes)
+	fmt.Fprintf(w, "sampling trace minutes %d-%d (busiest MobileNet hour)\n\n", start, start+minutes)
 
 	var fcs []lass.FunctionConfig
 	for _, m := range members {
 		wl, err := lass.TraceWorkload(rows[m.fn].Window(start, start+minutes))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		spec, err := lass.FunctionByName(m.fn)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fcs = append(fcs, lass.FunctionConfig{
 			Spec: spec, User: m.user, Weight: 1, Workload: wl, Prewarm: 1,
@@ -75,17 +84,17 @@ func main() {
 		Functions:  fcs,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := sim.Run(minutes * time.Minute)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-15s %-6s %10s %12s %10s %9s\n",
+	fmt.Fprintf(w, "%-15s %-6s %10s %12s %10s %9s\n",
 		"function", "user", "completed", "P95 wait", "SLO att", "mean mC")
 	var userCPU [2]float64
-	for i, m := range members {
+	for _, m := range members {
 		fr := res.Functions[m.fn]
 		mean := fr.CPU.Mean()
 		if m.user == "user1" {
@@ -93,13 +102,13 @@ func main() {
 		} else {
 			userCPU[1] += mean
 		}
-		fmt.Printf("%-15s %-6s %10d %11.1fms %10.3f %9.0f\n",
+		fmt.Fprintf(w, "%-15s %-6s %10d %11.1fms %10.3f %9.0f\n",
 			m.fn, m.user, fr.Completed, fr.Waits.Quantile(0.95)*1000,
 			fr.SLO.Attainment(), mean)
-		_ = i
 	}
-	fmt.Printf("\nmean CPU by user: user1 %.0f mC, user2 %.0f mC (weights 1:2; overload shares follow weights)\n",
+	fmt.Fprintf(w, "\nmean CPU by user: user1 %.0f mC, user2 %.0f mC (weights 1:2; overload shares follow weights)\n",
 		userCPU[0], userCPU[1])
-	fmt.Printf("cluster utilization %.1f%%, overload epochs %d, deflations %d\n",
+	fmt.Fprintf(w, "cluster utilization %.1f%%, overload epochs %d, deflations %d\n",
 		res.Utilization*100, res.ControllerOps.Overloads, res.ControllerOps.Deflations)
+	return nil
 }

@@ -9,13 +9,15 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"lass"
 )
 
-func run(policy lass.ReclamationPolicy) (*lass.Result, error) {
+func simulate(policy lass.ReclamationPolicy) (*lass.Result, error) {
 	malware, err := lass.FunctionByName("binaryalert")
 	if err != nil {
 		return nil, err
@@ -61,34 +63,42 @@ func run(policy lass.ReclamationPolicy) (*lass.Result, error) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints both policies' timelines and their comparison to w.
+func run(w io.Writer) error {
 	results := map[lass.ReclamationPolicy]*lass.Result{}
 	for _, policy := range []lass.ReclamationPolicy{lass.Termination, lass.Deflation} {
-		res, err := run(policy)
+		res, err := simulate(policy)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		results[policy] = res
 
-		fmt.Printf("--- policy: %v ---\n", policy)
-		fmt.Println("t(min)  binaryalert(mC)  mobilenet(mC)  cluster-util")
+		fmt.Fprintf(w, "--- policy: %v ---\n", policy)
+		fmt.Fprintln(w, "t(min)  binaryalert(mC)  mobilenet(mC)  cluster-util")
 		for _, m := range []int{2, 7, 12, 17, 22} {
 			ts := time.Duration(m) * time.Minute
-			fmt.Printf("%5d %16.0f %14.0f %13.1f%%\n",
+			fmt.Fprintf(w, "%5d %16.0f %14.0f %13.1f%%\n",
 				m,
 				res.Functions["binaryalert"].CPU.ValueAt(ts),
 				res.Functions["mobilenet-v2"].CPU.ValueAt(ts),
 				res.UtilizationTS.ValueAt(ts)*100)
 		}
-		fmt.Printf("mean utilization: %.1f%%   container ops: %d created, %d terminated, %d deflated\n\n",
+		fmt.Fprintf(w, "mean utilization: %.1f%%   container ops: %d created, %d terminated, %d deflated\n\n",
 			res.Utilization*100,
 			res.ControllerOps.Creations, res.ControllerOps.Terminations, res.ControllerOps.Deflations)
 	}
 
 	t := results[lass.Termination]
 	d := results[lass.Deflation]
-	fmt.Printf("deflation vs termination utilization: %.1f%% vs %.1f%% (paper: 83.2%% vs 78.2%%)\n",
+	fmt.Fprintf(w, "deflation vs termination utilization: %.1f%% vs %.1f%% (paper: 83.2%% vs 78.2%%)\n",
 		d.Utilization*100, t.Utilization*100)
-	fmt.Printf("requests rerun due to terminations: termination=%d deflation=%d\n",
+	fmt.Fprintf(w, "requests rerun due to terminations: termination=%d deflation=%d\n",
 		t.Functions["binaryalert"].Requeued+t.Functions["mobilenet-v2"].Requeued,
 		d.Functions["binaryalert"].Requeued+d.Functions["mobilenet-v2"].Requeued)
+	return nil
 }

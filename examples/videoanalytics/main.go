@@ -8,16 +8,25 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"lass"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates the camera and the drones and prints the pool timeline to w.
+func run(w io.Writer) error {
 	mobilenet, err := lass.FunctionByName("mobilenet-v2")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Inference must start within 250 ms of frame arrival for alerts to
 	// be "near real-time".
@@ -35,18 +44,18 @@ func main() {
 		{Start: 19 * time.Minute, Rate: 0.5},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A GeoFence function shares the edge cluster (drones reporting
 	// positions) — steady light load, unaffected by the camera bursts.
 	geofence, err := lass.FunctionByName("geofence")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	drones, err := lass.StaticWorkload(50)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	ctl := lass.DefaultController()
@@ -61,26 +70,27 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := sim.Run(22 * time.Minute)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	inf := res.Functions[mobilenet.Name]
-	fmt.Println("t(min)  frames/s  containers   (MobileNet v2 inference pool)")
+	fmt.Fprintln(w, "t(min)  frames/s  containers   (MobileNet v2 inference pool)")
 	for m := 0; m <= 21; m++ {
 		ts := time.Duration(m)*time.Minute + 30*time.Second
 		bar := ""
 		for i := 0; i < int(inf.Containers.ValueAt(ts)); i++ {
 			bar += "#"
 		}
-		fmt.Printf("%5d %9.1f %11.0f   %s\n", m, camera.RateAt(ts), inf.Containers.ValueAt(ts), bar)
+		fmt.Fprintf(w, "%5d %9.1f %11.0f   %s\n", m, camera.RateAt(ts), inf.Containers.ValueAt(ts), bar)
 	}
-	fmt.Printf("\ninference: %d frames, P95 wait %.0f ms, SLO attainment %.3f\n",
+	fmt.Fprintf(w, "\ninference: %d frames, P95 wait %.0f ms, SLO attainment %.3f\n",
 		inf.Completed, inf.Waits.Quantile(0.95)*1000, inf.SLO.Attainment())
 	gf := res.Functions[geofence.Name]
-	fmt.Printf("geofence : %d checks, P95 wait %.1f ms, SLO attainment %.3f (isolated from bursts)\n",
+	fmt.Fprintf(w, "geofence : %d checks, P95 wait %.1f ms, SLO attainment %.3f (isolated from bursts)\n",
 		gf.Completed, gf.Waits.Quantile(0.95)*1000, gf.SLO.Attainment())
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -100,6 +101,65 @@ func TestInvariantCapacityNeverExceeded(t *testing.T) {
 					trial, name, fr.Arrivals, accounted)
 			}
 		}
+	}
+}
+
+// TestCapacityThatNeverBindsChangesNothing: capacity enters a run only
+// through overload, so on a cluster that never overloads, doubling the
+// node count leaves every function's measurements — waits, responses,
+// counters and the controller's series — exactly as they were; only the
+// cluster's utilization moves. Seeded draws of one to three catalog
+// functions at static rates are run at n and 2n nodes, and the property is
+// checked on every draw with no overload epoch at either size. Fewer than
+// eight such draws fails the test rather than passing it vacuously.
+func TestCapacityThatNeverBindsChangesNothing(t *testing.T) {
+	rng := xrand.New(5)
+	catalog := functions.Catalog()
+	run := func(cfgs []FunctionConfig, nodes int, seed uint64) *Result {
+		p, err := New(Config{
+			Cluster:    cluster.Config{Nodes: nodes, CPUPerNode: 4000, MemPerNode: 16384, Policy: cluster.WorstFit},
+			Controller: controller.Config{MinContainers: 1},
+			Seed:       seed,
+			Functions:  cfgs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(5 * time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	checked := 0
+	for draw := 0; draw < 16; draw++ {
+		var cfgs []FunctionConfig
+		for range rng.Intn(3) + 1 {
+			spec := catalog[rng.Intn(len(catalog))]
+			if hasFunc(cfgs, spec.Name) {
+				continue
+			}
+			cfgs = append(cfgs, FunctionConfig{Spec: spec, Workload: staticWL(t, rng.Uniform(5, 90)), Prewarm: 1})
+		}
+		nodes, seed := 3+rng.Intn(6), rng.Uint64()
+		small, large := run(cfgs, nodes, seed), run(cfgs, 2*nodes, seed)
+		if small.ControllerOps.Overloads > 0 || large.ControllerOps.Overloads > 0 {
+			continue
+		}
+		checked++
+		for _, fc := range cfgs {
+			name := fc.Spec.Name
+			if !reflect.DeepEqual(small.Functions[name], large.Functions[name]) {
+				t.Errorf("draw %d: %s on %d nodes differs from %d nodes with no overload at either size",
+					draw, name, nodes, 2*nodes)
+			}
+		}
+		if small.ControllerOps != large.ControllerOps {
+			t.Errorf("draw %d: controller actions %+v on %d nodes, %+v on %d", draw, small.ControllerOps, nodes, large.ControllerOps, 2*nodes)
+		}
+	}
+	if checked < 8 {
+		t.Fatalf("only %d of 16 draws ran without overload at both sizes; want at least 8", checked)
 	}
 }
 

@@ -279,6 +279,30 @@ func TestCloudPoolConcurrencyCapFIFO(t *testing.T) {
 	}
 }
 
+// TestCloudPoolReusesLatestWarmDeadline pins the reuse rule: of two idle
+// warm instances, a request gets the one whose warm deadline is later
+// (most recently used), wherever it sits in the pool, and acquire books
+// that one and leaves the other to age out.
+func TestCloudPoolReusesLatestWarmDeadline(t *testing.T) {
+	const (
+		run  = 100 * time.Millisecond
+		cold = 50 * time.Millisecond
+	)
+	older := &cloudInstance{busyUntil: time.Second, warmUntil: time.Second + cloudWarmWindow}
+	newer := &cloudInstance{busyUntil: 2 * time.Second, warmUntil: 2*time.Second + cloudWarmWindow}
+	p := &cloudPool{instances: []*cloudInstance{older, newer}}
+	at := 3 * time.Second
+	if in, queued := p.pick(at, 0); in != newer || queued {
+		t.Fatalf("pick = (%p, %v), want the later-deadline instance %p unqueued (older %p)", in, queued, newer, older)
+	}
+	if wait, gotCold := p.acquire(at, run, cold, 0); wait != 0 || gotCold != 0 {
+		t.Fatalf("acquire: wait=%v cold=%v want 0/0 (warm reuse)", wait, gotCold)
+	}
+	if newer.busyUntil != at+run || older.busyUntil != time.Second {
+		t.Errorf("acquire booked newer until %v and older until %v, want %v and 1s", newer.busyUntil, older.busyUntil, at+run)
+	}
+}
+
 // TestCloudConcurrencyCapCountsQueueWait: end to end, a throttled cloud
 // queues offloads (CloudQueued counters) and the waits land in the
 // observed response times.
