@@ -24,24 +24,25 @@ import (
 	icluster "lass/internal/cluster"
 )
 
-// BenchmarkSolverHomogeneous measures one homogeneous sizing once the
-// sizing memo has seen the rate: every iteration after the first is a
-// memo hit, which takes no lock. With no hint the hit scans up from the
-// stability floor; the controller's hits check its hint first.
+// BenchmarkSolverHomogeneous measures one homogeneous sizing of a rate a
+// function's Sizer has answered before, as the controller sizes a steady
+// function every epoch: every iteration after the first is a bracket hit,
+// with no probe.
 func BenchmarkSolverHomogeneous(b *testing.B) {
 	b.ReportAllocs()
 	slo := DefaultSLO()
+	var s queuing.Sizer
 	for i := 0; i < b.N; i++ {
-		if _, err := queuing.MinimalContainers(45, 10, slo); err != nil {
+		if _, err := s.Size(45, 10, slo); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSolverHomogeneousParallel measures the memo-hit path of
-// BenchmarkSolverHomogeneous from GOMAXPROCS goroutines at once, hinted
-// with the answer as the controller hints with last epoch's, the way
-// parallel sweep cells share the process-wide memo. Compare -cpu 1,2.
+// BenchmarkSolverHomogeneousParallel measures the process-wide memo's hit
+// path (MinimalContainersFrom, as the repository benchmark's closed sizing
+// loop calls it) from GOMAXPROCS goroutines at once, hinted with the
+// answer. A hit takes no lock. Compare -cpu 1,2.
 func BenchmarkSolverHomogeneousParallel(b *testing.B) {
 	b.ReportAllocs()
 	slo := DefaultSLO()
@@ -61,8 +62,7 @@ func BenchmarkSolverHomogeneousParallel(b *testing.B) {
 }
 
 // BenchmarkSolverHomogeneousCold measures one Algorithm 1 scan from the
-// stability floor, with no memo and no hint: the cost a memo miss can
-// reach.
+// stability floor, with no bracket and no hint: the cost a miss can reach.
 func BenchmarkSolverHomogeneousCold(b *testing.B) {
 	b.ReportAllocs()
 	slo := DefaultSLO()

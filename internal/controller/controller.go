@@ -161,13 +161,11 @@ type Function struct {
 	// short window.
 	Burst bool
 
-	// hetHint warm-starts the next epoch's heterogeneous container-count
-	// search from this epoch's answer (queuing.AdditionalHetContainersFrom).
-	// The sized result is identical for any hint — only the number of
-	// counts the search probes changes — so it never needs invalidation,
-	// even across service-rate or demand swings. The homogeneous count
-	// needs no hint: queuing's sizing memo answers it.
-	hetHint int
+	// sizer is the function's own Algorithm 1 state: the bracket of rates
+	// its last count is proven for and the deflated-pool search's start,
+	// model and rate list. It changes how many counts an epoch probes,
+	// never the count.
+	sizer queuing.Sizer
 	// pos is the function's registration position: its index in Demands
 	// and in a grant vector.
 	pos int
@@ -224,13 +222,12 @@ type Controller struct {
 	// are never validated: Register rules out duplicate and reserved
 	// names, and the division repeats every other check.
 	shares *allocation.ShareTree
-	// Per-epoch scratch: Demands, desiredContainers, grantTargets and
-	// fairShares return views of these buffers so a steady-state control
-	// epoch performs no heap allocations. Each helper's result is valid
-	// only until its next call on this controller. targetScratch has one
-	// entry per registered function, added by Register.
+	// Per-epoch scratch: Demands, grantTargets and fairShares return
+	// views of these buffers so a steady-state control epoch performs no
+	// heap allocations. Each helper's result is valid only until its next
+	// call on this controller. targetScratch has one entry per registered
+	// function, added by Register.
 	demandsOut    []allocation.FunctionDemand
-	rateScratch   []float64
 	targetScratch []int64
 	feasScratch   []fairshare.Demand
 }
@@ -408,13 +405,14 @@ func liveCPU(cs []*cluster.Container) int64 {
 
 // desiredContainers runs the queueing model for one function: Algorithm 1
 // on the homogeneous model, plus the Alves heterogeneous bound when the
-// function's pool contains deflated containers (§3.2-§3.3). The
-// homogeneous count is usually a sizing-memo lookup; the heterogeneous
-// search is warm-started from the previous epoch's answer, so
-// slowly-drifting rates probe O(1) counts. Both equal the cold scan's.
+// function's pool contains deflated containers (§3.2-§3.3). Both go
+// through the function's own Sizer: the homogeneous count is usually its
+// bracket's answer with no probe, and the heterogeneous search starts from
+// the previous epoch's answer, so slowly-drifting rates probe O(1)
+// counts. Both equal the cold scan's.
 func (ctl *Controller) desiredContainers(f *Function, lambda float64) (int, error) {
 	mu := f.Spec.ServiceRate()
-	want, err := queuing.MinimalContainers(lambda, mu, f.SLO)
+	want, err := f.sizer.Size(lambda, mu, f.SLO)
 	if err != nil {
 		return 0, err
 	}
@@ -423,16 +421,12 @@ func (ctl *Controller) desiredContainers(f *Function, lambda float64) (int, erro
 		// How many standard containers must join the deflated pool (Fig
 		// 4's reaction)? When none, the pool may shrink to the homogeneous
 		// count, so over-provisioned deflated pools scale down.
-		rates := ctl.rateScratch[:0]
-		for _, c := range live {
-			rates = append(rates, f.Spec.RateAt(c.CPUFraction()))
-		}
-		ctl.rateScratch = rates
-		add, err := queuing.AdditionalHetContainersFrom(lambda, rates, mu, f.SLO, f.hetHint)
+		add, err := f.sizer.Additional(lambda, len(live), func(i int) float64 {
+			return f.Spec.RateAt(live[i].CPUFraction())
+		}, mu, f.SLO)
 		if err != nil {
 			return 0, err
 		}
-		f.hetHint = add
 		if add > 0 {
 			want = len(live) + add
 		} else {

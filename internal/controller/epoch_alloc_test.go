@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -47,8 +48,10 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 // TestStepOverloadedSteadyStateZeroAllocs is the same contract under
 // overload, where every Step divides the cluster by the §5 share tree: the
 // tree is built at registration, so a Step only sets its leaf desires and
-// divides into scratch. It holds with every function in the default
-// namespace and with two weighted users.
+// divides into scratch. Deflation has left a deflated container in some
+// pool, so every Step also runs that function's heterogeneous sizing in
+// its Sizer's model and rate list. It holds with every function in the
+// default namespace and with two weighted users.
 func TestStepOverloadedSteadyStateZeroAllocs(t *testing.T) {
 	for _, users := range []bool{false, true} {
 		h := newHarness(t, Config{}, cluster.PaperCluster())
@@ -74,6 +77,13 @@ func TestStepOverloadedSteadyStateZeroAllocs(t *testing.T) {
 		}
 		if !h.ctl.Overloaded() {
 			t.Fatalf("users=%v: 400 req/s on three functions does not overload the cluster", users)
+		}
+		deflated := false
+		for _, f := range h.ctl.order {
+			deflated = deflated || slices.ContainsFunc(f.Containers(), (*cluster.Container).Deflated)
+		}
+		if !deflated {
+			t.Fatalf("users=%v: no pool holds a deflated container, so no Step sizes a heterogeneous pool", users)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := h.ctl.Step(); err != nil {

@@ -2,7 +2,6 @@ package queuing
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -307,49 +306,4 @@ func hetProbWaitLE(lambda float64, rates []float64, t float64) float64 {
 		return 0
 	}
 	return p
-}
-
-// TestHetSizingSharedScratch: a warm heterogeneous sizing allocates
-// nothing, and concurrent sizings — one in the shared scratch, the others
-// in fresh ones — return the serial answers. Run under -race.
-func TestHetSizingSharedScratch(t *testing.T) {
-	cases := []struct {
-		lambda   float64
-		existing []float64
-	}{
-		{30, []float64{6, 8, 10}},
-		{120, []float64{4, 10, 10, 10}},
-		{5, []float64{2}},
-	}
-	want := make([]int, len(cases))
-	for i, c := range cases {
-		var err error
-		if want[i], err = AdditionalHetContainersFrom(c.lambda, c.existing, 10, slo95x100ms, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := AdditionalHetContainersFrom(cases[1].lambda, cases[1].existing, 10, slo95x100ms, want[1]); err != nil {
-			panic(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm heterogeneous sizing allocated %.1f times per call, want 0", allocs)
-	}
-	var wg sync.WaitGroup
-	for g := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 50 {
-				k := (g + i) % len(cases)
-				got, err := AdditionalHetContainersFrom(cases[k].lambda, cases[k].existing, 10, slo95x100ms, i%5)
-				if err != nil || got != want[k] {
-					t.Errorf("goroutine %d call %d: got %d, %v; want %d", g, i, got, err, want[k])
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

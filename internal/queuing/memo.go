@@ -38,10 +38,8 @@ import (
 // every count up to 64 and a sparse sample up to memoCounts−1, for the
 // catalog's service rates and for random keys from the fuzzer's ranges.
 //
-// Most answers come from between recorded rates. A simulated site's
-// estimated λ rarely repeats: in one metro_day run about 93% of the sizing
-// calls bring a rate never seen before, and the memo still answers all but
-// a handful of them. A cache keyed on the exact rate would miss those.
+// Answers between recorded rates are what a cache keyed on the exact rate
+// would miss.
 //
 // Memory. At most memoKeys keys, each with at most memoCounts counts of
 // two float64s: 16 B × memoCounts × memoKeys = 4 MiB, plus a key index of
@@ -51,9 +49,10 @@ import (
 // a bounded table, not a growing one.
 //
 // The memo depends only on model inputs, so like the log-factorial cache
-// it is shared by the whole process: parallel sweep cells and a coordinator
-// restarted in the same process reuse what any earlier search proved. A
-// coordinator that takes over in a new process starts empty.
+// it is shared by the whole process. Only MinimalContainersFrom reads and
+// writes it, for the benchmark's closed sizing loops; the controller sizes
+// each function through its own Sizer, whose bracket keeps the same two
+// facts for one count and uses the same guard (atOrBelow, atOrAbove).
 //
 // Concurrency. A lookup takes no lock and allocates nothing. It loads the
 // published key index (immutable once stored), then the key's table

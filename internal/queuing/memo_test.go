@@ -276,47 +276,15 @@ func TestSizingMemoMatchesAlgorithm1(t *testing.T) {
 	}
 }
 
-// TestSizingMemoGuardsRoundingReversal replays a real rounding reversal:
-// one container meets the default SLO at μ = 10 for some λ₂ but fails at
-// a λ₁ a few ulps below it. After λ₂ is sized (recording that one
-// container fits up to λ₂), λ₁ must still get Algorithm 1's answer of
-// two: only the guard band keeps the memo from answering one.
+// TestSizingMemoGuardsRoundingReversal replays a real rounding reversal
+// (roundingReversal): after λ₂ is sized (recording that one container
+// fits up to λ₂), λ₁ must still get Algorithm 1's answer of two: only the
+// guard band keeps the memo from answering one.
 func TestSizingMemoGuardsRoundingReversal(t *testing.T) {
 	resetSizingMemo()
 	defer resetSizingMemo()
-	const mu = 10.0
-	meets := func(lambda float64) bool {
-		ok, err := meetsMMC(lambda, mu, slo95x100ms.Deadline.Seconds(), slo95x100ms.Percentile, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ok
-	}
-	yes, no := 0.0, mu
-	for mid := yes + (no-yes)/2; mid > yes && mid < no; mid = yes + (no-yes)/2 {
-		if meets(mid) {
-			yes = mid
-		} else {
-			no = mid
-		}
-	}
-	var fails, fits float64 // fails < fits, one container failing at the first, meeting at the second
-	lambda := no
-	for k := 0; k < 32; k++ {
-		lambda = math.Nextafter(lambda, 0)
-	}
-	for k := 0; k < 64 && fits == 0; k++ {
-		if !meets(lambda) {
-			fails = lambda
-		} else if fails != 0 {
-			fits = lambda
-		}
-		lambda = math.Nextafter(lambda, math.Inf(1))
-	}
-	if fits == 0 {
-		t.Fatalf("no rounding reversal within 32 ulps of the edge %v; pick another case", no)
-	}
-	checkAgainstAlgorithm1(t, "reversal", []memoCase{{mu, slo95x100ms, fits}, {mu, slo95x100ms, fails}})
+	fails, fits := roundingReversal(t)
+	checkAgainstAlgorithm1(t, "reversal", []memoCase{{10, slo95x100ms, fits}, {10, slo95x100ms, fails}})
 }
 
 // TestSizingMemoConcurrent: readers race with two kinds of writer (run
@@ -419,7 +387,7 @@ func TestSizingMemoHitTakesNoLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MinimalContainers(lambda, mu, slo95x100ms); err != nil {
+	if _, err := MinimalContainersFrom(lambda, mu, slo95x100ms, 0); err != nil {
 		t.Fatal(err)
 	}
 	type answer struct {
@@ -462,7 +430,7 @@ func TestMemoIndexSpreadsKeys(t *testing.T) {
 	}
 	for _, slo := range memoSLOs {
 		for _, mu := range mus {
-			if _, err := MinimalContainers(3, mu, slo); err != nil && !strings.Contains(err.Error(), "no waiting budget") {
+			if _, err := MinimalContainersFrom(3, mu, slo, 0); err != nil && !strings.Contains(err.Error(), "no waiting budget") {
 				t.Fatal(err)
 			}
 		}
@@ -505,7 +473,7 @@ func TestSizingMemoBounded(t *testing.T) {
 	}
 	for i := 0; i < 100_000; i++ {
 		slo := SLO{Deadline: time.Duration(1+i%997) * time.Millisecond, Percentile: 0.5 + float64(i%49)/100, WaitingOnly: true}
-		if _, err := MinimalContainers(0.7, 1+float64(i)/1000, slo); err != nil {
+		if _, err := MinimalContainersFrom(0.7, 1+float64(i)/1000, slo, 0); err != nil {
 			t.Fatal(err)
 		}
 		if i%1000 == 0 {

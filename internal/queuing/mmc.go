@@ -12,19 +12,17 @@
 // predicate is upward-closed in c, so any hint gives the cold scan's
 // answer and only the number of probed counts changes.
 //
-// The homogeneous M/M/c sizing (MinimalContainersFrom) first consults a
-// process-wide memo (memo.go) keyed by (μ, wait budget, percentile). Each
-// search proves that its answer c meets the SLO at its λ and that c−1
-// does not, and P(Q ≤ t) is nonincreasing in λ for fixed c, so a later λ
-// bracketed by such facts is answered with zero probes. A λ within a
-// relative 1e-9 of a recorded rate is searched instead: the computed
-// predicate's rounding reversals stay inside that band over the counts,
-// rates and SLOs TestMeetsNonincreasingInLambda checks, so there the
-// memo's answers equal the search's bit for bit. A lookup takes no lock:
-// the memo is published through atomic pointers like the log-factorial
-// cache, and its facts only tighten, so a reader racing a writer still
-// reads only true ones. It checks the caller's hint before scanning up
-// from the stability floor.
+// A function sized every epoch keeps a Sizer (sizer.go). Its last M/M/c
+// search proved that its answer c meets the SLO at the rate it was asked
+// and that c−1 does not, and P(Q ≤ t) is nonincreasing in λ for fixed c,
+// so a later λ inside the bracket of rates proven for c is answered with
+// zero probes. A λ within a relative 1e-9 of a bracket edge is searched
+// instead: the computed predicate's rounding reversals stay inside that
+// band over the counts, rates and SLOs TestMeetsNonincreasingInLambda
+// checks, so the bracket's answers equal the search's bit for bit.
+// MinimalContainersFrom, for the benchmark's closed sizing loops, keeps
+// the same facts for every count in a lock-free process-wide memo
+// (memo.go).
 //
 // Two implementations of the M/M/c evaluation exist side by side:
 //

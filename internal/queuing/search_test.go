@@ -107,12 +107,13 @@ func TestSolversRejectNonFiniteRates(t *testing.T) {
 }
 
 // FuzzSizingSearch checks the warm-started searches against references
-// that share none of their code: MinimalContainersFrom against Algorithm
-// 1's upward scan, and AdditionalHetContainersFrom against a literal
-// upward loop over one deflated container plus standard ones. A priming
-// rate λ₀ is sized first under the same key, so the fuzzer also varies
-// what the sizing memo holds when λ is asked. λ, λ₀ ≤ 200 and μ ≥ 0.5
-// keep every execution to a few hundred counts.
+// that share none of their code: MinimalContainersFrom and a Sizer against
+// Algorithm 1's upward scan, and the Sizer's heterogeneous search against
+// a literal upward loop over one deflated container plus standard ones. A
+// priming rate λ₀ is sized first under the same key, so the fuzzer also
+// varies what the sizing memo and the Sizer's bracket hold when λ is
+// asked; the rates at and around the bracket's edges then follow. λ,
+// λ₀ ≤ 200 and μ ≥ 0.5 keep every execution to a few hundred counts.
 func FuzzSizingSearch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, lambda, mu float64, deadlineMs uint16, pct float64, hint int, deflated, prime float64) {
 		if !finite(lambda, mu, pct, deflated, prime) {
@@ -129,6 +130,7 @@ func FuzzSizingSearch(f *testing.F) {
 		}
 		hint %= 512
 
+		var sizer Sizer
 		for _, l := range []float64{prime, lambda} {
 			cold, coldErr := RequiredContainers(l, mu, slo, 0)
 			warm, warmErr := MinimalContainersFrom(l, mu, slo, hint)
@@ -136,6 +138,10 @@ func FuzzSizingSearch(f *testing.F) {
 				t.Fatalf("lambda=%v (primed at %v) mu=%v %+v hint=%d: MinimalContainersFrom (%d, %v), Algorithm 1 (%d, %v)",
 					l, prime, mu, slo, hint, warm, warmErr, cold, coldErr)
 			}
+			checkSizer(t, "primed", &sizer, mu, slo, []float64{l})
+		}
+		if sizer.c > 0 {
+			checkSizer(t, "edges", &sizer, mu, slo, bracketEdges(&sizer))
 		}
 
 		want, wantErr := 0, error(nil)
@@ -160,9 +166,9 @@ func FuzzSizingSearch(f *testing.F) {
 				pool = append(pool, mu)
 			}
 		}
-		got, err := AdditionalHetContainersFrom(lambda, []float64{deflated}, mu, slo, hint)
+		got, err := additionalFrom(lambda, []float64{deflated}, mu, slo, hint)
 		if (err == nil) != (wantErr == nil) || (err == nil && got != want) {
-			t.Fatalf("lambda=%v deflated=%v mu=%v %+v hint=%d: AdditionalHetContainersFrom (%d, %v), upward loop (%d, %v)",
+			t.Fatalf("lambda=%v deflated=%v mu=%v %+v hint=%d: Sizer.Additional (%d, %v), upward loop (%d, %v)",
 				lambda, deflated, mu, slo, hint, got, err, want, wantErr)
 		}
 	})

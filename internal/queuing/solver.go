@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -156,54 +155,61 @@ func RequiredContainers(lambda, mu float64, slo SLO, startC int) (int, error) {
 }
 
 // MinimalContainers returns the smallest c ≥ 1 meeting the SLO, regardless
-// of the current allocation. The controller uses it to compute c_new each
-// epoch: unlike Algorithm 1's upward-only scan it also allows scaling down.
+// of the current allocation: unlike Algorithm 1's upward-only scan it also
+// allows scaling down. It is one search from the stability floor and keeps
+// nothing between calls; a function sized every epoch keeps a Sizer.
 func MinimalContainers(lambda, mu float64, slo SLO) (int, error) {
-	return MinimalContainersFrom(lambda, mu, slo, 0)
+	var s Sizer
+	return s.Size(lambda, mu, slo)
 }
 
 // MinimalContainersFrom returns exactly MinimalContainers' answer. It first
 // asks the process-wide sizing memo (memo.go), which answers with zero
 // probes and no lock whenever earlier searches for the same (μ, t, p)
 // already proved the answer for this λ, checking hint before any other
-// count. Otherwise it searches from hint — a previous epoch's result for
-// the same function. P(Q ≤ t) is nondecreasing in c for
-// fixed λ, μ, t (more containers both drain the queue faster and raise
-// the Eq 3 state bound L), so the satisfying counts are upward-closed and
-// search finds the count the cold scan from the stability floor finds,
-// bit for bit (the warm-sizer tests assert it under adversarial demand
-// swings, and the memo tests against Algorithm 1 under any call order).
+// count. Otherwise it searches from hint — a previous result for the same
+// function. P(Q ≤ t) is nondecreasing in c for fixed λ, μ, t (more
+// containers both drain the queue faster and raise the Eq 3 state bound
+// L), so the satisfying counts are upward-closed and search finds the
+// count the cold scan from the stability floor finds, bit for bit (the
+// warm-sizer tests assert it under adversarial demand swings, and the memo
+// tests against Algorithm 1 under any call order). The benchmark's closed
+// sizing loops call it; the controller sizes through each function's
+// Sizer and never reads the memo.
 func MinimalContainersFrom(lambda, mu float64, slo SLO, hint int) (int, error) {
-	if lambda < 0 || mu <= 0 || !finite(lambda, mu) {
-		return 0, fmt.Errorf("queuing: invalid rates lambda=%v mu=%v", lambda, mu)
-	}
-	if lambda == 0 {
-		return 0, nil
-	}
-	t, err := slo.WaitBudget(mu)
-	if err != nil {
+	t, err := mmcBudget(lambda, mu, slo)
+	if err != nil || lambda == 0 {
 		return 0, err
 	}
 	lo, key := stabilityFloor(lambda, mu), memoKey{mu, t, slo.Percentile}
 	if c, ok := memoLookup(key, lambda, lo, hint); ok {
 		return c, nil
 	}
-	c, err := search(lo, MaxSolverContainers, hint, func(c int) (bool, error) {
-		return meetsMMC(lambda, mu, t, slo.Percentile, c)
-	})
-	if errors.Is(err, errExhausted) {
-		return 0, fmt.Errorf("queuing: no container count up to %d meets SLO (lambda=%v mu=%v t=%vs p=%v)",
-			MaxSolverContainers, lambda, mu, t, slo.Percentile)
-	}
+	// A Sizer whose last answer was hint, with no rate proven for it.
+	s := Sizer{mu: mu, t: t, p: slo.Percentile, c: hint, lamLo: math.Inf(1)}
+	c, err := s.Size(lambda, mu, slo)
 	if err == nil {
 		memoRecord(key, lambda, lo, c)
 	}
 	return c, err
 }
 
+// mmcBudget validates a homogeneous sizing's rates and returns its SLO's
+// wait budget; with lambda = 0 it returns 0 and no error, since an idle
+// function needs no containers whatever its SLO.
+func mmcBudget(lambda, mu float64, slo SLO) (float64, error) {
+	if lambda < 0 || mu <= 0 || !finite(lambda, mu) {
+		return 0, fmt.Errorf("queuing: invalid rates lambda=%v mu=%v", lambda, mu)
+	}
+	if lambda == 0 {
+		return 0, nil
+	}
+	return slo.WaitBudget(mu)
+}
+
 // meetsMMC reports whether c containers meet the SLO (wait budget t,
-// percentile p) on the M/M/c model: the predicate MinimalContainersFrom
-// searches over and its memo records.
+// percentile p) on the M/M/c model: the predicate a Sizer searches over
+// and its bracket and the memo record.
 func meetsMMC(lambda, mu, t, p float64, c int) (bool, error) {
 	m := MMC{Lambda: lambda, Mu: mu, C: c}
 	if !m.Stable() {
@@ -247,62 +253,6 @@ func RequiredContainersNaive(lambda, mu float64, slo SLO, startC int) (int, erro
 // how many standard containers must be added so that the Alves worst-case
 // bound on P(Q ≤ t) reaches the SLO percentile. existing may be empty.
 func AdditionalHetContainers(lambda float64, existing []float64, newRate float64, slo SLO) (int, error) {
-	return AdditionalHetContainersFrom(lambda, existing, newRate, slo, 0)
-}
-
-// hetScratch is the heterogeneous search's reusable model and rate list. A
-// caller that finds it busy works in fresh ones instead of waiting, so
-// concurrent sizings never serialise on it; nothing a search reads
-// survives from an earlier one, so sharing cannot change an answer.
-var hetScratch struct {
-	mu    sync.Mutex
-	h     HetMMC
-	rates []float64
-}
-
-// AdditionalHetContainersFrom returns exactly AdditionalHetContainers'
-// answer, seeding the search for the addition count at hint (a previous
-// epoch's result). Adding a standard container only ever raises the Alves
-// bound on P(Q ≤ t) — the pool's aggregate rate grows and the worst-case
-// scheduler's options improve — so the satisfying additions are
-// upward-closed and search lands on the count the cold scan from zero
-// finds (asserted by the warm-sizer swing tests).
-func AdditionalHetContainersFrom(lambda float64, existing []float64, newRate float64, slo SLO, hint int) (int, error) {
-	if lambda < 0 || newRate <= 0 || !finite(lambda, newRate) || !finite(existing...) {
-		return 0, fmt.Errorf("queuing: invalid rates lambda=%v newRate=%v existing=%v", lambda, newRate, existing)
-	}
-	if lambda == 0 {
-		return 0, nil
-	}
-	// Waiting budget from the mean rate of the would-be pool; the
-	// controller passes WaitingOnly SLOs in the evaluation so this only
-	// matters for end-to-end deadlines.
-	t, err := slo.WaitBudget(newRate)
-	if err != nil {
-		return 0, err
-	}
-	h, rates := &HetMMC{}, []float64(nil)
-	if hetScratch.mu.TryLock() {
-		defer hetScratch.mu.Unlock()
-		h, rates = &hetScratch.h, hetScratch.rates[:0]
-		defer func() { hetScratch.rates = rates }()
-	}
-	rates = append(rates, existing...)
-	add, err := search(0, max(0, MaxSolverContainers-len(existing)), hint, func(add int) (bool, error) {
-		if len(existing)+add == 0 {
-			return false, nil
-		}
-		for len(rates) < len(existing)+add {
-			rates = append(rates, newRate)
-		}
-		if err := h.reset(lambda, rates[:len(existing)+add]); err != nil || !h.Stable() {
-			return false, err
-		}
-		p, err := h.ProbWaitLE(t)
-		return p >= slo.Percentile, err
-	})
-	if errors.Is(err, errExhausted) {
-		return 0, fmt.Errorf("queuing: heterogeneous scan exhausted (lambda=%v)", lambda)
-	}
-	return add, err
+	var s Sizer
+	return s.Additional(lambda, len(existing), func(i int) float64 { return existing[i] }, newRate, slo)
 }

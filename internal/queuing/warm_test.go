@@ -189,8 +189,8 @@ func TestWarmHetSizerMatchesCold(t *testing.T) {
 	}
 	hint := 0
 	for i, lambda := range swingLambdas {
-		cold, coldErr := AdditionalHetContainersFrom(lambda, existing, 10, slo, 0)
-		warm, warmErr := AdditionalHetContainersFrom(lambda, existing, 10, slo, hint)
+		cold, coldErr := additionalFrom(lambda, existing, 10, slo, 0)
+		warm, warmErr := additionalFrom(lambda, existing, 10, slo, hint)
 		if (coldErr == nil) != (warmErr == nil) {
 			t.Fatalf("step %d (lambda=%v hint=%d): warm err %v vs cold err %v", i, lambda, hint, warmErr, coldErr)
 		}
@@ -202,8 +202,8 @@ func TestWarmHetSizerMatchesCold(t *testing.T) {
 	}
 	// Empty pool and absurd hints degrade to the cold answer too.
 	for _, hint := range []int{0, 1, 5, 500} {
-		cold, err1 := AdditionalHetContainersFrom(90, nil, 10, slo, 0)
-		warm, err2 := AdditionalHetContainersFrom(90, nil, 10, slo, hint)
+		cold, err1 := additionalFrom(90, nil, 10, slo, 0)
+		warm, err2 := additionalFrom(90, nil, 10, slo, hint)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("empty-pool sizing failed: %v / %v", err1, err2)
 		}
@@ -234,7 +234,7 @@ func TestWarmSizerAllocationFree(t *testing.T) {
 	resetSizingMemo()
 	slo := SLO{Deadline: 100 * time.Millisecond, Percentile: 0.95, WaitingOnly: true}
 	key, lo := memoKey{10, slo.Deadline.Seconds(), slo.Percentile}, stabilityFloor(45.2, 10)
-	hint, err := MinimalContainers(45.2, 10, slo)
+	hint, err := MinimalContainersFrom(45.2, 10, slo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
