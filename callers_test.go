@@ -389,6 +389,73 @@ func TestDeclarationsHaveCallers(t *testing.T) {
 	}
 }
 
+// keptGlobals are the package-level variables holding sync state that stay
+// on purpose, keyed by declKey.
+var keptGlobals = map[string]string{
+	"lass/internal/queuing.sizingMemo":   "only benchmark/ reads it, through MinimalContainersFrom; the benchmark change that gives those callers their own Sizers deletes it",
+	"lass/internal/queuing.logFactCache": "a grow-only table of log k! that no run can observe",
+}
+
+// TestNoSharedGlobals fails on a package-level variable declared in a
+// non-test file under internal/ whose type holds a sync or sync/atomic
+// value anywhere inside it. A lock or an atomic at package level guards
+// state every caller in the process shares, so one run's warm scratch or
+// cache leaks into the next run or test: scratch belongs to the handle
+// that uses it. keptGlobals lists the exceptions.
+func TestNoSharedGlobals(t *testing.T) {
+	found := make(map[string]bool)
+	for _, p := range loadModule(t) {
+		if !strings.HasPrefix(p.Path, "lass/internal/") {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			v, ok := scope.Lookup(name).(*types.Var)
+			if !ok || !holdsSync(v.Type(), make(map[types.Type]bool)) {
+				continue
+			}
+			k := declKey(v)
+			found[k] = true
+			if _, kept := keptGlobals[k]; !kept {
+				t.Errorf("%s: %s is process-wide shared state (%s): move it onto the handle that uses it", p.Fset.Position(v.Pos()), k, v.Type())
+			}
+		}
+	}
+	for k := range keptGlobals {
+		if !found[k] {
+			t.Errorf("keptGlobals lists %s, which is no package-level variable holding sync state under internal/: drop the entry", k)
+		}
+	}
+}
+
+// holdsSync reports whether a value of type typ contains a type of package
+// sync or sync/atomic: itself, in a field or an array element, or behind a
+// pointer, slice, map or channel. seen cuts recursive types short.
+func holdsSync(typ types.Type, seen map[types.Type]bool) bool {
+	if seen[typ] {
+		return false
+	}
+	seen[typ] = true
+	switch u := types.Unalias(typ).(type) {
+	case *types.Named:
+		if pkg := u.Obj().Pkg(); pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic") {
+			return true
+		}
+		return holdsSync(u.Underlying(), seen)
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if holdsSync(u.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	case *types.Map:
+		return holdsSync(u.Key(), seen) || holdsSync(u.Elem(), seen)
+	case interface{ Elem() types.Type }: // pointer, array, slice, channel
+		return holdsSync(u.Elem(), seen)
+	}
+	return false
+}
+
 // keptConstants are the parameters every non-test call passes the same
 // constant that stay on purpose, keyed "declKey.param".
 var keptConstants = map[string]string{

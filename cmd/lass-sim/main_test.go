@@ -34,6 +34,23 @@ func TestScenarioAllWritesGolden(t *testing.T) {
 	}
 }
 
+// TestDefaultStdoutGolden pins the single-cluster run with no flags, the
+// command's default: a change meant to move it regenerates the file with
+// `go run ./cmd/lass-sim > cmd/lass-sim/testdata/stdout.golden`.
+func TestDefaultStdoutGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "stdout.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(nil, &got, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("stdout differs from testdata/stdout.golden:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
 // TestNoFileWithoutOut: neither job leaves a file behind unless -out names
 // one.
 func TestNoFileWithoutOut(t *testing.T) {

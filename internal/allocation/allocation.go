@@ -8,8 +8,8 @@
 // The allocator runs three passes:
 //
 //  1. Entitlement: capped water-filling over the federation's total edge
-//     capacity on the site → user → function tree (fairshare.ValidateTree,
-//     then fairshare.DivideTreeInto). A site's entitlement may exceed its
+//     capacity on the site → user → function tree (Scratch.ValidateTree,
+//     then Scratch.DivideTreeInto). A site's entitlement may exceed its
 //     physical capacity — the excess is demand the federation owes it
 //     somewhere else. The Allocator divides this tree in two levels: once
 //     over the sites as stubs carrying their total desire, then each
@@ -226,18 +226,18 @@ func userName(fd *FunctionDemand) string {
 	return fd.User
 }
 
-// Divide divides capacity over the tree with desire[j] at function j's
-// leaf and writes function j's grant to out[j]; both have one entry per
-// function, and they may be the same slice. capped selects AdjustCapped
-// (true) or the paper-faithful Adjust at every level. Node IDs are not
-// checked (fairshare.ValidateTree does that); every other input check of
-// fairshare.DivideTreeInto is.
-func (t *ShareTree) Divide(desire []int64, capacity int64, capped bool, out []int64) error {
+// Divide divides capacity over the tree, in the caller's scratch s, with
+// desire[j] at function j's leaf and writes function j's grant to out[j];
+// both have one entry per function, and they may be the same slice.
+// capped selects AdjustCapped (true) or the paper-faithful Adjust at every
+// level. Node IDs are not checked (Scratch.ValidateTree does that); every
+// other input check of Scratch.DivideTreeInto is.
+func (t *ShareTree) Divide(s *fairshare.Scratch, desire []int64, capacity int64, capped bool, out []int64) error {
 	for j, l := range t.leaves {
 		l.Desired = desire[j]
 	}
 	var err error
-	if t.pre, err = fairshare.DivideTreeInto(t.root, capacity, capped, t.pre); err != nil {
+	if t.pre, err = s.DivideTreeInto(t.root, capacity, capped, t.pre); err != nil {
 		return err
 	}
 	for k, j := range t.order {

@@ -41,7 +41,7 @@ import (
 //   - An epoch is reshaped when the order changed, a site was rebuilt or
 //     warm state is distrusted. Only then can the tree carry node IDs that
 //     no successful epoch checked, so only then are they checked for
-//     duplicates (fairshare.ValidateTree) on the fully mounted tree, and
+//     duplicates (Scratch.ValidateTree) on the fully mounted tree, and
 //     the result rows renamed; every division skips that check, and other
 //     epochs rewrite only the rows' numbers.
 //   - While the order holds, one comparison per site with its last report
@@ -86,7 +86,8 @@ import (
 //     once to dense IDs for the per-function aggregates.
 //   - Scratch (result rows, division outputs, spare, pool, spread and
 //     reclaim lists, the spread pass's one-level arbitration tree,
-//     validation sets) persists across epochs, so a churning epoch
+//     validation sets, the fairshare.Scratch every tree division works
+//     in) persists across epochs, so a churning epoch
 //     allocates only when a reused list outgrows its backing array. A cold
 //     epoch allocates per site, not per tree node: a site's share tree is a
 //     few slabs and one ID string, its eight per-function vectors one
@@ -104,6 +105,7 @@ type Allocator struct {
 	layout bool         // sc and the position lists match the last site order
 	res    Result
 
+	scratch   fairshare.Scratch // every tree check and division, every site's included
 	root      fairshare.Node
 	upperOut  []int64 // pass 1's division over the stubs, in leaf preorder
 	upperSite []int   // site position of each upperOut leaf; -1 for a group with no site present
@@ -345,8 +347,8 @@ func resize(s []int64, n int) []int64 {
 // own site's cache.
 //
 //lass:bitexact
-func (c *siteCache) clampSite(capped bool) error {
-	if err := c.tree.Divide(c.want, c.prev.CapacityCPU, capped, c.clamp); err != nil {
+func (c *siteCache) clampSite(s *fairshare.Scratch, capped bool) error {
+	if err := c.tree.Divide(s, c.want, c.prev.CapacityCPU, capped, c.clamp); err != nil {
 		return err
 	}
 	c.sum, c.over = 0, false
@@ -546,14 +548,14 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 	// grant moved re-divides its subtree.
 	if reshaped {
 		a.mountSites(true)
-		if err := fairshare.ValidateTree(&a.root); err != nil {
+		if err := a.scratch.ValidateTree(&a.root); err != nil {
 			return a.fail(err)
 		}
 		a.nameRows()
 	}
 	a.mountSites(false)
 	var err error
-	if a.upperOut, err = fairshare.DivideTreeInto(&a.root, a.res.TotalCapacityCPU, capped, a.upperOut); err != nil {
+	if a.upperOut, err = a.scratch.DivideTreeInto(&a.root, a.res.TotalCapacityCPU, capped, a.upperOut); err != nil {
 		return a.fail(err)
 	}
 	for x, i := range a.upperSite {
@@ -565,7 +567,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 		if !c.moved {
 			continue
 		}
-		if err := c.tree.Divide(c.desired, g, capped, c.entitled); err != nil {
+		if err := c.tree.Divide(&a.scratch, c.desired, g, capped, c.entitled); err != nil {
 			return a.fail(err)
 		}
 		c.grant = g
@@ -596,7 +598,7 @@ func (a *Allocator) Allocate(sites []SiteDemand, capped bool) (*Result, error) {
 			stale := c.dirty || !a.havePrev || !slices.Equal(c.wantNext, c.want)
 			c.want, c.wantNext = c.wantNext, c.want
 			if stale {
-				if err := c.clampSite(capped); err != nil {
+				if err := c.clampSite(&a.scratch, capped); err != nil {
 					return a.fail(err)
 				}
 			}
@@ -733,7 +735,7 @@ func (a *Allocator) spread(idxs []int) error {
 			a.arb.Children = append(a.arb.Children, &a.arbLeaves[x])
 		}
 		var err error
-		if a.arbOut, err = fairshare.DivideTreeInto(&a.arb, pool, true, a.arbOut); err != nil {
+		if a.arbOut, err = a.scratch.DivideTreeInto(&a.arb, pool, true, a.arbOut); err != nil {
 			return err
 		}
 		progress := false
@@ -907,7 +909,7 @@ func (a *Allocator) finish(capped bool) (*Result, error) {
 	// site's own demand report, so clean sites reuse last epoch's.
 	for _, c := range a.sc {
 		if c.dirty || !a.havePrev {
-			if err := c.tree.Divide(c.desired, c.prev.CapacityCPU, capped, c.local); err != nil {
+			if err := c.tree.Divide(&a.scratch, c.desired, c.prev.CapacityCPU, capped, c.local); err != nil {
 				return a.fail(err)
 			}
 		}

@@ -273,6 +273,7 @@ func diffResults(want, got *Result) string {
 // and checks that a site with no functions divides to nothing.
 func TestShareTreeMatchesSubtree(t *testing.T) {
 	rng := xrand.New(47)
+	var scratch fairshare.Scratch
 	for trial := 0; trial < 200; trial++ {
 		for _, s := range fuzzFederation(rng) {
 			id := "site:" + s.Site
@@ -290,7 +291,7 @@ func TestShareTreeMatchesSubtree(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := make([]int64, len(s.Functions))
-				if err := tree.Divide(desire, capacity, capped, got); err != nil {
+				if err := tree.Divide(&scratch, desire, capacity, capped, got); err != nil {
 					t.Fatal(err)
 				}
 				for j, fd := range s.Functions {
@@ -301,7 +302,7 @@ func TestShareTreeMatchesSubtree(t *testing.T) {
 			}
 		}
 	}
-	if err := NewShareTree("site:empty", nil).Divide(nil, 1000, true, nil); err != nil {
+	if err := NewShareTree("site:empty", nil).Divide(&scratch, nil, 1000, true, nil); err != nil {
 		t.Errorf("empty site: %v", err)
 	}
 }
@@ -587,9 +588,9 @@ func coldEpoch(h *Hierarchy, sites []SiteDemand) (*Result, error) {
 // not per tree node and node ID: each share tree is a few slabs and one
 // ID string, each site's vectors one slice, the caches one slice, the
 // hierarchy's vertices and the spread's server lists one slab each, and
-// the maps and result rows are sized once. The fairshare scratch is shared
-// across allocators, so after the first run it is not counted. The limit
-// is the measured 1,120 (1,172 under -race) plus a small margin.
+// the maps and result rows are sized once. The count includes the
+// Allocator's own fairshare.Scratch, sized once from the first tree's node
+// count: 1,135 measured (1,187 under -race); the limit adds a small margin.
 func TestColdEpochAllocs(t *testing.T) {
 	const coldEpochAllocs = 1200
 	h, sites := churnFederation()
@@ -613,6 +614,70 @@ func BenchmarkColdAllocate(b *testing.B) {
 	for b.Loop() {
 		if _, err := coldEpoch(h, sites); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCapacityThatNeverBindsLeavesGrants is the no-pressure exit stated as
+// a relation: when every site's total desire fits its own capacity,
+// scaling every capacity by an integer k ≥ 1 leaves each row's GrantedCPU
+// and EntitledCPU unchanged — flat and hierarchical (reclaim off and on),
+// capped and not, on a cold epoch and on the warm one after it. Deserved
+// and borrowed quotas follow capacity and may move. Each seed redraws the
+// control_churn-shaped federation's desires and gives every site its total
+// desire plus 0–3 × 250 mC, so some sites fit exactly; the warm epoch
+// lowers one desire at a tenth of the sites.
+func TestCapacityThatNeverBindsLeavesGrants(t *testing.T) {
+	h, base := churnFederation()
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := xrand.New(seed)
+		cold := cloneSites(base)
+		for i := range cold {
+			s := &cold[i]
+			for j := range s.Functions {
+				s.Functions[j].DesiredCPU = int64(250 * rng.Intn(9))
+			}
+			s.CapacityCPU = totalDesire(s) + int64(250*rng.Intn(4))
+		}
+		warm := cloneSites(cold)
+		for i := 0; i < len(warm); i += 10 {
+			fd := &warm[i+rng.Intn(10)].Functions[rng.Intn(8)]
+			fd.DesiredCPU = int64(rng.Intn(int(fd.DesiredCPU) + 1))
+		}
+		for _, mode := range []string{"flat", "hierarchical", "reclaim"} {
+			for _, capped := range []bool{false, true} {
+				for _, k := range []int64{2, 3, 10} {
+					one, scaled := NewAllocator(), NewAllocator()
+					if mode != "flat" {
+						for _, a := range []*Allocator{one, scaled} {
+							if err := a.SetHierarchy(h, mode == "reclaim"); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					for e, epoch := range [][]SiteDemand{cold, warm} {
+						want, err := one.Allocate(cloneSites(epoch), capped)
+						if err != nil {
+							t.Fatal(err)
+						}
+						bigger := cloneSites(epoch)
+						for i := range bigger {
+							bigger[i].CapacityCPU *= k
+						}
+						got, err := scaled.Allocate(bigger, capped)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for r, w := range want.Grants {
+							g := got.Grants[r]
+							if g.GrantedCPU != w.GrantedCPU || g.EntitledCPU != w.EntitledCPU {
+								t.Fatalf("seed %d %s capped=%v epoch %d, capacity ×%d: %s/%s granted %d entitled %d, want %d and %d",
+									seed, mode, capped, e, k, g.Site, g.Function, g.GrantedCPU, g.EntitledCPU, w.GrantedCPU, w.EntitledCPU)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

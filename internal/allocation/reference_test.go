@@ -48,10 +48,11 @@ func subtree(s SiteDemand, id string, desire map[string]int64) *fairshare.Node {
 // allocateTree validates and divides root and keys the grants by leaf ID,
 // the one-shot tree division the references were written against.
 func allocateTree(root *fairshare.Node, capacity int64, capped bool) (map[string]int64, error) {
-	if err := fairshare.ValidateTree(root); err != nil {
+	var s fairshare.Scratch
+	if err := s.ValidateTree(root); err != nil {
 		return nil, err
 	}
-	grants, err := fairshare.DivideTreeInto(root, capacity, capped, nil)
+	grants, err := s.DivideTreeInto(root, capacity, capped, nil)
 	if err != nil {
 		return nil, err
 	}

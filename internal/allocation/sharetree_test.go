@@ -140,7 +140,7 @@ func FuzzShareTreeSpec(f *testing.F) {
 		got := make([]int64, len(fns))
 		for _, capped := range []bool{false, true} {
 			for _, capacity := range []int64{total, total + 1000} {
-				if err := tree.Divide(desire, capacity, capped, got); err != nil {
+				if err := tree.Divide(new(fairshare.Scratch), desire, capacity, capped, got); err != nil {
 					t.Fatal(err)
 				}
 				if !slices.Equal(got, desire) {

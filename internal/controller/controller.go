@@ -221,7 +221,8 @@ type Controller struct {
 	// functions, rebuilt only by Register and RegisterUser. Its node IDs
 	// are never validated: Register rules out duplicate and reserved
 	// names, and the division repeats every other check.
-	shares *allocation.ShareTree
+	shares       *allocation.ShareTree
+	shareScratch fairshare.Scratch // shares' division memory
 	// Per-epoch scratch: Demands, grantTargets and fairShares return
 	// views of these buffers so a steady-state control epoch performs no
 	// heap allocations. Each helper's result is valid only until its next
@@ -714,7 +715,7 @@ func (ctl *Controller) fairShares(capacity int64) ([]int64, error) {
 	for _, f := range ctl.order {
 		ctl.targetScratch[f.pos] = int64(f.Desired) * f.Spec.CPUMillis
 	}
-	if err := ctl.shares.Divide(ctl.targetScratch, capacity, true, ctl.targetScratch); err != nil {
+	if err := ctl.shares.Divide(&ctl.shareScratch, ctl.targetScratch, capacity, true, ctl.targetScratch); err != nil {
 		return nil, err
 	}
 	return ctl.targetScratch, nil

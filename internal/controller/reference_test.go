@@ -240,10 +240,11 @@ func referenceFairShares(ctl *Controller, demands []fairshare.Demand, capacity i
 			Desired: demandOf[f.Spec.Name],
 		})
 	}
-	if err := fairshare.ValidateTree(root); err != nil {
+	var s fairshare.Scratch
+	if err := s.ValidateTree(root); err != nil {
 		return nil, err
 	}
-	grants, err := fairshare.DivideTreeInto(root, capacity, true, nil)
+	grants, err := s.DivideTreeInto(root, capacity, true, nil)
 	if err != nil {
 		return nil, err
 	}

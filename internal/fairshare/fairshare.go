@@ -9,17 +9,17 @@
 // share is ω_i/Σω_j of the cluster's total CPU (Eq 7). Working in integer
 // units keeps the floor operations of Eqs 7-8 exact.
 //
-// A tree is checked and divided in two steps: ValidateTree rejects
-// structural errors, duplicate node IDs included, and DivideTreeInto
-// divides a tree that passed, returning the grants by leaf position. A
-// caller that divides trees of an unchanged shape every epoch validates
-// only when the shape changes, and may divide any subtree on its own.
+// A tree is checked and divided in two steps, in the caller's Scratch:
+// ValidateTree rejects structural errors, duplicate node IDs included, and
+// DivideTreeInto divides a tree that passed, returning the grants by leaf
+// position. A caller that divides trees of an unchanged shape every epoch
+// validates only when the shape changes, and may divide any subtree on its
+// own. The package keeps no state, so a cold caller is measured cold.
 package fairshare
 
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Demand is one function's (or one subtree's) desired capacity for the next
@@ -205,6 +205,37 @@ type Node struct {
 // Leaf reports whether the node has no children.
 func (n *Node) Leaf() bool { return len(n.Children) == 0 }
 
+// Scratch is the working memory of ValidateTree and DivideTreeInto; its
+// zero value is ready to use. It belongs to one caller, which may check and
+// divide any number of trees in it in turn: nothing a call reads survives
+// from an earlier one. It sizes itself from its first tree's node count and
+// grows only for a larger tree, so a warm call allocates nothing beyond
+// out's own growth.
+//
+//   - seen marks the IDs of the tree being validated with this call's gen,
+//     so the set is never cleared between calls.
+//   - size and total hold each node's subtree node count and total leaf
+//     desire, by preorder position.
+//   - slack records that the measured tree has no non-root node of weight
+//     0 and no subtree total that overflowed: every input check the
+//     division would repeat passes on it once the root's total fits the
+//     capacity.
+//   - dem and alloc are stacks of per-node segments: an internal node's
+//     children's demands and allocations sit at [base, base+len(children))
+//     while its subtrees are divided above them. A tree of n nodes never
+//     needs more than n slots.
+//   - unsat is waterFill's scratch.
+type Scratch struct {
+	seen  map[string]uint32
+	gen   uint32
+	size  []int
+	total []int64
+	slack bool
+	dem   []Demand
+	alloc []Allocation
+	unsat []int
+}
+
 // ValidateTree checks the whole tree for structural errors: duplicate node
 // IDs (internal or leaf, across any branches), negative or non-finite
 // weights, and negative leaf desires at any depth. The first error in
@@ -215,13 +246,9 @@ func (n *Node) Leaf() bool { return len(n.Children) == 0 }
 // tree every epoch — the federation's allocator — validates it once per
 // structural change and divides it, or any of its subtrees, without
 // hashing every ID again.
-func ValidateTree(root *Node) error {
+func (s *Scratch) ValidateTree(root *Node) error {
 	if root == nil {
 		return fmt.Errorf("fairshare: nil tree")
-	}
-	s, shared := acquireScratch()
-	if shared {
-		defer scratch.mu.Unlock()
 	}
 	return s.measure(root, true)
 }
@@ -254,17 +281,9 @@ func ValidateTree(root *Node) error {
 // desires fit, and waterFill changes nothing then. Any tree the full
 // division would reject takes the full division, so its error is the
 // same.
-//
-// The division works in reused scratch (treeScratch), so a call allocates
-// nothing beyond out's own growth once the scratch has seen a tree that
-// large.
-func DivideTreeInto(root *Node, capacity int64, capped bool, out []int64) ([]int64, error) {
+func (s *Scratch) DivideTreeInto(root *Node, capacity int64, capped bool, out []int64) ([]int64, error) {
 	if root == nil {
 		return out, fmt.Errorf("fairshare: nil tree")
-	}
-	s, shared := acquireScratch()
-	if shared {
-		defer scratch.mu.Unlock()
 	}
 	if err := s.measure(root, false); err != nil {
 		return out, err
@@ -306,50 +325,13 @@ func emptied(out []int64, n int) []int64 {
 // validated earlier are dropped wholesale.
 const seenCap = 1 << 16
 
-// treeScratch is the working memory of ValidateTree and DivideTreeInto.
-//
-//   - seen marks the IDs of the tree being validated with this call's gen,
-//     so the set is never cleared between calls.
-//   - size and total hold each node's subtree node count and total leaf
-//     desire, by preorder position.
-//   - slack records that the measured tree has no non-root node of weight
-//     0 and no subtree total that overflowed: every input check the
-//     division would repeat passes on it once the root's total fits the
-//     capacity.
-//   - dem and alloc are stacks of per-node segments: an internal node's
-//     children's demands and allocations sit at [base, base+len(children))
-//     while its subtrees are divided above them. A tree of n nodes never
-//     needs more than n slots.
-//   - unsat is waterFill's scratch.
-type treeScratch struct {
-	seen  map[string]uint32
-	gen   uint32
-	size  []int
-	total []int64
-	slack bool
-	dem   []Demand
-	alloc []Allocation
-	unsat []int
-}
-
-// scratch is the process's one reusable treeScratch. A caller that finds it
-// busy works in a fresh one instead of waiting, so concurrent callers
-// never serialise on it. Nothing a call reads survives from an earlier
-// one (seen is stamped per call), so sharing cannot change an answer. It
-// is not a sync.Pool because the race detector makes a Pool drop items at
-// random, and the allocation counts tests assert would go with them.
-var scratch struct {
-	mu sync.Mutex
-	s  treeScratch
-}
-
-// acquireScratch returns the shared scratch, locked (shared is true; the
-// caller unlocks scratch.mu), or a fresh one when it is busy.
-func acquireScratch() (s *treeScratch, shared bool) {
-	if scratch.mu.TryLock() {
-		return &scratch.s, true
+// countNodes is the number of nodes in the tree rooted at n.
+func countNodes(n *Node) int {
+	c := 1
+	for _, ch := range n.Children {
+		c += countNodes(ch)
 	}
-	return &treeScratch{}, false
+	return c
 }
 
 // measure rejects structural errors anywhere in the tree — duplicate IDs
@@ -358,10 +340,15 @@ func acquireScratch() (s *treeScratch, shared bool) {
 // — and zero-weight children are still rejected by validate when their
 // sibling group is divided, so only strictly negative (and non-finite)
 // weights fail at this layer.
-func (s *treeScratch) measure(root *Node, ids bool) error {
+func (s *Scratch) measure(root *Node, ids bool) error {
+	if s.size == nil {
+		// First use: room for this tree. Later calls never count again.
+		n := countNodes(root)
+		s.size, s.total = make([]int, 0, n), make([]int64, 0, n)
+	}
 	if ids {
 		if s.seen == nil || len(s.seen) > seenCap {
-			s.seen = make(map[string]uint32)
+			s.seen = make(map[string]uint32, cap(s.size))
 		}
 		s.gen++
 		if s.gen == 0 {
@@ -374,7 +361,7 @@ func (s *treeScratch) measure(root *Node, ids bool) error {
 	return s.walk(root, ids)
 }
 
-func (s *treeScratch) walk(n *Node, ids bool) error {
+func (s *Scratch) walk(n *Node, ids bool) error {
 	if n.Weight < 0 {
 		return fmt.Errorf("fairshare: node %q has negative weight %v", n.ID, n.Weight)
 	}
@@ -419,7 +406,7 @@ func (s *treeScratch) walk(n *Node, ids bool) error {
 // demands are their subtrees' total desires, and each child's adjusted
 // capacity is divided recursively. n's segment of dem and alloc starts at
 // base. Each leaf's grant is appended to out, which is returned.
-func (s *treeScratch) divide(n *Node, pre int, capacity int64, capped bool, out []int64, base int) ([]int64, error) {
+func (s *Scratch) divide(n *Node, pre int, capacity int64, capped bool, out []int64, base int) ([]int64, error) {
 	if n.Leaf() {
 		return append(out, min(capacity, n.Desired)), nil
 	}

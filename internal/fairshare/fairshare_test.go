@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -18,10 +17,11 @@ import (
 // tests and ExampleAllocateTree are written against. It is declared in a
 // test file, so only tests can reach it.
 func AllocateTree(root *Node, capacity int64, capped bool) (map[string]int64, error) {
-	if err := ValidateTree(root); err != nil {
+	var s Scratch
+	if err := s.ValidateTree(root); err != nil {
 		return nil, err
 	}
-	grants, err := DivideTreeInto(root, capacity, capped, nil)
+	grants, err := s.DivideTreeInto(root, capacity, capped, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -358,10 +358,10 @@ func TestNonFiniteWeightsRejected(t *testing.T) {
 }
 
 // TestDivideTreeIntoReusesScratch: validating and dividing trees of
-// different sizes back to back — the shared scratch growing, then serving
-// smaller trees with stale IDs still in its set — gives the same answers
-// as on first use, a warm call allocates nothing, and concurrent callers
-// agree.
+// different sizes back to back in one Scratch — sized for the small tree
+// on first use, growing for the big one, then serving the small one again
+// with stale IDs still in its set — gives the same answers as a fresh
+// Scratch, and a warm call allocates nothing.
 func TestDivideTreeIntoReusesScratch(t *testing.T) {
 	build := func(users, fns int, desire int64) *Node {
 		root := &Node{ID: "root"}
@@ -379,6 +379,7 @@ func TestDivideTreeIntoReusesScratch(t *testing.T) {
 	big, small := build(6, 9, 700), build(2, 3, 900)
 	wantBig := preorderGrants(t, big, 20_000, true)
 	wantSmall := preorderGrants(t, small, 3_000, false)
+	var s Scratch
 	var out []int64
 	for range 3 {
 		for _, c := range []struct {
@@ -386,12 +387,12 @@ func TestDivideTreeIntoReusesScratch(t *testing.T) {
 			cap    int64
 			capped bool
 			want   []int64
-		}{{big, 20_000, true, wantBig}, {small, 3_000, false, wantSmall}} {
-			if err := ValidateTree(c.root); err != nil {
+		}{{small, 3_000, false, wantSmall}, {big, 20_000, true, wantBig}} {
+			if err := s.ValidateTree(c.root); err != nil {
 				t.Fatal(err)
 			}
 			var err error
-			if out, err = DivideTreeInto(c.root, c.cap, c.capped, out); err != nil {
+			if out, err = s.DivideTreeInto(c.root, c.cap, c.capped, out); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(out, c.want) {
@@ -400,48 +401,17 @@ func TestDivideTreeIntoReusesScratch(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := ValidateTree(big); err != nil {
+		if err := s.ValidateTree(big); err != nil {
 			panic(err)
 		}
 		var err error
-		if out, err = DivideTreeInto(big, 20_000, true, out); err != nil {
+		if out, err = s.DivideTreeInto(big, 20_000, true, out); err != nil {
 			panic(err)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("warm ValidateTree and DivideTreeInto allocated %.1f times per call, want 0", allocs)
 	}
-
-	// Concurrent callers: one holds the shared scratch, the others divide
-	// in fresh ones; every answer is unchanged. Run under -race.
-	var wg sync.WaitGroup
-	for g := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var out []int64
-			for i := range 50 {
-				root, capacity, capped, want := big, int64(20_000), true, wantBig
-				if (g+i)%2 == 1 {
-					root, capacity, capped, want = small, 3_000, false, wantSmall
-				}
-				if err := ValidateTree(root); err != nil {
-					t.Error(err)
-					return
-				}
-				var err error
-				if out, err = DivideTreeInto(root, capacity, capped, out); err != nil {
-					t.Error(err)
-					return
-				}
-				if !slices.Equal(out, want) {
-					t.Errorf("goroutine %d call %d diverged: got %v, want %v", g, i, out, want)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestAllocateTreeTwoLevels(t *testing.T) {
@@ -573,7 +543,7 @@ func TestAllocateTreeDeepValidation(t *testing.T) {
 	// Errors surface before any division: the caller-owned slice is
 	// returned untouched on failure.
 	out := []int64{7}
-	if got, err := DivideTreeInto(negDeep, 100, true, out); err == nil {
+	if got, err := new(Scratch).DivideTreeInto(negDeep, 100, true, out); err == nil {
 		t.Error("want error from DivideTreeInto")
 	} else if len(got) != 1 || out[0] != 7 {
 		t.Error("failed validation must not touch the caller's slice")
@@ -626,7 +596,7 @@ func TestNoPressureExitKeepsErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, capped := range []bool{false, true} {
-			_, err := DivideTreeInto(c.tree, 1000, capped, nil)
+			_, err := new(Scratch).DivideTreeInto(c.tree, 1000, capped, nil)
 			if err == nil || err.Error() != c.want {
 				t.Errorf("%s, capped=%v: got error %v, want %q", c.name, capped, err, c.want)
 			}
@@ -679,6 +649,7 @@ func subtreeDesire(n *Node) int64 {
 // its full division run, capped and not, with some desires zero.
 func TestNoPressureExitMatchesLevelDivision(t *testing.T) {
 	rng := xrand.New(54)
+	var s Scratch
 	var out []int64
 	f := func(k uint8, slack int16, capped bool) bool {
 		root := quickTree(rng, k)
@@ -696,7 +667,7 @@ func TestNoPressureExitMatchesLevelDivision(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		if out, err = DivideTreeInto(root, capacity, capped, out); err != nil {
+		if out, err = s.DivideTreeInto(root, capacity, capped, out); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -765,6 +736,7 @@ func preorderGrants(t *testing.T, root *Node, capacity int64, capped bool) []int
 // root, which yields exactly one value.
 func TestDivideTreeLeafOrder(t *testing.T) {
 	rng := xrand.New(41)
+	var s Scratch
 	var out []int64
 	f := func(capRaw uint16, k uint8, capped bool) bool {
 		capacity := int64(capRaw%8000) + 100
@@ -772,7 +744,7 @@ func TestDivideTreeLeafOrder(t *testing.T) {
 		for _, n := range []*Node{root, root.Children[0], root.Children[0].Children[0]} {
 			want := preorderGrants(t, n, capacity, capped)
 			var err error
-			if out, err = DivideTreeInto(n, capacity, capped, out); err != nil {
+			if out, err = s.DivideTreeInto(n, capacity, capped, out); err != nil {
 				t.Log(err)
 				return false
 			}
@@ -786,7 +758,7 @@ func TestDivideTreeLeafOrder(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-	solo, err := DivideTreeInto(&Node{ID: "solo", Weight: 1, Desired: 700}, 500, true, nil)
+	solo, err := s.DivideTreeInto(&Node{ID: "solo", Weight: 1, Desired: 700}, 500, true, nil)
 	if err != nil || !slices.Equal(solo, []int64{500}) {
 		t.Errorf("single-leaf root: got %v, %v; want [500]", solo, err)
 	}

@@ -26,7 +26,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"lass/internal/allocation"
@@ -184,8 +183,8 @@ func Parse(data []byte) (*Scenario, error) {
 		return nil, err
 	}
 	sc := &Scenario{}
-	d := &decoder{}
-	d.object(root, reflect.ValueOf(sc).Elem(), schemaOf(reflect.TypeOf(*sc)), "scenario")
+	d := &decoder{schemas: make(map[reflect.Type]*schema)}
+	d.object(root, reflect.ValueOf(sc).Elem(), d.schemaOf(reflect.TypeOf(*sc)), "scenario")
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -211,7 +210,8 @@ func Parse(data []byte) (*Scenario, error) {
 // durations and fault kinds by name. Every error carries the offending
 // line; the first one sticks and short-circuits the rest.
 type decoder struct {
-	err error
+	err     error
+	schemas map[reflect.Type]*schema
 }
 
 func (d *decoder) fail(line int, format string, args ...any) {
@@ -229,21 +229,20 @@ type field struct {
 }
 
 // schema is one struct type's keys in declaration order, worked out once
-// per type and looked up once per list, not per item.
+// per type and document and looked up once per list, not per item.
 type schema struct {
 	fields []field
 	keys   []string
 }
 
-var schemas sync.Map // reflect.Type → *schema
-
-func schemaOf(t reflect.Type) *schema {
-	if s, ok := schemas.Load(t); ok {
-		return s.(*schema)
+// schemaOf returns t's schema, worked out on the decoder's first lookup.
+func (d *decoder) schemaOf(t reflect.Type) *schema {
+	if s, ok := d.schemas[t]; ok {
+		return s
 	}
 	s := &schema{}
 	s.add(t, nil)
-	schemas.Store(t, s)
+	d.schemas[t] = s
 	return s
 }
 
@@ -315,7 +314,7 @@ func (d *decoder) value(n *node, v reflect.Value, what string, f *field) {
 		v.Set(reflect.New(v.Type().Elem()))
 		d.value(n, v.Elem(), what, f)
 	case reflect.Struct:
-		d.object(n, v, schemaOf(v.Type()), f.key)
+		d.object(n, v, d.schemaOf(v.Type()), f.key)
 	case reflect.Slice:
 		if n.kind != listNode {
 			d.fail(n.line, "%s %q must be a list", what, f.key)
@@ -326,7 +325,7 @@ func (d *decoder) value(n *node, v reflect.Value, what string, f *field) {
 		}
 		items, es := reflect.MakeSlice(v.Type(), len(n.items), len(n.items)), (*schema)(nil)
 		if et := v.Type().Elem(); et.Kind() == reflect.Struct {
-			es = schemaOf(et)
+			es = d.schemaOf(et)
 		}
 		for i := 0; i < len(n.items) && d.err == nil; i++ {
 			if es != nil {

@@ -323,6 +323,7 @@ var benchmarkKeys = map[string]string{
 // Scenario's schema, marking each (struct type, key) pair it meets, with
 // benchmarkKeys standing in for the documents benchmark/gen.go generates.
 func TestDSLKeysHaveInputs(t *testing.T) {
+	d := decoder{schemas: make(map[reflect.Type]*schema)}
 	elem := func(typ reflect.Type) reflect.Type {
 		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
 			typ = typ.Elem()
@@ -350,7 +351,7 @@ func TestDSLKeysHaveInputs(t *testing.T) {
 			}
 			return
 		}
-		s := schemaOf(typ)
+		s := d.schemaOf(typ)
 		for i, k := range n.keys {
 			if j := slices.Index(s.keys, k); j >= 0 {
 				written[pair(typ, k)] = true
@@ -386,7 +387,7 @@ func TestDSLKeysHaveInputs(t *testing.T) {
 			return
 		}
 		seen[typ] = true
-		s := schemaOf(typ)
+		s := d.schemaOf(typ)
 		for i := range s.fields {
 			f := &s.fields[i]
 			p := pair(typ, f.key)
